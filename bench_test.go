@@ -377,3 +377,62 @@ func BenchmarkStoreResultHit(b *testing.B) {
 		}
 	}
 }
+
+// grid1000Query mirrors the wsn-bench suite's encode workload: the
+// 1,000-point grid of the end-to-end grid-cold workload under seed 7.
+func grid1000Query() query.Query {
+	seed := int64(7)
+	from, to, points := query.Float(50), query.Float(90), 20
+	bo0, bo1 := 6, 10
+	return query.Query{
+		Kind:     query.KindGrid,
+		Params:   &query.ParamsWire{Contention: &query.ContentionWire{Superframes: 8, Seed: &seed}},
+		Losses:   &query.Axis{From: &from, To: &to, Points: &points},
+		Payloads: &query.IntAxis{Values: []int{10, 20, 30, 40, 50, 60, 70, 80, 100, 120}},
+		BOs:      &query.IntAxis{From: &bo0, To: &bo1},
+	}
+}
+
+func grid1000Result(b *testing.B) *query.ResultSet {
+	rs, err := query.Run(context.Background(), grid1000Query())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rs
+}
+
+// BenchmarkEncodeGrid1000 measures the whole-body result writer on the
+// largest body the end-to-end benchmark serves: the 1,000-point grid.
+func BenchmarkEncodeGrid1000(b *testing.B) {
+	b.ReportAllocs()
+	rs := grid1000Result(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := rs.Encode(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkStoreTaskPut measures the per-task store feed of a cold plan:
+// encode one grid task into a reused buffer and put it into the memory
+// tier, which copies what it keeps.
+func BenchmarkStoreTaskPut(b *testing.B) {
+	b.ReportAllocs()
+	rs := grid1000Result(b)
+	st, err := store.New(store.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	key, _ := store.KeyFor(grid1000Query())
+	var buf []byte
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % len(rs.Results)
+		if buf, err = rs.Results[j].AppendJSON(buf[:0]); err != nil {
+			b.Fatal(err)
+		}
+		buf = append(buf, '\n')
+		st.PutTask(key, j, buf)
+	}
+}

@@ -287,7 +287,67 @@ func suite(quick bool) []namedBench {
 				}
 			}
 		}},
+		{"EncodeGrid1000", func(b *testing.B) {
+			// The whole-body result writer on the largest body the
+			// end-to-end benchmark serves: the 1,000-point grid-cold ResultSet.
+			b.ReportAllocs()
+			rs := grid1000Result(b)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := rs.Encode(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		{"StoreTaskPut", func(b *testing.B) {
+			// The per-task store feed of a cold plan (Plan.storeTask): encode
+			// one grid task into a reused buffer and put it into the memory
+			// tier, which copies what it keeps.
+			b.ReportAllocs()
+			rs := grid1000Result(b)
+			st, err := store.New(store.Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			key, _ := store.KeyFor(grid1000Query())
+			var buf []byte
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				j := i % len(rs.Results)
+				if buf, err = rs.Results[j].AppendJSON(buf[:0]); err != nil {
+					b.Fatal(err)
+				}
+				buf = append(buf, '\n')
+				st.PutTask(key, j, buf)
+			}
+		}},
 	}
+}
+
+// grid1000Query is the 1,000-point grid of the end-to-end grid-cold
+// workload under seed 7: losses 50→90 dB over 20 points × ten payloads ×
+// BO 6..10, Monte-Carlo contention at 8 superframes.
+func grid1000Query() query.Query {
+	seed := int64(7)
+	from, to, points := query.Float(50), query.Float(90), 20
+	bo0, bo1 := 6, 10
+	return query.Query{
+		Kind:     query.KindGrid,
+		Params:   &query.ParamsWire{Contention: &query.ContentionWire{Superframes: 8, Seed: &seed}},
+		Losses:   &query.Axis{From: &from, To: &to, Points: &points},
+		Payloads: &query.IntAxis{Values: []int{10, 20, 30, 40, 50, 60, 70, 80, 100, 120}},
+		BOs:      &query.IntAxis{From: &bo0, To: &bo1},
+	}
+}
+
+// grid1000Result computes the grid1000Query ResultSet the encode kernels
+// write (outside their timed loops).
+func grid1000Result(b *testing.B) *query.ResultSet {
+	rs, err := query.Run(context.Background(), grid1000Query())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rs
 }
 
 // storeBenchQuery is the standard 6-task grid workload of the store

@@ -106,24 +106,32 @@ func run(file string, workers int, stream, planOnly, trace bool) error {
 	defer stop()
 
 	out := os.Stdout
-	enc := json.NewEncoder(out)
-	enc.SetEscapeHTML(false)
+	// Stream lines go through the result writer into one reused buffer, the
+	// same bytes /v2/query/stream sends.
+	var line []byte
+	writeLine := func(b []byte) error {
+		line = append(b, '\n')
+		_, err := out.Write(line)
+		return err
+	}
 
 	var yield func(query.TaskResult) error
 	if stream {
-		yield = func(tr query.TaskResult) error { return enc.Encode(tr) }
+		yield = func(tr query.TaskResult) error {
+			b, err := tr.AppendJSON(line[:0])
+			if err != nil {
+				return err
+			}
+			return writeLine(b)
+		}
 	}
 	rs, err := p.Execute(ctx, q.Workers, yield)
 	if err != nil {
 		return err
 	}
 	if stream {
-		return enc.Encode(struct {
-			Done    bool                      `json:"done"`
-			Count   int                       `json:"count"`
-			Summary *query.ReplicaSummaryWire `json:"summary,omitempty"`
-			Trace   *query.PlanTraceWire      `json:"trace,omitempty"`
-		}{Done: true, Count: len(rs.Results), Summary: rs.Summary, Trace: rs.Trace})
+		done := query.StreamDone{Done: true, Count: len(rs.Results), Summary: rs.Summary, Trace: rs.Trace}
+		return writeLine(done.AppendJSON(line[:0]))
 	}
 	body, err := rs.Encode()
 	if err != nil {

@@ -198,6 +198,40 @@
 // rates, resident bytes and disk health; GET /v2/store/stats serves the
 // same counters plus memory-tier occupancy as one JSON snapshot.
 //
+// # Wire encoding
+//
+// Every result byte — the /v2/query body, each /v2/query/stream line and
+// its done line, each /v2/tasks line, every stored task and ResultSet —
+// follows one contract: compact JSON in fixed struct-field order, floats in
+// the shortest form that parses back to the same bits, non-finite floats as
+// the strings "+Inf", "-Inf" and "NaN", strings escaped as encoding/json
+// escapes them with HTML escaping off, and one trailing newline per
+// document or line. Equal results therefore encode to equal bytes, which is
+// what the byte-equality tests, the goldens and the store all compare.
+//
+// One writer produces those bytes: the reflection-free appenders of
+// internal/query (TaskResult.AppendJSON, ResultSet.AppendJSON and an
+// appendJSON per nested wire type), built on wire.AppendFloat and
+// wire.AppendString. They write into reused buffers, so encoding the
+// 1,000-point grid body costs one allocation instead of ~50,000, and the
+// stream, task-line and store paths cost none. TaskResult and ResultSet
+// implement json.Marshaler through the same appenders, so any json.Encoder
+// writes identical bytes. Only the scenario and experiment payloads, which
+// embed foreign report types, still go through encoding/json, appended in
+// place.
+//
+// encoding/json is the oracle, not the writer: TestAppendJSONMatchesEncodingJSON
+// fills every field of every result wire type by reflection (NaN, ±Inf,
+// −0, subnormals, the 1e21 notation boundary, nil versus empty slices,
+// labels with <>&, U+2028 and invalid UTF-8) and requires the appender's
+// bytes to equal a json.Encoder's for a method-less copy of the type;
+// FuzzTaskResultEncode extends that to arbitrary decodable input and pins
+// decode → encode as a fixed point. To add a result field, add it to the
+// struct and to its appendJSON in the same change — the oracle test fails
+// until both agree. TestResultSetEncodeAllocBudget (≤2 allocations for the
+// 1,000-point body) and TestEncodeTaskResultAllocBudget (≤1 per task) fail
+// CI on a return to per-field boxing.
+//
 // # Observability
 //
 // GET /metrics serves the server's telemetry in the Prometheus text format
@@ -402,16 +436,18 @@
 // hot-path micro-benchmarks) and writes a JSON report of ns/op, B/op and
 // allocs/op per benchmark:
 //
-//	go run ./cmd/wsn-bench -out BENCH_PR6.json   # refresh the baseline
-//	go run ./cmd/wsn-bench -diff BENCH_PR6.json  # compare a fresh run
+//	go run ./cmd/wsn-bench -out BENCH_PR14.json   # refresh the baseline
+//	go run ./cmd/wsn-bench -diff BENCH_PR14.json  # compare a fresh run
 //
 // The committed BENCH_*.json files form the repository's performance
 // trajectory; CI regenerates a -quick report per push and diffs it against
-// the baseline: ns/op ratios are warn-only (wall-clock is
+// the latest baseline: ns/op ratios are warn-only (wall-clock is
 // machine-dependent) while allocs/op regressions fail the job
-// (-failallocs), backed by allocation-budget tests
-// (netsim.TestRunAllocBudget and friends) that fail hard on setup or
-// boxing regressions. To profile the hot paths under live load, start the
+// (-failallocs), backed by allocation-budget tests that fail hard on setup
+// or boxing regressions: des.TestTypedEventLoopAllocFree,
+// contention.TestSimulateAllocBudget, netsim.TestRunAllocBudget,
+// query.TestResultSetEncodeAllocBudget and
+// query.TestEncodeTaskResultAllocBudget. To profile the hot paths under live load, start the
 // service with a profiling listener (wsn-serve -pprof 127.0.0.1:6060) and
 // capture /debug/pprof/profile while a replica-heavy query runs.
 //

@@ -178,6 +178,9 @@ type distRun struct {
 	// store is configured or the query is not cacheable): read during
 	// prefill, written as remote results are accepted.
 	view query.TaskStore
+	// putBuf is the scratch buffer accepted remote results are encoded into
+	// for the store back-fill; the store copies what it keeps.
+	putBuf []byte
 
 	ch       chan msg
 	pending  []span
@@ -624,8 +627,9 @@ func (r *distRun) onLine(m msg) error {
 			// local flights store through the plan's own view. Re-dispatched
 			// or repeated queries then prefill instead of recomputing.
 			if r.view != nil {
-				if b, err := query.EncodeTaskResult(r.results[i]); err == nil {
-					r.view.PutTask(i, b)
+				if b, err := r.results[i].AppendJSON(r.putBuf[:0]); err == nil {
+					r.putBuf = append(b, '\n')
+					r.view.PutTask(i, r.putBuf)
 				}
 			}
 		}

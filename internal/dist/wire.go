@@ -29,7 +29,14 @@
 // assert merged bytes == local bytes.
 package dist
 
-import "dense802154/internal/query"
+import (
+	"fmt"
+	"math"
+	"strconv"
+
+	"dense802154/internal/query"
+	"dense802154/internal/wire"
+)
 
 // TaskRequest is the body of POST /v2/tasks: compute tasks [From,To) of the
 // plan compiled from Query. The receiving worker validates the range
@@ -61,4 +68,45 @@ type TaskLine struct {
 	Done   bool              `json:"done,omitempty"`
 	Count  int               `json:"count,omitempty"`
 	Error  string            `json:"error,omitempty"`
+}
+
+// AppendJSON appends the compact JSON form of l (no trailing newline) to
+// dst: the bytes a json.Encoder with HTML escaping off writes for it, with
+// the Result written by query.TaskResult.AppendJSON. It fails on a
+// non-finite WallMS (which encoding/json rejects too) or a Result that does
+// not encode.
+func (l *TaskLine) AppendJSON(dst []byte) ([]byte, error) {
+	dst = append(dst, '{')
+	open := len(dst)
+	key := func(dst []byte, k string) []byte {
+		if len(dst) > open {
+			dst = append(dst, ',')
+		}
+		return append(dst, k...)
+	}
+	if l.Index != 0 {
+		dst = strconv.AppendInt(key(dst, `"index":`), int64(l.Index), 10)
+	}
+	if l.WallMS != 0 {
+		if math.IsInf(l.WallMS, 0) || math.IsNaN(l.WallMS) {
+			return dst, fmt.Errorf("dist: unsupported wall_ms %v", l.WallMS)
+		}
+		dst = wire.AppendStdFloat(key(dst, `"wall_ms":`), l.WallMS)
+	}
+	if l.Result != nil {
+		var err error
+		if dst, err = l.Result.AppendJSON(key(dst, `"result":`)); err != nil {
+			return dst, err
+		}
+	}
+	if l.Done {
+		dst = key(dst, `"done":true`)
+	}
+	if l.Count != 0 {
+		dst = strconv.AppendInt(key(dst, `"count":`), int64(l.Count), 10)
+	}
+	if l.Error != "" {
+		dst = wire.AppendString(key(dst, `"error":`), l.Error)
+	}
+	return append(dst, '}'), nil
 }

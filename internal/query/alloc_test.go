@@ -1,0 +1,108 @@
+package query
+
+import (
+	"context"
+	"runtime/debug"
+	"sync"
+	"testing"
+)
+
+// grid1000Query is the 1,000-point grid of the end-to-end grid-cold
+// workload under seed 7: losses 50→90 dB over 20 points × ten payloads ×
+// BO 6..10, Monte-Carlo contention at 8 superframes. Its ResultSet body is
+// the largest result the benchmarks encode (~1 MB).
+func grid1000Query() Query {
+	seed := int64(7)
+	from, to, points := Float(50), Float(90), 20
+	bo0, bo1 := 6, 10
+	return Query{
+		Kind:     KindGrid,
+		Params:   &ParamsWire{Contention: &ContentionWire{Superframes: 8, Seed: &seed}},
+		Losses:   &Axis{From: &from, To: &to, Points: &points},
+		Payloads: &IntAxis{Values: []int{10, 20, 30, 40, 50, 60, 70, 80, 100, 120}},
+		BOs:      &IntAxis{From: &bo0, To: &bo1},
+	}
+}
+
+var grid1000 struct {
+	once sync.Once
+	rs   *ResultSet
+	err  error
+}
+
+// steadyState disables the collector for the rest of the test: a GC
+// between two encodes empties the scratch-buffer pool, and the budgets
+// measure the warm-pool steady state, not pool refills.
+func steadyState(t *testing.T) {
+	old := debug.SetGCPercent(-1)
+	t.Cleanup(func() { debug.SetGCPercent(old) })
+}
+
+// grid1000Result executes grid1000Query once per test binary.
+func grid1000Result(tb testing.TB) *ResultSet {
+	grid1000.once.Do(func() {
+		grid1000.rs, grid1000.err = Run(context.Background(), grid1000Query())
+	})
+	if grid1000.err != nil {
+		tb.Fatal(grid1000.err)
+	}
+	if n := len(grid1000.rs.Results); n != 1000 {
+		tb.Fatalf("grid has %d points, want 1000", n)
+	}
+	return grid1000.rs
+}
+
+// TestResultSetEncodeAllocBudget is the allocation-regression guard for the
+// result writer's whole-body path: once the scratch-buffer pool is warm,
+// encoding the 1,000-point grid body costs the returned slice and nothing
+// else (encoding/json spent ~50k allocations on the same body, one boxed
+// float per field).
+func TestResultSetEncodeAllocBudget(t *testing.T) {
+	rs := grid1000Result(t)
+	steadyState(t)
+	if _, err := rs.Encode(); err != nil { // warm the pool
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := rs.Encode(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > resultSetEncodeAllocBudget {
+		t.Fatalf("ResultSet.Encode of the 1000-point grid allocated %v per op, budget %d", allocs, resultSetEncodeAllocBudget)
+	}
+	t.Logf("ResultSet.Encode (1000-point grid): %v allocs/op", allocs)
+}
+
+// TestEncodeTaskResultAllocBudget guards the per-task path: EncodeTaskResult
+// costs at most its returned slice per task, and appending into a reused
+// buffer — what the stream and task lines and the store feed do — costs
+// nothing.
+func TestEncodeTaskResultAllocBudget(t *testing.T) {
+	rs := grid1000Result(t)
+	steadyState(t)
+	n := float64(len(rs.Results))
+	perTask := testing.AllocsPerRun(5, func() {
+		for i := range rs.Results {
+			if _, err := EncodeTaskResult(rs.Results[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}) / n
+	if perTask > taskEncodeAllocBudget {
+		t.Fatalf("EncodeTaskResult allocated %v per task, budget %d", perTask, taskEncodeAllocBudget)
+	}
+	buf := make([]byte, 0, 4096)
+	appended := testing.AllocsPerRun(5, func() {
+		for i := range rs.Results {
+			var err error
+			if buf, err = rs.Results[i].AppendJSON(buf[:0]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if appended != 0 {
+		t.Fatalf("TaskResult.AppendJSON into a reused buffer allocated %v per 1000 tasks, want 0", appended)
+	}
+	t.Logf("EncodeTaskResult: %v allocs/task; AppendJSON: %v", perTask, appended)
+}

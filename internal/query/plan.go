@@ -3,7 +3,6 @@ package query
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"strconv"
@@ -129,19 +128,20 @@ type ResultSet struct {
 func (rs *ResultSet) Value() any { return rs.value }
 
 // Encode renders the byte-stable JSON form: compact, HTML escaping off,
-// trailing newline. Struct field order is fixed, floats travel as
+// trailing newline. Field order is fixed, floats travel as
 // internal/wire.Float and no maps are involved, so the same ResultSet
 // always encodes to the same bytes — the property that makes the HTTP v2
 // body, the streamed NDJSON lines and an in-process Run comparable with
-// bytes.Equal.
+// bytes.Equal. The bytes come from AppendJSON; the returned slice is the
+// only allocation once the scratch-buffer pool is warm.
 func (rs *ResultSet) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(rs); err != nil {
+	bp := encodeBufs.Get().(*[]byte)
+	defer encodeBufs.Put(bp)
+	b, err := rs.AppendJSON((*bp)[:0])
+	if err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return bytes.Clone(keepLine(bp, b)), nil
 }
 
 // task is one schedulable unit of a compiled plan.
@@ -305,7 +305,7 @@ func (p *Plan) Execute(ctx context.Context, workers int, yield func(TaskResult) 
 		r.Index = i
 		r.Label = ex.tasks[i].label
 		if !hit {
-			p.storeTask(r)
+			p.storeTask(&r)
 		}
 		results[i] = r
 		return nil
@@ -427,7 +427,7 @@ func (p *Plan) ExecuteRange(ctx context.Context, workers, from, to int, yield fu
 			r.Index = idx
 			r.Label = ex.tasks[idx].label
 			if !hit {
-				p.storeTask(r)
+				p.storeTask(&r)
 			}
 			results[i] = r
 			select {

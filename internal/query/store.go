@@ -15,7 +15,9 @@ import (
 // already keyed to one query's content hash, indexed by plan task index.
 // GetTask returns the canonical encoded TaskResult bytes of a stored task;
 // PutTask stores freshly computed ones. Implementations must be safe for
-// concurrent use; the returned bytes must not be mutated by either side.
+// concurrent use; the returned bytes must not be mutated by either side, and
+// PutTask must copy the encoded bytes it keeps — the plan encodes into a
+// reused scratch buffer.
 // store.Store.Tasks produces one.
 type TaskStore interface {
 	GetTask(index int) ([]byte, bool)
@@ -83,15 +85,16 @@ func (k Kind) WireExact() bool {
 // EncodeTaskResult renders one TaskResult in the canonical byte form stored
 // by a TaskStore: the same compact, HTML-escaping-off encoding (with
 // trailing newline) the streaming surfaces emit, so stored bytes are
-// directly comparable to stream lines.
+// directly comparable to stream lines. The returned slice is the only
+// allocation once the scratch-buffer pool is warm.
 func EncodeTaskResult(tr TaskResult) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(tr); err != nil {
+	bp := encodeBufs.Get().(*[]byte)
+	defer encodeBufs.Put(bp)
+	b, err := tr.AppendJSON((*bp)[:0])
+	if err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return bytes.Clone(keepLine(bp, b)), nil
 }
 
 // DecodeTaskResult parses canonical TaskResult bytes back. The decoded
@@ -131,13 +134,19 @@ func (p *Plan) taskFromStore(index int) (TaskResult, bool) {
 }
 
 // storeTask stores a freshly computed task result (Index and Label already
-// stamped). Encoding failures just skip the store: caching is an
-// optimization, never a correctness dependency.
-func (p *Plan) storeTask(tr TaskResult) {
+// stamped). It encodes into a pooled scratch buffer — PutTask copies what it
+// keeps — so feeding the store allocates nothing for the encoding itself.
+// Encoding failures just skip the store: caching is an optimization, never a
+// correctness dependency.
+func (p *Plan) storeTask(tr *TaskResult) {
 	if !p.storeEnabled() {
 		return
 	}
-	if b, err := EncodeTaskResult(tr); err == nil {
-		p.Store.PutTask(tr.Index, b)
+	bp := encodeBufs.Get().(*[]byte)
+	defer encodeBufs.Put(bp)
+	b, err := tr.AppendJSON((*bp)[:0])
+	if err != nil {
+		return
 	}
+	p.Store.PutTask(tr.Index, keepLine(bp, b))
 }

@@ -3,12 +3,15 @@ package query
 import (
 	"bytes"
 	"context"
+	"sync"
 	"testing"
 )
 
 // mapStore is an in-memory TaskStore recording traffic, for pinning when the
-// plan consults and feeds the store.
+// plan consults and feeds the store. Plans call it from every worker, so it
+// locks like any TaskStore must.
 type mapStore struct {
+	mu   sync.Mutex
 	m    map[int][]byte
 	hits int
 	puts int
@@ -17,6 +20,8 @@ type mapStore struct {
 func newMapStore() *mapStore { return &mapStore{m: map[int][]byte{}} }
 
 func (s *mapStore) GetTask(index int) ([]byte, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	b, ok := s.m[index]
 	if ok {
 		s.hits++
@@ -25,6 +30,8 @@ func (s *mapStore) GetTask(index int) ([]byte, bool) {
 }
 
 func (s *mapStore) PutTask(index int, encoded []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.puts++
 	s.m[index] = append([]byte(nil), encoded...)
 }

@@ -1,0 +1,64 @@
+package query_test
+
+import (
+	"bytes"
+	"math"
+	"testing"
+
+	"dense802154/internal/dist"
+	"dense802154/internal/query"
+)
+
+// plainTaskLine is dist.TaskLine without methods, for the oracle. Its
+// Result still encodes through TaskResult.MarshalJSON, whose bytes
+// TestAppendJSONMatchesEncodingJSON pins against the reflective oracle; this
+// test pins the line framing around them.
+type plainTaskLine dist.TaskLine
+
+// TestTaskLineAppendJSONMatchesEncodingJSON extends the result-writer oracle
+// to the /v2/tasks NDJSON records: task lines, the done trailer and error
+// lines, filled by reflection in every mode plus the three real shapes.
+func TestTaskLineAppendJSONMatchesEncodingJSON(t *testing.T) {
+	var lines []dist.TaskLine
+	for mode := 0; mode < 3; mode++ {
+		for seed := int64(0); seed < 20; seed++ {
+			var l dist.TaskLine
+			query.FillWire(&l, mode, seed)
+			lines = append(lines, l)
+		}
+	}
+	var tr query.TaskResult
+	query.FillWire(&tr, 0, 1)
+	lines = append(lines,
+		dist.TaskLine{},
+		dist.TaskLine{Index: 3, WallMS: 0.0421, Result: &tr},
+		dist.TaskLine{Result: &query.TaskResult{Label: "first"}},
+		dist.TaskLine{Done: true, Count: 12},
+		dist.TaskLine{Error: "core: path loss <NaN> &\u2028bad\xff"},
+		dist.TaskLine{WallMS: 1e-9},
+		dist.TaskLine{WallMS: 3e21},
+	)
+	for i := range lines {
+		want, werr := query.OracleJSON((*plainTaskLine)(&lines[i]))
+		got, gerr := lines[i].AppendJSON([]byte("p"))
+		if (werr == nil) != (gerr == nil) {
+			t.Fatalf("line %d: oracle error %v, appender error %v", i, werr, gerr)
+		}
+		if werr != nil {
+			continue
+		}
+		if !bytes.Equal(got[1:], want) || got[0] != 'p' {
+			t.Fatalf("line %d: appender bytes differ from encoding/json\n got: %s\nwant: %s", i, got, want)
+		}
+	}
+	// A non-finite wall time is refused, as encoding/json refuses it.
+	for _, bad := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		l := dist.TaskLine{WallMS: bad}
+		if _, err := l.AppendJSON(nil); err == nil {
+			t.Errorf("wall_ms %v: appender accepted a non-finite value", bad)
+		}
+		if _, err := query.OracleJSON((*plainTaskLine)(&l)); err == nil {
+			t.Errorf("wall_ms %v: oracle accepted a non-finite value", bad)
+		}
+	}
+}

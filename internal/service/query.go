@@ -134,17 +134,48 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(body)
 }
 
-// queryStreamLine is the final NDJSON record of a /v2/query/stream
-// response: done=true, the task count, the replicas (or lifetime) summary
-// when the plan has one, and the execution trace when the query opted in. The preceding
-// lines are raw query.TaskResult encodings — exactly the elements of the
-// non-streaming ResultSet.Results, byte for byte.
-type queryStreamLine struct {
-	Done            bool                       `json:"done"`
-	Count           int                        `json:"count"`
-	Summary         *query.ReplicaSummaryWire  `json:"summary,omitempty"`
-	LifetimeSummary *query.LifetimeSummaryWire `json:"lifetime_summary,omitempty"`
-	Trace           *query.PlanTraceWire       `json:"trace,omitempty"`
+// lineWriter writes NDJSON records appended into one buffer that every line
+// of a response reuses, flushing after each line so clients see results as
+// they complete.
+type lineWriter struct {
+	w       http.ResponseWriter
+	flusher http.Flusher
+	buf     []byte
+}
+
+func newLineWriter(w http.ResponseWriter) *lineWriter {
+	flusher, _ := w.(http.Flusher)
+	return &lineWriter{w: w, flusher: flusher}
+}
+
+// write terminates b — appended into lw.buf[:0] — with a newline, keeps
+// the grown buffer for the next line and sends it.
+func (lw *lineWriter) write(b []byte) error {
+	b = append(b, '\n')
+	lw.buf = b
+	if _, err := lw.w.Write(b); err != nil {
+		return err
+	}
+	if lw.flusher != nil {
+		lw.flusher.Flush()
+	}
+	return nil
+}
+
+// task writes one TaskResult line.
+func (lw *lineWriter) task(tr *query.TaskResult) error {
+	b, err := tr.AppendJSON(lw.buf[:0])
+	if err != nil {
+		return err
+	}
+	return lw.write(b)
+}
+
+// done writes the terminal record of a /v2/query/stream response: done=true,
+// the task count, the replicas (or lifetime) summary when the plan has one,
+// and the execution trace when the query opted in.
+func (lw *lineWriter) done(d query.StreamDone) error {
+	return lw.write(d.AppendJSON(lw.buf[:0]))
 }
 
 // writeStreamFromResult replays a stored ResultSet body as the NDJSON stream
@@ -160,18 +191,13 @@ func (s *Server) writeStreamFromResult(w http.ResponseWriter, body []byte) bool 
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
+	lw := newLineWriter(w)
 	for i := range rs.Results {
-		if err := enc.Encode(rs.Results[i]); err != nil {
+		if err := lw.task(&rs.Results[i]); err != nil {
 			return true // client went away mid-replay
 		}
-		if flusher != nil {
-			flusher.Flush()
-		}
 	}
-	_ = enc.Encode(queryStreamLine{Done: true, Count: len(rs.Results), Summary: rs.Summary, LifetimeSummary: rs.LifetimeSummary})
+	_ = lw.done(query.StreamDone{Done: true, Count: len(rs.Results), Summary: rs.Summary, LifetimeSummary: rs.LifetimeSummary})
 	return true
 }
 
@@ -201,23 +227,18 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
+	lw := newLineWriter(w)
 
 	ctx, cancel := s.queryContext(r)
 	defer cancel()
 	count := 0
 	var encodeErr error
 	rs, err := s.execQuery(ctx, q, plan, got, func(tr query.TaskResult) error {
-		if err := enc.Encode(tr); err != nil {
+		if err := lw.task(&tr); err != nil {
 			encodeErr = err
 			return err // client went away; execution cancels the rest
 		}
 		count++
-		if flusher != nil {
-			flusher.Flush()
-		}
 		return nil
 	})
 	if err != nil {
@@ -226,9 +247,11 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		// absence — a hard truncation — still signals failure. A dead
 		// client connection gets nothing, which is fine: nobody is reading.
 		if encodeErr == nil {
+			enc := json.NewEncoder(w)
+			enc.SetEscapeHTML(false)
 			_ = enc.Encode(queryStreamErrorLine{Error: queryErrorDetail(r, err)})
-			if flusher != nil {
-				flusher.Flush()
+			if lw.flusher != nil {
+				lw.flusher.Flush()
 			}
 		}
 		return
@@ -238,7 +261,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 			s.cfg.Store.PutResult(key, body)
 		}
 	}
-	_ = enc.Encode(queryStreamLine{Done: true, Count: count, Summary: rs.Summary, LifetimeSummary: rs.LifetimeSummary, Trace: rs.Trace})
+	_ = lw.done(query.StreamDone{Done: true, Count: count, Summary: rs.Summary, LifetimeSummary: rs.LifetimeSummary, Trace: rs.Trace})
 }
 
 // queryStreamErrorLine is the terminal NDJSON record of a failed stream:

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -68,21 +67,15 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
+	lw := newLineWriter(w)
 
 	count := 0
 	err = plan.ExecuteRange(r.Context(), got, req.From, req.To, func(tr query.TaskResult, wallMS float64) error {
-		res := tr
-		if err := enc.Encode(dist.TaskLine{Index: tr.Index, WallMS: wallMS, Result: &res}); err != nil {
+		if err := lw.taskLine(&dist.TaskLine{Index: tr.Index, WallMS: wallMS, Result: &tr}); err != nil {
 			return fmt.Errorf("%w: %v", errStreamWrite, err)
 		}
 		count++
 		dist.TasksServedTotal.Inc()
-		if flusher != nil {
-			flusher.Flush()
-		}
 		if n := s.cfg.FaultExitAfterTasks; n > 0 && s.tasksServed.Add(1) >= int64(n) {
 			// Fault-injection knob: die mid-stream, deterministically, after
 			// the Nth served line — the multi-process tests' worker crash.
@@ -101,8 +94,17 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 		}
 		// A compute error is deterministic — the same pure task fails the
 		// same way anywhere — so report it for the coordinator to abort on.
-		_ = enc.Encode(dist.TaskLine{Error: err.Error()})
+		_ = lw.taskLine(&dist.TaskLine{Error: err.Error()})
 		return
 	}
-	_ = enc.Encode(dist.TaskLine{Done: true, Count: count})
+	_ = lw.taskLine(&dist.TaskLine{Done: true, Count: count})
+}
+
+// taskLine writes one /v2/tasks record.
+func (lw *lineWriter) taskLine(l *dist.TaskLine) error {
+	b, err := l.AppendJSON(lw.buf[:0])
+	if err != nil {
+		return err
+	}
+	return lw.write(b)
 }

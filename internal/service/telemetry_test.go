@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"dense802154/internal/query"
 	"dense802154/internal/telemetry"
 )
 
@@ -275,7 +276,7 @@ func TestStreamTraceOnDoneLine(t *testing.T) {
 		t.Fatalf("status %d: %s", status, body)
 	}
 	lines := strings.Split(strings.TrimSpace(string(body)), "\n")
-	var done queryStreamLine
+	var done query.StreamDone
 	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &done); err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +294,7 @@ func TestStreamTraceOnDoneLine(t *testing.T) {
 		t.Fatalf("status %d: %s", status, body)
 	}
 	lines = strings.Split(strings.TrimSpace(string(body)), "\n")
-	done = queryStreamLine{}
+	done = query.StreamDone{}
 	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &done); err != nil {
 		t.Fatal(err)
 	}
