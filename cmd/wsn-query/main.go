@@ -56,13 +56,14 @@ func main() {
 		fmt.Println(buildinfo.String("wsn-query"))
 		return
 	}
-	if err := run(*file, *workers, *stream, *plan, *trace); err != nil {
+	if err := run(os.Stdout, *file, *workers, *stream, *plan, *trace); err != nil {
 		fmt.Fprintln(os.Stderr, "wsn-query:", err)
 		os.Exit(1)
 	}
 }
 
-func run(file string, workers int, stream, planOnly, trace bool) error {
+// run executes the query document in file and writes its result to out.
+func run(out io.Writer, file string, workers int, stream, planOnly, trace bool) error {
 	var in io.Reader = os.Stdin
 	if file != "" && file != "-" {
 		f, err := os.Open(file)
@@ -93,9 +94,9 @@ func run(file string, workers int, stream, planOnly, trace bool) error {
 		return err
 	}
 	if planOnly {
-		fmt.Printf("%s\n", p)
+		fmt.Fprintf(out, "%s\n", p)
 		for i, label := range p.Labels() {
-			fmt.Printf("  task %d: %s\n", i, label)
+			fmt.Fprintf(out, "  task %d: %s\n", i, label)
 		}
 		return nil
 	}
@@ -105,7 +106,6 @@ func run(file string, workers int, stream, planOnly, trace bool) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	out := os.Stdout
 	// Stream lines go through the result writer into one reused buffer, the
 	// same bytes /v2/query/stream sends.
 	var line []byte
@@ -130,7 +130,7 @@ func run(file string, workers int, stream, planOnly, trace bool) error {
 		return err
 	}
 	if stream {
-		done := query.StreamDone{Done: true, Count: len(rs.Results), Summary: rs.Summary, Trace: rs.Trace}
+		done := rs.StreamDone()
 		return writeLine(done.AppendJSON(line[:0]))
 	}
 	body, err := rs.Encode()

@@ -101,8 +101,9 @@
 //
 // The frozen v1 routes (/v1/evaluate, /v1/batch, /v1/casestudy,
 // /v1/sweep/*, /v1/simulate, /v1/experiments, /v1/scenarios) remain for
-// existing clients; internal/service documents the exact v1 → v2 wire
-// mapping. Requests carry optional "workers" fields, but the server clamps
+// existing clients with their bytes unchanged; each POST v1 route is a
+// translator onto the same Query → Plan → Execute path, and its route
+// table in internal/service is the v1 → v2 mapping. Requests carry optional "workers" fields, but the server clamps
 // every grant to its own -workers token budget, so any number of clients
 // shares one pool; results are bit-identical to in-process calls
 // regardless of the grant. Validation failures return structured 400

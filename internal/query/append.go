@@ -377,6 +377,12 @@ type StreamDone struct {
 	Trace           *PlanTraceWire       `json:"trace,omitempty"`
 }
 
+// StreamDone returns the terminal stream record of rs: done=true, the
+// result count, and rs's summaries and trace.
+func (rs *ResultSet) StreamDone() StreamDone {
+	return StreamDone{Done: true, Count: len(rs.Results), Summary: rs.Summary, LifetimeSummary: rs.LifetimeSummary, Trace: rs.Trace}
+}
+
 // AppendJSON appends the compact JSON form of d (no trailing newline).
 func (d *StreamDone) AppendJSON(dst []byte) []byte {
 	dst = fieldBool(dst, `{"done":`, d.Done)

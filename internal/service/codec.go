@@ -1,11 +1,6 @@
 package service
 
 import (
-	"fmt"
-
-	"dense802154/internal/contention"
-	"dense802154/internal/core"
-	"dense802154/internal/netsim"
 	"dense802154/internal/query"
 	"dense802154/internal/wire"
 )
@@ -15,30 +10,16 @@ import (
 // endpoints and the v2 /query surface cannot drift apart. The aliases below
 // keep the v1 wire names this package has always exported.
 //
-// # v1 → v2 wire mapping
-//
-// Every v1 endpoint is expressible as a v2 Query; the request fields carry
-// over verbatim (same JSON names, same defaults, same validation bounds):
-//
-//	POST /v1/evaluate   {"params":P}            → {"kind":"evaluate","params":P}
-//	POST /v1/batch      {"params":[P...]}       → {"kind":"batch","batch":[P...]}
-//	POST /v1/casestudy  {"params":P,"config":C} → {"kind":"casestudy","params":P,"config":C}
-//	POST /v1/sweep/pathloss   {"params":P,"losses":[..]}  → {"kind":"pathloss-sweep","params":P,"losses":{"values":[..]}}
-//	POST /v1/sweep/thresholds {"params":P,"losses":[..]}  → {"kind":"thresholds","params":P,"losses":{"values":[..]}}
-//	POST /v1/sweep/payload    {"params":P,"sizes":[..]}   → {"kind":"payload-sweep","params":P,"payloads":{"values":[..]}}
-//	POST /v1/simulate   {"config":S}              → {"kind":"simulate","sim":S}
-//	POST /v1/simulate   {"config":S,"replicas":n} → {"kind":"replicas","sim":S,"replicas":n}
-//	POST /v1/scenarios/{name} {"diff":d}          → {"kind":"scenario","scenario":name,"diff":d}
-//	POST /v1/experiments/{name} {"quick":q,"seed":s} → {"kind":"experiment","experiment":name,"quick":q,"seed":s}
-//
-// v2 additionally expresses grid axes as ranges ({"from":55,"to":95,
-// "points":81} or {"from":5,"to":123,"step":2}), not just explicit lists.
-// Responses change shape: v2 wraps every outcome in one tagged ResultSet
-// ({"version":2,"kind":...,"results":[...]}) whose per-task payloads reuse
-// the v1 response structs below, and /v2/query/stream emits exactly those
-// TaskResults as NDJSON lines followed by a summary line. The v1 endpoints
-// are maintained but frozen: new axes land as Query fields, not new
-// routes.
+// The v1 → v2 mapping is the v1 route table in handlers.go: every frozen
+// POST /v1 route is a translator that lowers its request to a query.Query
+// and reshapes the ResultSet into its v1 response. v2 additionally expresses
+// grid axes as ranges ({"from":55,"to":95,"points":81} or
+// {"from":5,"to":123,"step":2}), not just explicit lists, and wraps every
+// outcome in one tagged ResultSet ({"version":2,"kind":...,"results":[...]})
+// whose per-task payloads are the v1 response shapes; /v2/query/stream
+// emits exactly those TaskResults as NDJSON lines followed by a summary
+// line. The v1 endpoints are maintained but frozen: new axes land as Query
+// fields, not new routes.
 type (
 	// Error is a structured request-validation failure rendered as a 400.
 	Error = query.Error
@@ -71,26 +52,3 @@ type (
 // Float is the exact-round-trip JSON float shared with the scenario golden
 // files; see internal/wire for the encoding contract.
 type Float = wire.Float
-
-// maxMCSuperframes caps one Monte-Carlo characterization requested over
-// HTTP (see query.MaxMCSuperframes).
-const maxMCSuperframes = query.MaxMCSuperframes
-
-func contStatsWire(s contention.Stats) ContStatsWire { return query.WireContStats(s) }
-func metricsWire(m core.Metrics) MetricsWire         { return query.WireMetrics(m) }
-func caseStudyResultWire(r core.CaseStudyResult) CaseStudyResultWire {
-	return query.WireCaseStudyResult(r)
-}
-func simResultWire(seed int64, r netsim.Result) SimResultWire { return query.WireSimResult(seed, r) }
-func replicaStatWire(s netsim.ReplicaStat) ReplicaStatWire    { return query.WireReplicaStat(s) }
-
-// errf builds a field-scoped validation Error.
-func errf(field, format string, args ...any) *Error {
-	return &Error{Field: field, Message: fmt.Sprintf(format, args...)}
-}
-
-// floats converts a float64 slice to the exact-round-trip wire type.
-func floats(xs []float64) []Float { return wire.Floats(xs) }
-
-// float64s converts back.
-func float64s(xs []Float) []float64 { return wire.Float64s(xs) }

@@ -8,6 +8,7 @@ import (
 
 	"dense802154/internal/contention"
 	"dense802154/internal/core"
+	"dense802154/internal/query"
 )
 
 func TestFloatRoundTripsBitExactly(t *testing.T) {
@@ -148,7 +149,7 @@ func TestMetricsWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := json.Marshal(metricsWire(m))
+	b, err := json.Marshal(query.WireMetrics(m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestMetricsWireCarriesInfiniteEnergy(t *testing.T) {
 	if !math.IsInf(m.EnergyPerBitJ, 1) {
 		t.Skipf("expected +Inf energy at 130 dB, got %v", m.EnergyPerBitJ)
 	}
-	b, err := json.Marshal(metricsWire(m))
+	b, err := json.Marshal(query.WireMetrics(m))
 	if err != nil {
 		t.Fatalf("marshal with +Inf: %v", err)
 	}

@@ -1,22 +1,17 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"strconv"
+	"strings"
 
-	"dense802154/internal/channel"
-	"dense802154/internal/core"
-	"dense802154/internal/engine"
 	"dense802154/internal/experiments"
-	"dense802154/internal/netsim"
-	"dense802154/internal/stats"
+	"dense802154/internal/query"
+	"dense802154/internal/scenario"
+	"dense802154/internal/wire"
 )
-
-// maxBatchParams caps one /v1/batch request; larger workloads page or
-// stream across several requests.
-const maxBatchParams = 10000
 
 // acquireWorkers is the request prologue: block (under the request context)
 // for a share of the server worker pool.
@@ -29,6 +24,132 @@ func (s *Server) acquireWorkers(w http.ResponseWriter, r *http.Request, want int
 	return got, release, true
 }
 
+// ---- the frozen POST /v1 routes ----
+
+// v1Route translates one frozen POST /v1 route onto query.Compile →
+// Plan.Execute: it lowers the decoded request to a query.Query and reshapes
+// the ResultSet into the v1 response. The v1Route values below are the
+// v1 → v2 mapping; serveV1 is the runner they share.
+type v1Route[Req any] struct {
+	// noun, when set, names what the {name} path value selects; known
+	// resolves it before the body is decoded, and an unknown name is v1's
+	// 404 "unknown <noun> <name>".
+	noun  string
+	known func(name string) bool
+	// toQuery runs the v1 checks whose message, field or status differ
+	// from v2's and lowers the request to a Query; its Workers is the
+	// parallelism the request asks for.
+	toQuery func(r *http.Request, req *Req) (query.Query, *Error)
+	// stream, when set, reports after compilation whether the response is
+	// the NDJSON batch stream.
+	stream func(r *http.Request, req *Req) (bool, *Error)
+	// failStatus and failField render an execution failure of a request
+	// whose context is still live (a gone or timed-out request is a 503).
+	failStatus int
+	failField  string
+	// respond reshapes the ResultSet into the v1 response body.
+	respond func(rs *query.ResultSet) any
+}
+
+// serveV1 is the shared v1 runner: decode, the route's own checks, worker
+// tokens, Compile with Workers = the grant, Execute under the request
+// context, and the reshaped response.
+func serveV1[Req any](s *Server, rt v1Route[Req]) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if rt.known != nil {
+			if name := r.PathValue("name"); !rt.known(name) {
+				writeError(w, http.StatusNotFound, "unknown "+rt.noun+" "+name, "name")
+				return
+			}
+		}
+		var req Req
+		if !decodeJSON(w, r, &req) {
+			return
+		}
+		q, aerr := rt.toQuery(r, &req)
+		if aerr != nil {
+			writeValidationError(w, aerr)
+			return
+		}
+		got, release, ok := s.acquireWorkers(w, r, q.Workers)
+		if !ok {
+			return
+		}
+		defer release()
+		q.Workers = got
+		plan, err := query.Compile(q)
+		if err != nil {
+			// v1 names the batch elements params[i], where v2 says batch[i].
+			var aerr *Error
+			if errors.As(err, &aerr) && strings.HasPrefix(aerr.Field, "batch[") {
+				aerr.Field = "params" + strings.TrimPrefix(aerr.Field, "batch")
+			}
+			writeCompileError(w, err)
+			return
+		}
+		if rt.stream != nil {
+			stream, aerr := rt.stream(r, &req)
+			if aerr != nil {
+				writeValidationError(w, aerr)
+				return
+			}
+			if stream {
+				streamBatch(w, r, plan, got)
+				return
+			}
+		}
+		rs, err := plan.Execute(r.Context(), got, nil)
+		if err != nil {
+			if cerr := r.Context().Err(); cerr != nil {
+				writeCtxError(w, cerr)
+			} else {
+				writeError(w, rt.failStatus, err.Error(), rt.failField)
+			}
+			return
+		}
+		writeJSON(w, http.StatusOK, rt.respond(rs))
+	}
+}
+
+// batchLine is one NDJSON record of the /v1/batch stream: index (the Params
+// element) plus metrics, in element order, then a summary line with
+// done=true and the count. Error stays in the frozen shape, but no element
+// fails once Compile has validated the batch.
+type batchLine struct {
+	Index   *int         `json:"index,omitempty"`
+	Metrics *MetricsWire `json:"metrics,omitempty"`
+	Error   string       `json:"error,omitempty"`
+	Done    bool         `json:"done,omitempty"`
+	Count   int          `json:"count,omitempty"`
+}
+
+// streamBatch answers /v1/batch as NDJSON: one flushed batchLine per element
+// as it and its predecessors complete, then the done line. Plan.Execute
+// drains its workers before it returns, so the caller's worker tokens are
+// released only once no task still runs, even when the client goes away.
+func streamBatch(w http.ResponseWriter, r *http.Request, plan *query.Plan, workers int) {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	flusher, _ := w.(http.Flusher)
+	enc := json.NewEncoder(w)
+	enc.SetEscapeHTML(false)
+	write := func(ln batchLine) error {
+		if err := enc.Encode(ln); err != nil {
+			return err // client went away; Execute cancels the rest
+		}
+		if flusher != nil {
+			flusher.Flush()
+		}
+		return nil
+	}
+	_, err := plan.Execute(r.Context(), workers, func(tr query.TaskResult) error {
+		return write(batchLine{Index: &tr.Index, Metrics: tr.Metrics})
+	})
+	if err == nil {
+		_ = write(batchLine{Done: true, Count: plan.NumTasks()})
+	}
+}
+
 // ---- POST /v1/evaluate ----
 
 type evaluateRequest struct {
@@ -39,41 +160,20 @@ type evaluateResponse struct {
 	Metrics MetricsWire `json:"metrics"`
 }
 
-func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
-	var req evaluateRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	got, release, ok := s.acquireWorkers(w, r, req.Params.Workers)
-	if !ok {
-		return
-	}
-	defer release()
-	p, aerr := req.Params.Params(got, got)
-	if aerr != nil {
-		writeValidationError(w, aerr)
-		return
-	}
-	// Route through the batch path so the request context is honored (an
-	// expired deadline or a gone client is observed before work starts).
-	ms, err := core.EvaluateBatch(r.Context(), got, []core.Params{p})
-	if err != nil {
-		if r.Context().Err() != nil {
-			writeCtxError(w, r.Context().Err())
-			return
-		}
-		writeError(w, http.StatusBadRequest, err.Error(), "params")
-		return
-	}
-	writeJSON(w, http.StatusOK, evaluateResponse{Metrics: metricsWire(ms[0])})
+var v1Evaluate = v1Route[evaluateRequest]{
+	toQuery: func(_ *http.Request, req *evaluateRequest) (query.Query, *Error) {
+		return query.Query{Kind: query.KindEvaluate, Params: &req.Params, Workers: req.Params.Workers}, nil
+	},
+	failStatus: http.StatusBadRequest, failField: "params",
+	respond: func(rs *query.ResultSet) any { return evaluateResponse{Metrics: *rs.Results[0].Metrics} },
 }
 
 // ---- POST /v1/batch ----
 
 type batchRequest struct {
 	Params []ParamsWire `json:"params"`
-	// Stream switches the response to NDJSON, one line per result as it
-	// completes (also selectable with the ?stream=1 query parameter).
+	// Stream switches the response to NDJSON, one line per element (also
+	// selectable with the ?stream=1 query parameter).
 	Stream bool `json:"stream,omitempty"`
 }
 
@@ -81,130 +181,39 @@ type batchResponse struct {
 	Metrics []MetricsWire `json:"metrics"`
 }
 
-// batchLine is one NDJSON streaming record. Result lines carry index (the
-// Params element) plus metrics or error, in completion order; the final
-// summary line carries done=true and the count, with no index.
-type batchLine struct {
-	Index   *int         `json:"index,omitempty"`
-	Metrics *MetricsWire `json:"metrics,omitempty"`
-	Error   string       `json:"error,omitempty"`
-	Done    bool         `json:"done,omitempty"`
-	Count   int          `json:"count,omitempty"`
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	if len(req.Params) == 0 {
-		writeError(w, http.StatusBadRequest, "empty batch: params must hold at least one element", "params")
-		return
-	}
-	if len(req.Params) > maxBatchParams {
-		writeError(w, http.StatusBadRequest, "batch too large", "params")
-		return
-	}
-	want := 0
-	for _, pw := range req.Params {
-		if pw.Workers > want {
-			want = pw.Workers
+var v1Batch = v1Route[batchRequest]{
+	toQuery: func(_ *http.Request, req *batchRequest) (query.Query, *Error) {
+		if len(req.Params) == 0 {
+			return query.Query{}, &Error{Field: "params", Message: "empty batch: params must hold at least one element"}
 		}
-	}
-	got, release, ok := s.acquireWorkers(w, r, want)
-	if !ok {
-		return
-	}
-	defer release()
-
-	ps := make([]core.Params, len(req.Params))
-	for i, pw := range req.Params {
-		p, aerr := pw.Params(got, 1)
-		if aerr != nil {
-			aerr.Field = "params[" + strconv.Itoa(i) + "]." + aerr.Field
-			writeValidationError(w, aerr)
-			return
+		if len(req.Params) > query.MaxBatch {
+			return query.Query{}, &Error{Field: "params", Message: "batch too large"}
 		}
-		ps[i] = p
-	}
-
-	stream := req.Stream
-	if v := r.URL.Query().Get("stream"); v != "" {
+		want := 0
+		for _, pw := range req.Params {
+			want = max(want, pw.Workers)
+		}
+		return query.Query{Kind: query.KindBatch, Batch: req.Params, Workers: want}, nil
+	},
+	stream: func(r *http.Request, req *batchRequest) (bool, *Error) {
+		v := r.URL.Query().Get("stream")
+		if v == "" {
+			return req.Stream, nil
+		}
 		b, err := strconv.ParseBool(v)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "stream must be a boolean", "stream")
-			return
+			return false, &Error{Field: "stream", Message: "stream must be a boolean"}
 		}
-		stream = b
-	}
-	if stream {
-		s.streamBatch(r.Context(), w, ps, got)
-		return
-	}
-
-	ms, err := core.EvaluateBatch(r.Context(), got, ps)
-	if err != nil {
-		if r.Context().Err() != nil {
-			writeCtxError(w, r.Context().Err())
-			return
+		return b, nil
+	},
+	failStatus: http.StatusBadRequest, failField: "params",
+	respond: func(rs *query.ResultSet) any {
+		out := make([]MetricsWire, len(rs.Results))
+		for i := range rs.Results {
+			out[i] = *rs.Results[i].Metrics
 		}
-		writeError(w, http.StatusBadRequest, err.Error(), "params")
-		return
-	}
-	out := make([]MetricsWire, len(ms))
-	for i, m := range ms {
-		out[i] = metricsWire(m)
-	}
-	writeJSON(w, http.StatusOK, batchResponse{Metrics: out})
-}
-
-// streamBatch emits NDJSON, one batchLine per element as its evaluation
-// completes; a summary line with done=true closes the stream. Each line is
-// flushed so clients see results while the batch is still computing.
-func (s *Server) streamBatch(ctx context.Context, w http.ResponseWriter, ps []core.Params, workers int) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-
-	lines := make(chan batchLine, workers)
-	go func() {
-		defer close(lines)
-		// Evaluation errors travel as per-line records, so the Map
-		// callback only fails on cancellation.
-		_ = engine.Map(ctx, workers, len(ps), func(i int) error {
-			m, err := core.Evaluate(ps[i])
-			idx := i
-			ln := batchLine{Index: &idx}
-			if err != nil {
-				ln.Error = err.Error()
-			} else {
-				mw := metricsWire(m)
-				ln.Metrics = &mw
-			}
-			select {
-			case lines <- ln:
-				return nil
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		})
-	}()
-
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	count := 0
-	for ln := range lines {
-		if err := enc.Encode(ln); err != nil {
-			return // client went away; Map sees ctx cancellation
-		}
-		count++
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	if ctx.Err() == nil {
-		_ = enc.Encode(batchLine{Done: true, Count: count})
-	}
+		return batchResponse{Metrics: out}
+	},
 }
 
 // ---- POST /v1/casestudy ----
@@ -218,36 +227,12 @@ type caseStudyResponse struct {
 	Result CaseStudyResultWire `json:"result"`
 }
 
-func (s *Server) handleCaseStudy(w http.ResponseWriter, r *http.Request) {
-	var req caseStudyRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	cfg, aerr := req.Config.Config()
-	if aerr != nil {
-		writeValidationError(w, aerr)
-		return
-	}
-	got, release, ok := s.acquireWorkers(w, r, req.Params.Workers)
-	if !ok {
-		return
-	}
-	defer release()
-	p, aerr := req.Params.Params(got, 1)
-	if aerr != nil {
-		writeValidationError(w, aerr)
-		return
-	}
-	res, err := core.RunCaseStudyCtx(r.Context(), p, cfg)
-	if err != nil {
-		if r.Context().Err() != nil {
-			writeCtxError(w, r.Context().Err())
-			return
-		}
-		writeError(w, http.StatusBadRequest, err.Error(), "")
-		return
-	}
-	writeJSON(w, http.StatusOK, caseStudyResponse{Result: caseStudyResultWire(res)})
+var v1CaseStudy = v1Route[caseStudyRequest]{
+	toQuery: func(_ *http.Request, req *caseStudyRequest) (query.Query, *Error) {
+		return query.Query{Kind: query.KindCaseStudy, Params: &req.Params, Config: req.Config, Workers: req.Params.Workers}, nil
+	},
+	failStatus: http.StatusBadRequest,
+	respond:    func(rs *query.ResultSet) any { return caseStudyResponse{Result: *rs.Results[0].CaseStudy} },
 }
 
 // ---- POST /v1/sweep/{pathloss,thresholds,payload} ----
@@ -259,27 +244,12 @@ type pathLossSweepRequest struct {
 	Losses []Float `json:"losses,omitempty"`
 }
 
-type energyCurveWire struct {
-	LevelIndex int     `json:"level_index"`
-	LevelDBm   Float   `json:"level_dbm"`
-	LossDB     []Float `json:"loss_db"`
-	EnergyJ    []Float `json:"energy_j_per_bit"`
-}
-
 type pathLossSweepResponse struct {
-	Curves []energyCurveWire `json:"curves"`
-}
-
-type thresholdWire struct {
-	FromLevel int   `json:"from_level"`
-	ToLevel   int   `json:"to_level"`
-	FromDBm   Float `json:"from_dbm"`
-	ToDBm     Float `json:"to_dbm"`
-	LossDB    Float `json:"loss_db"`
+	Curves []query.EnergyCurveWire `json:"curves"`
 }
 
 type thresholdsResponse struct {
-	Thresholds []thresholdWire `json:"thresholds"`
+	Thresholds []query.ThresholdWire `json:"thresholds"`
 }
 
 type payloadSweepRequest struct {
@@ -289,153 +259,49 @@ type payloadSweepRequest struct {
 	Sizes []int `json:"sizes,omitempty"`
 }
 
-type payloadSweepResponse struct {
-	SizesBytes []int   `json:"sizes_bytes"`
-	EnergyJ    []Float `json:"energy_j_per_bit"`
+// v1LossSweep is the translator of the two path-loss sweep routes. The loss
+// list travels as Direct.Losses because v1 never ran its grids through the
+// v2 Axis checks (a "NaN" loss is computed, not rejected).
+func v1LossSweep(kind query.Kind, respond func(rs *query.ResultSet) any) v1Route[pathLossSweepRequest] {
+	return v1Route[pathLossSweepRequest]{
+		toQuery: func(_ *http.Request, req *pathLossSweepRequest) (query.Query, *Error) {
+			if len(req.Losses) > query.MaxGridPoints {
+				return query.Query{}, &Error{Field: "losses", Message: "grid too large (" + strconv.Itoa(len(req.Losses)) + " points)"}
+			}
+			losses := query.DefaultLossGrid()
+			if len(req.Losses) > 0 {
+				losses = wire.Float64s(req.Losses)
+			}
+			return query.Query{Kind: kind, Params: &req.Params, Workers: req.Params.Workers, Direct: &query.Direct{Losses: losses}}, nil
+		},
+		failStatus: http.StatusBadRequest,
+		respond:    respond,
+	}
 }
 
-// defaultLossGrid is the case-study population grid, derived from the same
-// scenario constants RunCaseStudy integrates over so the service default
-// cannot drift from the in-process one.
-func defaultLossGrid() []float64 {
-	cfg := core.DefaultCaseStudy()
-	return channel.LossGrid(cfg.MinLossDB, cfg.MaxLossDB, cfg.LossGridPoints)
-}
-
-// defaultPayloadSizes is the Fig. 8 payload grid, shared with the fig8
-// experiment driver.
-func defaultPayloadSizes() []int { return experiments.Fig8Sizes() }
-
-// sweepGrid validates the request grid or falls back to the default.
-func sweepGrid(losses []Float) ([]float64, *Error) {
-	if len(losses) == 0 {
-		return defaultLossGrid(), nil
-	}
-	if len(losses) > 100000 {
-		return nil, errf("losses", "grid too large (%d points)", len(losses))
-	}
-	return float64s(losses), nil
-}
-
-func (s *Server) handleSweepPathLoss(w http.ResponseWriter, r *http.Request) {
-	var req pathLossSweepRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	losses, aerr := sweepGrid(req.Losses)
-	if aerr != nil {
-		writeValidationError(w, aerr)
-		return
-	}
-	got, release, ok := s.acquireWorkers(w, r, req.Params.Workers)
-	if !ok {
-		return
-	}
-	defer release()
-	p, aerr := req.Params.Params(got, 1)
-	if aerr != nil {
-		writeValidationError(w, aerr)
-		return
-	}
-	curves, err := core.EnergyVsPathLossCtx(r.Context(), p, losses)
-	if err != nil {
-		if r.Context().Err() != nil {
-			writeCtxError(w, r.Context().Err())
-			return
-		}
-		writeError(w, http.StatusBadRequest, err.Error(), "")
-		return
-	}
-	out := make([]energyCurveWire, len(curves))
-	for i, c := range curves {
-		out[i] = energyCurveWire{
-			LevelIndex: c.LevelIndex,
-			LevelDBm:   Float(c.LevelDBm),
-			LossDB:     floats(c.LossDB),
-			EnergyJ:    floats(c.EnergyJ),
-		}
-	}
-	writeJSON(w, http.StatusOK, pathLossSweepResponse{Curves: out})
-}
-
-func (s *Server) handleSweepThresholds(w http.ResponseWriter, r *http.Request) {
-	var req pathLossSweepRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	losses, aerr := sweepGrid(req.Losses)
-	if aerr != nil {
-		writeValidationError(w, aerr)
-		return
-	}
-	got, release, ok := s.acquireWorkers(w, r, req.Params.Workers)
-	if !ok {
-		return
-	}
-	defer release()
-	p, aerr := req.Params.Params(got, 1)
-	if aerr != nil {
-		writeValidationError(w, aerr)
-		return
-	}
-	ths, err := core.ThresholdsCtx(r.Context(), p, losses)
-	if err != nil {
-		if r.Context().Err() != nil {
-			writeCtxError(w, r.Context().Err())
-			return
-		}
-		writeError(w, http.StatusBadRequest, err.Error(), "")
-		return
-	}
-	out := make([]thresholdWire, len(ths))
-	for i, t := range ths {
-		out[i] = thresholdWire{
-			FromLevel: t.FromLevel,
-			ToLevel:   t.ToLevel,
-			FromDBm:   Float(t.FromDBm),
-			ToDBm:     Float(t.ToDBm),
-			LossDB:    Float(t.LossDB),
-		}
-	}
-	writeJSON(w, http.StatusOK, thresholdsResponse{Thresholds: out})
-}
-
-func (s *Server) handleSweepPayload(w http.ResponseWriter, r *http.Request) {
-	var req payloadSweepRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	sizes := req.Sizes
-	if len(sizes) == 0 {
-		sizes = defaultPayloadSizes()
-	}
-	if len(sizes) > 100000 {
-		writeError(w, http.StatusBadRequest, "grid too large", "sizes")
-		return
-	}
-	got, release, ok := s.acquireWorkers(w, r, req.Params.Workers)
-	if !ok {
-		return
-	}
-	defer release()
-	p, aerr := req.Params.Params(got, 1)
-	if aerr != nil {
-		writeValidationError(w, aerr)
-		return
-	}
-	series, err := core.EnergyVsPayloadCtx(r.Context(), p, sizes)
-	if err != nil {
-		if r.Context().Err() != nil {
-			writeCtxError(w, r.Context().Err())
-			return
-		}
-		writeError(w, http.StatusBadRequest, err.Error(), "")
-		return
-	}
-	writeJSON(w, http.StatusOK, payloadSweepResponse{
-		SizesBytes: sizes,
-		EnergyJ:    floats(series.Y),
+var (
+	v1SweepPathLoss = v1LossSweep(query.KindPathLossSweep, func(rs *query.ResultSet) any {
+		return pathLossSweepResponse{Curves: rs.Results[0].Curves}
 	})
+	v1SweepThresholds = v1LossSweep(query.KindThresholds, func(rs *query.ResultSet) any {
+		return thresholdsResponse{Thresholds: rs.Results[0].Thresholds}
+	})
+)
+
+var v1SweepPayload = v1Route[payloadSweepRequest]{
+	toQuery: func(_ *http.Request, req *payloadSweepRequest) (query.Query, *Error) {
+		sizes := req.Sizes
+		if len(sizes) == 0 {
+			sizes = query.DefaultPayloadSizes()
+		}
+		if len(sizes) > query.MaxGridPoints {
+			return query.Query{}, &Error{Field: "sizes", Message: "grid too large"}
+		}
+		// Like the losses, the sizes skip the v2 Axis checks.
+		return query.Query{Kind: query.KindPayloadSweep, Params: &req.Params, Workers: req.Params.Workers, Direct: &query.Direct{Payloads: sizes}}, nil
+	},
+	failStatus: http.StatusBadRequest,
+	respond:    func(rs *query.ResultSet) any { return rs.Results[0].Payload },
 }
 
 // ---- POST /v1/simulate ----
@@ -449,6 +315,8 @@ type simulateRequest struct {
 	Workers int `json:"workers,omitempty"`
 }
 
+// simulateResponse is the v1 replicas body: ReplicaSummaryWire's fields
+// with the per-replica results between the seeds and the statistics.
 type simulateResponse struct {
 	Replicas int             `json:"replicas"`
 	Seeds    []int64         `json:"seeds"`
@@ -464,52 +332,40 @@ type simulateResponse struct {
 	MeanDelayMS   ReplicaStatWire `json:"mean_delay_ms"`
 }
 
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	var req simulateRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	cfg, aerr := req.Config.Config()
-	if aerr != nil {
-		writeValidationError(w, aerr)
-		return
-	}
-	if req.Replicas < 0 || req.Replicas > 4096 {
-		writeError(w, http.StatusBadRequest, "replicas outside 0..4096", "replicas")
-		return
-	}
-	n := req.Replicas
-	if n < 1 {
-		n = 1
-	}
-	got, release, ok := s.acquireWorkers(w, r, req.Workers)
-	if !ok {
-		return
-	}
-	defer release()
-
-	rs, err := netsim.RunReplicas(r.Context(), cfg, n, got)
-	if err != nil {
-		writeCtxError(w, err)
-		return
-	}
-	resp := simulateResponse{
-		Replicas:      rs.Replicas,
-		Seeds:         rs.Seeds,
-		Results:       make([]SimResultWire, len(rs.Results)),
-		AvgPowerUW:    replicaStatWire(rs.AvgPowerUW),
-		DeliveryRatio: replicaStatWire(rs.DeliveryRatio),
-		PrFail:        replicaStatWire(rs.PrFail),
-		PrCF:          replicaStatWire(rs.PrCF),
-		PrCol:         replicaStatWire(rs.PrCol),
-		NCCA:          replicaStatWire(rs.NCCA),
-		TcontMS:       replicaStatWire(rs.TcontMS),
-		MeanDelayMS:   replicaStatWire(rs.MeanDelayMS),
-	}
-	for i, res := range rs.Results {
-		resp.Results[i] = simResultWire(rs.Seeds[i], res)
-	}
-	writeJSON(w, http.StatusOK, resp)
+var v1Simulate = v1Route[simulateRequest]{
+	toQuery: func(_ *http.Request, req *simulateRequest) (query.Query, *Error) {
+		// v1 reports a bad configuration ahead of a bad replica count.
+		if _, aerr := req.Config.Config(); aerr != nil {
+			return query.Query{}, aerr
+		}
+		if req.Replicas < 0 || req.Replicas > query.MaxReplicas {
+			return query.Query{}, &Error{Field: "replicas", Message: "replicas outside 0.." + strconv.Itoa(query.MaxReplicas)}
+		}
+		// v1 always answers with across-replica statistics, so a lone
+		// simulation is a one-replica plan.
+		return query.Query{Kind: query.KindReplicas, Sim: req.Config, Replicas: max(req.Replicas, 1), Workers: req.Workers}, nil
+	},
+	failStatus: http.StatusServiceUnavailable,
+	respond: func(rs *query.ResultSet) any {
+		sum := rs.Summary
+		resp := simulateResponse{
+			Replicas:      sum.Replicas,
+			Seeds:         sum.Seeds,
+			Results:       make([]SimResultWire, len(rs.Results)),
+			AvgPowerUW:    sum.AvgPowerUW,
+			DeliveryRatio: sum.DeliveryRatio,
+			PrFail:        sum.PrFail,
+			PrCF:          sum.PrCF,
+			PrCol:         sum.PrCol,
+			NCCA:          sum.NCCA,
+			TcontMS:       sum.TcontMS,
+			MeanDelayMS:   sum.MeanDelayMS,
+		}
+		for i := range rs.Results {
+			resp.Results[i] = *rs.Results[i].Sim
+		}
+		return resp
+	},
 }
 
 // ---- GET /v1/experiments, POST /v1/experiments/{name} ----
@@ -533,11 +389,6 @@ type experimentRunRequest struct {
 	Workers int `json:"workers,omitempty"`
 }
 
-type experimentRunResponse struct {
-	Name   string         `json:"name"`
-	Tables []*stats.Table `json:"tables"`
-}
-
 func (s *Server) handleExperimentList(w http.ResponseWriter, r *http.Request) {
 	all := experiments.All()
 	resp := experimentListResponse{Experiments: make([]experimentInfo, len(all))}
@@ -547,38 +398,54 @@ func (s *Server) handleExperimentList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	exp, ok := experiments.ByName(name)
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown experiment "+name, "name")
-		return
-	}
-	var req experimentRunRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	got, release, okW := s.acquireWorkers(w, r, req.Workers)
-	if !okW {
-		return
-	}
-	defer release()
+var v1ExperimentRun = v1Route[experimentRunRequest]{
+	noun:  "experiment",
+	known: func(name string) bool { _, ok := experiments.ByName(name); return ok },
+	toQuery: func(r *http.Request, req *experimentRunRequest) (query.Query, *Error) {
+		return query.Query{Kind: query.KindExperiment, Experiment: r.PathValue("name"), Quick: req.Quick, Seed: req.Seed, Workers: req.Workers}, nil
+	},
+	failStatus: http.StatusInternalServerError,
+	respond:    func(rs *query.ResultSet) any { return rs.Results[0].Experiment },
+}
 
-	opt := experiments.DefaultOptions()
-	opt.Quick = req.Quick
-	if req.Seed != nil {
-		opt.Seed = *req.Seed
-	}
-	opt.Workers = got
-	opt.Context = r.Context()
-	tables, err := exp.Run(opt)
-	if err != nil {
-		if r.Context().Err() != nil {
-			writeCtxError(w, r.Context().Err())
-			return
-		}
-		writeError(w, http.StatusInternalServerError, err.Error(), "")
+// ---- GET /v1/scenarios, GET and POST /v1/scenarios/{name} ----
+
+type scenarioListResponse struct {
+	Scenarios []scenario.Scenario `json:"scenarios"`
+}
+
+func (s *Server) handleScenarioList(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, scenarioListResponse{Scenarios: scenario.Catalog()})
+}
+
+// The GET form serves the committed golden result — the pinned cross-model
+// outcome this build ships — without computing anything.
+func (s *Server) handleScenarioGolden(w http.ResponseWriter, r *http.Request) {
+	name := r.PathValue("name")
+	b, ok := scenario.Golden(name)
+	if !ok {
+		writeError(w, http.StatusNotFound, "unknown scenario "+name, "name")
 		return
 	}
-	writeJSON(w, http.StatusOK, experimentRunResponse{Name: name, Tables: tables})
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(b)
+}
+
+type scenarioRunRequest struct {
+	// Workers is the requested parallelism (clamped to the server pool;
+	// results never depend on it).
+	Workers int `json:"workers,omitempty"`
+	// Diff additionally scores the fresh run against the committed golden.
+	Diff bool `json:"diff,omitempty"`
+}
+
+var v1ScenarioRun = v1Route[scenarioRunRequest]{
+	noun:  "scenario",
+	known: func(name string) bool { _, ok := scenario.ByName(name); return ok },
+	toQuery: func(r *http.Request, req *scenarioRunRequest) (query.Query, *Error) {
+		return query.Query{Kind: query.KindScenario, Scenario: r.PathValue("name"), Diff: req.Diff, Workers: req.Workers}, nil
+	},
+	failStatus: http.StatusInternalServerError,
+	respond:    func(rs *query.ResultSet) any { return rs.Results[0].Scenario },
 }

@@ -30,15 +30,20 @@ func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request) (query.Quer
 	}
 	plan, err := query.Compile(q)
 	if err != nil {
-		var aerr *Error
-		if errors.As(err, &aerr) {
-			writeValidationError(w, aerr)
-		} else {
-			writeError(w, http.StatusBadRequest, err.Error(), "")
-		}
+		writeCompileError(w, err)
 		return query.Query{}, nil, false
 	}
 	return q, plan, true
+}
+
+// writeCompileError renders a query.Compile failure as a structured 400.
+func writeCompileError(w http.ResponseWriter, err error) {
+	var aerr *Error
+	if errors.As(err, &aerr) {
+		writeValidationError(w, aerr)
+	} else {
+		writeError(w, http.StatusBadRequest, err.Error(), "")
+	}
 }
 
 // countQuery records an accepted (compiled) v2 query in the per-kind and
@@ -197,7 +202,7 @@ func (s *Server) writeStreamFromResult(w http.ResponseWriter, body []byte) bool 
 			return true // client went away mid-replay
 		}
 	}
-	_ = lw.done(query.StreamDone{Done: true, Count: len(rs.Results), Summary: rs.Summary, LifetimeSummary: rs.LifetimeSummary})
+	_ = lw.done(rs.StreamDone())
 	return true
 }
 
@@ -231,14 +236,12 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := s.queryContext(r)
 	defer cancel()
-	count := 0
 	var encodeErr error
 	rs, err := s.execQuery(ctx, q, plan, got, func(tr query.TaskResult) error {
 		if err := lw.task(&tr); err != nil {
 			encodeErr = err
 			return err // client went away; execution cancels the rest
 		}
-		count++
 		return nil
 	})
 	if err != nil {
@@ -261,7 +264,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 			s.cfg.Store.PutResult(key, body)
 		}
 	}
-	_ = lw.done(query.StreamDone{Done: true, Count: count, Summary: rs.Summary, LifetimeSummary: rs.LifetimeSummary, Trace: rs.Trace})
+	_ = lw.done(rs.StreamDone())
 }
 
 // queryStreamErrorLine is the terminal NDJSON record of a failed stream:

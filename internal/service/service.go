@@ -30,10 +30,13 @@
 //	GET  /v2/store/stats             result-store counters and tier occupancy
 //
 // The v2 routes speak the unified query type of internal/query: one
-// versioned request covers everything the per-endpoint v1 routes do (see
-// the v1 → v2 wire mapping in codec.go), and new parameter axes become
-// Query fields instead of new endpoints. The v1 routes are maintained but
-// frozen.
+// versioned request covers everything the per-endpoint v1 routes do, and
+// new parameter axes become Query fields instead of new endpoints. The v1
+// routes are maintained but frozen, and they compute nothing themselves:
+// each POST v1 route is a translator over the same query.Compile →
+// Plan.Execute path the v2 routes run (the v1 route table in handlers.go is
+// the v1 → v2 mapping). v1 requests execute locally, outside the result
+// store and the Distributor, and are not counted in wsn_query_total.
 //
 // /v2/tasks is the worker half of distributed execution (internal/dist): a
 // coordinator posts a query plus an index range and streams back the
@@ -293,18 +296,18 @@ func NewServer(cfg Config) *Server {
 	s.handle("GET /readyz", s.handleReadyz)
 	s.handle("GET /metrics", s.handleMetrics)
 	s.handle("GET /v1/stats", s.handleStats)
-	s.handle("POST /v1/evaluate", s.handleEvaluate)
-	s.handle("POST /v1/batch", s.handleBatch)
-	s.handle("POST /v1/casestudy", s.handleCaseStudy)
-	s.handle("POST /v1/sweep/pathloss", s.handleSweepPathLoss)
-	s.handle("POST /v1/sweep/thresholds", s.handleSweepThresholds)
-	s.handle("POST /v1/sweep/payload", s.handleSweepPayload)
-	s.handle("POST /v1/simulate", s.handleSimulate)
+	s.handle("POST /v1/evaluate", serveV1(s, v1Evaluate))
+	s.handle("POST /v1/batch", serveV1(s, v1Batch))
+	s.handle("POST /v1/casestudy", serveV1(s, v1CaseStudy))
+	s.handle("POST /v1/sweep/pathloss", serveV1(s, v1SweepPathLoss))
+	s.handle("POST /v1/sweep/thresholds", serveV1(s, v1SweepThresholds))
+	s.handle("POST /v1/sweep/payload", serveV1(s, v1SweepPayload))
+	s.handle("POST /v1/simulate", serveV1(s, v1Simulate))
 	s.handle("GET /v1/experiments", s.handleExperimentList)
-	s.handle("POST /v1/experiments/{name}", s.handleExperimentRun)
+	s.handle("POST /v1/experiments/{name}", serveV1(s, v1ExperimentRun))
 	s.handle("GET /v1/scenarios", s.handleScenarioList)
 	s.handle("GET /v1/scenarios/{name}", s.handleScenarioGolden)
-	s.handle("POST /v1/scenarios/{name}", s.handleScenarioRun)
+	s.handle("POST /v1/scenarios/{name}", serveV1(s, v1ScenarioRun))
 	s.handle("POST /v2/query", s.handleQuery)
 	s.handle("POST /v2/query/stream", s.handleQueryStream)
 	s.handle("POST /v2/tasks", s.handleTasks)

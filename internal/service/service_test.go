@@ -18,6 +18,7 @@ import (
 	"dense802154/internal/contention"
 	"dense802154/internal/core"
 	"dense802154/internal/netsim"
+	"dense802154/internal/query"
 )
 
 // newTestServer starts the service over a real listener with an unbounded
@@ -153,7 +154,7 @@ func TestCaseStudyBitIdenticalToInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := caseStudyResultWire(direct); !reflect.DeepEqual(resp.Result, want) {
+	if want := query.WireCaseStudyResult(direct); !reflect.DeepEqual(resp.Result, want) {
 		t.Fatalf("case study over HTTP diverges:\n got %+v\nwant %+v", resp.Result, want)
 	}
 	if resp.Result.AvgPowerW <= 0 {
@@ -294,7 +295,7 @@ func TestSimulateReplicasOverHTTP(t *testing.T) {
 		t.Fatalf("implausible stats: %+v", resp)
 	}
 	// Replica 0 must reproduce the direct simulation.
-	direct := simResultWire(3, directSim(t))
+	direct := query.WireSimResult(3, directSim(t))
 	if !reflect.DeepEqual(resp.Results[0], direct) {
 		t.Fatalf("replica 0 over HTTP diverges:\n got %+v\nwant %+v", resp.Results[0], direct)
 	}
@@ -335,7 +336,7 @@ func TestExperimentEndpoints(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("status %d: %s", status, body)
 	}
-	var run experimentRunResponse
+	var run query.ExperimentReportWire
 	if err := json.Unmarshal(body, &run); err != nil {
 		t.Fatal(err)
 	}

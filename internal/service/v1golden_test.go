@@ -116,4 +116,18 @@ func TestV1WireGolden(t *testing.T) {
 			}
 		})
 	}
+
+	// v1 requests are not v2 queries: none of them counts in wsn_query_total.
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(metrics, []byte("\nwsn_query_total{")) {
+		t.Errorf("v1 requests were counted as v2 queries:\n%s", metrics)
+	}
 }
