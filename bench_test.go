@@ -414,6 +414,18 @@ func BenchmarkEncodeGrid1000(b *testing.B) {
 	}
 }
 
+// BenchmarkCompileGrid1000 measures plan construction for the grid-cold
+// query: validate every point and lay out the points and their labels.
+func BenchmarkCompileGrid1000(b *testing.B) {
+	b.ReportAllocs()
+	q := grid1000Query()
+	for i := 0; i < b.N; i++ {
+		if _, err := query.Compile(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkStoreTaskPut measures the per-task store feed of a cold plan:
 // encode one grid task into a reused buffer and put it into the memory
 // tier, which copies what it keeps.

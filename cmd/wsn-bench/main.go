@@ -299,6 +299,17 @@ func suite(quick bool) []namedBench {
 				}
 			}
 		}},
+		{"CompileGrid1000", func(b *testing.B) {
+			// Plan construction for the grid-cold query: validate every
+			// point and lay out the points and their labels, once per query.
+			b.ReportAllocs()
+			q := grid1000Query()
+			for i := 0; i < b.N; i++ {
+				if _, err := query.Compile(q); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
 		{"StoreTaskPut", func(b *testing.B) {
 			// The per-task store feed of a cold plan (Plan.storeTask): encode
 			// one grid task into a reused buffer and put it into the memory

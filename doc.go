@@ -78,6 +78,17 @@
 // (ContentionCacheReset). A canceled context stops Run, RunStream and
 // every *Ctx facade promptly with ctx.Err().
 //
+// A query is materialized exactly once, by query.Compile: its per-task
+// inputs sit in index-addressed slices (grid points, replica seeds), every
+// task label is a substring of one string, and one run step per plan
+// computes task i. Execute, ExecuteRange and Assemble only read that plan,
+// and the worker grant reaches the tasks as a run-time argument, so one
+// compiled plan serves repeated and concurrent executions — the
+// coordinator's local flights and a worker's shards share it — and
+// compiling the 1,000-point grid costs about twenty allocations
+// (query.TestCompileGridAllocBudget), not a closure and two formatted
+// labels per point.
+//
 // # HTTP service
 //
 // cmd/wsn-serve runs the query surface as an HTTP JSON API backed by
@@ -437,8 +448,8 @@
 // hot-path micro-benchmarks) and writes a JSON report of ns/op, B/op and
 // allocs/op per benchmark:
 //
-//	go run ./cmd/wsn-bench -out BENCH_PR14.json   # refresh the baseline
-//	go run ./cmd/wsn-bench -diff BENCH_PR14.json  # compare a fresh run
+//	go run ./cmd/wsn-bench -out BENCH_PR16.json   # refresh the baseline
+//	go run ./cmd/wsn-bench -diff BENCH_PR16.json  # compare a fresh run
 //
 // The committed BENCH_*.json files form the repository's performance
 // trajectory; CI regenerates a -quick report per push and diffs it against
@@ -447,10 +458,12 @@
 // (-failallocs), backed by allocation-budget tests that fail hard on setup
 // or boxing regressions: des.TestTypedEventLoopAllocFree,
 // contention.TestSimulateAllocBudget, netsim.TestRunAllocBudget,
-// query.TestResultSetEncodeAllocBudget and
-// query.TestEncodeTaskResultAllocBudget. To profile the hot paths under live load, start the
-// service with a profiling listener (wsn-serve -pprof 127.0.0.1:6060) and
-// capture /debug/pprof/profile while a replica-heavy query runs.
+// query.TestResultSetEncodeAllocBudget,
+// query.TestEncodeTaskResultAllocBudget and
+// query.TestCompileGridAllocBudget. To profile the hot paths under live
+// load, start the service with a profiling listener (wsn-serve -pprof
+// 127.0.0.1:6060) and capture /debug/pprof/profile while a replica-heavy
+// query runs.
 //
 // See the examples directory for runnable scenarios and EXPERIMENTS.md for
 // the paper-versus-reproduction comparison of every figure.

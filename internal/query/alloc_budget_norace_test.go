@@ -3,8 +3,12 @@
 package query
 
 // Steady state is exactly one allocation (the returned copy) for both
-// paths; the whole-body budget keeps one allocation of headroom.
+// encode paths; the whole-body budget keeps one allocation of headroom.
+// Compiling the 1,000-point grid costs about twenty allocations, all of
+// them per plan rather than per point; the budget stays far below the
+// thousands a per-point allocation would add.
 const (
 	resultSetEncodeAllocBudget = 2
 	taskEncodeAllocBudget      = 1
+	compileGridAllocBudget     = 64
 )

@@ -5,8 +5,10 @@ package query
 // Under the race detector sync.Pool intentionally drops a quarter of Puts,
 // so some encodes regrow their scratch buffer from empty (~40 appends for
 // the 1 MB grid body, ~6 for one task). The wider budgets absorb that while
-// still failing on a return to per-field boxing (~50 per task).
+// still failing on a return to per-field boxing (~50 per task). Compile
+// draws nothing from a pool, so its budget matches the plain build.
 const (
 	resultSetEncodeAllocBudget = 64
 	taskEncodeAllocBudget      = 8
+	compileGridAllocBudget     = 64
 )

@@ -106,3 +106,23 @@ func TestEncodeTaskResultAllocBudget(t *testing.T) {
 	}
 	t.Logf("EncodeTaskResult: %v allocs/task; AppendJSON: %v", perTask, appended)
 }
+
+// TestCompileGridAllocBudget guards compile-once plan construction: the
+// 1,000-point grid compiles into one points slice and one label string
+// (about twenty allocations in all), not a closure and two formatted strings per
+// point (~3.8k allocations per build).
+func TestCompileGridAllocBudget(t *testing.T) {
+	q := grid1000Query()
+	if _, err := Compile(q); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Compile(q); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > compileGridAllocBudget {
+		t.Fatalf("Compile of the 1000-point grid allocated %v per op, budget %d", allocs, compileGridAllocBudget)
+	}
+	t.Logf("Compile (1000-point grid): %v allocs/op", allocs)
+}

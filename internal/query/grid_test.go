@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
-	"strings"
+	"math/rand/v2"
+	"sync"
 	"testing"
 
 	"dense802154/internal/core"
@@ -48,8 +50,8 @@ func TestGridMatchesEvaluate(t *testing.T) {
 			if *rs.Results[i].Metrics != WireMetrics(want) {
 				t.Fatalf("grid point %d deviates from core.Evaluate", i)
 			}
-			if !strings.Contains(rs.Results[i].Label, "loss=") || !strings.Contains(rs.Results[i].Label, "payload=") {
-				t.Fatalf("label %q missing axis coordinates", rs.Results[i].Label)
+			if want := fmt.Sprintf("grid[%d]:loss=%g,payload=%d,bo=6", i, loss, payload); rs.Results[i].Label != want {
+				t.Fatalf("label %q, want %q", rs.Results[i].Label, want)
 			}
 			i++
 		}
@@ -83,9 +85,59 @@ func TestGridNodesAxisSetsChannelLoad(t *testing.T) {
 		if *rs.Results[i].Metrics != WireMetrics(want) {
 			t.Fatalf("nodes=%d deviates from ChannelLoad-derived evaluation", n)
 		}
-		if !strings.Contains(rs.Results[i].Label, "n=") {
-			t.Fatalf("label %q missing node count", rs.Results[i].Label)
+		if want := []string{"grid[0]:loss=75,payload=120,bo=6,n=5", "grid[1]:loss=75,payload=120,bo=6,n=20"}[i]; rs.Results[i].Label != want {
+			t.Fatalf("label %q, want %q", rs.Results[i].Label, want)
 		}
+	}
+}
+
+// TestGridLabelMatchesSprintf is the oracle for the append-built grid
+// labels: byte-identical to the fmt.Sprintf forms they replaced, over random
+// finite floats and integers plus the edges of %g (negative zero, the
+// fixed/exponent switch at 1e-4 and 1e21, subnormals, MaxFloat64).
+func TestGridLabelMatchesSprintf(t *testing.T) {
+	rng := rand.New(rand.NewPCG(16, 1))
+	losses := []float64{
+		0, math.Copysign(0, -1), 1e-5, 1e-4, 9.999e-5, 1.5e-4, 1e20, 1e21,
+		123456789e13, 1e-310, 5e-324, 2.2250738585072014e-308,
+		math.MaxFloat64, -math.MaxFloat64, 75, 60.25, 1.0 / 3, 50.526315789473685,
+	}
+	for len(losses) < 5000 {
+		f := math.Float64frombits(rng.Uint64())
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			continue
+		}
+		losses = append(losses, f)
+	}
+	for _, loss := range losses {
+		i, payload, bo := rng.IntN(MaxGridTasks), int(rng.Uint64()), int(rng.Int32())-1<<30
+		n := 0
+		if rng.IntN(2) == 1 {
+			n = 1 + rng.IntN(math.MaxInt32)
+		}
+		want := fmt.Sprintf("grid[%d]:loss=%g,payload=%d,bo=%d", i, loss, payload, bo)
+		if n > 0 {
+			want += fmt.Sprintf(",n=%d", n)
+		}
+		if got := string(appendGridLabel(nil, i, loss, payload, bo, n)); got != want {
+			t.Fatalf("label %q, want %q", got, want)
+		}
+	}
+}
+
+func TestGridPointValidationError(t *testing.T) {
+	// A point that fails core validation is reported under its label, so a
+	// client can find it in the grid without recomputing the index.
+	_, err := Compile(Query{
+		Kind:     KindGrid,
+		Params:   quickParams(),
+		Losses:   &Axis{Values: []Float{60.25}},
+		Payloads: &IntAxis{Values: []int{30, 124}},
+		Nodes:    &IntAxis{Values: []int{5}},
+	})
+	const want = "grid: grid[1]:loss=60.25,payload=124,bo=6,n=5: core: payload 124 outside 1..123"
+	if err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
 	}
 }
 
@@ -312,4 +364,85 @@ func manyInts(n, base, step int) []int {
 		out[i] = base + i*step
 	}
 	return out
+}
+
+// TestPlanReuseAcrossExecutions pins the compile-once contract: one
+// compiled plan serves repeated Execute calls under different grants and
+// concurrent ExecuteRange shards alongside a concurrent Execute (as the
+// coordinator's local flights share one plan), and every path yields the
+// bytes of a fresh Run.
+func TestPlanReuseAcrossExecutions(t *testing.T) {
+	queries := map[string]Query{
+		"grid": {Kind: KindGrid, Params: quickParams(),
+			Losses:   &Axis{Values: []Float{55, 62.5, 70, 85}},
+			Payloads: &IntAxis{Values: []int{20, 100}},
+			Nodes:    &IntAxis{Values: []int{5, 12}}},
+		"replicas": {Kind: KindReplicas, Sim: &SimConfigWire{Nodes: intPtr(10), Superframes: intPtr(4)}, Replicas: 6},
+	}
+	for name, q := range queries {
+		t.Run(name, func(t *testing.T) {
+			ctx := context.Background()
+			encode := func(rs *ResultSet, err error) []byte {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := rs.Encode()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return b
+			}
+			want := encode(Run(ctx, q))
+
+			plan, err := Compile(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for workers := 1; workers <= 2; workers++ {
+				if got := encode(plan.Execute(ctx, workers, nil)); !bytes.Equal(got, want) {
+					t.Fatalf("Execute #%d deviates from a fresh Run:\n got %s\nwant %s", workers, got, want)
+				}
+			}
+
+			n := plan.NumTasks()
+			results := make([]TaskResult, n)
+			errs := make(chan error, n+1)
+			var concurrent []byte
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rs, err := plan.Execute(ctx, 2, nil)
+				if err == nil {
+					concurrent, err = rs.Encode()
+				}
+				errs <- err
+			}()
+			for from := 0; from < n; from += 2 {
+				wg.Add(1)
+				go func(from, to int) {
+					defer wg.Done()
+					errs <- plan.ExecuteRange(ctx, 2, from, to, func(tr TaskResult, _ float64) error {
+						rt, err := roundTrip(tr)
+						results[tr.Index] = rt
+						return err
+					})
+				}(from, min(from+2, n))
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(concurrent, want) {
+				t.Fatalf("concurrent Execute deviates from a fresh Run:\n got %s\nwant %s", concurrent, want)
+			}
+			if got := encode(plan.Assemble(results)); !bytes.Equal(got, want) {
+				t.Fatalf("sharded+assembled bytes deviate from a fresh Run:\n got %s\nwant %s", got, want)
+			}
+		})
+	}
 }

@@ -3,7 +3,7 @@ package query
 import (
 	"context"
 	"math"
-	"strconv"
+	"slices"
 
 	"dense802154/internal/battery"
 	"dense802154/internal/lifetime"
@@ -224,44 +224,40 @@ func WireLifetimeSummary(rs lifetime.ReplicaSet) LifetimeSummaryWire {
 // full epoch-sampled lifetime run under its derived seed), merged into the
 // across-replica summary — the same shape buildReplicas gives simulation
 // replicas, so distributed sharding and the store work unchanged.
-func (q *Query) buildLifetime(workers int) (*exec, *Error) {
+func (q *Query) buildLifetime() (exec, *Error) {
 	simCfg, aerr := q.simConfig()
 	if aerr != nil {
-		return nil, aerr
+		return exec{}, aerr
 	}
 	lcfg, aerr := q.Lifetime.Config(simCfg)
 	if aerr != nil {
-		return nil, aerr
+		return exec{}, aerr
 	}
-	if q.Direct == nil && (q.Replicas < 0 || q.Replicas > MaxReplicas) {
-		return nil, errf("replicas", "%d outside 0..%d", q.Replicas, MaxReplicas)
-	}
-	n := q.Replicas
-	if n < 1 {
-		n = 1
+	n, aerr := q.replicaCount()
+	if aerr != nil {
+		return exec{}, aerr
 	}
 	seeds := netsim.ReplicaSeeds(simCfg.Seed, n)
-	tasks := make([]task, n)
-	for i := range tasks {
-		seed := seeds[i]
-		idx := i
-		tasks[i] = task{label: "lifetime[" + strconv.Itoa(idx) + "]", seed: &seed, run: func(ctx context.Context) (TaskResult, error) {
-			c := lcfg
-			c.Sim.Seed = seed
-			r := lifetime.Run(c)
-			rw := WireLifetimeResult(r)
-			return TaskResult{Lifetime: &rw, value: r}, nil
-		}}
+	// merge folds one execution's results; every execution gets its own
+	// copy of the seeds, which the merged set keeps.
+	merge := func(results []lifetime.Result, rs *ResultSet) lifetime.ReplicaSet {
+		set := lifetime.Merge(lcfg, slices.Clone(seeds), results)
+		summary := WireLifetimeSummary(set)
+		rs.LifetimeSummary = &summary
+		return set
 	}
-	return &exec{tasks: tasks, assemble: func(rs *ResultSet) {
+	return exec{labels: indexLabels("lifetime", n), seeds: seeds, run: func(_ context.Context, _, i int) (TaskResult, error) {
+		c := lcfg
+		c.Sim.Seed = seeds[i]
+		r := lifetime.Run(c)
+		rw := WireLifetimeResult(r)
+		return TaskResult{Lifetime: &rw, value: r}, nil
+	}, assemble: func(rs *ResultSet) {
 		results := make([]lifetime.Result, len(rs.Results))
 		for i := range rs.Results {
 			results[i] = rs.Results[i].value.(lifetime.Result)
 		}
-		set := lifetime.Merge(lcfg, seeds, results)
-		summary := WireLifetimeSummary(set)
-		rs.LifetimeSummary = &summary
-		rs.value = set
+		rs.value = merge(results, rs)
 	}, assembleWire: func(rs *ResultSet) *Error {
 		// The wire payloads carry the merged observables in exact seconds,
 		// so the summary recomputed here is bit-identical to the in-process
@@ -273,9 +269,7 @@ func (q *Query) buildLifetime(workers int) (*exec, *Error) {
 			}
 			results[i] = rs.Results[i].Lifetime.Result()
 		}
-		set := lifetime.Merge(lcfg, seeds, results)
-		summary := WireLifetimeSummary(set)
-		rs.LifetimeSummary = &summary
+		merge(results, rs)
 		return nil
 	}}, nil
 }

@@ -5,9 +5,11 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"time"
 
+	"dense802154/internal/contention"
 	"dense802154/internal/core"
 	"dense802154/internal/engine"
 	"dense802154/internal/experiments"
@@ -144,29 +146,89 @@ func (rs *ResultSet) Encode() ([]byte, error) {
 	return bytes.Clone(keepLine(bp, b)), nil
 }
 
-// task is one schedulable unit of a compiled plan.
-type task struct {
-	label string
-	seed  *int64 // per-task seed, set where the plan derives one (replicas)
-	run   func(ctx context.Context) (TaskResult, error)
-}
-
-// exec is one materialized execution: the tasks plus the optional assembly
-// step that derives the merged summary from the per-task results.
-// assemble consumes the in-process task values; assembleWire recomputes the
-// same summary from the wire payloads alone, for results that crossed a
-// machine boundary (Plan.Assemble) and therefore carry no values.
+// exec is the materialized form of a compiled plan: the task labels in plan
+// order, the per-task seeds where the plan derives them (replicas,
+// lifetime), one run step that computes task i under a worker grant, and
+// the optional assembly step that derives the merged summary from the
+// per-task results. run reads only what Compile materialized (per-kind
+// slices such as grid points and replica seeds), so any number of
+// executions may share one exec concurrently. assemble consumes the
+// in-process task values; assembleWire recomputes the same summary from the
+// wire payloads alone, for results that crossed a machine boundary
+// (Plan.Assemble) and therefore carry no values.
 type exec struct {
-	tasks        []task
+	labels       []string
+	seeds        []int64
+	run          func(ctx context.Context, workers, i int) (TaskResult, error)
 	assemble     func(rs *ResultSet)
 	assembleWire func(rs *ResultSet) *Error
 }
 
+// seedAt returns a copy of task i's derived seed for its trace span, or nil
+// where the plan assigns none.
+func (x *exec) seedAt(i int) *int64 {
+	if x.seeds == nil {
+		return nil
+	}
+	s := x.seeds[i]
+	return &s
+}
+
+// single is the exec of a one-task kind: run receives the whole worker
+// grant for the kind's inner parallelism.
+func single(label string, run func(ctx context.Context, workers int) (TaskResult, error)) exec {
+	return exec{labels: []string{label}, run: func(ctx context.Context, workers, _ int) (TaskResult, error) {
+		return run(ctx, workers)
+	}}
+}
+
+// labelBuf builds many task labels into one backing string: append a
+// label's bytes to b, close it with end, and split the whole run with
+// labels — one allocation for the text instead of one per label.
+type labelBuf struct {
+	b    []byte
+	ends []int
+}
+
+func newLabelBuf(n, perLabel int) *labelBuf {
+	return &labelBuf{b: make([]byte, 0, n*perLabel), ends: make([]int, 0, n)}
+}
+
+// end closes the label appended since the previous end.
+func (lb *labelBuf) end() { lb.ends = append(lb.ends, len(lb.b)) }
+
+// labels returns the closed labels, each a substring of one string.
+func (lb *labelBuf) labels() []string {
+	all := string(lb.b)
+	out := make([]string, len(lb.ends))
+	start := 0
+	for i, e := range lb.ends {
+		out[i] = all[start:e]
+		start = e
+	}
+	return out
+}
+
+// indexLabels returns the labels prefix[0] … prefix[n-1].
+func indexLabels(prefix string, n int) []string {
+	lb := newLabelBuf(n, len(prefix)+6)
+	for i := 0; i < n; i++ {
+		lb.b = append(lb.b, prefix...)
+		lb.b = append(lb.b, '[')
+		lb.b = strconv.AppendInt(lb.b, int64(i), 10)
+		lb.b = append(lb.b, ']')
+		lb.end()
+	}
+	return lb.labels()
+}
+
 // Plan is a compiled Query: a validated, deterministic list of engine
-// tasks. Compile materializes the declarative specs once to validate them;
-// Execute re-materializes with the granted worker count (worker counts
-// never change computed bytes — only how fast they arrive) and runs the
-// tasks on the shared engine pool.
+// tasks. Compile materializes it exactly once — labels, per-task inputs
+// (grid points, replica seeds) and the run and assembly steps — and
+// Execute, ExecuteRange and Assemble only read it, so one Plan serves any
+// number of executions, concurrent ones included. The worker grant is an
+// argument of each execution, never part of the plan: worker counts never
+// change computed bytes, only how fast they arrive.
 type Plan struct {
 	// Kind echoes the query kind.
 	Kind Kind
@@ -188,54 +250,51 @@ type Plan struct {
 	// recomputed.
 	Store TaskStore
 
-	numTasks int
-	labels   []string
-	build    func(workers int) (*exec, *Error)
+	exec
 }
 
 // NumTasks reports how many tasks the plan schedules (batch elements,
 // simulation replicas, or 1 for single-result kinds).
-func (p *Plan) NumTasks() int { return p.numTasks }
+func (p *Plan) NumTasks() int { return len(p.labels) }
 
 // Labels lists the task labels in plan order.
 func (p *Plan) Labels() []string { return append([]string(nil), p.labels...) }
 
-// Compile validates q and lowers it to an execution plan. Validation
-// failures return a field-scoped *Error suitable for a structured 400.
+// Compile validates q and lowers it to an execution plan — the only place
+// a plan is materialized. Validation failures return a field-scoped *Error
+// suitable for a structured 400.
 func Compile(q Query) (*Plan, error) {
 	if aerr := q.validateShape(); aerr != nil {
 		return nil, aerr
 	}
-	var build func(workers int) (*exec, *Error)
+	var ex exec
+	var aerr *Error
 	switch q.Kind {
 	case KindEvaluate:
-		build = q.buildEvaluate
+		ex, aerr = q.buildEvaluate()
 	case KindBatch:
-		build = q.buildBatch
+		ex, aerr = q.buildBatch()
 	case KindCaseStudy:
-		build = q.buildCaseStudy
+		ex, aerr = q.buildCaseStudy()
 	case KindPathLossSweep:
-		build = q.buildPathLossSweep
+		ex, aerr = q.buildPathLossSweep()
 	case KindThresholds:
-		build = q.buildThresholds
+		ex, aerr = q.buildThresholds()
 	case KindPayloadSweep:
-		build = q.buildPayloadSweep
+		ex, aerr = q.buildPayloadSweep()
 	case KindSimulate:
-		build = q.buildSimulate
+		ex, aerr = q.buildSimulate()
 	case KindReplicas:
-		build = q.buildReplicas
+		ex, aerr = q.buildReplicas()
 	case KindLifetime:
-		build = q.buildLifetime
+		ex, aerr = q.buildLifetime()
 	case KindScenario:
-		build = q.buildScenario
+		ex, aerr = q.buildScenario()
 	case KindExperiment:
-		build = q.buildExperiment
+		ex, aerr = q.buildExperiment()
 	case KindGrid:
-		build = q.buildGrid
+		ex, aerr = q.buildGrid()
 	}
-	// Materialize once at the request's own parallelism to surface every
-	// validation error before any work is scheduled.
-	ex, aerr := build(engine.ResolveWorkers(q.Workers))
 	if aerr != nil {
 		return nil, aerr
 	}
@@ -245,15 +304,11 @@ func Compile(q Query) (*Plan, error) {
 	if q.TimeoutMS > math.MaxInt64/int64(time.Millisecond) {
 		timeout = math.MaxInt64
 	}
-	p := &Plan{
+	return &Plan{
 		Kind: q.Kind, Workers: q.Workers, Trace: q.Trace,
-		Timeout:  timeout,
-		numTasks: len(ex.tasks), build: build,
-	}
-	for _, t := range ex.tasks {
-		p.labels = append(p.labels, t.label)
-	}
-	return p, nil
+		Timeout: timeout,
+		exec:    ex,
+	}, nil
 }
 
 // Execute runs the plan on workers goroutines (≤ 0 ⇒ NumCPU) and returns
@@ -269,11 +324,7 @@ func (p *Plan) Execute(ctx context.Context, workers int, yield func(TaskResult) 
 		ctx, cancel = context.WithTimeout(ctx, p.Timeout)
 		defer cancel()
 	}
-	ex, aerr := p.build(workers)
-	if aerr != nil {
-		return nil, aerr
-	}
-	n := len(ex.tasks)
+	n := len(p.labels)
 	results := make([]TaskResult, n)
 	var spans []TaskSpanWire
 	var planStart time.Time
@@ -289,13 +340,13 @@ func (p *Plan) Execute(ctx context.Context, workers int, yield func(TaskResult) 
 		r, hit := p.taskFromStore(i)
 		var err error
 		if !hit {
-			r, err = ex.tasks[i].run(ctx)
+			r, err = p.run(ctx, workers, i)
 		}
 		if spans != nil {
 			spans[i] = TaskSpanWire{
 				Index:  i,
-				Label:  ex.tasks[i].label,
-				Seed:   ex.tasks[i].seed,
+				Label:  p.labels[i],
+				Seed:   p.seedAt(i),
 				WallMS: Float(time.Since(taskStart).Seconds() * 1e3),
 			}
 		}
@@ -303,7 +354,7 @@ func (p *Plan) Execute(ctx context.Context, workers int, yield func(TaskResult) 
 			return err
 		}
 		r.Index = i
-		r.Label = ex.tasks[i].label
+		r.Label = p.labels[i]
 		if !hit {
 			p.storeTask(&r)
 		}
@@ -358,15 +409,15 @@ func (p *Plan) Execute(ctx context.Context, workers int, yield func(TaskResult) 
 	}
 
 	rs := &ResultSet{Version: Version, Kind: p.Kind, Results: results}
-	if p.storeEnabled() && ex.assembleWire != nil {
+	if p.storeEnabled() && p.assembleWire != nil {
 		// Store hits carry wire payloads only (no in-process value), so the
 		// summary is recomputed from the wire — bit-identical by the
 		// exact-round-trip contract Plan.Assemble already relies on.
-		if aerr := ex.assembleWire(rs); aerr != nil {
+		if aerr := p.assembleWire(rs); aerr != nil {
 			return nil, aerr
 		}
-	} else if ex.assemble != nil {
-		ex.assemble(rs)
+	} else if p.assemble != nil {
+		p.assemble(rs)
 	}
 	if spans != nil {
 		rs.Trace = &PlanTraceWire{
@@ -390,18 +441,14 @@ func (p *Plan) Execute(ctx context.Context, workers int, yield func(TaskResult) 
 // the first missing index. No assembly step runs — the coordinator merges
 // shards with Assemble. A yield error cancels the remaining tasks.
 func (p *Plan) ExecuteRange(ctx context.Context, workers, from, to int, yield func(tr TaskResult, wallMS float64) error) error {
-	if from < 0 || to > p.numTasks || from >= to {
-		return errf("range", "task range [%d,%d) outside plan of %d tasks", from, to, p.numTasks)
+	if from < 0 || to > len(p.labels) || from >= to {
+		return errf("range", "task range [%d,%d) outside plan of %d tasks", from, to, len(p.labels))
 	}
 	workers = engine.ResolveWorkers(workers)
 	if p.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, p.Timeout)
 		defer cancel()
-	}
-	ex, aerr := p.build(workers)
-	if aerr != nil {
-		return aerr
 	}
 	n := to - from
 	results := make([]TaskResult, n)
@@ -418,14 +465,14 @@ func (p *Plan) ExecuteRange(ctx context.Context, workers, from, to int, yield fu
 			r, hit := p.taskFromStore(idx)
 			if !hit {
 				var err error
-				r, err = ex.tasks[idx].run(ctx)
+				r, err = p.run(ctx, workers, idx)
 				if err != nil {
 					return err
 				}
 			}
 			walls[i] = time.Since(start).Seconds() * 1e3
 			r.Index = idx
-			r.Label = ex.tasks[idx].label
+			r.Label = p.labels[idx]
 			if !hit {
 				p.storeTask(&r)
 			}
@@ -466,16 +513,12 @@ func (p *Plan) ExecuteRange(ctx context.Context, workers, from, to int, yield fu
 // floats make the merged statistics bit-identical to a local run. Every
 // task of the plan must be present with its payload set.
 func (p *Plan) Assemble(results []TaskResult) (*ResultSet, error) {
-	if len(results) != p.numTasks {
-		return nil, errf("results", "%d results for a plan of %d tasks", len(results), p.numTasks)
-	}
-	ex, aerr := p.build(engine.ResolveWorkers(p.Workers))
-	if aerr != nil {
-		return nil, aerr
+	if len(results) != len(p.labels) {
+		return nil, errf("results", "%d results for a plan of %d tasks", len(results), len(p.labels))
 	}
 	rs := &ResultSet{Version: Version, Kind: p.Kind, Results: results}
-	if ex.assembleWire != nil {
-		if err := ex.assembleWire(rs); err != nil {
+	if p.assembleWire != nil {
+		if err := p.assembleWire(rs); err != nil {
 			return nil, err
 		}
 	}
@@ -490,7 +533,7 @@ func (p *Plan) Assemble(results []TaskResult) (*ResultSet, error) {
 func (p *Plan) Shardable() bool {
 	switch p.Kind {
 	case KindBatch, KindReplicas, KindLifetime, KindGrid:
-		return p.numTasks > 1
+		return len(p.labels) > 1
 	}
 	return false
 }
@@ -513,40 +556,72 @@ func RunStream(ctx context.Context, q Query, yield func(TaskResult) error) (*Res
 	return p.Execute(ctx, q.Workers, yield)
 }
 
-// ---- per-kind builders ----
+// ---- per-kind builders (called by Compile only) ----
+
+// basePoint is a query's compiled analytic base point. It compiles at one
+// worker per level and takes its worker grant per run (granted), so one
+// compiled point serves every execution.
+type basePoint struct {
+	p      core.Params
+	direct bool // Direct params run verbatim, grant and all
+}
 
 // baseParams materializes the shared analytic base point: the Direct value
 // verbatim when present, the declarative spec (defaulting to the paper's §5
 // configuration) otherwise.
-func (q *Query) baseParams(workers, mcWorkers int) (core.Params, *Error) {
+func (q *Query) baseParams() (basePoint, *Error) {
 	if q.Direct != nil && q.Direct.Params != nil {
-		return *q.Direct.Params, nil
+		return basePoint{p: *q.Direct.Params, direct: true}, nil
 	}
 	w := q.Params
 	if w == nil {
 		w = &ParamsWire{}
 	}
-	return w.Params(workers, mcWorkers)
+	p, aerr := w.Params(1, 1)
+	return basePoint{p: p}, aerr
 }
 
-func (q *Query) buildEvaluate(workers int) (*exec, *Error) {
+// granted returns the base point under a worker grant: workers for the
+// model's sweep level, mcWorkers for its Monte-Carlo contention
+// characterization (ParamsWire.Params explains why the two levels split
+// one grant).
+func (b basePoint) granted(workers, mcWorkers int) core.Params {
+	p := b.p
+	if b.direct {
+		return p
+	}
+	p.Workers = workers
+	if mc, ok := p.Contention.(*contention.MCSource); ok && mc.Base.Workers != mcWorkers {
+		cfg := mc.Base
+		cfg.Workers = mcWorkers
+		p.Contention = contention.NewMCSource(cfg)
+	}
+	return p
+}
+
+// evaluateTask runs one analytical evaluation as a task result.
+func evaluateTask(p core.Params) (TaskResult, error) {
+	m, err := core.Evaluate(p)
+	if err != nil {
+		return TaskResult{}, err
+	}
+	mw := WireMetrics(m)
+	return TaskResult{Metrics: &mw, value: m}, nil
+}
+
+func (q *Query) buildEvaluate() (exec, *Error) {
+	base, aerr := q.baseParams()
+	if aerr != nil {
+		return exec{}, aerr
+	}
 	// A lone evaluation has no sweep level, so the whole grant goes to its
 	// Monte-Carlo contention characterization (as /v1/evaluate did).
-	p, aerr := q.baseParams(workers, workers)
-	if aerr != nil {
-		return nil, aerr
-	}
-	return &exec{tasks: []task{{label: string(KindEvaluate), run: func(ctx context.Context) (TaskResult, error) {
-		m, err := core.Evaluate(p)
-		if err != nil {
-			return TaskResult{}, err
-		}
-		mw := WireMetrics(m)
-		return TaskResult{Metrics: &mw, value: m}, nil
-	}}}}, nil
+	return single(string(KindEvaluate), func(ctx context.Context, workers int) (TaskResult, error) {
+		return evaluateTask(base.granted(workers, workers))
+	}), nil
 }
 
-func (q *Query) buildBatch(workers int) (*exec, *Error) {
+func (q *Query) buildBatch() (exec, *Error) {
 	var ps []core.Params
 	if q.Direct != nil {
 		// Direct batches arrive pre-validated from the in-process facade;
@@ -554,37 +629,27 @@ func (q *Query) buildBatch(workers int) (*exec, *Error) {
 		ps = q.Direct.Batch
 	} else {
 		if len(q.Batch) == 0 {
-			return nil, errf("batch", "empty batch: need at least one element")
+			return exec{}, errf("batch", "empty batch: need at least one element")
 		}
 		if len(q.Batch) > MaxBatch {
-			return nil, errf("batch", "batch too large (%d elements, max %d)", len(q.Batch), MaxBatch)
+			return exec{}, errf("batch", "batch too large (%d elements, max %d)", len(q.Batch), MaxBatch)
 		}
 		ps = make([]core.Params, len(q.Batch))
 		for i, pw := range q.Batch {
-			p, aerr := pw.Params(workers, 1)
+			p, aerr := pw.Params(1, 1)
 			if aerr != nil {
 				aerr.Field = "batch[" + strconv.Itoa(i) + "]." + aerr.Field
-				return nil, aerr
+				return exec{}, aerr
 			}
 			ps[i] = p
 		}
 	}
-	tasks := make([]task, len(ps))
-	for i := range ps {
-		p := ps[i]
-		tasks[i] = task{label: "batch[" + strconv.Itoa(i) + "]", run: func(ctx context.Context) (TaskResult, error) {
-			m, err := core.Evaluate(p)
-			if err != nil {
-				return TaskResult{}, err
-			}
-			mw := WireMetrics(m)
-			return TaskResult{Metrics: &mw, value: m}, nil
-		}}
-	}
-	return &exec{tasks: tasks}, nil
+	return exec{labels: indexLabels("batch", len(ps)), run: func(_ context.Context, _, i int) (TaskResult, error) {
+		return evaluateTask(ps[i])
+	}}, nil
 }
 
-func (q *Query) buildCaseStudy(workers int) (*exec, *Error) {
+func (q *Query) buildCaseStudy() (exec, *Error) {
 	var cfg core.CaseStudyConfig
 	if q.Direct != nil && q.Direct.CaseStudy != nil {
 		cfg = *q.Direct.CaseStudy
@@ -592,21 +657,21 @@ func (q *Query) buildCaseStudy(workers int) (*exec, *Error) {
 		var aerr *Error
 		cfg, aerr = q.Config.Config()
 		if aerr != nil {
-			return nil, aerr
+			return exec{}, aerr
 		}
 	}
-	p, aerr := q.baseParams(workers, 1)
+	base, aerr := q.baseParams()
 	if aerr != nil {
-		return nil, aerr
+		return exec{}, aerr
 	}
-	return &exec{tasks: []task{{label: string(KindCaseStudy), run: func(ctx context.Context) (TaskResult, error) {
-		res, err := core.RunCaseStudyCtx(ctx, p, cfg)
+	return single(string(KindCaseStudy), func(ctx context.Context, workers int) (TaskResult, error) {
+		res, err := core.RunCaseStudyCtx(ctx, base.granted(workers, 1), cfg)
 		if err != nil {
 			return TaskResult{}, err
 		}
 		rw := WireCaseStudyResult(res)
 		return TaskResult{CaseStudy: &rw, value: res}, nil
-	}}}}, nil
+	}), nil
 }
 
 // lossGrid resolves the loss axis: Direct grid, declarative axis, or the
@@ -618,17 +683,17 @@ func (q *Query) lossGrid() ([]float64, *Error) {
 	return q.Losses.Grid("losses", DefaultLossGrid)
 }
 
-func (q *Query) buildPathLossSweep(workers int) (*exec, *Error) {
+func (q *Query) buildPathLossSweep() (exec, *Error) {
 	losses, aerr := q.lossGrid()
 	if aerr != nil {
-		return nil, aerr
+		return exec{}, aerr
 	}
-	p, aerr := q.baseParams(workers, 1)
+	base, aerr := q.baseParams()
 	if aerr != nil {
-		return nil, aerr
+		return exec{}, aerr
 	}
-	return &exec{tasks: []task{{label: string(KindPathLossSweep), run: func(ctx context.Context) (TaskResult, error) {
-		curves, err := core.EnergyVsPathLossCtx(ctx, p, losses)
+	return single(string(KindPathLossSweep), func(ctx context.Context, workers int) (TaskResult, error) {
+		curves, err := core.EnergyVsPathLossCtx(ctx, base.granted(workers, 1), losses)
 		if err != nil {
 			return TaskResult{}, err
 		}
@@ -637,20 +702,20 @@ func (q *Query) buildPathLossSweep(workers int) (*exec, *Error) {
 			out[i] = WireEnergyCurve(c)
 		}
 		return TaskResult{Curves: out, value: curves}, nil
-	}}}}, nil
+	}), nil
 }
 
-func (q *Query) buildThresholds(workers int) (*exec, *Error) {
+func (q *Query) buildThresholds() (exec, *Error) {
 	losses, aerr := q.lossGrid()
 	if aerr != nil {
-		return nil, aerr
+		return exec{}, aerr
 	}
-	p, aerr := q.baseParams(workers, 1)
+	base, aerr := q.baseParams()
 	if aerr != nil {
-		return nil, aerr
+		return exec{}, aerr
 	}
-	return &exec{tasks: []task{{label: string(KindThresholds), run: func(ctx context.Context) (TaskResult, error) {
-		ths, err := core.ThresholdsCtx(ctx, p, losses)
+	return single(string(KindThresholds), func(ctx context.Context, workers int) (TaskResult, error) {
+		ths, err := core.ThresholdsCtx(ctx, base.granted(workers, 1), losses)
 		if err != nil {
 			return TaskResult{}, err
 		}
@@ -659,10 +724,10 @@ func (q *Query) buildThresholds(workers int) (*exec, *Error) {
 			out[i] = WireThreshold(t)
 		}
 		return TaskResult{Thresholds: out, value: ths}, nil
-	}}}}, nil
+	}), nil
 }
 
-func (q *Query) buildPayloadSweep(workers int) (*exec, *Error) {
+func (q *Query) buildPayloadSweep() (exec, *Error) {
 	var sizes []int
 	if q.Direct != nil && q.Direct.Payloads != nil {
 		sizes = q.Direct.Payloads
@@ -670,21 +735,21 @@ func (q *Query) buildPayloadSweep(workers int) (*exec, *Error) {
 		var aerr *Error
 		sizes, aerr = q.Payloads.Grid("payloads", DefaultPayloadSizes)
 		if aerr != nil {
-			return nil, aerr
+			return exec{}, aerr
 		}
 	}
-	p, aerr := q.baseParams(workers, 1)
+	base, aerr := q.baseParams()
 	if aerr != nil {
-		return nil, aerr
+		return exec{}, aerr
 	}
-	return &exec{tasks: []task{{label: string(KindPayloadSweep), run: func(ctx context.Context) (TaskResult, error) {
-		series, err := core.EnergyVsPayloadCtx(ctx, p, sizes)
+	return single(string(KindPayloadSweep), func(ctx context.Context, workers int) (TaskResult, error) {
+		series, err := core.EnergyVsPayloadCtx(ctx, base.granted(workers, 1), sizes)
 		if err != nil {
 			return TaskResult{}, err
 		}
 		pw := WirePayloadSeries(sizes, series)
 		return TaskResult{Payload: &pw, value: series}, nil
-	}}}}, nil
+	}), nil
 }
 
 // simConfig materializes the simulator configuration.
@@ -695,54 +760,58 @@ func (q *Query) simConfig() (netsim.Config, *Error) {
 	return q.Sim.Config()
 }
 
-func (q *Query) buildSimulate(workers int) (*exec, *Error) {
+func (q *Query) buildSimulate() (exec, *Error) {
 	cfg, aerr := q.simConfig()
 	if aerr != nil {
-		return nil, aerr
+		return exec{}, aerr
 	}
-	return &exec{tasks: []task{{label: string(KindSimulate), run: func(ctx context.Context) (TaskResult, error) {
+	return single(string(KindSimulate), func(context.Context, int) (TaskResult, error) {
 		r := netsim.Run(cfg)
 		rw := WireSimResult(cfg.Seed, r)
 		return TaskResult{Sim: &rw, value: r}, nil
-	}}}}, nil
+	}), nil
 }
 
-func (q *Query) buildReplicas(workers int) (*exec, *Error) {
+// replicaCount validates and resolves a query's replica count (default 1).
+// The bound protects the wire surface; in-process facade callers (Direct)
+// keep the unbounded legacy semantics.
+func (q *Query) replicaCount() (int, *Error) {
+	if q.Direct == nil && (q.Replicas < 0 || q.Replicas > MaxReplicas) {
+		return 0, errf("replicas", "%d outside 0..%d", q.Replicas, MaxReplicas)
+	}
+	return max(q.Replicas, 1), nil
+}
+
+func (q *Query) buildReplicas() (exec, *Error) {
 	cfg, aerr := q.simConfig()
 	if aerr != nil {
-		return nil, aerr
+		return exec{}, aerr
 	}
-	// The replica bound protects the wire surface; in-process facade
-	// callers (Direct) keep the unbounded legacy semantics.
-	if q.Direct == nil && (q.Replicas < 0 || q.Replicas > MaxReplicas) {
-		return nil, errf("replicas", "%d outside 0..%d", q.Replicas, MaxReplicas)
-	}
-	n := q.Replicas
-	if n < 1 {
-		n = 1
+	n, aerr := q.replicaCount()
+	if aerr != nil {
+		return exec{}, aerr
 	}
 	seeds := netsim.ReplicaSeeds(cfg.Seed, n)
-	tasks := make([]task, n)
-	for i := range tasks {
-		seed := seeds[i]
-		idx := i
-		tasks[i] = task{label: "replica[" + strconv.Itoa(idx) + "]", seed: &seed, run: func(ctx context.Context) (TaskResult, error) {
-			c := cfg
-			c.Seed = seed
-			r := netsim.Run(c)
-			rw := WireSimResult(seed, r)
-			return TaskResult{Sim: &rw, value: r}, nil
-		}}
+	// merge folds one execution's results; every execution gets its own
+	// copy of the seeds, which the merged set keeps.
+	merge := func(results []netsim.Result, rs *ResultSet) netsim.ReplicaSet {
+		set := netsim.Merge(cfg, slices.Clone(seeds), results)
+		summary := WireReplicaSummary(set)
+		rs.Summary = &summary
+		return set
 	}
-	return &exec{tasks: tasks, assemble: func(rs *ResultSet) {
+	return exec{labels: indexLabels("replica", n), seeds: seeds, run: func(_ context.Context, _, i int) (TaskResult, error) {
+		c := cfg
+		c.Seed = seeds[i]
+		r := netsim.Run(c)
+		rw := WireSimResult(c.Seed, r)
+		return TaskResult{Sim: &rw, value: r}, nil
+	}, assemble: func(rs *ResultSet) {
 		results := make([]netsim.Result, len(rs.Results))
 		for i := range rs.Results {
 			results[i] = rs.Results[i].value.(netsim.Result)
 		}
-		set := netsim.Merge(cfg, seeds, results)
-		summary := WireReplicaSummary(set)
-		rs.Summary = &summary
-		rs.value = set
+		rs.value = merge(results, rs)
 	}, assembleWire: func(rs *ResultSet) *Error {
 		// The wire replica payloads round-trip the exact floats the merge
 		// folds, so the summary recomputed here is bit-identical to the
@@ -754,29 +823,27 @@ func (q *Query) buildReplicas(workers int) (*exec, *Error) {
 			}
 			results[i] = rs.Results[i].Sim.Result()
 		}
-		set := netsim.Merge(cfg, seeds, results)
-		summary := WireReplicaSummary(set)
-		rs.Summary = &summary
+		merge(results, rs)
 		return nil
 	}}, nil
 }
 
-func (q *Query) buildScenario(workers int) (*exec, *Error) {
+func (q *Query) buildScenario() (exec, *Error) {
 	var sc scenario.Scenario
 	if q.Direct != nil && q.Direct.Scenario != nil {
 		sc = *q.Direct.Scenario
 	} else {
 		if q.Scenario == "" {
-			return nil, errf("scenario", "missing scenario name")
+			return exec{}, errf("scenario", "missing scenario name")
 		}
 		var ok bool
 		sc, ok = scenario.ByName(q.Scenario)
 		if !ok {
-			return nil, errf("scenario", "unknown scenario %q", q.Scenario)
+			return exec{}, errf("scenario", "unknown scenario %q", q.Scenario)
 		}
 	}
 	diff := q.Diff
-	return &exec{tasks: []task{{label: string(KindScenario), run: func(ctx context.Context) (TaskResult, error) {
+	return single(string(KindScenario), func(ctx context.Context, workers int) (TaskResult, error) {
 		res, err := scenario.Run(ctx, sc, workers)
 		if err != nil {
 			return TaskResult{}, err
@@ -790,16 +857,16 @@ func (q *Query) buildScenario(workers int) (*exec, *Error) {
 			report.Diff = &rep
 		}
 		return TaskResult{Scenario: &report, value: res}, nil
-	}}}}, nil
+	}), nil
 }
 
-func (q *Query) buildExperiment(workers int) (*exec, *Error) {
+func (q *Query) buildExperiment() (exec, *Error) {
 	if q.Experiment == "" {
-		return nil, errf("experiment", "missing experiment name")
+		return exec{}, errf("experiment", "missing experiment name")
 	}
 	e, ok := experiments.ByName(q.Experiment)
 	if !ok {
-		return nil, errf("experiment", "unknown experiment %q", q.Experiment)
+		return exec{}, errf("experiment", "unknown experiment %q", q.Experiment)
 	}
 	var opt experiments.Options
 	direct := q.Direct != nil && q.Direct.ExperimentOpts != nil
@@ -811,20 +878,44 @@ func (q *Query) buildExperiment(workers int) (*exec, *Error) {
 		if q.Seed != nil {
 			opt.Seed = *q.Seed
 		}
-		opt.Workers = workers
 	}
 	name := q.Experiment
-	return &exec{tasks: []task{{label: string(KindExperiment) + ":" + name, run: func(ctx context.Context) (TaskResult, error) {
+	return single(string(KindExperiment)+":"+name, func(ctx context.Context, workers int) (TaskResult, error) {
 		o := opt
 		if !direct {
 			o.Context = ctx
+			o.Workers = workers
 		}
 		tables, err := e.Run(o)
 		if err != nil {
 			return TaskResult{}, err
 		}
 		return TaskResult{Experiment: &ExperimentReportWire{Name: name, Tables: tables}, value: tables}, nil
-	}}}}, nil
+	}), nil
+}
+
+// gridLabelBytes sizes the label buffer per grid point: enough for
+// "grid[9999]:loss=<17-digit float>,payload=127,bo=14" and most node counts.
+const gridLabelBytes = 64
+
+// appendGridLabel appends the label of grid point i, byte-identical to
+// fmt.Sprintf("grid[%d]:loss=%g,payload=%d,bo=%d", i, loss, payload, bo)
+// followed, on a nodes axis (n > 0; its absence is the sentinel point 0),
+// by fmt.Sprintf(",n=%d", n).
+func appendGridLabel(b []byte, i int, loss float64, payload, bo, n int) []byte {
+	b = append(b, "grid["...)
+	b = strconv.AppendInt(b, int64(i), 10)
+	b = append(b, "]:loss="...)
+	b = strconv.AppendFloat(b, loss, 'g', -1, 64)
+	b = append(b, ",payload="...)
+	b = strconv.AppendInt(b, int64(payload), 10)
+	b = append(b, ",bo="...)
+	b = strconv.AppendInt(b, int64(bo), 10)
+	if n > 0 {
+		b = append(b, ",n="...)
+		b = strconv.AppendInt(b, int64(n), 10)
+	}
+	return b
 }
 
 // buildGrid materializes the joint product sweep — losses × payloads × BOs
@@ -834,26 +925,27 @@ func (q *Query) buildExperiment(workers int) (*exec, *Error) {
 // plan is recomputable anywhere from (query, index range) alone. Omitted
 // axes collapse to the base point: a grid over losses only is the batch of
 // evaluations a client would otherwise page by hand.
-func (q *Query) buildGrid(workers int) (*exec, *Error) {
-	base, aerr := q.baseParams(workers, 1)
+func (q *Query) buildGrid() (exec, *Error) {
+	bp, aerr := q.baseParams()
 	if aerr != nil {
-		return nil, aerr
+		return exec{}, aerr
 	}
+	base := bp.p
 	losses, aerr := q.Losses.Grid("losses", func() []float64 { return []float64{base.PathLossDB} })
 	if aerr != nil {
-		return nil, aerr
+		return exec{}, aerr
 	}
 	payloads, aerr := q.Payloads.Grid("payloads", func() []int { return []int{base.PayloadBytes} })
 	if aerr != nil {
-		return nil, aerr
+		return exec{}, aerr
 	}
 	bos, aerr := q.BOs.Grid("bos", func() []int { return []int{int(base.Superframe.BO)} })
 	if aerr != nil {
-		return nil, aerr
+		return exec{}, aerr
 	}
 	nodes, aerr := q.Nodes.Grid("nodes", func() []int { return nil })
 	if aerr != nil {
-		return nil, aerr
+		return exec{}, aerr
 	}
 	// nil means "keep the base load"; materialize as one sentinel point.
 	loadFromNodes := nodes != nil
@@ -865,60 +957,56 @@ func (q *Query) buildGrid(workers int) (*exec, *Error) {
 	for _, l := range []int{len(losses), len(payloads), len(bos), len(nodes)} {
 		total *= l
 		if total > MaxGridTasks {
-			return nil, errf("grid", "grid too large (> %d points); page across several queries", MaxGridTasks)
+			return exec{}, errf("grid", "grid too large (> %d points); page across several queries", MaxGridTasks)
 		}
 	}
 	if total < 1 {
-		return nil, errf("grid", "empty grid")
+		return exec{}, errf("grid", "empty grid")
 	}
 
 	// Pre-validate each point's parameter set so every error surfaces at
-	// compile time, before any work is scheduled, and build the task list
-	// in the fixed row-major order.
-	tasks := make([]task, 0, total)
+	// compile time, before any work is scheduled, and lay the points and
+	// their labels out in the fixed row-major order.
+	points := make([]core.Params, 0, total)
+	lb := newLabelBuf(total, gridLabelBytes)
 	for _, loss := range losses {
 		for _, payload := range payloads {
 			for _, bo := range bos {
 				if bo < 0 || bo > int(mac.MaxBeaconOrder) {
-					return nil, errf("bos", "beacon order %d outside 0..%d", bo, mac.MaxBeaconOrder)
+					return exec{}, errf("bos", "beacon order %d outside 0..%d", bo, mac.MaxBeaconOrder)
 				}
 				sf, err := mac.NewSuperframe(uint8(bo), base.Superframe.SO)
 				if err != nil {
-					return nil, errf("bos", "bo=%d with base so=%d: %v", bo, base.Superframe.SO, err)
+					return exec{}, errf("bos", "bo=%d with base so=%d: %v", bo, base.Superframe.SO, err)
 				}
 				for _, n := range nodes {
 					p := base
 					p.PathLossDB = loss
 					p.PayloadBytes = payload
 					p.Superframe = sf
-					label := fmt.Sprintf("grid[%d]:loss=%g,payload=%d,bo=%d", len(tasks), loss, payload, bo)
 					if loadFromNodes {
 						if n < 1 {
-							return nil, errf("nodes", "population %d < 1", n)
+							return exec{}, errf("nodes", "population %d < 1", n)
 						}
 						p.Load = sf.ChannelLoad(n, frame.PaperPacketDuration(payload))
-						label += fmt.Sprintf(",n=%d", n)
 					}
+					start := len(lb.b)
+					lb.b = appendGridLabel(lb.b, len(points), loss, payload, bo, n)
 					if err := p.Validate(); err != nil {
-						return nil, errf("grid", "%s: %v", label, err)
+						return exec{}, errf("grid", "%s: %v", lb.b[start:], err)
 					}
-					pt := p
-					tasks = append(tasks, task{label: label, run: func(ctx context.Context) (TaskResult, error) {
-						m, err := core.Evaluate(pt)
-						if err != nil {
-							return TaskResult{}, err
-						}
-						mw := WireMetrics(m)
-						return TaskResult{Metrics: &mw, value: m}, nil
-					}})
+					lb.end()
+					points = append(points, p)
 				}
 			}
 		}
 	}
-	return &exec{tasks: tasks}, nil
+	return exec{labels: lb.labels(), run: func(_ context.Context, _, i int) (TaskResult, error) {
+		return evaluateTask(points[i])
+	}}, nil
 }
 
 // String implements fmt.Stringer with a one-line plan summary.
 func (p *Plan) String() string {
-	return fmt.Sprintf("query plan: kind=%s tasks=%d", p.Kind, p.numTasks)
+	return fmt.Sprintf("query plan: kind=%s tasks=%d", p.Kind, len(p.labels))
 }

@@ -43,12 +43,7 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 	}
 	plan, err := query.Compile(req.Query)
 	if err != nil {
-		var aerr *Error
-		if errors.As(err, &aerr) {
-			writeValidationError(w, aerr)
-		} else {
-			writeError(w, http.StatusBadRequest, err.Error(), "")
-		}
+		writeCompileError(w, err)
 		return
 	}
 	if req.From < 0 || req.To > plan.NumTasks() || req.From >= req.To {
