@@ -11,7 +11,9 @@
 package dense802154_test
 
 import (
+	"bytes"
 	"context"
+	"io"
 	"testing"
 	"time"
 
@@ -20,6 +22,7 @@ import (
 	"dense802154/internal/contention"
 	"dense802154/internal/core"
 	"dense802154/internal/des"
+	"dense802154/internal/dist"
 	"dense802154/internal/experiments"
 	"dense802154/internal/lifetime"
 	"dense802154/internal/netsim"
@@ -422,6 +425,44 @@ func BenchmarkCompileGrid1000(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := query.Compile(q); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecodeTaskLines1000 measures the coordinator's read side of the
+// dist-fanout workload: one worker's /v2/tasks body for the 1,000-point
+// grid through the production line stream and a ShardReader.
+func BenchmarkDecodeTaskLines1000(b *testing.B) {
+	b.ReportAllocs()
+	plan, err := query.Compile(grid1000Query())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var body []byte
+	err = plan.ExecuteRange(context.Background(), 0, 0, plan.NumTasks(), func(tr query.TaskResult, wallMS float64) error {
+		var err error
+		body, err = (&dist.TaskLine{Index: tr.Index, WallMS: wallMS, Result: &tr}).AppendJSON(body)
+		body = append(body, '\n')
+		return err
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	body = append(body, `{"done":true,"count":1000}`+"\n"...)
+	labels := plan.Labels()
+	var src bytes.Reader
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src.Reset(body)
+		sr := dist.NewShardReader(dist.NewLineStream(io.NopCloser(&src)), labels, len(labels))
+		for {
+			l, err := sr.Next()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if l.Done {
+				break
+			}
 		}
 	}
 }

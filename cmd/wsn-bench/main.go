@@ -24,10 +24,12 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"runtime"
@@ -40,6 +42,7 @@ import (
 	"dense802154/internal/contention"
 	"dense802154/internal/core"
 	"dense802154/internal/des"
+	"dense802154/internal/dist"
 	"dense802154/internal/engine"
 	"dense802154/internal/lifetime"
 	"dense802154/internal/netsim"
@@ -310,6 +313,29 @@ func suite(quick bool) []namedBench {
 				}
 			}
 		}},
+		{"DecodeTaskLines1000", func(b *testing.B) {
+			// The coordinator's read side of the dist-fanout workload: the
+			// 1,000 grid task lines and the done line of one worker's
+			// /v2/tasks body, through the production line stream and a
+			// ShardReader, as one flight reads its shard.
+			b.ReportAllocs()
+			body, labels := grid1000TaskLines(b)
+			var src bytes.Reader
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				src.Reset(body)
+				sr := dist.NewShardReader(dist.NewLineStream(io.NopCloser(&src)), labels, len(labels))
+				for {
+					l, err := sr.Next()
+					if err != nil {
+						b.Fatal(err)
+					}
+					if l.Done {
+						break
+					}
+				}
+			}
+		}},
 		{"StoreTaskPut", func(b *testing.B) {
 			// The per-task store feed of a cold plan (Plan.storeTask): encode
 			// one grid task into a reused buffer and put it into the memory
@@ -359,6 +385,28 @@ func grid1000Result(b *testing.B) *query.ResultSet {
 		b.Fatal(err)
 	}
 	return rs
+}
+
+// grid1000TaskLines renders grid1000Query as the /v2/tasks body one worker
+// streams for the whole plan (task lines with their measured wall times,
+// then the done line) and returns it with the plan's labels.
+func grid1000TaskLines(b *testing.B) ([]byte, []string) {
+	plan, err := query.Compile(grid1000Query())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var body []byte
+	err = plan.ExecuteRange(context.Background(), 0, 0, plan.NumTasks(), func(tr query.TaskResult, wallMS float64) error {
+		var err error
+		body, err = (&dist.TaskLine{Index: tr.Index, WallMS: wallMS, Result: &tr}).AppendJSON(body)
+		body = append(body, '\n')
+		return err
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	body = append(body, `{"done":true,"count":1000}`+"\n"...)
+	return body, plan.Labels()
 }
 
 // storeBenchQuery is the standard 6-task grid workload of the store

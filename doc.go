@@ -244,6 +244,22 @@
 // 1,000-point body) and TestEncodeTaskResultAllocBudget (≤1 per task) fail
 // CI on a return to per-field boxing.
 //
+// One reader decodes them back: a readJSON per result wire type in
+// internal/query (TaskDecoder, behind DecodeTaskResult and
+// TaskResult.UnmarshalJSON) and dist.DecodeTaskLine for /v2/tasks lines,
+// built on the wire.Scanner. The readers take exactly the writer's shape —
+// keys in the writer's order — and anything else (other key spellings or
+// orders, repeated keys, other value types, invalid JSON) falls back to
+// encoding/json on a method-less copy, so accepted inputs and decoded
+// values stay encoding/json's. TestDecodeMatchesEncodingJSON and
+// FuzzTaskResultDecode hold the reader to that oracle. The coordinator reads
+// each shard through a dist.ShardReader: lines come out of a reused bufio
+// buffer, results land in per-shard slabs and labels share the plan's
+// strings, so the 1,000-line grid shard costs a handful of allocations
+// (dist.TestLineStreamAllocBudget) and a store hit two
+// (query.TestDecodeTaskResultAllocBudget), where encoding/json spent four
+// per line and eleven per hit.
+//
 // # Observability
 //
 // GET /metrics serves the server's telemetry in the Prometheus text format
@@ -448,8 +464,8 @@
 // hot-path micro-benchmarks) and writes a JSON report of ns/op, B/op and
 // allocs/op per benchmark:
 //
-//	go run ./cmd/wsn-bench -out BENCH_PR16.json   # refresh the baseline
-//	go run ./cmd/wsn-bench -diff BENCH_PR16.json  # compare a fresh run
+//	go run ./cmd/wsn-bench -out BENCH_PR17.json   # refresh the baseline
+//	go run ./cmd/wsn-bench -diff BENCH_PR17.json  # compare a fresh run
 //
 // The committed BENCH_*.json files form the repository's performance
 // trajectory; CI regenerates a -quick report per push and diffs it against
@@ -459,8 +475,9 @@
 // or boxing regressions: des.TestTypedEventLoopAllocFree,
 // contention.TestSimulateAllocBudget, netsim.TestRunAllocBudget,
 // query.TestResultSetEncodeAllocBudget,
-// query.TestEncodeTaskResultAllocBudget and
-// query.TestCompileGridAllocBudget. To profile the hot paths under live
+// query.TestEncodeTaskResultAllocBudget, query.TestCompileGridAllocBudget,
+// query.TestDecodeTaskResultAllocBudget and dist.TestLineStreamAllocBudget.
+// To profile the hot paths under live
 // load, start the service with a profiling listener (wsn-serve -pprof
 // 127.0.0.1:6060) and capture /debug/pprof/profile while a replica-heavy
 // query runs.

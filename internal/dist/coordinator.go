@@ -166,6 +166,9 @@ type distRun struct {
 	plan  *query.Plan
 	local int
 	yield func(query.TaskResult) error
+	// labels are the plan's task labels: every accepted line must carry
+	// its task's label, and decoded labels share these strings.
+	labels []string
 
 	n         int
 	results   []query.TaskResult
@@ -219,6 +222,7 @@ func (c *Coordinator) Distribute(ctx context.Context, q query.Query, plan *query
 	n := plan.NumTasks()
 	r := &distRun{
 		c: c, ctx: ctx, q: q, plan: plan, local: localWorkers, yield: yield,
+		labels:  plan.Labels(),
 		n:       n,
 		results: make([]query.TaskResult, n),
 		walls:   make([]float64, n),
@@ -345,22 +349,22 @@ func (r *distRun) run() (*query.ResultSet, error) {
 // key before anything is dispatched, then yields the contiguous prefix.
 // Stored bytes are byte-identical to computed ones, so adoption changes
 // dispatch volume only. An entry that fails to decode is simply skipped —
-// the span machinery recomputes it.
+// the span machinery recomputes it. Entries decode straight into the result
+// vector, sharing the plan's labels and carving metrics from slabs.
 func (r *distRun) prefill() error {
 	if r.view == nil {
 		return nil
 	}
+	dec := query.TaskDecoder{Labels: r.labels, Slab: 64}
 	for i := 0; i < r.n; i++ {
 		b, ok := r.view.GetTask(i)
 		if !ok {
 			continue
 		}
-		tr, err := query.DecodeTaskResult(b)
-		if err != nil {
+		if err := dec.Decode(b, &r.results[i]); err != nil {
 			continue
 		}
 		r.have[i] = true
-		r.results[i] = tr
 		r.haveCount++
 	}
 	if r.haveCount > 0 {
@@ -391,10 +395,9 @@ func (r *distRun) finish() (*query.ResultSet, error) {
 		return nil, err
 	}
 	if r.plan.Trace {
-		labels := r.plan.Labels()
 		spans := make([]query.TaskSpanWire, r.n)
 		for i := range spans {
-			spans[i] = query.TaskSpanWire{Index: i, Label: labels[i], WallMS: query.Float(r.walls[i])}
+			spans[i] = query.TaskSpanWire{Index: i, Label: r.labels[i], WallMS: query.Float(r.walls[i])}
 		}
 		rs.Trace = &query.PlanTraceWire{
 			Kind:    r.plan.Kind,
@@ -538,8 +541,9 @@ func (r *distRun) launchRemote(worker string, s span, speculative bool) {
 			return
 		}
 		defer stream.Close()
+		sr := NewShardReader(stream, r.labels, s.to-s.from)
 		for {
-			line, err := stream.Next()
+			line, err := sr.Next()
 			if err != nil {
 				if errors.Is(err, io.EOF) {
 					// EOF before the terminal done line is a disconnect.
@@ -602,6 +606,13 @@ func (r *distRun) onLine(m msg) error {
 	}
 	if line.Result == nil || line.Index != f.next || line.Index >= f.to {
 		r.failFlight(f, fmt.Errorf("dist: worker %s broke stream order (got index %d, want %d)", f.worker, line.Index, f.next))
+		return nil
+	}
+	if res := line.Result; res.Index != line.Index || res.Label != r.labels[line.Index] {
+		// The worker's plan has another shape than ours (version skew the
+		// range check cannot see): its result is not this task's.
+		r.failFlight(f, fmt.Errorf("dist: worker %s sent result %d %q for task %d %q",
+			f.worker, res.Index, res.Label, line.Index, r.labels[line.Index]))
 		return nil
 	}
 	f.next++

@@ -1,13 +1,18 @@
 package dist
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"time"
+
+	"dense802154/internal/query"
+	"dense802154/internal/wire"
 )
 
 // LineStream is one shard's response stream: Next returns TaskLines in
@@ -16,6 +21,16 @@ import (
 type LineStream interface {
 	Next() (TaskLine, error)
 	Close() error
+}
+
+// lineReader is the allocation-free side of a LineStream, which the HTTP
+// stream and the fault wrapper implement: readLine decodes the next line
+// into *l and a task line's result into *dst (nil ⇒ a new TaskResult)
+// through dec (nil ⇒ the stream's own decoder). ShardReader uses it when the stream has it and falls back to
+// Next otherwise, so wrapping streams that only implement LineStream keep
+// working.
+type lineReader interface {
+	readLine(l *TaskLine, dst *query.TaskResult, dec *query.TaskDecoder) error
 }
 
 // Transport carries shards to workers. It is the coordinator's only view of
@@ -30,7 +45,9 @@ type Transport interface {
 }
 
 // HTTPTransport is the production Transport: JSON over HTTP against the
-// /v2/tasks and /readyz routes of each worker's base URL.
+// /v2/tasks and /readyz routes of each worker's base URL. Each shard's
+// response is read by NewLineStream, '\n'-delimited line by line, without
+// encoding/json for the lines the worker writes.
 type HTTPTransport struct {
 	// Client issues the requests (nil ⇒ a dedicated client with no global
 	// timeout; per-shard deadlines come from the Send context).
@@ -64,7 +81,7 @@ func (t *HTTPTransport) Send(ctx context.Context, worker string, req TaskRequest
 		resp.Body.Close()
 		return nil, fmt.Errorf("dist: worker %s answered %d: %s", worker, resp.StatusCode, bytes.TrimSpace(msg))
 	}
-	return &jsonLineStream{body: resp.Body, dec: json.NewDecoder(resp.Body)}, nil
+	return NewLineStream(resp.Body), nil
 }
 
 // Ready implements Transport.
@@ -85,21 +102,145 @@ func (t *HTTPTransport) Ready(ctx context.Context, worker string) error {
 	return nil
 }
 
-// jsonLineStream decodes NDJSON TaskLines off a response body.
-type jsonLineStream struct {
+// maxLineBytes bounds one /v2/tasks line. The largest real task lines
+// (lifetime curves of the biggest fleets) are well under a megabyte; a
+// longer line ends the stream with errLineTooLong instead of buffering
+// without bound.
+var maxLineBytes = 32 << 20
+
+var errLineTooLong = errors.New("dist: task line exceeds the line size limit")
+
+// lineStream reads a /v2/tasks NDJSON body: one '\n'-delimited line at a
+// time out of a reused bufio buffer (lines longer than the buffer are
+// reassembled in a reused scratch slice), each decoded without reflection by
+// decodeLine. Blank lines are skipped, as json.Decoder skips whitespace
+// between values. A body that ends inside a line yields
+// io.ErrUnexpectedEOF: the shard died mid-line, and only its complete lines
+// count as delivered.
+type lineStream struct {
 	body io.ReadCloser
-	dec  *json.Decoder
+	r    *bufio.Reader
+	long []byte
+	scan wire.Scanner
+	dec  query.TaskDecoder
 }
 
-func (s *jsonLineStream) Next() (TaskLine, error) {
-	var line TaskLine
-	if err := s.dec.Decode(&line); err != nil {
+// NewLineStream returns the LineStream that reads /v2/tasks NDJSON from
+// body; HTTPTransport streams every shard through it.
+func NewLineStream(body io.ReadCloser) LineStream {
+	return &lineStream{body: body, r: bufio.NewReaderSize(body, 64<<10)}
+}
+
+func (s *lineStream) Next() (TaskLine, error) {
+	var l TaskLine
+	err := s.readLine(&l, nil, nil)
+	return l, err
+}
+
+func (s *lineStream) readLine(l *TaskLine, dst *query.TaskResult, dec *query.TaskDecoder) error {
+	if dec == nil {
+		dec = &s.dec
+	}
+	b, err := s.line()
+	switch {
+	case err == nil:
+		return decodeLine(b, &s.scan, l, dst, dec)
+	case errors.Is(err, io.ErrUnexpectedEOF) && len(b) > 0 && decodeLine(b, &s.scan, l, dst, dec) == nil:
+		return nil // a complete last line missing only its newline
+	}
+	*l = TaskLine{}
+	return err
+}
+
+// line returns the next non-blank line without its newline, valid until the
+// next call. At the end of the body it returns io.EOF, or
+// io.ErrUnexpectedEOF with the unterminated remainder.
+func (s *lineStream) line() ([]byte, error) {
+	for {
+		b, err := s.r.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			s.long = append(s.long[:0], b...)
+			for err == bufio.ErrBufferFull && len(s.long) <= maxLineBytes {
+				b, err = s.r.ReadSlice('\n')
+				s.long = append(s.long, b...)
+			}
+			if len(s.long) > maxLineBytes {
+				return nil, errLineTooLong
+			}
+			b = s.long
+		}
+		switch {
+		case err == nil:
+			b = b[:len(b)-1]
+		case err == io.EOF:
+			if blank(b) {
+				return nil, io.EOF
+			}
+			return b, io.ErrUnexpectedEOF
+		default:
+			return b, err
+		}
+		if !blank(b) {
+			return b, nil
+		}
+	}
+}
+
+// blank reports whether b holds only JSON whitespace.
+func blank(b []byte) bool {
+	for _, c := range b {
+		if c != ' ' && c != '\t' && c != '\r' && c != '\n' {
+			return false
+		}
+	}
+	return true
+}
+
+func (s *lineStream) Close() error { return s.body.Close() }
+
+// ShardReader reads one shard's lines the way the coordinator does. On a
+// stream with the allocation-free side (the HTTP stream, and the fault
+// wrapper around it) task results decode into one slab of TaskResults the
+// reader owns, their metrics payloads into one MetricsWire slab, and a label
+// equal to the plan's shares the plan's string — so a conforming grid line
+// allocates nothing of its own. Other streams are read through Next.
+type ShardReader struct {
+	stream LineStream
+	fast   lineReader
+	dec    query.TaskDecoder
+	slots  []query.TaskResult
+	line   TaskLine
+}
+
+// NewShardReader returns the reader of one shard of tasks lines off stream;
+// labels are the plan's task labels, indexed by plan index.
+func NewShardReader(stream LineStream, labels []string, tasks int) *ShardReader {
+	sr := &ShardReader{stream: stream, dec: query.TaskDecoder{Labels: labels, Slab: tasks}}
+	if sr.fast, _ = stream.(lineReader); sr.fast != nil {
+		sr.slots = make([]query.TaskResult, tasks)
+	}
+	return sr
+}
+
+// Next returns the shard's next line, as LineStream.Next does. A task line's
+// Result points into storage the reader owns and stays valid after later
+// calls.
+func (sr *ShardReader) Next() (TaskLine, error) {
+	if sr.fast == nil {
+		return sr.stream.Next()
+	}
+	var dst *query.TaskResult
+	if len(sr.slots) > 0 {
+		dst = &sr.slots[0]
+	}
+	if err := sr.fast.readLine(&sr.line, dst, &sr.dec); err != nil {
 		return TaskLine{}, err
 	}
-	return line, nil
+	if dst != nil && sr.line.Result == dst {
+		sr.slots = sr.slots[1:]
+	}
+	return sr.line, nil
 }
-
-func (s *jsonLineStream) Close() error { return s.body.Close() }
 
 // probeCtx derives a bounded context for one readiness probe.
 func probeCtx(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {

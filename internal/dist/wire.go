@@ -30,6 +30,7 @@
 package dist
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"strconv"
@@ -109,4 +110,61 @@ func (l *TaskLine) AppendJSON(dst []byte) ([]byte, error) {
 		dst = wire.AppendString(key(dst, `"error":`), l.Error)
 	}
 	return append(dst, '}'), nil
+}
+
+var taskLineKeys = wire.Keys{"index", "wall_ms", "result", "done", "count", "error"}
+
+// DecodeTaskLine parses one /v2/tasks NDJSON record, the read side of
+// AppendJSON: the bytes AppendJSON writes decode without reflection (the
+// result through query.TaskDecoder), and any other input decodes with
+// encoding/json, so accepted inputs and decoded values are encoding/json's.
+func DecodeTaskLine(b []byte) (TaskLine, error) {
+	var l TaskLine
+	var s wire.Scanner
+	var d query.TaskDecoder
+	err := decodeLine(b, &s, &l, nil, &d)
+	return l, err
+}
+
+// decodeLine decodes one line into *l, reading a task result into *dst
+// (nil ⇒ a new TaskResult) through dec. On input outside the writer's shape
+// it decodes b with encoding/json instead, into fresh storage.
+func decodeLine(b []byte, s *wire.Scanner, l *TaskLine, dst *query.TaskResult, dec *query.TaskDecoder) error {
+	*l = TaskLine{}
+	s.Reset(b)
+	for m := s.Object(taskLineKeys); m.Next(); {
+		switch m.Key() {
+		case "index":
+			l.Index = s.Int()
+		case "wall_ms":
+			l.WallMS = s.StdFloat()
+		case "result":
+			if s.Null() {
+				break
+			}
+			if dst == nil {
+				dst = new(query.TaskResult)
+			} else {
+				*dst = query.TaskResult{}
+			}
+			dec.Read(s, dst)
+			l.Result = dst
+		case "done":
+			l.Done = s.Bool()
+		case "count":
+			l.Count = s.Int()
+		case "error":
+			l.Error = s.Text()
+		}
+	}
+	if s.Finish() == nil {
+		return nil
+	}
+	var std TaskLine
+	if err := json.Unmarshal(b, &std); err != nil {
+		*l = TaskLine{}
+		return err
+	}
+	*l = std
+	return nil
 }

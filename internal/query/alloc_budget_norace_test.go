@@ -11,4 +11,5 @@ const (
 	resultSetEncodeAllocBudget = 2
 	taskEncodeAllocBudget      = 1
 	compileGridAllocBudget     = 64
+	decodeTaskAllocBudget      = 3
 )

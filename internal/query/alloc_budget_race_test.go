@@ -11,4 +11,5 @@ const (
 	resultSetEncodeAllocBudget = 64
 	taskEncodeAllocBudget      = 8
 	compileGridAllocBudget     = 64
+	decodeTaskAllocBudget      = 3
 )

@@ -22,6 +22,12 @@ import (
 // Adding a field to a result wire type means adding it to that type's
 // appendJSON too; the oracle test fills every field by reflection and fails
 // until the two agree.
+//
+// The read side has one reader too: decode.go's readJSON per wire type,
+// which takes exactly these bytes without reflection and falls back to
+// encoding/json for any other input. Its oracle is the same:
+// TestDecodeMatchesEncodingJSON and FuzzTaskResultDecode. A new field goes
+// into its struct, its appendJSON and its readJSON in the same change.
 
 // encodeBufs recycles the scratch buffers results are encoded into before
 // being copied out (Encode, EncodeTaskResult) or handed to a store that

@@ -16,16 +16,7 @@ import (
 //
 //	go test ./internal/query -run NONE -fuzz FuzzTaskResultEncode -fuzztime 30s
 func FuzzTaskResultEncode(f *testing.F) {
-	for _, seed := range []string{
-		`{"index":0,"metrics":{"tx_power_dbm":"-Inf","prx_dbm":"NaN","pr_bit":-0,"pr_e":5e-324,"pr_tf":1e21,"pr_cf":9.999999999999999e20,"expected_tx":"+Inf","contention":{"ncca":1e-7}}}`,
-		`{"index":3,"label":"<b>&amp;</b>` + "\u2028\u2029\ufffd" + `\u0000\t","sim":{"seed":-9223372036854775808,"avg_power_w":"Inf"}}`,
-		`{"index":1,"curves":[],"thresholds":null,"payload":{"sizes_bytes":[],"energy_j_per_bit":null}}`,
-		`{"index":2,"casestudy":{"loss_grid_db":[],"power_uw":null,"level_used":[1,-2]}}`,
-		`{"index":4,"lifetime":{"first_death_s":"+Inf","curve":[]}}`,
-		`{"index":5,"scenario":{"result":null},"experiment":{"name":"x<y","tables":[{"Title":"t","Rows":[["a"]]}]}}`,
-		`{"index":6,"label":"bad` + "\xff\xfe" + `utf8"}`,
-		`{"index":7,"metrics":{"tx_power_dbm":"1.5"}}`,
-	} {
+	for _, seed := range taskResultSeeds {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -53,4 +44,17 @@ func FuzzTaskResultEncode(f *testing.F) {
 			t.Fatalf("decode → encode is not a fixed point:\n first: %s\nsecond: %s (err %v)", got, again, err)
 		}
 	})
+}
+
+// taskResultSeeds are the hand-written edge inputs both result fuzzers start
+// from, next to the committed corpus of FuzzTaskResultEncode.
+var taskResultSeeds = []string{
+	`{"index":0,"metrics":{"tx_power_dbm":"-Inf","prx_dbm":"NaN","pr_bit":-0,"pr_e":5e-324,"pr_tf":1e21,"pr_cf":9.999999999999999e20,"expected_tx":"+Inf","contention":{"ncca":1e-7}}}`,
+	`{"index":3,"label":"<b>&amp;</b>` + "\u2028\u2029\ufffd" + `\u0000\t","sim":{"seed":-9223372036854775808,"avg_power_w":"Inf"}}`,
+	`{"index":1,"curves":[],"thresholds":null,"payload":{"sizes_bytes":[],"energy_j_per_bit":null}}`,
+	`{"index":2,"casestudy":{"loss_grid_db":[],"power_uw":null,"level_used":[1,-2]}}`,
+	`{"index":4,"lifetime":{"first_death_s":"+Inf","curve":[]}}`,
+	`{"index":5,"scenario":{"result":null},"experiment":{"name":"x<y","tables":[{"Title":"t","Rows":[["a"]]}]}}`,
+	`{"index":6,"label":"bad` + "\xff\xfe" + `utf8"}`,
+	`{"index":7,"metrics":{"tx_power_dbm":"1.5"}}`,
 }

@@ -18,7 +18,6 @@ import (
 // walks the struct by reflection instead of calling back into the appender.
 
 type (
-	plainTaskResult TaskResult
 	plainResultSet  ResultSet
 	plainStreamDone StreamDone
 )
@@ -310,23 +309,12 @@ func TestAppendJSONMatchesEncodingJSON(t *testing.T) {
 // plan output: a grid, replicas with their summary, lifetime with its
 // summary, a case study, sweeps and a traced run.
 func TestAppendJSONMatchesEncodingJSONOnRealResults(t *testing.T) {
-	seed := int64(5)
-	queries := []Query{
-		{Kind: KindGrid, Params: quickParams(), Losses: &Axis{Values: []Float{50, 70, 200}}, Payloads: &IntAxis{Values: []int{20, 100}}},
-		{Kind: KindReplicas, Sim: &SimConfigWire{Nodes: intp(10), Superframes: intp(2), Seed: &seed}, Replicas: 3, Trace: true},
-		{Kind: KindLifetime, Sim: &SimConfigWire{Nodes: intp(4), Superframes: intp(1), Seed: &seed},
-			Lifetime: &LifetimeWire{CapacityJ: floatp(0.05), EpochSuperframes: intp(2), MaxEpochs: intp(16)}, Replicas: 2},
-		{Kind: KindCaseStudy, Params: quickParams(), Config: &CaseStudyConfigWire{LossGridPoints: intp(5)}},
-		{Kind: KindPathLossSweep, Params: quickParams(), Losses: &Axis{Values: []Float{55, 90}}},
-		{Kind: KindThresholds, Params: quickParams(), Losses: &Axis{Values: []Float{55, 70, 90}}},
-		{Kind: KindPayloadSweep, Params: quickParams(), Payloads: &IntAxis{Values: []int{20, 60}}},
-	}
 	cases := appendCases()
 	byName := map[string]appendCase{}
 	for _, c := range cases {
 		byName[c.name] = c
 	}
-	for _, q := range queries {
+	for _, q := range realQueries() {
 		rs, err := Run(t.Context(), q)
 		if err != nil {
 			t.Fatalf("%s: %v", q.Kind, err)
@@ -337,6 +325,23 @@ func TestAppendJSONMatchesEncodingJSONOnRealResults(t *testing.T) {
 		}
 		done := &StreamDone{Done: true, Count: len(rs.Results), Summary: rs.Summary, LifetimeSummary: rs.LifetimeSummary, Trace: rs.Trace}
 		checkAppend(t, byName["StreamDone"], string(q.Kind), done)
+	}
+}
+
+// realQueries are small queries of every payload shape the plans emit: a
+// grid, replicas with their summary, lifetime with its summary, a case
+// study, the sweeps and a traced run.
+func realQueries() []Query {
+	seed := int64(5)
+	return []Query{
+		{Kind: KindGrid, Params: quickParams(), Losses: &Axis{Values: []Float{50, 70, 200}}, Payloads: &IntAxis{Values: []int{20, 100}}},
+		{Kind: KindReplicas, Sim: &SimConfigWire{Nodes: intp(10), Superframes: intp(2), Seed: &seed}, Replicas: 3, Trace: true},
+		{Kind: KindLifetime, Sim: &SimConfigWire{Nodes: intp(4), Superframes: intp(1), Seed: &seed},
+			Lifetime: &LifetimeWire{CapacityJ: floatp(0.05), EpochSuperframes: intp(2), MaxEpochs: intp(16)}, Replicas: 2},
+		{Kind: KindCaseStudy, Params: quickParams(), Config: &CaseStudyConfigWire{LossGridPoints: intp(5)}},
+		{Kind: KindPathLossSweep, Params: quickParams(), Losses: &Axis{Values: []Float{55, 90}}},
+		{Kind: KindThresholds, Params: quickParams(), Losses: &Axis{Values: []Float{55, 70, 90}}},
+		{Kind: KindPayloadSweep, Params: quickParams(), Payloads: &IntAxis{Values: []int{20, 60}}},
 	}
 }
 

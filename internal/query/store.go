@@ -97,12 +97,14 @@ func EncodeTaskResult(tr TaskResult) ([]byte, error) {
 	return bytes.Clone(keepLine(bp, b)), nil
 }
 
-// DecodeTaskResult parses canonical TaskResult bytes back. The decoded
-// result carries wire payloads only (Value() is nil), which is why
-// store-enabled plans assemble through the wire path.
+// DecodeTaskResult parses canonical TaskResult bytes back through the
+// reflection-free reader (decode.go), falling back to encoding/json for any
+// other input. The decoded result carries wire payloads only (Value() is
+// nil), which is why store-enabled plans assemble through the wire path.
 func DecodeTaskResult(b []byte) (TaskResult, error) {
+	var d TaskDecoder
 	var tr TaskResult
-	if err := json.Unmarshal(b, &tr); err != nil {
+	if err := d.Decode(b, &tr); err != nil {
 		return TaskResult{}, err
 	}
 	return tr, nil

@@ -2,6 +2,7 @@ package query_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -59,6 +60,58 @@ func TestTaskLineAppendJSONMatchesEncodingJSON(t *testing.T) {
 		}
 		if _, err := query.OracleJSON((*plainTaskLine)(&l)); err == nil {
 			t.Errorf("wall_ms %v: oracle accepted a non-finite value", bad)
+		}
+	}
+}
+
+// TestTaskLineDecodeMatchesEncodingJSON is the reader's side of the line
+// oracle: every line the appender writes (filled by reflection in every mode
+// and seed, plus the task, done and error shapes) must decode through
+// dist.DecodeTaskLine to the value json.Unmarshal gives for the method-less
+// plainTaskLine, and so must lines outside the writer's shape, accepted or
+// rejected alike. plainTaskLine's Result decodes through
+// TaskResult.UnmarshalJSON, whose values TestDecodeMatchesEncodingJSON pins
+// against the reflective oracle; this test pins the line framing.
+func TestTaskLineDecodeMatchesEncodingJSON(t *testing.T) {
+	var inputs [][]byte
+	for mode := 0; mode < 3; mode++ {
+		for seed := int64(0); seed < 20; seed++ {
+			var l dist.TaskLine
+			query.FillWire(&l, mode, seed)
+			if b, err := l.AppendJSON(nil); err == nil {
+				inputs = append(inputs, b)
+			}
+		}
+	}
+	var tr query.TaskResult
+	query.FillWire(&tr, 0, 1)
+	for _, l := range []dist.TaskLine{
+		{}, {Index: 3, WallMS: 0.0421, Result: &tr}, {Result: &query.TaskResult{Label: "first"}},
+		{Done: true, Count: 12}, {Error: "core: path loss <NaN> &\u2028bad\xff"}, {WallMS: 1e-9}, {WallMS: 3e21},
+	} {
+		b, err := l.AppendJSON(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs, b)
+	}
+	for _, in := range []string{
+		`{"Index":3,"DONE":true}`, `{"done":true,"index":3}`, `{"index":3,"index":4}`, `{"wall_ms":"1"}`,
+		`{"wall_ms":1e400}`, `{"wall_ms":null,"result":null}`, `{"result":{"index":1,"label":"x"},"extra":1}`,
+		`{"error":"a\u00e9\ud800"}`, `{"count":1.5}`, `{"index":3}x`, `{"index":3`, `not json`, ``,
+		` {"done" : true} `, `{"result":{"index":"1"}}`,
+	} {
+		inputs = append(inputs, []byte(in))
+	}
+	for _, b := range inputs {
+		got, gerr := dist.DecodeTaskLine(b)
+		var want plainTaskLine
+		werr := json.Unmarshal(b, &want)
+		if (gerr == nil) != (werr == nil) {
+			t.Fatalf("%q: reader error %v, encoding/json error %v", b, gerr, werr)
+		}
+		if gerr == nil && !query.SameWire(got, dist.TaskLine(want)) {
+			t.Fatalf("%q: reader value differs from encoding/json\n got: %+v\nwant: %+v", b, got, want)
 		}
 	}
 }

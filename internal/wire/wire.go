@@ -16,6 +16,8 @@
 // buffer without allocating; they are the primitives the reflection-free
 // result encoders of internal/query build on, and encoding/json — through
 // Float.MarshalJSON, which is a thin wrapper — is only their test oracle.
+// Scanner (read.go) reads those bytes back without reflection, for the
+// result readers of internal/query and internal/dist.
 package wire
 
 import (
