@@ -431,7 +431,7 @@ func BenchmarkCompileGrid1000(b *testing.B) {
 
 // BenchmarkDecodeTaskLines1000 measures the coordinator's read side of the
 // dist-fanout workload: one worker's /v2/tasks body for the 1,000-point
-// grid through the production line stream and a ShardReader.
+// grid through the production line stream.
 func BenchmarkDecodeTaskLines1000(b *testing.B) {
 	b.ReportAllocs()
 	plan, err := query.Compile(grid1000Query())
@@ -454,9 +454,9 @@ func BenchmarkDecodeTaskLines1000(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		src.Reset(body)
-		sr := dist.NewShardReader(dist.NewLineStream(io.NopCloser(&src)), labels, len(labels))
+		ls := dist.NewLineStream(io.NopCloser(&src), labels, len(labels))
 		for {
-			l, err := sr.Next()
+			l, err := ls.Next()
 			if err != nil {
 				b.Fatal(err)
 			}

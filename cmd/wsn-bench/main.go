@@ -316,17 +316,17 @@ func suite(quick bool) []namedBench {
 		{"DecodeTaskLines1000", func(b *testing.B) {
 			// The coordinator's read side of the dist-fanout workload: the
 			// 1,000 grid task lines and the done line of one worker's
-			// /v2/tasks body, through the production line stream and a
-			// ShardReader, as one flight reads its shard.
+			// /v2/tasks body, through the production line stream, as one
+			// flight reads its shard.
 			b.ReportAllocs()
 			body, labels := grid1000TaskLines(b)
 			var src bytes.Reader
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				src.Reset(body)
-				sr := dist.NewShardReader(dist.NewLineStream(io.NopCloser(&src)), labels, len(labels))
+				ls := dist.NewLineStream(io.NopCloser(&src), labels, len(labels))
 				for {
-					l, err := sr.Next()
+					l, err := ls.Next()
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -252,9 +252,9 @@
 // orders, repeated keys, other value types, invalid JSON) falls back to
 // encoding/json on a method-less copy, so accepted inputs and decoded
 // values stay encoding/json's. TestDecodeMatchesEncodingJSON and
-// FuzzTaskResultDecode hold the reader to that oracle. The coordinator reads
-// each shard through a dist.ShardReader: lines come out of a reused bufio
-// buffer, results land in per-shard slabs and labels share the plan's
+// FuzzTaskResultDecode hold the reader to that oracle. The coordinator's
+// shard streams (dist.NewLineStream) take lines out of a reused bufio
+// buffer, decode results into per-shard slabs and share the plan's label
 // strings, so the 1,000-line grid shard costs a handful of allocations
 // (dist.TestLineStreamAllocBudget) and a store hit two
 // (query.TestDecodeTaskResultAllocBudget), where encoding/json spent four

@@ -349,22 +349,22 @@ func (r *distRun) run() (*query.ResultSet, error) {
 // key before anything is dispatched, then yields the contiguous prefix.
 // Stored bytes are byte-identical to computed ones, so adoption changes
 // dispatch volume only. An entry that fails to decode is simply skipped —
-// the span machinery recomputes it. Entries decode straight into the result
-// vector, sharing the plan's labels and carving metrics from slabs.
+// the span machinery recomputes it.
 func (r *distRun) prefill() error {
 	if r.view == nil {
 		return nil
 	}
-	dec := query.TaskDecoder{Labels: r.labels, Slab: 64}
 	for i := 0; i < r.n; i++ {
 		b, ok := r.view.GetTask(i)
 		if !ok {
 			continue
 		}
-		if err := dec.Decode(b, &r.results[i]); err != nil {
+		tr, err := query.DecodeTaskResult(b)
+		if err != nil {
 			continue
 		}
 		r.have[i] = true
+		r.results[i] = tr
 		r.haveCount++
 	}
 	if r.haveCount > 0 {
@@ -535,15 +535,14 @@ func (r *distRun) launchRemote(worker string, s span, speculative bool) {
 	req := TaskRequest{Query: r.q, From: s.from, To: s.to}
 	go func() {
 		defer fcancel()
-		stream, err := r.c.opts.Transport.Send(fctx, worker, req)
+		stream, err := r.c.opts.Transport.Send(withPlanLabels(fctx, r.labels), worker, req)
 		if err != nil {
 			r.post(msg{kind: msgEnd, fid: fid, err: err})
 			return
 		}
 		defer stream.Close()
-		sr := NewShardReader(stream, r.labels, s.to-s.from)
 		for {
-			line, err := sr.Next()
+			line, err := stream.Next()
 			if err != nil {
 				if errors.Is(err, io.EOF) {
 					// EOF before the terminal done line is a disconnect.

@@ -7,3 +7,7 @@ func SetMaxLineBytes(n int) (restore func()) {
 	maxLineBytes = n
 	return func() { maxLineBytes = old }
 }
+
+// WithPlanLabels is withPlanLabels, for tests that call a Transport as the
+// coordinator does.
+var WithPlanLabels = withPlanLabels

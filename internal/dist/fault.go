@@ -6,8 +6,6 @@ import (
 	"io"
 	"sync"
 	"time"
-
-	"dense802154/internal/query"
 )
 
 // FaultKind selects what an injected fault does when it fires.
@@ -166,55 +164,30 @@ type faultStream struct {
 }
 
 func (s *faultStream) Next() (TaskLine, error) {
-	var l TaskLine
-	err := s.readLine(&l, nil, nil)
-	return l, err
-}
-
-// readLine reads through the inner stream's allocation-free side when it has
-// one, so fault runs exercise the production decode.
-func (s *faultStream) readLine(l *TaskLine, dst *query.TaskResult, dec *query.TaskDecoder) error {
 	if s.ft.isDead(s.worker) {
-		return ErrInjected
+		return TaskLine{}, ErrInjected
 	}
-	var err error
-	if r, ok := s.inner.(lineReader); ok {
-		err = r.readLine(l, dst, dec)
-	} else {
-		*l, err = s.inner.Next()
-	}
-	if err == nil {
-		err = s.fire(l)
-	}
+	line, err := s.inner.Next()
 	if err != nil {
-		*l = TaskLine{}
+		return TaskLine{}, err
 	}
-	return err
-}
-
-// fire applies the stream-time fault scripted for the task line about to be
-// delivered, if any.
-func (s *faultStream) fire(line *TaskLine) error {
-	if line.Result == nil {
-		return nil
-	}
-	f := s.ft.match(s.worker, line.Index)
-	if f == nil {
-		return nil
-	}
-	switch f.Kind {
-	case FaultDelay:
-		select {
-		case <-time.After(f.Delay):
-		case <-s.ctx.Done():
-			return s.ctx.Err()
+	if line.Result != nil {
+		if f := s.ft.match(s.worker, line.Index); f != nil {
+			switch f.Kind {
+			case FaultDelay:
+				select {
+				case <-time.After(f.Delay):
+				case <-s.ctx.Done():
+					return TaskLine{}, s.ctx.Err()
+				}
+			case FaultDrop:
+				return TaskLine{}, io.ErrUnexpectedEOF
+			default: // FaultError, FaultKill
+				return TaskLine{}, ErrInjected
+			}
 		}
-		return nil
-	case FaultDrop:
-		return io.ErrUnexpectedEOF
-	default: // FaultError, FaultKill
-		return ErrInjected
 	}
+	return line, nil
 }
 
 func (s *faultStream) Close() error { return s.inner.Close() }

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"dense802154/internal/dist"
 	"dense802154/internal/query"
@@ -116,7 +117,7 @@ func TestLineStreamRejectsBadLines(t *testing.T) {
 	body.Write(bytes.TrimSuffix(lines[0], []byte("\n")))
 	body.WriteString("\r\n\n")
 	body.Write(bytes.TrimSuffix(lines[1], []byte("\n")))
-	ls = dist.NewLineStream(io.NopCloser(&body))
+	ls = dist.NewLineStream(io.NopCloser(&body), nil, 2)
 	for i := 0; i < 2; i++ {
 		if l, err := ls.Next(); err != nil || l.Index != i {
 			t.Fatalf("line %d: %+v, %v", i, l, err)
@@ -245,8 +246,8 @@ func grid1000Query() query.Query {
 
 // TestLineStreamAllocBudget guards the coordinator's read side: the
 // 1,000-line grid body plus its done line, through the production line
-// stream and a ShardReader as a flight reads it, costs a handful of
-// per-shard allocations — not the four per line encoding/json spent.
+// stream as a flight reads it, costs a handful of per-shard allocations —
+// not the four per line encoding/json spent.
 func TestLineStreamAllocBudget(t *testing.T) {
 	q := grid1000Query()
 	plan, err := query.Compile(q)
@@ -259,9 +260,9 @@ func TestLineStreamAllocBudget(t *testing.T) {
 	var src bytes.Reader
 	read := func() {
 		src.Reset(body)
-		sr := dist.NewShardReader(dist.NewLineStream(io.NopCloser(&src)), labels, len(labels))
+		ls := dist.NewLineStream(io.NopCloser(&src), labels, len(labels))
 		for n := 0; ; n++ {
-			l, err := sr.Next()
+			l, err := ls.Next()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -284,16 +285,17 @@ func TestLineStreamAllocBudget(t *testing.T) {
 	t.Logf("1000-line grid shard: %v allocs", allocs)
 }
 
-// TestShardReaderOwnsResults: results a ShardReader hands out stay intact
-// while later lines are read, so the coordinator can keep the pointers.
-func TestShardReaderOwnsResults(t *testing.T) {
+// TestLineStreamOwnsResults: results the line stream hands out stay intact
+// while later lines are read, so the coordinator can keep the pointers. The
+// shard is sized below its line count, so the reads span two result slabs.
+func TestLineStreamOwnsResults(t *testing.T) {
 	lines := taskLines(t, gridQuery(), 0, 6)
 	plan, _ := query.Compile(gridQuery())
 	labels := plan.Labels()
-	sr := dist.NewShardReader(dist.NewLineStream(io.NopCloser(bytes.NewReader(bytes.Join(lines, nil)))), labels, 6)
+	ls := dist.NewLineStream(io.NopCloser(bytes.NewReader(bytes.Join(lines, nil))), labels, 4)
 	var got []*query.TaskResult
 	for {
-		l, err := sr.Next()
+		l, err := ls.Next()
 		if err == io.EOF {
 			break
 		}
@@ -306,6 +308,32 @@ func TestShardReaderOwnsResults(t *testing.T) {
 		want, err := dist.DecodeTaskLine(bytes.TrimSpace(lines[i]))
 		if err != nil || tr.Label != labels[i] || tr.Index != i || *tr.Metrics != *want.Result.Metrics {
 			t.Fatalf("result %d changed after later reads: %+v", i, tr)
+		}
+	}
+}
+
+// TestHTTPTransportSharesPlanLabels: the plan labels the coordinator puts in
+// the Send context reach the HTTP stream, so each decoded label is the
+// plan's own string rather than a copy.
+func TestHTTPTransportSharesPlanLabels(t *testing.T) {
+	lines := taskLines(t, gridQuery(), 0, 6)
+	plan, _ := query.Compile(gridQuery())
+	labels := plan.Labels()
+	url := serveBody(t, bytes.Join(lines, nil))
+	ctx, cancel := context.WithTimeout(dist.WithPlanLabels(context.Background(), labels), 10*time.Second)
+	defer cancel()
+	ls, err := (&dist.HTTPTransport{}).Send(ctx, url, dist.TaskRequest{Query: gridQuery(), From: 0, To: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ls.Close()
+	for i := range lines {
+		l, err := ls.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l.Result.Label != labels[i] || unsafe.StringData(l.Result.Label) != unsafe.StringData(labels[i]) {
+			t.Fatalf("line %d: label %q is not the plan's string", i, l.Result.Label)
 		}
 	}
 }

@@ -23,16 +23,6 @@ type LineStream interface {
 	Close() error
 }
 
-// lineReader is the allocation-free side of a LineStream, which the HTTP
-// stream and the fault wrapper implement: readLine decodes the next line
-// into *l and a task line's result into *dst (nil ⇒ a new TaskResult)
-// through dec (nil ⇒ the stream's own decoder). ShardReader uses it when the stream has it and falls back to
-// Next otherwise, so wrapping streams that only implement LineStream keep
-// working.
-type lineReader interface {
-	readLine(l *TaskLine, dst *query.TaskResult, dec *query.TaskDecoder) error
-}
-
 // Transport carries shards to workers. It is the coordinator's only view of
 // the fleet, which is what makes fault injection complete: wrapping a
 // Transport can simulate every failure mode a real network exhibits.
@@ -46,8 +36,8 @@ type Transport interface {
 
 // HTTPTransport is the production Transport: JSON over HTTP against the
 // /v2/tasks and /readyz routes of each worker's base URL. Each shard's
-// response is read by NewLineStream, '\n'-delimited line by line, without
-// encoding/json for the lines the worker writes.
+// response is read by NewLineStream, sized to the shard's range and sharing
+// the labels of the plan the coordinator put in the Send context.
 type HTTPTransport struct {
 	// Client issues the requests (nil ⇒ a dedicated client with no global
 	// timeout; per-shard deadlines come from the Send context).
@@ -81,7 +71,7 @@ func (t *HTTPTransport) Send(ctx context.Context, worker string, req TaskRequest
 		resp.Body.Close()
 		return nil, fmt.Errorf("dist: worker %s answered %d: %s", worker, resp.StatusCode, bytes.TrimSpace(msg))
 	}
-	return NewLineStream(resp.Body), nil
+	return NewLineStream(resp.Body, planLabels(ctx), req.To-req.From), nil
 }
 
 // Ready implements Transport.
@@ -113,43 +103,60 @@ var errLineTooLong = errors.New("dist: task line exceeds the line size limit")
 // lineStream reads a /v2/tasks NDJSON body: one '\n'-delimited line at a
 // time out of a reused bufio buffer (lines longer than the buffer are
 // reassembled in a reused scratch slice), each decoded without reflection by
-// decodeLine. Blank lines are skipped, as json.Decoder skips whitespace
-// between values. A body that ends inside a line yields
-// io.ErrUnexpectedEOF: the shard died mid-line, and only its complete lines
-// count as delivered.
+// decodeLine. Task results land in a slab of TaskResults the stream owns,
+// their metrics payloads in a MetricsWire slab, and a label equal to the
+// plan's shares the plan's string, so a conforming grid line allocates
+// nothing of its own. Results stay valid after later calls. Blank lines are
+// skipped, as json.Decoder skips whitespace between values. A body that
+// ends inside a line yields io.ErrUnexpectedEOF: the shard died mid-line,
+// and only its complete lines count as delivered.
 type lineStream struct {
-	body io.ReadCloser
-	r    *bufio.Reader
-	long []byte
-	scan wire.Scanner
-	dec  query.TaskDecoder
+	body  io.ReadCloser
+	r     *bufio.Reader
+	long  []byte
+	scan  wire.Scanner
+	dec   query.TaskDecoder
+	tr    query.TaskResult // decodeLine's target, copied into slots
+	slots []query.TaskResult
+	tasks int
 }
 
 // NewLineStream returns the LineStream that reads /v2/tasks NDJSON from
-// body; HTTPTransport streams every shard through it.
-func NewLineStream(body io.ReadCloser) LineStream {
-	return &lineStream{body: body, r: bufio.NewReaderSize(body, 64<<10)}
+// body; HTTPTransport streams every shard through it. labels are the plan's
+// task labels, indexed by plan index (nil ⇒ every label is its own string),
+// and tasks is how many task lines the shard carries, which sizes the
+// result slabs.
+func NewLineStream(body io.ReadCloser, labels []string, tasks int) LineStream {
+	tasks = max(tasks, 1)
+	return &lineStream{
+		body:  body,
+		r:     bufio.NewReader(body),
+		dec:   query.TaskDecoder{Labels: labels, Slab: tasks},
+		tasks: tasks,
+	}
 }
 
 func (s *lineStream) Next() (TaskLine, error) {
 	var l TaskLine
-	err := s.readLine(&l, nil, nil)
-	return l, err
-}
-
-func (s *lineStream) readLine(l *TaskLine, dst *query.TaskResult, dec *query.TaskDecoder) error {
-	if dec == nil {
-		dec = &s.dec
-	}
 	b, err := s.line()
 	switch {
 	case err == nil:
-		return decodeLine(b, &s.scan, l, dst, dec)
-	case errors.Is(err, io.ErrUnexpectedEOF) && len(b) > 0 && decodeLine(b, &s.scan, l, dst, dec) == nil:
-		return nil // a complete last line missing only its newline
+		err = decodeLine(b, &s.scan, &l, &s.tr, &s.dec)
+	case errors.Is(err, io.ErrUnexpectedEOF) && len(b) > 0 && decodeLine(b, &s.scan, &l, &s.tr, &s.dec) == nil:
+		err = nil // a complete last line missing only its newline
 	}
-	*l = TaskLine{}
-	return err
+	if err != nil {
+		return TaskLine{}, err
+	}
+	if l.Result == &s.tr {
+		if len(s.slots) == 0 {
+			s.slots = make([]query.TaskResult, s.tasks)
+		}
+		s.slots[0] = s.tr
+		l.Result = &s.slots[0]
+		s.slots = s.slots[1:]
+	}
+	return l, nil
 }
 
 // line returns the next non-blank line without its newline, valid until the
@@ -198,48 +205,19 @@ func blank(b []byte) bool {
 
 func (s *lineStream) Close() error { return s.body.Close() }
 
-// ShardReader reads one shard's lines the way the coordinator does. On a
-// stream with the allocation-free side (the HTTP stream, and the fault
-// wrapper around it) task results decode into one slab of TaskResults the
-// reader owns, their metrics payloads into one MetricsWire slab, and a label
-// equal to the plan's shares the plan's string — so a conforming grid line
-// allocates nothing of its own. Other streams are read through Next.
-type ShardReader struct {
-	stream LineStream
-	fast   lineReader
-	dec    query.TaskDecoder
-	slots  []query.TaskResult
-	line   TaskLine
+type planLabelsKey struct{}
+
+// withPlanLabels returns ctx carrying the plan's task labels, which
+// HTTPTransport hands to the shard's line stream. Wrapping Transports pass
+// the context through, so their shards decode exactly as the bare one's.
+func withPlanLabels(ctx context.Context, labels []string) context.Context {
+	return context.WithValue(ctx, planLabelsKey{}, labels)
 }
 
-// NewShardReader returns the reader of one shard of tasks lines off stream;
-// labels are the plan's task labels, indexed by plan index.
-func NewShardReader(stream LineStream, labels []string, tasks int) *ShardReader {
-	sr := &ShardReader{stream: stream, dec: query.TaskDecoder{Labels: labels, Slab: tasks}}
-	if sr.fast, _ = stream.(lineReader); sr.fast != nil {
-		sr.slots = make([]query.TaskResult, tasks)
-	}
-	return sr
-}
-
-// Next returns the shard's next line, as LineStream.Next does. A task line's
-// Result points into storage the reader owns and stays valid after later
-// calls.
-func (sr *ShardReader) Next() (TaskLine, error) {
-	if sr.fast == nil {
-		return sr.stream.Next()
-	}
-	var dst *query.TaskResult
-	if len(sr.slots) > 0 {
-		dst = &sr.slots[0]
-	}
-	if err := sr.fast.readLine(&sr.line, dst, &sr.dec); err != nil {
-		return TaskLine{}, err
-	}
-	if dst != nil && sr.line.Result == dst {
-		sr.slots = sr.slots[1:]
-	}
-	return sr.line, nil
+// planLabels returns the labels withPlanLabels put in ctx, or nil.
+func planLabels(ctx context.Context) []string {
+	labels, _ := ctx.Value(planLabelsKey{}).([]string)
+	return labels
 }
 
 // probeCtx derives a bounded context for one readiness probe.

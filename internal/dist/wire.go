@@ -122,13 +122,13 @@ func DecodeTaskLine(b []byte) (TaskLine, error) {
 	var l TaskLine
 	var s wire.Scanner
 	var d query.TaskDecoder
-	err := decodeLine(b, &s, &l, nil, &d)
+	err := decodeLine(b, &s, &l, new(query.TaskResult), &d)
 	return l, err
 }
 
 // decodeLine decodes one line into *l, reading a task result into *dst
-// (nil ⇒ a new TaskResult) through dec. On input outside the writer's shape
-// it decodes b with encoding/json instead, into fresh storage.
+// through dec. On input outside the writer's shape it decodes b with
+// encoding/json instead, into fresh storage.
 func decodeLine(b []byte, s *wire.Scanner, l *TaskLine, dst *query.TaskResult, dec *query.TaskDecoder) error {
 	*l = TaskLine{}
 	s.Reset(b)
@@ -142,11 +142,7 @@ func decodeLine(b []byte, s *wire.Scanner, l *TaskLine, dst *query.TaskResult, d
 			if s.Null() {
 				break
 			}
-			if dst == nil {
-				dst = new(query.TaskResult)
-			} else {
-				*dst = query.TaskResult{}
-			}
+			*dst = query.TaskResult{}
 			dec.Read(s, dst)
 			l.Result = dst
 		case "done":

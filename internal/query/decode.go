@@ -345,7 +345,7 @@ func readInts(s *wire.Scanner) []int {
 
 // TaskDecoder reads TaskResult wire bytes without reflection into storage
 // its owner controls. The zero value decodes like DecodeTaskResult; a reader
-// of many tasks (the distributed coordinator's shard reader) sets Labels and
+// of many tasks (the distributed coordinator's line stream) sets Labels and
 // Slab so that a conforming task allocates nothing of its own. A
 // TaskDecoder is not safe for concurrent use.
 type TaskDecoder struct {
