@@ -1,6 +1,6 @@
 // Top-level benchmark harness: one benchmark per table/figure of the
 // paper, each regenerating the artifact through the same driver the
-// wsn-experiments command uses, plus micro-benchmarks of the hot paths.
+// experiment query kind runs, plus micro-benchmarks of the hot paths.
 //
 //	go test -bench=. -benchmem
 //

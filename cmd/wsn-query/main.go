@@ -17,6 +17,25 @@
 //	echo '{"kind":"replicas","sim":{"nodes":50,"superframes":10},"replicas":8}' | wsn-query -stream
 //	wsn-query -f casestudy.json -workers 4
 //
+// The paper's results are query kinds too:
+//
+//	# The model at one operating point (120 B, λ=0.433, 75 dB, BO=SO=6,
+//	# link adaptation): TX level 2, Prcf 0.1155, with the per-phase energy
+//	# breakdown and the per-state times.
+//	echo '{"kind":"evaluate","params":{"payload_bytes":120,"load":0.433,"path_loss_db":75,"tx_level":-1,"superframe":{"bo":6,"so":6},"n_max":5}}' | wsn-query
+//
+//	# One table or figure driver (fig3 … fig9, casestudy, ...); "seed"
+//	# overrides the default 2005, and "quick" shrinks Monte-Carlo runs.
+//	echo '{"kind":"experiment","experiment":"fig6","quick":true}' | wsn-query -workers 4
+//
+//	# One catalog scenario, model vs simulator, diffed against its
+//	# committed golden: .results[0].scenario.diff.pass is the verdict and
+//	# .byte_identical says whether the bytes match exactly.
+//	echo '{"kind":"scenario","scenario":"dense-moderate","diff":true}' | wsn-query
+//
+// An unknown experiment or scenario name is rejected with the list of
+// known names.
+//
 // -stream emits NDJSON: one TaskResult per line in plan order (batch
 // elements and simulation replicas land as they complete), then a final
 // {"done":true,...} summary line — the same framing as POST
@@ -81,6 +100,9 @@ func run(out io.Writer, file string, workers int, stream, planOnly, trace bool) 
 			return errors.New("empty query document")
 		}
 		return fmt.Errorf("malformed query: %w", err)
+	}
+	if dec.More() {
+		return errors.New("trailing data after query document")
 	}
 	if workers > 0 {
 		q.Workers = workers

@@ -344,6 +344,11 @@
 //	wsn-query -f sweep.json -workers 4
 //	wsn-query -f replicas.json -stream   # NDJSON, plan order
 //	wsn-query -f sweep.json -plan        # validate + print the plan
+//	echo '{"kind":"experiment","experiment":"fig6","quick":true}' | wsn-query
+//
+// wsn-query's package doc lists the recipes for the paper's results (the
+// model at one operating point, the table/figure drivers, the scenario
+// golden diff).
 //
 // # Scenario catalog and golden regression harness
 //
@@ -365,13 +370,14 @@
 //
 //	go test ./internal/scenario                          # verify goldens + agreement
 //	go test ./internal/scenario -run TestGoldens -update # regenerate after an intended change
-//	go run ./cmd/wsn-scenarios list                      # the catalog
-//	go run ./cmd/wsn-scenarios run  [name ...]           # run, report agreement
-//	go run ./cmd/wsn-scenarios diff [name ...]           # regression gate vs embedded goldens
+//	echo '{"kind":"scenario","scenario":"dense-moderate"}' | wsn-query   # run, report agreement
+//	echo '{"kind":"scenario","scenario":"dense-moderate","diff":true}' \
+//	  | wsn-query | jq -e '.results[0].scenario.diff.pass'            # regression gate vs embedded goldens
 //
-// The service mirrors the catalog at GET /v1/scenarios (the catalog),
-// GET /v1/scenarios/{name} (the committed golden) and the scenario query
-// kind ({"kind":"scenario","scenario":name,"diff":true}). To add a
+// An unknown scenario name is rejected with the catalog's names. The
+// service mirrors the catalog at GET /v1/scenarios (the catalog),
+// GET /v1/scenarios/{name} (the committed golden) and the same scenario
+// query on POST /v2/query. To add a
 // scenario, append it to internal/scenario/catalog.go, regenerate with
 // -update and commit both; see examples/scenarios for a walkthrough.
 //

@@ -1,4 +1,4 @@
-// Package buildinfo derives version identification for the nine cmd/*
+// Package buildinfo derives version identification for the cmd/*
 // binaries and the service healthz/metrics surfaces from the build's own
 // metadata (runtime/debug.ReadBuildInfo): the main module version, the VCS
 // revision and commit time stamped by the go tool, and the Go toolchain

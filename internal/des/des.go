@@ -35,16 +35,11 @@
 // grid, lifetime epochs) parks it for free and fast-forwards across idle
 // spans at one comparison per event instead of one sift.
 //
-// Handlers come in two flavours:
-//
-//   - Typed dispatch (the hot path): the model registers one Dispatcher
-//     function and schedules events as an (kind, actor, arg) triple via
-//     AtEvent/ScheduleEvent. No closure is allocated per event; the
-//     dispatcher demultiplexes on the small kind enum. This is how netsim
-//     drives its per-node state machines.
-//   - Closure handlers (the convenience path): At/Schedule accept a func().
-//     The event storage itself is still allocation-free; only the closure
-//     the caller constructs escapes.
+// Events are typed: the model registers one Dispatcher function and
+// schedules events as a (kind, actor, arg) triple via AtEvent/ScheduleEvent.
+// No closure is allocated per event and an event holds no pointers; the
+// dispatcher demultiplexes on the model's small kind enum. This is how
+// netsim drives its per-node state machines.
 //
 // Cancellation works through EventID handles backed by a generation-checked
 // slot table with a free list: cancelled or fired slots are recycled for
@@ -59,9 +54,6 @@ import (
 
 	"dense802154/internal/engine"
 )
-
-// Handler is a callback invoked when an event fires.
-type Handler func()
 
 // Dispatcher receives typed events scheduled with AtEvent/ScheduleEvent:
 // kind is the model's event enum, actor identifies the entity the event
@@ -85,7 +77,6 @@ type event struct {
 	kind  int32
 	actor int32
 	arg   time.Duration
-	fn    Handler // nil ⇒ typed dispatch
 }
 
 // slot states.
@@ -132,13 +123,7 @@ func New(seed int64) *Simulator {
 // holding a handle across Reset and cancelling it later is a harmless
 // no-op, the same guarantee stale handles already have.
 func (s *Simulator) Reset(seed int64) {
-	for i := range s.heap {
-		s.heap[i] = event{} // drop closure and payload references
-	}
 	s.heap = s.heap[:0]
-	for i := s.farHead; i < len(s.far); i++ {
-		s.far[i] = event{}
-	}
 	s.far = s.far[:0]
 	s.farHead = 0
 	s.free = s.free[:0]
@@ -183,24 +168,9 @@ func (s *Simulator) FarDepth() int { return len(s.far) - s.farHead }
 // events are excluded even before their slots are collected).
 func (s *Simulator) Pending() int { return s.live }
 
-// Schedule queues fn to run after delay. It panics on negative delays:
-// scheduling into the past is always a bug in the calling model.
-func (s *Simulator) Schedule(delay time.Duration, fn Handler) EventID {
-	if delay < 0 {
-		panic(fmt.Sprintf("des: negative delay %v", delay))
-	}
-	return s.At(s.now+delay, fn)
-}
-
-// At queues fn to run at absolute simulated time t (>= Now).
-func (s *Simulator) At(t time.Duration, fn Handler) EventID {
-	if fn == nil {
-		panic("des: nil handler")
-	}
-	return s.push(t, 0, 0, 0, fn)
-}
-
-// ScheduleEvent queues a typed event after delay (see Dispatcher).
+// ScheduleEvent queues a typed event after delay (see Dispatcher). It
+// panics on negative delays: scheduling into the past is always a bug in
+// the calling model.
 func (s *Simulator) ScheduleEvent(delay time.Duration, kind, actor int32, arg time.Duration) EventID {
 	if delay < 0 {
 		panic(fmt.Sprintf("des: negative delay %v", delay))
@@ -210,19 +180,18 @@ func (s *Simulator) ScheduleEvent(delay time.Duration, kind, actor int32, arg ti
 
 // AtEvent queues a typed event at absolute simulated time t (>= Now). The
 // (kind, actor, arg) triple is delivered to the registered Dispatcher when
-// the event fires. Unlike closure scheduling, AtEvent allocates nothing in
-// steady state.
+// the event fires. AtEvent allocates nothing in steady state.
 func (s *Simulator) AtEvent(t time.Duration, kind, actor int32, arg time.Duration) EventID {
 	if s.dispatch == nil {
 		panic("des: AtEvent without a dispatcher (call SetDispatcher first)")
 	}
-	return s.push(t, kind, actor, arg, nil)
+	return s.push(t, kind, actor, arg)
 }
 
 // push allocates a slot (reusing the free list) and routes the event to a
 // band: an event at or after the latest parked instant appends to the far
 // band in O(1); anything earlier sifts into the near heap.
-func (s *Simulator) push(t time.Duration, kind, actor int32, arg time.Duration, fn Handler) EventID {
+func (s *Simulator) push(t time.Duration, kind, actor int32, arg time.Duration) EventID {
 	if t < s.now {
 		panic(fmt.Sprintf("des: scheduling at %v before now %v", t, s.now))
 	}
@@ -236,7 +205,7 @@ func (s *Simulator) push(t time.Duration, kind, actor int32, arg time.Duration, 
 	}
 	sl := &s.slots[id]
 	sl.state = slotPending
-	ev := event{at: t, seq: s.seq, slot: id, kind: kind, actor: actor, arg: arg, fn: fn}
+	ev := event{at: t, seq: s.seq, slot: id, kind: kind, actor: actor, arg: arg}
 	s.seq++
 	s.live++
 	if n := len(s.far); n == s.farHead || !before(&ev, &s.far[n-1]) {
@@ -303,7 +272,6 @@ func (s *Simulator) farMin() bool {
 // popFar removes the far-band head.
 func (s *Simulator) popFar() event {
 	ev := s.far[s.farHead]
-	s.far[s.farHead] = event{} // drop closure and payload references
 	s.farHead++
 	if s.farHead == len(s.far) {
 		s.far = s.far[:0]
@@ -345,11 +313,7 @@ func (s *Simulator) Step() bool {
 	s.live--
 	s.now = ev.at
 	s.fired++
-	if ev.fn != nil {
-		ev.fn()
-	} else {
-		s.dispatch(ev.kind, ev.actor, ev.arg)
-	}
+	s.dispatch(ev.kind, ev.actor, ev.arg)
 	return true
 }
 
@@ -435,7 +399,6 @@ func (s *Simulator) popRoot() {
 	if n > 0 {
 		h[0] = h[n]
 	}
-	h[n] = event{} // clear the vacated tail (drops closure references)
 	s.heap = h[:n]
 	if n > 1 {
 		s.siftDown(0)

@@ -8,12 +8,38 @@ import (
 	"time"
 )
 
+// closures schedules test callbacks as typed events: at and after append
+// the callback to fns and schedule an event whose actor indexes it, and the
+// dispatcher calls fns[actor].
+type closures struct {
+	*Simulator
+	fns []func()
+}
+
+func newClosures(seed int64) *closures {
+	c := &closures{Simulator: New(seed)}
+	c.SetDispatcher(func(_, actor int32, _ time.Duration) { c.fns[actor]() })
+	return c
+}
+
+// at runs fn at absolute simulated time t.
+func (c *closures) at(t time.Duration, fn func()) EventID {
+	c.fns = append(c.fns, fn)
+	return c.AtEvent(t, 0, int32(len(c.fns)-1), 0)
+}
+
+// after runs fn once delay has elapsed.
+func (c *closures) after(delay time.Duration, fn func()) EventID {
+	c.fns = append(c.fns, fn)
+	return c.ScheduleEvent(delay, 0, int32(len(c.fns)-1), 0)
+}
+
 func TestEventsFireInTimeOrder(t *testing.T) {
-	s := New(1)
+	s := newClosures(1)
 	var order []time.Duration
 	delays := []time.Duration{50, 10, 30, 20, 40}
 	for _, d := range delays {
-		s.Schedule(d*time.Microsecond, func() {
+		s.after(d*time.Microsecond, func() {
 			order = append(order, s.Now())
 		})
 	}
@@ -30,11 +56,11 @@ func TestEventsFireInTimeOrder(t *testing.T) {
 }
 
 func TestSameTimeFIFO(t *testing.T) {
-	s := New(1)
+	s := newClosures(1)
 	var order []int
 	for i := 0; i < 100; i++ {
 		i := i
-		s.Schedule(time.Millisecond, func() { order = append(order, i) })
+		s.after(time.Millisecond, func() { order = append(order, i) })
 	}
 	s.Run()
 	for i, v := range order {
@@ -45,9 +71,9 @@ func TestSameTimeFIFO(t *testing.T) {
 }
 
 func TestCancel(t *testing.T) {
-	s := New(1)
+	s := newClosures(1)
 	fired := false
-	e := s.Schedule(time.Millisecond, func() { fired = true })
+	e := s.after(time.Millisecond, func() { fired = true })
 	s.Cancel(e)
 	if !s.Cancelled(e) {
 		t.Fatal("event not marked cancelled")
@@ -68,11 +94,11 @@ func TestCancel(t *testing.T) {
 }
 
 func TestCancelFromHandler(t *testing.T) {
-	s := New(1)
+	s := newClosures(1)
 	fired := false
 	var victim EventID
-	s.Schedule(time.Microsecond, func() { s.Cancel(victim) })
-	victim = s.Schedule(time.Millisecond, func() { fired = true })
+	s.after(time.Microsecond, func() { s.Cancel(victim) })
+	victim = s.after(time.Millisecond, func() { fired = true })
 	s.Run()
 	if fired {
 		t.Fatal("event cancelled from a handler still fired")
@@ -82,11 +108,11 @@ func TestCancelFromHandler(t *testing.T) {
 func TestStaleHandleIsIgnored(t *testing.T) {
 	// After an event fires, its slot is recycled; a retained handle must
 	// not cancel the slot's next occupant.
-	s := New(1)
-	first := s.Schedule(time.Microsecond, func() {})
+	s := newClosures(1)
+	first := s.after(time.Microsecond, func() {})
 	s.Run()
 	fired := false
-	s.Schedule(time.Microsecond, func() { fired = true })
+	s.after(time.Microsecond, func() { fired = true })
 	s.Cancel(first) // stale: the slot now belongs to the second event
 	if s.Cancelled(first) {
 		t.Fatal("stale handle reports cancelled")
@@ -98,11 +124,11 @@ func TestStaleHandleIsIgnored(t *testing.T) {
 }
 
 func TestScheduleFromHandler(t *testing.T) {
-	s := New(1)
+	s := newClosures(1)
 	var times []time.Duration
-	s.Schedule(time.Millisecond, func() {
+	s.after(time.Millisecond, func() {
 		times = append(times, s.Now())
-		s.Schedule(time.Millisecond, func() {
+		s.after(time.Millisecond, func() {
 			times = append(times, s.Now())
 		})
 	})
@@ -135,24 +161,6 @@ func TestTypedDispatch(t *testing.T) {
 	}
 }
 
-func TestTypedAndClosureInterleave(t *testing.T) {
-	s := New(1)
-	var order []string
-	s.SetDispatcher(func(kind, actor int32, arg time.Duration) {
-		order = append(order, "typed")
-	})
-	s.Schedule(time.Millisecond, func() { order = append(order, "closure") })
-	s.ScheduleEvent(time.Millisecond, 0, 0, 0)
-	s.Schedule(2*time.Millisecond, func() { order = append(order, "closure") })
-	s.Run()
-	want := []string{"closure", "typed", "closure"}
-	for i := range want {
-		if i >= len(order) || order[i] != want[i] {
-			t.Fatalf("interleave order %v, want %v", order, want)
-		}
-	}
-}
-
 func TestTypedCancel(t *testing.T) {
 	s := New(1)
 	count := 0
@@ -177,10 +185,10 @@ func TestAtEventWithoutDispatcherPanics(t *testing.T) {
 }
 
 func TestRunUntil(t *testing.T) {
-	s := New(1)
+	s := newClosures(1)
 	count := 0
 	for i := 1; i <= 10; i++ {
-		s.Schedule(time.Duration(i)*time.Millisecond, func() { count++ })
+		s.after(time.Duration(i)*time.Millisecond, func() { count++ })
 	}
 	s.RunUntil(5 * time.Millisecond)
 	if count != 5 {
@@ -212,33 +220,24 @@ func TestNegativeDelayPanics(t *testing.T) {
 			t.Fatal("no panic on negative delay")
 		}
 	}()
-	New(1).Schedule(-time.Second, func() {})
+	newClosures(1).after(-time.Second, func() {})
 }
 
 func TestPastAtPanics(t *testing.T) {
-	s := New(1)
-	s.Schedule(time.Second, func() {})
+	s := newClosures(1)
+	s.after(time.Second, func() {})
 	s.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic on scheduling in the past")
 		}
 	}()
-	s.At(time.Millisecond, func() {})
-}
-
-func TestNilHandlerPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on nil handler")
-		}
-	}()
-	New(1).Schedule(time.Second, nil)
+	s.at(time.Millisecond, func() {})
 }
 
 func TestDeterminismForFixedSeed(t *testing.T) {
 	run := func(seed int64) []time.Duration {
-		s := New(seed)
+		s := newClosures(seed)
 		var out []time.Duration
 		var spawn func()
 		n := 0
@@ -247,10 +246,10 @@ func TestDeterminismForFixedSeed(t *testing.T) {
 			n++
 			if n < 200 {
 				d := time.Duration(s.Rand().Intn(1000)) * time.Microsecond
-				s.Schedule(d, spawn)
+				s.after(d, spawn)
 			}
 		}
-		s.Schedule(0, spawn)
+		s.after(0, spawn)
 		s.Run()
 		return out
 	}
@@ -266,9 +265,9 @@ func TestDeterminismForFixedSeed(t *testing.T) {
 }
 
 func TestFiredCounter(t *testing.T) {
-	s := New(1)
+	s := newClosures(1)
 	for i := 0; i < 7; i++ {
-		s.Schedule(time.Duration(i)*time.Millisecond, func() {})
+		s.after(time.Duration(i)*time.Millisecond, func() {})
 	}
 	s.Run()
 	if s.Fired() != 7 {
@@ -277,12 +276,12 @@ func TestFiredCounter(t *testing.T) {
 }
 
 func TestMaxHeapDepth(t *testing.T) {
-	s := New(1)
+	s := newClosures(1)
 	if s.MaxHeapDepth() != 0 {
 		t.Fatalf("fresh MaxHeapDepth = %d, want 0", s.MaxHeapDepth())
 	}
 	for i := 0; i < 9; i++ {
-		s.Schedule(time.Duration(i)*time.Millisecond, func() {})
+		s.after(time.Duration(i)*time.Millisecond, func() {})
 	}
 	s.Run()
 	if s.MaxHeapDepth() != 9 {
@@ -293,7 +292,7 @@ func TestMaxHeapDepth(t *testing.T) {
 		t.Fatalf("MaxHeapDepth after Reset = %d, want 0", s.MaxHeapDepth())
 	}
 	// Interleaved schedule/fire: the mark tracks the peak, not the total.
-	s.Schedule(time.Millisecond, func() { s.Schedule(time.Millisecond, func() {}) })
+	s.after(time.Millisecond, func() { s.after(time.Millisecond, func() {}) })
 	s.Run()
 	if s.Fired() != 2 || s.MaxHeapDepth() != 1 {
 		t.Fatalf("Fired = %d MaxHeapDepth = %d, want 2 and 1", s.Fired(), s.MaxHeapDepth())
@@ -304,10 +303,10 @@ func TestMaxHeapDepth(t *testing.T) {
 // and the number fired equals the number scheduled.
 func TestPropertyOrderedFiring(t *testing.T) {
 	f := func(raw []uint16) bool {
-		s := New(3)
+		s := newClosures(3)
 		var fired []time.Duration
 		for _, r := range raw {
-			s.Schedule(time.Duration(r)*time.Microsecond, func() {
+			s.after(time.Duration(r)*time.Microsecond, func() {
 				fired = append(fired, s.Now())
 			})
 		}
@@ -326,11 +325,11 @@ func TestPropertyOrderedFiring(t *testing.T) {
 func TestPropertyCancelSubset(t *testing.T) {
 	f := func(n uint8, mask uint64) bool {
 		count := int(n%64) + 1
-		s := New(5)
+		s := newClosures(5)
 		firedCount := 0
 		events := make([]EventID, count)
 		for i := 0; i < count; i++ {
-			events[i] = s.Schedule(time.Duration(i)*time.Microsecond, func() { firedCount++ })
+			events[i] = s.after(time.Duration(i)*time.Microsecond, func() { firedCount++ })
 		}
 		cancelled := 0
 		for i := 0; i < count; i++ {
@@ -351,13 +350,13 @@ func TestPropertyCancelSubset(t *testing.T) {
 }
 
 func TestHeapStressRandomOrder(t *testing.T) {
-	s := New(9)
+	s := newClosures(9)
 	rng := rand.New(rand.NewSource(42))
 	const n = 5000
 	var last time.Duration
 	ok := true
 	for i := 0; i < n; i++ {
-		s.Schedule(time.Duration(rng.Intn(1_000_000))*time.Nanosecond, func() {
+		s.after(time.Duration(rng.Intn(1_000_000))*time.Nanosecond, func() {
 			if s.Now() < last {
 				ok = false
 			}
@@ -373,13 +372,13 @@ func TestHeapStressRandomOrder(t *testing.T) {
 func TestHeapStressInterleavedCancel(t *testing.T) {
 	// Schedule, cancel a third, schedule more from handlers; order and
 	// counts must hold with slot recycling under churn.
-	s := New(11)
+	s := newClosures(11)
 	rng := rand.New(rand.NewSource(7))
 	fired, spawned := 0, 0
-	s.SetDispatcher(func(kind, actor int32, arg time.Duration) { fired++ })
+	count := func() { fired++ }
 	var ids []EventID
 	for i := 0; i < 3000; i++ {
-		ids = append(ids, s.ScheduleEvent(time.Duration(rng.Intn(1_000_000)), 0, int32(i), 0))
+		ids = append(ids, s.after(time.Duration(rng.Intn(1_000_000)), count))
 	}
 	cancelled := 0
 	for i := 0; i < len(ids); i += 3 {
@@ -387,18 +386,18 @@ func TestHeapStressInterleavedCancel(t *testing.T) {
 		cancelled++
 	}
 	// Handlers that respawn: every 10th firing schedules a fresh event.
-	s.Schedule(0, func() {})
+	s.after(0, func() {})
 	var respawn func()
 	respawn = func() {
 		spawned++
 		if spawned < 100 {
-			s.Schedule(time.Duration(rng.Intn(500_000)), respawn)
+			s.after(time.Duration(rng.Intn(500_000)), respawn)
 		}
 	}
-	s.Schedule(0, respawn)
+	s.after(0, respawn)
 	s.Run()
 	if fired != 3000-cancelled {
-		t.Fatalf("typed fired = %d, want %d", fired, 3000-cancelled)
+		t.Fatalf("fired = %d, want %d", fired, 3000-cancelled)
 	}
 	if s.Pending() != 0 {
 		t.Fatalf("pending = %d after Run", s.Pending())
@@ -438,20 +437,6 @@ func BenchmarkScheduleFire(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.ScheduleEvent(time.Duration(i%64)*time.Microsecond, 0, 0, 0)
-		if i%64 == 63 {
-			s.Run()
-		}
-	}
-	s.Run()
-}
-
-func BenchmarkScheduleFireClosure(b *testing.B) {
-	b.ReportAllocs()
-	s := New(1)
-	fn := func() {}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Schedule(time.Duration(i%64)*time.Microsecond, fn)
 		if i%64 == 63 {
 			s.Run()
 		}

@@ -22,15 +22,15 @@ type scheduler interface {
 	Run()
 }
 
-// simBackend adapts Simulator.
-type simBackend struct{ s *Simulator }
+// simBackend adapts Simulator, scheduling through the closures table.
+type simBackend struct{ c *closures }
 
-func (b simBackend) Now() time.Duration { return b.s.Now() }
+func (b simBackend) Now() time.Duration { return b.c.Now() }
 func (b simBackend) At(t time.Duration, fn func()) func() {
-	id := b.s.At(t, fn)
-	return func() { b.s.Cancel(id) }
+	id := b.c.at(t, fn)
+	return func() { b.c.Cancel(id) }
 }
-func (b simBackend) Run() { b.s.Run() }
+func (b simBackend) Run() { b.c.Run() }
 
 // refEvent is one entry of the reference queue.
 type refEvent struct {
@@ -121,7 +121,7 @@ func driveScenario(sc scheduler, seed int64) []time.Duration {
 // schedules in exactly the order the reference single-queue semantics does.
 func TestFarBandReplayIdentity(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
-		got := driveScenario(simBackend{New(0)}, seed)
+		got := driveScenario(simBackend{newClosures(0)}, seed)
 		want := driveScenario(&refQueue{}, seed)
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: fired %d events, reference fired %d", seed, len(got), len(want))
@@ -191,7 +191,7 @@ func TestFarBandSkipAllocFree(t *testing.T) {
 // pop order equals the stable (at, seq) sort of everything pushed.
 func TestFarBandOrderAgainstSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	s := New(0)
+	s := newClosures(0)
 	type stamped struct {
 		at  time.Duration
 		seq int
@@ -210,7 +210,7 @@ func TestFarBandOrderAgainstSort(t *testing.T) {
 		seq := n
 		n++
 		want = append(want, stamped{at, seq})
-		s.At(at, func() { got = append(got, stamped{s.Now(), seq}) })
+		s.at(at, func() { got = append(got, stamped{s.Now(), seq}) })
 	}
 	sort.SliceStable(want, func(i, j int) bool {
 		if want[i].at != want[j].at {

@@ -3,9 +3,9 @@
 // repository's implementations, plus the validation and extension
 // experiments listed in DESIGN.md §4.
 //
-// Every driver returns printable stats.Tables; cmd/wsn-experiments renders
-// them to stdout and CSV, and the repository's top-level benchmarks invoke
-// the same drivers.
+// Every driver returns stats.Tables; the experiment query kind carries them
+// as JSON, and the repository's top-level benchmarks invoke the same
+// drivers.
 package experiments
 
 import (
@@ -77,6 +77,16 @@ func All() []Experiment {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
+}
+
+// Names lists the registered experiment names sorted.
+func Names() []string {
+	names := make([]string, 0, len(registry))
+	for name := range registry {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // ByName looks up one experiment.

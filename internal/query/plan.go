@@ -7,6 +7,7 @@ import (
 	"math"
 	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"dense802154/internal/contention"
@@ -839,7 +840,8 @@ func (q *Query) buildScenario() (exec, *Error) {
 		var ok bool
 		sc, ok = scenario.ByName(q.Scenario)
 		if !ok {
-			return exec{}, errf("scenario", "unknown scenario %q", q.Scenario)
+			return exec{}, errf("scenario", "unknown scenario %q (known: %s)",
+				q.Scenario, strings.Join(scenario.Names(), ", "))
 		}
 	}
 	diff := q.Diff
@@ -866,7 +868,8 @@ func (q *Query) buildExperiment() (exec, *Error) {
 	}
 	e, ok := experiments.ByName(q.Experiment)
 	if !ok {
-		return exec{}, errf("experiment", "unknown experiment %q", q.Experiment)
+		return exec{}, errf("experiment", "unknown experiment %q (known: %s)",
+			q.Experiment, strings.Join(experiments.Names(), ", "))
 	}
 	var opt experiments.Options
 	direct := q.Direct != nil && q.Direct.ExperimentOpts != nil

@@ -7,10 +7,13 @@ import (
 	"math"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 
 	"dense802154/internal/core"
+	"dense802154/internal/experiments"
 	"dense802154/internal/netsim"
+	"dense802154/internal/scenario"
 )
 
 // quickParams is a ParamsWire with a short Monte-Carlo run so tests finish
@@ -153,16 +156,34 @@ func TestCompileRejectsForeignFields(t *testing.T) {
 }
 
 func TestCompileValidatesEagerly(t *testing.T) {
-	for _, q := range []Query{
-		{Kind: KindBatch}, // empty batch
-		{Kind: KindEvaluate, Params: &ParamsWire{Radio: "bogus"}},        // unknown radio
-		{Kind: KindScenario, Scenario: "no-such-scenario"},               // unknown scenario
-		{Kind: KindExperiment, Experiment: "no-such-experiment"},         // unknown experiment
-		{Kind: KindReplicas, Replicas: MaxReplicas + 1},                  // replica bound
-		{Kind: KindSimulate, Sim: &SimConfigWire{Nodes: intPtr(100001)}}, // sim bound
+	// An unknown name is rejected with every registered name, so the error
+	// doubles as the listing.
+	var scenarios, drivers []string
+	for _, sc := range scenario.Catalog() {
+		scenarios = append(scenarios, sc.Name)
+	}
+	for _, e := range experiments.All() {
+		drivers = append(drivers, e.Name)
+	}
+	for _, c := range []struct {
+		q    Query
+		want []string // substrings the error must carry
+	}{
+		{q: Query{Kind: KindBatch}},                                         // empty batch
+		{q: Query{Kind: KindEvaluate, Params: &ParamsWire{Radio: "bogus"}}}, // unknown radio
+		{q: Query{Kind: KindScenario, Scenario: "no-such-scenario"}, want: append(scenarios, `"no-such-scenario"`)},       // unknown scenario
+		{q: Query{Kind: KindExperiment, Experiment: "no-such-experiment"}, want: append(drivers, `"no-such-experiment"`)}, // unknown experiment
+		{q: Query{Kind: KindReplicas, Replicas: MaxReplicas + 1}},                                                         // replica bound
+		{q: Query{Kind: KindSimulate, Sim: &SimConfigWire{Nodes: intPtr(100001)}}},                                        // sim bound
 	} {
-		if _, err := Compile(q); err == nil {
-			t.Fatalf("query %+v compiled", q)
+		_, err := Compile(c.q)
+		if err == nil {
+			t.Fatalf("query %+v compiled", c.q)
+		}
+		for _, w := range c.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("query %+v: error %q does not name %s", c.q, err, w)
+			}
 		}
 	}
 }

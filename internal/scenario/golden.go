@@ -9,7 +9,7 @@ import (
 )
 
 // goldenFS carries the committed golden files into the binary, so the
-// wsn-scenarios CLI and the /v1/scenarios service endpoints can diff and
+// scenario query kind and the /v1/scenarios service endpoints can diff and
 // serve them from anywhere — not just a checkout with testdata/ beside the
 // working directory.
 //
