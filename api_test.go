@@ -58,6 +58,20 @@ func TestFacadeEvaluateBatch(t *testing.T) {
 	dense802154.ContentionCacheReset()
 }
 
+// TestFacadeEvaluateBatchEmpty: an empty batch is a legal no-op that
+// compiles to a zero-task plan and answers with an empty slice.
+func TestFacadeEvaluateBatchEmpty(t *testing.T) {
+	for _, ps := range [][]dense802154.Params{nil, {}} {
+		got, err := dense802154.EvaluateBatch(context.Background(), ps)
+		if err != nil {
+			t.Fatalf("empty batch: err = %v", err)
+		}
+		if got == nil || len(got) != 0 {
+			t.Fatalf("empty batch returned %#v, want an empty slice", got)
+		}
+	}
+}
+
 func TestFacadeLinkAdaptation(t *testing.T) {
 	p := dense802154.DefaultParams()
 	p.PathLossDB = 50

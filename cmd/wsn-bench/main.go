@@ -337,7 +337,7 @@ func suite(quick bool) []namedBench {
 			}
 		}},
 		{"StoreTaskPut", func(b *testing.B) {
-			// The per-task store feed of a cold plan (Plan.storeTask): encode
+			// The per-task store feed of a cold plan (Plan.StoreTask): encode
 			// one grid task into a reused buffer and put it into the memory
 			// tier, which copies what it keeps.
 			b.ReportAllocs()

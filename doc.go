@@ -87,7 +87,12 @@
 // coordinator's local flights and a worker's shards share it — and
 // compiling the 1,000-point grid costs about twenty allocations
 // (query.TestCompileGridAllocBudget), not a closure and two formatted
-// labels per point.
+// labels per point. Execute (the whole plan, streamed or not) and
+// ExecuteRange (a worker's shard, or a coordinator range that fell back to
+// local execution, one flight at a time under the coordinator's grant) run
+// their tasks through one loop: store lookup, compute, store write and
+// emission in plan order with wall times. Local and distributed traces
+// come from one builder and carry the same spans and per-task seeds.
 //
 // # HTTP service
 //

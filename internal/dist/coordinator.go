@@ -177,22 +177,19 @@ type distRun struct {
 	haveCount int
 	nextYield int
 	start     time.Time
-	// view is the query's slice of the content-addressed store (nil when no
-	// store is configured or the query is not cacheable): read during
-	// prefill, written as remote results are accepted.
-	view query.TaskStore
-	// putBuf is the scratch buffer accepted remote results are encoded into
-	// for the store back-fill; the store copies what it keeps.
-	putBuf []byte
 
-	ch       chan msg
-	pending  []span
-	workers  map[string]*workerState
-	flights  map[int]*flight
-	nextFID  int
-	rng      *rand.Rand
-	ewma     float64 // EWMA of observed per-task wall times, ms
-	fellBack bool
+	ch      chan msg
+	pending []span
+	workers map[string]*workerState
+	flights map[int]*flight
+	nextFID int
+	rng     *rand.Rand
+	ewma    float64 // EWMA of observed per-task wall times, ms
+	// fellBack records that the query degraded to local execution;
+	// localBusy that a local flight is in the air. There is at most one,
+	// because it runs under the whole local worker grant.
+	fellBack  bool
+	localBusy bool
 }
 
 // Distribute executes plan, sharding it across the fleet when it is
@@ -202,7 +199,12 @@ type distRun struct {
 // yield error cancels the query. Worker failures of every kind — dispatch
 // errors, mid-stream disconnects, timeouts, death — are retried with
 // exponential backoff and re-dispatched elsewhere; with the whole fleet
-// lost, execution degrades to local and still completes.
+// lost, or none of it admitted, the remaining ranges run locally, one
+// plan.ExecuteRange flight at a time under localWorkers, and the query
+// still completes. The plan's store (Options.Store's view of the query
+// when the caller attached none) is read before anything is dispatched and
+// back-filled with every accepted remote result. Only a non-shardable plan
+// or an empty fleet runs through plan.Execute.
 func (c *Coordinator) Distribute(ctx context.Context, q query.Query, plan *query.Plan, localWorkers int, yield func(query.TaskResult) error) (*query.ResultSet, error) {
 	if !plan.Shardable() || len(c.opts.Workers) == 0 {
 		return plan.Execute(ctx, localWorkers, yield)
@@ -233,16 +235,10 @@ func (c *Coordinator) Distribute(ctx context.Context, q query.Query, plan *query
 		flights: make(map[int]*flight),
 		rng:     rand.New(rand.NewSource(seed)),
 	}
-	if c.opts.Store != nil && plan.Kind.WireExact() {
-		if v := c.opts.Store.Tasks(q); v != nil {
-			r.view = v
-			if plan.Store == nil {
-				// Local fallback flights run through the plan, so give the
-				// plan the same view: local execution then reads and writes
-				// the store exactly like remote dispatch does.
-				plan.Store = v
-			}
-		}
+	if c.opts.Store != nil && plan.Store == nil {
+		// The prefill, the remote back-fill and the local flights all go
+		// through the plan's store, so they read and write one view.
+		plan.Store = c.opts.Store.Tasks(q)
 	}
 	return r.run()
 }
@@ -267,35 +263,18 @@ func (r *distRun) run() (*query.ResultSet, error) {
 			}
 		}
 	}()
-	if r.readyCount() == 0 {
-		// No worker admitted: degrade to plain local execution. Tasks the
-		// prefill already yielded must not be yielded twice, so the local
-		// pass skips that prefix (plan order matches index order here).
-		LocalFallbackTotal.Inc()
-		r.c.opts.Logger.Warn("dist: no workers ready, running locally", "fleet", len(r.c.opts.Workers))
-		remaining := r.n - r.haveCount
-		yield := r.yield
-		if yield != nil && r.nextYield > 0 {
-			already := r.nextYield
-			yield = func(tr query.TaskResult) error {
-				if tr.Index < already {
-					return nil
-				}
-				return r.yield(tr)
-			}
-		}
-		rs, err := r.plan.Execute(r.ctx, r.local, yield)
-		if err == nil {
-			TasksLocalTotal.Add(uint64(remaining))
-		}
-		return rs, err
-	}
-	QueriesTotal.Inc()
-
 	shard := r.c.opts.ShardSize
-	if shard <= 0 {
-		remaining := r.n - r.haveCount
-		shard = max(1, (remaining+2*r.readyCount()-1)/(2*r.readyCount()))
+	if ready := r.readyCount(); ready == 0 {
+		// No worker admitted: schedule runs every hole locally, each as one
+		// span, so one flight computes it under the whole local grant.
+		r.c.opts.Logger.Warn("dist: no workers ready, running locally", "fleet", len(r.c.opts.Workers))
+		shard = r.n
+	} else {
+		QueriesTotal.Inc()
+		if shard <= 0 {
+			remaining := r.n - r.haveCount
+			shard = max(1, (remaining+2*ready-1)/(2*ready))
+		}
 	}
 	// Pending spans cover the maximal runs the prefill left unfilled; a
 	// warm store dispatches only the holes.
@@ -345,27 +324,18 @@ func (r *distRun) run() (*query.ResultSet, error) {
 	return r.finish()
 }
 
-// prefill adopts every task result already stored under the query's content
-// key before anything is dispatched, then yields the contiguous prefix.
-// Stored bytes are byte-identical to computed ones, so adoption changes
-// dispatch volume only. An entry that fails to decode is simply skipped —
-// the span machinery recomputes it.
+// prefill adopts every task result the plan's store already holds before
+// anything is dispatched, then yields the contiguous prefix. Stored bytes
+// are byte-identical to computed ones, so adoption changes dispatch volume
+// only. An entry that fails to decode is a miss (Plan.TaskFromStore) — the
+// span machinery recomputes it.
 func (r *distRun) prefill() error {
-	if r.view == nil {
-		return nil
-	}
 	for i := 0; i < r.n; i++ {
-		b, ok := r.view.GetTask(i)
-		if !ok {
-			continue
+		if tr, ok := r.plan.TaskFromStore(i); ok {
+			r.have[i] = true
+			r.results[i] = tr
+			r.haveCount++
 		}
-		tr, err := query.DecodeTaskResult(b)
-		if err != nil {
-			continue
-		}
-		r.have[i] = true
-		r.results[i] = tr
-		r.haveCount++
 	}
 	if r.haveCount > 0 {
 		r.c.opts.Logger.Debug("dist: prefilled from store", "tasks", r.haveCount, "of", r.n)
@@ -388,24 +358,15 @@ func (r *distRun) drainYield() error {
 }
 
 // finish assembles the completed result vector into the final ResultSet and
-// attaches the execution trace when the query opted in.
+// attaches the execution trace when the query opted in, built by the plan's
+// one trace builder (prefilled tasks carry no wall time).
 func (r *distRun) finish() (*query.ResultSet, error) {
 	rs, err := r.plan.Assemble(r.results)
 	if err != nil {
 		return nil, err
 	}
 	if r.plan.Trace {
-		spans := make([]query.TaskSpanWire, r.n)
-		for i := range spans {
-			spans[i] = query.TaskSpanWire{Index: i, Label: r.labels[i], WallMS: query.Float(r.walls[i])}
-		}
-		rs.Trace = &query.PlanTraceWire{
-			Kind:    r.plan.Kind,
-			Workers: engine.ResolveWorkers(r.local),
-			Tasks:   r.n,
-			WallMS:  query.Float(time.Since(r.start).Seconds() * 1e3),
-			Spans:   spans,
-		}
+		rs.Trace = r.plan.BuildTrace(engine.ResolveWorkers(r.local), r.start, r.walls)
 	}
 	return rs, nil
 }
@@ -484,11 +445,13 @@ func (r *distRun) trim(s span) span {
 
 // schedule is the dispatch pass run after every event: each pending span
 // goes to an idle worker, to local execution when its attempts are
-// exhausted or the fleet is lost, or stays pending until its backoff
-// expires.
+// exhausted or no worker is admitted, or stays pending until its backoff
+// expires or the one local flight has landed.
 func (r *distRun) schedule() {
 	now := time.Now()
-	var still []span
+	// Filter in place: schedule runs after every event, often with spans
+	// still waiting, so a fresh slice each pass would allocate per line.
+	still := r.pending[:0]
 	for _, s := range r.pending {
 		s = r.trim(s)
 		if s.from >= s.to {
@@ -496,6 +459,10 @@ func (r *distRun) schedule() {
 		}
 		switch {
 		case s.attempts >= r.c.opts.MaxAttempts || r.readyCount() == 0:
+			if r.localBusy {
+				still = append(still, s)
+				continue
+			}
 			if !r.fellBack {
 				r.fellBack = true
 				LocalFallbackTotal.Inc()
@@ -568,6 +535,7 @@ func (r *distRun) launchLocal(s span) {
 	r.nextFID++
 	fctx, fcancel := context.WithCancel(r.ctx)
 	r.flights[fid] = &flight{id: fid, worker: "", from: s.from, to: s.to, next: s.from, cancel: fcancel, lastMove: time.Now()}
+	r.localBusy = true
 	go func() {
 		defer fcancel()
 		err := r.plan.ExecuteRange(fctx, r.local, s.from, s.to, func(tr query.TaskResult, wallMS float64) error {
@@ -633,15 +601,10 @@ func (r *distRun) onLine(m msg) error {
 			TasksLocalTotal.Inc()
 		} else {
 			TasksRemoteTotal.Inc()
-			// Store accepted remote results under the query's content key;
-			// local flights store through the plan's own view. Re-dispatched
-			// or repeated queries then prefill instead of recomputing.
-			if r.view != nil {
-				if b, err := r.results[i].AppendJSON(r.putBuf[:0]); err == nil {
-					r.putBuf = append(b, '\n')
-					r.view.PutTask(i, r.putBuf)
-				}
-			}
+			// Back-fill the plan's store with accepted remote results (local
+			// flights store theirs in ExecuteRange). Re-dispatched or
+			// repeated queries then prefill instead of recomputing.
+			r.plan.StoreTask(&r.results[i])
 		}
 		if err := r.drainYield(); err != nil {
 			return err
@@ -657,6 +620,7 @@ func (r *distRun) onEnd(m msg) error {
 	}
 	if f.worker == "" {
 		delete(r.flights, m.fid)
+		r.localBusy = false
 		if m.err != nil {
 			if r.ctx.Err() != nil {
 				return r.ctx.Err()

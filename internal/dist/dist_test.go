@@ -3,10 +3,13 @@ package dist_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -96,11 +99,12 @@ func fastOpts(workers []string, transport dist.Transport) dist.Options {
 }
 
 type counterSnap struct {
-	redispatch, retries, straggler, fallback, failures, remote, local uint64
+	queries, redispatch, retries, straggler, fallback, failures, remote, local uint64
 }
 
 func snap() counterSnap {
 	return counterSnap{
+		queries:    dist.QueriesTotal.Value(),
 		redispatch: dist.RedispatchTotal.Value(),
 		retries:    dist.RetriesTotal.Value(),
 		straggler:  dist.StragglerRedispatchTotal.Value(),
@@ -292,10 +296,140 @@ func TestDistributeNoWorkersReadyRunsLocal(t *testing.T) {
 	if got := distribute(t, c, q); !bytes.Equal(got, localBytes(t, q)) {
 		t.Fatal("bytes deviate when no worker admits")
 	}
-	if after := snap(); after.fallback == before.fallback {
-		t.Fatal("empty fleet did not count a local fallback")
+	after := snap()
+	if d := after.fallback - before.fallback; d != 1 {
+		t.Errorf("empty fleet counted %d local fallbacks, want 1", d)
+	}
+	if d, n := after.local-before.local, uint64(6); d != n {
+		t.Errorf("empty fleet computed %d tasks locally, want %d", d, n)
+	}
+	if after.remote != before.remote {
+		t.Errorf("empty fleet accepted %d remote tasks", after.remote-before.remote)
+	}
+	if after.queries != before.queries {
+		t.Error("a query with no admitted worker counted as distributed")
 	}
 }
+
+// TestDistributeLocalFallbackHonorsGrant loses the whole fleet at its first
+// dispatches, so every range falls back to local execution at once, and
+// checks the fallback never computes more tasks at a time than the local
+// worker grant allows: one local flight in the air, under the whole grant.
+// The plan's store counts the tasks in flight, since each local task asks
+// it first.
+func TestDistributeLocalFallbackHonorsGrant(t *testing.T) {
+	q := gridQuery()
+	want := localBytes(t, q)
+	for _, grant := range []int{1, 2} {
+		plan, err := query.Compile(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gauge := &inFlightStore{}
+		plan.Store = gauge
+		opts := fastOpts([]string{"http://w1", "http://w2"}, refusingTransport{})
+		opts.ReprobeAfter = time.Minute
+		rs, err := dist.New(opts).Distribute(context.Background(), q, plan, grant, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := rs.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("grant %d: bytes deviate after local fallback", grant)
+		}
+		if gauge.peak > grant {
+			t.Errorf("grant %d: %d local tasks ran at once", grant, gauge.peak)
+		}
+	}
+}
+
+// refusingTransport admits every worker and then fails every dispatch, as
+// a fleet lost right after admission would.
+type refusingTransport struct{}
+
+func (refusingTransport) Send(context.Context, string, dist.TaskRequest) (dist.LineStream, error) {
+	return nil, errors.New("dispatch refused")
+}
+func (refusingTransport) Ready(context.Context, string) error { return nil }
+
+// inFlightStore is an always-missing task store that records the peak
+// number of concurrent lookups; each lookup lingers so overlapping tasks
+// overlap here.
+type inFlightStore struct {
+	mu        sync.Mutex
+	cur, peak int
+}
+
+func (s *inFlightStore) GetTask(int) ([]byte, bool) {
+	s.mu.Lock()
+	s.cur++
+	s.peak = max(s.peak, s.cur)
+	s.mu.Unlock()
+	time.Sleep(20 * time.Millisecond)
+	s.mu.Lock()
+	s.cur--
+	s.mu.Unlock()
+	return nil, false
+}
+
+func (s *inFlightStore) PutTask(int, []byte) {}
+
+// TestDistributeTraceMatchesLocal: a traced query names the same tasks and
+// per-task seeds whether a coordinator or a local Execute ran it; only the
+// measured wall times differ.
+func TestDistributeTraceMatchesLocal(t *testing.T) {
+	urls := fleet(t, 2)
+	lifetimeQ := query.Query{
+		Kind: query.KindLifetime,
+		Sim:  &query.SimConfigWire{Nodes: intPtr(6)},
+		Lifetime: &query.LifetimeWire{
+			CapacityJ:        floatPtr(0.3),
+			EpochSuperframes: intPtr(4),
+			MaxEpochs:        intPtr(64),
+		},
+		Replicas: 3,
+	}
+	for name, q := range map[string]query.Query{"replicas": replicasQuery(), "lifetime": lifetimeQ, "grid": gridQuery()} {
+		q.Trace = true
+		local, err := query.Run(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := query.Compile(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := dist.New(fastOpts(urls, nil)).Distribute(context.Background(), q, plan, 2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, got := local.Trace, rs.Trace
+		if got == nil || want == nil {
+			t.Fatalf("%s: trace missing (local %v, distributed %v)", name, want != nil, got != nil)
+		}
+		if got.Kind != want.Kind || got.Tasks != want.Tasks || len(got.Spans) != len(want.Spans) {
+			t.Fatalf("%s: distributed trace %s/%d tasks/%d spans, local %s/%d/%d",
+				name, got.Kind, got.Tasks, len(got.Spans), want.Kind, want.Tasks, len(want.Spans))
+		}
+		for i, w := range want.Spans {
+			g := got.Spans[i]
+			g.WallMS, w.WallMS = 0, 0
+			if !reflect.DeepEqual(g, w) {
+				gb, _ := json.Marshal(g)
+				wb, _ := json.Marshal(w)
+				t.Errorf("%s: span %d = %s, local %s", name, i, gb, wb)
+			}
+		}
+		if name != "grid" && want.Spans[0].Seed == nil {
+			t.Errorf("%s: local trace carries no seeds", name)
+		}
+	}
+}
+
+func floatPtr(v query.Float) *query.Float { return &v }
 
 // scriptedTransport serves one scripted line sequence per Send, for
 // protocol-level coordinator behavior no real worker exhibits.

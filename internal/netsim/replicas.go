@@ -79,17 +79,35 @@ func ReplicaSeeds(base int64, n int) []int64 {
 // across-replica mean and 95% confidence statistics. Replica i runs with
 // ReplicaSeeds(cfg.Seed, n)[i]; results are bit-identical at any worker
 // count. A canceled ctx stops the batch promptly with ctx.Err().
+//
+// The batch draws one pooled arena per worker up front and the workers pass
+// them around, so it holds exactly min(workers, n) arenas however the
+// goroutines interleave, and every arena goes back to the pool each call.
+// Arenas drawn per replica would depend on the scheduler: a worker
+// preempted mid-run makes its peer open a fresh arena (about sixty
+// allocations), and an arena left idle in the pool is dropped after two
+// garbage collections.
 func RunReplicas(ctx context.Context, cfg Config, n, workers int) (ReplicaSet, error) {
 	if n < 1 {
 		n = 1
 	}
 	seeds := ReplicaSeeds(cfg.Seed, n)
+	arenas := make(chan *Runner, min(engine.ResolveWorkers(workers), n))
+	for range cap(arenas) {
+		arenas <- runnerPool.Get().(*Runner)
+	}
 	results, err := engine.MapSlice(ctx, workers, seeds,
 		func(i int, s int64) (Result, error) {
+			r := <-arenas
 			c := cfg
 			c.Seed = s
-			return Run(c), nil
+			res := r.Run(c)
+			arenas <- r
+			return res, nil
 		})
+	for range cap(arenas) {
+		runnerPool.Put(<-arenas)
+	}
 	if err != nil {
 		return ReplicaSet{}, err
 	}

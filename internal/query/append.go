@@ -31,7 +31,7 @@ import (
 
 // encodeBufs recycles the scratch buffers results are encoded into before
 // being copied out (Encode, EncodeTaskResult) or handed to a store that
-// copies what it keeps (Plan.storeTask).
+// copies what it keeps (Plan.StoreTask).
 var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // keepLine adds the trailing newline to b — appended into the pooled

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dense802154/internal/core"
@@ -318,6 +320,91 @@ func TestExecuteRangeRejectsBadRange(t *testing.T) {
 	for _, r := range [][2]int{{-1, 1}, {0, 3}, {1, 1}, {2, 1}} {
 		if err := plan.ExecuteRange(context.Background(), 1, r[0], r[1], noop); err == nil {
 			t.Fatalf("range %v accepted", r)
+		}
+	}
+}
+
+// TestExecuteZeroTaskPlan: a zero-task plan (an empty Direct batch) runs
+// through Execute's task loop without tripping ExecuteRange's range check:
+// no yield, no results, an empty trace.
+func TestExecuteZeroTaskPlan(t *testing.T) {
+	plan, err := Compile(Query{Kind: KindBatch, Trace: true, Direct: &Direct{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := plan.Execute(context.Background(), 2, func(TaskResult) error {
+		t.Error("yield called for a zero-task plan")
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs.Results) != 0 || rs.Trace == nil || rs.Trace.Tasks != 0 || len(rs.Trace.Spans) != 0 {
+		t.Fatalf("zero-task plan answered %d results, trace %+v", len(rs.Results), rs.Trace)
+	}
+}
+
+// TestTaskLoopEmitsInOrder drives the one task loop through Execute and
+// ExecuteRange at several grants: every task is emitted exactly once, in
+// plan order, never by two goroutines at once, and after a yield error
+// nothing more is emitted.
+func TestTaskLoopEmitsInOrder(t *testing.T) {
+	losses := make([]Float, 40)
+	for i := range losses {
+		losses[i] = Float(50 + i)
+	}
+	plan, err := Compile(Query{Kind: KindGrid, Params: quickParams(), Losses: &Axis{Values: losses}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := plan.NumTasks()
+	type run func(workers int, yield func(TaskResult) error) error
+	runs := map[string]run{
+		"Execute": func(workers int, yield func(TaskResult) error) error {
+			_, err := plan.Execute(context.Background(), workers, yield)
+			return err
+		},
+		"ExecuteRange": func(workers int, yield func(TaskResult) error) error {
+			return plan.ExecuteRange(context.Background(), workers, 0, n, func(tr TaskResult, _ float64) error {
+				return yield(tr)
+			})
+		},
+	}
+	boom := errors.New("boom")
+	for name, r := range runs {
+		for _, workers := range []int{1, 3, 8} {
+			for _, stopAt := range []int{-1, 0, 17} {
+				var inYield atomic.Bool
+				var got []int
+				err := r(workers, func(tr TaskResult) error {
+					if !inYield.CompareAndSwap(false, true) {
+						t.Errorf("%s/%d: overlapping yields", name, workers)
+					}
+					defer inYield.Store(false)
+					got = append(got, tr.Index)
+					if tr.Index == stopAt {
+						return boom
+					}
+					return nil
+				})
+				want := n
+				if stopAt >= 0 {
+					want = stopAt + 1
+					if !errors.Is(err, boom) {
+						t.Errorf("%s/%d/stop %d: err = %v, want the yield error", name, workers, stopAt, err)
+					}
+				} else if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != want {
+					t.Errorf("%s/%d/stop %d: %d yields, want %d", name, workers, stopAt, len(got), want)
+				}
+				for i, idx := range got {
+					if idx != i {
+						t.Fatalf("%s/%d/stop %d: yield order %v", name, workers, stopAt, got)
+					}
+				}
+			}
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"dense802154/internal/contention"
@@ -227,9 +228,12 @@ func indexLabels(prefix string, n int) []string {
 // tasks. Compile materializes it exactly once — labels, per-task inputs
 // (grid points, replica seeds) and the run and assembly steps — and
 // Execute, ExecuteRange and Assemble only read it, so one Plan serves any
-// number of executions, concurrent ones included. The worker grant is an
-// argument of each execution, never part of the plan: worker counts never
-// change computed bytes, only how fast they arrive.
+// number of executions, concurrent ones included. Execute (the whole plan)
+// and ExecuteRange (a shard) run their tasks through one loop, which owns
+// the timeout, the store, the order of emission and the wall times;
+// BuildTrace is the one trace builder. The worker grant is an argument of
+// each execution, never part of the plan: worker counts never change
+// computed bytes, only how fast they arrive.
 type Plan struct {
 	// Kind echoes the query kind.
 	Kind Kind
@@ -313,102 +317,34 @@ func Compile(q Query) (*Plan, error) {
 }
 
 // Execute runs the plan on workers goroutines (≤ 0 ⇒ NumCPU) and returns
-// the assembled ResultSet. When yield is non-nil it receives every
-// TaskResult in plan order as soon as it and all its predecessors have
-// completed — tasks still run concurrently, the emission order is just
-// pinned to the plan — and a yield error cancels the remaining tasks and is
-// returned. A canceled ctx stops the plan promptly with ctx.Err().
+// the assembled ResultSet, with its trace when the query opted in. When
+// yield is non-nil it receives every TaskResult in plan order as soon as it
+// and all its predecessors have completed — tasks still run concurrently,
+// the emission order is just pinned to the plan — and a yield error stops
+// the remaining tasks and is returned. Calls to yield never overlap, but
+// they may come from any of the plan's worker goroutines. A canceled ctx
+// stops the plan promptly with ctx.Err(). With or without yield, the tasks
+// run through the same loop as ExecuteRange's.
 func (p *Plan) Execute(ctx context.Context, workers int, yield func(TaskResult) error) (*ResultSet, error) {
 	workers = engine.ResolveWorkers(workers)
-	if p.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, p.Timeout)
-		defer cancel()
-	}
-	n := len(p.labels)
-	results := make([]TaskResult, n)
-	var spans []TaskSpanWire
-	var planStart time.Time
+	start := time.Now()
+	results := make([]TaskResult, len(p.labels))
+	var walls []float64
 	if p.Trace {
-		spans = make([]TaskSpanWire, n)
-		planStart = time.Now()
+		walls = make([]float64, len(results))
 	}
-	runTask := func(ctx context.Context, i int) error {
-		var taskStart time.Time
-		if spans != nil {
-			taskStart = time.Now()
+	err := p.runTasks(ctx, workers, 0, results, func(i int, wallMS float64) error {
+		if walls != nil {
+			walls[i] = wallMS
 		}
-		r, hit := p.taskFromStore(i)
-		var err error
-		if !hit {
-			r, err = p.run(ctx, workers, i)
+		if yield == nil {
+			return nil
 		}
-		if spans != nil {
-			spans[i] = TaskSpanWire{
-				Index:  i,
-				Label:  p.labels[i],
-				Seed:   p.seedAt(i),
-				WallMS: Float(time.Since(taskStart).Seconds() * 1e3),
-			}
-		}
-		if err != nil {
-			return err
-		}
-		r.Index = i
-		r.Label = p.labels[i]
-		if !hit {
-			p.storeTask(&r)
-		}
-		results[i] = r
-		return nil
+		return yield(results[i])
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	if yield == nil {
-		if err := engine.Map(ctx, workers, n, func(i int) error { return runTask(ctx, i) }); err != nil {
-			return nil, err
-		}
-	} else {
-		ctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		done := make(chan int, n)
-		var mapErr error
-		go func() {
-			defer close(done)
-			mapErr = engine.Map(ctx, workers, n, func(i int) error {
-				if err := runTask(ctx, i); err != nil {
-					return err
-				}
-				select {
-				case done <- i:
-					return nil
-				case <-ctx.Done():
-					return ctx.Err()
-				}
-			})
-		}()
-		var yieldErr error
-		ready := make([]bool, n)
-		next := 0
-		for i := range done {
-			ready[i] = true
-			for next < n && ready[next] {
-				if yieldErr == nil {
-					if err := yield(results[next]); err != nil {
-						yieldErr = err
-						cancel()
-					}
-				}
-				next++
-			}
-		}
-		if yieldErr != nil {
-			return nil, yieldErr
-		}
-		if mapErr != nil {
-			return nil, mapErr
-		}
-	}
-
 	rs := &ResultSet{Version: Version, Kind: p.Kind, Results: results}
 	if p.storeEnabled() && p.assembleWire != nil {
 		// Store hits carry wire payloads only (no in-process value), so the
@@ -420,14 +356,8 @@ func (p *Plan) Execute(ctx context.Context, workers int, yield func(TaskResult) 
 	} else if p.assemble != nil {
 		p.assemble(rs)
 	}
-	if spans != nil {
-		rs.Trace = &PlanTraceWire{
-			Kind:    p.Kind,
-			Workers: workers,
-			Tasks:   n,
-			WallMS:  Float(time.Since(planStart).Seconds() * 1e3),
-			Spans:   spans,
-		}
+	if walls != nil {
+		rs.Trace = p.BuildTrace(workers, start, walls)
 	}
 	return rs, nil
 }
@@ -435,76 +365,125 @@ func (p *Plan) Execute(ctx context.Context, workers int, yield func(TaskResult) 
 // ExecuteRange runs only the tasks [from,to) of the plan on workers
 // goroutines and yields each TaskResult in plan order as soon as it and all
 // its range predecessors have completed, together with its measured wall
-// time in milliseconds. It is the worker half of distributed execution: a
-// shard of any compiled plan is a pure function of (query, range), so any
-// machine that can compile the query can compute any shard, and the
-// emission order lets a coordinator resume a partially-streamed shard from
-// the first missing index. No assembly step runs — the coordinator merges
-// shards with Assemble. A yield error cancels the remaining tasks.
+// time in milliseconds. It is the worker half of distributed execution and
+// the coordinator's local fallback: a shard of any compiled plan is a pure
+// function of (query, range), so any machine that can compile the query can
+// compute any shard, and the emission order lets a coordinator resume a
+// partially-streamed shard from the first missing index. No assembly step
+// runs — the coordinator merges shards with Assemble. yield is called as
+// Execute's is, and a yield error stops the remaining tasks and is
+// returned. The range must hold at least one task.
 func (p *Plan) ExecuteRange(ctx context.Context, workers, from, to int, yield func(tr TaskResult, wallMS float64) error) error {
 	if from < 0 || to > len(p.labels) || from >= to {
 		return errf("range", "task range [%d,%d) outside plan of %d tasks", from, to, len(p.labels))
 	}
-	workers = engine.ResolveWorkers(workers)
+	results := make([]TaskResult, to-from)
+	return p.runTasks(ctx, engine.ResolveWorkers(workers), from, results, func(i int, wallMS float64) error {
+		return yield(results[i], wallMS)
+	})
+}
+
+// runTasks is the plan's one task loop. It runs the tasks from, from+1, …
+// (one per results slot) on workers goroutines under the plan timeout. Each
+// task is read from the attached store when the store holds it and computed
+// otherwise, stamped with its index and label, stored when it was computed,
+// and left in results[i]. emit(i, wallMS) then releases the slots in order,
+// with each task's wall time in milliseconds: slot i is emitted as soon as
+// it and every slot before it are filled, and emit calls never overlap. An
+// emit error stops the remaining tasks and is returned; otherwise the error
+// of the lowest-indexed failing task, or ctx.Err(), is (engine.Map's rule).
+func (p *Plan) runTasks(ctx context.Context, workers, from int, results []TaskResult, emit func(i int, wallMS float64) error) error {
 	if p.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, p.Timeout)
 		defer cancel()
 	}
-	n := to - from
-	results := make([]TaskResult, n)
-	walls := make([]float64, n)
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	done := make(chan int, n)
-	var mapErr error
-	go func() {
-		defer close(done)
-		mapErr = engine.Map(ctx, workers, n, func(i int) error {
-			idx := from + i
-			start := time.Now()
-			r, hit := p.taskFromStore(idx)
-			if !hit {
-				var err error
-				r, err = p.run(ctx, workers, idx)
-				if err != nil {
-					return err
-				}
+	o := inOrder{slots: make([]slot, len(results)), emit: emit}
+	err := engine.Map(ctx, workers, len(results), func(i int) error {
+		idx := from + i
+		start := time.Now()
+		r, hit := p.TaskFromStore(idx)
+		if !hit {
+			var err error
+			if r, err = p.run(ctx, workers, idx); err != nil {
+				return err
 			}
-			walls[i] = time.Since(start).Seconds() * 1e3
-			r.Index = idx
-			r.Label = p.labels[idx]
-			if !hit {
-				p.storeTask(&r)
-			}
-			results[i] = r
-			select {
-			case done <- i:
-				return nil
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		})
-	}()
-	var yieldErr error
-	ready := make([]bool, n)
-	next := 0
-	for i := range done {
-		ready[i] = true
-		for next < n && ready[next] {
-			if yieldErr == nil {
-				if err := yield(results[next], walls[next]); err != nil {
-					yieldErr = err
-					cancel()
-				}
-			}
-			next++
 		}
+		wallMS := time.Since(start).Seconds() * 1e3
+		r.Index = idx
+		r.Label = p.labels[idx]
+		if !hit {
+			p.StoreTask(&r)
+		}
+		results[i] = r
+		return o.done(i, wallMS)
+	})
+	if o.err != nil {
+		return o.err
 	}
-	if yieldErr != nil {
-		return yieldErr
+	return err
+}
+
+// inOrder releases filled slots to emit in slot order. The goroutine whose
+// done call fills the first unemitted slot emits, with the lock released
+// around each emit call, every filled slot from there on — including slots
+// other goroutines fill meanwhile, whose done calls return at once. So emit
+// calls never overlap and never skip ahead; after an emit error nothing
+// more is emitted and every done call returns that error.
+type inOrder struct {
+	mu       sync.Mutex
+	slots    []slot
+	next     int
+	emitting bool
+	err      error
+	emit     func(i int, wallMS float64) error
+}
+
+type slot struct {
+	wallMS float64
+	filled bool
+}
+
+func (o *inOrder) done(i int, wallMS float64) error {
+	o.mu.Lock()
+	o.slots[i] = slot{wallMS: wallMS, filled: true}
+	if o.emitting {
+		o.mu.Unlock()
+		return nil
 	}
-	return mapErr
+	o.emitting = true
+	for o.err == nil && o.next < len(o.slots) && o.slots[o.next].filled {
+		k, wallMS := o.next, o.slots[o.next].wallMS
+		o.next++
+		o.mu.Unlock()
+		err := o.emit(k, wallMS)
+		o.mu.Lock()
+		o.err = err
+	}
+	o.emitting = false
+	err := o.err
+	o.mu.Unlock()
+	return err
+}
+
+// BuildTrace is the one builder of a plan's execution trace: one span per
+// task in plan order carrying its index, label, derived seed (where the plan
+// assigns one) and the wall time walls[i] in milliseconds, under the worker
+// grant and the plan wall time since start. Execute and the distributed
+// coordinator both trace through it, so a trace names the same tasks and
+// seeds wherever they ran.
+func (p *Plan) BuildTrace(workers int, start time.Time, walls []float64) *PlanTraceWire {
+	spans := make([]TaskSpanWire, len(p.labels))
+	for i := range spans {
+		spans[i] = TaskSpanWire{Index: i, Label: p.labels[i], Seed: p.seedAt(i), WallMS: Float(walls[i])}
+	}
+	return &PlanTraceWire{
+		Kind:    p.Kind,
+		Workers: workers,
+		Tasks:   len(spans),
+		WallMS:  Float(time.Since(start).Seconds() * 1e3),
+		Spans:   spans,
+	}
 }
 
 // Assemble merges already-computed per-task results (in plan order, e.g.

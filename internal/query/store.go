@@ -116,11 +116,11 @@ func (p *Plan) storeEnabled() bool {
 	return p.Store != nil && p.Kind.WireExact()
 }
 
-// taskFromStore fetches task index from the attached store. Undecodable
+// TaskFromStore fetches task index from the attached store. Undecodable
 // entries are treated as misses — the store may hold truncated or corrupt
 // bytes (crash mid-write on the disk tier); a wrong byte must never surface,
 // so anything suspect is recomputed.
-func (p *Plan) taskFromStore(index int) (TaskResult, bool) {
+func (p *Plan) TaskFromStore(index int) (TaskResult, bool) {
 	if !p.storeEnabled() {
 		return TaskResult{}, false
 	}
@@ -135,12 +135,12 @@ func (p *Plan) taskFromStore(index int) (TaskResult, bool) {
 	return tr, true
 }
 
-// storeTask stores a freshly computed task result (Index and Label already
+// StoreTask stores a freshly computed task result (Index and Label already
 // stamped). It encodes into a pooled scratch buffer — PutTask copies what it
 // keeps — so feeding the store allocates nothing for the encoding itself.
 // Encoding failures just skip the store: caching is an optimization, never a
 // correctness dependency.
-func (p *Plan) storeTask(tr *TaskResult) {
+func (p *Plan) StoreTask(tr *TaskResult) {
 	if !p.storeEnabled() {
 		return
 	}
