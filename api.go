@@ -133,7 +133,7 @@ func Evaluate(p Params) (Metrics, error) {
 	if err != nil {
 		return Metrics{}, err
 	}
-	return rs.Results[0].Value().(Metrics), nil
+	return rs.Results[0].Metrics.Metrics(), nil
 }
 
 // EvaluateBatch evaluates many parameter sets concurrently on a worker pool
@@ -168,7 +168,7 @@ func EvaluateBatch(ctx context.Context, ps []Params) ([]Metrics, error) {
 	}
 	out := make([]Metrics, len(rs.Results))
 	for i := range rs.Results {
-		out[i] = rs.Results[i].Value().(Metrics)
+		out[i] = rs.Results[i].Metrics.Metrics()
 	}
 	return out, nil
 }

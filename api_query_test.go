@@ -14,7 +14,9 @@ import (
 	"dense802154"
 	"dense802154/internal/channel"
 	"dense802154/internal/contention"
+	"dense802154/internal/core"
 	"dense802154/internal/query"
+	"dense802154/internal/store"
 )
 
 // quickP builds the typed twin of the spec body used throughout this file:
@@ -248,3 +250,114 @@ func TestRunStreamMatchesRun(t *testing.T) {
 }
 
 func intp(v int) *int { return &v }
+
+// TestValueMatchesEvaluate pins TaskResult.Value for the kinds whose tasks
+// carry a Metrics payload (evaluate, batch, grid). Value derives core.Metrics
+// from that payload, so it must be reflect.DeepEqual to core.Evaluate of the
+// same point for a computed task, a store hit (decoded from stored bytes)
+// and the facade output alike — for grid, whose facade is Run, the value
+// behind each of Run's results.
+func TestValueMatchesEvaluate(t *testing.T) {
+	ctx := context.Background()
+	seed := int64(3)
+	spec := func(payload int) query.ParamsWire {
+		return query.ParamsWire{Contention: &query.ContentionWire{Superframes: 8, Seed: &seed}, PayloadBytes: &payload}
+	}
+	point := func(payload int, loss float64) dense802154.Params {
+		p := quickP()
+		p.PayloadBytes = payload
+		if loss != 0 {
+			p.PathLossDB = loss
+		}
+		return p
+	}
+	values := func(rs *query.ResultSet) []any {
+		out := make([]any, len(rs.Results))
+		for i := range rs.Results {
+			out[i] = rs.Results[i].Value()
+		}
+		return out
+	}
+	evalSpec := spec(60)
+	batch := []dense802154.Params{point(20, 0), point(100, 0)}
+	var gridPoints []dense802154.Params
+	for _, loss := range []float64{60, 80} {
+		for _, payload := range []int{20, 100} {
+			gridPoints = append(gridPoints, point(payload, loss))
+		}
+	}
+	grid := query.Query{Kind: query.KindGrid, Params: &query.ParamsWire{Contention: &query.ContentionWire{Superframes: 8, Seed: &seed}},
+		Losses: &query.Axis{Values: []query.Float{60, 80}}, Payloads: &query.IntAxis{Values: []int{20, 100}}}
+	cases := []struct {
+		name   string
+		q      query.Query
+		points []dense802154.Params
+		facade func() ([]any, error)
+	}{
+		{"evaluate", query.Query{Kind: query.KindEvaluate, Params: &evalSpec}, []dense802154.Params{point(60, 0)}, func() ([]any, error) {
+			m, err := dense802154.Evaluate(point(60, 0))
+			return []any{m}, err
+		}},
+		{"batch", query.Query{Kind: query.KindBatch, Batch: []query.ParamsWire{spec(20), spec(100)}}, batch, func() ([]any, error) {
+			ms, err := dense802154.EvaluateBatch(ctx, batch)
+			out := make([]any, len(ms))
+			for i, m := range ms {
+				out[i] = m
+			}
+			return out, err
+		}},
+		{"grid", grid, gridPoints, func() ([]any, error) {
+			rs, err := dense802154.Run(ctx, grid)
+			if err != nil {
+				return nil, err
+			}
+			return values(rs), nil
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			check := func(how string, got []any) {
+				t.Helper()
+				if len(got) != len(c.points) {
+					t.Fatalf("%s: %d values for %d points", how, len(got), len(c.points))
+				}
+				for i, p := range c.points {
+					want, err := core.Evaluate(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got[i], want) {
+						t.Errorf("%s: Value of task %d = %+v, core.Evaluate = %+v", how, i, got[i], want)
+					}
+				}
+			}
+			st, err := store.New(store.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			execute := func() *query.ResultSet {
+				plan, err := query.Compile(c.q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				plan.Store = st.Tasks(c.q)
+				rs, err := plan.Execute(ctx, 2, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rs
+			}
+			check("computed", values(execute()))
+			hits := store.HitsTotal.Value()
+			check("store hit", values(execute()))
+			if d := store.HitsTotal.Value() - hits; d != uint64(len(c.points)) {
+				t.Fatalf("second execution took %d store hits, want %d", d, len(c.points))
+			}
+			facade, err := c.facade()
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("facade", facade)
+		})
+	}
+}

@@ -489,3 +489,50 @@ func BenchmarkStoreTaskPut(b *testing.B) {
 		st.PutTask(key, j, buf)
 	}
 }
+
+// BenchmarkStoreTaskPutFresh measures the cold-plan store feed in steady
+// state: a new (key, index) every op into a 64-entry budget, so every put
+// inserts and evicts (BenchmarkStoreTaskPut cycles over 1,000 keys and so
+// measures overwrites after its first pass).
+func BenchmarkStoreTaskPutFresh(b *testing.B) {
+	b.ReportAllocs()
+	rs := grid1000Result(b)
+	buf, err := rs.Results[0].AppendJSON(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf = append(buf, '\n')
+	st, err := store.New(store.Config{MaxBytes: 64 * int64(len(buf)+128)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	key, _ := store.KeyFor(grid1000Query())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.PutTask(key, i, buf)
+	}
+}
+
+// BenchmarkExecuteGrid1000Stored measures the grid-cold plan without the
+// HTTP layer: Execute of the compiled 1,000-point grid against a fresh
+// store each op, so every point is evaluated, encoded and stored.
+func BenchmarkExecuteGrid1000Stored(b *testing.B) {
+	b.ReportAllocs()
+	grid1000Result(b) // warm the contention cache the points share
+	q := grid1000Query()
+	plan, err := query.Compile(q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := store.New(store.Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		plan.Store = st.Tasks(q)
+		if _, err := plan.Execute(context.Background(), 0, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -475,8 +475,8 @@
 // hot-path micro-benchmarks) and writes a JSON report of ns/op, B/op and
 // allocs/op per benchmark:
 //
-//	go run ./cmd/wsn-bench -out BENCH_PR17.json   # refresh the baseline
-//	go run ./cmd/wsn-bench -diff BENCH_PR17.json  # compare a fresh run
+//	go run ./cmd/wsn-bench -out BENCH_PR21.json   # refresh the baseline
+//	go run ./cmd/wsn-bench -diff BENCH_PR21.json  # compare a fresh run
 //
 // The committed BENCH_*.json files form the repository's performance
 // trajectory; CI regenerates a -quick report per push and diffs it against
@@ -487,7 +487,8 @@
 // contention.TestSimulateAllocBudget, netsim.TestRunAllocBudget,
 // query.TestResultSetEncodeAllocBudget,
 // query.TestEncodeTaskResultAllocBudget, query.TestCompileGridAllocBudget,
-// query.TestDecodeTaskResultAllocBudget and dist.TestLineStreamAllocBudget.
+// query.TestExecuteGridAllocBudget, query.TestDecodeTaskResultAllocBudget,
+// dist.TestLineStreamAllocBudget and store.TestPutTaskAllocBudget.
 // To profile the hot paths under live
 // load, start the service with a profiling listener (wsn-serve -pprof
 // 127.0.0.1:6060) and capture /debug/pprof/profile while a replica-heavy

@@ -6,10 +6,12 @@ package query
 // encode paths; the whole-body budget keeps one allocation of headroom.
 // Compiling the 1,000-point grid costs about twenty allocations, all of
 // them per plan rather than per point; the budget stays far below the
-// thousands a per-point allocation would add.
+// thousands a per-point allocation would add. Executing that grid with a
+// store attached costs about a dozen allocations, all per plan.
 const (
 	resultSetEncodeAllocBudget = 2
 	taskEncodeAllocBudget      = 1
 	compileGridAllocBudget     = 64
 	decodeTaskAllocBudget      = 3
+	executeGridAllocBudget     = 64
 )

@@ -7,9 +7,14 @@ package query
 // the 1 MB grid body, ~6 for one task). The wider budgets absorb that while
 // still failing on a return to per-field boxing (~50 per task). Compile
 // draws nothing from a pool, so its budget matches the plain build.
+// Executing the grid encodes every task into the store through the same
+// pool, which costs about two regrowth allocations per task here (~2,000
+// per plan); a return to the two per-task allocations the slab removed
+// would read ~4,000.
 const (
 	resultSetEncodeAllocBudget = 64
 	taskEncodeAllocBudget      = 8
 	compileGridAllocBudget     = 64
 	decodeTaskAllocBudget      = 3
+	executeGridAllocBudget     = 3000
 )

@@ -126,3 +126,39 @@ func TestCompileGridAllocBudget(t *testing.T) {
 	}
 	t.Logf("Compile (1000-point grid): %v allocs/op", allocs)
 }
+
+// reuseStore is an in-memory TaskStore that never hits and keeps each
+// task's latest bytes in a buffer it reuses across executions, so once warm
+// its writes allocate nothing and an execution's count is the plan's own.
+// Each index is written by one task at a time, so it needs no lock.
+type reuseStore struct{ bufs [][]byte }
+
+func (s *reuseStore) GetTask(int) ([]byte, bool) { return nil, false }
+func (s *reuseStore) PutTask(i int, b []byte)    { s.bufs[i] = append(s.bufs[i][:0], b...) }
+
+// TestExecuteGridAllocBudget guards the per-task compute path: executing the
+// 1,000-point grid — evaluate, stamp, encode into the store and order every
+// task — costs a constant number of allocations per plan (the results, the
+// execution's MetricsWire slab, the emission slots, the engine's workers),
+// not one or more per point (two per point when every task boxed its
+// core.Metrics and escaped its own MetricsWire).
+func TestExecuteGridAllocBudget(t *testing.T) {
+	grid1000Result(t) // warm the contention cache the grid points share
+	plan, err := Compile(grid1000Query())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.Store = &reuseStore{bufs: make([][]byte, plan.NumTasks())}
+	steadyState(t)
+	execute := func() {
+		if _, err := plan.Execute(context.Background(), 2, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	execute() // warm the store's buffers and the encode pool
+	allocs := testing.AllocsPerRun(10, execute)
+	if allocs > executeGridAllocBudget {
+		t.Fatalf("Execute of the 1000-point grid allocated %v per op, budget %d", allocs, executeGridAllocBudget)
+	}
+	t.Logf("Execute (1000-point grid, store attached): %v allocs/op", allocs)
+}

@@ -246,7 +246,7 @@ func (q *Query) buildLifetime() (exec, *Error) {
 		rs.LifetimeSummary = &summary
 		return set
 	}
-	return exec{labels: indexLabels("lifetime", n), seeds: seeds, run: func(_ context.Context, _, i int) (TaskResult, error) {
+	return exec{labels: indexLabels("lifetime", n), seeds: seeds, run: func(_ context.Context, _, i int, _ *MetricsWire) (TaskResult, error) {
 		c := lcfg
 		c.Sim.Seed = seeds[i]
 		r := lifetime.Run(c)

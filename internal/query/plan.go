@@ -41,17 +41,27 @@ type TaskResult struct {
 	Scenario   *ScenarioReportWire   `json:"scenario,omitempty"`
 	Experiment *ExperimentReportWire `json:"experiment,omitempty"`
 
-	// value is the in-process model result the facade wrappers unwrap;
-	// it does not travel on the wire.
+	// value is the in-process model result the facade wrappers unwrap for
+	// the kinds whose wire payload does not carry it exactly; it does not
+	// travel on the wire. Metrics payloads leave it nil: Value derives
+	// their core.Metrics from the payload.
 	value any
 }
 
 // Value returns the in-process result behind the wire payload: core.Metrics
-// (evaluate, batch), core.CaseStudyResult, []core.EnergyCurve,
+// (evaluate, batch, grid), core.CaseStudyResult, []core.EnergyCurve,
 // []core.Threshold, stats.Series, netsim.Result (simulate, replicas),
 // lifetime.Result (lifetime), *scenario.Result or []*stats.Table, per the
-// query kind. It is nil on a TaskResult decoded from the wire.
-func (t *TaskResult) Value() any { return t.value }
+// query kind. core.Metrics is converted from the Metrics payload on each
+// call — exactly, so computed, store-hit and wire-decoded results alike
+// answer the value core.Evaluate returned. For the other kinds it is nil on
+// a TaskResult decoded from the wire.
+func (t *TaskResult) Value() any {
+	if t.value == nil && t.Metrics != nil {
+		return t.Metrics.Metrics()
+	}
+	return t.value
+}
 
 // ReplicaSummaryWire is the across-replica statistics block of a replicas
 // query (the same merged statistics netsim.RunReplicas reports).
@@ -158,10 +168,17 @@ func (rs *ResultSet) Encode() ([]byte, error) {
 // in-process task values; assembleWire recomputes the same summary from the
 // wire payloads alone, for results that crossed a machine boundary
 // (Plan.Assemble) and therefore carry no values.
+//
+// metrics marks the kinds whose tasks emit a Metrics payload (evaluate,
+// batch, grid). Each execution of such a plan allocates one MetricsWire slab
+// for its range and hands run task i's slot as mw, which the task fills and
+// points its payload at; the other kinds get a nil mw and ignore it. The
+// slab belongs to the execution, never to the plan.
 type exec struct {
 	labels       []string
 	seeds        []int64
-	run          func(ctx context.Context, workers, i int) (TaskResult, error)
+	metrics      bool
+	run          func(ctx context.Context, workers, i int, mw *MetricsWire) (TaskResult, error)
 	assemble     func(rs *ResultSet)
 	assembleWire func(rs *ResultSet) *Error
 }
@@ -179,7 +196,7 @@ func (x *exec) seedAt(i int) *int64 {
 // single is the exec of a one-task kind: run receives the whole worker
 // grant for the kind's inner parallelism.
 func single(label string, run func(ctx context.Context, workers int) (TaskResult, error)) exec {
-	return exec{labels: []string{label}, run: func(ctx context.Context, workers, _ int) (TaskResult, error) {
+	return exec{labels: []string{label}, run: func(ctx context.Context, workers, _ int, _ *MetricsWire) (TaskResult, error) {
 		return run(ctx, workers)
 	}}
 }
@@ -387,7 +404,8 @@ func (p *Plan) ExecuteRange(ctx context.Context, workers, from, to int, yield fu
 // (one per results slot) on workers goroutines under the plan timeout. Each
 // task is read from the attached store when the store holds it and computed
 // otherwise, stamped with its index and label, stored when it was computed,
-// and left in results[i]. emit(i, wallMS) then releases the slots in order,
+// and left in results[i]; a computed Metrics payload lives in the
+// execution's slab. emit(i, wallMS) then releases the slots in order,
 // with each task's wall time in milliseconds: slot i is emitted as soon as
 // it and every slot before it are filled, and emit calls never overlap. An
 // emit error stops the remaining tasks and is returned; otherwise the error
@@ -399,13 +417,21 @@ func (p *Plan) runTasks(ctx context.Context, workers, from int, results []TaskRe
 		defer cancel()
 	}
 	o := inOrder{slots: make([]slot, len(results)), emit: emit}
+	var slab []MetricsWire
+	if p.metrics {
+		slab = make([]MetricsWire, len(results))
+	}
 	err := engine.Map(ctx, workers, len(results), func(i int) error {
 		idx := from + i
 		start := time.Now()
 		r, hit := p.TaskFromStore(idx)
 		if !hit {
+			var mw *MetricsWire
+			if slab != nil {
+				mw = &slab[i]
+			}
 			var err error
-			if r, err = p.run(ctx, workers, idx); err != nil {
+			if r, err = p.run(ctx, workers, idx, mw); err != nil {
 				return err
 			}
 		}
@@ -579,14 +605,15 @@ func (b basePoint) granted(workers, mcWorkers int) core.Params {
 	return p
 }
 
-// evaluateTask runs one analytical evaluation as a task result.
-func evaluateTask(p core.Params) (TaskResult, error) {
+// evaluateTask runs one analytical evaluation as a task result whose
+// Metrics payload is the execution's slab slot mw.
+func evaluateTask(p core.Params, mw *MetricsWire) (TaskResult, error) {
 	m, err := core.Evaluate(p)
 	if err != nil {
 		return TaskResult{}, err
 	}
-	mw := WireMetrics(m)
-	return TaskResult{Metrics: &mw, value: m}, nil
+	*mw = WireMetrics(m)
+	return TaskResult{Metrics: mw}, nil
 }
 
 func (q *Query) buildEvaluate() (exec, *Error) {
@@ -596,9 +623,9 @@ func (q *Query) buildEvaluate() (exec, *Error) {
 	}
 	// A lone evaluation has no sweep level, so the whole grant goes to its
 	// Monte-Carlo contention characterization (as /v1/evaluate did).
-	return single(string(KindEvaluate), func(ctx context.Context, workers int) (TaskResult, error) {
-		return evaluateTask(base.granted(workers, workers))
-	}), nil
+	return exec{labels: []string{string(KindEvaluate)}, metrics: true, run: func(_ context.Context, workers, _ int, mw *MetricsWire) (TaskResult, error) {
+		return evaluateTask(base.granted(workers, workers), mw)
+	}}, nil
 }
 
 func (q *Query) buildBatch() (exec, *Error) {
@@ -624,8 +651,8 @@ func (q *Query) buildBatch() (exec, *Error) {
 			ps[i] = p
 		}
 	}
-	return exec{labels: indexLabels("batch", len(ps)), run: func(_ context.Context, _, i int) (TaskResult, error) {
-		return evaluateTask(ps[i])
+	return exec{labels: indexLabels("batch", len(ps)), metrics: true, run: func(_ context.Context, _, i int, mw *MetricsWire) (TaskResult, error) {
+		return evaluateTask(ps[i], mw)
 	}}, nil
 }
 
@@ -780,7 +807,7 @@ func (q *Query) buildReplicas() (exec, *Error) {
 		rs.Summary = &summary
 		return set
 	}
-	return exec{labels: indexLabels("replica", n), seeds: seeds, run: func(_ context.Context, _, i int) (TaskResult, error) {
+	return exec{labels: indexLabels("replica", n), seeds: seeds, run: func(_ context.Context, _, i int, _ *MetricsWire) (TaskResult, error) {
 		c := cfg
 		c.Seed = seeds[i]
 		r := netsim.Run(c)
@@ -983,8 +1010,8 @@ func (q *Query) buildGrid() (exec, *Error) {
 			}
 		}
 	}
-	return exec{labels: lb.labels(), run: func(_ context.Context, _, i int) (TaskResult, error) {
-		return evaluateTask(points[i])
+	return exec{labels: lb.labels(), metrics: true, run: func(_ context.Context, _, i int, mw *MetricsWire) (TaskResult, error) {
+		return evaluateTask(points[i], mw)
 	}}, nil
 }
 

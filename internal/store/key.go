@@ -1,12 +1,14 @@
 // Package store is the content-addressed result store: queries encode
 // deterministically, so the SHA-256 of a query's canonical bytes is a
 // complete cache key for its ResultSet bytes and — via the plan's fixed task
-// order — for every per-task result. Repeated sweeps become O(1) lookups,
-// partially-overlapping grids reuse per-task results, an interrupted
-// /v2/query/stream resumes from persisted tasks, and the distributed
-// coordinator treats the fleet as a shared shard cache: a re-dispatched or
-// speculated range whose tasks are stored anywhere is a lookup, not a
-// recompute.
+// order — for every per-task result. Repeated sweeps become O(1) lookups, an
+// interrupted /v2/query/stream resumes from persisted tasks, and the
+// distributed coordinator treats the fleet as a shared shard cache: a
+// re-dispatched or speculated range whose tasks are stored anywhere is a
+// lookup, not a recompute. Task entries are keyed by the whole query's hash
+// plus the task index, so only an identical query reuses them (a retry, a
+// resumed stream, a re-dispatched shard); two grids that merely share a
+// point share no task entry.
 //
 // The store is two-tiered: a bytes-bounded in-memory LRU (the engine.Cache
 // recency idiom, bounded by bytes instead of entries) over an optional

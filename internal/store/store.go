@@ -22,6 +22,10 @@ const resultIndex = -1
 // list links) charged against the byte budget on top of the payload.
 const entryOverhead = 128
 
+// entryChunk is how many entries insert carves from one allocation when the
+// free list is empty.
+const entryChunk = 64
+
 // Config parameterizes a Store.
 type Config struct {
 	// MaxBytes bounds the in-memory tier (payload bytes plus a fixed
@@ -59,6 +63,15 @@ type Stats struct {
 // for concurrent use. Byte slices cross the API boundary uncopied on Get
 // (the hit path allocates nothing) and are copied on Put; callers must treat
 // returned bytes as immutable.
+//
+// The in-memory tier recycles its entries: eviction zeroes an entry and puts
+// it on a free list, and insert takes entries from that list, or from a
+// chunk of entryChunk entries allocated at once when the list is empty, so
+// a steady-state put allocates only the copy of its bytes. Payload bytes are
+// never recycled — a slice Get handed out stays valid and unchanged after
+// its entry is reused. Entries never return to the heap one by one, so the
+// entry memory is bounded by the peak live entry count (plus one partly
+// used chunk), which the byte budget caps at MaxBytes/entryOverhead.
 type Store struct {
 	cfg Config
 
@@ -66,6 +79,8 @@ type Store struct {
 	entries map[entryKey]*entry
 	root    entry // sentinel: root.next is most recent, root.prev least
 	bytes   int64
+	free    *entry  // evicted entries, linked through next
+	chunk   []entry // the not yet used tail of the last allocated chunk
 }
 
 // New builds a Store, creating the on-disk tier directory when configured.
@@ -150,9 +165,12 @@ func (s *Store) get(k entryKey) ([]byte, bool) {
 	if e, ok := s.entries[k]; ok {
 		s.unlink(e)
 		s.pushFront(e)
+		// Read the bytes before unlocking: once the lock is released the
+		// entry may be evicted and reused for another key.
+		b := e.b
 		s.mu.Unlock()
 		HitsTotal.Inc()
-		return e.b, true
+		return b, true
 	}
 	s.mu.Unlock()
 	if s.cfg.Dir != "" {
@@ -195,7 +213,8 @@ func (s *Store) insert(k entryKey, b []byte) {
 		s.unlink(e)
 		s.pushFront(e)
 	} else {
-		e = &entry{k: k, b: b}
+		e = s.newEntry()
+		e.k, e.b = k, b
 		s.entries[k] = e
 		s.pushFront(e)
 		s.bytes += cost
@@ -213,8 +232,33 @@ func (s *Store) insert(k entryKey, b []byte) {
 		BytesGauge.Add(-(int64(len(old.b)) + entryOverhead))
 		EntriesGauge.Add(-1)
 		EvictionsTotal.Inc()
+		s.recycle(old)
 	}
 	s.mu.Unlock()
+}
+
+// newEntry returns a zeroed entry from the free list, or from the current
+// chunk when the list is empty. Callers hold s.mu.
+func (s *Store) newEntry() *entry {
+	if e := s.free; e != nil {
+		s.free = e.next
+		e.next = nil
+		return e
+	}
+	if len(s.chunk) == 0 {
+		s.chunk = make([]entry, entryChunk)
+	}
+	e := &s.chunk[0]
+	s.chunk = s.chunk[1:]
+	return e
+}
+
+// recycle zeroes an evicted entry — dropping its bytes, which stay with
+// whoever Get handed them to — and pushes it on the free list. Callers hold
+// s.mu.
+func (s *Store) recycle(e *entry) {
+	*e = entry{next: s.free}
+	s.free = e
 }
 
 func (s *Store) unlink(e *entry) {

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -404,4 +405,52 @@ func TestTasksView(t *testing.T) {
 	if _, ok := v.GetTask(-1); ok {
 		t.Fatal("negative index stored through task view")
 	}
+}
+
+// TestTaskEntriesScopedToQuery: task entries are keyed by the whole query's
+// hash plus the task index, so two grids that share points — here with the
+// very same index and label — but differ in one axis value share no task
+// entry: the second grid computes every task and the hit counter does not
+// move.
+func TestTaskEntriesScopedToQuery(t *testing.T) {
+	st, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := gridQuery()
+	b := gridQuery()
+	b.Losses = &query.Axis{Values: []query.Float{55, 70, 80}} // a has 85
+	run := func(q query.Query) *query.ResultSet {
+		plan, err := query.Compile(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan.Store = st.Tasks(q)
+		rs, err := plan.Execute(context.Background(), 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs
+	}
+	ra := run(a)
+	hits := HitsTotal.Value()
+	rb := run(b)
+	if d := HitsTotal.Value() - hits; d != 0 {
+		t.Fatalf("grid b took %d store hits from grid a's entries", d)
+	}
+	if !bytes.Equal(encodeTask(t, ra.Results[0]), encodeTask(t, rb.Results[0])) {
+		t.Fatal("the grids do not share their first point: the test shows nothing")
+	}
+	if got, want := st.Stats().Entries, len(ra.Results)+len(rb.Results); got != want {
+		t.Fatalf("store holds %d entries, want %d (one per task of each grid)", got, want)
+	}
+}
+
+func encodeTask(t *testing.T, tr query.TaskResult) []byte {
+	t.Helper()
+	b, err := query.EncodeTaskResult(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
