@@ -471,28 +471,35 @@
 //
 // # Tracked benchmarks
 //
-// cmd/wsn-bench runs the tracked suite (serial/parallel engine pairs plus
-// hot-path micro-benchmarks) and writes a JSON report of ns/op, B/op and
-// allocs/op per benchmark:
+// The tracked kernels (serial/parallel engine pairs plus hot-path
+// micro-benchmarks) live in one table, internal/benchsuite, with two entry
+// points that run the same bodies. cmd/wsn-bench writes a JSON report of
+// ns/op, B/op and allocs/op per kernel:
 //
 //	go run ./cmd/wsn-bench -out BENCH_PR21.json   # refresh the baseline
 //	go run ./cmd/wsn-bench -diff BENCH_PR21.json  # compare a fresh run
 //
+// and the root package's BenchmarkKernels runs each kernel as a
+// sub-benchmark (-short selects the -quick sizes), for ns/op medians and
+// profiles of the same bodies:
+//
+//	go test -run NONE -bench 'Kernels/<name>' -count 6
+//	go test -run NONE -bench 'Kernels/<name>' -cpuprofile cpu.out
+//
 // The committed BENCH_*.json files form the repository's performance
 // trajectory; CI regenerates a -quick report per push and diffs it against
 // the latest baseline: ns/op ratios are warn-only (wall-clock is
-// machine-dependent) while allocs/op regressions fail the job
-// (-failallocs), backed by allocation-budget tests that fail hard on setup
-// or boxing regressions: des.TestTypedEventLoopAllocFree,
+// machine-dependent) while allocs/op regressions and baseline kernels the
+// run did not produce fail the job (-failallocs). Allocation-budget tests
+// fail hard on setup or boxing regressions: des.TestTypedEventLoopAllocFree,
 // contention.TestSimulateAllocBudget, netsim.TestRunAllocBudget,
 // query.TestResultSetEncodeAllocBudget,
 // query.TestEncodeTaskResultAllocBudget, query.TestCompileGridAllocBudget,
 // query.TestExecuteGridAllocBudget, query.TestDecodeTaskResultAllocBudget,
-// dist.TestLineStreamAllocBudget and store.TestPutTaskAllocBudget.
-// To profile the hot paths under live
-// load, start the service with a profiling listener (wsn-serve -pprof
-// 127.0.0.1:6060) and capture /debug/pprof/profile while a replica-heavy
-// query runs.
+// dist.TestLineStreamAllocBudget and store.TestPutTaskAllocBudget. To
+// profile the hot paths under live load, start the service with a
+// profiling listener (wsn-serve -pprof 127.0.0.1:6060) and capture
+// /debug/pprof/profile while a replica-heavy query runs.
 //
 // See the examples directory for runnable scenarios and EXPERIMENTS.md for
 // the paper-versus-reproduction comparison of every figure.

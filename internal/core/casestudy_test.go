@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -192,10 +193,10 @@ func TestEnergyVsPayloadValidates(t *testing.T) {
 	if _, err := EnergyVsPayload(p, []int{10}); err == nil {
 		t.Fatal("invalid params accepted")
 	}
-	if _, err := AdaptedEnergySeries(p, []float64{60}); err == nil {
+	if _, err := AdaptedEnergySeriesCtx(context.Background(), p, []float64{60}); err == nil {
 		t.Fatal("invalid params accepted")
 	}
-	if _, err := EnergyVsPathLoss(p, []float64{60}); err == nil {
+	if _, err := EnergyVsPathLossCtx(context.Background(), p, []float64{60}); err == nil {
 		t.Fatal("invalid params accepted")
 	}
 	if _, err := OptimalTXLevel(p); err == nil {

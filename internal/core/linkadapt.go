@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"dense802154/internal/engine"
 	"dense802154/internal/fit"
@@ -49,17 +48,12 @@ type EnergyCurve struct {
 	EnergyJ    []float64 // J/bit
 }
 
-// EnergyVsPathLoss evaluates the model across a path-loss grid for every
-// transmit level of the radio (one Fig. 7 family at p.Load). The
+// EnergyVsPathLossCtx evaluates the model across a path-loss grid for
+// every transmit level of the radio (one Fig. 7 family at p.Load). The
 // (level, loss) cells are evaluated concurrently on p.Workers goroutines;
 // every cell writes its own grid slot, so the curve family is identical at
-// any worker count.
-func EnergyVsPathLoss(p Params, losses []float64) ([]EnergyCurve, error) {
-	return EnergyVsPathLossCtx(context.Background(), p, losses)
-}
-
-// EnergyVsPathLossCtx is EnergyVsPathLoss with cancellation: a canceled ctx
-// stops the (level, loss) grid promptly and returns ctx.Err().
+// any worker count. A canceled ctx stops the grid promptly and returns
+// ctx.Err().
 func EnergyVsPathLossCtx(ctx context.Context, p Params, losses []float64) ([]EnergyCurve, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -102,14 +96,10 @@ func (t Threshold) String() string {
 	return fmt.Sprintf("switch %g→%g dBm at %.1f dB path loss", t.FromDBm, t.ToDBm, t.LossDB)
 }
 
-// Thresholds locates the switching path losses between consecutive transmit
-// levels by finding the crossings of their energy curves (the circles of
-// Fig. 7). Levels whose curves never cross inside the grid are skipped.
-func Thresholds(p Params, losses []float64) ([]Threshold, error) {
-	return ThresholdsCtx(context.Background(), p, losses)
-}
-
-// ThresholdsCtx is Thresholds with cancellation.
+// ThresholdsCtx locates the switching path losses between consecutive
+// transmit levels by finding the crossings of their energy curves (the
+// circles of Fig. 7). Levels whose curves never cross inside the grid are
+// skipped.
 func ThresholdsCtx(ctx context.Context, p Params, losses []float64) ([]Threshold, error) {
 	curves, err := EnergyVsPathLossCtx(ctx, p, losses)
 	if err != nil {
@@ -154,13 +144,8 @@ func AdaptationSavings(p Params, lossDB float64) (float64, error) {
 	return 1 - adapted.EnergyPerBitJ/full.EnergyPerBitJ, nil
 }
 
-// AdaptedEnergySeries evaluates the link-adapted (lower envelope) energy
-// per bit across a path-loss grid — the solid curve of Fig. 7.
-func AdaptedEnergySeries(p Params, losses []float64) (stats.Series, error) {
-	return AdaptedEnergySeriesCtx(context.Background(), p, losses)
-}
-
-// AdaptedEnergySeriesCtx is AdaptedEnergySeries with cancellation.
+// AdaptedEnergySeriesCtx evaluates the link-adapted (lower envelope)
+// energy per bit across a path-loss grid — the solid curve of Fig. 7.
 func AdaptedEnergySeriesCtx(ctx context.Context, p Params, losses []float64) (stats.Series, error) {
 	if err := p.Validate(); err != nil {
 		return stats.Series{}, err
@@ -180,15 +165,4 @@ func AdaptedEnergySeriesCtx(ctx context.Context, p Params, losses []float64) (st
 		s.Append(a, ms[i].EnergyPerBitJ)
 	}
 	return s, nil
-}
-
-// DelayAt is a small helper exposing the model delay at a path loss (used
-// by examples).
-func DelayAt(p Params, lossDB float64) (time.Duration, error) {
-	p.PathLossDB = lossDB
-	m, err := Evaluate(p)
-	if err != nil {
-		return 0, err
-	}
-	return m.Delay, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -51,7 +52,7 @@ func TestOptimalLevelOutOfRangeFallsBackToMax(t *testing.T) {
 func TestEnergyVsPathLossShape(t *testing.T) {
 	p := testParams()
 	losses := channel.LossGrid(40, 95, 56)
-	curves, err := EnergyVsPathLoss(p, losses)
+	curves, err := EnergyVsPathLossCtx(context.Background(), p, losses)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestEnergyVsPathLossShape(t *testing.T) {
 func TestThresholdsOrderedAndLoadIndependent(t *testing.T) {
 	p := testParams()
 	losses := channel.LossGrid(40, 95, 111)
-	th1, err := Thresholds(p, losses)
+	th1, err := ThresholdsCtx(context.Background(), p, losses)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestThresholdsOrderedAndLoadIndependent(t *testing.T) {
 	q.Contention = fixedSource{contention.Stats{
 		Tcont: 12e6, NCCA: 5, PrCF: 0.4, PrCol: 0.15,
 	}}
-	th2, err := Thresholds(q, losses)
+	th2, err := ThresholdsCtx(context.Background(), q, losses)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestAdaptationSavings(t *testing.T) {
 func TestAdaptedEnergySeriesMonotoneUpToEdge(t *testing.T) {
 	p := testParams()
 	losses := channel.LossGrid(45, 88, 44)
-	s, err := AdaptedEnergySeries(p, losses)
+	s, err := AdaptedEnergySeriesCtx(context.Background(), p, losses)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,17 +159,6 @@ func TestAdaptedEnergySeriesMonotoneUpToEdge(t *testing.T) {
 	}
 }
 
-func TestDelayAt(t *testing.T) {
-	p := testParams()
-	d, err := DelayAt(p, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d <= 0 {
-		t.Fatal("non-positive delay")
-	}
-}
-
 func TestThresholdsWithRealRadioOrdering(t *testing.T) {
 	// The CC2420 levels -7 and -5 dBm are nearly equal in current
 	// (12.17 vs 12.27 mA): their crossing may sit out of order; all
@@ -176,7 +166,7 @@ func TestThresholdsWithRealRadioOrdering(t *testing.T) {
 	p := testParams()
 	p.Radio = radio.CC2420()
 	losses := channel.LossGrid(40, 95, 111)
-	ths, err := Thresholds(p, losses)
+	ths, err := ThresholdsCtx(context.Background(), p, losses)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,7 +96,7 @@ type Params struct {
 	IncludeShutdownLeakage bool
 
 	// Workers bounds the goroutines used by the sweep entry points
-	// (RunCaseStudy, EnergyVsPathLoss, Thresholds, EnergyVsPayload,
+	// (RunCaseStudy, EnergyVsPathLossCtx, ThresholdsCtx, EnergyVsPayload,
 	// EvaluateBatch): 1 runs serially, 0 (or negative) uses
 	// runtime.NumCPU(). Results are deterministic — identical at any
 	// worker count — because every task is keyed by its grid index and
