@@ -98,10 +98,9 @@ const (
 // across runs (ResultSet.Encode); a canceled ctx stops the plan promptly
 // with ctx.Err(). Validation failures return a field-scoped *query.Error.
 //
-// Run is the single entry point the rest of the public surface is built
-// on: the classic facade functions below are thin wrappers over it, the
-// HTTP service exposes it as POST /v2/query, and cmd/wsn-query drives it
-// from the command line.
+// Run is the declarative entry point: the HTTP service exposes it as POST
+// /v2/query and cmd/wsn-query drives it from the command line. The classic
+// facade functions below call the engine functions that Run's plans call.
 func Run(ctx context.Context, q Query) (*ResultSet, error) { return query.Run(ctx, q) }
 
 // RunStream is Run with per-task streaming: yield receives every
@@ -122,19 +121,8 @@ const AutoTXLevel = core.AutoTXLevel
 // 120-byte packets at 43% load.
 func DefaultParams() Params { return core.DefaultParams() }
 
-// Evaluate runs the analytical model (eqs. 3-14). It is a thin wrapper
-// over Run with a single-evaluation Query.
-func Evaluate(p Params) (Metrics, error) {
-	rs, err := Run(context.Background(), Query{
-		Kind:    KindEvaluate,
-		Workers: p.Workers,
-		Direct:  &query.Direct{Params: &p},
-	})
-	if err != nil {
-		return Metrics{}, err
-	}
-	return rs.Results[0].Metrics.Metrics(), nil
-}
+// Evaluate runs the analytical model (eqs. 3-14).
+func Evaluate(p Params) (Metrics, error) { return core.Evaluate(p) }
 
 // EvaluateBatch evaluates many parameter sets concurrently on a worker pool
 // and returns the metrics in input order. The pool is sized to the largest
@@ -158,19 +146,7 @@ func EvaluateBatch(ctx context.Context, ps []Params) ([]Metrics, error) {
 			workers = p.Workers
 		}
 	}
-	rs, err := Run(ctx, Query{
-		Kind:    KindBatch,
-		Workers: workers,
-		Direct:  &query.Direct{Batch: ps},
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Metrics, len(rs.Results))
-	for i := range rs.Results {
-		out[i] = rs.Results[i].Metrics.Metrics()
-	}
-	return out, nil
+	return core.EvaluateBatch(ctx, workers, ps)
 }
 
 // ContentionCacheReset drops the process-wide memoized Monte-Carlo
@@ -197,18 +173,10 @@ func Thresholds(p Params, losses []float64) ([]Threshold, error) {
 	return ThresholdsCtx(context.Background(), p, losses)
 }
 
-// ThresholdsCtx is Thresholds with cancellation. It wraps Run with a
-// thresholds Query.
+// ThresholdsCtx is Thresholds with cancellation. A nil losses grid selects
+// the case-study population grid.
 func ThresholdsCtx(ctx context.Context, p Params, losses []float64) ([]Threshold, error) {
-	rs, err := Run(ctx, Query{
-		Kind:    KindThresholds,
-		Workers: p.Workers,
-		Direct:  &query.Direct{Params: &p, Losses: losses},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rs.Results[0].Value().([]Threshold), nil
+	return core.ThresholdsCtx(ctx, p, lossesOrDefault(losses))
 }
 
 // EnergyVsPathLoss evaluates energy per bit across a path-loss grid for
@@ -217,18 +185,19 @@ func EnergyVsPathLoss(p Params, losses []float64) ([]EnergyCurve, error) {
 	return EnergyVsPathLossCtx(context.Background(), p, losses)
 }
 
-// EnergyVsPathLossCtx is EnergyVsPathLoss with cancellation. It wraps Run
-// with a pathloss-sweep Query.
+// EnergyVsPathLossCtx is EnergyVsPathLoss with cancellation. A nil losses
+// grid selects the case-study population grid.
 func EnergyVsPathLossCtx(ctx context.Context, p Params, losses []float64) ([]EnergyCurve, error) {
-	rs, err := Run(ctx, Query{
-		Kind:    KindPathLossSweep,
-		Workers: p.Workers,
-		Direct:  &query.Direct{Params: &p, Losses: losses},
-	})
-	if err != nil {
-		return nil, err
+	return core.EnergyVsPathLossCtx(ctx, p, lossesOrDefault(losses))
+}
+
+// lossesOrDefault resolves the path-loss facades' grid: nil selects the
+// case-study population grid, as a pathloss-sweep Query without losses does.
+func lossesOrDefault(losses []float64) []float64 {
+	if losses == nil {
+		return query.DefaultLossGrid()
 	}
-	return rs.Results[0].Value().([]EnergyCurve), nil
+	return losses
 }
 
 // AdaptationSavings reports the energy saved by link adaptation versus
@@ -242,18 +211,13 @@ func EnergyVsPayload(p Params, sizes []int) (stats.Series, error) {
 	return EnergyVsPayloadCtx(context.Background(), p, sizes)
 }
 
-// EnergyVsPayloadCtx is EnergyVsPayload with cancellation. It wraps Run
-// with a payload-sweep Query.
+// EnergyVsPayloadCtx is EnergyVsPayload with cancellation. Nil sizes
+// select the Fig. 8 grid.
 func EnergyVsPayloadCtx(ctx context.Context, p Params, sizes []int) (stats.Series, error) {
-	rs, err := Run(ctx, Query{
-		Kind:    KindPayloadSweep,
-		Workers: p.Workers,
-		Direct:  &query.Direct{Params: &p, Payloads: sizes},
-	})
-	if err != nil {
-		return stats.Series{}, err
+	if sizes == nil {
+		sizes = query.DefaultPayloadSizes()
 	}
-	return rs.Results[0].Value().(stats.Series), nil
+	return core.EnergyVsPayloadCtx(ctx, p, sizes)
 }
 
 // OptimalPayload reports the energy-optimal payload size.
@@ -270,18 +234,9 @@ func RunCaseStudy(p Params, cfg CaseStudyConfig) (CaseStudyResult, error) {
 }
 
 // RunCaseStudyCtx is RunCaseStudy with cancellation: a canceled ctx stops
-// the population sweep promptly with ctx.Err(). It wraps Run with a
-// casestudy Query.
+// the population sweep promptly with ctx.Err().
 func RunCaseStudyCtx(ctx context.Context, p Params, cfg CaseStudyConfig) (CaseStudyResult, error) {
-	rs, err := Run(ctx, Query{
-		Kind:    KindCaseStudy,
-		Workers: p.Workers,
-		Direct:  &query.Direct{Params: &p, CaseStudy: &cfg},
-	})
-	if err != nil {
-		return CaseStudyResult{}, err
-	}
-	return rs.Results[0].Value().(CaseStudyResult), nil
+	return core.RunCaseStudyCtx(ctx, p, cfg)
 }
 
 // EvaluateImprovements runs the §5 radio-architecture ablations.
@@ -301,39 +256,17 @@ func SimulateContention(cfg ContentionConfig) ContentionResult {
 	return contention.Simulate(cfg)
 }
 
-// Simulate runs the cycle-accurate discrete-event network simulation. It
-// wraps Run with a simulate Query.
-func Simulate(cfg SimConfig) SimResult {
-	rs, err := Run(context.Background(), Query{
-		Kind:   KindSimulate,
-		Direct: &query.Direct{Sim: &cfg},
-	})
-	if err != nil {
-		// Unreachable with a background context (the simulator itself
-		// cannot fail); keep the legacy direct path rather than panicking.
-		return netsim.Run(cfg)
-	}
-	return rs.Results[0].Value().(SimResult)
-}
+// Simulate runs the cycle-accurate discrete-event network simulation.
+func Simulate(cfg SimConfig) SimResult { return netsim.Run(cfg) }
 
 // SimulateReplicas runs n independent replications of cfg concurrently on
 // workers goroutines (0 ⇒ NumCPU) and merges them into across-replica mean
 // and 95% confidence statistics. Replica 0 keeps cfg.Seed — a 1-replica
 // run reproduces Simulate(cfg) — and the remaining seeds derive from it,
 // so any replica count reuses the same random streams. A canceled ctx
-// stops the batch promptly with ctx.Err(). It wraps Run with a replicas
-// Query.
+// stops the batch promptly with ctx.Err().
 func SimulateReplicas(ctx context.Context, cfg SimConfig, n, workers int) (SimReplicaSet, error) {
-	rs, err := Run(ctx, Query{
-		Kind:     KindReplicas,
-		Replicas: n,
-		Workers:  workers,
-		Direct:   &query.Direct{Sim: &cfg},
-	})
-	if err != nil {
-		return SimReplicaSet{}, err
-	}
-	return rs.Value().(SimReplicaSet), nil
+	return netsim.RunReplicas(ctx, cfg, n, workers)
 }
 
 // Re-exported scenario-catalog types. A Scenario is a declarative
@@ -357,18 +290,9 @@ func ScenarioByName(name string) (Scenario, bool) { return scenario.ByName(name)
 
 // RunScenario pushes one scenario through both the analytical model and
 // the discrete-event simulator and scores their agreement. Results are
-// bit-identical at any worker count (0 ⇒ NumCPU). It wraps Run with a
-// scenario Query.
+// bit-identical at any worker count (0 ⇒ NumCPU).
 func RunScenario(ctx context.Context, sc Scenario, workers int) (*ScenarioResult, error) {
-	rs, err := Run(ctx, Query{
-		Kind:    KindScenario,
-		Workers: workers,
-		Direct:  &query.Direct{Scenario: &sc},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rs.Results[0].Value().(*ScenarioResult), nil
+	return scenario.Run(ctx, sc, workers)
 }
 
 // ScenarioGolden returns the committed golden-file bytes for a scenario.
@@ -383,21 +307,12 @@ func DiffScenario(fresh *ScenarioResult) (ScenarioDiff, error) { return scenario
 func Experiments() []Experiment { return experiments.All() }
 
 // RunExperiment executes one driver by name (e.g. "fig6", "casestudy").
-// It wraps Run with an experiment Query.
 func RunExperiment(name string, opt ExperimentOpts) ([]*Table, error) {
-	if _, ok := experiments.ByName(name); !ok {
+	e, ok := experiments.ByName(name)
+	if !ok {
 		return nil, errUnknownExperiment(name)
 	}
-	rs, err := Run(context.Background(), Query{
-		Kind:       KindExperiment,
-		Experiment: name,
-		Workers:    opt.Workers,
-		Direct:     &query.Direct{ExperimentOpts: &opt},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rs.Results[0].Value().([]*Table), nil
+	return e.Run(opt)
 }
 
 // ServeConfig configures the HTTP batch-evaluation service front-end (see

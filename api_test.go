@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"dense802154"
+	"dense802154/internal/query"
 )
 
 func TestFacadeEvaluate(t *testing.T) {
@@ -184,5 +185,77 @@ func TestFacadeExperiments(t *testing.T) {
 		t.Fatal("unknown experiment accepted")
 	} else if !strings.Contains(err.Error(), "nope") {
 		t.Fatalf("error message %q", err)
+	}
+}
+
+// TestFacadesHonorCanceledContext: every ctx-taking entry point of the
+// public surface returns context.Canceled on a context canceled before the
+// call.
+func TestFacadesHonorCanceledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	p := quickP()
+	losses := []float64{60, 75, 90}
+	cfg := dense802154.DefaultCaseStudy()
+	cfg.LossGridPoints = 9
+	sim := dense802154.SimConfig{Nodes: 10, Superframes: 4, Seed: 2}
+	sc, ok := dense802154.ScenarioByName("sparse-idle")
+	if !ok {
+		t.Fatal("catalog scenario missing")
+	}
+	evaluate := dense802154.Query{Kind: dense802154.KindEvaluate}
+	for _, c := range []struct {
+		name string
+		call func() error
+	}{
+		{"Run", func() error { _, err := dense802154.Run(ctx, evaluate); return err }},
+		{"RunStream", func() error {
+			_, err := dense802154.RunStream(ctx, evaluate, func(dense802154.TaskResult) error { return nil })
+			return err
+		}},
+		{"EvaluateBatch", func() error { _, err := dense802154.EvaluateBatch(ctx, []dense802154.Params{p, p}); return err }},
+		{"ThresholdsCtx", func() error { _, err := dense802154.ThresholdsCtx(ctx, p, losses); return err }},
+		{"EnergyVsPathLossCtx", func() error { _, err := dense802154.EnergyVsPathLossCtx(ctx, p, losses); return err }},
+		{"EnergyVsPayloadCtx", func() error { _, err := dense802154.EnergyVsPayloadCtx(ctx, p, []int{20, 60}); return err }},
+		{"RunCaseStudyCtx", func() error { _, err := dense802154.RunCaseStudyCtx(ctx, p, cfg); return err }},
+		{"SimulateReplicas", func() error { _, err := dense802154.SimulateReplicas(ctx, sim, 3, 2); return err }},
+		{"RunScenario", func() error { _, err := dense802154.RunScenario(ctx, sc, 2); return err }},
+	} {
+		if err := c.call(); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s on a canceled context: err = %v, want context.Canceled", c.name, err)
+		}
+	}
+}
+
+// TestFacadeNilGridsSelectDefaults: a nil grid selects the default the
+// matching query kind uses without an axis — the case-study population
+// grid for the path-loss facades, the Fig. 8 sizes for EnergyVsPayload.
+func TestFacadeNilGridsSelectDefaults(t *testing.T) {
+	p := quickP()
+	lossGrid := query.DefaultLossGrid()
+	curves, err := dense802154.EnergyVsPathLoss(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(curves) == 0 || !reflect.DeepEqual(curves[0].LossDB, lossGrid) {
+		t.Fatal("EnergyVsPathLoss(p, nil) does not sweep the case-study population grid")
+	}
+	nilThs, err := dense802154.Thresholds(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ths, err := dense802154.Thresholds(p, lossGrid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(nilThs, ths) {
+		t.Fatal("Thresholds(p, nil) deviates from the case-study population grid")
+	}
+	series, err := dense802154.EnergyVsPayload(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if series.Len() != len(query.DefaultPayloadSizes()) {
+		t.Fatalf("EnergyVsPayload(p, nil) swept %d sizes, want the %d Fig. 8 sizes", series.Len(), len(query.DefaultPayloadSizes()))
 	}
 }

@@ -101,7 +101,7 @@ func run(out io.Writer, file string, workers int, stream, planOnly, trace bool) 
 		}
 		return fmt.Errorf("malformed query: %w", err)
 	}
-	if dec.More() {
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
 		return errors.New("trailing data after query document")
 	}
 	if workers > 0 {

@@ -87,17 +87,21 @@ func TestPaperRecipesMatchRun(t *testing.T) {
 	}
 }
 
-// TestRejectsTrailingData pins the /v2/query decoding rule: a second
-// document after the query is an error, not silently dropped.
+// TestRejectsTrailingData pins the /v2/query decoding rule: anything but
+// whitespace after the query — a second document, a stray closing brace or
+// bracket — is an error, not silently dropped.
 func TestRejectsTrailingData(t *testing.T) {
-	file := writeQuery(t, `{"kind":"evaluate","params":{"payload_bytes":60}} {"kind":"grid"}`)
-	var out bytes.Buffer
-	err := run(&out, file, 1, false, false, false)
-	if err == nil || !strings.Contains(err.Error(), "trailing data") {
-		t.Fatalf("err = %v, want a trailing-data error", err)
-	}
-	if out.Len() != 0 {
-		t.Fatalf("wrote %q before rejecting the document", out.Bytes())
+	const doc = `{"kind":"evaluate","params":{"payload_bytes":60}}`
+	for _, trailer := range []string{` {"kind":"grid"}`, `}`, `]`, " }\n"} {
+		file := writeQuery(t, doc+trailer)
+		var out bytes.Buffer
+		err := run(&out, file, 1, false, false, false)
+		if err == nil || !strings.Contains(err.Error(), "trailing data") {
+			t.Fatalf("trailer %q: err = %v, want a trailing-data error", trailer, err)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("trailer %q: wrote %q before rejecting the document", trailer, out.Bytes())
+		}
 	}
 }
 

@@ -55,11 +55,13 @@
 // The per-computation facades — Evaluate, EvaluateBatch, RunCaseStudy,
 // EnergyVsPathLoss, Thresholds, EnergyVsPayload, Simulate,
 // SimulateReplicas, RunScenario, RunExperiment and their *Ctx variants —
-// are thin wrappers over Run, kept for typed convenience and backward
-// compatibility. They are maintained but frozen: new capability lands as
-// Query fields and kinds, and the committed api_surface.golden test pins
-// the exported surface so accidental breaking changes fail CI with a
-// reviewable diff.
+// take typed Go arguments and call the engine function the matching query
+// kind's plan runs (core, netsim, scenario or the experiment driver), so a
+// facade and a Run of the equivalent Query answer the same values. They
+// are kept for typed convenience and backward compatibility, maintained
+// but frozen: new capability lands as Query fields and kinds, and the
+// committed api_surface.golden test pins the exported surface so
+// accidental breaking changes fail CI with a reviewable diff.
 //
 //	p := dense802154.DefaultParams()
 //	m, err := dense802154.Evaluate(p) // ≡ Run(ctx, Query{Kind: KindEvaluate, ...})
@@ -476,8 +478,8 @@
 // points that run the same bodies. cmd/wsn-bench writes a JSON report of
 // ns/op, B/op and allocs/op per kernel:
 //
-//	go run ./cmd/wsn-bench -out BENCH_PR21.json   # refresh the baseline
-//	go run ./cmd/wsn-bench -diff BENCH_PR21.json  # compare a fresh run
+//	go run ./cmd/wsn-bench -out BENCH_PR23.json   # refresh the baseline
+//	go run ./cmd/wsn-bench -diff BENCH_PR23.json  # compare a fresh run
 //
 // and the root package's BenchmarkKernels runs each kernel as a
 // sub-benchmark (-short selects the -quick sizes), for ns/op medians and

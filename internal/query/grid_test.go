@@ -324,14 +324,15 @@ func TestExecuteRangeRejectsBadRange(t *testing.T) {
 	}
 }
 
-// TestExecuteZeroTaskPlan: a zero-task plan (an empty Direct batch) runs
-// through Execute's task loop without tripping ExecuteRange's range check:
-// no yield, no results, an empty trace.
+// TestExecuteZeroTaskPlan: a zero-task plan runs through Execute's task
+// loop without tripping ExecuteRange's range check: no yield, no results,
+// an empty trace. Compile never builds one (an empty batch is a 400), so
+// the plan is a literal.
 func TestExecuteZeroTaskPlan(t *testing.T) {
-	plan, err := Compile(Query{Kind: KindBatch, Trace: true, Direct: &Direct{}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := &Plan{Kind: KindBatch, Trace: true, exec: exec{metrics: true, run: func(context.Context, int, int, *MetricsWire) (TaskResult, error) {
+		t.Error("run called for a zero-task plan")
+		return TaskResult{}, nil
+	}}}
 	rs, err := plan.Execute(context.Background(), 2, func(TaskResult) error {
 		t.Error("yield called for a zero-task plan")
 		return nil

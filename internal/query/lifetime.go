@@ -225,7 +225,7 @@ func WireLifetimeSummary(rs lifetime.ReplicaSet) LifetimeSummaryWire {
 // across-replica summary — the same shape buildReplicas gives simulation
 // replicas, so distributed sharding and the store work unchanged.
 func (q *Query) buildLifetime() (exec, *Error) {
-	simCfg, aerr := q.simConfig()
+	simCfg, aerr := q.Sim.Config()
 	if aerr != nil {
 		return exec{}, aerr
 	}

@@ -41,10 +41,11 @@ type TaskResult struct {
 	Scenario   *ScenarioReportWire   `json:"scenario,omitempty"`
 	Experiment *ExperimentReportWire `json:"experiment,omitempty"`
 
-	// value is the in-process model result the facade wrappers unwrap for
-	// the kinds whose wire payload does not carry it exactly; it does not
-	// travel on the wire. Metrics payloads leave it nil: Value derives
-	// their core.Metrics from the payload.
+	// value is the in-process model result of a task this process
+	// computed, kept for Value and for the replicas and lifetime assembly
+	// steps. It does not travel on the wire and is not stored, so decoded
+	// and store-hit results leave it nil. Metrics payloads leave it nil
+	// too: Value derives their core.Metrics from the payload.
 	value any
 }
 
@@ -138,7 +139,10 @@ type ResultSet struct {
 }
 
 // Value returns the merged in-process result (netsim.ReplicaSet for kind
-// replicas, lifetime.ReplicaSet for kind lifetime, nil otherwise).
+// replicas, lifetime.ReplicaSet for kind lifetime, nil otherwise). It is
+// nil as well when the set was assembled from wire payloads: after an
+// Execute with a Store attached, and after Assemble. The Summary and
+// LifetimeSummary blocks are set either way.
 func (rs *ResultSet) Value() any { return rs.value }
 
 // Encode renders the byte-stable JSON form: compact, HTML escaping off,
@@ -564,38 +568,23 @@ func RunStream(ctx context.Context, q Query, yield func(TaskResult) error) (*Res
 
 // ---- per-kind builders (called by Compile only) ----
 
-// basePoint is a query's compiled analytic base point. It compiles at one
-// worker per level and takes its worker grant per run (granted), so one
-// compiled point serves every execution.
-type basePoint struct {
-	p      core.Params
-	direct bool // Direct params run verbatim, grant and all
-}
-
-// baseParams materializes the shared analytic base point: the Direct value
-// verbatim when present, the declarative spec (defaulting to the paper's §5
-// configuration) otherwise.
-func (q *Query) baseParams() (basePoint, *Error) {
-	if q.Direct != nil && q.Direct.Params != nil {
-		return basePoint{p: *q.Direct.Params, direct: true}, nil
-	}
+// baseParams materializes the shared analytic base point from the
+// declarative spec (defaulting to the paper's §5 configuration). It compiles
+// at one worker per level; each run applies its worker grant with granted,
+// so one compiled point serves every execution.
+func (q *Query) baseParams() (core.Params, *Error) {
 	w := q.Params
 	if w == nil {
 		w = &ParamsWire{}
 	}
-	p, aerr := w.Params(1, 1)
-	return basePoint{p: p}, aerr
+	return w.Params(1, 1)
 }
 
-// granted returns the base point under a worker grant: workers for the
+// granted returns base point p under a worker grant: workers for the
 // model's sweep level, mcWorkers for its Monte-Carlo contention
 // characterization (ParamsWire.Params explains why the two levels split
 // one grant).
-func (b basePoint) granted(workers, mcWorkers int) core.Params {
-	p := b.p
-	if b.direct {
-		return p
-	}
+func granted(p core.Params, workers, mcWorkers int) core.Params {
 	p.Workers = workers
 	if mc, ok := p.Contention.(*contention.MCSource); ok && mc.Base.Workers != mcWorkers {
 		cfg := mc.Base
@@ -624,32 +613,25 @@ func (q *Query) buildEvaluate() (exec, *Error) {
 	// A lone evaluation has no sweep level, so the whole grant goes to its
 	// Monte-Carlo contention characterization (as /v1/evaluate did).
 	return exec{labels: []string{string(KindEvaluate)}, metrics: true, run: func(_ context.Context, workers, _ int, mw *MetricsWire) (TaskResult, error) {
-		return evaluateTask(base.granted(workers, workers), mw)
+		return evaluateTask(granted(base, workers, workers), mw)
 	}}, nil
 }
 
 func (q *Query) buildBatch() (exec, *Error) {
-	var ps []core.Params
-	if q.Direct != nil {
-		// Direct batches arrive pre-validated from the in-process facade;
-		// an empty one is a legal no-op (as core.EvaluateBatch treats it).
-		ps = q.Direct.Batch
-	} else {
-		if len(q.Batch) == 0 {
-			return exec{}, errf("batch", "empty batch: need at least one element")
+	if len(q.Batch) == 0 {
+		return exec{}, errf("batch", "empty batch: need at least one element")
+	}
+	if len(q.Batch) > MaxBatch {
+		return exec{}, errf("batch", "batch too large (%d elements, max %d)", len(q.Batch), MaxBatch)
+	}
+	ps := make([]core.Params, len(q.Batch))
+	for i, pw := range q.Batch {
+		p, aerr := pw.Params(1, 1)
+		if aerr != nil {
+			aerr.Field = "batch[" + strconv.Itoa(i) + "]." + aerr.Field
+			return exec{}, aerr
 		}
-		if len(q.Batch) > MaxBatch {
-			return exec{}, errf("batch", "batch too large (%d elements, max %d)", len(q.Batch), MaxBatch)
-		}
-		ps = make([]core.Params, len(q.Batch))
-		for i, pw := range q.Batch {
-			p, aerr := pw.Params(1, 1)
-			if aerr != nil {
-				aerr.Field = "batch[" + strconv.Itoa(i) + "]." + aerr.Field
-				return exec{}, aerr
-			}
-			ps[i] = p
-		}
+		ps[i] = p
 	}
 	return exec{labels: indexLabels("batch", len(ps)), metrics: true, run: func(_ context.Context, _, i int, mw *MetricsWire) (TaskResult, error) {
 		return evaluateTask(ps[i], mw)
@@ -657,22 +639,16 @@ func (q *Query) buildBatch() (exec, *Error) {
 }
 
 func (q *Query) buildCaseStudy() (exec, *Error) {
-	var cfg core.CaseStudyConfig
-	if q.Direct != nil && q.Direct.CaseStudy != nil {
-		cfg = *q.Direct.CaseStudy
-	} else {
-		var aerr *Error
-		cfg, aerr = q.Config.Config()
-		if aerr != nil {
-			return exec{}, aerr
-		}
+	cfg, aerr := q.Config.Config()
+	if aerr != nil {
+		return exec{}, aerr
 	}
 	base, aerr := q.baseParams()
 	if aerr != nil {
 		return exec{}, aerr
 	}
 	return single(string(KindCaseStudy), func(ctx context.Context, workers int) (TaskResult, error) {
-		res, err := core.RunCaseStudyCtx(ctx, base.granted(workers, 1), cfg)
+		res, err := core.RunCaseStudyCtx(ctx, granted(base, workers, 1), cfg)
 		if err != nil {
 			return TaskResult{}, err
 		}
@@ -681,8 +657,8 @@ func (q *Query) buildCaseStudy() (exec, *Error) {
 	}), nil
 }
 
-// lossGrid resolves the loss axis: Direct grid, declarative axis, or the
-// case-study population default.
+// lossGrid resolves the loss axis: the v1 routes' Direct losses, the
+// declarative axis, or the case-study population default.
 func (q *Query) lossGrid() ([]float64, *Error) {
 	if q.Direct != nil && q.Direct.Losses != nil {
 		return q.Direct.Losses, nil
@@ -700,7 +676,7 @@ func (q *Query) buildPathLossSweep() (exec, *Error) {
 		return exec{}, aerr
 	}
 	return single(string(KindPathLossSweep), func(ctx context.Context, workers int) (TaskResult, error) {
-		curves, err := core.EnergyVsPathLossCtx(ctx, base.granted(workers, 1), losses)
+		curves, err := core.EnergyVsPathLossCtx(ctx, granted(base, workers, 1), losses)
 		if err != nil {
 			return TaskResult{}, err
 		}
@@ -722,7 +698,7 @@ func (q *Query) buildThresholds() (exec, *Error) {
 		return exec{}, aerr
 	}
 	return single(string(KindThresholds), func(ctx context.Context, workers int) (TaskResult, error) {
-		ths, err := core.ThresholdsCtx(ctx, base.granted(workers, 1), losses)
+		ths, err := core.ThresholdsCtx(ctx, granted(base, workers, 1), losses)
 		if err != nil {
 			return TaskResult{}, err
 		}
@@ -735,22 +711,16 @@ func (q *Query) buildThresholds() (exec, *Error) {
 }
 
 func (q *Query) buildPayloadSweep() (exec, *Error) {
-	var sizes []int
-	if q.Direct != nil && q.Direct.Payloads != nil {
-		sizes = q.Direct.Payloads
-	} else {
-		var aerr *Error
-		sizes, aerr = q.Payloads.Grid("payloads", DefaultPayloadSizes)
-		if aerr != nil {
-			return exec{}, aerr
-		}
+	sizes, aerr := q.Payloads.Grid("payloads", DefaultPayloadSizes)
+	if aerr != nil {
+		return exec{}, aerr
 	}
 	base, aerr := q.baseParams()
 	if aerr != nil {
 		return exec{}, aerr
 	}
 	return single(string(KindPayloadSweep), func(ctx context.Context, workers int) (TaskResult, error) {
-		series, err := core.EnergyVsPayloadCtx(ctx, base.granted(workers, 1), sizes)
+		series, err := core.EnergyVsPayloadCtx(ctx, granted(base, workers, 1), sizes)
 		if err != nil {
 			return TaskResult{}, err
 		}
@@ -759,16 +729,8 @@ func (q *Query) buildPayloadSweep() (exec, *Error) {
 	}), nil
 }
 
-// simConfig materializes the simulator configuration.
-func (q *Query) simConfig() (netsim.Config, *Error) {
-	if q.Direct != nil && q.Direct.Sim != nil {
-		return *q.Direct.Sim, nil
-	}
-	return q.Sim.Config()
-}
-
 func (q *Query) buildSimulate() (exec, *Error) {
-	cfg, aerr := q.simConfig()
+	cfg, aerr := q.Sim.Config()
 	if aerr != nil {
 		return exec{}, aerr
 	}
@@ -780,17 +742,15 @@ func (q *Query) buildSimulate() (exec, *Error) {
 }
 
 // replicaCount validates and resolves a query's replica count (default 1).
-// The bound protects the wire surface; in-process facade callers (Direct)
-// keep the unbounded legacy semantics.
 func (q *Query) replicaCount() (int, *Error) {
-	if q.Direct == nil && (q.Replicas < 0 || q.Replicas > MaxReplicas) {
+	if q.Replicas < 0 || q.Replicas > MaxReplicas {
 		return 0, errf("replicas", "%d outside 0..%d", q.Replicas, MaxReplicas)
 	}
 	return max(q.Replicas, 1), nil
 }
 
 func (q *Query) buildReplicas() (exec, *Error) {
-	cfg, aerr := q.simConfig()
+	cfg, aerr := q.Sim.Config()
 	if aerr != nil {
 		return exec{}, aerr
 	}
@@ -836,19 +796,13 @@ func (q *Query) buildReplicas() (exec, *Error) {
 }
 
 func (q *Query) buildScenario() (exec, *Error) {
-	var sc scenario.Scenario
-	if q.Direct != nil && q.Direct.Scenario != nil {
-		sc = *q.Direct.Scenario
-	} else {
-		if q.Scenario == "" {
-			return exec{}, errf("scenario", "missing scenario name")
-		}
-		var ok bool
-		sc, ok = scenario.ByName(q.Scenario)
-		if !ok {
-			return exec{}, errf("scenario", "unknown scenario %q (known: %s)",
-				q.Scenario, strings.Join(scenario.Names(), ", "))
-		}
+	if q.Scenario == "" {
+		return exec{}, errf("scenario", "missing scenario name")
+	}
+	sc, ok := scenario.ByName(q.Scenario)
+	if !ok {
+		return exec{}, errf("scenario", "unknown scenario %q (known: %s)",
+			q.Scenario, strings.Join(scenario.Names(), ", "))
 	}
 	diff := q.Diff
 	return single(string(KindScenario), func(ctx context.Context, workers int) (TaskResult, error) {
@@ -877,24 +831,16 @@ func (q *Query) buildExperiment() (exec, *Error) {
 		return exec{}, errf("experiment", "unknown experiment %q (known: %s)",
 			q.Experiment, strings.Join(experiments.Names(), ", "))
 	}
-	var opt experiments.Options
-	direct := q.Direct != nil && q.Direct.ExperimentOpts != nil
-	if direct {
-		opt = *q.Direct.ExperimentOpts
-	} else {
-		opt = experiments.DefaultOptions()
-		opt.Quick = q.Quick
-		if q.Seed != nil {
-			opt.Seed = *q.Seed
-		}
+	opt := experiments.DefaultOptions()
+	opt.Quick = q.Quick
+	if q.Seed != nil {
+		opt.Seed = *q.Seed
 	}
 	name := q.Experiment
 	return single(string(KindExperiment)+":"+name, func(ctx context.Context, workers int) (TaskResult, error) {
 		o := opt
-		if !direct {
-			o.Context = ctx
-			o.Workers = workers
-		}
+		o.Context = ctx
+		o.Workers = workers
 		tables, err := e.Run(o)
 		if err != nil {
 			return TaskResult{}, err
@@ -935,11 +881,10 @@ func appendGridLabel(b []byte, i int, loss float64, payload, bo, n int) []byte {
 // axes collapse to the base point: a grid over losses only is the batch of
 // evaluations a client would otherwise page by hand.
 func (q *Query) buildGrid() (exec, *Error) {
-	bp, aerr := q.baseParams()
+	base, aerr := q.baseParams()
 	if aerr != nil {
 		return exec{}, aerr
 	}
-	base := bp.p
 	losses, aerr := q.Losses.Grid("losses", func() []float64 { return []float64{base.PathLossDB} })
 	if aerr != nil {
 		return exec{}, aerr

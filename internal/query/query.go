@@ -26,8 +26,8 @@
 // (internal/wire.Float everywhere a float travels).
 //
 // Every consumer speaks this one type: dense802154.Run / RunStream wrap it
-// in-process (the legacy facade functions are thin wrappers over Run),
-// internal/service exposes it as POST /v2/query and /v2/query/stream, and
+// in-process, internal/service exposes it as POST /v2/query and
+// /v2/query/stream (and lowers the frozen v1 routes onto it), and
 // cmd/wsn-query drives it from the command line. A new scenario axis is a
 // new Query field — not a new function, endpoint, codec and flag set.
 package query
@@ -38,8 +38,6 @@ import (
 	"dense802154/internal/channel"
 	"dense802154/internal/core"
 	"dense802154/internal/experiments"
-	"dense802154/internal/netsim"
-	"dense802154/internal/scenario"
 )
 
 // Version is the wire version this package implements; requests may carry
@@ -142,7 +140,7 @@ func (a *Axis) Grid(field string, def func() []float64) ([]float64, *Error) {
 		if !(step > 0) || math.IsInf(step, 0) {
 			return nil, errf(field+".step", "%g not a positive finite step", step)
 		}
-		if (to-from)/step > MaxGridPoints {
+		if (to-from)/step >= MaxGridPoints {
 			return nil, errf(field+".step", "step %g yields more than %d points", step, MaxGridPoints)
 		}
 		var out []float64
@@ -214,19 +212,14 @@ func (a *IntAxis) Grid(field string, def func() []int) ([]int, *Error) {
 	return out, nil
 }
 
-// Direct carries pre-materialized model inputs past the declarative specs.
-// The legacy facade functions use it to route through Run without forcing
-// their typed arguments (interface-valued BER models, custom deployments,
-// arbitrary grids) through the wire codecs; it never travels over the wire.
+// Direct carries the loss grid of the frozen POST /v1/sweep/pathloss and
+// /v1/sweep/thresholds routes past the losses Axis. v1 computes non-finite
+// losses, which Axis rejects, so its list cannot travel as an Axis. Losses
+// replaces the losses axis of kinds pathloss-sweep and thresholds. Direct
+// never travels over the wire, and a query carrying it has no canonical
+// form, so it is never cached.
 type Direct struct {
-	Params         *core.Params
-	Batch          []core.Params
-	CaseStudy      *core.CaseStudyConfig
-	Sim            *netsim.Config
-	Losses         []float64
-	Payloads       []int
-	Scenario       *scenario.Scenario
-	ExperimentOpts *experiments.Options
+	Losses []float64
 }
 
 // Query is the one declarative, versioned request type over the model, the
@@ -308,8 +301,8 @@ type Query struct {
 	// every task context, locally and across distributed shards.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 
-	// Direct carries pre-materialized inputs for the in-process facade
-	// wrappers; it is not part of the wire form.
+	// Direct carries the v1 path-loss routes' loss grid; it is not part of
+	// the wire form.
 	Direct *Direct `json:"-"`
 }
 

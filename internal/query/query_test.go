@@ -60,6 +60,31 @@ func TestAxisRangeStep(t *testing.T) {
 	}
 }
 
+// TestAxisRangeStepCap: the step form caps at MaxGridPoints points, like
+// the points and values forms.
+func TestAxisRangeStepCap(t *testing.T) {
+	from, step := Float(0), Float(1)
+	for _, c := range []struct {
+		to     Float
+		points int // 0: rejected
+	}{
+		{MaxGridPoints - 1, MaxGridPoints},
+		{MaxGridPoints, 0},
+	} {
+		to := c.to
+		got, aerr := (&Axis{From: &from, To: &to, Step: &step}).Grid("x", nil)
+		if c.points == 0 {
+			if aerr == nil {
+				t.Fatalf("0..%g step 1 accepted with %d points", float64(to), len(got))
+			}
+			continue
+		}
+		if aerr != nil || len(got) != c.points {
+			t.Fatalf("0..%g step 1: %d points, err %v; want %d", float64(to), len(got), aerr, c.points)
+		}
+	}
+}
+
 func TestAxisRejectsNonFinite(t *testing.T) {
 	inf := Float(1)
 	for _, a := range []*Axis{

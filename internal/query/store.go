@@ -46,9 +46,9 @@ type TaskStore interface {
 // The encoding itself is the repository's byte-stable JSON form (compact,
 // HTML escaping off, fixed struct field order, wire.Float floats, trailing
 // newline), so equal queries always produce equal bytes. The second return
-// is false when the query is not cacheable: a Direct query carries
-// in-process inputs (interface-valued BER models, custom deployments) that
-// have no wire form and therefore no canonical bytes.
+// is false when the query is not cacheable: Direct losses (the v1
+// path-loss routes' grid, non-finite points included) have no wire form
+// and therefore no canonical bytes.
 func (q Query) Canonical() ([]byte, bool) {
 	if q.Direct != nil {
 		return nil, false

@@ -260,8 +260,9 @@ type payloadSweepRequest struct {
 }
 
 // v1LossSweep is the translator of the two path-loss sweep routes. The loss
-// list travels as Direct.Losses because v1 never ran its grids through the
-// v2 Axis checks (a "NaN" loss is computed, not rejected).
+// list travels as Direct.Losses, the one Direct field, because v1 never ran
+// its grids through the v2 Axis checks (a "NaN" loss is computed, not
+// rejected).
 func v1LossSweep(kind query.Kind, respond func(rs *query.ResultSet) any) v1Route[pathLossSweepRequest] {
 	return v1Route[pathLossSweepRequest]{
 		toQuery: func(_ *http.Request, req *pathLossSweepRequest) (query.Query, *Error) {
@@ -297,8 +298,7 @@ var v1SweepPayload = v1Route[payloadSweepRequest]{
 		if len(sizes) > query.MaxGridPoints {
 			return query.Query{}, &Error{Field: "sizes", Message: "grid too large"}
 		}
-		// Like the losses, the sizes skip the v2 Axis checks.
-		return query.Query{Kind: query.KindPayloadSweep, Params: &req.Params, Workers: req.Params.Workers, Direct: &query.Direct{Payloads: sizes}}, nil
+		return query.Query{Kind: query.KindPayloadSweep, Params: &req.Params, Workers: req.Params.Workers, Payloads: &query.IntAxis{Values: sizes}}, nil
 	},
 	failStatus: http.StatusBadRequest,
 	respond:    func(rs *query.ResultSet) any { return rs.Results[0].Payload },

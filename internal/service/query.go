@@ -65,7 +65,8 @@ func (s *Server) queryContext(r *http.Request) (context.Context, context.CancelF
 
 // resultKey returns the whole-query store key of q when its response bytes
 // are cacheable: a store is configured, the query has a canonical wire form
-// (no Direct inputs) and tracing is off — traces carry measured wall times,
+// (a decoded v2 query always does: Direct is not part of the wire form) and
+// tracing is off — traces carry measured wall times,
 // which are never part of result bytes, so a traced query bypasses the
 // whole-query cache entirely (its per-task results still flow through the
 // plan-level store, which holds no trace data).
@@ -78,7 +79,7 @@ func (s *Server) resultKey(q query.Query) (store.Key, bool) {
 
 // attachStore wires the per-task result store into a compiled plan so
 // execution reuses stored tasks and persists computed ones. Tasks does its
-// own cacheability gating (nil for Direct queries).
+// own cacheability gating (nil for a query without a canonical form).
 func (s *Server) attachStore(q query.Query, plan *query.Plan) {
 	if s.cfg.Store != nil {
 		plan.Store = s.cfg.Store.Tasks(q)

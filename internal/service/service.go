@@ -644,7 +644,7 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 		writeError(w, http.StatusBadRequest, "malformed request: "+err.Error(), "")
 		return false
 	}
-	if dec.More() {
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
 		writeError(w, http.StatusBadRequest, "trailing data after JSON body", "")
 		return false
 	}

@@ -241,6 +241,9 @@ func TestMalformedPayloadsAre400s(t *testing.T) {
 		{"syntax", "/v1/evaluate", `{"params":`, http.StatusBadRequest, ""},
 		{"unknown field", "/v1/evaluate", `{"params":{"paylod_bytes":10}}`, http.StatusBadRequest, ""},
 		{"trailing garbage", "/v1/evaluate", `{"params":{}} extra`, http.StatusBadRequest, ""},
+		{"trailing close brace", "/v1/evaluate", `{"params":{}}}`, http.StatusBadRequest, ""},
+		{"trailing close bracket", "/v1/evaluate", `{"params":{}}]`, http.StatusBadRequest, ""},
+		{"v2 trailing close brace", "/v2/query", `{"kind":"evaluate","params":{}}}`, http.StatusBadRequest, ""},
 		{"bad radio", "/v1/evaluate", `{"params":{"radio":"nrf24"}}`, http.StatusBadRequest, "radio"},
 		{"bad payload", "/v1/evaluate", `{"params":{"payload_bytes":0}}`, http.StatusBadRequest, "params"},
 		{"bad superframe", "/v1/evaluate", `{"params":{"superframe":{"bo":2,"so":9}}}`, http.StatusBadRequest, "superframe"},

@@ -37,8 +37,8 @@ type Key [sha256.Size]byte
 func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
 // KeyFor computes the content key of q. The second return is false when the
-// query has no canonical form (a Direct query carrying in-process inputs)
-// and therefore cannot be cached.
+// query has no canonical form (it carries the v1 path-loss routes' Direct
+// losses) and therefore cannot be cached.
 func KeyFor(q query.Query) (Key, bool) {
 	b, ok := q.Canonical()
 	if !ok {

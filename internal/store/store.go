@@ -146,7 +146,7 @@ func (v *taskView) GetTask(index int) ([]byte, bool)  { return v.s.GetTask(v.key
 func (v *taskView) PutTask(index int, encoded []byte) { v.s.PutTask(v.key, index, encoded) }
 
 // Tasks returns the per-task store view of q for attaching to a compiled
-// Plan (Plan.Store), or nil when q is not cacheable (Direct inputs) or the
+// Plan (Plan.Store), or nil when q is not cacheable (Direct losses) or the
 // store itself is nil — both safe to assign to Plan.Store directly.
 func (s *Store) Tasks(q query.Query) query.TaskStore {
 	if s == nil {
