@@ -15,6 +15,12 @@
 // epoch, at a beacon, under real contention — the fast-forward only skips
 // stretches where the population (and hence the power profile) is
 // provably static.
+//
+// A run binds one netsim.Epochs arena for all its epochs: one pooled
+// simulator, with the deployment sampled by the first epoch and kept from
+// then on. Each epoch writes per-node energy into the run's own slice and
+// aggregates no netsim.Result, so a run's allocations do not grow with its
+// epoch count (TestLifetimeRunAllocBudget).
 package lifetime
 
 import (
@@ -131,8 +137,9 @@ func Run(cfg Config) Result {
 		FirstDeathS: math.Inf(1),
 		PartitionS:  math.Inf(1),
 		LastDeathS:  math.Inf(1),
-		Curve:       []CurvePoint{{TimeS: 0, Alive: n, Frac: 1}},
+		Curve:       make([]CurvePoint, 1, n+1),
 	}
+	res.Curve[0] = CurvePoint{TimeS: 0, Alive: n, Frac: 1}
 
 	unconstrained := !(cfg.Supply.CapacityJ > 0) || math.IsInf(cfg.Supply.CapacityJ, 1)
 	usable := cfg.Supply.CapacityJ - cfg.ThresholdJ
@@ -175,9 +182,12 @@ func Run(cfg Config) Result {
 
 	rem := make([]float64, n) // remaining usable energy [J]
 	budget := make([]float64, n)
+	energy := make([]float64, n) // radio energy spent in the last epoch [J]
 	for i := range rem {
 		rem[i] = usable
 	}
+	epochs := netsim.NewEpochs(epochCfg)
+	defer epochs.Release()
 
 	var t, simulatedS, fastForwardS float64
 	horizonS := cfg.HorizonHours * 3600
@@ -205,11 +215,11 @@ func Run(cfg Config) Result {
 			spec.BudgetJ = budget
 		}
 
-		er := netsim.RunEpoch(epochCfg, spec)
+		deaths := epochs.Run(spec, energy)
 		res.Epochs++
 		simulatedS += epochDurS
 
-		for _, d := range er.Deaths {
+		for _, d := range deaths {
 			rem[d.Node] = 0
 			die(t + d.At.Seconds())
 		}
@@ -229,7 +239,7 @@ func Run(cfg Config) Result {
 			if !alive[i] {
 				continue
 			}
-			rem[i] += ambientW*epochDurS - er.EnergyJ[i]
+			rem[i] += ambientW*epochDurS - energy[i]
 			if rem[i] > usable {
 				rem[i] = usable // a battery cannot charge past full
 			}
@@ -253,7 +263,7 @@ func Run(cfg Config) Result {
 			if !alive[i] {
 				continue
 			}
-			netW := er.EnergyJ[i]/epochDurS - ambientW
+			netW := energy[i]/epochDurS - ambientW
 			if netW <= 0 {
 				continue
 			}
@@ -276,7 +286,7 @@ func Run(cfg Config) Result {
 				if !alive[i] {
 					continue
 				}
-				netW := er.EnergyJ[i]/epochDurS - ambientW
+				netW := energy[i]/epochDurS - ambientW
 				rem[i] -= netW * skip
 				if rem[i] > usable {
 					rem[i] = usable
@@ -288,13 +298,15 @@ func Run(cfg Config) Result {
 	}
 
 	finish(&res, aliveCount, n, simulatedS, fastForwardS)
-	foldRunMetrics(&res)
 	return res
 }
 
+// finish closes every return path of Run: it fills the end-of-run fields
+// and folds the run into the package counters.
 func finish(res *Result, aliveCount, n int, simulatedS, fastForwardS float64) {
 	res.AliveAtEnd = aliveCount
 	res.AliveFracAtEnd = float64(aliveCount) / float64(n)
 	res.SimulatedS = simulatedS
 	res.FastForwardS = fastForwardS
+	foldRunMetrics(res)
 }

@@ -148,6 +148,33 @@ func TestThresholdEatsBattery(t *testing.T) {
 	}
 }
 
+// TestRunTelemetryFold reads the package counters around single runs:
+// every return path of Run folds exactly once, the dead-on-arrival path
+// included.
+func TestRunTelemetryFold(t *testing.T) {
+	doa := testConfig()
+	doa.ThresholdJ = doa.Supply.CapacityJ + 1
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"normal", testConfig()},
+		{"threshold-eats-battery", doa},
+	} {
+		runs0, epochs0, deaths0 := runsTotal.Value(), epochsTotal.Value(), deathsTotal.Value()
+		res := Run(c.cfg)
+		if got := runsTotal.Value() - runs0; got != 1 {
+			t.Errorf("%s: runs_total advanced by %d, want 1", c.name, got)
+		}
+		if got := epochsTotal.Value() - epochs0; got != uint64(res.Epochs) {
+			t.Errorf("%s: epochs_total advanced by %d, want %d", c.name, got, res.Epochs)
+		}
+		if got := deathsTotal.Value() - deaths0; got != uint64(res.Deaths) || res.Deaths != res.Nodes {
+			t.Errorf("%s: deaths_total advanced by %d for %d deaths, want all %d nodes", c.name, got, res.Deaths, res.Nodes)
+		}
+	}
+}
+
 func TestHorizonCapsRun(t *testing.T) {
 	cfg := testConfig()
 	cfg.Supply = battery.CoinCellCR2032() // months of life...

@@ -5,7 +5,7 @@ import "dense802154/internal/telemetry"
 // Package-level run telemetry. The hot loops count into plain int fields on
 // the runner-local env (zero cost beyond the increment); foldRunMetrics
 // moves the totals into these shared atomics exactly once per Run, so the
-// per-run allocation budget (~6 allocs per pooled run) is untouched and the
+// per-run allocation budget (~5 allocs per pooled run) is untouched and the
 // atomics never sit on a per-event path.
 var (
 	runsTotal          telemetry.Counter

@@ -476,9 +476,9 @@ type env struct {
 	contDur, contCCA            stats.Accumulator
 	contCF, contCol             stats.Proportion
 
-	// Lifetime-epoch state (nil on plain runs — see RunEpoch). alive and
+	// Lifetime-epoch state (nil on plain runs — see Epochs). alive and
 	// budgetJ alias the caller's EpochSpec slices; deaths is arena storage
-	// copied out per epoch.
+	// that Epochs.Run hands out as a view.
 	alive   []bool
 	budgetJ []float64
 	deaths  []NodeDeath

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math/rand"
+	"sort"
 	"sync"
 	"time"
 
@@ -96,15 +97,19 @@ func Run(cfg Config) Result {
 
 // Run executes one simulation on the recycled arena.
 func (r *Runner) Run(cfg Config) Result {
-	return r.run(cfg, nil)
+	r.simulate(cfg, nil, false)
+	return r.e.collect()
 }
 
-// run is the shared body of Run and RunEpoch. A nil spec is a plain run; a
-// non-nil spec installs the epoch's alive mask and per-node energy budgets
-// and (for Epoch > 0) re-roots the traffic streams so successive epochs
-// draw fresh randomness while the deployment — and so node identity —
-// stays fixed by cfg.Seed.
-func (r *Runner) run(cfg Config, spec *EpochSpec) Result {
+// simulate runs one simulation on the arena and leaves its outcome there,
+// for collect to aggregate into a Result or an Epochs to read per node. A
+// nil spec is a plain run; a non-nil spec installs the epoch's alive mask
+// and per-node energy budgets and (for Epoch > 0) re-roots the traffic
+// streams so successive epochs draw fresh randomness while the deployment —
+// and so node identity — stays fixed by cfg.Seed. keepDeployment reuses the
+// per-node loss, TX level and PER the nodes hold from the arena's previous
+// run, which must have been under the same cfg; otherwise they are sampled.
+func (r *Runner) simulate(cfg Config, spec *EpochSpec, keepDeployment bool) {
 	cfg = cfg.withDefaults()
 	e := &r.e
 	e.reset(cfg)
@@ -130,21 +135,26 @@ func (r *Runner) run(cfg Config, spec *EpochSpec) Result {
 	// directly, so they can never collide with the contention package's
 	// shard streams DeriveSeed(seed, shard) when both models run a
 	// cross-validation study off one seed.
-	r.setupRNG.Seed(cfg.Seed + 1)
+	if !keepDeployment {
+		r.setupRNG.Seed(cfg.Seed + 1)
+	}
 	nodeRoot := engine.DeriveSeed(cfg.Seed, -1)
 	if spec != nil && spec.Epoch > 0 {
 		// Later epochs re-root the per-node traffic streams under a second
 		// domain (-2) so no epoch root can collide with a node stream of the
-		// -1 domain; epoch 0 keeps the plain root, so RunEpoch at epoch 0
-		// with everyone alive is bit-identical to Run.
+		// -1 domain; epoch 0 keeps the plain root, so epoch 0 with everyone
+		// alive is bit-identical to Run.
 		nodeRoot = engine.DeriveSeed(engine.DeriveSeed(cfg.Seed, -2), int64(spec.Epoch))
 	}
 	for i := range e.nodes {
-		loss := cfg.Deployment.Sample(r.setupRNG)
-		level, _ := cfg.Radio.LevelIndexFor(cfg.TargetPRxDBm + loss)
-		prx := channel.ReceivedPowerDBm(cfg.Radio.TXLevels[level].DBm, loss)
-		per := phy.PacketErrorRateBytes(cfg.BER.BitErrorRate(prx), frame.ErrorProneBytes(cfg.PayloadBytes))
 		n := &e.nodes[i]
+		loss, level, per := n.loss, n.level, n.per
+		if !keepDeployment {
+			loss = cfg.Deployment.Sample(r.setupRNG)
+			level, _ = cfg.Radio.LevelIndexFor(cfg.TargetPRxDBm + loss)
+			prx := channel.ReceivedPowerDBm(cfg.Radio.TXLevels[level].DBm, loss)
+			per = phy.PacketErrorRateBytes(cfg.BER.BitErrorRate(prx), frame.ErrorProneBytes(cfg.PayloadBytes))
+		}
 		*n = node{
 			id:   i,
 			env:  e,
@@ -176,7 +186,6 @@ func (r *Runner) run(cfg Config, spec *EpochSpec) Result {
 		e.nodes[i].advance(horizon)
 	}
 	foldRunMetrics(e)
-	return e.collect(horizon)
 }
 
 // beacon is the coordinator's superframe start: it occupies the medium and
@@ -450,8 +459,9 @@ func (e *env) recordContention(n *node, endedAt time.Duration, granted bool) {
 	e.contCF.Observe(!granted)
 }
 
-// collect aggregates the run into a Result.
-func (e *env) collect(horizon time.Duration) Result {
+// collect aggregates the arena's last run into a Result.
+func (e *env) collect() Result {
+	horizon := time.Duration(e.cfg.Superframes) * e.cfg.Superframe.BeaconInterval()
 	var ledger radio.Ledger
 	for i := range e.nodes {
 		ledger.Merge(e.nodes[i].dev.Ledger())
@@ -480,7 +490,10 @@ func (e *env) collect(horizon time.Duration) Result {
 			acc += d
 		}
 		r.MeanDelay = time.Duration(acc / float64(len(e.delays)) * float64(time.Second))
-		p95 := stats.Percentile(e.delays, 0.95)
+		// The mean is summed in arrival order above; only then may the
+		// arena's delays be sorted in place for the percentile.
+		sort.Float64s(e.delays)
+		p95 := stats.PercentileSorted(e.delays, 0.95)
 		r.P95Delay = time.Duration(p95 * float64(time.Second))
 	}
 	energyPerNode := float64(ledger.TotalEnergy()) / float64(e.cfg.Nodes)

@@ -152,12 +152,18 @@ func (p *Proportion) CI95() float64 {
 // Percentile returns the q-th percentile (0..1) of xs using linear
 // interpolation between closest ranks. It returns NaN for empty input.
 func Percentile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
 	sorted := make([]float64, len(xs))
 	copy(sorted, xs)
 	sort.Float64s(sorted)
+	return PercentileSorted(sorted, q)
+}
+
+// PercentileSorted is Percentile over a slice already sorted ascending,
+// without the copy. It returns NaN for empty input.
+func PercentileSorted(sorted []float64, q float64) float64 {
+	if len(sorted) == 0 {
+		return math.NaN()
+	}
 	if q <= 0 {
 		return sorted[0]
 	}

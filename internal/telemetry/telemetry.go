@@ -9,7 +9,7 @@
 //   - Hot-path cost: Counter.Add and Histogram.Observe are a handful of
 //     atomic operations and never allocate, so the simulation cores can fold
 //     per-run totals into package-level metrics without disturbing their
-//     alloc budgets (netsim stays at its ~6 allocs per pooled run).
+//     alloc budgets (netsim stays at its ~5 allocs per pooled run).
 //   - Process-wide sources stay where they live: packages own their metric
 //     values (or expose snapshot functions) and register them into any
 //     number of registries via Register*/Func collectors, so two servers in
