@@ -8,7 +8,7 @@ import (
 
 // TestLifetimeRunAllocBudget is the allocation-regression guard for the
 // lifetime integrator at the benchmark workload's shape (a 24-node CR2032
-// network integrated until the last node dies, ~35 live epochs). A run
+// network integrated until the last node dies, ~39 live epochs). A run
 // holds one pooled netsim arena for all its epochs, so its allocations are
 // the run's own slices and do not grow with the epoch count; a regression
 // that puts set-up or a Result back on the per-epoch path costs several
