@@ -197,6 +197,11 @@
 // degrades to a cache miss and a recompute — never a wrong byte. Because
 // hits replay stored encodings, a cached answer is bit-identical to a
 // fresh one; tests pin this at every layer.
+// The memory tier copies a fresh entry of at most 4 KiB into shared 64 KiB
+// chunks, so storing a computed grid point costs no allocation of its own;
+// the first hit copies an entry out of its chunk, so no caller ever holds
+// one, and eviction, which keeps chunk entries in carve order, frees chunks
+// whole.
 //
 // What it buys operationally:
 //
@@ -478,8 +483,8 @@
 // points that run the same bodies. cmd/wsn-bench writes a JSON report of
 // ns/op, B/op and allocs/op per kernel:
 //
-//	go run ./cmd/wsn-bench -out BENCH_PR23.json   # refresh the baseline
-//	go run ./cmd/wsn-bench -diff BENCH_PR23.json  # compare a fresh run
+//	go run ./cmd/wsn-bench -out BENCH_PR25.json   # refresh the baseline
+//	go run ./cmd/wsn-bench -diff BENCH_PR25.json  # compare a fresh run
 //
 // and the root package's BenchmarkKernels runs each kernel as a
 // sub-benchmark (-short selects the -quick sizes), for ns/op medians and

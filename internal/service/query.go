@@ -63,26 +63,23 @@ func (s *Server) queryContext(r *http.Request) (context.Context, context.CancelF
 	return context.WithCancel(r.Context())
 }
 
-// resultKey returns the whole-query store key of q when its response bytes
-// are cacheable: a store is configured, the query has a canonical wire form
-// (a decoded v2 query always does: Direct is not part of the wire form) and
-// tracing is off — traces carry measured wall times,
-// which are never part of result bytes, so a traced query bypasses the
-// whole-query cache entirely (its per-task results still flow through the
-// plan-level store, which holds no trace data).
-func (s *Server) resultKey(q query.Query) (store.Key, bool) {
-	if s.cfg.Store == nil || q.Trace {
+// storeKey derives the store key of q, once per request: both the
+// whole-query entry and the per-task view are addressed by it. ok is false
+// when no store is configured or q has no canonical form (a decoded v2
+// query always has one: Direct is not part of the wire form).
+func (s *Server) storeKey(q query.Query) (store.Key, bool) {
+	if s.cfg.Store == nil {
 		return store.Key{}, false
 	}
 	return store.KeyFor(q)
 }
 
-// attachStore wires the per-task result store into a compiled plan so
-// execution reuses stored tasks and persists computed ones. Tasks does its
-// own cacheability gating (nil for a query without a canonical form).
-func (s *Server) attachStore(q query.Query, plan *query.Plan) {
-	if s.cfg.Store != nil {
-		plan.Store = s.cfg.Store.Tasks(q)
+// attachStore wires the per-task store view of key into a compiled plan, so
+// execution reuses stored tasks and persists computed ones. A no-op unless
+// keyed.
+func (s *Server) attachStore(plan *query.Plan, key store.Key, keyed bool) {
+	if keyed {
+		plan.Store = s.cfg.Store.TasksAt(key)
 	}
 }
 
@@ -104,7 +101,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// A whole-query store hit is served before any worker token is taken:
 	// the stored bytes are the exact bytes a previous identical query
 	// answered with, so the hit path is O(1) and executes nothing.
-	key, cacheable := s.resultKey(q)
+	// Traces carry measured wall times, which are never part of result
+	// bytes, so a traced query bypasses the whole-query entry; its per-task
+	// results still flow through the plan's store, which holds no trace
+	// data.
+	key, keyed := s.storeKey(q)
+	cacheable := keyed && !q.Trace
 	if cacheable {
 		if body, ok := s.cfg.Store.GetResult(key); ok {
 			w.Header().Set("Content-Type", "application/json")
@@ -113,7 +115,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.attachStore(q, plan)
+	s.attachStore(plan, key, keyed)
 	got, release, ok := s.acquireWorkers(w, r, q.Workers)
 	if !ok {
 		return
@@ -215,7 +217,9 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	s.countQuery(plan)
 	// A stored whole-query body replays as the stream without executing
 	// anything — gated on kinds whose elements re-encode byte-identically.
-	key, cacheable := s.resultKey(q)
+	// A traced query skips the whole-query entry, as in handleQuery.
+	key, keyed := s.storeKey(q)
+	cacheable := keyed && !q.Trace
 	if cacheable && q.Kind.WireExact() {
 		if body, ok := s.cfg.Store.GetResult(key); ok && s.writeStreamFromResult(w, body) {
 			return
@@ -224,7 +228,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	// Attaching the per-task store is also what makes interrupted streams
 	// resumable: every task computed before a disconnect was persisted, so
 	// the retried stream reuses them and recomputes only the remainder.
-	s.attachStore(q, plan)
+	s.attachStore(plan, key, keyed)
 	got, release, ok := s.acquireWorkers(w, r, q.Workers)
 	if !ok {
 		return

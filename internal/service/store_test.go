@@ -3,12 +3,14 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"dense802154/internal/query"
 	"dense802154/internal/store"
 	"dense802154/internal/telemetry"
 )
@@ -198,6 +200,41 @@ func TestTraceBypassesResultCache(t *testing.T) {
 	status, body = postJSON(t, ts.URL+"/v2/query", storeGridBody)
 	if status != http.StatusOK || bytes.Contains(body, []byte(`"trace"`)) {
 		t.Fatalf("untraced query after traced ones: %d, trace=%v", status, bytes.Contains(body, []byte(`"trace"`)))
+	}
+}
+
+// TestTracedQueryStoresTasksNotResult: a traced query on either route still
+// attaches the per-task store view under the query's key — every task is
+// persisted — but writes no whole-query entry, whose bytes would carry the
+// trace.
+func TestTracedQueryStoresTasksNotResult(t *testing.T) {
+	traced := strings.Replace(storeGridBody, `{"kind"`, `{"trace":true,"kind"`, 1)
+	var q query.Query
+	if err := json.Unmarshal([]byte(traced), &q); err != nil {
+		t.Fatal(err)
+	}
+	key, ok := store.KeyFor(q)
+	if !ok {
+		t.Fatal("grid query has no store key")
+	}
+	const tasks = 6
+	for _, route := range []string{"/v2/query", "/v2/query/stream"} {
+		ts, st := newStoreServer(t, Config{Workers: 2})
+		if status, _ := postJSON(t, ts.URL+route, traced); status != http.StatusOK {
+			t.Fatalf("%s: traced query: %d", route, status)
+		}
+		view := st.TasksAt(key)
+		for i := 0; i < tasks; i++ {
+			if _, ok := view.GetTask(i); !ok {
+				t.Errorf("%s: task %d not stored under the query's key", route, i)
+			}
+		}
+		if _, ok := st.GetResult(key); ok {
+			t.Errorf("%s: traced query wrote the whole-query entry", route)
+		}
+		if n := st.Stats().Entries; n != tasks {
+			t.Errorf("%s: %d store entries, want the %d tasks", route, n, tasks)
+		}
 	}
 }
 

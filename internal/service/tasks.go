@@ -53,7 +53,8 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 	// Worker-side store: tasks another query (or another coordinator) left
 	// behind are served without recomputing, and everything computed here is
 	// stored — the fleet-wide shared shard cache.
-	s.attachStore(req.Query, plan)
+	key, keyed := s.storeKey(req.Query)
+	s.attachStore(plan, key, keyed)
 	got, release, ok := s.acquireWorkers(w, r, req.Workers)
 	if !ok {
 		return

@@ -2,5 +2,6 @@
 
 package store
 
-// A steady-state fresh-key put costs exactly the owned copy of its bytes.
-const putTaskAllocBudget = 1
+// A steady-state fresh-key put copies its bytes into a shared payload chunk
+// and takes its entry off the free list: it allocates nothing of its own.
+const putTaskAllocBudget = 0

@@ -4,4 +4,4 @@ package store
 
 // The store draws nothing from a sync.Pool, so the race detector does not
 // change its allocations and the budget matches the plain build.
-const putTaskAllocBudget = 1
+const putTaskAllocBudget = 0

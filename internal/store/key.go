@@ -17,6 +17,16 @@
 // checksum, and a truncated or corrupt file is a miss plus recompute — never
 // a wrong byte. The standing invariant is absolute: cached bytes equal
 // freshly computed bytes at any worker count.
+//
+// The memory tier keeps small payloads in an arena of shared 64 KiB chunks:
+// a put of a fresh key with at most 4 KiB copies its bytes into the current
+// chunk, so a stored grid point costs no allocation of its own. Get never
+// hands out a chunk slice — the first hit on an arena entry copies its bytes
+// out and only then refreshes its recency — so entries still in the arena
+// stay in the LRU list in carve order, eviction frees chunks whole, and the
+// chunks retain at most the bytes first put under resident keys plus one
+// partly used chunk and ≤1/16 tail waste (at worst about twice the charged
+// bytes). The Store type documents the rules.
 package store
 
 import (

@@ -176,8 +176,9 @@ func TestRecycleConcurrentNoCrossKey(t *testing.T) {
 }
 
 // TestPutTaskAllocBudget: a steady-state put of a fresh (key, index) with
-// eviction running costs the store's owned copy of the bytes and nothing
-// else — the entry comes off the free list eviction refills.
+// eviction running allocates nothing of its own — the bytes are copied into
+// a shared payload chunk (one chunk per ~128 puts of this size) and the
+// entry comes off the free list eviction refills.
 func TestPutTaskAllocBudget(t *testing.T) {
 	const payload = 512
 	st, err := New(Config{MaxBytes: 64 * (payload + entryOverhead)})

@@ -26,6 +26,15 @@ const entryOverhead = 128
 // free list is empty.
 const entryChunk = 64
 
+// arenaChunk is the size of one shared payload chunk, and arenaMaxPut the
+// largest payload a fresh-key put copies into one. A chunk is abandoned
+// only when the next payload does not fit, so tail waste is at most
+// arenaMaxPut/arenaChunk = 1/16 of every chunk.
+const (
+	arenaChunk  = 64 << 10
+	arenaMaxPut = 4 << 10
+)
+
 // Config parameterizes a Store.
 type Config struct {
 	// MaxBytes bounds the in-memory tier (payload bytes plus a fixed
@@ -46,10 +55,13 @@ type entryKey struct {
 	index int
 }
 
-// entry is one in-memory cache line on the intrusive recency list.
+// entry is one in-memory cache line on the intrusive recency list. inArena
+// marks bytes that live in a shared payload chunk rather than in their own
+// allocation.
 type entry struct {
 	k          entryKey
 	b          []byte
+	inArena    bool
 	prev, next *entry
 }
 
@@ -60,18 +72,40 @@ type Stats struct {
 }
 
 // Store is the two-tier content-addressed result store. All methods are safe
-// for concurrent use. Byte slices cross the API boundary uncopied on Get
-// (the hit path allocates nothing) and are copied on Put; callers must treat
-// returned bytes as immutable.
+// for concurrent use. Bytes are copied on Put, and Get returns a slice of
+// its own (len == cap) that no later Put or eviction changes; callers must
+// treat returned bytes as immutable.
 //
 // The in-memory tier recycles its entries: eviction zeroes an entry and puts
 // it on a free list, and insert takes entries from that list, or from a
-// chunk of entryChunk entries allocated at once when the list is empty, so
-// a steady-state put allocates only the copy of its bytes. Payload bytes are
-// never recycled — a slice Get handed out stays valid and unchanged after
-// its entry is reused. Entries never return to the heap one by one, so the
-// entry memory is bounded by the peak live entry count (plus one partly
-// used chunk), which the byte budget caps at MaxBytes/entryOverhead.
+// chunk of entryChunk entries allocated at once when the list is empty.
+// Entries never return to the heap one by one, so the entry memory is
+// bounded by the peak live entry count (plus one partly used chunk), which
+// the byte budget caps at MaxBytes/entryOverhead.
+//
+// Payload bytes live in an arena: a put of a fresh key with at most
+// arenaMaxPut bytes copies them into the current arenaChunk-byte chunk the
+// store shares among many entries, so a steady-state fresh-key put
+// allocates nothing of its own. Larger payloads, disk-tier promotions and
+// replacements of a resident key get their own allocation. The first Get
+// hit on an arena entry copies its bytes out into their own allocation and
+// only then promotes the entry, so Get never hands out a chunk (a caller
+// holding one slice cannot pin 64 KiB) and later hits allocate nothing.
+// Chunk bytes are never overwritten; a chunk returns to the heap once no
+// resident entry references it.
+//
+// These rules bound the memory chunks retain. An entry still in the arena
+// never moves in the recency list, so arena entries sit in the list in
+// carve order and eviction, which takes the cold end, frees chunks whole.
+// Every entry carved after the oldest resident arena entry is itself still
+// resident, so the chunks hold at most the bytes first put under resident
+// keys, plus the current partly used chunk and ≤1/16 tail waste. A key's
+// bytes are a pure function of the key, so a replacement re-puts the same
+// bytes and those first-put bytes are the charged bytes. The worst case is
+// about 2× the charge, when every arena entry has been copied out while one
+// cold neighbour per chunk still pins it. Replacements must not carve: a
+// replacement loop next to a pinned cold entry would otherwise grow the
+// arena without bound.
 type Store struct {
 	cfg Config
 
@@ -81,6 +115,7 @@ type Store struct {
 	bytes   int64
 	free    *entry  // evicted entries, linked through next
 	chunk   []entry // the not yet used tail of the last allocated chunk
+	arena   []byte  // the not yet carved tail of the current payload chunk
 }
 
 // New builds a Store, creating the on-disk tier directory when configured.
@@ -156,13 +191,23 @@ func (s *Store) Tasks(q query.Query) query.TaskStore {
 	if !ok {
 		return nil
 	}
+	return s.TasksAt(key)
+}
+
+// TasksAt returns the per-task store view of the query whose content key is
+// key, for a caller that already derived the key with KeyFor.
+func (s *Store) TasksAt(key Key) query.TaskStore {
 	return &taskView{s: s, key: key}
 }
 
-// get looks up k memory-first, then disk.
+// get looks up k memory-first, then disk. A hit on an arena entry copies
+// its bytes out before promoting it (see Store).
 func (s *Store) get(k entryKey) ([]byte, bool) {
 	s.mu.Lock()
 	if e, ok := s.entries[k]; ok {
+		if e.inArena {
+			e.b, e.inArena = clone(e.b), false
+		}
 		s.unlink(e)
 		s.pushFront(e)
 		// Read the bytes before unlocking: once the lock is released the
@@ -177,7 +222,7 @@ func (s *Store) get(k entryKey) ([]byte, bool) {
 		if b, ok := s.diskRead(k); ok {
 			HitsTotal.Inc()
 			DiskHitsTotal.Inc()
-			s.insert(k, b)
+			s.insert(k, b, false)
 			return b, true
 		}
 	}
@@ -185,36 +230,51 @@ func (s *Store) get(k entryKey) ([]byte, bool) {
 	return nil, false
 }
 
-// put copies b, installs it in the memory tier and mirrors it to disk.
+// put copies b into the memory tier and mirrors it to disk.
 func (s *Store) put(k entryKey, b []byte) {
 	PutsTotal.Inc()
-	c := make([]byte, len(b))
-	copy(c, b)
-	s.insert(k, c)
+	s.insert(k, b, true)
 	if s.cfg.Dir != "" {
-		s.diskWrite(k, c)
+		s.diskWrite(k, b)
 	}
 }
 
-// insert installs owned bytes into the memory tier and evicts from the cold
-// end while over budget. An entry larger than the whole budget skips the
-// memory tier (it would evict everything and then itself); the disk tier
-// still holds it.
-func (s *Store) insert(k entryKey, b []byte) {
+// insert installs b into the memory tier and evicts from the cold end while
+// over budget. With borrowed set, b belongs to the caller and is copied
+// under the lock: into the arena for a fresh key of at most arenaMaxPut
+// bytes, into its own allocation otherwise; without it, b is the store's
+// own (a disk read) and is kept as is. An entry larger than the whole
+// budget skips the memory tier (it would evict everything and then itself);
+// the disk tier still holds it.
+func (s *Store) insert(k entryKey, b []byte, borrowed bool) {
 	cost := int64(len(b)) + entryOverhead
 	if cost > s.cfg.MaxBytes {
 		return
 	}
+	if borrowed && len(b) > arenaMaxPut {
+		b, borrowed = clone(b), false // never carved: copy before locking
+	}
 	s.mu.Lock()
 	if e, ok := s.entries[k]; ok {
+		if borrowed {
+			b = clone(b)
+		}
 		s.bytes += int64(len(b)) - int64(len(e.b))
 		BytesGauge.Add(int64(len(b)) - int64(len(e.b)))
-		e.b = b
+		e.b, e.inArena = b, false
 		s.unlink(e)
 		s.pushFront(e)
 	} else {
 		e = s.newEntry()
-		e.k, e.b = k, b
+		e.k = k
+		switch {
+		case !borrowed:
+			e.b = b
+		case len(b) > 0 && len(b) <= arenaMaxPut:
+			e.b, e.inArena = s.carve(b), true
+		default:
+			e.b = clone(b)
+		}
 		s.entries[k] = e
 		s.pushFront(e)
 		s.bytes += cost
@@ -251,6 +311,28 @@ func (s *Store) newEntry() *entry {
 	e := &s.chunk[0]
 	s.chunk = s.chunk[1:]
 	return e
+}
+
+// carve copies b (0 < len(b) ≤ arenaMaxPut) into the current payload chunk,
+// starting a new chunk when the rest of this one is too short, and returns
+// the copy cap-limited to its length. Callers hold s.mu.
+func (s *Store) carve(b []byte) []byte {
+	if len(b) > len(s.arena) {
+		s.arena = make([]byte, arenaChunk)
+	}
+	n := len(b)
+	c := s.arena[:n:n]
+	copy(c, b)
+	s.arena = s.arena[n:]
+	return c
+}
+
+// clone copies b into an allocation of exactly its length (bytes.Clone may
+// round the capacity up, and Get promises len == cap).
+func clone(b []byte) []byte {
+	c := make([]byte, len(b))
+	copy(c, b)
+	return c
 }
 
 // recycle zeroes an evicted entry — dropping its bytes, which stay with
