@@ -39,8 +39,8 @@ type Transport interface {
 // response is read by NewLineStream, sized to the shard's range and sharing
 // the labels of the plan the coordinator put in the Send context.
 type HTTPTransport struct {
-	// Client issues the requests (nil ⇒ a dedicated client with no global
-	// timeout; per-shard deadlines come from the Send context).
+	// Client issues the requests (nil ⇒ the shared http.DefaultClient, which
+	// has no global timeout; per-shard deadlines come from the Send context).
 	Client *http.Client
 }
 

@@ -18,9 +18,11 @@
 // Workers expose POST /v2/tasks (served by internal/service): the body is a
 // TaskRequest naming the full query plus a task index range, the response
 // is NDJSON — one TaskLine per task in range order, then a terminal done
-// line. Streaming in range order is load-bearing: a shard that dies after k
-// lines has completed exactly its first k tasks, so only [from+k, to) is
-// re-dispatched.
+// line. The worker coalesces lines into few HTTP chunks: the first goes out
+// at once and the rest arrive in batches, each line at most the worker's
+// flush window (2 ms) after it completed. Streaming in range order is
+// load-bearing: a shard that dies after k lines has completed exactly its
+// first k tasks, so only [from+k, to) is re-dispatched.
 //
 // The Transport interface carries shards to workers; HTTPTransport is the
 // production implementation and FaultTransport the injectable harness that

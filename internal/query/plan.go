@@ -408,12 +408,13 @@ func (p *Plan) ExecuteRange(ctx context.Context, workers, from, to int, yield fu
 // (one per results slot) on workers goroutines under the plan timeout. Each
 // task is read from the attached store when the store holds it and computed
 // otherwise, stamped with its index and label, stored when it was computed,
-// and left in results[i]; a computed Metrics payload lives in the
-// execution's slab. emit(i, wallMS) then releases the slots in order,
-// with each task's wall time in milliseconds: slot i is emitted as soon as
-// it and every slot before it are filled, and emit calls never overlap. An
-// emit error stops the remaining tasks and is returned; otherwise the error
-// of the lowest-indexed failing task, or ctx.Err(), is (engine.Map's rule).
+// and left in results[i]; a Metrics payload, computed or read from the
+// store, lives in the execution's slab. emit(i, wallMS) then releases the
+// slots in order, with each task's wall time in milliseconds: slot i is
+// emitted as soon as it and every slot before it are filled, and emit calls
+// never overlap. An emit error stops the remaining tasks and is returned;
+// otherwise the error of the lowest-indexed failing task, or ctx.Err(), is
+// (engine.Map's rule).
 func (p *Plan) runTasks(ctx context.Context, workers, from int, results []TaskResult, emit func(i int, wallMS float64) error) error {
 	if p.Timeout > 0 {
 		var cancel context.CancelFunc
@@ -428,12 +429,14 @@ func (p *Plan) runTasks(ctx context.Context, workers, from int, results []TaskRe
 	err := engine.Map(ctx, workers, len(results), func(i int) error {
 		idx := from + i
 		start := time.Now()
-		r, hit := p.TaskFromStore(idx)
+		var slot []MetricsWire
+		var mw *MetricsWire
+		if slab != nil {
+			slot = slab[i : i+1 : i+1]
+			mw = &slot[0]
+		}
+		r, hit := p.taskFromStore(idx, slot)
 		if !hit {
-			var mw *MetricsWire
-			if slab != nil {
-				mw = &slab[i]
-			}
 			var err error
 			if r, err = p.run(ctx, workers, idx, mw); err != nil {
 				return err

@@ -120,8 +120,16 @@ func (p *Plan) storeEnabled() bool {
 // TaskFromStore fetches task index from the attached store. Undecodable
 // entries are treated as misses — the store may hold truncated or corrupt
 // bytes (crash mid-write on the disk tier); a wrong byte must never surface,
-// so anything suspect is recomputed.
+// so anything suspect is recomputed. The decoded label shares the plan's
+// string.
 func (p *Plan) TaskFromStore(index int) (TaskResult, bool) {
+	return p.taskFromStore(index, nil)
+}
+
+// taskFromStore is TaskFromStore decoding a Metrics payload into slot, a
+// one-element slice of the execution's slab (nil ⇒ its own allocation), so
+// a store hit in runTasks allocates nothing of its own.
+func (p *Plan) taskFromStore(index int, slot []MetricsWire) (TaskResult, bool) {
 	if !p.storeEnabled() {
 		return TaskResult{}, false
 	}
@@ -129,8 +137,9 @@ func (p *Plan) TaskFromStore(index int) (TaskResult, bool) {
 	if !ok {
 		return TaskResult{}, false
 	}
-	tr, err := DecodeTaskResult(b)
-	if err != nil {
+	d := TaskDecoder{Labels: p.labels, metrics: slot}
+	var tr TaskResult
+	if err := d.Decode(b, &tr); err != nil {
 		return TaskResult{}, false
 	}
 	return tr, true

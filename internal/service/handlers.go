@@ -1,7 +1,6 @@
 package service
 
 import (
-	"encoding/json"
 	"errors"
 	"net/http"
 	"strconv"
@@ -123,24 +122,23 @@ type batchLine struct {
 	Count   int          `json:"count,omitempty"`
 }
 
-// streamBatch answers /v1/batch as NDJSON: one flushed batchLine per element
-// as it and its predecessors complete, then the done line. Plan.Execute
-// drains its workers before it returns, so the caller's worker tokens are
-// released only once no task still runs, even when the client goes away.
+// streamBatch answers /v1/batch as NDJSON through a lineWriter: one
+// batchLine per element as it and its predecessors complete, then the done
+// line, each encoded by encoding/json as the frozen v1 stream always was.
+// Plan.Execute drains its workers before it returns, so the caller's worker
+// tokens are released only once no task still runs, even when the client
+// goes away.
 func streamBatch(w http.ResponseWriter, r *http.Request, plan *query.Plan, workers int) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
+	lw := newLineWriter(w)
+	defer lw.close()
 	write := func(ln batchLine) error {
-		if err := enc.Encode(ln); err != nil {
-			return err // client went away; Execute cancels the rest
+		b, err := lw.appendJSON(ln)
+		if err != nil {
+			return err
 		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
+		return lw.write(b) // a failure means the client went away; Execute cancels the rest
 	}
 	_, err := plan.Execute(r.Context(), workers, func(tr query.TaskResult) error {
 		return write(batchLine{Index: &tr.Index, Metrics: tr.Metrics})

@@ -1,10 +1,13 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
+	"sync"
+	"time"
 
 	"dense802154/internal/query"
 	"dense802154/internal/store"
@@ -16,7 +19,9 @@ import (
 // (internal/query.Query) covers everything the per-endpoint v1 routes do.
 // The non-streaming form answers with the byte-stable ResultSet encoding;
 // the streaming form emits NDJSON — one TaskResult per line in plan order,
-// then one summary line — with every line flushed as it completes.
+// then one summary line. Lines are coalesced into few HTTP chunks, the
+// first sent at once and none held back longer than flushWindow (see
+// lineWriter).
 // Backpressure is the same worker-token limiter the v1 routes share: a
 // query acquires tokens before computing, so any number of v2 clients
 // shares the server budget.
@@ -142,13 +147,40 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(body)
 }
 
-// lineWriter writes NDJSON records appended into one buffer that every line
-// of a response reuses, flushing after each line so clients see results as
-// they complete.
+// flushWindow and flushBytes bound how long and how much a lineWriter
+// coalesces. The window is far below dist.Options.StragglerMin, so the
+// coordinator's straggler speculation cannot fire because of it.
+const (
+	flushWindow = 2 * time.Millisecond
+	flushBytes  = 32 << 10
+)
+
+// lineWriter writes the NDJSON records of one response: every line of it is
+// appended into one reused buffer, then coalesced with its neighbours so a
+// stream sends a few large HTTP chunks instead of one per line. A line that
+// arrives when nothing was sent for flushWindow goes out at once (the first
+// line included, so time to first line and sparse streams keep their
+// latency). Any other line waits in pending until flushBytes accumulate or
+// the per-stream timer fires, so no line waits longer than flushWindow.
+// close sends what is pending and stops the timer; every handler defers it,
+// and the terminal line, written last, reaches the client behind every line
+// before it.
+//
+// The ResponseWriter is touched only under mu, by the handler and by the
+// timer's goroutine, and never after close. A send that fails in the timer
+// goroutine is kept and returned by the next write.
 type lineWriter struct {
 	w       http.ResponseWriter
 	flusher http.Flusher
-	buf     []byte
+	buf     []byte // the line being appended; only the handler touches it
+
+	mu      sync.Mutex
+	pending []byte    // complete lines not sent yet
+	since   time.Time // arrival of the oldest pending line
+	last    time.Time // the last send
+	timer   *time.Timer
+	closed  bool
+	err     error // the first failed send
 }
 
 func newLineWriter(w http.ResponseWriter) *lineWriter {
@@ -157,17 +189,98 @@ func newLineWriter(w http.ResponseWriter) *lineWriter {
 }
 
 // write terminates b — appended into lw.buf[:0] — with a newline, keeps
-// the grown buffer for the next line and sends it.
+// the grown buffer for the next line and queues it for sending. It returns
+// the error of any send that failed so far.
 func (lw *lineWriter) write(b []byte) error {
 	b = append(b, '\n')
 	lw.buf = b
-	if _, err := lw.w.Write(b); err != nil {
-		return err
+	lw.mu.Lock()
+	defer lw.mu.Unlock()
+	if lw.err != nil || lw.closed {
+		return lw.err
 	}
-	if lw.flusher != nil {
+	now := time.Now()
+	first := len(lw.pending) == 0
+	if first {
+		lw.since = now
+	}
+	lw.pending = append(lw.pending, b...)
+	switch {
+	case len(lw.pending) >= flushBytes || now.Sub(lw.last) >= flushWindow:
+		lw.send(now)
+	case first:
+		lw.arm(flushWindow)
+	}
+	return lw.err
+}
+
+// send writes and flushes pending; lw.mu is held.
+func (lw *lineWriter) send(now time.Time) {
+	if len(lw.pending) == 0 || lw.err != nil {
+		return
+	}
+	if _, err := lw.w.Write(lw.pending); err != nil {
+		lw.err = err
+	} else if lw.flusher != nil {
 		lw.flusher.Flush()
 	}
-	return nil
+	lw.pending = lw.pending[:0]
+	lw.last = now
+}
+
+// arm schedules fire after d, creating the stream's one timer on first use;
+// lw.mu is held.
+func (lw *lineWriter) arm(d time.Duration) {
+	if lw.timer == nil {
+		lw.timer = time.AfterFunc(d, lw.fire)
+	} else {
+		lw.timer.Reset(d)
+	}
+}
+
+// fire is the timer's callback: it sends pending once its oldest line is
+// flushWindow old. A callback that was already running when a later first
+// pending line re-armed the timer finds that line younger and re-arms.
+func (lw *lineWriter) fire() {
+	lw.mu.Lock()
+	defer lw.mu.Unlock()
+	if lw.closed || len(lw.pending) == 0 {
+		return
+	}
+	now := time.Now()
+	if wait := flushWindow - now.Sub(lw.since); wait > 0 {
+		lw.arm(wait)
+		return
+	}
+	lw.send(now)
+}
+
+// close sends what is pending and stops the timer. After it nothing
+// touches the ResponseWriter; later writes are dropped.
+func (lw *lineWriter) close() {
+	lw.mu.Lock()
+	defer lw.mu.Unlock()
+	if lw.closed {
+		return
+	}
+	lw.send(time.Now())
+	lw.closed = true
+	if lw.timer != nil {
+		lw.timer.Stop()
+	}
+}
+
+// appendJSON appends v into lw.buf[:0] as a json.Encoder with HTML escaping
+// off writes it, less the encoder's newline: the /v1/batch records and the
+// terminal error record of /v2/query/stream.
+func (lw *lineWriter) appendJSON(v any) ([]byte, error) {
+	bb := bytes.NewBuffer(lw.buf[:0])
+	enc := json.NewEncoder(bb)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(v); err != nil {
+		return nil, err
+	}
+	return bytes.TrimSuffix(bb.Bytes(), []byte{'\n'}), nil
 }
 
 // task writes one TaskResult line.
@@ -200,6 +313,7 @@ func (s *Server) writeStreamFromResult(w http.ResponseWriter, body []byte) bool 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	lw := newLineWriter(w)
+	defer lw.close()
 	for i := range rs.Results {
 		if err := lw.task(&rs.Results[i]); err != nil {
 			return true // client went away mid-replay
@@ -238,6 +352,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	lw := newLineWriter(w)
+	defer lw.close()
 
 	ctx, cancel := s.queryContext(r)
 	defer cancel()
@@ -252,14 +367,12 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// Headers are gone; a structured terminal error line (done stays
 		// false) tells the client why the stream ended early, and its
-		// absence — a hard truncation — still signals failure. A dead
-		// client connection gets nothing, which is fine: nobody is reading.
+		// absence — a hard truncation — still signals failure. It goes
+		// through lw, behind the lines still pending there. A dead client
+		// connection gets nothing, which is fine: nobody is reading.
 		if encodeErr == nil {
-			enc := json.NewEncoder(w)
-			enc.SetEscapeHTML(false)
-			_ = enc.Encode(queryStreamErrorLine{Error: queryErrorDetail(r, err)})
-			if lw.flusher != nil {
-				lw.flusher.Flush()
+			if b, err := lw.appendJSON(queryStreamErrorLine{Error: queryErrorDetail(r, err)}); err == nil {
+				_ = lw.write(b)
 			}
 		}
 		return

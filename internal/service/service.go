@@ -374,8 +374,9 @@ func (s *Server) handle(pattern string, h http.HandlerFunc) {
 }
 
 // statusWriter captures the response status, byte count and matched route
-// for the metrics/logging epilogue. It forwards Flush so streaming handlers
-// keep their per-line flushes.
+// for the metrics/logging epilogue. It forwards Flush so a streaming
+// handler's lineWriter can push each coalesced batch of lines out as one
+// chunk.
 type statusWriter struct {
 	http.ResponseWriter
 	status int

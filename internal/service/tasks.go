@@ -64,6 +64,7 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	lw := newLineWriter(w)
+	defer lw.close()
 
 	count := 0
 	err = plan.ExecuteRange(r.Context(), got, req.From, req.To, func(tr query.TaskResult, wallMS float64) error {
@@ -75,6 +76,9 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 		if n := s.cfg.FaultExitAfterTasks; n > 0 && s.tasksServed.Add(1) >= int64(n) {
 			// Fault-injection knob: die mid-stream, deterministically, after
 			// the Nth served line — the multi-process tests' worker crash.
+			// close sends the lines still pending first, so exactly N were
+			// delivered.
+			lw.close()
 			os.Exit(3)
 		}
 		return nil
@@ -82,7 +86,8 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		if errors.Is(err, errStreamWrite) || r.Context().Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			// Coordinator gone, write failed or deadline hit: the truncated
-			// stream is the signal; the range is transport-retryable
+			// stream (the deferred close still sends the complete lines
+			// pending) is the signal; the range is transport-retryable
 			// elsewhere. Emitting a TaskLine error here would misreport a
 			// transport fault as a deterministic compute failure and make the
 			// coordinator abort instead of re-dispatching.
