@@ -42,8 +42,9 @@
 // -shard-size, -shard-timeout and -dist-attempts tune the sharding and
 // retry policy; -request-timeout bounds each v2 query end to end (answered
 // with a structured 504 when exceeded). Workers need no flags: any
-// wsn-serve serves /v2/tasks. During drain the server flips /readyz to 503
-// first, so coordinators evict it before the listener closes.
+// wsn-serve serves /v2/tasks. During drain the server flips /readyz and
+// /v2/tasks to 503 first, so coordinators evict it before the listener
+// closes.
 //
 // Result store: every server keeps a content-addressed result store
 // (internal/store) keyed by the SHA-256 of the query's canonical form.
@@ -224,7 +225,7 @@ func main() {
 	}
 
 	logger.Printf("shutting down (drain %v)", *drain)
-	app.SetReady(false) // flip /readyz first so coordinators evict us
+	app.SetReady(false) // flip /readyz and /v2/tasks first so coordinators evict us
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	if pprofSrv != nil {

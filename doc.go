@@ -152,8 +152,12 @@
 //
 //   - Workers are admitted by a /readyz probe and evicted on failure; an
 //     evicted worker is re-probed on an interval and readmitted when it
-//     answers, and a draining server flips /readyz to 503 before its
-//     listener closes so coordinators stop dispatching into it.
+//     answers. The coordinator keeps its fleet record across queries: a
+//     probe or a cleanly ended shard vouches for a worker for 5 s, and a
+//     query probes only the workers nothing vouched for, so a busy healthy
+//     fleet sends no probes. A draining server flips /readyz to 503 and
+//     refuses /v2/tasks with a 503 before its listener closes, so the next
+//     dispatch into it fails over and evicts it.
 //   - A shard that times out (-shard-timeout), errors, or disconnects
 //     mid-stream is re-dispatched elsewhere with jittered exponential
 //     backoff (-dist-attempts bounds attempts per range). Streams arrive
@@ -321,8 +325,8 @@
 //	wsn_dist_local_fallback_total               counter    queries degraded to local execution
 //	wsn_dist_worker_failures_total              counter    dispatch/stream/probe failures observed
 //	wsn_dist_tasks_served_total                 counter    /v2/tasks lines served to coordinators
-//	wsn_dist_workers_ready                      gauge      workers currently admitted
-//	wsn_dist_workers_evicted                    gauge      workers pending readmission
+//	wsn_dist_workers_ready                      gauge      workers the fleet record holds admitted
+//	wsn_dist_workers_evicted                    gauge      workers the fleet record holds evicted
 //	wsn_store_hits_total                        counter    results served from the store
 //	wsn_store_misses_total                      counter    lookups that fell through to compute
 //	wsn_store_puts_total                        counter    entries written

@@ -7,10 +7,12 @@ import (
 	"io"
 	"log/slog"
 	"math/rand"
+	"sync"
 	"time"
 
 	"dense802154/internal/engine"
 	"dense802154/internal/query"
+	"dense802154/internal/telemetry"
 )
 
 // Options configures a Coordinator. The zero value of every field selects a
@@ -44,8 +46,15 @@ type Options struct {
 	// task index, so speculation never changes bytes.
 	StragglerFactor float64
 	StragglerMin    time.Duration
-	// ProbeTimeout bounds one readiness probe (0 ⇒ 2s); ReprobeAfter is the
-	// interval between readmission probes of an evicted worker (0 ⇒ 5s).
+	// ProbeTimeout bounds one readiness probe (0 ⇒ 2s). ReprobeAfter (0 ⇒
+	// 5s) is the interval between readmission probes of an evicted worker,
+	// and also how long a vouch lasts. The Coordinator keeps one record per
+	// worker across queries; a successful probe or a shard the worker ended
+	// cleanly vouches for it. A query probes at its start only the workers
+	// that are evicted or that nothing vouched for within ReprobeAfter, so
+	// the queries of a healthy, busy fleet send no probes. A stale vouch
+	// costs at most one failed dispatch: it evicts the worker fleet-wide
+	// and re-dispatches the range, and the next query probes it again.
 	ProbeTimeout time.Duration
 	ReprobeAfter time.Duration
 	// Logger receives dispatch/failure/eviction events (nil ⇒ discard).
@@ -76,6 +85,74 @@ type Store interface {
 // safe for concurrent Distribute calls.
 type Coordinator struct {
 	opts Options
+
+	// mu guards fleet, the admission record every query shares (see
+	// Options.ReprobeAfter). The fleet gauges follow it.
+	mu    sync.Mutex
+	fleet map[string]*member
+}
+
+// member is the Coordinator's standing record of one worker. What one
+// query knows besides (busy, consecutive failures, its own evictions) is
+// in that query's workerState.
+type member struct {
+	state   memberState
+	vouched time.Time // the last successful probe or clean shard end
+}
+
+type memberState int8
+
+const (
+	memberUnknown memberState = iota // never probed
+	memberReady
+	memberEvicted
+)
+
+// fleetGauges is the gauge counting the members in each state.
+var fleetGauges = [...]*telemetry.Gauge{memberReady: &WorkersReady, memberEvicted: &WorkersEvicted}
+
+// moveTo sets m's state and moves it between the fleet gauges; the
+// Coordinator's mu is held.
+func (m *member) moveTo(s memberState) {
+	if g := fleetGauges[m.state]; g != nil {
+		g.Add(-1)
+	}
+	if g := fleetGauges[s]; g != nil {
+		g.Add(1)
+	}
+	m.state = s
+}
+
+// unvouched returns the workers a query must probe before it trusts them:
+// the evicted, the never probed and those nothing vouched for within
+// ReprobeAfter. A healthy fleet in steady use returns none.
+func (c *Coordinator) unvouched(now time.Time) []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var out []string
+	for _, w := range c.opts.Workers {
+		if m := c.fleet[w]; m.state != memberReady || now.Sub(m.vouched) >= c.opts.ReprobeAfter {
+			out = append(out, w)
+		}
+	}
+	return out
+}
+
+// vouch records that worker answered a probe or ended a shard cleanly.
+func (c *Coordinator) vouch(worker string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	m := c.fleet[worker]
+	m.moveTo(memberReady)
+	m.vouched = time.Now()
+}
+
+// recordEviction marks worker evicted fleet-wide, so the next query probes
+// it before trusting it.
+func (c *Coordinator) recordEviction(worker string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.fleet[worker].moveTo(memberEvicted)
 }
 
 // New returns a Coordinator with defaults applied over opts.
@@ -110,7 +187,11 @@ func New(opts Options) *Coordinator {
 	if opts.Logger == nil {
 		opts.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	return &Coordinator{opts: opts}
+	fleet := make(map[string]*member, len(opts.Workers))
+	for _, w := range opts.Workers {
+		fleet[w] = &member{}
+	}
+	return &Coordinator{opts: opts, fleet: fleet}
 }
 
 // Fleet reports the configured worker URLs.
@@ -158,7 +239,8 @@ type workerState struct {
 }
 
 // distRun is the per-Distribute state machine. All fields are owned by the
-// main loop; flight and probe goroutines communicate only through ch.
+// main loop; flight and probe goroutines communicate only through ch, and
+// Distribute waits for every one of them (wg) before it returns.
 type distRun struct {
 	c     *Coordinator
 	ctx   context.Context
@@ -179,6 +261,7 @@ type distRun struct {
 	start     time.Time
 
 	ch      chan msg
+	wg      sync.WaitGroup
 	pending []span
 	workers map[string]*workerState
 	flights map[int]*flight
@@ -204,7 +287,9 @@ type distRun struct {
 // still completes. The plan's store (Options.Store's view of the query
 // when the caller attached none) is read before anything is dispatched and
 // back-filled with every accepted remote result. Only a non-shardable plan
-// or an empty fleet runs through plan.Execute.
+// or an empty fleet runs through plan.Execute. Distribute returns only
+// after every goroutine it started (flights, probes, readmission loops) has
+// ended; what outlives it is the Coordinator's fleet record.
 func (c *Coordinator) Distribute(ctx context.Context, q query.Query, plan *query.Plan, localWorkers int, yield func(query.TaskResult) error) (*query.ResultSet, error) {
 	if !plan.Shardable() || len(c.opts.Workers) == 0 {
 		return plan.Execute(ctx, localWorkers, yield)
@@ -240,7 +325,10 @@ func (c *Coordinator) Distribute(ctx context.Context, q query.Query, plan *query
 		// through the plan's store, so they read and write one view.
 		plan.Store = c.opts.Store.Tasks(q)
 	}
-	return r.run()
+	rs, err := r.run()
+	cancel()
+	r.wg.Wait()
+	return rs, err
 }
 
 func (r *distRun) run() (*query.ResultSet, error) {
@@ -254,15 +342,6 @@ func (r *distRun) run() (*query.ResultSet, error) {
 		return r.finish()
 	}
 	r.admit()
-	defer func() {
-		for _, ws := range r.workers {
-			if ws.evicted {
-				WorkersEvicted.Add(-1)
-			} else {
-				WorkersReady.Add(-1)
-			}
-		}
-	}()
 	shard := r.c.opts.ShardSize
 	if ready := r.readyCount(); ready == 0 {
 		// No worker admitted: schedule runs every hole locally, each as one
@@ -371,34 +450,42 @@ func (r *distRun) finish() (*query.ResultSet, error) {
 	return rs, nil
 }
 
-// admit probes every configured worker in parallel; failures start evicted
-// with a readmission loop already running.
+// admit starts the query with every worker admitted and probes, in
+// parallel, those the fleet record does not vouch for; a worker that fails
+// its probe starts evicted with a readmission loop already running.
 func (r *distRun) admit() {
+	for _, w := range r.c.opts.Workers {
+		r.workers[w] = &workerState{}
+	}
+	probes := r.c.unvouched(time.Now())
+	if len(probes) == 0 {
+		return
+	}
 	type probe struct {
 		worker string
 		err    error
 	}
-	ch := make(chan probe, len(r.c.opts.Workers))
-	for _, w := range r.c.opts.Workers {
+	ch := make(chan probe, len(probes))
+	for _, w := range probes {
+		r.wg.Add(1)
 		go func(w string) {
+			defer r.wg.Done()
 			pctx, pcancel := probeCtx(r.ctx, r.c.opts.ProbeTimeout)
 			defer pcancel()
 			ch <- probe{w, r.c.opts.Transport.Ready(pctx, w)}
 		}(w)
 	}
-	for range r.c.opts.Workers {
+	for range probes {
 		p := <-ch
-		ws := &workerState{}
-		r.workers[p.worker] = ws
-		if p.err != nil {
-			WorkerFailuresTotal.Inc()
-			WorkersEvicted.Add(1)
-			ws.evicted = true
-			r.c.opts.Logger.Warn("dist: worker not admitted", "worker", p.worker, "err", p.err)
-			r.reprobe(p.worker)
-		} else {
-			WorkersReady.Add(1)
+		if p.err == nil {
+			r.c.vouch(p.worker)
+			continue
 		}
+		WorkerFailuresTotal.Inc()
+		r.c.recordEviction(p.worker)
+		r.workers[p.worker].evicted = true
+		r.c.opts.Logger.Warn("dist: worker not admitted", "worker", p.worker, "err", p.err)
+		r.reprobe(p.worker)
 	}
 }
 
@@ -497,10 +584,14 @@ func (r *distRun) launchRemote(worker string, s span, speculative bool) {
 	if s.attempts > 0 && !speculative {
 		RetriesTotal.Inc()
 	}
-	r.c.opts.Logger.Debug("dist: dispatch", "worker", worker, "from", s.from, "to", s.to,
-		"attempt", s.attempts, "speculative", speculative)
+	if lg := r.c.opts.Logger; lg.Enabled(r.ctx, slog.LevelDebug) {
+		lg.Debug("dist: dispatch", "worker", worker, "from", s.from, "to", s.to,
+			"attempt", s.attempts, "speculative", speculative)
+	}
 	req := TaskRequest{Query: r.q, From: s.from, To: s.to}
+	r.wg.Add(1)
 	go func() {
+		defer r.wg.Done()
 		defer fcancel()
 		stream, err := r.c.opts.Transport.Send(withPlanLabels(fctx, r.labels), worker, req)
 		if err != nil {
@@ -536,7 +627,9 @@ func (r *distRun) launchLocal(s span) {
 	fctx, fcancel := context.WithCancel(r.ctx)
 	r.flights[fid] = &flight{id: fid, worker: "", from: s.from, to: s.to, next: s.from, cancel: fcancel, lastMove: time.Now()}
 	r.localBusy = true
+	r.wg.Add(1)
 	go func() {
+		defer r.wg.Done()
 		defer fcancel()
 		err := r.plan.ExecuteRange(fctx, r.local, s.from, s.to, func(tr query.TaskResult, wallMS float64) error {
 			res := tr
@@ -638,6 +731,7 @@ func (r *distRun) onEnd(m msg) error {
 		ws := r.workers[f.worker]
 		ws.busy = false
 		ws.consecFails = 0
+		r.c.vouch(f.worker)
 		return nil
 	}
 	if r.ctx.Err() != nil {
@@ -712,14 +806,15 @@ func (r *distRun) backoff(attempt int) time.Duration {
 	return d/2 + time.Duration(r.rng.Int63n(int64(d/2)+1))
 }
 
+// evict takes worker out of this query's dispatch and records the eviction
+// fleet-wide, so the next query probes it before trusting it.
 func (r *distRun) evict(worker string) {
 	ws := r.workers[worker]
+	r.c.recordEviction(worker)
 	if ws.evicted {
 		return
 	}
 	ws.evicted = true
-	WorkersReady.Add(-1)
-	WorkersEvicted.Add(1)
 	r.c.opts.Logger.Warn("dist: worker evicted", "worker", worker)
 	r.reprobe(worker)
 }
@@ -727,7 +822,9 @@ func (r *distRun) evict(worker string) {
 // reprobe runs the readmission loop for an evicted worker: probe every
 // ReprobeAfter until the worker answers ready or the query ends.
 func (r *distRun) reprobe(worker string) {
+	r.wg.Add(1)
 	go func() {
+		defer r.wg.Done()
 		for {
 			select {
 			case <-r.ctx.Done():
@@ -746,14 +843,13 @@ func (r *distRun) reprobe(worker string) {
 }
 
 func (r *distRun) onProbe(m msg) {
+	r.c.vouch(m.worker)
 	ws := r.workers[m.worker]
-	if ws == nil || !ws.evicted {
+	if !ws.evicted {
 		return
 	}
 	ws.evicted = false
 	ws.consecFails = 0
-	WorkersEvicted.Add(-1)
-	WorkersReady.Add(1)
 	r.c.opts.Logger.Info("dist: worker readmitted", "worker", m.worker)
 }
 

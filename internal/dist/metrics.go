@@ -35,7 +35,10 @@ var (
 	// coordinators over /v2/tasks (the worker-side mirror of
 	// TasksRemoteTotal).
 	TasksServedTotal telemetry.Counter
-	// WorkersReady / WorkersEvicted track current fleet partition sizes.
+	// WorkersReady / WorkersEvicted count the workers the coordinators'
+	// fleet records hold admitted and evicted (one coordinator per
+	// process in production). They move when a record changes, not per
+	// query; a worker no query has probed yet is in neither.
 	WorkersReady   telemetry.Gauge
 	WorkersEvicted telemetry.Gauge
 )

@@ -158,10 +158,11 @@ const (
 // lineWriter writes the NDJSON records of one response: every line of it is
 // appended into one reused buffer, then coalesced with its neighbours so a
 // stream sends a few large HTTP chunks instead of one per line. A line that
-// arrives when nothing was sent for flushWindow goes out at once (the first
-// line included, so time to first line and sparse streams keep their
-// latency). Any other line waits in pending until flushBytes accumulate or
-// the per-stream timer fires, so no line waits longer than flushWindow.
+// arrives when nothing was sent for flushWindow goes out at once, without a
+// copy (the first line included, so time to first line and sparse streams
+// keep their latency). Any other line waits in pending, sized once per
+// stream, until flushBytes accumulate or the per-stream timer fires, so no
+// line waits longer than flushWindow.
 // close sends what is pending and stops the timer; every handler defers it,
 // and the terminal line, written last, reaches the client behind every line
 // before it.
@@ -201,31 +202,43 @@ func (lw *lineWriter) write(b []byte) error {
 	}
 	now := time.Now()
 	first := len(lw.pending) == 0
+	if first && now.Sub(lw.last) >= flushWindow {
+		lw.send(b, now)
+		return lw.err
+	}
 	if first {
 		lw.since = now
+		if cap(lw.pending) == 0 {
+			lw.pending = make([]byte, 0, flushBytes+len(b))
+		}
 	}
 	lw.pending = append(lw.pending, b...)
 	switch {
 	case len(lw.pending) >= flushBytes || now.Sub(lw.last) >= flushWindow:
-		lw.send(now)
+		lw.flush(now)
 	case first:
 		lw.arm(flushWindow)
 	}
 	return lw.err
 }
 
-// send writes and flushes pending; lw.mu is held.
-func (lw *lineWriter) send(now time.Time) {
-	if len(lw.pending) == 0 || lw.err != nil {
+// send writes and flushes p; lw.mu is held.
+func (lw *lineWriter) send(p []byte, now time.Time) {
+	if len(p) == 0 || lw.err != nil {
 		return
 	}
-	if _, err := lw.w.Write(lw.pending); err != nil {
+	if _, err := lw.w.Write(p); err != nil {
 		lw.err = err
 	} else if lw.flusher != nil {
 		lw.flusher.Flush()
 	}
-	lw.pending = lw.pending[:0]
 	lw.last = now
+}
+
+// flush sends pending and empties it; lw.mu is held.
+func (lw *lineWriter) flush(now time.Time) {
+	lw.send(lw.pending, now)
+	lw.pending = lw.pending[:0]
 }
 
 // arm schedules fire after d, creating the stream's one timer on first use;
@@ -252,7 +265,7 @@ func (lw *lineWriter) fire() {
 		lw.arm(wait)
 		return
 	}
-	lw.send(now)
+	lw.flush(now)
 }
 
 // close sends what is pending and stops the timer. After it nothing
@@ -263,7 +276,7 @@ func (lw *lineWriter) close() {
 	if lw.closed {
 		return
 	}
-	lw.send(time.Now())
+	lw.flush(time.Now())
 	lw.closed = true
 	if lw.timer != nil {
 		lw.timer.Stop()

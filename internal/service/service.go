@@ -51,8 +51,10 @@
 //
 // /readyz is the admission signal the distributed coordinator keys on: it
 // answers 503 until the server is fully constructed and again after
-// SetReady(false) during drain, so fleet membership changes are observed
-// within one probe interval.
+// SetReady(false) during drain. A coordinator probes a worker only when its
+// record of it is stale or evicted, so a draining worker also refuses
+// /v2/tasks with a 503: the next shard dispatched to it fails, evicts it
+// and runs elsewhere.
 //
 // # Observability
 //
@@ -255,7 +257,7 @@ type Server struct {
 	reqSeq  atomic.Uint64
 	ridBase string // request-id prefix, unique per server instance
 
-	ready       atomic.Bool  // readiness gate behind GET /readyz
+	ready       atomic.Bool  // readiness gate behind GET /readyz and POST /v2/tasks
 	tasksServed atomic.Int64 // /v2/tasks lines served (FaultExitAfterTasks)
 
 	reg          *telemetry.Registry
@@ -316,10 +318,10 @@ func NewServer(cfg Config) *Server {
 	return s
 }
 
-// SetReady flips the /readyz readiness gate. Servers construct ready;
-// drain paths call SetReady(false) before shutdown so the distributed
-// coordinator evicts the worker instead of dispatching into a dying
-// process.
+// SetReady flips the readiness gate behind /readyz and /v2/tasks. Servers
+// construct ready; drain paths call SetReady(false) before shutdown so the
+// distributed coordinator evicts the worker instead of dispatching into a
+// dying process.
 func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 
 // registerMetrics wires the server-owned families plus the process-wide

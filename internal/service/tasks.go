@@ -35,8 +35,16 @@ var errStreamWrite = errors.New("service: task stream write failed")
 // stream is load-bearing too: a connection that dies after k lines has
 // delivered exactly the first k tasks of the range, so the coordinator
 // resumes from the first missing index instead of recomputing the shard.
+//
+// A draining worker (SetReady(false)) refuses shards with a structured 503
+// before reading the request: a coordinator that still vouches for it sees
+// a failed dispatch, evicts it and re-dispatches the range elsewhere.
 
 func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
+	if !s.ready.Load() {
+		writeError(w, http.StatusServiceUnavailable, "worker draining", "")
+		return
+	}
 	var req dist.TaskRequest
 	if !decodeJSON(w, r, &req) {
 		return
