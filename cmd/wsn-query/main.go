@@ -28,6 +28,11 @@
 //	# overrides the default 2005, and "quick" shrinks Monte-Carlo runs.
 //	echo '{"kind":"experiment","experiment":"fig6","quick":true}' | wsn-query -workers 4
 //
+//	# Fig. 4 / eq. (1): the chip-level BER bench swept over received power,
+//	# its exponential regression beside the paper's eq. (1), and the
+//	# receiver sensitivity (three tables).
+//	echo '{"kind":"experiment","experiment":"fig4","quick":true}' | wsn-query
+//
 //	# One catalog scenario, model vs simulator, diffed against its
 //	# committed golden: .results[0].scenario.diff.pass is the verdict and
 //	# .byte_identical says whether the bytes match exactly.

@@ -28,7 +28,8 @@ func writeQuery(t *testing.T, doc string) string {
 }
 
 // TestPaperRecipesMatchRun pins the package doc's recipes for the paper's
-// results: the model at one operating point, a table/figure driver and a
+// results: the model at one operating point, two table/figure drivers
+// (fig6, and the Fig. 4 BER bench with its eq. (1) regression) and a
 // catalog scenario diffed against its golden. The CLI must write exactly
 // the bytes dense802154.Run encodes for the same document.
 func TestPaperRecipesMatchRun(t *testing.T) {
@@ -49,6 +50,15 @@ func TestPaperRecipesMatchRun(t *testing.T) {
 		{
 			name: "experiment",
 			doc:  `{"kind":"experiment","experiment":"fig6","quick":true,"seed":7}`,
+		},
+		{
+			name: "fig4",
+			doc:  `{"kind":"experiment","experiment":"fig4","quick":true}`,
+			check: func(t *testing.T, rs *dense802154.ResultSet) {
+				if n := len(rs.Results[0].Experiment.Tables); n != 3 {
+					t.Fatalf("fig4 returned %d tables, want 3 (BER sweep, regression, sensitivity)", n)
+				}
+			},
 		},
 		{
 			name: "scenario",

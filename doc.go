@@ -504,14 +504,18 @@
 // run did not produce fail the job (-failallocs). Allocation-budget tests
 // fail hard on setup or boxing regressions: des.TestTypedEventLoopAllocFree,
 // contention.TestSimulateAllocBudget, netsim.TestRunAllocBudget,
+// lifetime.TestLifetimeRunAllocBudget,
 // query.TestResultSetEncodeAllocBudget,
 // query.TestEncodeTaskResultAllocBudget, query.TestCompileGridAllocBudget,
 // query.TestExecuteGridAllocBudget, query.TestDecodeTaskResultAllocBudget,
-// dist.TestLineStreamAllocBudget and store.TestPutTaskAllocBudget. To
+// dist.TestLineStreamAllocBudget, store.TestPutTaskAllocBudget,
+// service.TestTaskShardAllocBudget and
+// service.TestDistributedQueryAllocBudget. To
 // profile the hot paths under live load, start the service with a
 // profiling listener (wsn-serve -pprof 127.0.0.1:6060) and capture
 // /debug/pprof/profile while a replica-heavy query runs.
 //
-// See the examples directory for runnable scenarios and EXPERIMENTS.md for
-// the paper-versus-reproduction comparison of every figure.
+// See the examples directory for runnable scenarios. The experiment drivers
+// (query kind "experiment") set the paper's figures beside the reproduced
+// ones.
 package dense802154

@@ -1,77 +1,16 @@
 // Package channel models the radio propagation environment of the paper:
-// calibrated fixed attenuation (the wired BER test bench), log-distance
-// path loss for physical deployments, the uniform path-loss population of
-// the 1600-node case study (55–95 dB), and the slow-fading AWGN link whose
-// bit errors follow a phy.BERModel.
+// the received power of eq. (2), the uniform path-loss population of the
+// 1600-node case study (55–95 dB), and the path-loss grids of the
+// link-adaptation sweeps.
 package channel
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
-
-	"dense802154/internal/phy"
 )
-
-// PathLoss yields the attenuation between a node and the coordinator.
-type PathLoss interface {
-	// LossDB reports the path loss in dB.
-	LossDB() float64
-}
-
-// Fixed is a constant attenuation, as produced by the calibrated
-// attenuators of the paper's wired test bench.
-type Fixed float64
-
-// LossDB implements PathLoss.
-func (f Fixed) LossDB() float64 { return float64(f) }
-
-// LogDistance is the classic log-distance path-loss model
-// PL(d) = PL(d0) + 10·n·log10(d/d0).
-type LogDistance struct {
-	RefLossDB float64 // PL(d0): path loss at the reference distance
-	RefDist   float64 // d0, meters
-	Exponent  float64 // n: 2 in free space, 2.5-4 indoors
-	Dist      float64 // d, meters
-}
-
-// LossDB implements PathLoss.
-func (l LogDistance) LossDB() float64 {
-	d := l.Dist
-	if d < l.RefDist {
-		d = l.RefDist
-	}
-	return l.RefLossDB + 10*l.Exponent*math.Log10(d/l.RefDist)
-}
-
-// FreeSpaceRefLoss returns the free-space path loss at 1 m for a carrier
-// frequency in MHz: 20·log10(f) - 27.55 (f in MHz, d in m).
-func FreeSpaceRefLoss(freqMHz float64) float64 {
-	return 20*math.Log10(freqMHz) - 27.55
-}
 
 // ReceivedPowerDBm reports P_Rx = P_Tx - A (the paper's eq. 2).
 func ReceivedPowerDBm(txDBm, lossDB float64) float64 { return txDBm - lossDB }
-
-// Link couples a path loss with a bit-error model; it answers the questions
-// the MAC layers ask: what is the BER and packet error probability of a
-// transmission at a given power.
-type Link struct {
-	Loss PathLoss
-	BER  phy.BERModel
-}
-
-// BitErrorRate reports the link BER at the given transmit power.
-func (l Link) BitErrorRate(txDBm float64) float64 {
-	return l.BER.BitErrorRate(ReceivedPowerDBm(txDBm, l.Loss.LossDB()))
-}
-
-// PacketErrorRate reports the probability that a packet of errorBytes
-// error-prone bytes is corrupted (the paper's eq. 10 applies it to the
-// packet minus its preamble).
-func (l Link) PacketErrorRate(txDBm float64, errorBytes int) float64 {
-	return phy.PacketErrorRateBytes(l.BitErrorRate(txDBm), errorBytes)
-}
 
 // Deployment generates per-node path losses for a population of nodes
 // around the coordinator.
@@ -94,51 +33,6 @@ func (u UniformLoss) Sample(rng *rand.Rand) float64 {
 // String implements fmt.Stringer.
 func (u UniformLoss) String() string {
 	return fmt.Sprintf("uniform path loss %g-%g dB", u.MinDB, u.MaxDB)
-}
-
-// UniformDisk places nodes uniformly over a disk of the given radius around
-// the coordinator and converts distance to loss through a log-distance
-// model. Uniform area density means the radial CDF is (r/R)².
-type UniformDisk struct {
-	RadiusM   float64
-	RefLossDB float64
-	Exponent  float64
-	MinDistM  float64 // close-in cutoff (defaults to 1 m when zero)
-}
-
-// Sample implements Deployment.
-func (u UniformDisk) Sample(rng *rand.Rand) float64 {
-	min := u.MinDistM
-	if min <= 0 {
-		min = 1
-	}
-	r := u.RadiusM * math.Sqrt(rng.Float64())
-	if r < min {
-		r = min
-	}
-	return LogDistance{RefLossDB: u.RefLossDB, RefDist: 1, Exponent: u.Exponent, Dist: r}.LossDB()
-}
-
-// Shadowed decorates a deployment with i.i.d. log-normal shadowing of the
-// given standard deviation (dB) — the slow-fading component the paper's
-// channel-inversion policy compensates through link adaptation.
-type Shadowed struct {
-	Base    Deployment
-	SigmaDB float64
-}
-
-// Sample implements Deployment.
-func (s Shadowed) Sample(rng *rand.Rand) float64 {
-	return s.Base.Sample(rng) + rng.NormFloat64()*s.SigmaDB
-}
-
-// SamplePopulation draws n path losses from a deployment.
-func SamplePopulation(d Deployment, n int, rng *rand.Rand) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = d.Sample(rng)
-	}
-	return out
 }
 
 // LossGrid returns an evenly spaced grid of path losses [from, to] with the

@@ -9,12 +9,6 @@ import (
 	"dense802154/internal/phy"
 )
 
-func TestFixedLoss(t *testing.T) {
-	if Fixed(88).LossDB() != 88 {
-		t.Fatal("fixed loss")
-	}
-}
-
 func TestReceivedPower(t *testing.T) {
 	// Paper eq. (2): P_Rx = P_Tx - A. 0 dBm through 88 dB = -88 dBm.
 	if got := ReceivedPowerDBm(0, 88); got != -88 {
@@ -25,47 +19,27 @@ func TestReceivedPower(t *testing.T) {
 	}
 }
 
-func TestLogDistance(t *testing.T) {
-	l := LogDistance{RefLossDB: 40, RefDist: 1, Exponent: 2, Dist: 10}
-	if got := l.LossDB(); math.Abs(got-60) > 1e-12 {
-		t.Fatalf("loss at 10m = %v, want 60", got)
-	}
-	l.Dist = 100
-	if got := l.LossDB(); math.Abs(got-80) > 1e-12 {
-		t.Fatalf("loss at 100m = %v, want 80", got)
-	}
-	// Below the reference distance the loss clamps to the reference loss.
-	l.Dist = 0.1
-	if got := l.LossDB(); got != 40 {
-		t.Fatalf("close-in loss = %v, want 40", got)
-	}
-}
-
-func TestFreeSpaceRefLoss(t *testing.T) {
-	// At 2450 MHz the 1 m free-space loss is ≈ 40.2 dB.
-	got := FreeSpaceRefLoss(2450)
-	if math.Abs(got-40.23) > 0.1 {
-		t.Fatalf("free space 1m loss = %v, want ≈40.2", got)
-	}
+// linkPER is the packet error rate of errorBytes bytes sent at txDBm
+// through lossDB: eq. (2) feeding the eq. (1) bit-error model.
+func linkPER(txDBm, lossDB float64, errorBytes int) float64 {
+	return phy.PacketErrorRateBytes(phy.Eq1.BitErrorRate(ReceivedPowerDBm(txDBm, lossDB)), errorBytes)
 }
 
 func TestLinkPER(t *testing.T) {
-	link := Link{Loss: Fixed(88), BER: phy.Eq1}
 	// At 0 dBm through 88 dB: PRx=-88, BER from eq.(1), PER over 129
 	// bytes should be a few percent (the paper's "efficient up to 88 dB").
-	per := link.PacketErrorRate(0, 129)
+	per := linkPER(0, 88, 129)
 	if per < 0.001 || per > 0.2 {
 		t.Fatalf("PER at edge of range = %v, want a few percent", per)
 	}
 	// At shorter range the link is nearly clean even at the weakest level:
 	// PRx = -80 dBm, BER ≈ 2e-7, PER ≈ 2e-4 — low enough that the paper's
 	// link adaptation picks -25 dBm below 55 dB loss.
-	clean := Link{Loss: Fixed(55), BER: phy.Eq1}
-	if p := clean.PacketErrorRate(-25, 129); p > 1e-3 {
+	if p := linkPER(-25, 55, 129); p > 1e-3 {
 		t.Fatalf("PER at 55 dB with -25 dBm = %v, want < 1e-3", p)
 	}
 	// Monotone in TX power.
-	if link.PacketErrorRate(-5, 129) <= per {
+	if linkPER(-5, 88, 129) <= per {
 		t.Fatal("PER must increase when transmit power drops")
 	}
 }
@@ -91,68 +65,6 @@ func TestUniformLossBounds(t *testing.T) {
 	}
 }
 
-func TestUniformDiskStatistics(t *testing.T) {
-	// 1600 nodes over a disk: with exponent 3.5 and 40 dB reference loss,
-	// a 40 m radius spans losses from ~40 dB up to ~96 dB.
-	d := UniformDisk{RadiusM: 40, RefLossDB: 40, Exponent: 3.5}
-	rng := rand.New(rand.NewSource(2))
-	losses := SamplePopulation(d, 1600, rng)
-	if len(losses) != 1600 {
-		t.Fatal("population size")
-	}
-	maxLoss := LogDistance{RefLossDB: 40, RefDist: 1, Exponent: 3.5, Dist: 40}.LossDB()
-	for _, v := range losses {
-		if v < 40-1e-9 || v > maxLoss+1e-9 {
-			t.Fatalf("loss %v outside [40, %v]", v, maxLoss)
-		}
-	}
-	// Uniform-area density concentrates mass at the rim: the median
-	// distance is R/√2, median loss ≈ RefLoss+10·n·log10(R/√2).
-	med := LogDistance{RefLossDB: 40, RefDist: 1, Exponent: 3.5, Dist: 40 / math.Sqrt2}.LossDB()
-	var below int
-	for _, v := range losses {
-		if v < med {
-			below++
-		}
-	}
-	frac := float64(below) / float64(len(losses))
-	if math.Abs(frac-0.5) > 0.05 {
-		t.Fatalf("median check: %v of mass below computed median", frac)
-	}
-}
-
-func TestUniformDiskMinDistance(t *testing.T) {
-	d := UniformDisk{RadiusM: 10, RefLossDB: 40, Exponent: 2, MinDistM: 5}
-	rng := rand.New(rand.NewSource(3))
-	minLoss := LogDistance{RefLossDB: 40, RefDist: 1, Exponent: 2, Dist: 5}.LossDB()
-	for i := 0; i < 1000; i++ {
-		if v := d.Sample(rng); v < minLoss-1e-9 {
-			t.Fatalf("loss %v below close-in cutoff %v", v, minLoss)
-		}
-	}
-}
-
-func TestShadowedDeployment(t *testing.T) {
-	base := UniformLoss{MinDB: 70, MaxDB: 70} // degenerate: constant 70
-	s := Shadowed{Base: base, SigmaDB: 4}
-	rng := rand.New(rand.NewSource(4))
-	var acc, acc2 float64
-	const n = 20000
-	for i := 0; i < n; i++ {
-		v := s.Sample(rng)
-		acc += v
-		acc2 += v * v
-	}
-	mean := acc / n
-	std := math.Sqrt(acc2/n - mean*mean)
-	if math.Abs(mean-70) > 0.2 {
-		t.Fatalf("shadowed mean = %v, want 70", mean)
-	}
-	if math.Abs(std-4) > 0.2 {
-		t.Fatalf("shadowed sigma = %v, want 4", std)
-	}
-}
-
 func TestLossGrid(t *testing.T) {
 	g := LossGrid(55, 95, 5)
 	want := []float64{55, 65, 75, 85, 95}
@@ -169,14 +81,12 @@ func TestLossGrid(t *testing.T) {
 	}
 }
 
-// Property: received power is antitone in loss and monotone in TX power.
+// Property: packet error rate grows with path loss.
 func TestPropertyLinkMonotonicity(t *testing.T) {
 	f := func(a, b uint8) bool {
 		loss1 := 40 + float64(a%60)
 		loss2 := loss1 + 1 + float64(b%20)
-		l1 := Link{Loss: Fixed(loss1), BER: phy.Eq1}
-		l2 := Link{Loss: Fixed(loss2), BER: phy.Eq1}
-		return l2.PacketErrorRate(0, 129) >= l1.PacketErrorRate(0, 129)-1e-15
+		return linkPER(0, loss2, 129) >= linkPER(0, loss1, 129)-1e-15
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

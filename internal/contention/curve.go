@@ -2,13 +2,10 @@ package contention
 
 import (
 	"context"
-	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"dense802154/internal/engine"
-	"dense802154/internal/fit"
 )
 
 // Stats is the tuple of contention-side quantities the analytical energy
@@ -84,16 +81,6 @@ func BuildCurve(payload int, loads []float64, base Config) Curve {
 	return c
 }
 
-// At interpolates the curve at the given load (clamping outside the grid).
-func (c *Curve) At(load float64) Stats {
-	return Stats{
-		Tcont: time.Duration(fit.Interp(c.Loads, c.TcontSec, load) * float64(time.Second)),
-		NCCA:  fit.Interp(c.Loads, c.NCCA, load),
-		PrCF:  fit.Interp(c.Loads, c.PrCF, load),
-		PrCol: fit.Interp(c.Loads, c.PrCol, load),
-	}
-}
-
 // mcKey identifies one Monte-Carlo characterization point in the shared
 // contention cache: the full simulation config (with the per-point fields
 // normalized out) plus the payload and the quantized load. Workers is
@@ -117,9 +104,6 @@ var mcCache engine.Cache[mcKey, Stats]
 // between sweeps to bound memory — or install a standing bound with
 // SetCacheLimit; tests use it to force re-simulation.
 func ResetCache() { mcCache.Reset() }
-
-// CacheLen reports the number of cached contention characterizations.
-func CacheLen() int { return mcCache.Len() }
 
 // SetCacheLimit bounds the shared contention cache to at most n
 // characterizations with least-recently-used eviction; n ≤ 0 removes the
@@ -165,42 +149,3 @@ func (s *MCSource) Contention(payloadBytes int, load float64) Stats {
 
 // String implements fmt.Stringer.
 func (s *MCSource) String() string { return "monte-carlo" }
-
-// CurveSource serves lookups by interpolating pre-built curves, one per
-// payload size; payloads between curves use the nearest curve.
-type CurveSource struct {
-	Curves []Curve // must be sorted by PayloadBytes
-}
-
-// NewCurveSource sorts and wraps pre-built curves.
-func NewCurveSource(curves ...Curve) *CurveSource {
-	cs := &CurveSource{Curves: append([]Curve(nil), curves...)}
-	sort.Slice(cs.Curves, func(i, j int) bool {
-		return cs.Curves[i].PayloadBytes < cs.Curves[j].PayloadBytes
-	})
-	return cs
-}
-
-// Contention implements Source.
-func (s *CurveSource) Contention(payloadBytes int, load float64) Stats {
-	if len(s.Curves) == 0 {
-		panic("contention: empty CurveSource")
-	}
-	best := 0
-	bestDist := math.Abs(float64(s.Curves[0].PayloadBytes - payloadBytes))
-	for i := 1; i < len(s.Curves); i++ {
-		if d := math.Abs(float64(s.Curves[i].PayloadBytes - payloadBytes)); d < bestDist {
-			best, bestDist = i, d
-		}
-	}
-	return s.Curves[best].At(load)
-}
-
-// String implements fmt.Stringer.
-func (s *CurveSource) String() string {
-	sizes := make([]string, len(s.Curves))
-	for i, c := range s.Curves {
-		sizes[i] = fmt.Sprintf("%dB", c.PayloadBytes)
-	}
-	return fmt.Sprintf("curves(%v)", sizes)
-}

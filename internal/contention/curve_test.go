@@ -7,25 +7,19 @@ import (
 	"dense802154/internal/mac"
 )
 
-func TestBuildCurveAndInterp(t *testing.T) {
+func TestBuildCurve(t *testing.T) {
 	base := Config{Superframes: 15, Seed: 7}
-	curve := BuildCurve(120, []float64{0.1, 0.3, 0.5}, base)
-	if len(curve.Loads) != 3 || len(curve.Results) != 3 {
-		t.Fatalf("curve size: %d", len(curve.Loads))
+	loads := []float64{0.1, 0.3, 0.5}
+	curve := BuildCurve(120, loads, base)
+	if curve.PayloadBytes != 120 || len(curve.Loads) != 3 || len(curve.Results) != 3 {
+		t.Fatalf("curve shape: %d B, %d loads, %d results", curve.PayloadBytes, len(curve.Loads), len(curve.Results))
 	}
-	// Interpolation between grid points must be bracketed.
-	mid := curve.At(0.2)
-	if mid.PrCF < curve.PrCF[0]-1e-9 || mid.PrCF > curve.PrCF[1]+1e-9 {
-		t.Errorf("interpolated PrCF %v outside bracket [%v,%v]", mid.PrCF, curve.PrCF[0], curve.PrCF[1])
-	}
-	// Clamping outside the grid.
-	lo := curve.At(0.01)
-	if lo.NCCA != curve.NCCA[0] {
-		t.Error("clamp low")
-	}
-	hi := curve.At(0.99)
-	if hi.NCCA != curve.NCCA[2] {
-		t.Error("clamp high")
+	// Each series point is its load point's simulation result.
+	for i, r := range curve.Results {
+		if curve.Loads[i] != loads[i] || curve.TcontSec[i] != r.MeanContention.Seconds() ||
+			curve.NCCA[i] != r.MeanCCAs || curve.PrCF[i] != r.PrCF || curve.PrCol[i] != r.PrCol {
+			t.Errorf("point %d: series disagree with its result", i)
+		}
 	}
 }
 
@@ -42,33 +36,6 @@ func TestMCSourceCaching(t *testing.T) {
 	if src.String() == "" {
 		t.Fatal("String")
 	}
-}
-
-func TestCurveSourcePicksNearestPayload(t *testing.T) {
-	base := Config{Superframes: 10, Seed: 11}
-	c10 := BuildCurve(10, []float64{0.1, 0.5}, base)
-	c100 := BuildCurve(100, []float64{0.1, 0.5}, base)
-	src := NewCurveSource(c100, c10) // constructor must sort
-	if src.Curves[0].PayloadBytes != 10 {
-		t.Fatal("curves not sorted")
-	}
-	got := src.Contention(95, 0.3)
-	want := c100.At(0.3)
-	if got != want {
-		t.Fatalf("nearest-payload lookup: got %+v, want %+v", got, want)
-	}
-	if src.String() == "" {
-		t.Fatal("String")
-	}
-}
-
-func TestCurveSourceEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("empty CurveSource must panic")
-		}
-	}()
-	(&CurveSource{}).Contention(120, 0.4)
 }
 
 func TestApproxQualitativeShape(t *testing.T) {

@@ -52,28 +52,28 @@ func TestSharedCacheServesIdenticalPointsOnce(t *testing.T) {
 	base := Config{Superframes: 8, Seed: 7}
 	s1 := NewMCSource(base)
 	a := s1.Contention(120, 0.4)
-	if CacheLen() != 1 {
-		t.Fatalf("cache len = %d after first point, want 1", CacheLen())
+	if CacheStats().Entries != 1 {
+		t.Fatalf("cache len = %d after first point, want 1", CacheStats().Entries)
 	}
 	// A second source with the same base config — and any worker count —
 	// must hit the shared entry rather than re-simulating.
 	s2 := NewMCSource(withWorkers(base, 4))
 	b := s2.Contention(120, 0.4)
-	if CacheLen() != 1 {
-		t.Fatalf("cache len = %d after identical point, want 1 (re-simulated)", CacheLen())
+	if CacheStats().Entries != 1 {
+		t.Fatalf("cache len = %d after identical point, want 1 (re-simulated)", CacheStats().Entries)
 	}
 	if a != b {
 		t.Fatalf("shared cache returned different stats: %+v vs %+v", a, b)
 	}
 	// A different load is a different point.
 	s1.Contention(120, 0.6)
-	if CacheLen() != 2 {
-		t.Fatalf("cache len = %d after second point, want 2", CacheLen())
+	if CacheStats().Entries != 2 {
+		t.Fatalf("cache len = %d after second point, want 2", CacheStats().Entries)
 	}
 	// A different base config must not alias.
 	s3 := NewMCSource(Config{Superframes: 8, Seed: 8})
 	s3.Contention(120, 0.4)
-	if CacheLen() != 3 {
-		t.Fatalf("cache len = %d after third point, want 3", CacheLen())
+	if CacheStats().Entries != 3 {
+		t.Fatalf("cache len = %d after third point, want 3", CacheStats().Entries)
 	}
 }

@@ -75,8 +75,9 @@ type CaseStudyResult struct {
 	// Coverage is the fraction of the population whose links close at
 	// all (delay finite); nodes deep in the >88 dB tail never deliver.
 	Coverage float64
-	// MeanDelay/MedianDelay are over covered nodes (paper: 1.45 s; see
-	// EXPERIMENTS.md for the reading of that figure).
+	// MeanDelay/MedianDelay are over covered nodes (paper: 1.45 s, one
+	// figure; both are reported because the retry-heavy high-loss tail
+	// pulls the mean well above the median).
 	MeanDelay    time.Duration
 	MedianDelay  time.Duration
 	NominalDelay time.Duration // Tib / (1 - mean PrFail)

@@ -114,7 +114,7 @@ func TestThresholdsOrderedAndLoadIndependent(t *testing.T) {
 func TestAdaptationSavings(t *testing.T) {
 	p := testParams()
 	// Paper: up to 40% savings at short range; our accounting yields
-	// ≈25-35% (EXPERIMENTS.md records the exact figure).
+	// 29% at 55 dB with these parameters.
 	s, err := AdaptationSavings(p, 55)
 	if err != nil {
 		t.Fatal(err)

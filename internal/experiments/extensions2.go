@@ -122,9 +122,9 @@ func runDownlink(opt Options) ([]*stats.Table, error) {
 	}
 	tbl.AddNote("plus one CSMA contention for the data request — the uplink machinery reused; the paper models the uplink only because data-gathering traffic dominates")
 
-	q := mac.NewIndirectQueue(0)
+	q := mac.NewIndirectQueue()
 	for i := 0; i < 9; i++ {
-		_ = q.Queue(uint16(i%7+1), []byte{byte(i)}, 0)
+		_ = q.Queue(uint16(i%7+1), []byte{byte(i)})
 	}
 	cap := stats.NewTable("Coordinator pending queue", "property", "value")
 	cap.AddRow("max advertised destinations", mac.MaxPendingAddresses)

@@ -44,7 +44,7 @@ func runFig4(opt Options) ([]*stats.Table, error) {
 		reg.AddRow("synthetic bench", e.A, e.B, e.R2)
 	}
 	reg.AddRow("paper eq.(1)", phy.Eq1.A, phy.Eq1.B, "n/a")
-	reg.AddNote("the synthetic O-QPSK/DSSS bench has a steeper waterfall than the measured CC2420 (no analog impairments); shape and pipeline match, coefficients differ — see EXPERIMENTS.md")
+	reg.AddNote("the synthetic O-QPSK/DSSS bench has a steeper waterfall than the measured CC2420 (no analog impairments); shape and pipeline match, coefficients differ, so the model keeps the paper's eq. (1)")
 	sens := stats.NewTable("Receiver sensitivity (1% PER, 20-byte PSDU)",
 		"model", "sensitivity [dBm]")
 	sens.AddRow("paper eq.(1) regression", phy.Sensitivity(phy.Eq1))

@@ -111,30 +111,3 @@ func Crossing(x, y1, y2 []float64) (xc float64, ok bool) {
 	}
 	return 0, false
 }
-
-// Interp performs piecewise-linear interpolation of (xs, ys) at x, clamping
-// outside the grid. xs must be strictly increasing.
-func Interp(xs, ys []float64, x float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return math.NaN()
-	}
-	if x <= xs[0] {
-		return ys[0]
-	}
-	if x >= xs[n-1] {
-		return ys[n-1]
-	}
-	// Binary search for the bracketing interval.
-	lo, hi := 0, n-1
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if xs[mid] <= x {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	t := (x - xs[lo]) / (xs[hi] - xs[lo])
-	return ys[lo] + t*(ys[hi]-ys[lo])
-}

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestLinearExact(t *testing.T) {
@@ -146,61 +145,5 @@ func TestCrossingBadInput(t *testing.T) {
 	}
 	if _, ok := Crossing([]float64{1, 2}, []float64{1}, []float64{1, 2}); ok {
 		t.Fatal("length mismatch must report !ok")
-	}
-}
-
-func TestInterp(t *testing.T) {
-	xs := []float64{0, 10, 20}
-	ys := []float64{0, 100, 400}
-	cases := []struct{ x, want float64 }{
-		{-5, 0},   // clamp low
-		{25, 400}, // clamp high
-		{0, 0},    // exact
-		{5, 50},   // interp
-		{15, 250}, // interp
-		{10, 100}, // knot
-		{20, 400}, // end
-	}
-	for _, c := range cases {
-		if got := Interp(xs, ys, c.x); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("Interp(%v) = %v, want %v", c.x, got, c.want)
-		}
-	}
-	if !math.IsNaN(Interp(nil, nil, 1)) {
-		t.Error("Interp on empty grid must be NaN")
-	}
-}
-
-// Property: interpolation at grid points returns the grid value, and
-// between points the result is within [min,max] of the bracketing values.
-func TestPropertyInterpBounds(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(20)
-		xs := make([]float64, n)
-		ys := make([]float64, n)
-		x := 0.0
-		for i := 0; i < n; i++ {
-			x += 0.1 + rng.Float64()
-			xs[i] = x
-			ys[i] = rng.NormFloat64() * 10
-		}
-		for trial := 0; trial < 20; trial++ {
-			q := xs[0] + rng.Float64()*(xs[n-1]-xs[0])
-			v := Interp(xs, ys, q)
-			// Locate bracket.
-			j := 0
-			for j < n-1 && xs[j+1] < q {
-				j++
-			}
-			lo, hi := math.Min(ys[j], ys[j+1]), math.Max(ys[j], ys[j+1])
-			if v < lo-1e-9 || v > hi+1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
 	}
 }

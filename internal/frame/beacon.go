@@ -1,9 +1,6 @@
 package frame
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // SuperframeSpec is the 16-bit superframe specification field carried in
 // every beacon (§7.2.2.1.2).
@@ -31,18 +28,6 @@ func (s SuperframeSpec) Encode() uint16 {
 		v |= 1 << 15
 	}
 	return v
-}
-
-// DecodeSuperframeSpec unpacks a superframe specification field.
-func DecodeSuperframeSpec(v uint16) SuperframeSpec {
-	return SuperframeSpec{
-		BeaconOrder:     uint8(v & 0xF),
-		SuperframeOrder: uint8(v >> 4 & 0xF),
-		FinalCAPSlot:    uint8(v >> 8 & 0xF),
-		BatteryLifeExt:  v&(1<<12) != 0,
-		PANCoordinator:  v&(1<<14) != 0,
-		AssocPermit:     v&(1<<15) != 0,
-	}
 }
 
 // GTSDescriptor allocates guaranteed time slots to one device (§7.2.2.1.3).
@@ -108,60 +93,6 @@ func (b *BeaconPayload) Encode() ([]byte, error) {
 	return out, nil
 }
 
-// DecodeBeaconPayload parses a beacon MAC payload.
-func DecodeBeaconPayload(p []byte) (*BeaconPayload, error) {
-	if len(p) < 4 {
-		return nil, ErrTooShort
-	}
-	b := &BeaconPayload{}
-	b.Superframe = DecodeSuperframeSpec(uint16(p[0]) | uint16(p[1])<<8)
-	i := 2
-	gtsSpec := p[i]
-	i++
-	nGTS := int(gtsSpec & 0x7)
-	b.GTSPermit = gtsSpec&(1<<7) != 0
-	if nGTS > 0 {
-		if i+1+3*nGTS > len(p) {
-			return nil, ErrTooShort
-		}
-		b.GTSDirections = p[i] & 0x7F
-		i++
-		for k := 0; k < nGTS; k++ {
-			d := GTSDescriptor{
-				ShortAddr: uint16(p[i]) | uint16(p[i+1])<<8,
-				StartSlot: p[i+2] & 0xF,
-				Length:    p[i+2] >> 4,
-			}
-			b.GTS = append(b.GTS, d)
-			i += 3
-		}
-	}
-	if i >= len(p) {
-		return nil, ErrTooShort
-	}
-	pend := p[i]
-	i++
-	nShort := int(pend & 0x7)
-	nExt := int(pend >> 4 & 0x7)
-	if i+2*nShort+8*nExt > len(p) {
-		return nil, ErrTooShort
-	}
-	for k := 0; k < nShort; k++ {
-		b.PendingShort = append(b.PendingShort, uint16(p[i])|uint16(p[i+1])<<8)
-		i += 2
-	}
-	for k := 0; k < nExt; k++ {
-		var v uint64
-		for j := 0; j < 8; j++ {
-			v |= uint64(p[i+j]) << (8 * j)
-		}
-		b.PendingExt = append(b.PendingExt, v)
-		i += 8
-	}
-	b.Extra = append([]byte(nil), p[i:]...)
-	return b, nil
-}
-
 // NewBeacon builds a beacon frame from a coordinator source address.
 // Beacons carry source addressing only (§7.2.2.1.1).
 func NewBeacon(seq uint8, src Address, payload *BeaconPayload) (*Frame, error) {
@@ -177,65 +108,4 @@ func NewBeacon(seq uint8, src Address, payload *BeaconPayload) (*Frame, error) {
 		},
 		Payload: p,
 	}, nil
-}
-
-// CommandID identifies a MAC command frame (§7.3).
-type CommandID uint8
-
-// MAC command identifiers (2003).
-const (
-	CmdAssociationRequest  CommandID = 0x01
-	CmdAssociationResponse CommandID = 0x02
-	CmdDisassociation      CommandID = 0x03
-	CmdDataRequest         CommandID = 0x04
-	CmdPANIDConflict       CommandID = 0x05
-	CmdOrphan              CommandID = 0x06
-	CmdBeaconRequest       CommandID = 0x07
-	CmdCoordinatorRealign  CommandID = 0x08
-	CmdGTSRequest          CommandID = 0x09
-)
-
-// String implements fmt.Stringer.
-func (c CommandID) String() string {
-	switch c {
-	case CmdAssociationRequest:
-		return "association-request"
-	case CmdAssociationResponse:
-		return "association-response"
-	case CmdDisassociation:
-		return "disassociation"
-	case CmdDataRequest:
-		return "data-request"
-	case CmdPANIDConflict:
-		return "pan-id-conflict"
-	case CmdOrphan:
-		return "orphan"
-	case CmdBeaconRequest:
-		return "beacon-request"
-	case CmdCoordinatorRealign:
-		return "coordinator-realignment"
-	case CmdGTSRequest:
-		return "gts-request"
-	default:
-		return fmt.Sprintf("command(0x%02x)", uint8(c))
-	}
-}
-
-// NewCommand builds a MAC command frame, e.g. the data request used for
-// indirect (downlink) transmission.
-func NewCommand(seq uint8, dst, src Address, id CommandID, params []byte, ackRequest bool) *Frame {
-	payload := append([]byte{byte(id)}, params...)
-	return &Frame{
-		Header: Header{
-			Control: Control{
-				Type:       TypeCommand,
-				AckRequest: ackRequest,
-				IntraPAN:   dst.Mode != AddrNone && src.Mode != AddrNone && dst.PAN == src.PAN,
-			},
-			Seq: seq,
-			Dst: dst,
-			Src: src,
-		},
-		Payload: payload,
-	}
 }

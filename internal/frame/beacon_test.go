@@ -1,27 +1,26 @@
 package frame
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 )
 
-func TestSuperframeSpecRoundTrip(t *testing.T) {
+// TestSuperframeSpecEncode pins the superframe specification layout: BO,
+// SO and the final CAP slot in 4-bit fields from bit 0, then battery life
+// extension (bit 12), PAN coordinator (bit 14) and association permit
+// (bit 15).
+func TestSuperframeSpecEncode(t *testing.T) {
 	s := SuperframeSpec{
 		BeaconOrder:     6,
 		SuperframeOrder: 6,
 		FinalCAPSlot:    15,
-		BatteryLifeExt:  false,
 		PANCoordinator:  true,
 		AssocPermit:     true,
 	}
-	back := DecodeSuperframeSpec(s.Encode())
-	if back != s {
-		t.Fatalf("round trip: %+v -> %+v", s, back)
+	if got := s.Encode(); got != 0xCF66 {
+		t.Fatalf("%+v encodes to %#04x, want 0xcf66", s, got)
 	}
-}
-
-// Property: all field combinations of the superframe spec round-trip.
-func TestPropertySuperframeSpec(t *testing.T) {
 	f := func(bo, so, cap uint8, ble, pc, ap bool) bool {
 		s := SuperframeSpec{
 			BeaconOrder:     bo & 0xF,
@@ -31,14 +30,20 @@ func TestPropertySuperframeSpec(t *testing.T) {
 			PANCoordinator:  pc,
 			AssocPermit:     ap,
 		}
-		return DecodeSuperframeSpec(s.Encode()) == s
+		v := s.Encode()
+		bit := func(i uint) bool { return v&(1<<i) != 0 }
+		return uint8(v&0xF) == s.BeaconOrder && uint8(v>>4&0xF) == s.SuperframeOrder &&
+			uint8(v>>8&0xF) == s.FinalCAPSlot && bit(12) == ble && !bit(13) &&
+			bit(14) == pc && bit(15) == ap
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestBeaconPayloadRoundTrip(t *testing.T) {
+// TestBeaconPayloadEncoding checks a beacon payload with every optional
+// field byte by byte (§7.2.2.1).
+func TestBeaconPayloadEncoding(t *testing.T) {
 	b := &BeaconPayload{
 		Superframe: SuperframeSpec{BeaconOrder: 6, SuperframeOrder: 6, FinalCAPSlot: 15, PANCoordinator: true},
 		GTSPermit:  true,
@@ -55,27 +60,20 @@ func TestBeaconPayloadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeBeaconPayload(enc)
-	if err != nil {
-		t.Fatal(err)
+	want := []byte{
+		0x66, 0x4F, // superframe spec
+		0x82,             // GTS spec: permit, 2 descriptors
+		0x01,             // GTS directions
+		0x10, 0x00, 0x2D, // descriptor: addr 0x0010, start 13, length 2
+		0x20, 0x00, 0x1F, // descriptor: addr 0x0020, start 15, length 1
+		0x12,       // pending spec: 2 short, 1 extended
+		0x42, 0x00, // pending short addresses
+		0x43, 0x00,
+		0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11, // pending extended address
+		0xAB, // beacon payload
 	}
-	if back.Superframe != b.Superframe {
-		t.Fatalf("superframe: %+v", back.Superframe)
-	}
-	if !back.GTSPermit || len(back.GTS) != 2 || back.GTS[0] != b.GTS[0] || back.GTS[1] != b.GTS[1] {
-		t.Fatalf("GTS: %+v", back.GTS)
-	}
-	if back.GTSDirections != 0b01 {
-		t.Fatalf("directions: %b", back.GTSDirections)
-	}
-	if len(back.PendingShort) != 2 || back.PendingShort[0] != 0x0042 {
-		t.Fatalf("pending short: %v", back.PendingShort)
-	}
-	if len(back.PendingExt) != 1 || back.PendingExt[0] != 0x1122334455667788 {
-		t.Fatalf("pending ext: %v", back.PendingExt)
-	}
-	if len(back.Extra) != 1 || back.Extra[0] != 0xAB {
-		t.Fatalf("extra: %v", back.Extra)
+	if !bytes.Equal(enc, want) {
+		t.Fatalf("beacon payload:\n got % x\nwant % x", enc, want)
 	}
 }
 
@@ -85,16 +83,10 @@ func TestBeaconPayloadMinimal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// superframe(2) + gts spec(1) + pending spec(1) = 4 bytes minimum.
-	if len(enc) != 4 {
-		t.Fatalf("minimal beacon payload = %d bytes, want 4", len(enc))
-	}
-	back, err := DecodeBeaconPayload(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.GTS) != 0 || len(back.PendingShort) != 0 {
-		t.Fatal("minimal beacon must have no GTS/pending entries")
+	// superframe(2) + gts spec(1) + pending spec(1) = 4 bytes minimum, with
+	// no GTS or pending entries announced.
+	if want := []byte{0x66, 0x00, 0x00, 0x00}; !bytes.Equal(enc, want) {
+		t.Fatalf("minimal beacon payload = % x, want % x", enc, want)
 	}
 }
 
@@ -109,22 +101,6 @@ func TestBeaconLimits(t *testing.T) {
 	}
 }
 
-func TestDecodeBeaconPayloadTruncated(t *testing.T) {
-	if _, err := DecodeBeaconPayload([]byte{1, 2}); err != ErrTooShort {
-		t.Fatalf("err = %v", err)
-	}
-	// GTS spec promising descriptors that are missing.
-	bad := []byte{0, 0, 0x03, 0}
-	if _, err := DecodeBeaconPayload(bad); err != ErrTooShort {
-		t.Fatalf("err = %v", err)
-	}
-	// Pending spec promising addresses that are missing.
-	bad = []byte{0, 0, 0x00, 0x12}
-	if _, err := DecodeBeaconPayload(bad); err != ErrTooShort {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestNewBeaconFullFrame(t *testing.T) {
 	payload := &BeaconPayload{
 		Superframe: SuperframeSpec{BeaconOrder: 6, SuperframeOrder: 6, FinalCAPSlot: 15, PANCoordinator: true},
@@ -133,22 +109,15 @@ func TestNewBeaconFullFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Decode(f.Encode())
+	p, err := payload.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Header.Control.Type != TypeBeacon {
-		t.Fatal("type")
-	}
-	if back.Header.Dst.Mode != AddrNone || back.Header.Src.Mode != AddrShort {
-		t.Fatal("beacon addressing must be source-only")
-	}
-	bp, err := DecodeBeaconPayload(back.Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bp.Superframe.BeaconOrder != 6 {
-		t.Fatal("beacon order lost")
+	// Beacon frame control (type 0, source short addressing only), then
+	// sequence, source PAN and source address.
+	mhr := []byte{0x00, 0x80, 5, 0x34, 0x12, 0x00, 0x00}
+	if want := AppendFCS(append(mhr, p...)); !bytes.Equal(f.Encode(), want) {
+		t.Fatalf("beacon MPDU:\n got % x\nwant % x", f.Encode(), want)
 	}
 }
 
@@ -158,54 +127,27 @@ func TestBeaconOnAirBytes(t *testing.T) {
 	if got := BeaconOnAirBytes(0, 0, 0, 0); got != 19 {
 		t.Fatalf("minimal beacon = %d bytes, want 19", got)
 	}
-	// Must agree with an actually encoded beacon.
-	payload := &BeaconPayload{}
-	f, err := NewBeacon(0, ShortAddress(1, 0), payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.OnAirBytes() != 19 {
-		t.Fatalf("encoded minimal beacon = %d bytes", f.OnAirBytes())
-	}
-	// With GTS and pending entries.
-	payload = &BeaconPayload{
-		GTS:          []GTSDescriptor{{ShortAddr: 1, StartSlot: 14, Length: 2}},
-		PendingShort: []uint16{0x10, 0x20},
-		Extra:        []byte{1, 2, 3},
-	}
-	f, err = NewBeacon(0, ShortAddress(1, 0), payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := BeaconOnAirBytes(1, 2, 0, 3)
-	if f.OnAirBytes() != want {
-		t.Fatalf("beacon with options = %d bytes, want %d", f.OnAirBytes(), want)
-	}
-}
-
-func TestCommandFrame(t *testing.T) {
-	f := NewCommand(3, ShortAddress(1, 0), ShortAddress(1, 9), CmdDataRequest, nil, true)
-	back, err := Decode(f.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Header.Control.Type != TypeCommand {
-		t.Fatal("type")
-	}
-	if len(back.Payload) != 1 || CommandID(back.Payload[0]) != CmdDataRequest {
-		t.Fatalf("payload: %v", back.Payload)
-	}
-}
-
-func TestCommandIDStrings(t *testing.T) {
-	ids := []CommandID{
-		CmdAssociationRequest, CmdAssociationResponse, CmdDisassociation,
-		CmdDataRequest, CmdPANIDConflict, CmdOrphan, CmdBeaconRequest,
-		CmdCoordinatorRealign, CmdGTSRequest, CommandID(0x77),
-	}
-	for _, id := range ids {
-		if id.String() == "" {
-			t.Fatalf("empty string for %d", uint8(id))
+	// Every GTS and pending-address count the beacon can carry must agree
+	// with an actually encoded beacon.
+	for g := 0; g <= MaxGTSDescriptors; g++ {
+		for ps := 0; ps <= 7; ps++ {
+			for pe := 0; pe <= 7; pe++ {
+				for _, x := range []int{0, 3} {
+					payload := &BeaconPayload{
+						GTS:          make([]GTSDescriptor, g),
+						PendingShort: make([]uint16, ps),
+						PendingExt:   make([]uint64, pe),
+						Extra:        make([]byte, x),
+					}
+					f, err := NewBeacon(0, ShortAddress(1, 0), payload)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got, want := f.OnAirBytes(), BeaconOnAirBytes(g, ps, pe, x); got != want {
+						t.Fatalf("g=%d ps=%d pe=%d x=%d: encoded beacon %d bytes, BeaconOnAirBytes %d", g, ps, pe, x, got, want)
+					}
+				}
+			}
 		}
 	}
 }

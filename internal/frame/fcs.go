@@ -43,14 +43,3 @@ func AppendFCS(data []byte) []byte {
 	crc := FCS(data)
 	return append(data, byte(crc), byte(crc>>8))
 }
-
-// CheckFCS reports whether the trailing two bytes of mpdu are the valid FCS
-// of the preceding bytes.
-func CheckFCS(mpdu []byte) bool {
-	if len(mpdu) < FCSLength {
-		return false
-	}
-	body := mpdu[:len(mpdu)-FCSLength]
-	want := uint16(mpdu[len(mpdu)-2]) | uint16(mpdu[len(mpdu)-1])<<8
-	return FCS(body) == want
-}

@@ -18,14 +18,20 @@ func TestFCSEmpty(t *testing.T) {
 	}
 }
 
+// A receiver checks an MPDU by running the CRC over the whole of it,
+// FCS included: for this reflected CRC with zero init and no final XOR,
+// the residue of a valid frame is zero.
 func TestAppendCheckRoundTrip(t *testing.T) {
 	data := []byte{0x01, 0x88, 0x42, 0xAA, 0x55}
 	mpdu := AppendFCS(append([]byte(nil), data...))
 	if len(mpdu) != len(data)+2 {
 		t.Fatalf("AppendFCS length %d", len(mpdu))
 	}
-	if !CheckFCS(mpdu) {
-		t.Fatal("CheckFCS rejects a freshly generated FCS")
+	if crc := FCS(data); mpdu[len(data)] != byte(crc) || mpdu[len(data)+1] != byte(crc>>8) {
+		t.Fatalf("AppendFCS appended % x, want FCS %#04x least significant byte first", mpdu[len(data):], crc)
+	}
+	if FCS(mpdu) != 0 {
+		t.Fatal("a freshly appended FCS leaves a non-zero residue")
 	}
 }
 
@@ -35,23 +41,17 @@ func TestCheckFCSDetectsCorruption(t *testing.T) {
 		for bit := 0; bit < 8; bit++ {
 			bad := append([]byte(nil), mpdu...)
 			bad[i] ^= 1 << uint(bit)
-			if CheckFCS(bad) {
+			if FCS(bad) == 0 {
 				t.Fatalf("single-bit corruption at byte %d bit %d undetected", i, bit)
 			}
 		}
 	}
 }
 
-func TestCheckFCSTooShort(t *testing.T) {
-	if CheckFCS(nil) || CheckFCS([]byte{1}) {
-		t.Fatal("short inputs must fail the check")
-	}
-}
-
-// Property: any payload round-trips through AppendFCS/CheckFCS.
+// Property: any payload with its FCS appended has a zero residue.
 func TestPropertyFCSRoundTrip(t *testing.T) {
 	f := func(data []byte) bool {
-		return CheckFCS(AppendFCS(append([]byte(nil), data...)))
+		return FCS(AppendFCS(append([]byte(nil), data...))) == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

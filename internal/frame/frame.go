@@ -1,19 +1,12 @@
-// Package frame implements IEEE 802.15.4-2003 MAC frames: the frame control
-// field, the four frame types (beacon, data, acknowledgment, MAC command),
-// short/extended addressing, the beacon's superframe/GTS/pending-address
+// Package frame encodes IEEE 802.15.4-2003 MAC frames: the frame control
+// field, beacon, data and acknowledgment frames, short/extended addressing, the beacon's superframe/GTS/pending-address
 // fields, and the CRC-16 frame check sequence.
 //
-// It serves two roles in the reproduction:
-//   - the network simulator exchanges real, byte-exact frames;
-//   - the analytical model needs exact on-air lengths; the paper's
-//     Lo = 13 byte overhead accounting (Fig. 5) is provided alongside the
-//     standard-exact lengths.
+// The model and the simulator account lengths, not bytes: the paper's
+// Lo = 13 byte overhead (Fig. 5) alongside the standard-exact lengths
+// (sizes.go). The encoder is the byte-exact reference those lengths are
+// checked against.
 package frame
-
-import (
-	"errors"
-	"fmt"
-)
 
 // Type is the 802.15.4 frame type (frame control bits 0-2).
 type Type uint8
@@ -25,22 +18,6 @@ const (
 	TypeAck     Type = 2
 	TypeCommand Type = 3
 )
-
-// String implements fmt.Stringer.
-func (t Type) String() string {
-	switch t {
-	case TypeBeacon:
-		return "beacon"
-	case TypeData:
-		return "data"
-	case TypeAck:
-		return "ack"
-	case TypeCommand:
-		return "command"
-	default:
-		return fmt.Sprintf("type(%d)", uint8(t))
-	}
-}
 
 // AddrMode is an addressing mode (frame control bits 10-11 / 14-15).
 type AddrMode uint8
@@ -99,19 +76,6 @@ func (c Control) Encode() uint16 {
 	return v
 }
 
-// DecodeControl unpacks a frame control field.
-func DecodeControl(v uint16) Control {
-	return Control{
-		Type:         Type(v & 0x7),
-		Security:     v&(1<<3) != 0,
-		FramePending: v&(1<<4) != 0,
-		AckRequest:   v&(1<<5) != 0,
-		IntraPAN:     v&(1<<6) != 0,
-		DstMode:      AddrMode(v >> 10 & 0x3),
-		SrcMode:      AddrMode(v >> 14 & 0x3),
-	}
-}
-
 // Address is one addressing entry (destination or source).
 type Address struct {
 	Mode     AddrMode
@@ -143,12 +107,6 @@ type Frame struct {
 	Header  Header
 	Payload []byte
 }
-
-// Decode errors.
-var (
-	ErrTooShort = errors.New("frame: truncated frame")
-	ErrBadFCS   = errors.New("frame: FCS mismatch")
-)
 
 func appendUint16(b []byte, v uint16) []byte {
 	return append(b, byte(v), byte(v>>8))
@@ -197,72 +155,6 @@ func (f *Frame) Encode() []byte {
 	out := f.Header.EncodeMHR()
 	out = append(out, f.Payload...)
 	return AppendFCS(out)
-}
-
-// Decode parses and validates an MPDU (including FCS check).
-func Decode(mpdu []byte) (*Frame, error) {
-	if len(mpdu) < 3+FCSLength {
-		return nil, ErrTooShort
-	}
-	if !CheckFCS(mpdu) {
-		return nil, ErrBadFCS
-	}
-	body := mpdu[:len(mpdu)-FCSLength]
-	ctl := DecodeControl(uint16(body[0]) | uint16(body[1])<<8)
-	f := &Frame{Header: Header{Control: ctl, Seq: body[2]}}
-	i := 3
-	need := func(n int) error {
-		if i+n > len(body) {
-			return ErrTooShort
-		}
-		return nil
-	}
-	readU16 := func() uint16 {
-		v := uint16(body[i]) | uint16(body[i+1])<<8
-		i += 2
-		return v
-	}
-	readU64 := func() uint64 {
-		var v uint64
-		for k := 0; k < 8; k++ {
-			v |= uint64(body[i+k]) << (8 * k)
-		}
-		i += 8
-		return v
-	}
-	if ctl.DstMode != AddrNone {
-		if err := need(2 + ctl.DstMode.Length()); err != nil {
-			return nil, err
-		}
-		f.Header.Dst.Mode = ctl.DstMode
-		f.Header.Dst.PAN = readU16()
-		if ctl.DstMode == AddrShort {
-			f.Header.Dst.Short = readU16()
-		} else {
-			f.Header.Dst.Extended = readU64()
-		}
-	}
-	if ctl.SrcMode != AddrNone {
-		f.Header.Src.Mode = ctl.SrcMode
-		if !(ctl.IntraPAN && ctl.DstMode != AddrNone) {
-			if err := need(2); err != nil {
-				return nil, err
-			}
-			f.Header.Src.PAN = readU16()
-		} else {
-			f.Header.Src.PAN = f.Header.Dst.PAN
-		}
-		if err := need(ctl.SrcMode.Length()); err != nil {
-			return nil, err
-		}
-		if ctl.SrcMode == AddrShort {
-			f.Header.Src.Short = readU16()
-		} else {
-			f.Header.Src.Extended = readU64()
-		}
-	}
-	f.Payload = append([]byte(nil), body[i:]...)
-	return f, nil
 }
 
 // MHRLength reports the MAC header size for the given addressing layout.

@@ -10,7 +10,7 @@ import (
 // model. Two views coexist:
 //
 //   - the standard-exact lengths (EncodeMHR + payload + FCS + PHY header),
-//     used by the network simulator;
+//     used by the MAC's downlink and association exchanges;
 //   - the paper's accounting of Fig. 5 / eq. (3): a fixed Lo = 13 byte
 //     overhead (4 preamble + 1 SFD + 1 PHY header + 2 frame control +
 //     1 sequence + 4 short addressing) added to the payload, with the FCS
@@ -21,8 +21,13 @@ import (
 // packet with short addresses (Fig. 5).
 const PaperOverheadBytes = 13
 
-// MaxDataPayload is the largest MAC data payload the paper considers
-// (123 bytes, bounded by aMaxPHYPacketSize).
+// MaxDataPayload is the largest MAC data payload the model accepts
+// (123 bytes, the upper end of the paper's payload axis). It is not bounded
+// by aMaxPHYPacketSize (phy.MaxPHYPacketSize = 127 MPDU bytes): an
+// intra-PAN short/short data frame fits at most 116 payload bytes
+// standard-exact (9 MHR + 2 FCS) and 120 under the paper's Lo = 13
+// accounting (7 MPDU overhead bytes), so payloads above those limits
+// describe frames no radio can send.
 const MaxDataPayload = 123
 
 // PaperPacketBytes reports the total on-air bytes of a data packet with an
@@ -60,12 +65,6 @@ func (f *Frame) OnAirBytes() int {
 	return phy.HeaderBytes + len(f.Encode())
 }
 
-// Duration reports the standard-exact on-air duration of the frame at the
-// 2450 MHz rate.
-func (f *Frame) Duration() time.Duration {
-	return phy.TxDuration(f.OnAirBytes())
-}
-
 // BeaconOnAirBytes reports the on-air size of a beacon with src short
 // addressing, g GTS descriptors, ps pending short and pe pending extended
 // addresses, and an extra application payload of x bytes.
@@ -77,9 +76,4 @@ func BeaconOnAirBytes(g, ps, pe, x int) int {
 	}
 	payload += 2*ps + 8*pe
 	return phy.HeaderBytes + mhr + payload + FCSLength
-}
-
-// BeaconDuration reports the on-air duration of such a beacon.
-func BeaconDuration(g, ps, pe, x int) time.Duration {
-	return phy.TxDuration(BeaconOnAirBytes(g, ps, pe, x))
 }

@@ -52,8 +52,6 @@ var ErrPoolExhausted = errors.New("mac: short address pool exhausted")
 // AddressPool is the coordinator's short-address allocator.
 type AddressPool struct {
 	next uint16
-	free []uint16
-	used map[uint16]bool
 }
 
 // NewAddressPool allocates addresses starting at `start` (typically 1,
@@ -62,42 +60,19 @@ func NewAddressPool(start uint16) *AddressPool {
 	if start == 0 {
 		start = 1
 	}
-	return &AddressPool{next: start, used: make(map[uint16]bool)}
+	return &AddressPool{next: start}
 }
 
-// Assign hands out the next free short address, recycling released ones
-// first. Reserved values are skipped.
+// Assign hands out the next short address. The pool is exhausted at the
+// first reserved value.
 func (p *AddressPool) Assign() (uint16, error) {
-	if n := len(p.free); n > 0 {
-		a := p.free[n-1]
-		p.free = p.free[:n-1]
-		p.used[a] = true
-		return a, nil
+	a := p.next
+	if a == AddrNoShortAddr || a == AddrBroadcast {
+		return 0, ErrPoolExhausted
 	}
-	for p.next >= 1 {
-		a := p.next
-		if a == AddrNoShortAddr || a == AddrBroadcast {
-			return 0, ErrPoolExhausted
-		}
-		p.next++
-		if !p.used[a] {
-			p.used[a] = true
-			return a, nil
-		}
-	}
-	return 0, ErrPoolExhausted
+	p.next++
+	return a, nil
 }
-
-// Release returns an address to the pool.
-func (p *AddressPool) Release(a uint16) {
-	if p.used[a] {
-		delete(p.used, a)
-		p.free = append(p.free, a)
-	}
-}
-
-// InUse reports the number of assigned addresses.
-func (p *AddressPool) InUse() int { return len(p.used) }
 
 // ResponseWaitTime is macResponseWaitTime: the delay before the device
 // polls for the association response (32 · aBaseSuperframeDuration

@@ -17,7 +17,6 @@ var (
 	ErrGTSFull      = errors.New("mac: all 7 GTS descriptors in use")
 	ErrGTSNoRoom    = errors.New("mac: allocation would shrink CAP below aMinCAPLength")
 	ErrGTSDuplicate = errors.New("mac: device already owns a GTS")
-	ErrGTSNotFound  = errors.New("mac: no GTS for device")
 )
 
 // GTSDB is the coordinator's guaranteed-time-slot allocation table for one
@@ -25,12 +24,11 @@ var (
 type GTSDB struct {
 	sf     Superframe
 	allocs []frame.GTSDescriptor
-	rxOnly map[uint16]bool
 }
 
 // NewGTSDB creates an empty allocation table over the given superframe.
 func NewGTSDB(sf Superframe) *GTSDB {
-	return &GTSDB{sf: sf, rxOnly: make(map[uint16]bool)}
+	return &GTSDB{sf: sf}
 }
 
 // usedSlots reports how many superframe slots the CFP currently occupies.
@@ -42,14 +40,9 @@ func (g *GTSDB) usedSlots() int {
 	return n
 }
 
-// FinalCAPSlot reports the last CAP slot given current allocations.
-func (g *GTSDB) FinalCAPSlot() uint8 {
-	return uint8(NumSuperframeSlots - 1 - g.usedSlots())
-}
-
 // Allocate grants `slots` superframe slots to the device, carving them from
 // the end of the active period.
-func (g *GTSDB) Allocate(addr uint16, slots uint8, rxOnly bool) (frame.GTSDescriptor, error) {
+func (g *GTSDB) Allocate(addr uint16, slots uint8) (frame.GTSDescriptor, error) {
 	if slots == 0 || slots > 15 {
 		return frame.GTSDescriptor{}, fmt.Errorf("mac: invalid GTS length %d", slots)
 	}
@@ -76,60 +69,7 @@ func (g *GTSDB) Allocate(addr uint16, slots uint8, rxOnly bool) (frame.GTSDescri
 		Length:    slots,
 	}
 	g.allocs = append(g.allocs, d)
-	g.rxOnly[addr] = rxOnly
 	return d, nil
-}
-
-// Deallocate releases a device's GTS and repacks later allocations toward
-// the end of the superframe (the standard's coordinator does the same on
-// its next beacons).
-func (g *GTSDB) Deallocate(addr uint16) error {
-	idx := -1
-	for i, d := range g.allocs {
-		if d.ShortAddr == addr {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return ErrGTSNotFound
-	}
-	g.allocs = append(g.allocs[:idx], g.allocs[idx+1:]...)
-	delete(g.rxOnly, addr)
-	// Repack start slots from the superframe tail.
-	used := 0
-	for i := range g.allocs {
-		used += int(g.allocs[i].Length)
-		g.allocs[i].StartSlot = uint8(NumSuperframeSlots - used)
-	}
-	return nil
-}
-
-// Descriptors returns the current allocation list in beacon order.
-func (g *GTSDB) Descriptors() []frame.GTSDescriptor {
-	return append([]frame.GTSDescriptor(nil), g.allocs...)
-}
-
-// Directions encodes the beacon's GTS-directions bitmap (bit i set for
-// RX-only descriptors).
-func (g *GTSDB) Directions() uint8 {
-	var dir uint8
-	for i, d := range g.allocs {
-		if g.rxOnly[d.ShortAddr] {
-			dir |= 1 << uint(i)
-		}
-	}
-	return dir
-}
-
-// Lookup reports the descriptor of a device, if any.
-func (g *GTSDB) Lookup(addr uint16) (frame.GTSDescriptor, bool) {
-	for _, d := range g.allocs {
-		if d.ShortAddr == addr {
-			return d, true
-		}
-	}
-	return frame.GTSDescriptor{}, false
 }
 
 // MaxNodesServed reports how many devices a single superframe can serve
@@ -140,7 +80,7 @@ func MaxNodesServed(sf Superframe, slotsPerNode uint8) int {
 	db := NewGTSDB(sf)
 	n := 0
 	for {
-		if _, err := db.Allocate(uint16(n+1), slotsPerNode, false); err != nil {
+		if _, err := db.Allocate(uint16(n+1), slotsPerNode); err != nil {
 			return n
 		}
 		n++

@@ -15,42 +15,30 @@ import (
 // implements the coordinator-side queue and the per-exchange timing/cost
 // used by the downlink experiment.
 
-// IndirectQueue errors.
-var (
-	ErrQueueFull     = errors.New("mac: indirect queue full")
-	ErrNothingQueued = errors.New("mac: no frame pending for device")
-)
+// ErrQueueFull reports that the beacon cannot advertise another destination.
+var ErrQueueFull = errors.New("mac: indirect queue full")
 
 // MaxPendingAddresses is the beacon's pending-address capacity per kind.
 const MaxPendingAddresses = 7
 
 // IndirectEntry is one queued downlink frame.
 type IndirectEntry struct {
-	Dst      uint16
-	Payload  []byte
-	QueuedAt time.Duration
+	Dst     uint16
+	Payload []byte
 }
 
-// IndirectQueue is the coordinator's transaction-pending queue. The 2003
-// standard holds entries for at most macTransactionPersistenceTime; the
-// caller supplies the current time to Expire.
+// IndirectQueue is the coordinator's transaction-pending queue.
 type IndirectQueue struct {
-	// Persistence is how long entries survive
-	// (macTransactionPersistenceTime; default 7.68 s at BO=6 scale).
-	Persistence time.Duration
-	entries     []IndirectEntry
+	entries []IndirectEntry
 }
 
-// NewIndirectQueue builds a queue with the given persistence (0 = never
-// expire).
-func NewIndirectQueue(persistence time.Duration) *IndirectQueue {
-	return &IndirectQueue{Persistence: persistence}
-}
+// NewIndirectQueue builds an empty queue.
+func NewIndirectQueue() *IndirectQueue { return &IndirectQueue{} }
 
 // Queue adds a downlink frame for a device. The queue is bounded by the
 // beacon's advertising capacity: at most MaxPendingAddresses distinct
 // destinations may be pending.
-func (q *IndirectQueue) Queue(dst uint16, payload []byte, now time.Duration) error {
+func (q *IndirectQueue) Queue(dst uint16, payload []byte) error {
 	distinct := map[uint16]bool{}
 	for _, e := range q.entries {
 		distinct[e.Dst] = true
@@ -59,9 +47,8 @@ func (q *IndirectQueue) Queue(dst uint16, payload []byte, now time.Duration) err
 		return ErrQueueFull
 	}
 	q.entries = append(q.entries, IndirectEntry{
-		Dst:      dst,
-		Payload:  append([]byte(nil), payload...),
-		QueuedAt: now,
+		Dst:     dst,
+		Payload: append([]byte(nil), payload...),
 	})
 	return nil
 }
@@ -78,54 +65,6 @@ func (q *IndirectQueue) Pending() []uint16 {
 		}
 	}
 	return out
-}
-
-// HasPending reports whether a device has a queued frame.
-func (q *IndirectQueue) HasPending(dst uint16) bool {
-	for _, e := range q.entries {
-		if e.Dst == dst {
-			return true
-		}
-	}
-	return false
-}
-
-// Extract pops the oldest frame queued for the device (the coordinator's
-// response to its data request). more reports whether further frames
-// remain queued for it (the frame-pending bit of the delivered frame).
-func (q *IndirectQueue) Extract(dst uint16) (e IndirectEntry, more bool, err error) {
-	idx := -1
-	for i, cand := range q.entries {
-		if cand.Dst == dst {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return IndirectEntry{}, false, ErrNothingQueued
-	}
-	e = q.entries[idx]
-	q.entries = append(q.entries[:idx], q.entries[idx+1:]...)
-	return e, q.HasPending(dst), nil
-}
-
-// Expire drops entries older than the persistence time and reports how
-// many were dropped.
-func (q *IndirectQueue) Expire(now time.Duration) int {
-	if q.Persistence <= 0 {
-		return 0
-	}
-	kept := q.entries[:0]
-	dropped := 0
-	for _, e := range q.entries {
-		if now-e.QueuedAt > q.Persistence {
-			dropped++
-			continue
-		}
-		kept = append(kept, e)
-	}
-	q.entries = kept
-	return dropped
 }
 
 // Len reports the number of queued frames.

@@ -2,21 +2,20 @@ package mac
 
 import (
 	"testing"
-	"time"
 
 	"dense802154/internal/frame"
 	"dense802154/internal/phy"
 )
 
 func TestIndirectQueueFlow(t *testing.T) {
-	q := NewIndirectQueue(0)
-	if err := q.Queue(0x10, []byte("a"), 0); err != nil {
+	q := NewIndirectQueue()
+	if err := q.Queue(0x10, []byte("a")); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.Queue(0x10, []byte("b"), time.Second); err != nil {
+	if err := q.Queue(0x10, []byte("b")); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.Queue(0x20, []byte("c"), 2*time.Second); err != nil {
+	if err := q.Queue(0x20, []byte("c")); err != nil {
 		t.Fatal(err)
 	}
 	if q.Len() != 3 {
@@ -26,55 +25,22 @@ func TestIndirectQueueFlow(t *testing.T) {
 	if len(pend) != 2 || pend[0] != 0x10 || pend[1] != 0x20 {
 		t.Fatalf("pending = %v", pend)
 	}
-	if !q.HasPending(0x10) || q.HasPending(0x99) {
-		t.Fatal("HasPending")
-	}
-	// FIFO per destination, frame-pending bit set while more remain.
-	e, more, err := q.Extract(0x10)
-	if err != nil || string(e.Payload) != "a" || !more {
-		t.Fatalf("first extract: %v %v %v", e, more, err)
-	}
-	e, more, err = q.Extract(0x10)
-	if err != nil || string(e.Payload) != "b" || more {
-		t.Fatalf("second extract: %v %v %v", e, more, err)
-	}
-	if _, _, err := q.Extract(0x10); err != ErrNothingQueued {
-		t.Fatalf("empty extract err = %v", err)
-	}
 }
 
 func TestIndirectQueueCapacity(t *testing.T) {
-	q := NewIndirectQueue(0)
+	q := NewIndirectQueue()
 	for i := 0; i < MaxPendingAddresses; i++ {
-		if err := q.Queue(uint16(i+1), nil, 0); err != nil {
+		if err := q.Queue(uint16(i+1), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// An 8th distinct destination cannot be advertised.
-	if err := q.Queue(0x99, nil, 0); err != ErrQueueFull {
+	if err := q.Queue(0x99, nil); err != ErrQueueFull {
 		t.Fatalf("err = %v, want ErrQueueFull", err)
 	}
 	// But another frame for an existing destination is fine.
-	if err := q.Queue(1, []byte("more"), 0); err != nil {
+	if err := q.Queue(1, []byte("more")); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestIndirectQueueExpiry(t *testing.T) {
-	q := NewIndirectQueue(5 * time.Second)
-	q.Queue(1, nil, 0)
-	q.Queue(2, nil, 4*time.Second)
-	if n := q.Expire(6 * time.Second); n != 1 {
-		t.Fatalf("expired %d, want 1", n)
-	}
-	if q.HasPending(1) || !q.HasPending(2) {
-		t.Fatal("wrong entry expired")
-	}
-	// Persistence 0: never expires.
-	q0 := NewIndirectQueue(0)
-	q0.Queue(1, nil, 0)
-	if q0.Expire(time.Hour) != 0 {
-		t.Fatal("persistence 0 must not expire")
 	}
 }
 

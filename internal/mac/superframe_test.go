@@ -135,62 +135,39 @@ func TestChannelLoadMatchesCaseStudy(t *testing.T) {
 func TestGTSAllocation(t *testing.T) {
 	sf, _ := NewSuperframe(6, 6)
 	db := NewGTSDB(sf)
-	d1, err := db.Allocate(0x10, 2, false)
+	d1, err := db.Allocate(0x10, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d1.StartSlot != 14 || d1.Length != 2 {
 		t.Fatalf("first GTS = %+v, want start 14 len 2", d1)
 	}
-	if db.FinalCAPSlot() != 13 {
-		t.Fatalf("final CAP slot = %d", db.FinalCAPSlot())
-	}
-	d2, err := db.Allocate(0x20, 3, true)
+	d2, err := db.Allocate(0x20, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d2.StartSlot != 11 {
 		t.Fatalf("second GTS start = %d, want 11", d2.StartSlot)
 	}
-	if db.Directions() != 0b10 {
-		t.Fatalf("directions = %b", db.Directions())
-	}
-	if _, ok := db.Lookup(0x10); !ok {
-		t.Fatal("lookup")
-	}
-	if _, ok := db.Lookup(0x99); ok {
-		t.Fatal("phantom lookup")
-	}
 	// Duplicate.
-	if _, err := db.Allocate(0x10, 1, false); err != ErrGTSDuplicate {
+	if _, err := db.Allocate(0x10, 1); err != ErrGTSDuplicate {
 		t.Fatalf("duplicate err = %v", err)
-	}
-	// Deallocate repacks.
-	if err := db.Deallocate(0x10); err != nil {
-		t.Fatal(err)
-	}
-	d, _ := db.Lookup(0x20)
-	if d.StartSlot != 13 {
-		t.Fatalf("repacked start = %d, want 13", d.StartSlot)
-	}
-	if err := db.Deallocate(0x10); err != ErrGTSNotFound {
-		t.Fatalf("double dealloc err = %v", err)
 	}
 }
 
 func TestGTSLimits(t *testing.T) {
 	sf, _ := NewSuperframe(6, 6)
 	db := NewGTSDB(sf)
-	if _, err := db.Allocate(1, 0, false); err == nil {
+	if _, err := db.Allocate(1, 0); err == nil {
 		t.Error("zero-length GTS accepted")
 	}
 	// Seven 1-slot GTS fit; the 8th descriptor must fail.
 	for i := 0; i < 7; i++ {
-		if _, err := db.Allocate(uint16(i+1), 1, false); err != nil {
+		if _, err := db.Allocate(uint16(i+1), 1); err != nil {
 			t.Fatalf("alloc %d: %v", i, err)
 		}
 	}
-	if _, err := db.Allocate(99, 1, false); err != ErrGTSFull {
+	if _, err := db.Allocate(99, 1); err != ErrGTSFull {
 		t.Fatalf("8th descriptor err = %v", err)
 	}
 }
@@ -200,10 +177,10 @@ func TestGTSCAPProtection(t *testing.T) {
 	// least 8 CAP slots, so at most 8 slots may be dedicated.
 	sf, _ := NewSuperframe(0, 0)
 	db := NewGTSDB(sf)
-	if _, err := db.Allocate(1, 8, false); err != nil {
+	if _, err := db.Allocate(1, 8); err != nil {
 		t.Fatalf("8-slot GTS at SO=0: %v", err)
 	}
-	if _, err := db.Allocate(2, 1, false); err != ErrGTSNoRoom {
+	if _, err := db.Allocate(2, 1); err != ErrGTSNoRoom {
 		t.Fatalf("9th dedicated slot err = %v", err)
 	}
 }

@@ -131,9 +131,6 @@ func (d *Device) Init(c *Characterization, initial State) {
 // State reports the current radio state.
 func (d *Device) State() State { return d.state }
 
-// Char exposes the underlying characterization.
-func (d *Device) Char() *Characterization { return d.char }
-
 // Ledger exposes the accumulated accounting.
 func (d *Device) Ledger() *Ledger { return &d.ledger }
 
@@ -153,9 +150,6 @@ func (d *Device) SetTXLevelIndex(i int) {
 	}
 	d.levelIndex = i
 }
-
-// TXLevelIndex reports the programmed transmit power step.
-func (d *Device) TXLevelIndex() int { return d.levelIndex }
 
 // SetLowPowerListen engages the scalable receiver's listen mode: while in
 // RX the device draws ListenPower instead of RXPower.
@@ -201,29 +195,4 @@ func (d *Device) TransitionTo(s State) time.Duration {
 	d.ledger.EnergyIn[s] += tr.Energy
 	d.ledger.ByPhase[d.phase] += tr.Energy
 	return tr.Duration
-}
-
-// PathTo reports the states a device must pass through to reach target from
-// the current state, excluding the current state itself. The CC2420 cannot
-// go directly from shutdown to RX/TX or between RX and TX without the idle
-// or turnaround edges; this helper picks the canonical route.
-func (d *Device) PathTo(target State) []State {
-	if d.state == target {
-		return nil
-	}
-	if _, ok := d.char.Transition(d.state, target); ok {
-		return []State{target}
-	}
-	// All indirect routes in the Fig. 3 machine pass through idle.
-	return []State{Idle, target}
-}
-
-// GoTo drives the device through PathTo(target) and returns the cumulative
-// transition time.
-func (d *Device) GoTo(target State) time.Duration {
-	var total time.Duration
-	for _, s := range d.PathTo(target) {
-		total += d.TransitionTo(s)
-	}
-	return total
 }

@@ -82,29 +82,6 @@ func TestDeviceNegativeStayPanics(t *testing.T) {
 	d.Stay(-time.Second)
 }
 
-func TestPathToAndGoTo(t *testing.T) {
-	d := NewDevice(CC2420(), Shutdown)
-	path := d.PathTo(RX)
-	if len(path) != 2 || path[0] != Idle || path[1] != RX {
-		t.Fatalf("PathTo(RX) = %v", path)
-	}
-	total := d.GoTo(RX)
-	if total != 970*time.Microsecond+194*time.Microsecond {
-		t.Fatalf("GoTo(RX) = %v", total)
-	}
-	if d.State() != RX {
-		t.Fatal("state after GoTo")
-	}
-	if d.GoTo(RX) != 0 {
-		t.Fatal("GoTo current state must be free")
-	}
-	// RX->TX is direct (turnaround).
-	d2 := NewDevice(CC2420(), RX)
-	if p := d2.PathTo(TX); len(p) != 1 || p[0] != TX {
-		t.Fatalf("PathTo(TX) from RX = %v", p)
-	}
-}
-
 func TestDeviceTXLevelPower(t *testing.T) {
 	c := CC2420()
 	d := NewDevice(c, TX)
@@ -121,14 +98,14 @@ func TestDeviceTXLevelPower(t *testing.T) {
 	if e1 <= e0 {
 		t.Fatal("higher level must draw more energy")
 	}
-	// Clamping.
-	d.SetTXLevelIndex(-3)
-	if d.TXLevelIndex() != 0 {
-		t.Fatal("negative index clamp")
-	}
-	d.SetTXLevelIndex(50)
-	if d.TXLevelIndex() != 7 {
-		t.Fatal("overflow index clamp")
+	// Out-of-range steps clamp to the lowest and highest level.
+	for _, tc := range []struct{ set, want int }{{-3, 0}, {50, c.MaxTXLevel()}} {
+		d := NewDevice(c, TX)
+		d.SetTXLevelIndex(tc.set)
+		d.Stay(time.Millisecond)
+		if got, want := d.Ledger().EnergyIn[TX], c.TXPowerAt(tc.want).Times(time.Millisecond); got != want {
+			t.Fatalf("SetTXLevelIndex(%d): TX energy %v, want level %d's %v", tc.set, got, tc.want, want)
+		}
 	}
 }
 
@@ -194,7 +171,8 @@ func TestEnergyTimeConsistency(t *testing.T) {
 	d.SetPhase(PhaseSleep)
 	d.Stay(100 * time.Millisecond)
 	d.SetPhase(PhaseBeacon)
-	d.GoTo(RX)
+	d.TransitionTo(Idle)
+	d.TransitionTo(RX)
 	d.Stay(960 * time.Microsecond)
 	d.SetPhase(PhaseContention)
 	d.TransitionTo(Idle)

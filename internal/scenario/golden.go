@@ -25,15 +25,6 @@ func Golden(name string) ([]byte, bool) {
 	return b, true
 }
 
-// GoldenResult parses the committed golden for a scenario name.
-func GoldenResult(name string) (*Result, error) {
-	b, ok := Golden(name)
-	if !ok {
-		return nil, fmt.Errorf("scenario: no golden for %q", name)
-	}
-	return Decode(b)
-}
-
 // DiffEntry scores one metric's drift between a fresh run and the golden.
 type DiffEntry struct {
 	Metric  string     `json:"metric"`
@@ -123,21 +114,4 @@ func Diff(fresh *Result) (DiffReport, error) {
 		}
 	}
 	return rep, nil
-}
-
-// GoldenNames lists the scenarios with committed goldens.
-func GoldenNames() []string {
-	entries, err := goldenFS.ReadDir("testdata")
-	if err != nil {
-		return nil
-	}
-	var names []string
-	for _, e := range entries {
-		name := e.Name()
-		const suffix = ".golden.json"
-		if len(name) > len(suffix) && name[len(name)-len(suffix):] == suffix {
-			names = append(names, name[:len(name)-len(suffix)])
-		}
-	}
-	return names
 }

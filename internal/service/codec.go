@@ -8,7 +8,8 @@ import (
 // The request/response codecs live in internal/query — the unified query
 // layer and this HTTP front-end share one wire vocabulary, so the v1
 // endpoints and the v2 /query surface cannot drift apart. The aliases below
-// keep the v1 wire names this package has always exported.
+// name the wire types the v1 handlers in handlers.go build and return; the
+// rest of the vocabulary is used from internal/query directly.
 //
 // The v1 → v2 mapping is the v1 route table in handlers.go: every frozen
 // POST /v1 route is a translator that lowers its request to a query.Query
@@ -23,18 +24,8 @@ import (
 type (
 	// Error is a structured request-validation failure rendered as a 400.
 	Error = query.Error
-	// SuperframeWire selects the beacon structure.
-	SuperframeWire = query.SuperframeWire
-	// ContentionWire selects and parameterizes the contention source.
-	ContentionWire = query.ContentionWire
 	// ParamsWire is the JSON form of core.Params.
 	ParamsWire = query.ParamsWire
-	// ContStatsWire is the JSON form of contention.Stats.
-	ContStatsWire = query.ContStatsWire
-	// BreakdownWire is the JSON form of core.Breakdown.
-	BreakdownWire = query.BreakdownWire
-	// StateTimesWire is the JSON form of core.StateTimes.
-	StateTimesWire = query.StateTimesWire
 	// MetricsWire is the JSON form of core.Metrics.
 	MetricsWire = query.MetricsWire
 	// CaseStudyConfigWire is the JSON form of core.CaseStudyConfig.

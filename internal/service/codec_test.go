@@ -92,7 +92,7 @@ func TestParamsWireOverridesAndErrors(t *testing.T) {
 	w := ParamsWire{
 		Radio:        "cc2420-fast",
 		BER:          "awgn",
-		Contention:   &ContentionWire{Source: "approx"},
+		Contention:   &query.ContentionWire{Source: "approx"},
 		PayloadBytes: &payload,
 		Load:         &load,
 		TXLevel:      &tx,
@@ -117,10 +117,10 @@ func TestParamsWireOverridesAndErrors(t *testing.T) {
 	}{
 		{ParamsWire{Radio: "nrf24"}, "radio"},
 		{ParamsWire{BER: "rayleigh"}, "ber"},
-		{ParamsWire{Contention: &ContentionWire{Source: "oracle"}}, "contention.source"},
-		{ParamsWire{Contention: &ContentionWire{Arrival: "bursty"}}, "contention.arrival"},
-		{ParamsWire{Contention: &ContentionWire{Superframes: -4}}, "contention.superframes"},
-		{ParamsWire{Superframe: &SuperframeWire{BO: 3, SO: 9}}, "superframe"},
+		{ParamsWire{Contention: &query.ContentionWire{Source: "oracle"}}, "contention.source"},
+		{ParamsWire{Contention: &query.ContentionWire{Arrival: "bursty"}}, "contention.arrival"},
+		{ParamsWire{Contention: &query.ContentionWire{Superframes: -4}}, "contention.superframes"},
+		{ParamsWire{Superframe: &query.SuperframeWire{BO: 3, SO: 9}}, "superframe"},
 		{ParamsWire{PayloadBytes: intp(0)}, "params"},
 		{ParamsWire{PayloadBytes: intp(5000)}, "params"},
 		{ParamsWire{Load: floatp(1.5)}, "params"},

@@ -56,7 +56,7 @@ func fig8BatchWire() []ParamsWire {
 			out = append(out, ParamsWire{
 				PayloadBytes: &payload,
 				Load:         &l,
-				Contention:   &ContentionWire{Superframes: 16, Seed: int64p(7)},
+				Contention:   &query.ContentionWire{Superframes: 16, Seed: int64p(7)},
 			})
 		}
 	}
@@ -115,7 +115,7 @@ func TestEvaluateMatchesBatchElement(t *testing.T) {
 	payload, load := 60, Float(0.42)
 	p, aerr := ParamsWire{
 		PayloadBytes: &payload, Load: &load,
-		Contention: &ContentionWire{Superframes: 16, Seed: int64p(7)},
+		Contention: &query.ContentionWire{Superframes: 16, Seed: int64p(7)},
 	}.Params(1, 1)
 	if aerr != nil {
 		t.Fatal(aerr)
@@ -144,7 +144,7 @@ func TestCaseStudyBitIdenticalToInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p, aerr := ParamsWire{Contention: &ContentionWire{Superframes: 16, Seed: int64p(7)}}.Params(1, 1)
+	p, aerr := ParamsWire{Contention: &query.ContentionWire{Superframes: 16, Seed: int64p(7)}}.Params(1, 1)
 	if aerr != nil {
 		t.Fatal(aerr)
 	}

@@ -36,13 +36,6 @@ func (a *Accumulator) Add(x float64) {
 	a.m2 += delta * (x - a.mean)
 }
 
-// AddN records the same observation n times.
-func (a *Accumulator) AddN(x float64, n int) {
-	for i := 0; i < n; i++ {
-		a.Add(x)
-	}
-}
-
 // N reports the number of observations.
 func (a *Accumulator) N() int { return a.n }
 
@@ -82,29 +75,6 @@ func (a *Accumulator) StdErr() float64 {
 // interval of the mean.
 func (a *Accumulator) CI95() float64 { return 1.96 * a.StdErr() }
 
-// Merge folds another accumulator into this one (parallel Welford merge).
-func (a *Accumulator) Merge(b *Accumulator) {
-	if b.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = *b
-		return
-	}
-	n := a.n + b.n
-	delta := b.mean - a.mean
-	mean := a.mean + delta*float64(b.n)/float64(n)
-	m2 := a.m2 + b.m2 + delta*delta*float64(a.n)*float64(b.n)/float64(n)
-	mn, mx := a.min, a.max
-	if b.min < mn {
-		mn = b.min
-	}
-	if b.max > mx {
-		mx = b.max
-	}
-	a.n, a.mean, a.m2, a.min, a.max = n, mean, m2, mn, mx
-}
-
 // Proportion is a Bernoulli success-rate accumulator.
 type Proportion struct {
 	trials    int
@@ -117,12 +87,6 @@ func (p *Proportion) Observe(success bool) {
 	if success {
 		p.successes++
 	}
-}
-
-// ObserveN records n trials with k successes.
-func (p *Proportion) ObserveN(k, n int) {
-	p.trials += n
-	p.successes += k
 }
 
 // Trials reports the number of recorded trials.

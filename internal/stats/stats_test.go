@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -48,62 +47,6 @@ func TestAccumulatorSingle(t *testing.T) {
 	}
 }
 
-func TestAccumulatorAddN(t *testing.T) {
-	var a, b Accumulator
-	a.AddN(3, 5)
-	for i := 0; i < 5; i++ {
-		b.Add(3)
-	}
-	if a.N() != b.N() || a.Mean() != b.Mean() {
-		t.Fatal("AddN must equal repeated Add")
-	}
-}
-
-func TestMergeMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	var whole, left, right Accumulator
-	for i := 0; i < 1000; i++ {
-		x := rng.NormFloat64()*3 + 1
-		whole.Add(x)
-		if i%2 == 0 {
-			left.Add(x)
-		} else {
-			right.Add(x)
-		}
-	}
-	left.Merge(&right)
-	if left.N() != whole.N() {
-		t.Fatalf("merged N = %d, want %d", left.N(), whole.N())
-	}
-	if math.Abs(left.Mean()-whole.Mean()) > 1e-9 {
-		t.Fatalf("merged mean %v vs %v", left.Mean(), whole.Mean())
-	}
-	if math.Abs(left.Variance()-whole.Variance()) > 1e-9 {
-		t.Fatalf("merged variance %v vs %v", left.Variance(), whole.Variance())
-	}
-	if left.Min() != whole.Min() || left.Max() != whole.Max() {
-		t.Fatal("merged min/max mismatch")
-	}
-}
-
-func TestMergeEmptyCases(t *testing.T) {
-	var a, b Accumulator
-	a.Merge(&b) // both empty: no-op
-	if a.N() != 0 {
-		t.Fatal("merge of empties")
-	}
-	b.Add(5)
-	a.Merge(&b)
-	if a.N() != 1 || a.Mean() != 5 {
-		t.Fatal("merge into empty")
-	}
-	var c Accumulator
-	a.Merge(&c) // merging empty: no-op
-	if a.N() != 1 {
-		t.Fatal("merge of empty into non-empty")
-	}
-}
-
 // Property: mean is within [min, max] and variance is non-negative.
 func TestPropertyAccumulatorInvariants(t *testing.T) {
 	f := func(xs []float64) bool {
@@ -141,17 +84,6 @@ func TestProportion(t *testing.T) {
 	}
 }
 
-func TestProportionObserveN(t *testing.T) {
-	var p, q Proportion
-	p.ObserveN(3, 10)
-	for i := 0; i < 10; i++ {
-		q.Observe(i < 3)
-	}
-	if p.Value() != q.Value() {
-		t.Fatal("ObserveN mismatch")
-	}
-}
-
 func TestProportionEmpty(t *testing.T) {
 	var p Proportion
 	if p.Value() != 0 || p.CI95() != 0 {
@@ -186,74 +118,6 @@ func TestMeanHelper(t *testing.T) {
 	}
 	if !math.IsNaN(Mean(nil)) {
 		t.Fatal("Mean(nil) must be NaN")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-1) // underflow
-	h.Add(11) // overflow
-	if h.Total() != 12 {
-		t.Fatalf("Total = %d, want 12", h.Total())
-	}
-	for i := 0; i < 10; i++ {
-		if h.Bin(i) != 1 {
-			t.Fatalf("Bin(%d) = %d, want 1", i, h.Bin(i))
-		}
-	}
-	if h.Underflow() != 1 || h.Overflow() != 1 {
-		t.Fatal("under/overflow counts")
-	}
-	if got := h.BinCenter(0); got != 0.5 {
-		t.Fatalf("BinCenter(0) = %v, want 0.5", got)
-	}
-	if h.NumBins() != 10 {
-		t.Fatal("NumBins")
-	}
-}
-
-func TestHistogramEdgeValue(t *testing.T) {
-	h := NewHistogram(0, 1, 4)
-	h.Add(math.Nextafter(1, 0)) // just below Hi must land in the last bin
-	if h.Bin(3) != 1 {
-		t.Fatal("value just below Hi not in last bin")
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram(0, 100, 100)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i))
-	}
-	q := h.Quantile(0.5)
-	if q < 45 || q > 55 {
-		t.Fatalf("median estimate %v too far from 50", q)
-	}
-	empty := NewHistogram(0, 1, 2)
-	if !math.IsNaN(empty.Quantile(0.5)) {
-		t.Fatal("empty histogram quantile must be NaN")
-	}
-}
-
-func TestHistogramPanicsOnBadArgs(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for invalid histogram")
-		}
-	}()
-	NewHistogram(1, 0, 10)
-}
-
-func TestHistogramString(t *testing.T) {
-	h := NewHistogram(0, 2, 2)
-	h.Add(0.5)
-	h.Add(1.5)
-	h.Add(1.6)
-	if s := h.String(); len(s) == 0 {
-		t.Fatal("empty String()")
 	}
 }
 
