@@ -6,10 +6,10 @@ import (
 	"testing/quick"
 )
 
-// TestSuperframeSpecEncode pins the superframe specification layout: BO,
-// SO and the final CAP slot in 4-bit fields from bit 0, then battery life
-// extension (bit 12), PAN coordinator (bit 14) and association permit
-// (bit 15).
+// TestSuperframeSpecEncode pins the superframe specification layout on a
+// known vector: BO, SO and the final CAP slot in 4-bit fields from bit 0,
+// then battery life extension (bit 12), PAN coordinator (bit 14) and
+// association permit (bit 15).
 func TestSuperframeSpecEncode(t *testing.T) {
 	s := SuperframeSpec{
 		BeaconOrder:     6,
@@ -21,6 +21,11 @@ func TestSuperframeSpecEncode(t *testing.T) {
 	if got := s.Encode(); got != 0xCF66 {
 		t.Fatalf("%+v encodes to %#04x, want 0xcf66", s, got)
 	}
+}
+
+// Property: every field combination of the superframe specification lands
+// in its own bits, and the reserved bit 13 stays clear.
+func TestPropertySuperframeSpec(t *testing.T) {
 	f := func(bo, so, cap uint8, ble, pc, ap bool) bool {
 		s := SuperframeSpec{
 			BeaconOrder:     bo & 0xF,

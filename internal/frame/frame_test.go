@@ -2,7 +2,9 @@ package frame
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
+	"testing/quick"
 
 	"dense802154/internal/phy"
 )
@@ -41,9 +43,6 @@ func TestDataFrameEncoding(t *testing.T) {
 	}{
 		{"intra-PAN short/short", ShortAddress(0x1234, 0x0001), ShortAddress(0x1234, 0x0042), []byte("hello sensor"), true,
 			[]byte{0x61, 0x88, 7, 0x34, 0x12, 0x01, 0x00, 0x42, 0x00}},
-		{"cross-PAN extended/extended", ExtendedAddress(0xBEEF, 0x1122334455667788), ExtendedAddress(0xCAFE, 0x8877665544332211), []byte{1, 2, 3}, false,
-			[]byte{0x01, 0xCC, 7, 0xEF, 0xBE, 0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,
-				0xFE, 0xCA, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88}},
 		{"source only", Address{}, ShortAddress(0x1234, 0x0042), nil, false,
 			[]byte{0x01, 0x80, 7, 0x34, 0x12, 0x42, 0x00}},
 	}
@@ -53,6 +52,32 @@ func TestDataFrameEncoding(t *testing.T) {
 		if !bytes.Equal(mpdu, want) {
 			t.Errorf("%s:\n got % x\nwant % x", c.name, mpdu, want)
 		}
+	}
+}
+
+// TestExtendedAddressRoundTrip reads both extended addresses and the
+// cross-PAN source PAN back out of an encoded frame at their standard
+// offsets.
+func TestExtendedAddressRoundTrip(t *testing.T) {
+	dst := ExtendedAddress(0xBEEF, 0x1122334455667788)
+	src := ExtendedAddress(0xCAFE, 0x8877665544332211)
+	mpdu := NewData(200, dst, src, []byte{1, 2, 3}, false).Encode()
+	want := AppendFCS([]byte{0x01, 0xCC, 200, 0xEF, 0xBE, 0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,
+		0xFE, 0xCA, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 1, 2, 3})
+	if !bytes.Equal(mpdu, want) {
+		t.Fatalf("cross-PAN extended/extended:\n got % x\nwant % x", mpdu, want)
+	}
+	if got := binary.LittleEndian.Uint16(mpdu[3:]); got != dst.PAN {
+		t.Errorf("destination PAN %#04x, want %#04x", got, dst.PAN)
+	}
+	if got := binary.LittleEndian.Uint64(mpdu[5:]); got != dst.Extended {
+		t.Errorf("destination %#016x, want %#016x", got, dst.Extended)
+	}
+	if got := binary.LittleEndian.Uint16(mpdu[13:]); got != src.PAN {
+		t.Errorf("cross-PAN source PAN %#04x not preserved, want %#04x", got, src.PAN)
+	}
+	if got := binary.LittleEndian.Uint64(mpdu[15:]); got != src.Extended {
+		t.Errorf("source %#016x, want %#016x", got, src.Extended)
 	}
 }
 
@@ -121,6 +146,36 @@ func TestMHRLengthMatchesEncoding(t *testing.T) {
 		if got != want {
 			t.Errorf("encoded MHR %d bytes, MHRLength says %d (%+v)", got, want, c)
 		}
+	}
+}
+
+// Property: the sequence number, both short addresses and the payload of
+// any short/short data frame read back from their standard offsets, and
+// the FCS checks.
+func TestPropertyDataFrameRoundTrip(t *testing.T) {
+	f := func(seq uint8, dpan, dsh, span, ssh uint16, payload []byte, ack bool) bool {
+		if len(payload) > 100 {
+			payload = payload[:100]
+		}
+		mpdu := NewData(seq, ShortAddress(dpan, dsh), ShortAddress(span, ssh), payload, ack).Encode()
+		if FCS(mpdu) != 0 || len(mpdu) != MHRLength(AddrShort, AddrShort, dpan == span)+len(payload)+2 {
+			return false
+		}
+		src := 9
+		if dpan != span {
+			if binary.LittleEndian.Uint16(mpdu[7:]) != span {
+				return false
+			}
+			src = 11
+		}
+		return mpdu[2] == seq &&
+			binary.LittleEndian.Uint16(mpdu[3:]) == dpan &&
+			binary.LittleEndian.Uint16(mpdu[5:]) == dsh &&
+			binary.LittleEndian.Uint16(mpdu[src-2:]) == ssh &&
+			bytes.Equal(mpdu[src:len(mpdu)-2], payload)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }
 
