@@ -53,7 +53,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -64,6 +63,7 @@ import (
 
 	"dense802154/internal/buildinfo"
 	"dense802154/internal/query"
+	"dense802154/internal/wire"
 )
 
 func main() {
@@ -97,17 +97,16 @@ func run(out io.Writer, file string, workers int, stream, planOnly, trace bool) 
 		defer f.Close()
 		in = f
 	}
-	dec := json.NewDecoder(in)
-	dec.DisallowUnknownFields()
+	doc, rerr := io.ReadAll(in)
 	var q query.Query
-	if err := dec.Decode(&q); err != nil {
-		if errors.Is(err, io.EOF) {
+	if err := query.DecodeQuery(doc, rerr, &q); err != nil {
+		switch {
+		case errors.Is(err, io.EOF):
 			return errors.New("empty query document")
+		case errors.Is(err, wire.ErrTrailing):
+			return errors.New("trailing data after query document")
 		}
 		return fmt.Errorf("malformed query: %w", err)
-	}
-	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
-		return errors.New("trailing data after query document")
 	}
 	if workers > 0 {
 		q.Workers = workers

@@ -276,6 +276,21 @@
 // (query.TestDecodeTaskResultAllocBudget), where encoding/json spent four
 // per line and eleven per hit.
 //
+// Request bytes follow the same contract and have one writer and one reader
+// too (internal/query/request.go). query.AppendQuery writes a Query as a
+// json.Encoder with HTML escaping off would; Query.Canonical, whose SHA-256
+// is the store key, and the coordinator's /v2/tasks bodies are its output,
+// so keying a query allocates nothing (store.TestKeyForAllocBudget) and a
+// coordinator encodes its query once per Distribute. query.DecodeQuery and
+// dist.DecodeTaskRequest read the writer's shape with the wire.Scanner —
+// about two allocations for the 1,000-point grid's body
+// (query.TestDecodeQueryAllocBudget), where encoding/json spent 31 — and
+// replay the strict decoder (unknown fields rejected, nothing after the
+// document) over the same bytes for anything else, so every status and
+// message the service and wsn-query answer with is unchanged.
+// TestQueryAppendMatchesEncodingJSON, TestQueryDecodeMatchesEncodingJSON,
+// FuzzQueryEncode and FuzzQueryDecode hold them to their oracles.
+//
 // # Observability
 //
 // GET /metrics serves the server's telemetry in the Prometheus text format
@@ -487,8 +502,8 @@
 // points that run the same bodies. cmd/wsn-bench writes a JSON report of
 // ns/op, B/op and allocs/op per kernel:
 //
-//	go run ./cmd/wsn-bench -out BENCH_PR25.json   # refresh the baseline
-//	go run ./cmd/wsn-bench -diff BENCH_PR25.json  # compare a fresh run
+//	go run ./cmd/wsn-bench -out BENCH_PR29.json   # refresh the baseline
+//	go run ./cmd/wsn-bench -diff BENCH_PR29.json  # compare a fresh run
 //
 // and the root package's BenchmarkKernels runs each kernel as a
 // sub-benchmark (-short selects the -quick sizes), for ns/op medians and
@@ -508,9 +523,11 @@
 // query.TestResultSetEncodeAllocBudget,
 // query.TestEncodeTaskResultAllocBudget, query.TestCompileGridAllocBudget,
 // query.TestExecuteGridAllocBudget, query.TestDecodeTaskResultAllocBudget,
-// dist.TestLineStreamAllocBudget, store.TestPutTaskAllocBudget,
-// service.TestTaskShardAllocBudget and
-// service.TestDistributedQueryAllocBudget. To
+// query.TestDecodeQueryAllocBudget, dist.TestLineStreamAllocBudget,
+// store.TestPutTaskAllocBudget, store.TestKeyForAllocBudget,
+// service.TestTaskShardAllocBudget,
+// service.TestDistributedQueryAllocBudget and
+// service.TestDistributedPrefillAllocBudget. To
 // profile the hot paths under live load, start the service with a
 // profiling listener (wsn-serve -pprof 127.0.0.1:6060) and capture
 // /debug/pprof/profile while a replica-heavy query runs.

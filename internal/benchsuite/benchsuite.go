@@ -365,6 +365,21 @@ func Kernels(quick bool) []Kernel {
 				}
 			}
 		}},
+		{"DecodeQueryGrid1000", func(b *testing.B) {
+			// The request side of the grid-cold query: decode its body, as
+			// a client's encoding/json writes it, into a Query, as every
+			// /v2/query and /v2/tasks request does before compiling.
+			b.ReportAllocs()
+			q := grid1000Query()
+			body := query.AppendQuery(nil, &q)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var got query.Query
+				if err := query.DecodeQuery(body, nil, &got); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
 	}
 }
 

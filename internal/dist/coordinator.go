@@ -251,6 +251,8 @@ type distRun struct {
 	// labels are the plan's task labels: every accepted line must carry
 	// its task's label, and decoded labels share these strings.
 	labels []string
+	// shard carries the labels and the encoded query to every Send.
+	shard *shardContext
 
 	n         int
 	results   []query.TaskResult
@@ -320,6 +322,7 @@ func (c *Coordinator) Distribute(ctx context.Context, q query.Query, plan *query
 		flights: make(map[int]*flight),
 		rng:     rand.New(rand.NewSource(seed)),
 	}
+	r.shard = newShardContext(&r.q, r.labels)
 	if c.opts.Store != nil && plan.Store == nil {
 		// The prefill, the remote back-fill and the local flights all go
 		// through the plan's store, so they read and write one view.
@@ -406,16 +409,10 @@ func (r *distRun) run() (*query.ResultSet, error) {
 // prefill adopts every task result the plan's store already holds before
 // anything is dispatched, then yields the contiguous prefix. Stored bytes
 // are byte-identical to computed ones, so adoption changes dispatch volume
-// only. An entry that fails to decode is a miss (Plan.TaskFromStore) — the
-// span machinery recomputes it.
+// only. An entry that fails to decode is a miss (Plan.TasksFromStore) — the
+// span machinery recomputes it. The hits' Metrics payloads share one slab.
 func (r *distRun) prefill() error {
-	for i := 0; i < r.n; i++ {
-		if tr, ok := r.plan.TaskFromStore(i); ok {
-			r.have[i] = true
-			r.results[i] = tr
-			r.haveCount++
-		}
-	}
+	r.haveCount = r.plan.TasksFromStore(r.results, r.have)
 	if r.haveCount > 0 {
 		r.c.opts.Logger.Debug("dist: prefilled from store", "tasks", r.haveCount, "of", r.n)
 	}
@@ -593,7 +590,7 @@ func (r *distRun) launchRemote(worker string, s span, speculative bool) {
 	go func() {
 		defer r.wg.Done()
 		defer fcancel()
-		stream, err := r.c.opts.Transport.Send(withPlanLabels(fctx, r.labels), worker, req)
+		stream, err := r.c.opts.Transport.Send(withShardContext(fctx, r.shard), worker, req)
 		if err != nil {
 			r.post(msg{kind: msgEnd, fid: fid, err: err})
 			return

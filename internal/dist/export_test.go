@@ -1,5 +1,11 @@
 package dist
 
+import (
+	"context"
+
+	"dense802154/internal/query"
+)
+
 // SetMaxLineBytes lowers the line size limit for a test and returns the
 // function that restores it.
 func SetMaxLineBytes(n int) (restore func()) {
@@ -8,6 +14,14 @@ func SetMaxLineBytes(n int) (restore func()) {
 	return func() { maxLineBytes = old }
 }
 
-// WithPlanLabels is withPlanLabels, for tests that call a Transport as the
-// coordinator does.
-var WithPlanLabels = withPlanLabels
+// WithPlanLabels returns ctx carrying the plan's task labels as the
+// coordinator's Send context does, for tests that call a Transport.
+func WithPlanLabels(ctx context.Context, labels []string) context.Context {
+	return withShardContext(ctx, &shardContext{labels: labels})
+}
+
+// WithShardQuery returns ctx carrying q, encoded once, and the plan's task
+// labels as the coordinator's Send context does.
+func WithShardQuery(ctx context.Context, q query.Query, labels []string) context.Context {
+	return withShardContext(ctx, newShardContext(&q, labels))
+}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -334,6 +335,51 @@ func TestHTTPTransportSharesPlanLabels(t *testing.T) {
 		}
 		if l.Result.Label != labels[i] || unsafe.StringData(l.Result.Label) != unsafe.StringData(labels[i]) {
 			t.Fatalf("line %d: label %q is not the plan's string", i, l.Result.Label)
+		}
+	}
+}
+
+// TestHTTPTransportSplicesQuery: under the coordinator's Send context every
+// shard body carries the query encoded once, with the shard's range written
+// after it, and is byte for byte TaskRequest.AppendJSON, which the worker's
+// reader takes back to the same request. Without that context Send encodes
+// the whole request itself, to the same bytes.
+func TestHTTPTransportSplicesQuery(t *testing.T) {
+	var mu sync.Mutex
+	var bodies [][]byte
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		b, _ := io.ReadAll(r.Body)
+		mu.Lock()
+		bodies = append(bodies, b)
+		mu.Unlock()
+		w.Write([]byte(`{"done":true}` + "\n"))
+	}))
+	t.Cleanup(ts.Close)
+	q := gridQuery()
+	q.Workers, q.Trace, q.Scenario = 3, true, "<&>"
+	shardCtx := dist.WithShardQuery(context.Background(), q, nil)
+	for i, c := range []struct {
+		ctx context.Context
+		req dist.TaskRequest
+	}{
+		{shardCtx, dist.TaskRequest{Query: q, From: 0, To: 3}},
+		{shardCtx, dist.TaskRequest{Query: q, From: 3, To: 6, Workers: 2}},
+		{context.Background(), dist.TaskRequest{Query: q, From: 2, To: 5}},
+	} {
+		ls, err := (&dist.HTTPTransport{}).Send(c.ctx, ts.URL, c.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ls.Close()
+		mu.Lock()
+		got := bodies[len(bodies)-1]
+		mu.Unlock()
+		if want := c.req.AppendJSON(nil); !bytes.Equal(got, want) {
+			t.Fatalf("shard %d: body\n%s\nwant\n%s", i, got, want)
+		}
+		var back dist.TaskRequest
+		if err := dist.DecodeTaskRequest(got, nil, &back); err != nil || !reflect.DeepEqual(back, c.req) {
+			t.Fatalf("shard %d: body decodes to %+v (%v), want %+v", i, back, err, c.req)
 		}
 	}
 }

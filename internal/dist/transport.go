@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -51,11 +50,16 @@ func (t *HTTPTransport) client() *http.Client {
 	return http.DefaultClient
 }
 
-// Send implements Transport.
+// Send implements Transport. The body is req's AppendJSON bytes; under a
+// coordinator's Send context the query's bytes, encoded once per query, are
+// copied in and only the range is written per shard.
 func (t *HTTPTransport) Send(ctx context.Context, worker string, req TaskRequest) (LineStream, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
+	sc := shardContextOf(ctx)
+	var body []byte
+	if sc.queryPrefix != nil {
+		body = req.appendRange(append(make([]byte, 0, len(sc.queryPrefix)+64), sc.queryPrefix...))
+	} else {
+		body = req.AppendJSON(nil)
 	}
 	hr, err := http.NewRequestWithContext(ctx, http.MethodPost, worker+"/v2/tasks", bytes.NewReader(body))
 	if err != nil {
@@ -71,7 +75,7 @@ func (t *HTTPTransport) Send(ctx context.Context, worker string, req TaskRequest
 		resp.Body.Close()
 		return nil, fmt.Errorf("dist: worker %s answered %d: %s", worker, resp.StatusCode, bytes.TrimSpace(msg))
 	}
-	return NewLineStream(resp.Body, planLabels(ctx), req.To-req.From), nil
+	return NewLineStream(resp.Body, sc.labels, req.To-req.From), nil
 }
 
 // Ready implements Transport.
@@ -205,20 +209,39 @@ func blank(b []byte) bool {
 
 func (s *lineStream) Close() error { return s.body.Close() }
 
-type planLabelsKey struct{}
-
-// withPlanLabels returns ctx carrying the plan's task labels, which
-// HTTPTransport hands to the shard's line stream. Wrapping Transports pass
-// the context through, so their shards decode exactly as the bare one's.
-func withPlanLabels(ctx context.Context, labels []string) context.Context {
-	return context.WithValue(ctx, planLabelsKey{}, labels)
+// shardContext is what every shard of one Distribute shares, handed to the
+// Transport through the Send context: the plan's task labels, which
+// HTTPTransport gives the shard's line stream, and the `{"query":…` prefix
+// of the shard bodies, the query encoded once, after which HTTPTransport
+// writes each shard's range. The coordinator sends every shard of its query
+// under its own shardContext; wrapping Transports pass the context through,
+// so their shards travel and decode exactly as the bare one's.
+type shardContext struct {
+	labels      []string
+	queryPrefix []byte
 }
 
-// planLabels returns the labels withPlanLabels put in ctx, or nil.
-func planLabels(ctx context.Context) []string {
-	labels, _ := ctx.Value(planLabelsKey{}).([]string)
-	return labels
+type shardContextKey struct{}
+
+// newShardContext encodes q once for the shards of one Distribute.
+func newShardContext(q *query.Query, labels []string) *shardContext {
+	return &shardContext{labels: labels, queryPrefix: query.AppendQuery(append(make([]byte, 0, 512), `{"query":`...), q)}
 }
+
+// withShardContext returns ctx carrying sc.
+func withShardContext(ctx context.Context, sc *shardContext) context.Context {
+	return context.WithValue(ctx, shardContextKey{}, sc)
+}
+
+// shardContextOf returns the shardContext in ctx, or an empty one.
+func shardContextOf(ctx context.Context) *shardContext {
+	if sc, ok := ctx.Value(shardContextKey{}).(*shardContext); ok {
+		return sc
+	}
+	return &noShardContext
+}
+
+var noShardContext shardContext
 
 // probeCtx derives a bounded context for one readiness probe.
 func probeCtx(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {

@@ -55,6 +55,58 @@ type TaskRequest struct {
 	Workers int `json:"workers,omitempty"`
 }
 
+// AppendJSON appends the compact JSON form of r to dst: the bytes a
+// json.Encoder with HTML escaping off writes for it, without the trailing
+// newline, with the query written by query.AppendQuery.
+func (r *TaskRequest) AppendJSON(dst []byte) []byte {
+	return r.appendRange(query.AppendQuery(append(dst, `{"query":`...), &r.Query))
+}
+
+// appendRange appends the members after the query and closes the object:
+// the part of a TaskRequest's bytes that differs between the shards of one
+// query.
+func (r *TaskRequest) appendRange(dst []byte) []byte {
+	dst = strconv.AppendInt(append(dst, `,"from":`...), int64(r.From), 10)
+	dst = strconv.AppendInt(append(dst, `,"to":`...), int64(r.To), 10)
+	if r.Workers != 0 {
+		dst = strconv.AppendInt(append(dst, `,"workers":`...), int64(r.Workers), 10)
+	}
+	return append(dst, '}')
+}
+
+var taskRequestKeys = wire.Keys{"query", "from", "to", "workers"}
+
+// DecodeTaskRequest decodes one /v2/tasks request body b into req, replacing
+// its contents; readErr is the error that ended reading b (nil: b is the
+// whole body). It is query.DecodeQuery for the enclosing request: the bytes
+// AppendJSON writes decode without reflection, and anything else, or any
+// readErr, replays wire.DecodeStrict over b followed by readErr, whose
+// verdict, values and errors it returns.
+func DecodeTaskRequest(b []byte, readErr error, req *TaskRequest) error {
+	*req = TaskRequest{}
+	if readErr == nil {
+		var s wire.Scanner
+		s.Reset(b)
+		for m := s.Object(taskRequestKeys); m.Next(); {
+			switch m.Key() {
+			case "query":
+				query.ReadQuery(&s, &req.Query)
+			case "from":
+				req.From = s.Int()
+			case "to":
+				req.To = s.Int()
+			case "workers":
+				req.Workers = s.Int()
+			}
+		}
+		if s.Finish() == nil {
+			return nil
+		}
+		*req = TaskRequest{}
+	}
+	return wire.DecodeStrict(wire.Replay(b, readErr), req)
+}
+
 // TaskLine is one NDJSON record of a /v2/tasks response stream. Exactly one
 // of three shapes appears on a line:
 //

@@ -7,11 +7,14 @@ package query
 // Compiling the 1,000-point grid costs about twenty allocations, all of
 // them per plan rather than per point; the budget stays far below the
 // thousands a per-point allocation would add. Executing that grid with a
-// store attached costs about a dozen allocations, all per plan.
+// store attached costs about a dozen allocations, all per plan. Decoding
+// that grid's query body costs two: the pointee arena and the payload
+// values (the strict encoding/json decode took 31).
 const (
 	resultSetEncodeAllocBudget = 2
 	taskEncodeAllocBudget      = 1
 	compileGridAllocBudget     = 64
 	decodeTaskAllocBudget      = 3
+	decodeQueryAllocBudget     = 12
 	executeGridAllocBudget     = 64
 )

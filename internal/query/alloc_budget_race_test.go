@@ -10,11 +10,13 @@ package query
 // Executing the grid encodes every task into the store through the same
 // pool, which costs about two regrowth allocations per task here (~2,000
 // per plan); a return to the two per-task allocations the slab removed
-// would read ~4,000.
+// would read ~4,000. The request reader draws nothing from a pool, so its
+// budget matches the plain build.
 const (
 	resultSetEncodeAllocBudget = 64
 	taskEncodeAllocBudget      = 8
 	compileGridAllocBudget     = 64
 	decodeTaskAllocBudget      = 3
+	decodeQueryAllocBudget     = 12
 	executeGridAllocBudget     = 3000
 )

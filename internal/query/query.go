@@ -30,6 +30,19 @@
 // /v2/query/stream (and lowers the frozen v1 routes onto it), and
 // cmd/wsn-query drives it from the command line. A new scenario axis is a
 // new Query field — not a new function, endpoint, codec and flag set.
+//
+// Request bytes, like result bytes, have one writer and one reader, neither
+// reflective (request.go). AppendQuery writes a Query exactly as a
+// json.Encoder with HTML escaping off would; Canonical, the store key's
+// bytes, and the coordinator's /v2/tasks bodies are that writer's output.
+// DecodeQuery, used by the HTTP service and wsn-query alike, reads a
+// document in the writer's shape (keys in its order, omitempty members
+// optional — what any encoding/json client sends) with a wire.Scanner, into
+// one arena of pointees and without a string that aliases the input. On
+// anything else it replays the strict decoder, wire.DecodeStrict (unknown
+// fields rejected, nothing but whitespace after the document), over the
+// same bytes, so the documents accepted, the values decoded and the error
+// messages are the strict decoder's whichever path runs.
 package query
 
 import (

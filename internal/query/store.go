@@ -1,9 +1,6 @@
 package query
 
-import (
-	"bytes"
-	"encoding/json"
-)
+import "bytes"
 
 // This file is the query side of the content-addressed result store seam
 // (internal/store). The query package defines the canonical encoding and the
@@ -45,25 +42,17 @@ type TaskStore interface {
 //
 // The encoding itself is the repository's byte-stable JSON form (compact,
 // HTML escaping off, fixed struct field order, wire.Float floats, trailing
-// newline), so equal queries always produce equal bytes. The second return
-// is false when the query is not cacheable: Direct losses (the v1
-// path-loss routes' grid, non-finite points included) have no wire form
-// and therefore no canonical bytes.
+// newline), so equal queries always produce equal bytes; the request writer
+// (request.go) writes it, and AppendCanonical writes it into a caller's
+// buffer. The second return is false when the query is not cacheable:
+// Direct losses (the v1 path-loss routes' grid, non-finite points included)
+// have no wire form and therefore no canonical bytes.
 func (q Query) Canonical() ([]byte, bool) {
-	if q.Direct != nil {
+	b, ok := AppendCanonical(nil, &q)
+	if !ok {
 		return nil, false
 	}
-	q.Version = Version
-	q.Workers = 0
-	q.Trace = false
-	q.TimeoutMS = 0
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(q); err != nil {
-		return nil, false
-	}
-	return buf.Bytes(), true
+	return b, true
 }
 
 // WireExact reports whether the kind's per-task wire payloads decode and
@@ -117,18 +106,39 @@ func (p *Plan) storeEnabled() bool {
 	return p.Store != nil && p.Kind.WireExact()
 }
 
-// TaskFromStore fetches task index from the attached store. Undecodable
-// entries are treated as misses — the store may hold truncated or corrupt
-// bytes (crash mid-write on the disk tier); a wrong byte must never surface,
-// so anything suspect is recomputed. The decoded label shares the plan's
-// string.
-func (p *Plan) TaskFromStore(index int) (TaskResult, bool) {
-	return p.taskFromStore(index, nil)
+// TasksFromStore reads every task the attached store holds into results,
+// indexed by plan task index from 0, marks it in have and returns how many
+// it read. Undecodable entries are treated as misses — the store may hold
+// truncated or corrupt bytes (crash mid-write on the disk tier); a wrong
+// byte must never surface, so anything suspect is recomputed. Decoded labels
+// share the plan's strings, and Metrics payloads are carved from one slab
+// for the whole range, allocated on the first hit, so the hits allocate
+// nothing of their own.
+func (p *Plan) TasksFromStore(results []TaskResult, have []bool) int {
+	if !p.storeEnabled() {
+		return 0
+	}
+	d := TaskDecoder{Labels: p.labels, Slab: len(results)}
+	n := 0
+	for i := range results {
+		b, ok := p.Store.GetTask(i)
+		if !ok {
+			continue
+		}
+		if d.Decode(b, &results[i]) != nil {
+			results[i] = TaskResult{}
+			continue
+		}
+		have[i] = true
+		n++
+	}
+	return n
 }
 
-// taskFromStore is TaskFromStore decoding a Metrics payload into slot, a
-// one-element slice of the execution's slab (nil ⇒ its own allocation), so
-// a store hit in runTasks allocates nothing of its own.
+// taskFromStore fetches task index from the attached store, decoding a
+// Metrics payload into slot, a one-element slice of the execution's slab
+// (nil ⇒ its own allocation), so a store hit in runTasks allocates nothing
+// of its own. Undecodable entries are misses, as in TasksFromStore.
 func (p *Plan) taskFromStore(index int, slot []MetricsWire) (TaskResult, bool) {
 	if !p.storeEnabled() {
 		return TaskResult{}, false

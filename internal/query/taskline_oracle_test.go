@@ -8,6 +8,7 @@ import (
 
 	"dense802154/internal/dist"
 	"dense802154/internal/query"
+	"dense802154/internal/wire"
 )
 
 // plainTaskLine is dist.TaskLine without methods, for the oracle. Its
@@ -113,5 +114,59 @@ func TestTaskLineDecodeMatchesEncodingJSON(t *testing.T) {
 		if gerr == nil && !query.SameWire(got, dist.TaskLine(want)) {
 			t.Fatalf("%q: reader value differs from encoding/json\n got: %+v\nwant: %+v", b, got, want)
 		}
+	}
+}
+
+// TestTaskRequestAppendJSONMatchesEncodingJSON extends the request-writer
+// oracle to the /v2/tasks request body: TaskRequests filled by reflection
+// in every mode append exactly encoding/json's bytes, and their reader takes
+// those bytes without reflection to the strict decoder's values.
+// TestQueryAppendMatchesEncodingJSON and TestQueryDecodeMatchesEncodingJSON
+// pin the query inside; this test pins the framing around it.
+func TestTaskRequestAppendJSONMatchesEncodingJSON(t *testing.T) {
+	var reqs []dist.TaskRequest
+	for mode := 0; mode < 3; mode++ {
+		for seed := int64(0); seed < 20; seed++ {
+			var r dist.TaskRequest
+			query.FillWire(&r, mode, seed)
+			r.Query.Direct = nil
+			reqs = append(reqs, r)
+		}
+	}
+	reqs = append(reqs, dist.TaskRequest{}, dist.TaskRequest{Query: query.Query{Kind: query.KindGrid}, From: 4, To: 9, Workers: 2})
+	for i := range reqs {
+		want, err := query.OracleJSON(&reqs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := reqs[i].AppendJSON([]byte("p"))
+		if !bytes.Equal(got[1:], want) || got[0] != 'p' {
+			t.Fatalf("request %d: appender bytes differ from encoding/json\n got: %s\nwant: %s", i, got, want)
+		}
+		checkTaskRequestDecode(t, got[1:])
+	}
+	for _, in := range []string{
+		``, ` `, `null`, `{}`, `{"query":null,"from":1,"to":2}`, `{"from":1,"to":2,"query":{"kind":"grid"}}`,
+		`{"query":{"kind":"grid"},"from":1,"to":2,"from":3}`, `{"Query":{"kind":"grid"},"from":1,"to":2}`,
+		`{"query":{"kind":"grid","bogus":1},"from":1,"to":2}`, `{"query":{"kind":"grid"},"from":1.5,"to":2}`,
+		`{"query":{"kind":"grid"},"from":1,"to":2}x`, `{"query":{"kind":"grid"},"from":1,"to":2`,
+		`{"query":{"kind":"grid"},"from":1,"to":2,"workers":null}`,
+	} {
+		checkTaskRequestDecode(t, []byte(in))
+	}
+}
+
+// checkTaskRequestDecode holds dist.DecodeTaskRequest to the strict decoder
+// on one input: the same verdict, error text and values.
+func checkTaskRequestDecode(t *testing.T, b []byte) {
+	t.Helper()
+	var got, want dist.TaskRequest
+	gerr := dist.DecodeTaskRequest(b, nil, &got)
+	werr := wire.DecodeStrict(bytes.NewReader(b), &want)
+	if (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) {
+		t.Fatalf("%q: reader error %v, strict decoder error %v", b, gerr, werr)
+	}
+	if gerr == nil && !query.SameWire(got, want) {
+		t.Fatalf("%q: reader value differs from the strict decoder\n got: %+v\nwant: %+v", b, got, want)
 	}
 }

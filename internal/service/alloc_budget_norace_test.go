@@ -2,15 +2,24 @@
 
 package service
 
-// Serving and reading the 1,000-line grid shard costs about 230 allocations
+// Serving and reading the 1,000-line grid shard costs about 190 allocations
 // per exchange (the request and response, the plan compile, the stream's
-// timer and a few dozen coalesced chunks); the budget sits well below one
-// per line, so a per-line flush or any other per-line allocation fails it.
-const taskShardAllocBudget = 400
+// timer and a few dozen coalesced chunks); decoding and keying the
+// TaskRequest by reflection, as the worker once did, measures about 220.
+// The budget sits between the two, far below one per line, so a per-line
+// flush or any other per-line allocation fails it too.
+const taskShardAllocBudget = 205
 
 // A cold distributed 1,000-point grid through a coordinator and two
-// workers in one process measures about 1,150 allocations per query, both
-// sides of its four shard exchanges included. Probing both workers on every
-// query, as admission once did, measures about 1,340; the budget sits
-// between the two.
-const distQueryAllocBudget = 1250
+// workers in one process measures about 985 allocations per query, both
+// sides of its four shard exchanges included. Encoding, decoding and keying
+// its requests by reflection, as coordinator and workers once did, measures
+// about 1,150 (and probing both workers on every query about 1,340); the
+// budget sits between the two.
+const distQueryAllocBudget = 1070
+
+// A traced repeat of a stored distributed 1,000-point grid measures about
+// 250 allocations: the request, the plan compile, the prefill's one Metrics
+// slab, the trace and the response. One MetricsWire per store hit, as the
+// prefill once decoded them, measures about 1,270.
+const prefillAllocBudget = 400

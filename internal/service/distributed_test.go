@@ -122,3 +122,24 @@ func TestDistributedQueryAllocBudget(t *testing.T) {
 	}
 	t.Logf("cold distributed 1000-point grid: %v allocs", allocs)
 }
+
+// TestDistributedPrefillAllocBudget guards the coordinator's store prefill:
+// a traced repeat of a stored, distributed 1,000-point grid (a trace skips
+// the whole-query entry) is answered from the coordinator's task store
+// without dispatching a shard. Its store hits decode into one slab of
+// Metrics payloads, so the whole query stays far below one allocation per
+// task; one MetricsWire per hit would add a thousand.
+func TestDistributedPrefillAllocBudget(t *testing.T) {
+	_, coord := distFleet(t, 2, dist.Options{})
+	body := strings.TrimSuffix(grid1000Body, "}") + `,"trace":true}`
+	postQuery(t, coord, body) // computes, distributes and stores the grid
+	shards := dist.ShardsDispatchedTotal.Value()
+	allocs := testing.AllocsPerRun(5, func() { postQuery(t, coord, body) })
+	if d := dist.ShardsDispatchedTotal.Value() - shards; d != 0 {
+		t.Fatalf("the stored grid dispatched %d shards, want the prefill path", d)
+	}
+	if allocs > prefillAllocBudget {
+		t.Fatalf("a traced repeat of a stored 1000-point grid allocated %v, budget %d", allocs, prefillAllocBudget)
+	}
+	t.Logf("traced repeat of a stored distributed 1000-point grid: %v allocs", allocs)
+}

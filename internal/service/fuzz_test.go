@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"io"
 	"math"
 	"testing"
 
 	"dense802154/internal/query"
 	"dense802154/internal/store"
+	"dense802154/internal/wire"
 )
 
 // The service decodes attacker-controlled JSON. These fuzz targets pin the
@@ -20,21 +20,11 @@ import (
 //
 //	go test ./internal/service -fuzz FuzzParamsWireDecode -fuzztime 30s
 
-// strictDecode mirrors decodeJSON's settings (unknown-field rejection,
+// strictDecode is decodeJSON's strict decoder (unknown-field rejection,
 // trailing-garbage detection) without the HTTP plumbing.
 func strictDecode(data []byte, dst any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return err
-	}
-	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
-		return errTrailing
-	}
-	return nil
+	return wire.DecodeStrict(bytes.NewReader(data), dst)
 }
-
-var errTrailing = &Error{Message: "trailing data"}
 
 // FuzzFloatRoundTrip: any byte string the Float decoder accepts must
 // re-encode and decode back to the identical bits — including ±Inf and NaN.
@@ -209,7 +199,7 @@ func FuzzQueryDecode(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var q query.Query
-		if err := strictDecode(data, &q); err != nil {
+		if err := query.DecodeQuery(data, nil, &q); err != nil {
 			return // rejection is fine; panics are not
 		}
 		// Content-key stability (internal/store leans on this): the

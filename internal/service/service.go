@@ -132,6 +132,7 @@ import (
 	"dense802154/internal/query"
 	"dense802154/internal/store"
 	"dense802154/internal/telemetry"
+	"dense802154/internal/wire"
 )
 
 // Config parameterizes a Server.
@@ -631,25 +632,64 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // An empty body leaves dst at its zero value (every request type has full
 // defaults). Malformed payloads, unknown fields and trailing garbage are
 // 400s; an oversized body is a 413.
+//
+// The body is read once, up to the size cap, into a pooled buffer. A Query
+// or a TaskRequest in its writer's shape then decodes without reflection;
+// anything else, and any read error, replays the strict decoder over the
+// bytes read followed by the read error, so statuses and messages are
+// exactly the streaming decoder's. No decoded value aliases the buffer.
 func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		if errors.Is(err, io.EOF) {
-			return true // empty body: all defaults
-		}
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds "+strconv.FormatInt(maxErr.Limit, 10)+" bytes", "")
-			return false
-		}
-		writeError(w, http.StatusBadRequest, "malformed request: "+err.Error(), "")
-		return false
+	bp := bodyBufs.Get().(*[]byte)
+	b, rerr := readBody(r.Body, (*bp)[:0])
+	var err error
+	switch d := dst.(type) {
+	case *query.Query:
+		err = query.DecodeQuery(b, rerr, d)
+	case *dist.TaskRequest:
+		err = dist.DecodeTaskRequest(b, rerr, d)
+	default:
+		err = wire.DecodeStrict(wire.Replay(b, rerr), dst)
 	}
-	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+	if cap(b) <= maxPooledBody {
+		*bp = b
+		bodyBufs.Put(bp)
+	}
+	if err == nil || errors.Is(err, io.EOF) {
+		return true // an empty body decodes to all defaults
+	}
+	var maxErr *http.MaxBytesError
+	switch {
+	case errors.As(err, &maxErr):
+		writeError(w, http.StatusRequestEntityTooLarge,
+			"request body exceeds "+strconv.FormatInt(maxErr.Limit, 10)+" bytes", "")
+	case errors.Is(err, wire.ErrTrailing):
 		writeError(w, http.StatusBadRequest, "trailing data after JSON body", "")
-		return false
+	default:
+		writeError(w, http.StatusBadRequest, "malformed request: "+err.Error(), "")
 	}
-	return true
+	return false
+}
+
+// bodyBufs recycles the buffers decodeJSON reads request bodies into;
+// buffers grown past maxPooledBody are left to the collector.
+var bodyBufs = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
+
+const maxPooledBody = 1 << 20
+
+// readBody appends everything r yields to b and returns it with the error
+// that ended the read: nil at the end of the body.
+func readBody(r io.Reader, b []byte) ([]byte, error) {
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+	}
 }

@@ -48,9 +48,13 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
 // KeyFor computes the content key of q. The second return is false when the
 // query has no canonical form (it carries the v1 path-loss routes' Direct
-// losses) and therefore cannot be cached.
+// losses) and therefore cannot be cached. The canonical bytes are appended
+// into a buffer on the stack and hashed there, so keying a query whose
+// canonical form fits it (every query short of a large batch) allocates
+// nothing, however often the collector runs.
 func KeyFor(q query.Query) (Key, bool) {
-	b, ok := q.Canonical()
+	var buf [1024]byte
+	b, ok := query.AppendCanonical(buf[:0], &q)
 	if !ok {
 		return Key{}, false
 	}

@@ -194,6 +194,23 @@ func TestKeyNeutralFields(t *testing.T) {
 	}
 }
 
+// TestKeyForAllocBudget guards the key derivation every store lookup pays:
+// the canonical bytes are appended into a stack buffer and hashed there, so
+// keying a query of any kind allocates nothing (encoding the query through
+// a json.Encoder took 3 to 7 allocations).
+func TestKeyForAllocBudget(t *testing.T) {
+	for _, q := range queriesAllKinds() {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, ok := KeyFor(q); !ok {
+				t.Fatal("query not keyable")
+			}
+		})
+		if allocs > keyForAllocBudget {
+			t.Fatalf("KeyFor of a %s query allocated %v per op, budget %d", q.Kind, allocs, keyForAllocBudget)
+		}
+	}
+}
+
 // TestMemoryTierLRU exercises the byte budget: least-recently-used entries
 // leave first, a hit refreshes recency, and the charge never exceeds the
 // budget.

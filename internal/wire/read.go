@@ -1,7 +1,10 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"strconv"
 	"unicode/utf16"
@@ -302,6 +305,22 @@ func (s *Scanner) Int() int {
 	return int(v)
 }
 
+// Uint8 reads an integer as encoding/json reads one into a uint8: a number
+// literal without sign, fraction or exponent, at most 255.
+func (s *Scanner) Uint8() uint8 {
+	lit, integral := s.number()
+	if !integral {
+		s.Fail()
+		return 0
+	}
+	v, err := strconv.ParseUint(string(lit), 10, 8)
+	if err != nil {
+		s.Fail()
+		return 0
+	}
+	return uint8(v)
+}
+
 // StdFloat reads a float as encoding/json reads one into a plain float64: a
 // number literal within range.
 func (s *Scanner) StdFloat() float64 {
@@ -526,3 +545,39 @@ func (s *Scanner) skip(depth int) {
 		s.number()
 	}
 }
+
+// ErrTrailing reports data after the one document DecodeStrict reads.
+var ErrTrailing = errors.New("wire: trailing data after the JSON document")
+
+// DecodeStrict decodes the one JSON document r holds into dst the way the
+// request surfaces (the HTTP service, wsn-query) take a request: unknown
+// fields are rejected and only whitespace may follow the document. It
+// returns io.EOF when r holds no document at all (nothing, or whitespace),
+// ErrTrailing when anything follows the document, and r's or encoding/json's
+// error otherwise. It is the fallback of the reflection-free request readers
+// and their oracle.
+func DecodeStrict(r io.Reader, dst any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(dst); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return ErrTrailing
+	}
+	return nil
+}
+
+// Replay returns a reader of b that then fails with err, or ends when err is
+// nil: the bytes a reader that failed with err had yielded, replayed for a
+// decoder that must see the same input and the same failure.
+func Replay(b []byte, err error) io.Reader {
+	if err == nil {
+		return bytes.NewReader(b)
+	}
+	return io.MultiReader(bytes.NewReader(b), errReader{err})
+}
+
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }

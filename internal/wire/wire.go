@@ -17,7 +17,9 @@
 // result encoders of internal/query build on, and encoding/json — through
 // Float.MarshalJSON, which is a thin wrapper — is only their test oracle.
 // Scanner (read.go) reads those bytes back without reflection, for the
-// result readers of internal/query and internal/dist.
+// result and request readers of internal/query and internal/dist;
+// DecodeStrict is the strict encoding/json decode those request readers
+// fall back to, and the one the request surfaces answer with.
 package wire
 
 import (
