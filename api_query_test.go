@@ -251,12 +251,12 @@ func TestRunStreamMatchesRun(t *testing.T) {
 
 func intp(v int) *int { return &v }
 
-// TestValueMatchesEvaluate pins TaskResult.Value for the kinds whose tasks
-// carry a Metrics payload (evaluate, batch, grid). Value derives core.Metrics
-// from that payload, so it must be reflect.DeepEqual to core.Evaluate of the
-// same point for a computed task, a store hit (decoded from stored bytes)
-// and the facade output alike — for grid, whose facade is Run, the value
-// behind each of Run's results.
+// TestValueMatchesEvaluate pins the model value behind the kinds whose tasks
+// carry a Metrics payload (evaluate, batch, grid). MetricsWire.Metrics
+// derives core.Metrics from that payload, so it must be reflect.DeepEqual to
+// core.Evaluate of the same point for a computed task, a store hit (decoded
+// from stored bytes) and the facade output alike — for grid, whose facade is
+// Run, the value behind each of Run's results.
 func TestValueMatchesEvaluate(t *testing.T) {
 	ctx := context.Background()
 	seed := int64(3)
@@ -274,7 +274,7 @@ func TestValueMatchesEvaluate(t *testing.T) {
 	values := func(rs *query.ResultSet) []any {
 		out := make([]any, len(rs.Results))
 		for i := range rs.Results {
-			out[i] = rs.Results[i].Value()
+			out[i] = rs.Results[i].Metrics.Metrics()
 		}
 		return out
 	}
@@ -327,7 +327,7 @@ func TestValueMatchesEvaluate(t *testing.T) {
 						t.Fatal(err)
 					}
 					if !reflect.DeepEqual(got[i], want) {
-						t.Errorf("%s: Value of task %d = %+v, core.Evaluate = %+v", how, i, got[i], want)
+						t.Errorf("%s: metrics of task %d = %+v, core.Evaluate = %+v", how, i, got[i], want)
 					}
 				}
 			}

@@ -14,7 +14,7 @@
 //	rs, err := dense802154.Run(ctx, dense802154.Query{
 //		Kind: dense802154.KindEvaluate, // defaults: the paper's §5 node
 //	})
-//	m := rs.Results[0].Value().(dense802154.Metrics)
+//	m := rs.Results[0].Metrics.Metrics()
 //	// m.AvgPower, m.PrFail, m.Delay, m.Breakdown ...
 //
 // The twelve kinds cover the analytical model (evaluate, batch), the §5
@@ -210,7 +210,8 @@
 // What it buys operationally:
 //
 //   - A repeated /v2/query is answered O(1) from the stored ResultSet with
-//     zero engine work, and /v2/query/stream replays the same bytes.
+//     zero engine work; a repeated /v2/query/stream is served from the
+//     per-task entries, each task a store lookup instead of a recompute.
 //   - An interrupted stream persists the tasks it completed; the client's
 //     retry resumes from those and recomputes only the remainder.
 //   - In a fleet, the coordinator consults the store before dispatching

@@ -25,7 +25,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	m := rs.Results[0].Value().(dense802154.Metrics)
+	m := rs.Results[0].Metrics.Metrics()
 	p := dense802154.DefaultParams()
 
 	fmt.Println("One 802.15.4 microsensor node in a dense network:")

@@ -46,22 +46,18 @@ type Options struct {
 	// task index, so speculation never changes bytes.
 	StragglerFactor float64
 	StragglerMin    time.Duration
-	// ProbeTimeout bounds one readiness probe (0 ⇒ 2s). ReprobeAfter (0 ⇒
-	// 5s) is the interval between readmission probes of an evicted worker,
-	// and also how long a vouch lasts. The Coordinator keeps one record per
-	// worker across queries; a successful probe or a shard the worker ended
-	// cleanly vouches for it. A query probes at its start only the workers
-	// that are evicted or that nothing vouched for within ReprobeAfter, so
-	// the queries of a healthy, busy fleet send no probes. A stale vouch
-	// costs at most one failed dispatch: it evicts the worker fleet-wide
-	// and re-dispatches the range, and the next query probes it again.
-	ProbeTimeout time.Duration
+	// ReprobeAfter (0 ⇒ 5s) is the interval between readmission probes of
+	// an evicted worker, and also how long a vouch lasts. The Coordinator
+	// keeps one record per worker across queries; a successful probe or a
+	// shard the worker ended cleanly vouches for it. A query probes at its
+	// start only the workers that are evicted or that nothing vouched for
+	// within ReprobeAfter, so the queries of a healthy, busy fleet send no
+	// probes. A stale vouch costs at most one failed dispatch: it evicts the
+	// worker fleet-wide and re-dispatches the range, and the next query
+	// probes it again.
 	ReprobeAfter time.Duration
 	// Logger receives dispatch/failure/eviction events (nil ⇒ discard).
 	Logger *slog.Logger
-	// RetrySeed seeds the backoff jitter (0 ⇒ 1). Deterministic so tests
-	// can pin schedules; results never depend on it.
-	RetrySeed int64
 	// Store, when set, is the coordinator's slice of the content-addressed
 	// result store (store.Store implements it): task results already stored
 	// under the query's content key are adopted before any span is
@@ -72,6 +68,14 @@ type Options struct {
 	// volume only, never merged bytes.
 	Store Store
 }
+
+const (
+	// probeTimeout bounds one readiness probe.
+	probeTimeout = 2 * time.Second
+	// jitterSeed seeds the backoff jitter: fixed, so a schedule is
+	// reproducible. Jitter moves timing only, never results.
+	jitterSeed = 1
+)
 
 // Store is the narrow store seam the coordinator needs: a per-query task
 // view keyed by content hash. store.Store implements it; the indirection
@@ -177,9 +181,6 @@ func New(opts Options) *Coordinator {
 	}
 	if opts.StragglerMin <= 0 {
 		opts.StragglerMin = 250 * time.Millisecond
-	}
-	if opts.ProbeTimeout <= 0 {
-		opts.ProbeTimeout = 2 * time.Second
 	}
 	if opts.ReprobeAfter <= 0 {
 		opts.ReprobeAfter = 5 * time.Second
@@ -304,10 +305,6 @@ func (c *Coordinator) Distribute(ctx context.Context, q query.Query, plan *query
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	seed := c.opts.RetrySeed
-	if seed == 0 {
-		seed = 1
-	}
 	n := plan.NumTasks()
 	r := &distRun{
 		c: c, ctx: ctx, q: q, plan: plan, local: localWorkers, yield: yield,
@@ -320,7 +317,7 @@ func (c *Coordinator) Distribute(ctx context.Context, q query.Query, plan *query
 		ch:      make(chan msg, 256),
 		workers: make(map[string]*workerState),
 		flights: make(map[int]*flight),
-		rng:     rand.New(rand.NewSource(seed)),
+		rng:     rand.New(rand.NewSource(jitterSeed)),
 	}
 	r.shard = newShardContext(&r.q, r.labels)
 	if c.opts.Store != nil && plan.Store == nil {
@@ -467,7 +464,7 @@ func (r *distRun) admit() {
 		r.wg.Add(1)
 		go func(w string) {
 			defer r.wg.Done()
-			pctx, pcancel := probeCtx(r.ctx, r.c.opts.ProbeTimeout)
+			pctx, pcancel := context.WithTimeout(r.ctx, probeTimeout)
 			defer pcancel()
 			ch <- probe{w, r.c.opts.Transport.Ready(pctx, w)}
 		}(w)
@@ -828,7 +825,7 @@ func (r *distRun) reprobe(worker string) {
 				return
 			case <-time.After(r.c.opts.ReprobeAfter):
 			}
-			pctx, pcancel := probeCtx(r.ctx, r.c.opts.ProbeTimeout)
+			pctx, pcancel := context.WithTimeout(r.ctx, probeTimeout)
 			err := r.c.opts.Transport.Ready(pctx, worker)
 			pcancel()
 			if err == nil {

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"time"
 
 	"dense802154/internal/query"
 	"dense802154/internal/wire"
@@ -242,11 +241,3 @@ func shardContextOf(ctx context.Context) *shardContext {
 }
 
 var noShardContext shardContext
-
-// probeCtx derives a bounded context for one readiness probe.
-func probeCtx(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
-	if d <= 0 {
-		d = 2 * time.Second
-	}
-	return context.WithTimeout(ctx, d)
-}

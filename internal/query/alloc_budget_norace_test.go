@@ -9,7 +9,10 @@ package query
 // thousands a per-point allocation would add. Executing that grid with a
 // store attached costs about a dozen allocations, all per plan. Decoding
 // that grid's query body costs two: the pointee arena and the payload
-// values (the strict encoding/json decode took 31).
+// values (the strict encoding/json decode took 31). Executing a cold
+// 16-replica plan with a store attached costs about 120 allocations, the
+// simulator's and a few per replica; boxing each replica's in-process
+// result beside its wire payload cost 16 more.
 const (
 	resultSetEncodeAllocBudget = 2
 	taskEncodeAllocBudget      = 1
@@ -17,4 +20,5 @@ const (
 	decodeTaskAllocBudget      = 3
 	decodeQueryAllocBudget     = 12
 	executeGridAllocBudget     = 64
+	executeReplicasAllocBudget = 128
 )

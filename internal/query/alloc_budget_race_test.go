@@ -11,7 +11,8 @@ package query
 // pool, which costs about two regrowth allocations per task here (~2,000
 // per plan); a return to the two per-task allocations the slab removed
 // would read ~4,000. The request reader draws nothing from a pool, so its
-// budget matches the plain build.
+// budget matches the plain build. The 16-replica plan reads 260–330 here:
+// dropped Puts cost fresh simulator runners and encode buffers.
 const (
 	resultSetEncodeAllocBudget = 64
 	taskEncodeAllocBudget      = 8
@@ -19,4 +20,5 @@ const (
 	decodeTaskAllocBudget      = 3
 	decodeQueryAllocBudget     = 12
 	executeGridAllocBudget     = 3000
+	executeReplicasAllocBudget = 600
 )

@@ -162,3 +162,30 @@ func TestExecuteGridAllocBudget(t *testing.T) {
 	}
 	t.Logf("Execute (1000-point grid, store attached): %v allocs/op", allocs)
 }
+
+// TestExecuteReplicasAllocBudget guards the replica plan layer the
+// sim-stream and lifetime workloads run on: executing a cold 16-replica
+// plan with a store attached — run, convert to the wire payload, stamp,
+// encode into the store, order and fold every replica into the summary —
+// costs the simulator's own allocations plus a few per replica, and no
+// boxed in-process copy of each replica's result beside its wire payload.
+func TestExecuteReplicasAllocBudget(t *testing.T) {
+	nodes, superframes := 10, 2
+	plan, err := Compile(Query{Kind: KindReplicas, Sim: &SimConfigWire{Nodes: &nodes, Superframes: &superframes}, Replicas: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.Store = &reuseStore{bufs: make([][]byte, plan.NumTasks())}
+	steadyState(t)
+	execute := func() {
+		if _, err := plan.Execute(context.Background(), 2, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	execute() // warm the store's buffers, the encode pool and the runners
+	allocs := testing.AllocsPerRun(10, execute)
+	if allocs > executeReplicasAllocBudget {
+		t.Fatalf("Execute of the 16-replica plan allocated %v per op, budget %d", allocs, executeReplicasAllocBudget)
+	}
+	t.Logf("Execute (16 replicas, store attached): %v allocs/op", allocs)
+}

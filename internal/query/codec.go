@@ -666,9 +666,9 @@ func WireSimResult(seed int64, r netsim.Result) SimResultWire {
 // Result reconstructs the netsim.Result fields the wire form carries —
 // exactly the observables netsim.Merge folds into the across-replica
 // summary. Floats and durations round-trip exactly (wire.Float, integer
-// nanoseconds), so a summary assembled from decoded shards is bit-identical
-// to one assembled from in-process results; fields the wire omits (the
-// ledger, the attempts histogram, traces) stay zero.
+// nanoseconds), so a summary assembled from computed, stored or decoded
+// payloads is the one netsim.RunReplicas reports; fields the wire omits
+// (the ledger, the attempts histogram, traces) stay zero.
 func (w SimResultWire) Result() netsim.Result {
 	return netsim.Result{
 		AvgPowerPerNode:  units.Power(w.AvgPowerW),

@@ -316,31 +316,35 @@ func (w *LifetimeResultWire) readJSON(s *wire.Scanner) {
 	}
 }
 
-// The slice readers return nil for null and a non-nil slice for [], as
-// encoding/json decodes them. They are written out per element type: a
-// generic reader would call readJSON indirectly, which makes the scanner
-// escape to the heap on every decode.
+// The slice readers return nil for null, a non-nil slice for [] (as
+// encoding/json decodes them), and one exactly sized allocation otherwise,
+// the elements gathered on the stack first. The result and request readers
+// share them. They are written out per element type: a generic reader would
+// call readJSON indirectly, which makes the scanner escape to the heap on
+// every decode.
 
 func readFloats(s *wire.Scanner) []Float {
 	if s.Null() {
 		return nil
 	}
-	xs := []Float{}
+	var buf [64]Float
+	xs := buf[:0]
 	for e := s.Array(); e.Next(); {
 		xs = append(xs, s.Float())
 	}
-	return xs
+	return append([]Float{}, xs...)
 }
 
 func readInts(s *wire.Scanner) []int {
 	if s.Null() {
 		return nil
 	}
-	xs := []int{}
+	var buf [64]int
+	xs := buf[:0]
 	for e := s.Array(); e.Next(); {
 		xs = append(xs, s.Int())
 	}
-	return xs
+	return append([]int{}, xs...)
 }
 
 // TaskDecoder reads TaskResult wire bytes without reflection into storage
@@ -484,5 +488,5 @@ func (t *TaskResult) UnmarshalJSON(b []byte) error {
 func (t *TaskResult) isZero() bool {
 	return t.Index == 0 && t.Label == "" && t.Metrics == nil && t.CaseStudy == nil &&
 		t.Curves == nil && t.Thresholds == nil && t.Payload == nil && t.Sim == nil &&
-		t.Lifetime == nil && t.Scenario == nil && t.Experiment == nil && t.value == nil
+		t.Lifetime == nil && t.Scenario == nil && t.Experiment == nil
 }

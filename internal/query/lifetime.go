@@ -238,30 +238,15 @@ func (q *Query) buildLifetime() (exec, *Error) {
 		return exec{}, aerr
 	}
 	seeds := netsim.ReplicaSeeds(simCfg.Seed, n)
-	// merge folds one execution's results; every execution gets its own
-	// copy of the seeds, which the merged set keeps.
-	merge := func(results []lifetime.Result, rs *ResultSet) lifetime.ReplicaSet {
-		set := lifetime.Merge(lcfg, slices.Clone(seeds), results)
-		summary := WireLifetimeSummary(set)
-		rs.LifetimeSummary = &summary
-		return set
-	}
 	return exec{labels: indexLabels("lifetime", n), seeds: seeds, run: func(_ context.Context, _, i int, _ *MetricsWire) (TaskResult, error) {
 		c := lcfg
 		c.Sim.Seed = seeds[i]
-		r := lifetime.Run(c)
-		rw := WireLifetimeResult(r)
-		return TaskResult{Lifetime: &rw, value: r}, nil
-	}, assemble: func(rs *ResultSet) {
-		results := make([]lifetime.Result, len(rs.Results))
-		for i := range rs.Results {
-			results[i] = rs.Results[i].value.(lifetime.Result)
-		}
-		rs.value = merge(results, rs)
-	}, assembleWire: func(rs *ResultSet) *Error {
+		rw := WireLifetimeResult(lifetime.Run(c))
+		return TaskResult{Lifetime: &rw}, nil
+	}, assemble: func(rs *ResultSet) *Error {
 		// The wire payloads carry the merged observables in exact seconds,
-		// so the summary recomputed here is bit-identical to the in-process
-		// assemble above.
+		// so the summary is lifetime.RunReplicas' own. Every execution gets
+		// its own copy of the seeds, which the summary keeps.
 		results := make([]lifetime.Result, len(rs.Results))
 		for i := range rs.Results {
 			if rs.Results[i].Lifetime == nil {
@@ -269,7 +254,8 @@ func (q *Query) buildLifetime() (exec, *Error) {
 			}
 			results[i] = rs.Results[i].Lifetime.Result()
 		}
-		merge(results, rs)
+		summary := WireLifetimeSummary(lifetime.Merge(lcfg, slices.Clone(seeds), results))
+		rs.LifetimeSummary = &summary
 		return nil
 	}}, nil
 }

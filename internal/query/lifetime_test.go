@@ -45,12 +45,8 @@ func TestLifetimeMatchesRunReplicas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := rs.Value().(lifetime.ReplicaSet)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("lifetime query deviates from lifetime.RunReplicas")
-	}
-	if rs.LifetimeSummary == nil || rs.LifetimeSummary.Replicas != 3 {
-		t.Fatalf("lifetime summary = %+v", rs.LifetimeSummary)
+	if rs.LifetimeSummary == nil || !reflect.DeepEqual(*rs.LifetimeSummary, WireLifetimeSummary(want)) {
+		t.Fatalf("lifetime summary = %+v, lifetime.RunReplicas = %+v", rs.LifetimeSummary, WireLifetimeSummary(want))
 	}
 	if rs.Summary != nil {
 		t.Fatal("lifetime query must not carry the sim-replica summary")
@@ -61,6 +57,9 @@ func TestLifetimeMatchesRunReplicas(t *testing.T) {
 	for i, tr := range rs.Results {
 		if tr.Lifetime == nil {
 			t.Fatalf("task %d carries no lifetime payload", i)
+		}
+		if !reflect.DeepEqual(*tr.Lifetime, WireLifetimeResult(want.Results[i])) {
+			t.Fatalf("task %d deviates from lifetime.RunReplicas", i)
 		}
 		if tr.Lifetime.Deaths == 0 {
 			t.Fatalf("task %d: a 0.3 J battery network must lose nodes", i)

@@ -40,28 +40,6 @@ type TaskResult struct {
 	Lifetime   *LifetimeResultWire   `json:"lifetime,omitempty"`
 	Scenario   *ScenarioReportWire   `json:"scenario,omitempty"`
 	Experiment *ExperimentReportWire `json:"experiment,omitempty"`
-
-	// value is the in-process model result of a task this process
-	// computed, kept for Value and for the replicas and lifetime assembly
-	// steps. It does not travel on the wire and is not stored, so decoded
-	// and store-hit results leave it nil. Metrics payloads leave it nil
-	// too: Value derives their core.Metrics from the payload.
-	value any
-}
-
-// Value returns the in-process result behind the wire payload: core.Metrics
-// (evaluate, batch, grid), core.CaseStudyResult, []core.EnergyCurve,
-// []core.Threshold, stats.Series, netsim.Result (simulate, replicas),
-// lifetime.Result (lifetime), *scenario.Result or []*stats.Table, per the
-// query kind. core.Metrics is converted from the Metrics payload on each
-// call — exactly, so computed, store-hit and wire-decoded results alike
-// answer the value core.Evaluate returned. For the other kinds it is nil on
-// a TaskResult decoded from the wire.
-func (t *TaskResult) Value() any {
-	if t.value == nil && t.Metrics != nil {
-		return t.Metrics.Metrics()
-	}
-	return t.value
 }
 
 // ReplicaSummaryWire is the across-replica statistics block of a replicas
@@ -131,19 +109,7 @@ type ResultSet struct {
 	// query (the lifetime analogue of Summary).
 	LifetimeSummary *LifetimeSummaryWire `json:"lifetime_summary,omitempty"`
 	Trace           *PlanTraceWire       `json:"trace,omitempty"`
-
-	// value is the merged in-process result where one exists (a
-	// netsim.ReplicaSet for kind replicas, a lifetime.ReplicaSet for kind
-	// lifetime); see TaskResult.Value for the per-task payloads.
-	value any
 }
-
-// Value returns the merged in-process result (netsim.ReplicaSet for kind
-// replicas, lifetime.ReplicaSet for kind lifetime, nil otherwise). It is
-// nil as well when the set was assembled from wire payloads: after an
-// Execute with a Store attached, and after Assemble. The Summary and
-// LifetimeSummary blocks are set either way.
-func (rs *ResultSet) Value() any { return rs.value }
 
 // Encode renders the byte-stable JSON form: compact, HTML escaping off,
 // trailing newline. Field order is fixed, floats travel as
@@ -166,12 +132,11 @@ func (rs *ResultSet) Encode() ([]byte, error) {
 // order, the per-task seeds where the plan derives them (replicas,
 // lifetime), one run step that computes task i under a worker grant, and
 // the optional assembly step that derives the merged summary from the
-// per-task results. run reads only what Compile materialized (per-kind
-// slices such as grid points and replica seeds), so any number of
-// executions may share one exec concurrently. assemble consumes the
-// in-process task values; assembleWire recomputes the same summary from the
-// wire payloads alone, for results that crossed a machine boundary
-// (Plan.Assemble) and therefore carry no values.
+// per-task wire payloads — the only form a task result takes, whether it
+// was computed here, read from the store or streamed from a worker. run
+// reads only what Compile materialized (per-kind slices such as grid points
+// and replica seeds), so any number of executions may share one exec
+// concurrently.
 //
 // metrics marks the kinds whose tasks emit a Metrics payload (evaluate,
 // batch, grid). Each execution of such a plan allocates one MetricsWire slab
@@ -179,12 +144,11 @@ func (rs *ResultSet) Encode() ([]byte, error) {
 // points its payload at; the other kinds get a nil mw and ignore it. The
 // slab belongs to the execution, never to the plan.
 type exec struct {
-	labels       []string
-	seeds        []int64
-	metrics      bool
-	run          func(ctx context.Context, workers, i int, mw *MetricsWire) (TaskResult, error)
-	assemble     func(rs *ResultSet)
-	assembleWire func(rs *ResultSet) *Error
+	labels   []string
+	seeds    []int64
+	metrics  bool
+	run      func(ctx context.Context, workers, i int, mw *MetricsWire) (TaskResult, error)
+	assemble func(rs *ResultSet) *Error
 }
 
 // seedAt returns a copy of task i's derived seed for its trace span, or nil
@@ -252,9 +216,10 @@ func indexLabels(prefix string, n int) []string {
 // number of executions, concurrent ones included. Execute (the whole plan)
 // and ExecuteRange (a shard) run their tasks through one loop, which owns
 // the timeout, the store, the order of emission and the wall times;
-// BuildTrace is the one trace builder. The worker grant is an argument of
-// each execution, never part of the plan: worker counts never change
-// computed bytes, only how fast they arrive.
+// Assemble is the one merger of per-task results and BuildTrace the one
+// trace builder. The worker grant is an argument of each execution, never
+// part of the plan: worker counts never change computed bytes, only how
+// fast they arrive.
 type Plan struct {
 	// Kind echoes the query kind.
 	Kind Kind
@@ -269,11 +234,10 @@ type Plan struct {
 	// Store, when set, is the per-task result cache of this plan's query
 	// (store.Store.Tasks keys one to the query's content hash): Execute and
 	// ExecuteRange consult it before computing a task and store what they
-	// compute. Stored results carry wire payloads only, so a store-enabled
-	// plan assembles through the wire path — bit-identical to the in-process
-	// one by the exact-round-trip float contract. Attach it between Compile
-	// and Execute; it never changes result bytes, only whether they are
-	// recomputed.
+	// compute. A stored result decodes to the same wire payloads a computed
+	// one carries (the exact-round-trip float contract), so attach it
+	// between Compile and Execute; it never changes result bytes, only
+	// whether they are recomputed.
 	Store TaskStore
 
 	exec
@@ -345,7 +309,8 @@ func Compile(q Query) (*Plan, error) {
 // the remaining tasks and is returned. Calls to yield never overlap, but
 // they may come from any of the plan's worker goroutines. A canceled ctx
 // stops the plan promptly with ctx.Err(). With or without yield, the tasks
-// run through the same loop as ExecuteRange's.
+// run through the same loop as ExecuteRange's, and the results are merged
+// by Assemble, as a coordinator merges its shards.
 func (p *Plan) Execute(ctx context.Context, workers int, yield func(TaskResult) error) (*ResultSet, error) {
 	workers = engine.ResolveWorkers(workers)
 	start := time.Now()
@@ -366,16 +331,9 @@ func (p *Plan) Execute(ctx context.Context, workers int, yield func(TaskResult) 
 	if err != nil {
 		return nil, err
 	}
-	rs := &ResultSet{Version: Version, Kind: p.Kind, Results: results}
-	if p.storeEnabled() && p.assembleWire != nil {
-		// Store hits carry wire payloads only (no in-process value), so the
-		// summary is recomputed from the wire — bit-identical by the
-		// exact-round-trip contract Plan.Assemble already relies on.
-		if aerr := p.assembleWire(rs); aerr != nil {
-			return nil, aerr
-		}
-	} else if p.assemble != nil {
-		p.assemble(rs)
+	rs, err := p.Assemble(results)
+	if err != nil {
+		return nil, err
 	}
 	if walls != nil {
 		rs.Trace = p.BuildTrace(workers, start, walls)
@@ -519,19 +477,19 @@ func (p *Plan) BuildTrace(workers int, start time.Time, walls []float64) *PlanTr
 	}
 }
 
-// Assemble merges already-computed per-task results (in plan order, e.g.
-// collected from distributed ExecuteRange shards) into the same ResultSet
-// Execute produces, byte for byte: the per-kind assembly step (the replicas
-// summary) is recomputed from the wire payloads, whose exact-round-trip
-// floats make the merged statistics bit-identical to a local run. Every
+// Assemble merges per-task results in plan order — computed by Execute,
+// read from the store, or collected from distributed ExecuteRange shards —
+// into the plan's ResultSet: the per-kind assembly step (the replicas or
+// lifetime summary) folds the wire payloads, whose exact-round-trip floats
+// make the merged statistics the engine's own wherever the tasks ran. Every
 // task of the plan must be present with its payload set.
 func (p *Plan) Assemble(results []TaskResult) (*ResultSet, error) {
 	if len(results) != len(p.labels) {
 		return nil, errf("results", "%d results for a plan of %d tasks", len(results), len(p.labels))
 	}
 	rs := &ResultSet{Version: Version, Kind: p.Kind, Results: results}
-	if p.assembleWire != nil {
-		if err := p.assembleWire(rs); err != nil {
+	if p.assemble != nil {
+		if err := p.assemble(rs); err != nil {
 			return nil, err
 		}
 	}
@@ -656,7 +614,7 @@ func (q *Query) buildCaseStudy() (exec, *Error) {
 			return TaskResult{}, err
 		}
 		rw := WireCaseStudyResult(res)
-		return TaskResult{CaseStudy: &rw, value: res}, nil
+		return TaskResult{CaseStudy: &rw}, nil
 	}), nil
 }
 
@@ -687,7 +645,7 @@ func (q *Query) buildPathLossSweep() (exec, *Error) {
 		for i, c := range curves {
 			out[i] = WireEnergyCurve(c)
 		}
-		return TaskResult{Curves: out, value: curves}, nil
+		return TaskResult{Curves: out}, nil
 	}), nil
 }
 
@@ -709,7 +667,7 @@ func (q *Query) buildThresholds() (exec, *Error) {
 		for i, t := range ths {
 			out[i] = WireThreshold(t)
 		}
-		return TaskResult{Thresholds: out, value: ths}, nil
+		return TaskResult{Thresholds: out}, nil
 	}), nil
 }
 
@@ -728,7 +686,7 @@ func (q *Query) buildPayloadSweep() (exec, *Error) {
 			return TaskResult{}, err
 		}
 		pw := WirePayloadSeries(sizes, series)
-		return TaskResult{Payload: &pw, value: series}, nil
+		return TaskResult{Payload: &pw}, nil
 	}), nil
 }
 
@@ -738,9 +696,8 @@ func (q *Query) buildSimulate() (exec, *Error) {
 		return exec{}, aerr
 	}
 	return single(string(KindSimulate), func(context.Context, int) (TaskResult, error) {
-		r := netsim.Run(cfg)
-		rw := WireSimResult(cfg.Seed, r)
-		return TaskResult{Sim: &rw, value: r}, nil
+		rw := WireSimResult(cfg.Seed, netsim.Run(cfg))
+		return TaskResult{Sim: &rw}, nil
 	}), nil
 }
 
@@ -762,30 +719,15 @@ func (q *Query) buildReplicas() (exec, *Error) {
 		return exec{}, aerr
 	}
 	seeds := netsim.ReplicaSeeds(cfg.Seed, n)
-	// merge folds one execution's results; every execution gets its own
-	// copy of the seeds, which the merged set keeps.
-	merge := func(results []netsim.Result, rs *ResultSet) netsim.ReplicaSet {
-		set := netsim.Merge(cfg, slices.Clone(seeds), results)
-		summary := WireReplicaSummary(set)
-		rs.Summary = &summary
-		return set
-	}
 	return exec{labels: indexLabels("replica", n), seeds: seeds, run: func(_ context.Context, _, i int, _ *MetricsWire) (TaskResult, error) {
 		c := cfg
 		c.Seed = seeds[i]
-		r := netsim.Run(c)
-		rw := WireSimResult(c.Seed, r)
-		return TaskResult{Sim: &rw, value: r}, nil
-	}, assemble: func(rs *ResultSet) {
-		results := make([]netsim.Result, len(rs.Results))
-		for i := range rs.Results {
-			results[i] = rs.Results[i].value.(netsim.Result)
-		}
-		rs.value = merge(results, rs)
-	}, assembleWire: func(rs *ResultSet) *Error {
+		rw := WireSimResult(c.Seed, netsim.Run(c))
+		return TaskResult{Sim: &rw}, nil
+	}, assemble: func(rs *ResultSet) *Error {
 		// The wire replica payloads round-trip the exact floats the merge
-		// folds, so the summary recomputed here is bit-identical to the
-		// in-process assemble above.
+		// folds, so the summary is netsim.RunReplicas' own. Every execution
+		// gets its own copy of the seeds, which the summary keeps.
 		results := make([]netsim.Result, len(rs.Results))
 		for i := range rs.Results {
 			if rs.Results[i].Sim == nil {
@@ -793,7 +735,8 @@ func (q *Query) buildReplicas() (exec, *Error) {
 			}
 			results[i] = rs.Results[i].Sim.Result()
 		}
-		merge(results, rs)
+		summary := WireReplicaSummary(netsim.Merge(cfg, slices.Clone(seeds), results))
+		rs.Summary = &summary
 		return nil
 	}}, nil
 }
@@ -821,7 +764,7 @@ func (q *Query) buildScenario() (exec, *Error) {
 			}
 			report.Diff = &rep
 		}
-		return TaskResult{Scenario: &report, value: res}, nil
+		return TaskResult{Scenario: &report}, nil
 	}), nil
 }
 
@@ -848,7 +791,7 @@ func (q *Query) buildExperiment() (exec, *Error) {
 		if err != nil {
 			return TaskResult{}, err
 		}
-		return TaskResult{Experiment: &ExperimentReportWire{Name: name, Tables: tables}, value: tables}, nil
+		return TaskResult{Experiment: &ExperimentReportWire{Name: name, Tables: tables}}, nil
 	}), nil
 }
 

@@ -228,12 +228,12 @@ func TestEvaluateMatchesCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := rs.Results[0].Value().(core.Metrics)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("query evaluate deviates from core.Evaluate:\n got %+v\nwant %+v", got, want)
-	}
 	if rs.Results[0].Metrics == nil {
 		t.Fatal("wire payload missing")
+	}
+	got := rs.Results[0].Metrics.Metrics()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("query evaluate deviates from core.Evaluate:\n got %+v\nwant %+v", got, want)
 	}
 	if *rs.Results[0].Metrics != WireMetrics(want) {
 		t.Fatal("wire payload deviates from WireMetrics of the core result")
@@ -254,15 +254,16 @@ func TestReplicasMatchesRunReplicas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := rs.Value().(netsim.ReplicaSet)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("replicas query deviates from netsim.RunReplicas")
-	}
-	if rs.Summary == nil || rs.Summary.Replicas != 3 {
-		t.Fatalf("summary = %+v", rs.Summary)
+	if rs.Summary == nil || !reflect.DeepEqual(*rs.Summary, WireReplicaSummary(want)) {
+		t.Fatalf("summary = %+v, netsim.RunReplicas = %+v", rs.Summary, WireReplicaSummary(want))
 	}
 	if len(rs.Results) != 3 {
 		t.Fatalf("results = %d", len(rs.Results))
+	}
+	for i, r := range want.Results {
+		if sim := rs.Results[i].Sim; sim == nil || !reflect.DeepEqual(*sim, WireSimResult(want.Seeds[i], r)) {
+			t.Fatalf("replica %d deviates from netsim.RunReplicas", i)
+		}
 	}
 }
 

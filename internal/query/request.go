@@ -646,7 +646,7 @@ func (r *queryReader) axisPtr(s *wire.Scanner) *Axis {
 	for m := s.Object(axisKeys); m.Next(); {
 		switch m.Key() {
 		case "values":
-			a.Values = readFloatValues(s)
+			a.Values = readFloats(s)
 		case "from":
 			a.From = r.floatPtr(s)
 		case "to":
@@ -669,7 +669,7 @@ func (r *queryReader) intAxisPtr(s *wire.Scanner) *IntAxis {
 	for m := s.Object(intAxisKeys); m.Next(); {
 		switch m.Key() {
 		case "values":
-			a.Values = readIntValues(s)
+			a.Values = readInts(s)
 		case "from":
 			a.From = r.intPtr(s)
 		case "to":
@@ -679,34 +679,6 @@ func (r *queryReader) intAxisPtr(s *wire.Scanner) *IntAxis {
 		}
 	}
 	return a
-}
-
-// readFloatValues and readIntValues read an axis's values: nil for null, a
-// non-nil slice for [] (as encoding/json decodes them), and one exactly
-// sized allocation otherwise, the elements gathered on the stack first.
-
-func readFloatValues(s *wire.Scanner) []Float {
-	if s.Null() {
-		return nil
-	}
-	var buf [64]Float
-	xs := buf[:0]
-	for e := s.Array(); e.Next(); {
-		xs = append(xs, s.Float())
-	}
-	return append([]Float{}, xs...)
-}
-
-func readIntValues(s *wire.Scanner) []int {
-	if s.Null() {
-		return nil
-	}
-	var buf [64]int
-	xs := buf[:0]
-	for e := s.Array(); e.Next(); {
-		xs = append(xs, s.Int())
-	}
-	return append([]int{}, xs...)
 }
 
 // read reads one Query into q, which must be the zero value.

@@ -88,9 +88,8 @@ func EncodeTaskResult(tr TaskResult) ([]byte, error) {
 
 // DecodeTaskResult parses canonical TaskResult bytes back through the
 // reflection-free reader (decode.go), falling back to encoding/json for any
-// other input. The decoded result carries wire payloads only (Value()
-// derives a Metrics payload's core.Metrics and is nil for the other kinds),
-// which is why store-enabled plans assemble through the wire path.
+// other input. The decoded result is the computed one: a task result is its
+// wire payloads, and Plan.Assemble merges decoded and computed ones alike.
 func DecodeTaskResult(b []byte) (TaskResult, error) {
 	var d TaskDecoder
 	var tr TaskResult

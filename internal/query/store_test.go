@@ -155,8 +155,8 @@ func TestExecuteRangeStore(t *testing.T) {
 }
 
 // TestReplicasStoreWarmAssemble runs the replicas kind warm from the store:
-// assembly must go through the wire-side merger (store hits carry no
-// in-process values) and still produce the identical summary bytes.
+// every task is a store hit, decoded from stored bytes, and the summary
+// Plan.Assemble folds from those payloads is byte-identical to a cold run's.
 func TestReplicasStoreWarmAssemble(t *testing.T) {
 	q := Query{
 		Kind:     KindReplicas,

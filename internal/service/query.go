@@ -312,49 +312,21 @@ func (lw *lineWriter) done(d query.StreamDone) error {
 	return lw.write(d.AppendJSON(lw.buf[:0]))
 }
 
-// writeStreamFromResult replays a stored ResultSet body as the NDJSON stream
-// a fresh execution would produce: one line per task in plan order, then the
-// done line. The per-line bytes are identical to a fresh stream because the
-// stored elements re-encode exactly (the caller gates on Kind.WireExact).
-// Returns false — without having written anything — when the stored bytes do
-// not decode, so the caller falls through to a fresh computation.
-func (s *Server) writeStreamFromResult(w http.ResponseWriter, body []byte) bool {
-	var rs query.ResultSet
-	if err := json.Unmarshal(body, &rs); err != nil {
-		return false
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	lw := newLineWriter(w)
-	defer lw.close()
-	for i := range rs.Results {
-		if err := lw.task(&rs.Results[i]); err != nil {
-			return true // client went away mid-replay
-		}
-	}
-	_ = lw.done(rs.StreamDone())
-	return true
-}
-
 func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	q, plan, ok := s.decodeQuery(w, r)
 	if !ok {
 		return
 	}
 	s.countQuery(plan)
-	// A stored whole-query body replays as the stream without executing
-	// anything — gated on kinds whose elements re-encode byte-identically.
-	// A traced query skips the whole-query entry, as in handleQuery.
+	// A stream always runs the plan. With the per-task store attached, a
+	// repeated stream takes every task from the entries the first one
+	// stored, and an interrupted stream is resumable: every task computed
+	// before a disconnect was persisted, so the retried stream reuses them
+	// and recomputes only the remainder. The stream still writes the
+	// whole-query entry /v2/query serves; a traced query skips it, as in
+	// handleQuery.
 	key, keyed := s.storeKey(q)
 	cacheable := keyed && !q.Trace
-	if cacheable && q.Kind.WireExact() {
-		if body, ok := s.cfg.Store.GetResult(key); ok && s.writeStreamFromResult(w, body) {
-			return
-		}
-	}
-	// Attaching the per-task store is also what makes interrupted streams
-	// resumable: every task computed before a disconnect was persisted, so
-	// the retried stream reuses them and recomputes only the remainder.
 	s.attachStore(plan, key, keyed)
 	got, release, ok := s.acquireWorkers(w, r, q.Workers)
 	if !ok {

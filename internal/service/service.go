@@ -114,7 +114,6 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
-	"log"
 	"log/slog"
 	"net/http"
 	"runtime/debug"
@@ -151,12 +150,9 @@ type Config struct {
 	RequestTimeout time.Duration
 	// MaxBodyBytes caps request bodies (0 ⇒ 8 MiB).
 	MaxBodyBytes int64
-	// Logger receives one structured record per request (nil falls back
-	// to Log, then to no logging).
+	// Logger receives one structured record per request (nil ⇒ no
+	// logging).
 	Logger *slog.Logger
-	// Log is the legacy plain logger; when Logger is nil and Log is set,
-	// requests are logged through a text slog handler on Log's writer.
-	Log *log.Logger
 	// Distributor, when set, executes /v2/query and /v2/query/stream plans
 	// (a dist.Coordinator shards them across a worker fleet and merges the
 	// results byte-identically to local execution). Nil runs every plan
@@ -168,9 +164,10 @@ type Config struct {
 	// when tighter, wins.
 	QueryTimeout time.Duration
 	// Store, when set, is the content-addressed result store consulted by
-	// the v2 routes: /v2/query and /v2/query/stream answer repeated
-	// (untraced) queries from stored whole-query bytes in O(1), every
-	// executed plan reuses and persists per-task results, and /v2/tasks
+	// the v2 routes: /v2/query answers repeated (untraced) queries from
+	// stored whole-query bytes in O(1), every executed plan — each
+	// /v2/query/stream included — reuses and persists per-task results, and
+	// /v2/tasks
 	// serves stored tasks without recomputing — which makes a worker fleet a
 	// shared shard cache. Cached bytes equal freshly computed bytes always;
 	// the store changes cost, never results.
@@ -277,16 +274,12 @@ func NewServer(cfg Config) *Server {
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 8 << 20
 	}
-	logger := cfg.Logger
-	if logger == nil && cfg.Log != nil {
-		logger = slog.New(slog.NewTextHandler(cfg.Log.Writer(), nil))
-	}
 	started := time.Now()
 	s := &Server{
 		cfg:     cfg,
 		pool:    newLimiter(cfg.Workers),
 		mux:     http.NewServeMux(),
-		log:     logger,
+		log:     cfg.Logger,
 		started: started,
 		ridBase: strconv.FormatInt(started.UnixNano(), 36),
 		reg:     telemetry.NewRegistry(),

@@ -100,36 +100,52 @@ func TestQueryStoreWarmHit(t *testing.T) {
 	}
 }
 
-// TestQueryStreamStoreReplay: a completed stream persists the whole-query
-// result, and the next identical stream replays byte-identically from the
-// store.
+// TestQueryStreamStoreReplay: a completed stream persists its per-task
+// results and the whole-query result. The next identical stream takes every
+// task from the store — it recomputes nothing and stores nothing but the
+// whole-query entry again — and is byte-identical to a fresh stream.
 func TestQueryStreamStoreReplay(t *testing.T) {
-	plain := newTestServer(t, Config{Workers: 2})
-	_, want := postJSON(t, plain.URL+"/v2/query/stream", storeGridBody)
+	cases := []struct {
+		name, body string
+		tasks      int
+	}{
+		{"grid", storeGridBody, 6},
+		{"replicas", `{"kind":"replicas","sim":{"nodes":10,"superframes":3},"replicas":4}`, 4},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			plain := newTestServer(t, Config{Workers: 2})
+			_, want := postJSON(t, plain.URL+"/v2/query/stream", c.body)
 
-	ts, _ := newStoreServer(t, Config{Workers: 2})
-	_, cold := postJSON(t, ts.URL+"/v2/query/stream", storeGridBody)
-	if !bytes.Equal(cold, want) {
-		t.Fatal("cold stream deviates from storeless server")
-	}
-	hits0 := metricValue(t, ts.URL, "wsn_store_hits_total")
-	_, warm := postJSON(t, ts.URL+"/v2/query/stream", storeGridBody)
-	if !bytes.Equal(warm, want) {
-		t.Fatal("replayed stream deviates from fresh stream")
-	}
-	if d := metricValue(t, ts.URL, "wsn_store_hits_total") - hits0; d < 1 {
-		t.Errorf("stream replay moved wsn_store_hits_total by %v, want ≥ 1", d)
-	}
+			ts, _ := newStoreServer(t, Config{Workers: 2})
+			_, cold := postJSON(t, ts.URL+"/v2/query/stream", c.body)
+			if !bytes.Equal(cold, want) {
+				t.Fatal("cold stream deviates from storeless server")
+			}
+			hits0 := metricValue(t, ts.URL, "wsn_store_hits_total")
+			puts0 := metricValue(t, ts.URL, "wsn_store_puts_total")
+			_, warm := postJSON(t, ts.URL+"/v2/query/stream", c.body)
+			if !bytes.Equal(warm, want) {
+				t.Fatal("repeated stream deviates from fresh stream")
+			}
+			if d := metricValue(t, ts.URL, "wsn_store_hits_total") - hits0; d < float64(c.tasks) {
+				t.Errorf("repeated stream moved wsn_store_hits_total by %v, want ≥ %d (one per task)", d, c.tasks)
+			}
+			if d := metricValue(t, ts.URL, "wsn_store_puts_total") - puts0; d > 1 {
+				t.Errorf("repeated stream moved wsn_store_puts_total by %v, want ≤ 1 (the whole-query entry)", d)
+			}
 
-	// The non-streaming route shares the cache line: same query, same
-	// stored ResultSet.
-	status, body := postJSON(t, ts.URL+"/v2/query", storeGridBody)
-	if status != http.StatusOK {
-		t.Fatalf("query after stream: %d", status)
-	}
-	_, plainBody := postJSON(t, plain.URL+"/v2/query", storeGridBody)
-	if !bytes.Equal(body, plainBody) {
-		t.Fatal("non-streaming response after stream deviates")
+			// The non-streaming route shares the cache line: same query, same
+			// stored ResultSet.
+			status, body := postJSON(t, ts.URL+"/v2/query", c.body)
+			if status != http.StatusOK {
+				t.Fatalf("query after stream: %d", status)
+			}
+			_, plainBody := postJSON(t, plain.URL+"/v2/query", c.body)
+			if !bytes.Equal(body, plainBody) {
+				t.Fatal("non-streaming response after stream deviates")
+			}
+		})
 	}
 }
 
