@@ -471,7 +471,17 @@
 //     transaction population in a flat value slice with the CSMA/CA state
 //     machines embedded (mac.Transaction.Init reuses storage in place),
 //     recycle whole shards through a sync.Pool, and compare busy windows
-//     with precomputed integer slot bounds.
+//     with precomputed integer slot bounds. Every shard event falls on the
+//     backoff-slot grid, so a slot calendar orders them instead of a heap:
+//     first CCAs are radix-sorted once into an arrival band, later events
+//     go into a power-of-two ring of per-slot FIFOs linked through the
+//     transactions themselves (the ring spans the largest backoff window;
+//     pushes beyond it wait in an exact overflow band), and the loop skips
+//     empty slots through an occupancy bitmap. The pop order is the old
+//     (slot, kind, seq) heap order, pinned by a reference-queue oracle
+//     test; the ContentionMCShard kernel runs ~3x faster than with the
+//     heap, and a warm shard allocates nothing
+//     (contention.TestSimulateShardAllocFree).
 //   - Every hot random stream is an engine.RNG — a single-word splitmix64
 //     rand.Source64 — embedded by value and seeded via engine.DeriveSeed,
 //     preserving bit-identical results at any worker count.
@@ -503,8 +513,8 @@
 // points that run the same bodies. cmd/wsn-bench writes a JSON report of
 // ns/op, B/op and allocs/op per kernel:
 //
-//	go run ./cmd/wsn-bench -out BENCH_PR29.json   # refresh the baseline
-//	go run ./cmd/wsn-bench -diff BENCH_PR29.json  # compare a fresh run
+//	go run ./cmd/wsn-bench -out BENCH_PR31.json   # refresh the baseline
+//	go run ./cmd/wsn-bench -diff BENCH_PR31.json  # compare a fresh run
 //
 // and the root package's BenchmarkKernels runs each kernel as a
 // sub-benchmark (-short selects the -quick sizes), for ns/op medians and
@@ -519,11 +529,12 @@
 // machine-dependent) while allocs/op regressions and baseline kernels the
 // run did not produce fail the job (-failallocs). Allocation-budget tests
 // fail hard on setup or boxing regressions: des.TestTypedEventLoopAllocFree,
-// contention.TestSimulateAllocBudget, netsim.TestRunAllocBudget,
-// lifetime.TestLifetimeRunAllocBudget,
+// contention.TestSimulateAllocBudget, contention.TestSimulateShardAllocFree,
+// netsim.TestRunAllocBudget, lifetime.TestLifetimeRunAllocBudget,
 // query.TestResultSetEncodeAllocBudget,
 // query.TestEncodeTaskResultAllocBudget, query.TestCompileGridAllocBudget,
-// query.TestExecuteGridAllocBudget, query.TestDecodeTaskResultAllocBudget,
+// query.TestExecuteGridAllocBudget, query.TestExecuteReplicasAllocBudget,
+// query.TestDecodeTaskResultAllocBudget,
 // query.TestDecodeQueryAllocBudget, dist.TestLineStreamAllocBudget,
 // store.TestPutTaskAllocBudget, store.TestKeyForAllocBudget,
 // service.TestTaskShardAllocBudget,

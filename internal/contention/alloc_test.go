@@ -2,6 +2,8 @@ package contention
 
 import (
 	"testing"
+
+	"dense802154/internal/mac"
 )
 
 // TestSimulateAllocBudget is the allocation-regression guard for the
@@ -32,6 +34,43 @@ func TestSimulateAllocBudget(t *testing.T) {
 		t.Fatalf("Simulate allocated %v per run, budget %d", allocs, budget)
 	}
 	t.Logf("Simulate steady-state allocations per run: %v", allocs)
+}
+
+// TestSimulateShardAllocFree pins the shard event loop itself at zero
+// allocations: once a pooled shard has grown its population, arrival band,
+// calendar ring and overflow band to the largest configuration in a
+// rotation, running any configuration of that rotation again allocates
+// nothing. The rotation switches beacon order (6 → 10, so the arrival
+// band spans up to 19 slot bits), payload (ring horizon) and CSMA variant
+// (the MaxBE 12 one fills the overflow band).
+func TestSimulateShardAllocFree(t *testing.T) {
+	var cfgs []Config
+	for _, bo := range []uint8{6, 8, 10} {
+		sf, err := mac.NewSuperframe(bo, bo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, payload := range []int{20, 120} {
+			for _, p := range []mac.CSMAParams{mac.PaperParams(), {MinBE: 3, MaxBE: 12, MaxBackoffs: 10, CW: 2}} {
+				cfgs = append(cfgs, Config{
+					PayloadBytes: payload, Superframe: sf, CSMA: p, TargetLoad: 0.433,
+				}.withDefaults())
+			}
+		}
+	}
+	st := new(shard)
+	run := func() {
+		for i, cfg := range cfgs {
+			simulateShard(cfg, 2, int64(i), st)
+		}
+	}
+	run()
+	if cap(st.over) == 0 {
+		t.Fatal("no configuration parked an event: the overflow band went unexercised")
+	}
+	if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
+		t.Fatalf("warm shard allocated %v per rotation of %d configurations, want 0", allocs, len(cfgs))
+	}
 }
 
 // BenchmarkSimulateShard measures the per-shard event loop in isolation —

@@ -21,6 +21,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -148,121 +149,261 @@ func (r Result) String() string {
 		r.MeanCCAs, r.PrCF, r.PrCol, r.Transactions)
 }
 
-// event kinds, ordered so that within a slot transmission starts are
-// processed before CCAs (a transmission beginning at a boundary is detected
-// by a CCA at that boundary).
+// event kinds: within a slot, transmission starts are processed before
+// CCAs (a transmission beginning at a boundary is detected by a CCA at that
+// boundary).
 const (
 	evTxStart = iota
 	evCCA
 )
 
-// event is one value-typed entry of a shard's flat event heap; txn indexes
-// the shard's transaction slice, so the queue carries no pointers.
-type event struct {
-	slot int64
-	seq  int32
-	kind uint8
-	txn  int32
-}
-
-// evBefore is the heap order: (slot, kind, seq).
-func evBefore(a, b *event) bool {
-	if a.slot != b.slot {
-		return a.slot < b.slot
-	}
-	if a.kind != b.kind {
-		return a.kind < b.kind
-	}
-	return a.seq < b.seq
-}
-
 // txn is one packet's channel-access attempt. The mac.Transaction is
 // embedded by value and re-initialized in place, so a shard's whole
-// population lives in one flat slice with no per-packet allocation.
+// population lives in one flat slice with no per-packet allocation. A
+// transaction has at most one pending event, so next links it into its
+// calendar bucket's FIFO without any per-bucket storage.
 type txn struct {
 	t           mac.Transaction
 	arrivalSlot int64
 	endSlot     int64
+	next        int32
 	granted     bool
 	failed      bool
 	collided    bool
 }
 
-// shard is the reusable state of one Monte-Carlo shard: the value-typed
-// 4-ary event heap, the flat transaction population, the same-slot starter
+// ringBits caps the calendar ring at 1<<ringBits slots. Every
+// configuration within the standard's aMaxBE ≤ 8 fits its whole push
+// horizon in the ring; pushes beyond a capped ring's horizon (MaxBE ≥ 9)
+// wait in the exact overflow band.
+const ringBits = 9
+
+// fifo is an intrusive queue of transactions linked through txn.next;
+// -1 marks an empty queue and the end of the chain.
+type fifo struct{ head, tail int32 }
+
+func (f *fifo) push(txns []txn, ti int32) {
+	txns[ti].next = -1
+	if f.tail < 0 {
+		f.head = ti
+	} else {
+		txns[f.tail].next = ti
+	}
+	f.tail = ti
+}
+
+func (f *fifo) pop(txns []txn) int32 {
+	ti := f.head
+	f.head = txns[ti].next
+	if f.head < 0 {
+		f.tail = -1
+	}
+	return ti
+}
+
+// bucket is one calendar slot: the transmissions starting and the CCAs
+// falling on that boundary, each in push order.
+type bucket struct{ tx, cca fifo }
+
+// arrival is one transaction's first CCA in the arrival band.
+type arrival struct {
+	slot int64
+	txn  int32
+}
+
+// parked is an event beyond the ring's horizon, waiting in the overflow
+// band until its slot comes within reach.
+type parked struct {
+	slot int64
+	txn  int32
+	kind uint8
+}
+
+// shard is the reusable state of one Monte-Carlo shard: the flat
+// transaction population, its event calendar, the same-slot starter
 // scratch list and the shard's own single-word RNG. Shards are recycled
 // through shardPool, so a steady stream of Simulate calls reuses the same
 // backing arrays instead of re-growing them.
+//
+// The calendar has three bands on the backoff-slot grid. The arrival band
+// holds every transaction's first CCA, drawn up front and sorted once by
+// (slot, txn). The ring holds every later event within horizon slots of
+// the current slot cur, one bucket per slot. The overflow band holds,
+// sorted by slot, the rare pushes farther out than the ring reaches. Events
+// pop in the order of one (slot, kind, seq) priority queue, where seq is
+// push order: arrivals are pushed before any other event, and bucket FIFOs
+// and the overflow band keep push order, so within a slot the order is
+// ring transmissions, then arrival CCAs, then ring CCAs.
 type shard struct {
 	rng      engine.RNG
-	events   []event
 	txns     []txn
 	starters []int32
+
+	arrivals []arrival // sorted by (slot, txn)
+	sortBuf  []arrival // radix sort scratch
+	ring     []bucket  // slot s lives in ring[s&mask]
+	occ      []uint64  // one bit per bucket, set while it holds events
+	mask     int64
+	horizon  int64 // farthest push, in slots past cur, the ring takes
+	over     []parked
+	overHead int
 }
 
 var shardPool = sync.Pool{New: func() any { return new(shard) }}
 
-func (s *shard) reset(seed int64) {
+// reset prepares the shard for a run of at most maxTxns transactions whose
+// pushes reach at most reach slots past the slot being processed. The
+// population and arrival arrays are sized once to maxTxns, so a fresh
+// shard does not grow them append by append.
+func (s *shard) reset(seed int64, maxTxns int, reach int64) {
 	s.rng = engine.NewRNG(seed)
-	s.events = s.events[:0]
+	if cap(s.txns) < maxTxns {
+		s.txns = make([]txn, 0, maxTxns)
+	}
+	if cap(s.arrivals) < maxTxns {
+		s.arrivals = make([]arrival, 0, maxTxns)
+	}
+	if cap(s.sortBuf) < maxTxns {
+		s.sortBuf = make([]arrival, 0, maxTxns)
+	}
 	s.txns = s.txns[:0]
 	s.starters = s.starters[:0]
+	s.arrivals = s.arrivals[:0]
+	s.over = s.over[:0]
+	s.overHead = 0
+
+	// At least one 64-slot occupancy word, at most 1<<ringBits slots.
+	size := int64(64)
+	for size <= reach && size < 1<<ringBits {
+		size <<= 1
+	}
+	s.horizon = min(reach, size-1)
+	s.mask = size - 1
+	if int64(cap(s.ring)) < size {
+		s.ring = make([]bucket, size)
+	}
+	s.ring = s.ring[:size]
+	for i := range s.ring {
+		s.ring[i] = bucket{tx: fifo{-1, -1}, cca: fifo{-1, -1}}
+	}
+	if int64(cap(s.occ)) < size/64 {
+		s.occ = make([]uint64, size/64)
+	}
+	s.occ = s.occ[:size/64]
+	clear(s.occ)
 }
 
-// push sifts a new event into the 4-ary min-heap. The sift logic is a
-// deliberate sibling of internal/des's (siftUp/siftDown): each copy is
-// specialized to its own event key so the hottest comparison stays inlined
-// and interface-free — change one, check the other.
-func (s *shard) push(ev event) {
-	h := append(s.events, ev)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !evBefore(&ev, &h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		i = parent
+// push schedules transaction ti's next event at slot ≥ cur, the slot
+// being processed.
+func (s *shard) push(cur, slot int64, kind uint8, ti int32) {
+	if slot-cur > s.horizon {
+		s.park(slot, kind, ti)
+		return
 	}
-	h[i] = ev
-	s.events = h
+	s.enqueue(slot, kind, ti)
 }
 
-// pop removes and returns the heap minimum.
-func (s *shard) pop() event {
-	h := s.events
-	min := h[0]
-	n := len(h) - 1
-	ev := h[n]
-	s.events = h[:n]
-	if n == 0 {
-		return min
+func (s *shard) enqueue(slot int64, kind uint8, ti int32) {
+	i := slot & s.mask
+	b := &s.ring[i]
+	if kind == evTxStart {
+		b.tx.push(s.txns, ti)
+	} else {
+		b.cca.push(s.txns, ti)
 	}
-	h = h[:n]
-	i := 0
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		best := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if evBefore(&h[c], &h[best]) {
-				best = c
-			}
-		}
-		if !evBefore(&h[best], &ev) {
-			break
-		}
-		h[i] = h[best]
-		i = best
+	s.occ[i>>6] |= 1 << (i & 63)
+}
+
+// nextBusy reports the first slot at or after from whose bucket holds
+// events. Every ring event lies within horizon < len(ring) slots of cur,
+// so the first set bit on the circular scan from from is the earliest.
+func (s *shard) nextBusy(from int64) (int64, bool) {
+	i := from & s.mask
+	w := i >> 6
+	if word := s.occ[w] >> (i & 63); word != 0 {
+		return from + int64(bits.TrailingZeros64(word)), true
 	}
-	h[i] = ev
-	return min
+	base := from - i&63 // the slot of word w's bit 0
+	n := int64(len(s.occ))
+	for k := int64(1); k <= n; k++ {
+		if word := s.occ[(w+k)&(n-1)]; word != 0 {
+			return base + 64*k + int64(bits.TrailingZeros64(word)), true
+		}
+	}
+	return 0, false
+}
+
+// park inserts an event into the overflow band after every parked event
+// at or before its slot, so equal slots keep push order.
+func (s *shard) park(slot int64, kind uint8, ti int32) {
+	lo, hi := s.overHead, len(s.over)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s.over[m].slot <= slot {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	s.over = append(s.over, parked{})
+	copy(s.over[lo+1:], s.over[lo:])
+	s.over[lo] = parked{slot: slot, txn: ti, kind: kind}
+}
+
+// unpark moves every parked event within the horizon of cur into the ring.
+// It runs whenever the loop moves to a new cur, before any push there, so
+// a parked event enters its bucket ahead of every later push to that slot.
+func (s *shard) unpark(cur int64) {
+	for s.overHead < len(s.over) && s.over[s.overHead].slot-cur <= s.horizon {
+		p := s.over[s.overHead]
+		s.overHead++
+		s.enqueue(p.slot, p.kind, p.txn)
+	}
+	if s.overHead == len(s.over) {
+		s.over = s.over[:0]
+		s.overHead = 0
+	}
+}
+
+// spawn adds a transaction arriving at arrivalSlot and files its first
+// CCA, after the initial random backoff, in the arrival band. It returns
+// that CCA's slot. The arrays have room: reset sized them.
+func (s *shard) spawn(p mac.CSMAParams, arrivalSlot int64) int64 {
+	ti := int32(len(s.txns))
+	s.txns = s.txns[:ti+1]
+	x := &s.txns[ti]
+	x.t.Init(p, &s.rng)
+	x.arrivalSlot, x.endSlot = arrivalSlot, 0
+	x.granted, x.failed, x.collided = false, false, false
+	first := arrivalSlot + int64(x.t.SkipBackoff())
+	s.arrivals = append(s.arrivals, arrival{slot: first, txn: ti})
+	return first
+}
+
+// sortArrivals orders the arrival band by (slot, txn) with a stable LSD
+// radix sort on the slot bytes: the band was filled in txn order, so
+// stability keeps equal slots in txn (= push) order.
+func (s *shard) sortArrivals(maxSlot int64) {
+	a := s.arrivals
+	tmp := s.sortBuf[:len(a)]
+	for shift := uint(0); maxSlot>>shift > 0; shift += 8 {
+		var offs [256]int32
+		for i := range a {
+			offs[byte(a[i].slot>>shift)]++
+		}
+		sum := int32(0)
+		for d, c := range offs {
+			offs[d] = sum
+			sum += c
+		}
+		for _, e := range a {
+			d := byte(e.slot >> shift)
+			tmp[offs[d]] = e
+			offs[d]++
+		}
+		a, tmp = tmp, a
+	}
+	s.arrivals, s.sortBuf = a, tmp
 }
 
 // shardSuperframes is the fixed shard width of the parallel Monte-Carlo
@@ -284,7 +425,7 @@ const shardSuperframes = 8
 // independent superframe blocks executed on Config.Workers goroutines;
 // results are bit-identical for every worker count (see Config.Workers).
 //
-// Shard state (event heap, transaction population, RNG) is pooled and
+// Shard state (event calendar, transaction population, RNG) is pooled and
 // reused across calls, and the per-shard statistics are folded shard by
 // shard in index order — there is no merged transaction slice at all, so
 // steady-state Simulate calls allocate only the small shard-pointer table.
@@ -319,9 +460,6 @@ func Simulate(cfg Config) Result {
 // backing arrays are reused from call to call; the loop itself performs no
 // steady-state allocation (see TestSimulateShardAllocFree).
 func simulateShard(cfg Config, superframes int, seed int64, st *shard) {
-	st.reset(seed)
-	rng := &st.rng
-
 	sfSlots := int64(cfg.Superframe.BeaconInterval() / phy.UnitBackoffPeriod)
 	packetSlots := float64(cfg.PacketDuration()) / float64(phy.UnitBackoffPeriod)
 	beaconSlots := float64(phy.TxDuration(cfg.BeaconBytes)) / float64(phy.UnitBackoffPeriod)
@@ -334,27 +472,21 @@ func simulateShard(cfg Config, superframes int, seed int64, st *shard) {
 	packetCeil := int64(math.Ceil(packetSlots))
 	beaconCeil := int64(math.Ceil(beaconSlots))
 
-	seq := int32(0)
-	push := func(slot int64, kind uint8, ti int32) {
-		st.push(event{slot: slot, seq: seq, kind: kind, txn: ti})
-		seq++
+	// The farthest push: the CCA after a busy one, at most 2^BE slots on,
+	// or a deferral to just past the next beacon, less than
+	// packetCeil + beaconCeil slots on. Beyond 1<<ringBits the ring is
+	// capped anyway.
+	maxBE := cfg.CSMA.MaxBE
+	if cfg.CSMA.BatteryLifeExt && maxBE > 2 {
+		maxBE = 2
 	}
-
-	spawn := func(arrival int64) {
-		st.txns = append(st.txns, txn{arrivalSlot: arrival})
-		ti := int32(len(st.txns) - 1)
-		t := &st.txns[ti]
-		t.t.Init(cfg.CSMA, rng)
-		// The first CCA occurs after the initial random backoff.
-		first := arrival
-		for !t.t.CCADue() {
-			t.t.AdvanceSlot()
-			first++
-		}
-		push(first, evCCA, ti)
-	}
+	// Each superframe offers ⌊perSF⌋ or ⌊perSF⌋+1 packets.
+	maxTxns := (int(perSF) + 1) * superframes
+	st.reset(seed, maxTxns, max(packetCeil+beaconCeil, 1<<min(max(maxBE, 0), ringBits)))
+	rng := &st.rng
 
 	// Generate arrivals for every superframe of the shard up front.
+	maxSlot := int64(0)
 	for k := 0; k < superframes; k++ {
 		base := int64(k) * sfSlots
 		n := int(perSF)
@@ -362,50 +494,81 @@ func simulateShard(cfg Config, superframes int, seed int64, st *shard) {
 			n++
 		}
 		for i := 0; i < n; i++ {
-			switch cfg.Arrival {
-			case ArrivalAtBeacon:
-				spawn(base)
-			default:
-				spawn(base + rng.Int63n(sfSlots))
+			at := base
+			if cfg.Arrival != ArrivalAtBeacon {
+				at += rng.Int63n(sfSlots)
 			}
+			maxSlot = max(maxSlot, st.spawn(cfg.CSMA, at))
 		}
 	}
+	st.sortArrivals(maxSlot)
+
+	txns := st.txns
+	arrivals := st.arrivals
+	next := 0 // arrival band head
 
 	// Channel occupancy: transmissions never overlap except when they
 	// start on the same boundary, so one (start, until) pair suffices.
 	busyStart := int64(-1)
 	busyUntil := int64(math.MinInt64)
-	lastStartSlot := int64(-1)
 
-	channelBusy := func(slot int64) bool {
-		if slot < busyUntil && slot >= busyStart {
-			return true
-		}
-		return slot%sfSlots < beaconCeil
-	}
-	flushStarters := func() {
-		if len(st.starters) > 1 {
-			for _, ti := range st.starters {
-				st.txns[ti].collided = true
+	// cur's superframe start and phase within it, kept in step with cur.
+	sfStart, phase := int64(0), int64(0)
+	ring, mask := st.ring, st.mask
+	cur := int64(0)
+	for {
+		b := &ring[cur&mask]
+		var ti int32
+		var kind uint8
+		switch {
+		case b.tx.head >= 0:
+			ti, kind = b.tx.pop(txns), evTxStart
+		case next < len(arrivals) && arrivals[next].slot == cur:
+			ti, kind = arrivals[next].txn, evCCA
+			next++
+		case b.cca.head >= 0:
+			ti, kind = b.cca.pop(txns), evCCA
+		default:
+			// The slot is drained: settle its collisions and jump to the
+			// next slot holding a ring event, an arrival or a parked event.
+			if len(st.starters) > 1 {
+				for _, si := range st.starters {
+					txns[si].collided = true
+				}
 			}
+			st.starters = st.starters[:0]
+			i := cur & mask
+			st.occ[i>>6] &^= 1 << (i & 63)
+			to := int64(math.MaxInt64)
+			if next < len(arrivals) {
+				to = arrivals[next].slot
+			}
+			if slot, ok := st.nextBusy(cur + 1); ok {
+				to = min(to, slot)
+			}
+			if st.overHead < len(st.over) {
+				to = min(to, st.over[st.overHead].slot)
+			}
+			if to == math.MaxInt64 {
+				return
+			}
+			if phase += to - cur; phase >= sfSlots {
+				phase = to % sfSlots
+				sfStart = to - phase
+			}
+			cur = to
+			if st.overHead < len(st.over) {
+				st.unpark(cur)
+			}
+			continue
 		}
-		st.starters = st.starters[:0]
-	}
 
-	for len(st.events) > 0 {
-		ev := st.pop()
-		if ev.slot != lastStartSlot {
-			flushStarters()
-		}
-		switch ev.kind {
-		case evTxStart:
-			t := &st.txns[ev.txn]
+		t := &txns[ti]
+		if kind == evTxStart {
 			// Defer if the packet cannot finish before the next beacon:
 			// resume with fresh CCAs right after that beacon.
-			phase := ev.slot % sfSlots
 			if phase+packetCeil > sfSlots {
-				resume := (ev.slot/sfSlots+1)*sfSlots + beaconCeil
-				push(resume, evCCA, ev.txn)
+				st.push(cur, sfStart+sfSlots+beaconCeil, evCCA, ti)
 				// Re-arm the contention window: the transaction object
 				// cannot be rewound, so count the grant only when the
 				// transmission really starts.
@@ -413,42 +576,32 @@ func simulateShard(cfg Config, superframes int, seed int64, st *shard) {
 				continue
 			}
 			t.granted = true
-			t.endSlot = ev.slot + packetCeil
-			busyStart = ev.slot
-			if until := ev.slot + packetCeil; until > busyUntil {
-				busyUntil = until
-			}
-			lastStartSlot = ev.slot
-			st.starters = append(st.starters, ev.txn)
-		case evCCA:
-			t := &st.txns[ev.txn]
-			if t.t.Done() {
-				// A deferred transaction resuming after a beacon: grant
-				// immediately at this boundary (its CCAs already
-				// succeeded); re-check fit via the evTxStart path.
-				push(ev.slot, evTxStart, ev.txn)
-				continue
-			}
-			busy := channelBusy(ev.slot)
-			switch t.t.CCAResult(busy) {
-			case mac.OutcomeNextCCA:
-				push(ev.slot+1, evCCA, ev.txn)
-			case mac.OutcomeTransmit:
-				push(ev.slot+1, evTxStart, ev.txn)
-			case mac.OutcomeBackoff:
-				next := ev.slot + 1
-				for !t.t.CCADue() {
-					t.t.AdvanceSlot()
-					next++
-				}
-				push(next, evCCA, ev.txn)
-			case mac.OutcomeFailure:
-				t.failed = true
-				t.endSlot = ev.slot
-			}
+			t.endSlot = cur + packetCeil
+			busyStart = cur
+			busyUntil = max(busyUntil, cur+packetCeil)
+			st.starters = append(st.starters, ti)
+			continue
+		}
+		if t.t.Done() {
+			// A deferred transaction resuming after a beacon: grant
+			// immediately at this boundary (its CCAs already succeeded);
+			// re-check fit via the transmission-start path.
+			st.push(cur, cur, evTxStart, ti)
+			continue
+		}
+		busy := (cur < busyUntil && cur >= busyStart) || phase < beaconCeil
+		switch t.t.CCAResult(busy) {
+		case mac.OutcomeNextCCA:
+			st.push(cur, cur+1, evCCA, ti)
+		case mac.OutcomeTransmit:
+			st.push(cur, cur+1, evTxStart, ti)
+		case mac.OutcomeBackoff:
+			st.push(cur, cur+1+int64(t.t.SkipBackoff()), evCCA, ti)
+		case mac.OutcomeFailure:
+			t.failed = true
+			t.endSlot = cur
 		}
 	}
-	flushStarters()
 }
 
 // aggregate folds the per-shard transaction populations into a Result; the

@@ -1,6 +1,7 @@
 // Package des implements a small deterministic discrete-event simulation
-// kernel used by the network simulator and the Monte-Carlo contention
-// characterizer.
+// kernel used by the network simulator. (The Monte-Carlo contention
+// characterizer runs its own slot calendar, internal/contention, since every
+// one of its events falls on the backoff-slot grid.)
 //
 // Design:
 //   - Simulated time is a time.Duration measured from the start of the

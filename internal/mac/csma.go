@@ -120,6 +120,20 @@ func (t *Transaction) AdvanceSlot() {
 	t.waitSlots++
 }
 
+// SkipBackoff consumes every pending backoff slot in one step and returns
+// their count, so a CCA is due that many slot boundaries later. WaitSlots
+// counts the skipped slots exactly as per-slot AdvanceSlot calls would. It
+// returns 0 when a CCA is already due or the transaction has finished.
+func (t *Transaction) SkipBackoff() int {
+	if t.done {
+		return 0
+	}
+	n := t.pending
+	t.pending = 0
+	t.waitSlots += n
+	return n
+}
+
 // CCAResult feeds the outcome of a clear channel assessment performed at a
 // slot boundary where CCADue() was true.
 func (t *Transaction) CCAResult(busy bool) Outcome {

@@ -305,3 +305,57 @@ func TestOutcomeStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestSkipBackoffMatchesSlotStepping drives two transactions with the same
+// seed through the same channel verdicts: one consumes its backoff slot by
+// slot with AdvanceSlot, the other in one SkipBackoff call. The skipped
+// count must equal the stepped one at every backoff, and every statistic
+// must agree throughout.
+func TestSkipBackoffMatchesSlotStepping(t *testing.T) {
+	params := []CSMAParams{
+		PaperParams(),
+		StandardParams(),
+		{MinBE: 0, MaxBE: 0, MaxBackoffs: 3, CW: 1},
+		{MinBE: 2, MaxBE: 8, MaxBackoffs: 4, CW: 2},
+		{MinBE: 3, MaxBE: 12, MaxBackoffs: 10, CW: 2},
+		{MinBE: 3, MaxBE: 5, MaxBackoffs: 4, CW: 2, BatteryLifeExt: true},
+	}
+	for pi, p := range params {
+		for seed := int64(0); seed < 200; seed++ {
+			step := NewTransaction(p, rand.New(rand.NewSource(seed)))
+			skip := NewTransaction(p, rand.New(rand.NewSource(seed)))
+			channel := rand.New(rand.NewSource(-seed - 1))
+			for !step.Done() {
+				stepped := 0
+				for !step.CCADue() {
+					step.AdvanceSlot()
+					stepped++
+				}
+				if got := skip.SkipBackoff(); got != stepped {
+					t.Fatalf("params %d seed %d: SkipBackoff = %d, stepping took %d", pi, seed, got, stepped)
+				}
+				if !skip.CCADue() {
+					t.Fatalf("params %d seed %d: no CCA due after SkipBackoff", pi, seed)
+				}
+				if again := skip.SkipBackoff(); again != 0 {
+					t.Fatalf("params %d seed %d: SkipBackoff with a CCA due = %d", pi, seed, again)
+				}
+				busy := channel.Intn(3) == 0
+				if a, b := step.CCAResult(busy), skip.CCAResult(busy); a != b {
+					t.Fatalf("params %d seed %d: outcomes %v vs %v", pi, seed, a, b)
+				}
+				if step.WaitSlots() != skip.WaitSlots() || step.CCAs() != skip.CCAs() ||
+					step.BusyCCAs() != skip.BusyCCAs() || step.Backoffs() != skip.Backoffs() ||
+					step.BackoffExponent() != skip.BackoffExponent() || step.Done() != skip.Done() {
+					t.Fatalf("params %d seed %d: state diverged", pi, seed)
+				}
+			}
+			if step.Granted() != skip.Granted() || step.Failed() != skip.Failed() {
+				t.Fatalf("params %d seed %d: outcome diverged", pi, seed)
+			}
+			if n := skip.SkipBackoff(); n != 0 {
+				t.Fatalf("params %d seed %d: SkipBackoff on a finished transaction = %d", pi, seed, n)
+			}
+		}
+	}
+}

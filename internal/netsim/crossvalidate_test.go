@@ -35,6 +35,40 @@ func TestContentionCrossValidation(t *testing.T) {
 	t.Logf("sim: %+v", sim.Contention)
 	t.Logf("mc:  Tcont=%v NCCA=%.2f PrCF=%.3f PrCol=%.3f",
 		mc.MeanContention, mc.MeanCCAs, mc.PrCF, mc.PrCol)
+
+	// Pr_col shows a one-sided gap: the DES (100 nodes, 30 superframes,
+	// default NMax = 5) collides several times as often as the MC (here at
+	// 200 superframes). Its cause is not yet explained; ROADMAP item 1
+	// lists the candidate mechanisms (overlap versus same-boundary
+	// collisions, ACKs on the channel, the arrival window, beacon
+	// deferral). The band is measured, not derived: over DES seeds 31–50
+	// the ratio averaged 4.43 with a per-seed spread of 0.31, and the MC's
+	// Pr_col spread 3.9% over seeds 31–35, so a five-seed mean has
+	// σ ≈ 0.22 and the band is the measured mean ± 3σ. A change that moves
+	// the ratio out of it, in either simulator, is a behaviour change to
+	// explain, not a band to widen.
+	mc = contention.Simulate(contention.Config{
+		TargetLoad:  0.433,
+		Superframes: 200,
+		Seed:        31,
+	})
+	const seeds = 5
+	sum := 0.0
+	for seed := int64(31); seed < 31+seeds; seed++ {
+		sim := Run(Config{Nodes: 100, Superframes: 30, Seed: seed})
+		if sim.Contention.PrCol <= mc.PrCol {
+			t.Errorf("seed %d: DES Pr_col %.4f is not above the MC's %.4f: the one-sided gap closed",
+				seed, sim.Contention.PrCol, mc.PrCol)
+		}
+		sum += sim.Contention.PrCol
+	}
+	ratio := sum / seeds / mc.PrCol
+	if ratio < 3.75 || ratio > 5.1 {
+		t.Errorf("DES/MC Pr_col ratio %.2f outside the measured band [3.75, 5.1] (DES mean %.4f over %d seeds, MC %.4f)",
+			ratio, sum/seeds, seeds, mc.PrCol)
+	}
+	t.Logf("Pr_col: DES mean %.4f over %d seeds, MC %.4f ± %.4f, ratio %.2f",
+		sum/seeds, seeds, mc.PrCol, mc.PrColCI95, ratio)
 }
 
 // TestTraceInvariants checks the Fig. 5 trace facility: states alternate

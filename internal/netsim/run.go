@@ -296,11 +296,7 @@ func (n *node) beginContention(arrival time.Duration) {
 	n.contStart = arrival
 	// The first assessable boundary must leave room for the idle→RX
 	// turnaround preceding the CCA.
-	first := e.slotAfter(arrival + e.tia)
-	for !n.txn.CCADue() {
-		n.txn.AdvanceSlot()
-		first += phy.UnitBackoffPeriod
-	}
+	first := e.slotAfter(arrival+e.tia) + time.Duration(n.txn.SkipBackoff())*phy.UnitBackoffPeriod
 	e.sim.AtEvent(first-e.tia, evDoCCA, int32(n.id), first)
 }
 
@@ -329,11 +325,7 @@ func (n *node) doCCA(b time.Duration) {
 		e.sim.AtEvent(start-e.tiaTx, evTransmit, int32(n.id), start)
 	case mac.OutcomeBackoff:
 		e.backoffs++
-		next := b + phy.UnitBackoffPeriod
-		for !n.txn.CCADue() {
-			n.txn.AdvanceSlot()
-			next += phy.UnitBackoffPeriod
-		}
+		next := b + time.Duration(1+n.txn.SkipBackoff())*phy.UnitBackoffPeriod
 		e.sim.AtEvent(next-e.tia, evDoCCA, int32(n.id), next)
 	case mac.OutcomeFailure:
 		// Channel access failure: report to the application, sleep.
@@ -433,11 +425,7 @@ func (n *node) ackTimeout(at time.Duration) {
 	n.dev.SetPhase(radio.PhaseContention)
 	n.txn.Init(e.cfg.CSMA, &n.rng)
 	n.contStart = at
-	first := e.slotAfter(at + e.tia)
-	for !n.txn.CCADue() {
-		n.txn.AdvanceSlot()
-		first += phy.UnitBackoffPeriod
-	}
+	first := e.slotAfter(at+e.tia) + time.Duration(n.txn.SkipBackoff())*phy.UnitBackoffPeriod
 	e.sim.AtEvent(first-e.tia, evDoCCA, int32(n.id), first)
 }
 

@@ -363,8 +363,13 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if cacheable {
-		if body, err := rs.Encode(); err == nil {
-			s.cfg.Store.PutResult(key, body)
+		// Results are deterministic, so a key already holding its
+		// whole-query entry holds exactly these bytes: a repeated stream
+		// skips the encode and the store write.
+		if _, hit := s.cfg.Store.GetResult(key); !hit {
+			if body, err := rs.Encode(); err == nil {
+				s.cfg.Store.PutResult(key, body)
+			}
 		}
 	}
 	_ = lw.done(rs.StreamDone())

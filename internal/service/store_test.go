@@ -102,8 +102,8 @@ func TestQueryStoreWarmHit(t *testing.T) {
 
 // TestQueryStreamStoreReplay: a completed stream persists its per-task
 // results and the whole-query result. The next identical stream takes every
-// task from the store — it recomputes nothing and stores nothing but the
-// whole-query entry again — and is byte-identical to a fresh stream.
+// task from the store, recomputes nothing, stores nothing (the whole-query
+// entry is already there) and is byte-identical to a fresh stream.
 func TestQueryStreamStoreReplay(t *testing.T) {
 	cases := []struct {
 		name, body string
@@ -131,8 +131,8 @@ func TestQueryStreamStoreReplay(t *testing.T) {
 			if d := metricValue(t, ts.URL, "wsn_store_hits_total") - hits0; d < float64(c.tasks) {
 				t.Errorf("repeated stream moved wsn_store_hits_total by %v, want ≥ %d (one per task)", d, c.tasks)
 			}
-			if d := metricValue(t, ts.URL, "wsn_store_puts_total") - puts0; d > 1 {
-				t.Errorf("repeated stream moved wsn_store_puts_total by %v, want ≤ 1 (the whole-query entry)", d)
+			if d := metricValue(t, ts.URL, "wsn_store_puts_total") - puts0; d != 0 {
+				t.Errorf("repeated stream moved wsn_store_puts_total by %v, want 0", d)
 			}
 
 			// The non-streaming route shares the cache line: same query, same
