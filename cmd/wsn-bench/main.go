@@ -16,6 +16,11 @@
 //	wsn-bench -out BENCH_PR6.json      # refresh the tracked baseline
 //	wsn-bench -benchtime 100ms -quick  # CI smoke pass
 //	wsn-bench -diff BENCH_PR6.json     # compare this run to the baseline
+//	wsn-bench -count 6 -out BENCH_PR32.json  # median of six runs per kernel
+//
+// With -count N each kernel runs N times; the report records the median
+// ns/op with the min and max, and the allocation figures of the median
+// run, so one noisy run cannot move a recorded baseline.
 //
 // -diff is warn-only for wall-clock by design: it prints per-benchmark
 // ratios and flags ns/op slowdowns beyond -warn (default 1.5x), but ns/op
@@ -27,6 +32,7 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -34,6 +40,7 @@ import (
 	"os"
 	"regexp"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -42,13 +49,37 @@ import (
 	"dense802154/internal/contention"
 )
 
-// benchResult is one benchmark's measurement in the JSON report.
+// benchResult is one benchmark's measurement in the JSON report. With
+// -count N > 1, NsPerOp is the median of the N runs, NsPerOpMin and
+// NsPerOpMax bound them, and the other figures are the median run's.
 type benchResult struct {
 	Name        string  `json:"name"`
 	Iterations  int     `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
+	Runs        int     `json:"runs,omitempty"`
+	NsPerOpMin  float64 `json:"ns_per_op_min,omitempty"`
+	NsPerOpMax  float64 `json:"ns_per_op_max,omitempty"`
+}
+
+// summarize folds the runs of one kernel into its report entry.
+func summarize(name string, runs []testing.BenchmarkResult) benchResult {
+	ns := func(r testing.BenchmarkResult) float64 { return float64(r.T.Nanoseconds()) / float64(r.N) }
+	slices.SortFunc(runs, func(a, b testing.BenchmarkResult) int { return cmp.Compare(ns(a), ns(b)) })
+	mid := runs[(len(runs)-1)/2]
+	res := benchResult{
+		Name:        name,
+		Iterations:  mid.N,
+		NsPerOp:     (ns(mid) + ns(runs[len(runs)/2])) / 2,
+		AllocsPerOp: mid.AllocsPerOp(),
+		BytesPerOp:  mid.AllocedBytesPerOp(),
+	}
+	if len(runs) > 1 {
+		res.Runs = len(runs)
+		res.NsPerOpMin, res.NsPerOpMax = ns(runs[0]), ns(runs[len(runs)-1])
+	}
+	return res
 }
 
 // report is the wsn-bench/v1 JSON document.
@@ -72,6 +103,7 @@ func main() {
 	diff := flag.String("diff", "", "baseline JSON report to compare against")
 	warn := flag.Float64("warn", 1.5, "ns/op slowdown ratio that triggers a warning with -diff")
 	failAllocs := flag.Bool("failallocs", false, "exit non-zero when -diff finds an allocs/op regression or a missing kernel (ns/op stays warn-only)")
+	count := flag.Int("count", 1, "run each kernel this many times and record the median ns/op with the min and max")
 	testing.Init()
 	version := flag.Bool("version", false, "print build version and exit")
 	flag.Parse()
@@ -107,18 +139,19 @@ func main() {
 		if filter != nil && !filter.MatchString(k.Name) {
 			continue
 		}
-		contention.ResetCache() // fresh cache per benchmark
-		r := testing.Benchmark(k.F)
-		res := benchResult{
-			Name:        k.Name,
-			Iterations:  r.N,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
+		runs := make([]testing.BenchmarkResult, max(*count, 1))
+		for i := range runs {
+			contention.ResetCache() // fresh cache per run
+			runs[i] = testing.Benchmark(k.F)
 		}
+		res := summarize(k.Name, runs)
 		rep.Benchmarks = append(rep.Benchmarks, res)
-		fmt.Fprintf(os.Stderr, "%-24s %12d it %14.0f ns/op %10d B/op %8d allocs/op\n",
+		fmt.Fprintf(os.Stderr, "%-24s %12d it %14.0f ns/op %10d B/op %8d allocs/op",
 			k.Name, res.Iterations, res.NsPerOp, res.BytesPerOp, res.AllocsPerOp)
+		if res.Runs > 1 {
+			fmt.Fprintf(os.Stderr, "  (median of %d, %.0f–%.0f)", res.Runs, res.NsPerOpMin, res.NsPerOpMax)
+		}
+		fmt.Fprintln(os.Stderr)
 	}
 
 	data, err := json.MarshalIndent(rep, "", "  ")

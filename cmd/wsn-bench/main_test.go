@@ -8,6 +8,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 )
 
 // writeBaseline stores rep as a baseline report file and returns its path.
@@ -130,5 +131,26 @@ func TestCompareQuickMismatch(t *testing.T) {
 	}
 	if strings.Contains(out, "WARN") {
 		t.Fatalf("ns/op warning across quick/full workloads:\n%s", out)
+	}
+}
+
+// TestSummarizeMedianOfRuns: -count folds its runs into the median ns/op
+// (the mean of the middle two for an even count), the min and max, and the
+// median run's allocation figures; one run reports no spread.
+func TestSummarizeMedianOfRuns(t *testing.T) {
+	run := func(nsPerOp, allocs int64) testing.BenchmarkResult {
+		return testing.BenchmarkResult{N: 10, T: time.Duration(10 * nsPerOp), MemAllocs: uint64(10 * allocs), MemBytes: uint64(10 * 8 * allocs)}
+	}
+	got := summarize("K", []testing.BenchmarkResult{run(400, 4), run(100, 1), run(300, 3), run(200, 2)})
+	want := benchResult{Name: "K", Iterations: 10, NsPerOp: 250, AllocsPerOp: 2, BytesPerOp: 16, Runs: 4, NsPerOpMin: 100, NsPerOpMax: 400}
+	if got != want {
+		t.Fatalf("summarize = %+v, want %+v", got, want)
+	}
+	got = summarize("K", []testing.BenchmarkResult{run(300, 3), run(100, 1), run(200, 2)})
+	if got.NsPerOp != 200 || got.AllocsPerOp != 2 || got.NsPerOpMin != 100 || got.NsPerOpMax != 300 {
+		t.Fatalf("odd count: %+v", got)
+	}
+	if one := summarize("K", []testing.BenchmarkResult{run(100, 1)}); one.Runs != 0 || one.NsPerOpMin != 0 || one.NsPerOpMax != 0 || one.NsPerOp != 100 {
+		t.Fatalf("single run reports a spread: %+v", one)
 	}
 }

@@ -74,8 +74,12 @@
 // runtime.NumCPU(), 1 ⇒ serial). Results are deterministic and
 // worker-count independent: tasks are keyed by plan/grid index, per-shard
 // RNG seeds derive from the run seed alone, and identical contention
-// points are simulated once per process through a shared memoized cache.
-// The cache is LRU-bounded on request (SetContentionCacheLimit),
+// points are simulated once per process through a shared memoized cache
+// keyed on the exact (payload, load) point. Contention depends on packet
+// size and load only, never on the transmit level or path loss, so the
+// model looks it up once per point (core.EvaluateWithStats), not once per
+// TX level, and a sweep whose points share a configuration looks it up
+// once in all. The cache is LRU-bounded on request (SetContentionCacheLimit),
 // instrumented (ContentionCacheStats) and resettable
 // (ContentionCacheReset). A canceled context stops Run, RunStream and
 // every *Ctx facade promptly with ctx.Err().
@@ -83,7 +87,14 @@
 // A query is materialized exactly once, by query.Compile: its per-task
 // inputs sit in index-addressed slices (grid points, replica seeds), every
 // task label is a substring of one string, and one run step per plan
-// computes task i. Execute, ExecuteRange and Assemble only read that plan,
+// computes task i — or, for the model kinds (evaluate, batch, grid), a
+// table of the plan's distinct contention configurations, ten for a
+// 1,000-point grid over ten payloads, that each execution fills before its
+// tasks start: one engine.Map over (configuration × Monte-Carlo shard)
+// units under the execution's grant, with Simulate's shard seeds and fold
+// order, publishing to the shared cache under its single-flight. Tasks
+// then read the table, not the cache, so a streamed grid's first line
+// waits for the fill. Execute, ExecuteRange and Assemble only read that plan,
 // and the worker grant reaches the tasks as a run-time argument, so one
 // compiled plan serves repeated and concurrent executions — the
 // coordinator's local flights and a worker's shards share it — and
@@ -92,8 +103,8 @@
 // labels per point. Execute (the whole plan, streamed or not) and
 // ExecuteRange (a worker's shard, or a coordinator range that fell back to
 // local execution, one flight at a time under the coordinator's grant) run
-// their tasks through one loop: store lookup, compute, store write and
-// emission in plan order with wall times. Local and distributed traces
+// their tasks through one loop: stored-line lookup, configuration fill,
+// compute, store write and emission in plan order with wall times. Local and distributed traces
 // come from one builder and carry the same spans and per-task seeds.
 //
 // # HTTP service
@@ -243,7 +254,12 @@
 // appendJSON per nested wire type), built on wire.AppendFloat and
 // wire.AppendString. They write into reused buffers, so encoding the
 // 1,000-point grid body costs one allocation instead of ~50,000, and the
-// stream, task-line and store paths cost none. TaskResult and ResultSet
+// stream, task-line and store paths cost none. Each task is formatted
+// once: the line a plan execution writes to (or reads from) the task's
+// store entry stays on the result, and the /v2/query body, the
+// /v2/query/stream line and a worker's /v2/tasks line splice it instead
+// of formatting the result again; a body whose results all carry their
+// lines is sized once (query.TestSplicedEncodeAllocBudget). TaskResult and ResultSet
 // implement json.Marshaler through the same appenders, so any json.Encoder
 // writes identical bytes. Only the scenario and experiment payloads, which
 // embed foreign report types, still go through encoding/json, appended in
@@ -469,7 +485,8 @@
 //     generation-checked slot handles with free-list reuse.
 //   - The Monte-Carlo contention shards (internal/contention) keep their
 //     transaction population in a flat value slice with the CSMA/CA state
-//     machines embedded (mac.Transaction.Init reuses storage in place),
+//     machines embedded (mac.Attempt.Start reuses storage in place; the
+//     run holds the CSMA parameters, checked once per Simulate),
 //     recycle whole shards through a sync.Pool, and compare busy windows
 //     with precomputed integer slot bounds. Every shard event falls on the
 //     backoff-slot grid, so a slot calendar orders them instead of a heap:
@@ -513,8 +530,11 @@
 // points that run the same bodies. cmd/wsn-bench writes a JSON report of
 // ns/op, B/op and allocs/op per kernel:
 //
-//	go run ./cmd/wsn-bench -out BENCH_PR31.json   # refresh the baseline
-//	go run ./cmd/wsn-bench -diff BENCH_PR31.json  # compare a fresh run
+//	go run ./cmd/wsn-bench -count 6 -out BENCH_PR32.json  # refresh the baseline
+//	go run ./cmd/wsn-bench -diff BENCH_PR32.json          # compare a fresh run
+//
+// (-count N records each kernel's median ns/op over N runs with the min
+// and max)
 //
 // and the root package's BenchmarkKernels runs each kernel as a
 // sub-benchmark (-short selects the -quick sizes), for ns/op medians and
@@ -531,7 +551,7 @@
 // fail hard on setup or boxing regressions: des.TestTypedEventLoopAllocFree,
 // contention.TestSimulateAllocBudget, contention.TestSimulateShardAllocFree,
 // netsim.TestRunAllocBudget, lifetime.TestLifetimeRunAllocBudget,
-// query.TestResultSetEncodeAllocBudget,
+// query.TestResultSetEncodeAllocBudget, query.TestSplicedEncodeAllocBudget,
 // query.TestEncodeTaskResultAllocBudget, query.TestCompileGridAllocBudget,
 // query.TestExecuteGridAllocBudget, query.TestExecuteReplicasAllocBudget,
 // query.TestDecodeTaskResultAllocBudget,

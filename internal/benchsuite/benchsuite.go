@@ -365,6 +365,34 @@ func Kernels(quick bool) []Kernel {
 				}
 			}
 		}},
+		{"QueryGrid1000Cold", func(b *testing.B) {
+			// The grid-cold handler without HTTP: compile a never-seen
+			// 1,000-point grid (a fresh contention seed each op), execute it
+			// against a fresh store, so every configuration is simulated and
+			// every point evaluated and stored, then encode the body.
+			b.ReportAllocs()
+			q := grid1000Query()
+			for i := 0; i < b.N; i++ {
+				seed := int64(3_000_000 + i)
+				q.Params = &query.ParamsWire{Contention: &query.ContentionWire{Superframes: 8, Seed: &seed}}
+				st, err := store.New(store.Config{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				plan, err := query.Compile(q)
+				if err != nil {
+					b.Fatal(err)
+				}
+				plan.Store = st.Tasks(q)
+				rs, err := plan.Execute(context.Background(), 0, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := rs.Encode(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
 		{"DecodeQueryGrid1000", func(b *testing.B) {
 			// The request side of the grid-cold query: decode its body, as
 			// a client's encoding/json writes it, into a Query, as every

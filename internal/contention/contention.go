@@ -157,13 +157,13 @@ const (
 	evCCA
 )
 
-// txn is one packet's channel-access attempt. The mac.Transaction is
-// embedded by value and re-initialized in place, so a shard's whole
+// txn is one packet's channel-access attempt. The mac.Attempt is
+// embedded by value and restarted in place, so a shard's whole
 // population lives in one flat slice with no per-packet allocation. A
 // transaction has at most one pending event, so next links it into its
 // calendar bucket's FIFO without any per-bucket storage.
 type txn struct {
-	t           mac.Transaction
+	t           mac.Attempt
 	arrivalSlot int64
 	endSlot     int64
 	next        int32
@@ -368,11 +368,11 @@ func (s *shard) unpark(cur int64) {
 // spawn adds a transaction arriving at arrivalSlot and files its first
 // CCA, after the initial random backoff, in the arrival band. It returns
 // that CCA's slot. The arrays have room: reset sized them.
-func (s *shard) spawn(p mac.CSMAParams, arrivalSlot int64) int64 {
+func (s *shard) spawn(p *mac.CSMAParams, arrivalSlot int64) int64 {
 	ti := int32(len(s.txns))
 	s.txns = s.txns[:ti+1]
 	x := &s.txns[ti]
-	x.t.Init(p, &s.rng)
+	x.t.Start(p, &s.rng)
 	x.arrivalSlot, x.endSlot = arrivalSlot, 0
 	x.granted, x.failed, x.collided = false, false, false
 	first := arrivalSlot + int64(x.t.SkipBackoff())
@@ -430,24 +430,52 @@ const shardSuperframes = 8
 // shard in index order — there is no merged transaction slice at all, so
 // steady-state Simulate calls allocate only the small shard-pointer table.
 func Simulate(cfg Config) Result {
-	cfg = cfg.withDefaults()
-	if cfg.TargetLoad < 0 {
-		panic("contention: negative target load")
-	}
-	nShards := (cfg.Superframes + shardSuperframes - 1) / shardSuperframes
-	shards := make([]*shard, nShards)
+	cfg = cfg.prepared()
+	shards := make([]*shard, cfg.shardCount())
 	// The shard closure cannot fail and the context is never canceled, so
 	// Map's error is structurally nil.
-	_ = engine.Map(context.Background(), cfg.Workers, nShards, func(i int) error {
-		sf := shardSuperframes
-		if i == nShards-1 {
-			sf = cfg.Superframes - i*shardSuperframes
-		}
-		st := shardPool.Get().(*shard)
-		simulateShard(cfg, sf, engine.DeriveSeed(cfg.Seed, int64(i)), st)
-		shards[i] = st
+	_ = engine.Map(context.Background(), cfg.Workers, len(shards), func(i int) error {
+		shards[i] = cfg.runShard(i)
 		return nil
 	})
+	return fold(cfg, shards)
+}
+
+// prepared fills c's defaults and checks what the event loop assumes: a
+// non-negative load and valid CSMA parameters, checked here once per run
+// rather than per transaction. It panics on either.
+func (c Config) prepared() Config {
+	c = c.withDefaults()
+	if c.TargetLoad < 0 {
+		panic("contention: negative target load")
+	}
+	if err := c.CSMA.Validate(); err != nil {
+		panic(err)
+	}
+	return c
+}
+
+// shardCount is the number of shardSuperframes blocks a prepared run is cut
+// into; it depends on Superframes alone, never on Workers.
+func (c Config) shardCount() int {
+	return (c.Superframes + shardSuperframes - 1) / shardSuperframes
+}
+
+// runShard simulates block i of a prepared run on a pooled shard under the
+// block's derived seed, and returns the shard for fold.
+func (c Config) runShard(i int) *shard {
+	sf := shardSuperframes
+	if i == c.shardCount()-1 {
+		sf = c.Superframes - i*shardSuperframes
+	}
+	st := shardPool.Get().(*shard)
+	simulateShard(c, sf, engine.DeriveSeed(c.Seed, int64(i)), st)
+	return st
+}
+
+// fold aggregates a run's shards in index order into its Result and returns
+// them to the pool.
+func fold(cfg Config, shards []*shard) Result {
 	r := aggregate(cfg, shards)
 	for _, st := range shards {
 		shardPool.Put(st)
@@ -498,7 +526,7 @@ func simulateShard(cfg Config, superframes int, seed int64, st *shard) {
 			if cfg.Arrival != ArrivalAtBeacon {
 				at += rng.Int63n(sfSlots)
 			}
-			maxSlot = max(maxSlot, st.spawn(cfg.CSMA, at))
+			maxSlot = max(maxSlot, st.spawn(&cfg.CSMA, at))
 		}
 	}
 	st.sortArrivals(maxSlot)
@@ -590,7 +618,7 @@ func simulateShard(cfg Config, superframes int, seed int64, st *shard) {
 			continue
 		}
 		busy := (cur < busyUntil && cur >= busyStart) || phase < beaconCeil
-		switch t.t.CCAResult(busy) {
+		switch t.t.CCAResult(&cfg.CSMA, rng, busy) {
 		case mac.OutcomeNextCCA:
 			st.push(cur, cur+1, evCCA, ti)
 		case mac.OutcomeTransmit:

@@ -2,7 +2,8 @@ package contention
 
 import (
 	"context"
-	"math"
+	"sort"
+	"sync/atomic"
 	"time"
 
 	"dense802154/internal/engine"
@@ -83,13 +84,14 @@ func BuildCurve(payload int, loads []float64, base Config) Curve {
 
 // mcKey identifies one Monte-Carlo characterization point in the shared
 // contention cache: the full simulation config (with the per-point fields
-// normalized out) plus the payload and the quantized load. Workers is
-// excluded because the sharded simulation is worker-count independent — the
-// same statistics are produced, and may be shared, at any parallelism.
+// normalized out) plus the payload and the exact load the point is
+// simulated at. Workers is excluded because the sharded simulation is
+// worker-count independent — the same statistics are produced, and may be
+// shared, at any parallelism.
 type mcKey struct {
-	base      Config
-	payload   int
-	loadMilli int
+	base    Config
+	payload int
+	load    float64
 }
 
 // mcCache is the process-wide memoized contention cache: every MCSource —
@@ -116,8 +118,8 @@ func SetCacheLimit(n int) { mcCache.SetLimit(n) }
 func CacheStats() engine.CacheStats { return mcCache.Stats() }
 
 // MCSource is a Monte-Carlo-backed Source with memoization. It simulates
-// on demand at the requested (payload, load) point; results are cached on a
-// quantized key in the process-wide shared cache, so sweeps of the
+// on demand at the requested (payload, load) point; results are cached
+// under the exact point in the process-wide shared cache, so sweeps of the
 // analytical model — including concurrent batch sweeps — do not
 // re-simulate identical points.
 type MCSource struct {
@@ -131,21 +133,130 @@ func NewMCSource(base Config) *MCSource {
 	return &MCSource{Base: base}
 }
 
-// Contention implements Source. It is safe for concurrent use; concurrent
-// requests for the same point block on one simulation and share its result.
-func (s *MCSource) Contention(payloadBytes int, load float64) Stats {
-	key := mcKey{base: s.Base, payload: payloadBytes, loadMilli: int(math.Round(load * 1000))}
+// point returns the run config of one (payload, load) point and its cache
+// key.
+func (s *MCSource) point(payloadBytes int, load float64) (Config, mcKey) {
+	cfg := s.Base
+	cfg.PayloadBytes = payloadBytes
+	cfg.TargetLoad = load
+	key := mcKey{base: s.Base, payload: payloadBytes, load: load}
 	key.base.PayloadBytes = 0
 	key.base.TargetLoad = 0
 	key.base.Workers = 0
-	return mcCache.Get(key, func() Stats {
-		cfg := s.Base
-		cfg.PayloadBytes = payloadBytes
-		cfg.TargetLoad = load
-		r := Simulate(cfg)
-		return Stats{Tcont: r.MeanContention, NCCA: r.MeanCCAs, PrCF: r.PrCF, PrCol: r.PrCol}
-	})
+	return cfg, key
+}
+
+// Contention implements Source. It is safe for concurrent use; concurrent
+// requests for the same point block on one simulation and share its result.
+func (s *MCSource) Contention(payloadBytes int, load float64) Stats {
+	cfg, key := s.point(payloadBytes, load)
+	return mcCache.Get(key, func() Stats { return Simulate(cfg).stats() })
 }
 
 // String implements fmt.Stringer.
 func (s *MCSource) String() string { return "monte-carlo" }
+
+// stats is the Source view of a run.
+func (r Result) stats() Stats {
+	return Stats{Tcont: r.MeanContention, NCCA: r.MeanCCAs, PrCF: r.PrCF, PrCol: r.PrCol}
+}
+
+// Lookup is one contention lookup: a source's statistics at a (payload,
+// load) point, which Resolve fills in.
+type Lookup struct {
+	Source       Source
+	PayloadBytes int
+	Load         float64
+	Stats        Stats
+}
+
+// Resolve answers a batch of lookups on at most workers goroutines (≤ 0 ⇒
+// NumCPU), filling in each one's Stats. Monte-Carlo lookups go through the
+// process-wide cache under the same keys and single-flight as
+// MCSource.Contention: a cached point, or one another caller is already
+// simulating, is shared, never simulated again. The points this call has to
+// simulate are cut into their shards, and every shard of every such point
+// runs in one engine.Map with Simulate's shard seeds and fold order, so the
+// statistics are Simulate's to the bit while a batch of points keeps every
+// worker busy instead of blocking all but one on the point they share. Each
+// point is folded and published to the cache as soon as its last shard
+// ends. Other sources are asked once per lookup inside the same map, and a
+// lookup without a source is skipped, its Stats left as they are. An
+// in-flight simulation is not interruptible, so Resolve takes no context.
+func Resolve(workers int, ls []Lookup) {
+	// A point this call simulates: its prepared run, the lookup it
+	// answers, its cache flight and its span of shard units.
+	type owned struct {
+		cfg         Config
+		at          int
+		flight      engine.Flight[mcKey, Stats]
+		first, n    int
+		outstanding atomic.Int32
+	}
+	var (
+		points  []owned
+		flights []engine.Flight[mcKey, Stats] // points in flight elsewhere, by lookup
+		direct  []int                         // lookups of other sources
+		units   int
+	)
+	for i := range ls {
+		r := &ls[i]
+		s, ok := r.Source.(*MCSource)
+		if !ok {
+			if r.Source != nil {
+				direct = append(direct, i)
+			}
+			continue
+		}
+		cfg, key := s.point(r.PayloadBytes, r.Load)
+		// Check the run before claiming its flight: a run that panics
+		// must not leave other callers waiting on an unpublished entry.
+		cfg = cfg.prepared()
+		f := mcCache.Acquire(key)
+		switch {
+		case f.Ready():
+			r.Stats = f.Wait()
+			continue
+		case !f.Owner():
+			if flights == nil {
+				flights = make([]engine.Flight[mcKey, Stats], len(ls))
+			}
+			flights[i] = f
+			continue
+		}
+		n := cfg.shardCount()
+		if points == nil {
+			points = make([]owned, 0, len(ls)-i)
+		}
+		points = append(points, owned{cfg: cfg, at: i, flight: f, first: units, n: n})
+		points[len(points)-1].outstanding.Store(int32(n))
+		units += n
+	}
+	if units+len(direct) > 0 {
+		shards := make([]*shard, units)
+		_ = engine.Map(context.Background(), workers, units+len(direct), func(u int) error {
+			if u >= units {
+				r := &ls[direct[u-units]]
+				r.Stats = r.Source.Contention(r.PayloadBytes, r.Load)
+				return nil
+			}
+			// The point whose span holds unit u.
+			k := sort.Search(len(points), func(k int) bool { return points[k].first > u }) - 1
+			p := &points[k]
+			shards[u] = p.cfg.runShard(u - p.first)
+			if p.outstanding.Add(-1) == 0 {
+				st := fold(p.cfg, shards[p.first:p.first+p.n]).stats()
+				ls[p.at].Stats = st
+				p.flight.Publish(st)
+			}
+			return nil
+		})
+	}
+	// Every owned point is published by now, so waiting on the points
+	// other callers own cannot deadlock against them.
+	for i := range flights {
+		if f := flights[i]; f != (engine.Flight[mcKey, Stats]{}) {
+			ls[i].Stats = f.Wait()
+		}
+	}
+}

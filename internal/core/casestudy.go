@@ -121,15 +121,16 @@ func RunCaseStudyCtx(ctx context.Context, p Params, cfg CaseStudyConfig) (CaseSt
 	res := CaseStudyResult{Config: cfg, Load: load}
 	grid := channel.LossGrid(cfg.MinLossDB, cfg.MaxLossDB, cfg.LossGridPoints)
 
-	// Evaluate the population concurrently; the grid order of the results
-	// is fixed by index, so the serial fold below is worker-count
-	// independent.
+	// Evaluate the population concurrently under the one contention
+	// answer its points share; the grid order of the results is fixed by
+	// index, so the serial fold below is worker-count independent.
+	cs := sharedContention(&p)
 	ms, err := engine.MapSlice(ctx, p.Workers, grid,
 		func(i int, a float64) (Metrics, error) {
 			q := p
 			q.PathLossDB = a
 			q.TXLevelIndex = AutoTXLevel
-			return Evaluate(q)
+			return evaluateAtLevel(&q, q.level(&cs), &cs), nil
 		})
 	if err != nil {
 		return CaseStudyResult{}, err

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"dense802154/internal/contention"
 	"dense802154/internal/engine"
 	"dense802154/internal/fit"
 	"dense802154/internal/stats"
@@ -18,26 +19,30 @@ import (
 // network load.
 
 // OptimalTXLevel returns the energy-per-bit-minimizing transmit level for
-// p's path loss.
+// p's path loss. It looks p's contention statistics up once for all levels.
 func OptimalTXLevel(p Params) (int, error) {
 	if err := p.Validate(); err != nil {
 		return 0, err
 	}
-	// Pick the finite minimum; when no level closes the link (deep in the
-	// out-of-range tail), fall back to full power.
+	cs := p.Contention.Contention(p.PayloadBytes, p.Load)
+	return optimalLevel(&p, &cs), nil
+}
+
+// optimalLevel picks the level on validated p under the statistics cs:
+// the finite minimum, or full power when no level closes the link (deep in
+// the out-of-range tail).
+func optimalLevel(p *Params, cs *contention.Stats) int {
 	best, bestE := -1, math.Inf(1)
 	for i := 0; i <= p.Radio.MaxTXLevel(); i++ {
-		q := p
-		q.TXLevelIndex = i
-		m := evaluateAtLevel(q)
-		if !math.IsInf(m.EnergyPerBitJ, 0) && !math.IsNaN(m.EnergyPerBitJ) && m.EnergyPerBitJ < bestE {
-			best, bestE = i, m.EnergyPerBitJ
+		e := evaluateAtLevel(p, i, cs).EnergyPerBitJ
+		if !math.IsInf(e, 0) && !math.IsNaN(e) && e < bestE {
+			best, bestE = i, e
 		}
 	}
 	if best < 0 {
 		best = p.Radio.MaxTXLevel()
 	}
-	return best, nil
+	return best
 }
 
 // EnergyCurve is energy per bit versus path loss for one transmit level.
@@ -68,13 +73,14 @@ func EnergyVsPathLossCtx(ctx context.Context, p Params, losses []float64) ([]Ene
 			EnergyJ:    make([]float64, len(losses)),
 		}
 	}
-	// The evaluation closure cannot fail, so Map's error is the ctx's.
+	// Every cell shares p's (payload, load), so contention is looked up
+	// once. The evaluation closure cannot fail, so Map's error is the ctx's.
+	cs := sharedContention(&p)
 	err := engine.Map(ctx, p.Workers, levels*len(losses), func(k int) error {
 		i, j := k/len(losses), k%len(losses)
 		q := p
-		q.TXLevelIndex = i
 		q.PathLossDB = losses[j]
-		curves[i].EnergyJ[j] = evaluateAtLevel(q).EnergyPerBitJ
+		curves[i].EnergyJ[j] = evaluateAtLevel(&q, i, &cs).EnergyPerBitJ
 		return nil
 	})
 	if err != nil {
@@ -151,12 +157,13 @@ func AdaptedEnergySeriesCtx(ctx context.Context, p Params, losses []float64) (st
 		return stats.Series{}, err
 	}
 	s := stats.Series{Label: fmt.Sprintf("load %.2f", p.Load)}
+	cs := sharedContention(&p)
 	ms, err := engine.MapSlice(ctx, p.Workers, losses,
 		func(i int, a float64) (Metrics, error) {
 			q := p
 			q.PathLossDB = a
 			q.TXLevelIndex = AutoTXLevel
-			return Evaluate(q)
+			return evaluateAtLevel(&q, q.level(&cs), &cs), nil
 		})
 	if err != nil {
 		return stats.Series{}, err

@@ -245,26 +245,53 @@ type Metrics struct {
 }
 
 // Evaluate runs the analytical model. With TXLevelIndex = AutoTXLevel it
-// first selects the energy-optimal transmit level for the path loss.
+// first selects the energy-optimal transmit level for the path loss. It
+// asks p.Contention for the statistics at (p.PayloadBytes, p.Load) once and
+// evaluates with them, as EvaluateWithStats does.
 func Evaluate(p Params) (Metrics, error) {
 	if err := p.Validate(); err != nil {
 		return Metrics{}, err
 	}
-	if p.TXLevelIndex == AutoTXLevel {
-		best, err := OptimalTXLevel(p)
-		if err != nil {
-			return Metrics{}, err
-		}
-		p.TXLevelIndex = best
-	}
-	return evaluateAtLevel(p), nil
+	cs := p.Contention.Contention(p.PayloadBytes, p.Load)
+	return evaluateAtLevel(&p, p.level(&cs), &cs), nil
 }
 
-// evaluateAtLevel computes the model with an explicit TX level; p must be
-// validated.
-func evaluateAtLevel(p Params) Metrics {
+// EvaluateWithStats runs the analytical model with the contention
+// statistics cs standing in for p.Contention's answer at (p.PayloadBytes,
+// p.Load). Contention depends on packet size and load only, never on the
+// transmit level or the path loss, so a caller that evaluates many points
+// sharing a configuration looks it up once (query plans resolve each
+// configuration of a plan once). Given the source's own answer, the result
+// is Evaluate's to the bit.
+func EvaluateWithStats(p Params, cs contention.Stats) (Metrics, error) {
+	if err := p.Validate(); err != nil {
+		return Metrics{}, err
+	}
+	return evaluateAtLevel(&p, p.level(&cs), &cs), nil
+}
+
+// level is validated p's transmit level under the statistics cs: the
+// configured one, or the energy-optimal one under AutoTXLevel.
+func (p *Params) level(cs *contention.Stats) int {
+	if p.TXLevelIndex == AutoTXLevel {
+		return optimalLevel(p, cs)
+	}
+	return p.TXLevelIndex
+}
+
+// sharedContention looks up the statistics of a sweep whose points all
+// share p's (payload, load): once, with a Monte-Carlo point that is not
+// cached yet simulated on p.Workers goroutines.
+func sharedContention(p *Params) contention.Stats {
+	l := []contention.Lookup{{Source: p.Contention, PayloadBytes: p.PayloadBytes, Load: p.Load}}
+	contention.Resolve(p.Workers, l)
+	return l[0].Stats
+}
+
+// evaluateAtLevel computes the model at an explicit TX level with the
+// contention statistics cs; p must be validated.
+func evaluateAtLevel(p *Params, level int, cs *contention.Stats) Metrics {
 	r := p.Radio
-	level := p.TXLevelIndex
 	txDBm := r.TXLevels[level].DBm
 	prx := channel.ReceivedPowerDBm(txDBm, p.PathLossDB)
 
@@ -277,7 +304,7 @@ func evaluateAtLevel(p Params) Metrics {
 	m.Tpacket = frame.PaperPacketDuration(p.PayloadBytes)
 
 	// Contention statistics at (packet size, load).
-	m.Cont = p.Contention.Contention(p.PayloadBytes, p.Load)
+	m.Cont = *cs
 	prcf := m.Cont.PrCF
 	m.PrCF = prcf
 

@@ -21,10 +21,12 @@ type Cache[K comparable, V any] struct {
 }
 
 type cacheEntry[K comparable, V any] struct {
-	key        K
-	once       sync.Once
+	key K
+	// ready is held (Add(1)) from the entry's creation until its owner
+	// publishes val; every other caller waits on it.
+	ready      sync.WaitGroup
 	val        V
-	done       bool // guarded by Cache.mu; set after once completes
+	done       bool // guarded by Cache.mu; set when val is published
 	prev, next *cacheEntry[K, V]
 }
 
@@ -75,12 +77,43 @@ func (c *Cache[K, V]) Limit() int {
 	return c.limit
 }
 
-// Get returns the cached value for key, running compute under a per-key
-// sync.Once on a miss. Concurrent callers with the same key block until the
-// single computation finishes and then share its result. Get refreshes the
-// key's recency; a miss may evict the least recently used completed entry
-// when a limit is set.
+// Get returns the cached value for key, running compute on a miss.
+// Concurrent callers with the same key block until the single computation
+// finishes and then share its result. Get refreshes the key's recency; a
+// miss may evict the least recently used completed entry when a limit is
+// set. A compute that panics publishes the zero value, so the panic never
+// leaves other callers of the key waiting.
 func (c *Cache[K, V]) Get(key K, compute func() V) V {
+	f := c.Acquire(key)
+	if f.Owner() {
+		func() {
+			var v V
+			defer func() { f.Publish(v) }()
+			v = compute()
+		}()
+	}
+	return f.Wait()
+}
+
+// Flight is one caller's claim on a cache entry, from Acquire. The caller
+// that created the entry owns it and must Publish its value exactly once;
+// everyone else, the owner included, reads the value with Wait, which
+// blocks until it is published.
+type Flight[K comparable, V any] struct {
+	c     *Cache[K, V]
+	e     *cacheEntry[K, V]
+	owner bool
+	ready bool
+}
+
+// Acquire returns key's flight: the existing entry (a hit, computed or
+// still in flight) or a new one this caller owns (a miss). It counts and
+// refreshes recency exactly as Get does, so a batch of values computed
+// together outside the cache — Acquire each, compute the owned ones, then
+// Publish them — keeps the single-flight and the hit/miss accounting of one
+// Get per key. An owner must Publish before it waits on any other flight
+// it does not own, or two batches could wait on each other.
+func (c *Cache[K, V]) Acquire(key K) Flight[K, V] {
 	c.mu.Lock()
 	if c.m == nil {
 		c.m = make(map[K]*cacheEntry[K, V])
@@ -92,18 +125,37 @@ func (c *Cache[K, V]) Get(key K, compute func() V) V {
 	} else {
 		c.misses++
 		e = &cacheEntry[K, V]{key: key}
+		e.ready.Add(1)
 		c.m[key] = e
 		c.pushFrontLocked(e)
 		c.evictLocked()
 	}
+	ready := e.done
 	c.mu.Unlock()
-	e.once.Do(func() {
-		e.val = compute()
-		c.mu.Lock()
-		e.done = true
-		c.mu.Unlock()
-	})
-	return e.val
+	return Flight[K, V]{c: c, e: e, owner: !ok, ready: ready}
+}
+
+// Owner reports whether this caller created the entry and so must
+// Publish its value.
+func (f Flight[K, V]) Owner() bool { return f.owner }
+
+// Ready reports whether the value was already published when the flight
+// was acquired, so Wait returns at once.
+func (f Flight[K, V]) Ready() bool { return f.ready }
+
+// Publish stores the owner's value and releases every waiter.
+func (f Flight[K, V]) Publish(v V) {
+	f.e.val = v
+	f.c.mu.Lock()
+	f.e.done = true
+	f.c.mu.Unlock()
+	f.e.ready.Done()
+}
+
+// Wait returns the entry's value once it is published.
+func (f Flight[K, V]) Wait() V {
+	f.e.ready.Wait()
+	return f.e.val
 }
 
 // Len reports the number of cached keys (including any still computing).

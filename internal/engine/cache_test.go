@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestCacheSingleFlightAndCounters(t *testing.T) {
@@ -176,4 +177,55 @@ func ExampleCache() {
 	v := c.Get("fig6", func() string { return "simulated" })
 	fmt.Println(v, c.Stats().Misses)
 	// Output: simulated 1
+}
+
+// TestCacheFlights: the first Acquire of a key owns its flight and the
+// value computed outside the cache reaches every other caller — those that
+// joined before Publish block in Wait, later ones find it Ready — with the
+// hit/miss accounting of one Get per Acquire.
+func TestCacheFlights(t *testing.T) {
+	var c Cache[string, int]
+	own := c.Acquire("k")
+	if !own.Owner() || own.Ready() {
+		t.Fatalf("first Acquire: owner %v ready %v, want an unpublished owned flight", own.Owner(), own.Ready())
+	}
+	joined := c.Acquire("k")
+	if joined.Owner() || joined.Ready() {
+		t.Fatal("second Acquire of an unpublished key must join it")
+	}
+	got := make(chan int)
+	go func() { got <- joined.Wait() }()
+	go func() { got <- c.Get("k", func() int { t.Error("Get recomputed a key in flight"); return 0 }) }()
+	own.Publish(42)
+	for i := 0; i < 2; i++ {
+		if v := <-got; v != 42 {
+			t.Fatalf("waiter got %d, want 42", v)
+		}
+	}
+	if late := c.Acquire("k"); late.Owner() || !late.Ready() || late.Wait() != 42 {
+		t.Fatal("a published key must be ready for later callers")
+	}
+	if s := c.Stats(); s.Misses != 1 || s.Hits != 3 {
+		t.Fatalf("stats %+v, want 1 miss and 3 hits", s)
+	}
+}
+
+// TestCacheGetPanicPublishes: a compute that panics still publishes (the
+// zero value), so callers already waiting on the key are released.
+func TestCacheGetPanicPublishes(t *testing.T) {
+	var c Cache[int, int]
+	func() {
+		defer func() { _ = recover() }()
+		c.Get(1, func() int { panic("boom") })
+	}()
+	done := make(chan int)
+	go func() { done <- c.Get(1, func() int { return 7 }) }()
+	select {
+	case v := <-done:
+		if v != 0 {
+			t.Fatalf("Get after a panicking compute = %d, want the published zero value", v)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Get blocked on a key whose compute panicked")
+	}
 }

@@ -47,22 +47,25 @@ func (o Outcome) String() string {
 	}
 }
 
-// Transaction is one slotted CSMA/CA channel-access attempt. It is a pure
+// Attempt is one slotted CSMA/CA channel-access attempt. It is a pure
 // state machine advanced by its owner at backoff slot boundaries:
 //
 //	for each slot boundary:
-//	    if t.CCADue() {
+//	    if a.CCADue() {
 //	        busy := senseChannel()        // receiver on for phy.CCADuration
-//	        switch t.CCAResult(busy) { ... }
+//	        switch a.CCAResult(&p, rng, busy) { ... }
 //	    } else {
-//	        t.AdvanceSlot()               // idle backoff slot
+//	        a.AdvanceSlot()               // idle backoff slot
 //	    }
 //
-// The zero value is not usable; create transactions with NewTransaction.
-type Transaction struct {
-	params CSMAParams
-	rng    Rand
-
+// The owner holds the algorithm parameters and the random source and passes
+// them to the calls that draw or decide, so an attempt is only its counters:
+// a simulator validates its CSMAParams once per run and keeps its whole
+// population of attempts in one flat slice (the Monte-Carlo contention
+// shards and the netsim nodes embed Attempt by value). Every call on one
+// attempt must pass the same parameters and source. The zero value is not
+// usable; start an attempt with Start.
+type Attempt struct {
 	nb      int // backoff (busy) counter
 	cw      int // remaining clear CCAs needed
 	be      int // current backoff exponent
@@ -77,6 +80,101 @@ type Transaction struct {
 	accessFail bool
 }
 
+// Start (re)starts the attempt in place and draws the initial random delay
+// uniformly from [0, 2^BE-1] backoff slots. It resets every field, so a
+// finished attempt's storage can be reused for a fresh one. p must have
+// passed CSMAParams.Validate: the owner checks it once, not per packet.
+func (a *Attempt) Start(p *CSMAParams, rng Rand) {
+	be := p.effectiveBE(p.MinBE)
+	*a = Attempt{cw: p.CW, be: be, pending: rng.Intn(1 << uint(be))}
+}
+
+// CCADue reports whether the attempt wants a clear channel assessment at
+// the current slot boundary.
+func (a *Attempt) CCADue() bool { return !a.done && a.pending == 0 }
+
+// Done reports whether the attempt has terminated (transmit granted or
+// access failure).
+func (a *Attempt) Done() bool { return a.done }
+
+// AdvanceSlot consumes one backoff slot. It panics if a CCA is due instead:
+// skipping assessments would corrupt the algorithm.
+func (a *Attempt) AdvanceSlot() {
+	if a.done {
+		return
+	}
+	if a.pending == 0 {
+		panic("mac: AdvanceSlot called while a CCA is due")
+	}
+	a.pending--
+	a.waitSlots++
+}
+
+// SkipBackoff consumes every pending backoff slot in one step and returns
+// their count, so a CCA is due that many slot boundaries later. WaitSlots
+// counts the skipped slots exactly as per-slot AdvanceSlot calls would. It
+// returns 0 when a CCA is already due or the attempt has finished.
+func (a *Attempt) SkipBackoff() int {
+	if a.done {
+		return 0
+	}
+	n := a.pending
+	a.pending = 0
+	a.waitSlots += n
+	return n
+}
+
+// CCAResult feeds the outcome of a clear channel assessment performed at a
+// slot boundary where CCADue() was true, under the parameters and random
+// source the attempt was started with.
+func (a *Attempt) CCAResult(p *CSMAParams, rng Rand, busy bool) Outcome {
+	if a.done {
+		panic("mac: CCAResult on a finished transaction")
+	}
+	if a.pending != 0 {
+		panic("mac: CCAResult without a due CCA")
+	}
+	a.ccas++
+	if busy {
+		a.busyCCAs++
+		a.nb++
+		if a.nb > p.MaxBackoffs {
+			a.done = true
+			a.accessFail = true
+			return OutcomeFailure
+		}
+		a.cw = p.CW
+		a.be = p.effectiveBE(a.be + 1)
+		// A zero delay means the next CCA happens at the next boundary.
+		a.pending = rng.Intn(1 << uint(a.be))
+		return OutcomeBackoff
+	}
+	a.cw--
+	if a.cw > 0 {
+		return OutcomeNextCCA
+	}
+	a.done = true
+	a.txGranted = true
+	return OutcomeTransmit
+}
+
+// Transaction is an Attempt that carries its own parameters and random
+// source, for callers that advance one attempt at a time:
+//
+//	t := NewTransaction(PaperParams(), rng)
+//	for !t.Done() {
+//	    if t.CCADue() {
+//	        t.CCAResult(senseChannel())
+//	    } else {
+//	        t.AdvanceSlot()
+//	    }
+//	}
+type Transaction struct {
+	Attempt
+	params CSMAParams
+	rng    Rand
+}
+
 // NewTransaction starts a channel-access attempt: it draws the initial
 // random delay uniformly from [0, 2^BE-1] backoff slots.
 func NewTransaction(p CSMAParams, rng Rand) *Transaction {
@@ -85,111 +183,42 @@ func NewTransaction(p CSMAParams, rng Rand) *Transaction {
 	return t
 }
 
-// Init (re)starts the transaction in place — the zero-allocation path for
-// callers that embed Transaction by value (the Monte-Carlo contention shards
-// and the netsim nodes). It resets every field, so a finished transaction's
-// storage can be reused for a fresh attempt.
+// Init validates p and (re)starts the transaction in place. It panics on
+// invalid parameters.
 func (t *Transaction) Init(p CSMAParams, rng Rand) {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	*t = Transaction{params: p, rng: rng}
-	t.be = p.effectiveBE(p.MinBE)
-	t.cw = p.CW
-	t.pending = rng.Intn(1 << uint(t.be))
-}
-
-// CCADue reports whether the transaction wants a clear channel assessment
-// at the current slot boundary.
-func (t *Transaction) CCADue() bool { return !t.done && t.pending == 0 }
-
-// Done reports whether the transaction has terminated (transmit granted or
-// access failure).
-func (t *Transaction) Done() bool { return t.done }
-
-// AdvanceSlot consumes one backoff slot. It panics if a CCA is due instead:
-// skipping assessments would corrupt the algorithm.
-func (t *Transaction) AdvanceSlot() {
-	if t.done {
-		return
-	}
-	if t.pending == 0 {
-		panic("mac: AdvanceSlot called while a CCA is due")
-	}
-	t.pending--
-	t.waitSlots++
-}
-
-// SkipBackoff consumes every pending backoff slot in one step and returns
-// their count, so a CCA is due that many slot boundaries later. WaitSlots
-// counts the skipped slots exactly as per-slot AdvanceSlot calls would. It
-// returns 0 when a CCA is already due or the transaction has finished.
-func (t *Transaction) SkipBackoff() int {
-	if t.done {
-		return 0
-	}
-	n := t.pending
-	t.pending = 0
-	t.waitSlots += n
-	return n
+	t.params, t.rng = p, rng
+	t.Start(&t.params, rng)
 }
 
 // CCAResult feeds the outcome of a clear channel assessment performed at a
 // slot boundary where CCADue() was true.
 func (t *Transaction) CCAResult(busy bool) Outcome {
-	if t.done {
-		panic("mac: CCAResult on a finished transaction")
-	}
-	if t.pending != 0 {
-		panic("mac: CCAResult without a due CCA")
-	}
-	t.ccas++
-	if busy {
-		t.busyCCAs++
-		t.nb++
-		if t.nb > t.params.MaxBackoffs {
-			t.done = true
-			t.accessFail = true
-			return OutcomeFailure
-		}
-		t.cw = t.params.CW
-		t.be = t.params.effectiveBE(t.be + 1)
-		t.pending = t.rng.Intn(1 << uint(t.be))
-		if t.pending == 0 {
-			// Zero delay: the next CCA happens at the next boundary.
-			return OutcomeBackoff
-		}
-		return OutcomeBackoff
-	}
-	t.cw--
-	if t.cw > 0 {
-		return OutcomeNextCCA
-	}
-	t.done = true
-	t.txGranted = true
-	return OutcomeTransmit
+	return t.Attempt.CCAResult(&t.params, t.rng, busy)
 }
 
-// Stats of a finished (or in-flight) transaction.
+// Stats of a finished (or in-flight) attempt.
 
 // CCAs reports the number of channel assessments performed.
-func (t *Transaction) CCAs() int { return t.ccas }
+func (a *Attempt) CCAs() int { return a.ccas }
 
 // BusyCCAs reports how many assessments found the channel busy.
-func (t *Transaction) BusyCCAs() int { return t.busyCCAs }
+func (a *Attempt) BusyCCAs() int { return a.busyCCAs }
 
 // WaitSlots reports the number of idle backoff slots consumed.
-func (t *Transaction) WaitSlots() int { return t.waitSlots }
+func (a *Attempt) WaitSlots() int { return a.waitSlots }
 
 // Granted reports whether the transaction ended with transmission access.
-func (t *Transaction) Granted() bool { return t.txGranted }
+func (a *Attempt) Granted() bool { return a.txGranted }
 
 // Failed reports whether the transaction ended in channel access failure.
-func (t *Transaction) Failed() bool { return t.accessFail }
+func (a *Attempt) Failed() bool { return a.accessFail }
 
 // BackoffExponent exposes the current backoff exponent (for tests and
 // instrumentation).
-func (t *Transaction) BackoffExponent() int { return t.be }
+func (a *Attempt) BackoffExponent() int { return a.be }
 
 // Backoffs exposes the busy-CCA counter NB.
-func (t *Transaction) Backoffs() int { return t.nb }
+func (a *Attempt) Backoffs() int { return a.nb }

@@ -434,8 +434,8 @@ type node struct {
 	level int
 	per   float64 // packet corruption probability at the chosen level
 
-	last       time.Duration   // accounting watermark
-	txn        mac.Transaction // in-place re-initialized per attempt
+	last       time.Duration // accounting watermark
+	txn        mac.Attempt   // restarted in place per attempt
 	attempts   int
 	pkt        packet
 	hasPkt     bool

@@ -111,6 +111,11 @@ func (r *Runner) Run(cfg Config) Result {
 // run, which must have been under the same cfg; otherwise they are sampled.
 func (r *Runner) simulate(cfg Config, spec *EpochSpec, keepDeployment bool) {
 	cfg = cfg.withDefaults()
+	// The CSMA parameters are checked once per run; every transaction the
+	// nodes start reads them from e.cfg.
+	if err := cfg.CSMA.Validate(); err != nil {
+		panic(err)
+	}
 	e := &r.e
 	e.reset(cfg)
 	if spec != nil {
@@ -291,7 +296,7 @@ func (n *node) beginContention(arrival time.Duration) {
 	n.advance(e.sim.Now())
 	n.dev.SetPhase(radio.PhaseContention)
 	n.transition(radio.Idle)
-	n.txn.Init(e.cfg.CSMA, &n.rng)
+	n.txn.Start(&e.cfg.CSMA, &n.rng)
 	n.attempts = 0
 	n.contStart = arrival
 	// The first assessable boundary must leave room for the idle→RX
@@ -316,7 +321,7 @@ func (n *node) doCCA(b time.Duration) {
 	n.transition(radio.Idle)
 	n.dev.SetLowPowerListen(false)
 
-	switch n.txn.CCAResult(busy) {
+	switch n.txn.CCAResult(&e.cfg.CSMA, &n.rng, busy) {
 	case mac.OutcomeNextCCA:
 		next := b + phy.UnitBackoffPeriod
 		e.sim.AtEvent(next-e.tia, evDoCCA, int32(n.id), next)
@@ -423,7 +428,7 @@ func (n *node) ackTimeout(at time.Duration) {
 	}
 	// Immediate retransmission attempt: new contention procedure.
 	n.dev.SetPhase(radio.PhaseContention)
-	n.txn.Init(e.cfg.CSMA, &n.rng)
+	n.txn.Start(&e.cfg.CSMA, &n.rng)
 	n.contStart = at
 	first := e.slotAfter(at+e.tia) + time.Duration(n.txn.SkipBackoff())*phy.UnitBackoffPeriod
 	e.sim.AtEvent(first-e.tia, evDoCCA, int32(n.id), first)

@@ -12,9 +12,11 @@ package query
 // values (the strict encoding/json decode took 31). Executing a cold
 // 16-replica plan with a store attached costs about 120 allocations, the
 // simulator's and a few per replica; boxing each replica's in-process
-// result beside its wire payload cost 16 more.
+// result beside its wire payload cost 16 more. A body spliced from the
+// results' stored lines is one allocation of its exact size.
 const (
 	resultSetEncodeAllocBudget = 2
+	splicedEncodeAllocBudget   = 1
 	taskEncodeAllocBudget      = 1
 	compileGridAllocBudget     = 64
 	decodeTaskAllocBudget      = 3

@@ -15,6 +15,7 @@ package query
 // dropped Puts cost fresh simulator runners and encode buffers.
 const (
 	resultSetEncodeAllocBudget = 64
+	splicedEncodeAllocBudget   = 8
 	taskEncodeAllocBudget      = 8
 	compileGridAllocBudget     = 64
 	decodeTaskAllocBudget      = 3

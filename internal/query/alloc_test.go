@@ -74,6 +74,40 @@ func TestResultSetEncodeAllocBudget(t *testing.T) {
 	t.Logf("ResultSet.Encode (1000-point grid): %v allocs/op", allocs)
 }
 
+// TestSplicedEncodeAllocBudget guards the body of a store-backed execution:
+// every result carries the line its task stored, so Encode splices the
+// lines into one allocation of exactly the body's size, never grown by
+// appends and never copied out of a scratch buffer.
+func TestSplicedEncodeAllocBudget(t *testing.T) {
+	grid1000Result(t) // warm the contention cache the grid points share
+	plan, err := Compile(grid1000Query())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.Store = newKeepStore()
+	rs, err := plan.Execute(context.Background(), 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steadyState(t)
+	body, err := rs.Encode() // warm the pool
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) != cap(body) {
+		t.Fatalf("spliced body of %d bytes has capacity %d; want it sized exactly", len(body), cap(body))
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := rs.Encode(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > splicedEncodeAllocBudget {
+		t.Fatalf("spliced Encode of the 1000-point grid allocated %v per op, budget %d", allocs, splicedEncodeAllocBudget)
+	}
+	t.Logf("spliced Encode (1000-point grid): %v allocs/op", allocs)
+}
+
 // TestEncodeTaskResultAllocBudget guards the per-task path: EncodeTaskResult
 // costs at most its returned slice per task, and appending into a reused
 // buffer — what the stream and task lines and the store feed do — costs

@@ -296,9 +296,14 @@ func appendOptional(dst []byte, s *ReplicaSummaryWire, ls *LifetimeSummaryWire, 
 }
 
 // AppendJSON appends the compact JSON form of t (no trailing newline) to
-// dst — the bytes a json.Encoder with HTML escaping off writes for it. It
-// fails only when a scenario or experiment payload does not encode.
+// dst — the bytes a json.Encoder with HTML escaping off writes for it. A
+// result a plan execution stored or read from its store carries those
+// bytes already, and they are copied, not formatted again. It fails only
+// when a scenario or experiment payload does not encode.
 func (t *TaskResult) AppendJSON(dst []byte) ([]byte, error) {
+	if t.enc != nil {
+		return append(dst, t.enc[:len(t.enc)-1]...), nil
+	}
 	dst = fieldInt(dst, `{"index":`, int64(t.Index))
 	if t.Label != "" {
 		dst = fieldString(dst, `,"label":`, t.Label)
@@ -345,26 +350,38 @@ func (t TaskResult) MarshalJSON() ([]byte, error) { return t.AppendJSON(nil) }
 // AppendJSON appends the compact JSON form of rs (no trailing newline) to
 // dst; see TaskResult.AppendJSON.
 func (rs *ResultSet) AppendJSON(dst []byte) ([]byte, error) {
-	dst = fieldInt(dst, `{"version":`, int64(rs.Version))
-	dst = fieldString(dst, `,"kind":`, string(rs.Kind))
-	dst = append(dst, `,"results":`...)
-	if rs.Results == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, '[')
-		for i := range rs.Results {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			var err error
-			if dst, err = rs.Results[i].AppendJSON(dst); err != nil {
-				return dst, err
-			}
-		}
-		dst = append(dst, ']')
+	dst, err := appendResults(rs.appendHead(dst), rs.Results)
+	if err != nil {
+		return dst, err
 	}
 	dst = appendOptional(dst, rs.Summary, rs.LifetimeSummary, rs.Trace)
 	return append(dst, '}'), nil
+}
+
+// appendHead appends the fields of rs before its results array.
+func (rs *ResultSet) appendHead(dst []byte) []byte {
+	dst = fieldInt(dst, `{"version":`, int64(rs.Version))
+	dst = fieldString(dst, `,"kind":`, string(rs.Kind))
+	return append(dst, `,"results":`...)
+}
+
+// appendResults appends the results array: null when nil, the results'
+// AppendJSON bytes otherwise.
+func appendResults(dst []byte, results []TaskResult) ([]byte, error) {
+	if results == nil {
+		return append(dst, "null"...), nil
+	}
+	dst = append(dst, '[')
+	for i := range results {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		var err error
+		if dst, err = results[i].AppendJSON(dst); err != nil {
+			return dst, err
+		}
+	}
+	return append(dst, ']'), nil
 }
 
 // MarshalJSON implements json.Marshaler through AppendJSON.

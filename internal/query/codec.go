@@ -167,9 +167,9 @@ func (w *ContentionWire) source(workers int) (contention.Source, *Error) {
 // and mcWorkers the parallelism of one Monte-Carlo contention
 // characterization. The two levels nest — each sweep goroutine can trigger
 // a characterization — so callers pass the full grant to exactly one level
-// (mcWorkers = 1 for sweeps and batches, workers = grant only for single
-// evaluations) and total concurrency stays within the grant. Neither value
-// ever changes the computed bytes.
+// (mcWorkers = 1 for the sweeps) and total concurrency stays within the
+// grant; the model kinds' plans resolve their characterizations up front,
+// under the whole grant. Neither value ever changes the computed bytes.
 func (w ParamsWire) Params(workers, mcWorkers int) (core.Params, *Error) {
 	p := core.DefaultParams()
 	p.Workers = workers

@@ -241,6 +241,9 @@ func TestTaskResultIsZero(t *testing.T) {
 	}
 	rt := reflect.TypeOf(TaskResult{})
 	for i := 0; i < rt.NumField(); i++ {
+		if !rt.Field(i).IsExported() {
+			continue // the cached line is no wire field
+		}
 		var tr TaskResult
 		f := reflect.ValueOf(&tr).Elem().Field(i)
 		for n := 0; f.IsZero(); n++ { // some edge values are zero; take the next

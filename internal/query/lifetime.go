@@ -238,7 +238,7 @@ func (q *Query) buildLifetime() (exec, *Error) {
 		return exec{}, aerr
 	}
 	seeds := netsim.ReplicaSeeds(simCfg.Seed, n)
-	return exec{labels: indexLabels("lifetime", n), seeds: seeds, run: func(_ context.Context, _, i int, _ *MetricsWire) (TaskResult, error) {
+	return exec{labels: indexLabels("lifetime", n), seeds: seeds, run: func(_ context.Context, _, i int) (TaskResult, error) {
 		c := lcfg
 		c.Sim.Seed = seeds[i]
 		rw := WireLifetimeResult(lifetime.Run(c))

@@ -40,6 +40,13 @@ type TaskResult struct {
 	Lifetime   *LifetimeResultWire   `json:"lifetime,omitempty"`
 	Scenario   *ScenarioReportWire   `json:"scenario,omitempty"`
 	Experiment *ExperimentReportWire `json:"experiment,omitempty"`
+
+	// enc is the result's canonical line — its AppendJSON bytes and a
+	// newline — when a plan execution has it at hand: the bytes it wrote to
+	// the task's store entry (through a TaskKeeper) or read from it.
+	// AppendJSON copies them instead of formatting the result again, so a
+	// result is never modified once its execution hands it out.
+	enc []byte
 }
 
 // ReplicaSummaryWire is the across-replica statistics block of a replicas
@@ -116,11 +123,30 @@ type ResultSet struct {
 // internal/wire.Float and no maps are involved, so the same ResultSet
 // always encodes to the same bytes — the property that makes the HTTP v2
 // body, the streamed NDJSON lines and an in-process Run comparable with
-// bytes.Equal. The bytes come from AppendJSON; the returned slice is the
-// only allocation once the scratch-buffer pool is warm.
+// bytes.Equal. The bytes come from AppendJSON. When every result carries
+// its canonical line (a plan execution with a store attached), the lines
+// are spliced into a body sized once; otherwise the body is written into a
+// pooled scratch buffer and copied out. Either way the returned slice is
+// the only allocation once the scratch-buffer pool is warm.
 func (rs *ResultSet) Encode() ([]byte, error) {
 	bp := encodeBufs.Get().(*[]byte)
 	defer encodeBufs.Put(bp)
+	if size, ok := rs.splicedSize(); ok {
+		// The head and the optional blocks are formatted into the scratch
+		// buffer first, so the body's exact size is known before it is
+		// written.
+		sc := rs.appendHead((*bp)[:0])
+		head := len(sc)
+		sc = appendOptional(sc, rs.Summary, rs.LifetimeSummary, rs.Trace)
+		*bp = sc
+		b := append(make([]byte, 0, size+len(sc)), sc[:head]...)
+		b, err := appendResults(b, rs.Results) // spliced: cannot fail
+		if err != nil {
+			return nil, err
+		}
+		b = append(b, sc[head:]...)
+		return append(b, '}', '\n'), nil
+	}
 	b, err := rs.AppendJSON((*bp)[:0])
 	if err != nil {
 		return nil, err
@@ -128,26 +154,45 @@ func (rs *ResultSet) Encode() ([]byte, error) {
 	return bytes.Clone(keepLine(bp, b)), nil
 }
 
+// splicedSize reports the bytes of rs's body other than its head and
+// optional blocks — the results array, the closing brace and the newline —
+// when every result carries its canonical line.
+func (rs *ResultSet) splicedSize() (int, bool) {
+	if len(rs.Results) == 0 {
+		return 0, false
+	}
+	n := 2 + len(rs.Results) - 1 + 2 // [ ], the commas, } and the newline
+	for i := range rs.Results {
+		if rs.Results[i].enc == nil {
+			return 0, false
+		}
+		n += len(rs.Results[i].enc) - 1
+	}
+	return n, true
+}
+
 // exec is the materialized form of a compiled plan: the task labels in plan
 // order, the per-task seeds where the plan derives them (replicas,
-// lifetime), one run step that computes task i under a worker grant, and
-// the optional assembly step that derives the merged summary from the
-// per-task wire payloads — the only form a task result takes, whether it
-// was computed here, read from the store or streamed from a worker. run
-// reads only what Compile materialized (per-kind slices such as grid points
-// and replica seeds), so any number of executions may share one exec
-// concurrently.
+// lifetime), how task i is computed under a worker grant, and the optional
+// assembly step that derives the merged summary from the per-task wire
+// payloads — the only form a task result takes, whether it was computed
+// here, read from the store or streamed from a worker. Executions read only
+// what Compile materialized (per-kind slices such as grid points and
+// replica seeds), so any number of them may share one exec concurrently.
 //
-// metrics marks the kinds whose tasks emit a Metrics payload (evaluate,
-// batch, grid). Each execution of such a plan allocates one MetricsWire slab
-// for its range and hands run task i's slot as mw, which the task fills and
-// points its payload at; the other kinds get a nil mw and ignore it. The
-// slab belongs to the execution, never to the plan.
+// The model kinds (evaluate, batch, grid) have no run step: task i
+// evaluates points[i] under the contention statistics of its configuration
+// in cont, which each execution resolves once per configuration before its
+// tasks start. Each execution of such a plan also allocates one MetricsWire
+// slab for its range; task i's Metrics payload is its slot. The slab and the
+// resolved statistics belong to the execution, never to the plan. The other
+// kinds compute task i with run.
 type exec struct {
 	labels   []string
 	seeds    []int64
-	metrics  bool
-	run      func(ctx context.Context, workers, i int, mw *MetricsWire) (TaskResult, error)
+	points   []core.Params
+	cont     contTable
+	run      func(ctx context.Context, workers, i int) (TaskResult, error)
 	assemble func(rs *ResultSet) *Error
 }
 
@@ -164,9 +209,114 @@ func (x *exec) seedAt(i int) *int64 {
 // single is the exec of a one-task kind: run receives the whole worker
 // grant for the kind's inner parallelism.
 func single(label string, run func(ctx context.Context, workers int) (TaskResult, error)) exec {
-	return exec{labels: []string{label}, run: func(ctx context.Context, workers, _ int, _ *MetricsWire) (TaskResult, error) {
+	return exec{labels: []string{label}, run: func(ctx context.Context, workers, _ int) (TaskResult, error) {
 		return run(ctx, workers)
 	}}
+}
+
+// model is the exec of a model kind: one evaluation per point, labelled by
+// labels.
+func model(labels []string, points []core.Params) exec {
+	return exec{labels: labels, points: points, cont: newContTable(points)}
+}
+
+// contTable is the distinct contention configurations of a model plan,
+// numbered in order of first use: of maps each task to its entry, and
+// first names the first point of each entry, whose source, payload and
+// load are the entry's. Contention depends on nothing else a point varies,
+// so a 1,000-point grid over ten payloads has ten entries. A source that
+// is no Monte-Carlo source must be comparable.
+type contTable struct {
+	of    []int32
+	first []int32
+}
+
+// contKey identifies a configuration: its source's number in the plan
+// (sourceKey) and the point.
+type contKey struct {
+	source  int32
+	payload int
+	load    float64
+}
+
+// sourceKey identifies a contention source by what its answers depend on:
+// a Monte-Carlo source by its base run, with the worker count normalized
+// away as the contention cache keys it, any other source by its value.
+type sourceKey struct {
+	mc    contention.Config
+	other contention.Source
+}
+
+// oneTask is both maps of every single-point plan, shared read-only.
+var oneTask = []int32{0}
+
+func newContTable(points []core.Params) contTable {
+	if len(points) == 1 {
+		return contTable{of: oneTask, first: oneTask}
+	}
+	// One allocation holds both maps: of, then first (never longer).
+	t := contTable{of: make([]int32, len(points), 2*len(points))}
+	sources := make(map[sourceKey]int32)
+	seen := make(map[contKey]int32, 8)
+	var lastSrc contention.Source
+	var srcID int32
+	var last contKey
+	for i := range points {
+		p := &points[i]
+		// Neighbouring points mostly share a source and a configuration.
+		if i == 0 || p.Contention != lastSrc {
+			var sk sourceKey
+			if mc, ok := p.Contention.(*contention.MCSource); ok {
+				sk.mc = mc.Base
+				sk.mc.Workers = 0
+			} else {
+				sk.other = p.Contention
+			}
+			id, ok := sources[sk]
+			if !ok {
+				id = int32(len(sources))
+				sources[sk] = id
+			}
+			lastSrc, srcID = p.Contention, id
+		}
+		k := contKey{source: srcID, payload: p.PayloadBytes, load: p.Load}
+		if i > 0 && k == last {
+			t.of[i] = t.of[i-1]
+			continue
+		}
+		j, ok := seen[k]
+		if !ok {
+			j = int32(len(seen))
+			seen[k] = j
+		}
+		t.of[i], last = j, k
+	}
+	t.first = t.of[len(t.of):len(t.of):cap(t.of)]
+	for i, j := range t.of {
+		if int(j) == len(t.first) {
+			t.first = append(t.first, int32(i))
+		}
+	}
+	return t
+}
+
+// fill resolves, on workers goroutines, the configurations used by the
+// tasks from, from+1, … (one per results slot) that are not read from the
+// store (no stored line in their slot), and returns the execution's
+// lookups indexed like first; entries no such task uses stay unresolved.
+func (t *contTable) fill(workers, from int, points []core.Params, results []TaskResult) []contention.Lookup {
+	ls := make([]contention.Lookup, len(t.first))
+	for i := range results {
+		if results[i].enc != nil {
+			continue
+		}
+		if l := &ls[t.of[from+i]]; l.Source == nil {
+			p := &points[t.first[t.of[from+i]]]
+			*l = contention.Lookup{Source: p.Contention, PayloadBytes: p.PayloadBytes, Load: p.Load}
+		}
+	}
+	contention.Resolve(workers, ls)
+	return ls
 }
 
 // labelBuf builds many task labels into one backing string: append a
@@ -380,23 +530,25 @@ func (p *Plan) runTasks(ctx context.Context, workers, from int, results []TaskRe
 		defer cancel()
 	}
 	o := inOrder{slots: make([]slot, len(results)), emit: emit}
+	p.storedLines(from, results)
 	var slab []MetricsWire
-	if p.metrics {
+	var lookups []contention.Lookup
+	if p.points != nil {
 		slab = make([]MetricsWire, len(results))
+		lookups = p.cont.fill(workers, from, p.points, results)
 	}
 	err := engine.Map(ctx, workers, len(results), func(i int) error {
 		idx := from + i
 		start := time.Now()
 		var slot []MetricsWire
-		var mw *MetricsWire
 		if slab != nil {
 			slot = slab[i : i+1 : i+1]
-			mw = &slot[0]
 		}
-		r, hit := p.taskFromStore(idx, slot)
+		stored := results[i].enc
+		r, hit := p.decodeStored(stored, slot)
 		if !hit {
 			var err error
-			if r, err = p.run(ctx, workers, idx, mw); err != nil {
+			if r, err = p.compute(ctx, workers, idx, slot, lookups, stored != nil); err != nil {
 				return err
 			}
 		}
@@ -413,6 +565,28 @@ func (p *Plan) runTasks(ctx context.Context, workers, from int, results []TaskRe
 		return o.err
 	}
 	return err
+}
+
+// compute runs task idx. A model task evaluates its point into slot[0]
+// under its configuration's resolved statistics — or, when its stored line
+// did not decode (the fill skipped the configurations of stored tasks),
+// through the contention source, which gives the same bits.
+func (p *Plan) compute(ctx context.Context, workers, idx int, slot []MetricsWire, lookups []contention.Lookup, stored bool) (TaskResult, error) {
+	if p.points == nil {
+		return p.run(ctx, workers, idx)
+	}
+	var m core.Metrics
+	var err error
+	if stored {
+		m, err = core.Evaluate(p.points[idx])
+	} else {
+		m, err = core.EvaluateWithStats(p.points[idx], lookups[p.cont.of[idx]].Stats)
+	}
+	if err != nil {
+		return TaskResult{}, err
+	}
+	slot[0] = WireMetrics(m)
+	return TaskResult{Metrics: &slot[0]}, nil
 }
 
 // inOrder releases filled slots to emit in slot order. The goroutine whose
@@ -541,29 +715,14 @@ func (q *Query) baseParams() (core.Params, *Error) {
 	return w.Params(1, 1)
 }
 
-// granted returns base point p under a worker grant: workers for the
-// model's sweep level, mcWorkers for its Monte-Carlo contention
-// characterization (ParamsWire.Params explains why the two levels split
-// one grant).
-func granted(p core.Params, workers, mcWorkers int) core.Params {
+// granted returns base point p with the worker grant on the model's sweep
+// level. Its Monte-Carlo characterization was compiled serial
+// (baseParams): a sweep either asks for it from its granted workers or
+// resolves it under the grant before its points start, so concurrency
+// stays within the grant (see ParamsWire.Params).
+func granted(p core.Params, workers int) core.Params {
 	p.Workers = workers
-	if mc, ok := p.Contention.(*contention.MCSource); ok && mc.Base.Workers != mcWorkers {
-		cfg := mc.Base
-		cfg.Workers = mcWorkers
-		p.Contention = contention.NewMCSource(cfg)
-	}
 	return p
-}
-
-// evaluateTask runs one analytical evaluation as a task result whose
-// Metrics payload is the execution's slab slot mw.
-func evaluateTask(p core.Params, mw *MetricsWire) (TaskResult, error) {
-	m, err := core.Evaluate(p)
-	if err != nil {
-		return TaskResult{}, err
-	}
-	*mw = WireMetrics(m)
-	return TaskResult{Metrics: mw}, nil
 }
 
 func (q *Query) buildEvaluate() (exec, *Error) {
@@ -571,11 +730,7 @@ func (q *Query) buildEvaluate() (exec, *Error) {
 	if aerr != nil {
 		return exec{}, aerr
 	}
-	// A lone evaluation has no sweep level, so the whole grant goes to its
-	// Monte-Carlo contention characterization (as /v1/evaluate did).
-	return exec{labels: []string{string(KindEvaluate)}, metrics: true, run: func(_ context.Context, workers, _ int, mw *MetricsWire) (TaskResult, error) {
-		return evaluateTask(granted(base, workers, workers), mw)
-	}}, nil
+	return model([]string{string(KindEvaluate)}, []core.Params{base}), nil
 }
 
 func (q *Query) buildBatch() (exec, *Error) {
@@ -594,9 +749,7 @@ func (q *Query) buildBatch() (exec, *Error) {
 		}
 		ps[i] = p
 	}
-	return exec{labels: indexLabels("batch", len(ps)), metrics: true, run: func(_ context.Context, _, i int, mw *MetricsWire) (TaskResult, error) {
-		return evaluateTask(ps[i], mw)
-	}}, nil
+	return model(indexLabels("batch", len(ps)), ps), nil
 }
 
 func (q *Query) buildCaseStudy() (exec, *Error) {
@@ -609,7 +762,7 @@ func (q *Query) buildCaseStudy() (exec, *Error) {
 		return exec{}, aerr
 	}
 	return single(string(KindCaseStudy), func(ctx context.Context, workers int) (TaskResult, error) {
-		res, err := core.RunCaseStudyCtx(ctx, granted(base, workers, 1), cfg)
+		res, err := core.RunCaseStudyCtx(ctx, granted(base, workers), cfg)
 		if err != nil {
 			return TaskResult{}, err
 		}
@@ -637,7 +790,7 @@ func (q *Query) buildPathLossSweep() (exec, *Error) {
 		return exec{}, aerr
 	}
 	return single(string(KindPathLossSweep), func(ctx context.Context, workers int) (TaskResult, error) {
-		curves, err := core.EnergyVsPathLossCtx(ctx, granted(base, workers, 1), losses)
+		curves, err := core.EnergyVsPathLossCtx(ctx, granted(base, workers), losses)
 		if err != nil {
 			return TaskResult{}, err
 		}
@@ -659,7 +812,7 @@ func (q *Query) buildThresholds() (exec, *Error) {
 		return exec{}, aerr
 	}
 	return single(string(KindThresholds), func(ctx context.Context, workers int) (TaskResult, error) {
-		ths, err := core.ThresholdsCtx(ctx, granted(base, workers, 1), losses)
+		ths, err := core.ThresholdsCtx(ctx, granted(base, workers), losses)
 		if err != nil {
 			return TaskResult{}, err
 		}
@@ -681,7 +834,7 @@ func (q *Query) buildPayloadSweep() (exec, *Error) {
 		return exec{}, aerr
 	}
 	return single(string(KindPayloadSweep), func(ctx context.Context, workers int) (TaskResult, error) {
-		series, err := core.EnergyVsPayloadCtx(ctx, granted(base, workers, 1), sizes)
+		series, err := core.EnergyVsPayloadCtx(ctx, granted(base, workers), sizes)
 		if err != nil {
 			return TaskResult{}, err
 		}
@@ -719,7 +872,7 @@ func (q *Query) buildReplicas() (exec, *Error) {
 		return exec{}, aerr
 	}
 	seeds := netsim.ReplicaSeeds(cfg.Seed, n)
-	return exec{labels: indexLabels("replica", n), seeds: seeds, run: func(_ context.Context, _, i int, _ *MetricsWire) (TaskResult, error) {
+	return exec{labels: indexLabels("replica", n), seeds: seeds, run: func(_ context.Context, _, i int) (TaskResult, error) {
 		c := cfg
 		c.Seed = seeds[i]
 		rw := WireSimResult(c.Seed, netsim.Run(c))
@@ -901,9 +1054,7 @@ func (q *Query) buildGrid() (exec, *Error) {
 			}
 		}
 	}
-	return exec{labels: lb.labels(), metrics: true, run: func(_ context.Context, _, i int, mw *MetricsWire) (TaskResult, error) {
-		return evaluateTask(points[i], mw)
-	}}, nil
+	return model(lb.labels(), points), nil
 }
 
 // String implements fmt.Stringer with a one-line plan summary.

@@ -21,6 +21,17 @@ type TaskStore interface {
 	PutTask(index int, encoded []byte)
 }
 
+// TaskKeeper is a TaskStore that hands back the copy it keeps. When the
+// attached store implements it, Plan.StoreTask keeps the stored line on the
+// task result, and the result's writers — ResultSet.Encode, the stream and
+// task lines — splice it instead of formatting the result a second time.
+// store.Store's per-query views implement it.
+type TaskKeeper interface {
+	// KeepTask stores encoded as PutTask does and returns the store's
+	// copy, which nothing ever modifies, or nil when the store kept none.
+	KeepTask(index int, encoded []byte) []byte
+}
+
 // Canonical returns the canonical byte encoding of the query — the exact
 // bytes a content-addressed cache key hashes. Two queries with equal
 // canonical bytes compute byte-identical results, because every field that
@@ -128,22 +139,41 @@ func (p *Plan) TasksFromStore(results []TaskResult, have []bool) int {
 			results[i] = TaskResult{}
 			continue
 		}
+		if isLine(b) {
+			results[i].enc = b
+		}
 		have[i] = true
 		n++
 	}
 	return n
 }
 
-// taskFromStore fetches task index from the attached store, decoding a
-// Metrics payload into slot, a one-element slice of the execution's slab
-// (nil ⇒ its own allocation), so a store hit in runTasks allocates nothing
-// of its own. Undecodable entries are misses, as in TasksFromStore.
-func (p *Plan) taskFromStore(index int, slot []MetricsWire) (TaskResult, bool) {
+// isLine reports whether b is a stored line: canonical bytes and their
+// trailing newline.
+func isLine(b []byte) bool { return len(b) > 0 && b[len(b)-1] == '\n' }
+
+// storedLines reads, before an execution's tasks start, the line of every
+// task from, from+1, … (one per results slot) the attached store holds
+// into its slot's enc, where the task loop decodes it and the
+// configuration fill skips it.
+func (p *Plan) storedLines(from int, results []TaskResult) {
 	if !p.storeEnabled() {
-		return TaskResult{}, false
+		return
 	}
-	b, ok := p.Store.GetTask(index)
-	if !ok {
+	for i := range results {
+		if b, ok := p.Store.GetTask(from + i); ok && isLine(b) {
+			results[i].enc = b
+		}
+	}
+}
+
+// decodeStored decodes a task's stored line (nil ⇒ a miss), with a Metrics
+// payload going into slot, a one-element slice of the execution's slab
+// (nil ⇒ its own allocation), so a store hit in runTasks allocates nothing
+// of its own. The result keeps the line for its writers. Undecodable
+// entries are misses, as in TasksFromStore.
+func (p *Plan) decodeStored(b []byte, slot []MetricsWire) (TaskResult, bool) {
+	if b == nil {
 		return TaskResult{}, false
 	}
 	d := TaskDecoder{Labels: p.labels, metrics: slot}
@@ -151,14 +181,16 @@ func (p *Plan) taskFromStore(index int, slot []MetricsWire) (TaskResult, bool) {
 	if err := d.Decode(b, &tr); err != nil {
 		return TaskResult{}, false
 	}
+	tr.enc = b
 	return tr, true
 }
 
 // StoreTask stores a freshly computed task result (Index and Label already
-// stamped). It encodes into a pooled scratch buffer — PutTask copies what it
-// keeps — so feeding the store allocates nothing for the encoding itself.
-// Encoding failures just skip the store: caching is an optimization, never a
-// correctness dependency.
+// stamped). It encodes into a pooled scratch buffer — the store copies what
+// it keeps — so feeding the store allocates nothing for the encoding
+// itself; a TaskKeeper's copy becomes the result's line. Encoding failures
+// just skip the store: caching is an optimization, never a correctness
+// dependency.
 func (p *Plan) StoreTask(tr *TaskResult) {
 	if !p.storeEnabled() {
 		return
@@ -169,5 +201,10 @@ func (p *Plan) StoreTask(tr *TaskResult) {
 	if err != nil {
 		return
 	}
-	p.Store.PutTask(tr.Index, keepLine(bp, b))
+	b = keepLine(bp, b)
+	if k, ok := p.Store.(TaskKeeper); ok {
+		tr.enc = k.KeepTask(tr.Index, b)
+		return
+	}
+	p.Store.PutTask(tr.Index, b)
 }

@@ -154,10 +154,19 @@ func (s *Store) GetTask(key Key, index int) ([]byte, bool) {
 // PutTask stores the encoded TaskResult of (key, index). The bytes are
 // copied; negative indexes (reserved for whole-query entries) are dropped.
 func (s *Store) PutTask(key Key, index int, b []byte) {
+	s.KeepTask(key, index, b)
+}
+
+// KeepTask is PutTask returning the memory tier's copy, or nil when it
+// kept none (a negative index, or an entry larger than the whole budget).
+// The copy may lie in an arena chunk: unlike Get, it is meant for a caller
+// that holds it only while it answers one query, not for long-lived
+// references.
+func (s *Store) KeepTask(key Key, index int, b []byte) []byte {
 	if index < 0 {
-		return
+		return nil
 	}
-	s.put(entryKey{key, index}, b)
+	return s.put(entryKey{key, index}, b)
 }
 
 // GetResult returns the stored whole-query ResultSet bytes of key.
@@ -179,6 +188,9 @@ type taskView struct {
 
 func (v *taskView) GetTask(index int) ([]byte, bool)  { return v.s.GetTask(v.key, index) }
 func (v *taskView) PutTask(index int, encoded []byte) { v.s.PutTask(v.key, index, encoded) }
+func (v *taskView) KeepTask(index int, encoded []byte) []byte {
+	return v.s.KeepTask(v.key, index, encoded)
+}
 
 // Tasks returns the per-task store view of q for attaching to a compiled
 // Plan (Plan.Store), or nil when q is not cacheable (Direct losses) or the
@@ -230,13 +242,15 @@ func (s *Store) get(k entryKey) ([]byte, bool) {
 	return nil, false
 }
 
-// put copies b into the memory tier and mirrors it to disk.
-func (s *Store) put(k entryKey, b []byte) {
+// put copies b into the memory tier, mirrors it to disk and returns the
+// memory tier's copy (nil when it kept none).
+func (s *Store) put(k entryKey, b []byte) []byte {
 	PutsTotal.Inc()
-	s.insert(k, b, true)
+	kept := s.insert(k, b, true)
 	if s.cfg.Dir != "" {
 		s.diskWrite(k, b)
 	}
+	return kept
 }
 
 // insert installs b into the memory tier and evicts from the cold end while
@@ -245,11 +259,12 @@ func (s *Store) put(k entryKey, b []byte) {
 // bytes, into its own allocation otherwise; without it, b is the store's
 // own (a disk read) and is kept as is. An entry larger than the whole
 // budget skips the memory tier (it would evict everything and then itself);
-// the disk tier still holds it.
-func (s *Store) insert(k entryKey, b []byte, borrowed bool) {
+// the disk tier still holds it. insert returns the bytes the entry holds
+// (nil when it skipped the memory tier); they stay valid after eviction.
+func (s *Store) insert(k entryKey, b []byte, borrowed bool) []byte {
 	cost := int64(len(b)) + entryOverhead
 	if cost > s.cfg.MaxBytes {
-		return
+		return nil
 	}
 	if borrowed && len(b) > arenaMaxPut {
 		b, borrowed = clone(b), false // never carved: copy before locking
@@ -269,12 +284,12 @@ func (s *Store) insert(k entryKey, b []byte, borrowed bool) {
 		e.k = k
 		switch {
 		case !borrowed:
-			e.b = b
 		case len(b) > 0 && len(b) <= arenaMaxPut:
-			e.b, e.inArena = s.carve(b), true
+			b, e.inArena = s.carve(b), true
 		default:
-			e.b = clone(b)
+			b = clone(b)
 		}
+		e.b = b
 		s.entries[k] = e
 		s.pushFront(e)
 		s.bytes += cost
@@ -295,6 +310,7 @@ func (s *Store) insert(k entryKey, b []byte, borrowed bool) {
 		s.recycle(old)
 	}
 	s.mu.Unlock()
+	return b
 }
 
 // newEntry returns a zeroed entry from the free list, or from the current
