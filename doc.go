@@ -87,14 +87,17 @@
 // A query is materialized exactly once, by query.Compile: its per-task
 // inputs sit in index-addressed slices (grid points, replica seeds), every
 // task label is a substring of one string, and one run step per plan
-// computes task i — or, for the model kinds (evaluate, batch, grid), a
-// table of the plan's distinct contention configurations, ten for a
-// 1,000-point grid over ten payloads, that each execution fills before its
-// tasks start: one engine.Map over (configuration × Monte-Carlo shard)
+// computes task i — or, for the model kinds (evaluate, batch, grid), the
+// plan's points, whose distinct contention configurations (ten for a
+// 1,000-point grid over ten payloads) each execution resolves once before
+// its tasks start: one engine.Map over (configuration × Monte-Carlo shard)
 // units under the execution's grant, with Simulate's shard seeds and fold
 // order, publishing to the shared cache under its single-flight. Tasks
-// then read the table, not the cache, so a streamed grid's first line
-// waits for the fill. Execute, ExecuteRange and Assemble only read that plan,
+// then read the resolved statistics, not the cache, so a streamed grid's
+// first line waits for the fill. The fill honors the execution's deadline
+// and cancellation: once the context is done no further shard starts, and
+// the configurations it did not finish are dropped from the cache for the
+// next caller to simulate. Execute, ExecuteRange and Assemble only read that plan,
 // and the worker grant reaches the tasks as a run-time argument, so one
 // compiled plan serves repeated and concurrent executions — the
 // coordinator's local flights and a worker's shards share it — and

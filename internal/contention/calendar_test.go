@@ -53,7 +53,7 @@ func (q *refQueue) pop() refEvent {
 
 // refTxn is one transaction's final state in the oracle run.
 type refTxn struct {
-	t           mac.Transaction
+	t           mac.Attempt
 	arrivalSlot int64
 	endSlot     int64
 	granted     bool
@@ -67,6 +67,7 @@ type refTxn struct {
 // event that scheduled them.
 func refShard(cfg Config, superframes int, seed int64) ([]refTxn, engine.RNG, int) {
 	rng := engine.NewRNG(seed)
+	csma := cfg.CSMA
 	var q refQueue
 	var txns []refTxn
 	var starters []int32
@@ -91,7 +92,7 @@ func refShard(cfg Config, superframes int, seed int64) ([]refTxn, engine.RNG, in
 		txns = append(txns, refTxn{arrivalSlot: arrival})
 		ti := int32(len(txns) - 1)
 		t := &txns[ti]
-		t.t.Init(cfg.CSMA, &rng)
+		t.t.Start(&csma, &rng)
 		first := arrival
 		for !t.t.CCADue() {
 			t.t.AdvanceSlot()
@@ -153,7 +154,7 @@ func refShard(cfg Config, superframes int, seed int64) ([]refTxn, engine.RNG, in
 				continue
 			}
 			busy := (ev.slot < busyUntil && ev.slot >= busyStart) || ev.slot%sfSlots < beaconCeil
-			switch t.t.CCAResult(busy) {
+			switch t.t.CCAResult(&csma, &rng, busy) {
 			case mac.OutcomeNextCCA:
 				push(ev.slot, ev.slot+1, evCCA, ev.txn)
 			case mac.OutcomeTransmit:

@@ -1,42 +1,58 @@
-// Package contentiontest provides a contention.Source for tests that
-// counts its lookups and how many of them run at once.
+// Package contentiontest provides test helpers for contention lookups: a
+// Source that counts its lookups, and a probe for how many goroutines a
+// call runs at once.
 package contentiontest
 
 import (
+	"runtime"
 	"sync/atomic"
 	"time"
 
 	"dense802154/internal/contention"
 )
 
-// Counting wraps a source, counting every lookup and the most lookups ever
-// in flight together. A pointer to it is a comparable Source, safe for
-// concurrent use.
+// Counting wraps a source and counts every lookup. A pointer to it is a
+// comparable Source, safe for concurrent use.
 type Counting struct {
 	// Inner answers the lookups.
 	Inner contention.Source
-	// Delay holds every lookup this long, so that lookups a caller runs
-	// concurrently overlap and MaxInFlight sees them.
-	Delay time.Duration
 
-	calls, inFlight, maxInFlight atomic.Int64
+	calls atomic.Int64
 }
 
 // Contention implements contention.Source.
 func (c *Counting) Contention(payloadBytes int, load float64) contention.Stats {
 	c.calls.Add(1)
-	n := c.inFlight.Add(1)
-	defer c.inFlight.Add(-1)
-	for m := c.maxInFlight.Load(); n > m && !c.maxInFlight.CompareAndSwap(m, n); m = c.maxInFlight.Load() {
-	}
-	if c.Delay > 0 {
-		time.Sleep(c.Delay)
-	}
 	return c.Inner.Contention(payloadBytes, load)
 }
 
 // Calls reports how many lookups the source answered.
 func (c *Counting) Calls() int64 { return c.calls.Load() }
 
-// MaxInFlight reports the most lookups that ever ran at once.
-func (c *Counting) MaxInFlight() int64 { return c.maxInFlight.Load() }
+// PeakGoroutines runs fn and reports the most goroutines that were alive
+// at once during it beyond those alive before it, sampling
+// runtime.NumGoroutine every 50 µs on a goroutine of its own, which it does
+// not count. Samples can miss a short-lived peak, never invent one, so the
+// result is a lower bound on fn's concurrency: a test can assert with it
+// that fn stays within a worker grant. The caller must not start other
+// goroutines meanwhile.
+func PeakGoroutines(fn func()) int {
+	base := runtime.NumGoroutine()
+	stop := make(chan struct{})
+	peak := make(chan int)
+	go func() {
+		most := 0
+		for {
+			most = max(most, runtime.NumGoroutine()-base-1)
+			select {
+			case <-stop:
+				peak <- most
+				return
+			case <-time.After(50 * time.Microsecond):
+			}
+		}
+	}()
+	fn()
+	close(stop)
+	return <-peak
+}

@@ -180,10 +180,18 @@ type Lookup struct {
 // statistics are Simulate's to the bit while a batch of points keeps every
 // worker busy instead of blocking all but one on the point they share. Each
 // point is folded and published to the cache as soon as its last shard
-// ends. Other sources are asked once per lookup inside the same map, and a
-// lookup without a source is skipped, its Stats left as they are. An
-// in-flight simulation is not interruptible, so Resolve takes no context.
-func Resolve(workers int, ls []Lookup) {
+// ends. Other sources are asked inline, once per lookup, and a lookup
+// without a source is skipped, its Stats left as they are.
+//
+// Once ctx is done no further shard starts: Resolve returns ctx.Err() after
+// the shards in flight end, abandons the cache entries of the points it
+// did not finish, so their waiters claim them afresh, and stops waiting on
+// points other callers simulate. The Stats of lookups it did not answer
+// are then unspecified.
+func Resolve(ctx context.Context, workers int, ls []Lookup) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	// A point this call simulates: its prepared run, the lookup it
 	// answers, its cache flight and its span of shard units.
 	type owned struct {
@@ -193,10 +201,17 @@ func Resolve(workers int, ls []Lookup) {
 		first, n    int
 		outstanding atomic.Int32
 	}
+	// Check every run before claiming any flight: a run that panics must
+	// not leave other callers waiting on an entry this call owns.
+	for i := range ls {
+		if s, ok := ls[i].Source.(*MCSource); ok {
+			cfg, _ := s.point(ls[i].PayloadBytes, ls[i].Load)
+			cfg.prepared()
+		}
+	}
 	var (
 		points  []owned
 		flights []engine.Flight[mcKey, Stats] // points in flight elsewhere, by lookup
-		direct  []int                         // lookups of other sources
 		units   int
 	)
 	for i := range ls {
@@ -204,18 +219,16 @@ func Resolve(workers int, ls []Lookup) {
 		s, ok := r.Source.(*MCSource)
 		if !ok {
 			if r.Source != nil {
-				direct = append(direct, i)
+				r.Stats = r.Source.Contention(r.PayloadBytes, r.Load)
 			}
 			continue
 		}
 		cfg, key := s.point(r.PayloadBytes, r.Load)
-		// Check the run before claiming its flight: a run that panics
-		// must not leave other callers waiting on an unpublished entry.
 		cfg = cfg.prepared()
 		f := mcCache.Acquire(key)
 		switch {
 		case f.Ready():
-			r.Stats = f.Wait()
+			r.Stats, _ = f.Wait(ctx)
 			continue
 		case !f.Owner():
 			if flights == nil {
@@ -232,14 +245,9 @@ func Resolve(workers int, ls []Lookup) {
 		points[len(points)-1].outstanding.Store(int32(n))
 		units += n
 	}
-	if units+len(direct) > 0 {
+	if units > 0 {
 		shards := make([]*shard, units)
-		_ = engine.Map(context.Background(), workers, units+len(direct), func(u int) error {
-			if u >= units {
-				r := &ls[direct[u-units]]
-				r.Stats = r.Source.Contention(r.PayloadBytes, r.Load)
-				return nil
-			}
+		err := engine.Map(ctx, workers, units, func(u int) error {
 			// The point whose span holds unit u.
 			k := sort.Search(len(points), func(k int) bool { return points[k].first > u }) - 1
 			p := &points[k]
@@ -251,12 +259,51 @@ func Resolve(workers int, ls []Lookup) {
 			}
 			return nil
 		})
-	}
-	// Every owned point is published by now, so waiting on the points
-	// other callers own cannot deadlock against them.
-	for i := range flights {
-		if f := flights[i]; f != (engine.Flight[mcKey, Stats]{}) {
-			ls[i].Stats = f.Wait()
+		if err != nil {
+			// Canceled: hand the shards of unfinished points back to
+			// the pool and their entries to whoever asks next.
+			for k := range points {
+				if p := &points[k]; p.outstanding.Load() != 0 {
+					for _, st := range shards[p.first : p.first+p.n] {
+						if st != nil {
+							shardPool.Put(st)
+						}
+					}
+					p.flight.Abandon()
+				}
+			}
+			return err
 		}
 	}
+	// Every owned point is published by now, so waiting on the points
+	// other callers own cannot deadlock against them. A point its owner
+	// abandoned is resolved again, by this call if nobody else claims it.
+	var retry []Lookup
+	var retryAt []int
+	for i := range flights {
+		f := flights[i]
+		if f == (engine.Flight[mcKey, Stats]{}) {
+			continue
+		}
+		st, ok := f.Wait(ctx)
+		if !ok {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			retry = append(retry, ls[i])
+			retryAt = append(retryAt, i)
+			continue
+		}
+		ls[i].Stats = st
+	}
+	if retry == nil {
+		return nil
+	}
+	if err := Resolve(ctx, workers, retry); err != nil {
+		return err
+	}
+	for k, i := range retryAt {
+		ls[i].Stats = retry[k].Stats
+	}
+	return nil
 }

@@ -124,7 +124,10 @@ func RunCaseStudyCtx(ctx context.Context, p Params, cfg CaseStudyConfig) (CaseSt
 	// Evaluate the population concurrently under the one contention
 	// answer its points share; the grid order of the results is fixed by
 	// index, so the serial fold below is worker-count independent.
-	cs := sharedContention(&p)
+	cs, err := sharedContention(ctx, &p)
+	if err != nil {
+		return CaseStudyResult{}, err
+	}
 	ms, err := engine.MapSlice(ctx, p.Workers, grid,
 		func(i int, a float64) (Metrics, error) {
 			q := p

@@ -75,8 +75,11 @@ func EnergyVsPathLossCtx(ctx context.Context, p Params, losses []float64) ([]Ene
 	}
 	// Every cell shares p's (payload, load), so contention is looked up
 	// once. The evaluation closure cannot fail, so Map's error is the ctx's.
-	cs := sharedContention(&p)
-	err := engine.Map(ctx, p.Workers, levels*len(losses), func(k int) error {
+	cs, err := sharedContention(ctx, &p)
+	if err != nil {
+		return nil, err
+	}
+	err = engine.Map(ctx, p.Workers, levels*len(losses), func(k int) error {
 		i, j := k/len(losses), k%len(losses)
 		q := p
 		q.PathLossDB = losses[j]
@@ -157,7 +160,10 @@ func AdaptedEnergySeriesCtx(ctx context.Context, p Params, losses []float64) (st
 		return stats.Series{}, err
 	}
 	s := stats.Series{Label: fmt.Sprintf("load %.2f", p.Load)}
-	cs := sharedContention(&p)
+	cs, err := sharedContention(ctx, &p)
+	if err != nil {
+		return stats.Series{}, err
+	}
 	ms, err := engine.MapSlice(ctx, p.Workers, losses,
 		func(i int, a float64) (Metrics, error) {
 			q := p

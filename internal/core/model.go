@@ -27,6 +27,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -281,11 +282,11 @@ func (p *Params) level(cs *contention.Stats) int {
 
 // sharedContention looks up the statistics of a sweep whose points all
 // share p's (payload, load): once, with a Monte-Carlo point that is not
-// cached yet simulated on p.Workers goroutines.
-func sharedContention(p *Params) contention.Stats {
+// cached yet simulated on p.Workers goroutines until ctx is done.
+func sharedContention(ctx context.Context, p *Params) (contention.Stats, error) {
 	l := []contention.Lookup{{Source: p.Contention, PayloadBytes: p.PayloadBytes, Load: p.Load}}
-	contention.Resolve(p.Workers, l)
-	return l[0].Stats
+	err := contention.Resolve(ctx, p.Workers, l)
+	return l[0].Stats, err
 }
 
 // evaluateAtLevel computes the model at an explicit TX level with the

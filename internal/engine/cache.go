@@ -1,10 +1,14 @@
 package engine
 
-import "sync"
+import (
+	"context"
+	"sync"
+)
 
 // Cache is a memoizing single-flight map: Get computes the value for a key
 // exactly once, even under concurrent requests, and serves every later
-// request from memory. The zero value is an unbounded cache ready for use;
+// request from memory. A batch computed outside the cache claims its keys
+// with Acquire and publishes them, or abandons those it does not finish. The zero value is an unbounded cache ready for use;
 // SetLimit bounds it with LRU eviction. It backs the shared contention
 // cache: a sweep that evaluates many model points at the same (payload,
 // load, contention config) simulates the Monte-Carlo characterization once
@@ -22,11 +26,14 @@ type Cache[K comparable, V any] struct {
 
 type cacheEntry[K comparable, V any] struct {
 	key K
-	// ready is held (Add(1)) from the entry's creation until its owner
-	// publishes val; every other caller waits on it.
-	ready      sync.WaitGroup
+	// val, done, abandoned and wake are guarded by Cache.mu. The owner
+	// settles the entry once: done when it publishes val, abandoned when it
+	// gives the entry up. wake, made by the first caller that waits on the
+	// unsettled entry, is closed when it settles.
 	val        V
-	done       bool // guarded by Cache.mu; set when val is published
+	done       bool
+	abandoned  bool
+	wake       chan struct{}
 	prev, next *cacheEntry[K, V]
 }
 
@@ -79,26 +86,33 @@ func (c *Cache[K, V]) Limit() int {
 
 // Get returns the cached value for key, running compute on a miss.
 // Concurrent callers with the same key block until the single computation
-// finishes and then share its result. Get refreshes the key's recency; a
-// miss may evict the least recently used completed entry when a limit is
-// set. A compute that panics publishes the zero value, so the panic never
-// leaves other callers of the key waiting.
+// finishes and then share its result; if the key's owner abandons it
+// instead, a waiting Get claims the key again. Get refreshes the key's
+// recency; a miss may evict the least recently used completed entry when a
+// limit is set. A compute that panics publishes the zero value, so the
+// panic never leaves other callers of the key waiting.
 func (c *Cache[K, V]) Get(key K, compute func() V) V {
-	f := c.Acquire(key)
-	if f.Owner() {
-		func() {
-			var v V
-			defer func() { f.Publish(v) }()
-			v = compute()
-		}()
+	for {
+		f := c.Acquire(key)
+		if f.Owner() {
+			return f.compute(compute)
+		}
+		if v, ok := f.Wait(context.Background()); ok {
+			return v
+		}
 	}
-	return f.Wait()
+}
+
+// compute publishes compute's value — the zero value if it panics.
+func (f Flight[K, V]) compute(compute func() V) (v V) {
+	defer func() { f.Publish(v) }()
+	return compute()
 }
 
 // Flight is one caller's claim on a cache entry, from Acquire. The caller
-// that created the entry owns it and must Publish its value exactly once;
-// everyone else, the owner included, reads the value with Wait, which
-// blocks until it is published.
+// that created the entry owns it and must settle it exactly once: Publish
+// its value, or Abandon it. Everyone else reads the value with Wait, which
+// blocks until the entry settles.
 type Flight[K comparable, V any] struct {
 	c     *Cache[K, V]
 	e     *cacheEntry[K, V]
@@ -111,8 +125,8 @@ type Flight[K comparable, V any] struct {
 // refreshes recency exactly as Get does, so a batch of values computed
 // together outside the cache — Acquire each, compute the owned ones, then
 // Publish them — keeps the single-flight and the hit/miss accounting of one
-// Get per key. An owner must Publish before it waits on any other flight
-// it does not own, or two batches could wait on each other.
+// Get per key. An owner must settle every flight it owns before it waits
+// on any other flight, or two batches could wait on each other.
 func (c *Cache[K, V]) Acquire(key K) Flight[K, V] {
 	c.mu.Lock()
 	if c.m == nil {
@@ -125,7 +139,6 @@ func (c *Cache[K, V]) Acquire(key K) Flight[K, V] {
 	} else {
 		c.misses++
 		e = &cacheEntry[K, V]{key: key}
-		e.ready.Add(1)
 		c.m[key] = e
 		c.pushFrontLocked(e)
 		c.evictLocked()
@@ -136,7 +149,7 @@ func (c *Cache[K, V]) Acquire(key K) Flight[K, V] {
 }
 
 // Owner reports whether this caller created the entry and so must
-// Publish its value.
+// Publish or Abandon it.
 func (f Flight[K, V]) Owner() bool { return f.owner }
 
 // Ready reports whether the value was already published when the flight
@@ -145,17 +158,57 @@ func (f Flight[K, V]) Ready() bool { return f.ready }
 
 // Publish stores the owner's value and releases every waiter.
 func (f Flight[K, V]) Publish(v V) {
-	f.e.val = v
-	f.c.mu.Lock()
-	f.e.done = true
-	f.c.mu.Unlock()
-	f.e.ready.Done()
+	c, e := f.c, f.e
+	c.mu.Lock()
+	e.val, e.done = v, true
+	if e.wake != nil {
+		close(e.wake)
+	}
+	c.mu.Unlock()
 }
 
-// Wait returns the entry's value once it is published.
-func (f Flight[K, V]) Wait() V {
-	f.e.ready.Wait()
-	return f.e.val
+// Abandon gives up an owned entry without a value: it drops the entry from
+// the cache, so the next Acquire of the key owns a fresh one, and releases
+// every waiter with no value. An owner whose caller was canceled abandons
+// the entries it has not computed instead of computing them for nobody.
+func (f Flight[K, V]) Abandon() {
+	c, e := f.c, f.e
+	c.mu.Lock()
+	// After a Reset the entry is no longer the key's, nor on the list.
+	if c.m[e.key] == e {
+		c.unlinkLocked(e)
+		delete(c.m, e.key)
+	}
+	e.abandoned = true
+	if e.wake != nil {
+		close(e.wake)
+	}
+	c.mu.Unlock()
+}
+
+// Wait returns the entry's value once it is published, with true. It
+// returns false without a value when the owner abandons the entry — the
+// caller may Acquire the key again — or when ctx is done first.
+func (f Flight[K, V]) Wait(ctx context.Context) (V, bool) {
+	c, e := f.c, f.e
+	c.mu.Lock()
+	if !e.done && !e.abandoned {
+		// The first caller to block makes the channel the owner closes,
+		// so an entry nobody waits on costs no allocation for it.
+		if e.wake == nil {
+			e.wake = make(chan struct{})
+		}
+		wake := e.wake
+		c.mu.Unlock()
+		select {
+		case <-wake:
+		case <-ctx.Done():
+		}
+		c.mu.Lock()
+	}
+	v, ok := e.val, e.done
+	c.mu.Unlock()
+	return v, ok
 }
 
 // Len reports the number of cached keys (including any still computing).

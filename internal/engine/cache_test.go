@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -194,7 +195,7 @@ func TestCacheFlights(t *testing.T) {
 		t.Fatal("second Acquire of an unpublished key must join it")
 	}
 	got := make(chan int)
-	go func() { got <- joined.Wait() }()
+	go func() { v, _ := joined.Wait(context.Background()); got <- v }()
 	go func() { got <- c.Get("k", func() int { t.Error("Get recomputed a key in flight"); return 0 }) }()
 	own.Publish(42)
 	for i := 0; i < 2; i++ {
@@ -202,11 +203,14 @@ func TestCacheFlights(t *testing.T) {
 			t.Fatalf("waiter got %d, want 42", v)
 		}
 	}
-	if late := c.Acquire("k"); late.Owner() || !late.Ready() || late.Wait() != 42 {
+	if late := c.Acquire("k"); late.Owner() || !late.Ready() {
 		t.Fatal("a published key must be ready for later callers")
 	}
-	if s := c.Stats(); s.Misses != 1 || s.Hits != 3 {
-		t.Fatalf("stats %+v, want 1 miss and 3 hits", s)
+	if v, ok := c.Acquire("k").Wait(context.Background()); !ok || v != 42 {
+		t.Fatal("a published key must be ready for later callers")
+	}
+	if s := c.Stats(); s.Misses != 1 || s.Hits != 4 {
+		t.Fatalf("stats %+v, want 1 miss and 4 hits", s)
 	}
 }
 
@@ -227,5 +231,67 @@ func TestCacheGetPanicPublishes(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Get blocked on a key whose compute panicked")
+	}
+}
+
+// TestCacheAbandon: an abandoned flight releases its waiters without a
+// value, a Get waiting on it claims the key and computes it, and the key
+// is gone from the cache meanwhile, so the next Acquire owns it afresh.
+func TestCacheAbandon(t *testing.T) {
+	var c Cache[string, int]
+	own := c.Acquire("k")
+	joined := c.Acquire("k")
+	waited := make(chan bool)
+	go func() { _, ok := joined.Wait(context.Background()); waited <- ok }()
+	got := make(chan int)
+	go func() { got <- c.Get("k", func() int { return 7 }) }()
+	// Let both callers block on the flight before it is abandoned.
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		c.mu.Lock()
+		blocked := own.e.wake != nil
+		c.mu.Unlock()
+		if blocked || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	own.Abandon()
+	if ok := <-waited; ok {
+		t.Fatal("Wait on an abandoned flight reported a value")
+	}
+	if v := <-got; v != 7 {
+		t.Fatalf("Get after the owner abandoned = %d, want its own compute's 7", v)
+	}
+	if v, ok := c.Acquire("k").Wait(context.Background()); !ok || v != 7 {
+		t.Fatalf("after the retry the key holds %d (%v), want 7", v, ok)
+	}
+
+	// Abandoning after a Reset leaves the new generation alone.
+	stale := c.Acquire("s")
+	c.Reset()
+	fresh := c.Acquire("s")
+	stale.Abandon()
+	if !fresh.Owner() || c.Len() != 1 {
+		t.Fatalf("abandoning a reset entry disturbed its successor (len %d)", c.Len())
+	}
+	fresh.Publish(1)
+	if v, ok := c.Acquire("s").Wait(context.Background()); !ok || v != 1 {
+		t.Fatal("the successor lost its value")
+	}
+}
+
+// TestCacheWaitHonorsContext: a wait on a flight nobody settles returns
+// when its context is done, without a value.
+func TestCacheWaitHonorsContext(t *testing.T) {
+	var c Cache[int, int]
+	own := c.Acquire(1)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	if _, ok := c.Acquire(1).Wait(ctx); ok {
+		t.Fatal("Wait on an unsettled flight reported a value")
+	}
+	own.Publish(3)
+	if v, ok := c.Acquire(1).Wait(ctx); !ok || v != 3 {
+		t.Fatal("a published value must be returned even with a done context")
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"fmt"
 )
 
-// Rand is the minimal random source a Transaction draws its backoff delays
+// Rand is the minimal random source an Attempt draws its backoff delays
 // from. Both *math/rand.Rand and *engine.RNG satisfy it; the interface keeps
 // this package free of a concrete PRNG so callers can thread a value-typed
 // generator through without allocation.
@@ -156,47 +156,6 @@ func (a *Attempt) CCAResult(p *CSMAParams, rng Rand, busy bool) Outcome {
 	a.done = true
 	a.txGranted = true
 	return OutcomeTransmit
-}
-
-// Transaction is an Attempt that carries its own parameters and random
-// source, for callers that advance one attempt at a time:
-//
-//	t := NewTransaction(PaperParams(), rng)
-//	for !t.Done() {
-//	    if t.CCADue() {
-//	        t.CCAResult(senseChannel())
-//	    } else {
-//	        t.AdvanceSlot()
-//	    }
-//	}
-type Transaction struct {
-	Attempt
-	params CSMAParams
-	rng    Rand
-}
-
-// NewTransaction starts a channel-access attempt: it draws the initial
-// random delay uniformly from [0, 2^BE-1] backoff slots.
-func NewTransaction(p CSMAParams, rng Rand) *Transaction {
-	t := new(Transaction)
-	t.Init(p, rng)
-	return t
-}
-
-// Init validates p and (re)starts the transaction in place. It panics on
-// invalid parameters.
-func (t *Transaction) Init(p CSMAParams, rng Rand) {
-	if err := p.Validate(); err != nil {
-		panic(err)
-	}
-	t.params, t.rng = p, rng
-	t.Start(&t.params, rng)
-}
-
-// CCAResult feeds the outcome of a clear channel assessment performed at a
-// slot boundary where CCADue() was true.
-func (t *Transaction) CCAResult(busy bool) Outcome {
-	return t.Attempt.CCAResult(&t.params, t.rng, busy)
 }
 
 // Stats of a finished (or in-flight) attempt.

@@ -6,6 +6,22 @@ import (
 	"testing/quick"
 )
 
+// txn is one Attempt with the parameters and random source its owner
+// holds, driven one attempt at a time.
+type txn struct {
+	Attempt
+	p   CSMAParams
+	rng Rand
+}
+
+func newTxn(p CSMAParams, rng Rand) *txn {
+	t := &txn{p: p, rng: rng}
+	t.Start(&t.p, rng)
+	return t
+}
+
+func (t *txn) CCAResult(busy bool) Outcome { return t.Attempt.CCAResult(&t.p, t.rng, busy) }
+
 func TestParamsValidate(t *testing.T) {
 	if err := StandardParams().Validate(); err != nil {
 		t.Fatal(err)
@@ -31,7 +47,7 @@ func TestPaperParamsThreeAttempts(t *testing.T) {
 	// abort: exactly 3 busy assessments are tolerated before failure...
 	// i.e. the 3rd busy CCA (NB=3 > MaxBackoffs=2) fails the transaction.
 	rng := rand.New(rand.NewSource(1))
-	tr := NewTransaction(PaperParams(), rng)
+	tr := newTxn(PaperParams(), rng)
 	busyCount := 0
 	for !tr.Done() {
 		if tr.CCADue() {
@@ -52,7 +68,7 @@ func TestPaperParamsThreeAttempts(t *testing.T) {
 func TestCleanChannelGrantsAfterTwoCCAs(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 100; trial++ {
-		tr := NewTransaction(PaperParams(), rng)
+		tr := newTxn(PaperParams(), rng)
 		ccas := 0
 		for !tr.Done() {
 			if tr.CCADue() {
@@ -85,7 +101,7 @@ func TestInitialBackoffWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	seen := make(map[int]bool)
 	for trial := 0; trial < 2000; trial++ {
-		tr := NewTransaction(PaperParams(), rng)
+		tr := newTxn(PaperParams(), rng)
 		slots := 0
 		for !tr.CCADue() {
 			tr.AdvanceSlot()
@@ -105,7 +121,7 @@ func TestInitialBackoffWindow(t *testing.T) {
 
 func TestBackoffExponentGrowth(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	tr := NewTransaction(PaperParams(), rng)
+	tr := newTxn(PaperParams(), rng)
 	if tr.BackoffExponent() != 3 {
 		t.Fatalf("initial BE = %d", tr.BackoffExponent())
 	}
@@ -132,7 +148,7 @@ func TestBackoffExponentGrowth(t *testing.T) {
 func TestBEDoesNotExceedMax(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	p := StandardParams() // MaxBackoffs=4 allows BE to hit the cap
-	tr := NewTransaction(p, rng)
+	tr := newTxn(p, rng)
 	for !tr.Done() {
 		if tr.CCADue() {
 			tr.CCAResult(true)
@@ -148,7 +164,7 @@ func TestBEDoesNotExceedMax(t *testing.T) {
 func TestBusyResetsContentionWindow(t *testing.T) {
 	// clear, busy, then the transaction must again demand CW=2 clears.
 	rng := rand.New(rand.NewSource(6))
-	tr := NewTransaction(PaperParams(), rng)
+	tr := newTxn(PaperParams(), rng)
 	step := func(busy bool) Outcome {
 		for !tr.CCADue() {
 			tr.AdvanceSlot()
@@ -173,7 +189,7 @@ func TestBatteryLifeExtensionCapsBE(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	p := PaperParams()
 	p.BatteryLifeExt = true
-	tr := NewTransaction(p, rng)
+	tr := newTxn(p, rng)
 	if tr.BackoffExponent() != 2 {
 		t.Fatalf("BLE initial BE = %d, want 2", tr.BackoffExponent())
 	}
@@ -192,7 +208,7 @@ func TestBatteryLifeExtensionCapsBE(t *testing.T) {
 func TestMisusePanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	// AdvanceSlot while CCA due.
-	tr := NewTransaction(PaperParams(), rng)
+	tr := newTxn(PaperParams(), rng)
 	for !tr.CCADue() {
 		tr.AdvanceSlot()
 	}
@@ -205,7 +221,7 @@ func TestMisusePanics(t *testing.T) {
 		tr.AdvanceSlot()
 	}()
 	// CCAResult without due CCA.
-	tr2 := NewTransaction(CSMAParams{MinBE: 3, MaxBE: 5, MaxBackoffs: 2, CW: 2}, rand.New(rand.NewSource(12)))
+	tr2 := newTxn(CSMAParams{MinBE: 3, MaxBE: 5, MaxBackoffs: 2, CW: 2}, rand.New(rand.NewSource(12)))
 	if !tr2.CCADue() {
 		func() {
 			defer func() {
@@ -217,7 +233,7 @@ func TestMisusePanics(t *testing.T) {
 		}()
 	}
 	// CCAResult after done.
-	tr3 := NewTransaction(PaperParams(), rng)
+	tr3 := newTxn(PaperParams(), rng)
 	for !tr3.Done() {
 		if tr3.CCADue() {
 			tr3.CCAResult(false)
@@ -235,15 +251,10 @@ func TestMisusePanics(t *testing.T) {
 	}()
 	// AdvanceSlot after done is a harmless no-op.
 	tr3.AdvanceSlot()
-	// Invalid params.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("NewTransaction with invalid params must panic")
-			}
-		}()
-		NewTransaction(CSMAParams{MinBE: 3, MaxBE: 1, MaxBackoffs: 1, CW: 2}, rng)
-	}()
+	// Invalid params: the owner of the attempts checks them once.
+	if err := (CSMAParams{MinBE: 3, MaxBE: 1, MaxBackoffs: 1, CW: 2}).Validate(); err == nil {
+		t.Error("MinBE above MaxBE must not validate")
+	}
 }
 
 // Property: under any channel pattern, a transaction terminates within a
@@ -251,7 +262,7 @@ func TestMisusePanics(t *testing.T) {
 func TestPropertyTransactionTerminates(t *testing.T) {
 	f := func(seed int64, pattern uint64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tr := NewTransaction(StandardParams(), rng)
+		tr := newTxn(StandardParams(), rng)
 		steps := 0
 		bit := 0
 		for !tr.Done() {
@@ -280,7 +291,7 @@ func TestPropertyCCABounds(t *testing.T) {
 	f := func(seed int64, pattern uint64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := PaperParams()
-		tr := NewTransaction(p, rng)
+		tr := newTxn(p, rng)
 		bit := 0
 		for !tr.Done() {
 			if tr.CCADue() {
@@ -322,8 +333,8 @@ func TestSkipBackoffMatchesSlotStepping(t *testing.T) {
 	}
 	for pi, p := range params {
 		for seed := int64(0); seed < 200; seed++ {
-			step := NewTransaction(p, rand.New(rand.NewSource(seed)))
-			skip := NewTransaction(p, rand.New(rand.NewSource(seed)))
+			step := newTxn(p, rand.New(rand.NewSource(seed)))
+			skip := newTxn(p, rand.New(rand.NewSource(seed)))
 			channel := rand.New(rand.NewSource(-seed - 1))
 			for !step.Done() {
 				stepped := 0

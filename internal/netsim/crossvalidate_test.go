@@ -10,7 +10,7 @@ import (
 // implementations of slotted CSMA/CA — the slot-grid Monte-Carlo
 // characterizer (internal/contention) and the event-driven simulator
 // (this package) — at the case-study operating point. They share the
-// mac.Transaction state machine but differ in everything else: time
+// mac.Attempt state machine but differ in everything else: time
 // representation, medium model, arrival generation, retry handling.
 func TestContentionCrossValidation(t *testing.T) {
 	sim := Run(Config{Nodes: 100, Superframes: 30, Seed: 31})

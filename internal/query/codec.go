@@ -125,9 +125,11 @@ func berByName(name string) (phy.BERModel, *Error) {
 }
 
 // MaxMCSuperframes caps one Monte-Carlo characterization requested over
-// the wire. An in-flight characterization is not interruptible (it computes
-// under the single-flight cache), so this bound also caps how long a
-// canceled request can pin its worker tokens.
+// the wire. A plan's contention fill stops between the characterizations'
+// shards once its request is canceled, but a characterization asked
+// through MCSource.Contention (the fallback for a stored task line that
+// does not decode) runs to its end under the single-flight cache, so this
+// bound also caps how long a canceled request can pin its worker tokens.
 const MaxMCSuperframes = 20000
 
 // source resolves the contention wire config.

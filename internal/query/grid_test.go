@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dense802154/internal/core"
 	"dense802154/internal/frame"
@@ -230,6 +231,45 @@ func TestHugeTimeoutClampedNotOverflowed(t *testing.T) {
 	}
 	if plan.Timeout <= 0 {
 		t.Fatalf("plan.Timeout = %v, overflowed", plan.Timeout)
+	}
+}
+
+// TestTimeoutBoundsContentionFill: a grid whose every point is a fresh
+// Monte-Carlo configuration (the nodes axis gives each its own load) spends
+// its whole budget in the contention fill. A 1 ms budget must stop the fill
+// between shards — not after simulating all 400 configurations — and leave
+// no configuration pinned in the cache: the abandoned ones are simulated
+// afresh by the next caller.
+func TestTimeoutBoundsContentionFill(t *testing.T) {
+	seed := int64(9001)
+	n0, n1 := 1, 400
+	payloads := []int{60}
+	q := Query{
+		Kind:      KindGrid,
+		Params:    &ParamsWire{Contention: &ContentionWire{Superframes: 1600, Seed: &seed}},
+		Payloads:  &IntAxis{Values: payloads},
+		Nodes:     &IntAxis{From: &n0, To: &n1},
+		TimeoutMS: 1,
+	}
+	start := time.Now()
+	_, err := Run(context.Background(), q)
+	if err != context.DeadlineExceeded {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if el := time.Since(start); el > 2*time.Second {
+		t.Fatalf("a 1 ms grid returned after %v: the fill ran past its deadline", el)
+	}
+	q.TimeoutMS = 0
+	q.Nodes = &IntAxis{Values: []int{3}}
+	done := make(chan error, 1)
+	go func() { _, err := Run(context.Background(), q); done <- err }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("a configuration the timed-out grid claimed is still pinned in the cache")
 	}
 }
 

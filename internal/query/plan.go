@@ -181,17 +181,16 @@ func (rs *ResultSet) splicedSize() (int, bool) {
 // replica seeds), so any number of them may share one exec concurrently.
 //
 // The model kinds (evaluate, batch, grid) have no run step: task i
-// evaluates points[i] under the contention statistics of its configuration
-// in cont, which each execution resolves once per configuration before its
-// tasks start. Each execution of such a plan also allocates one MetricsWire
-// slab for its range; task i's Metrics payload is its slot. The slab and the
-// resolved statistics belong to the execution, never to the plan. The other
-// kinds compute task i with run.
+// evaluates points[i] under the contention statistics of its
+// configuration, which each execution resolves once per configuration of
+// its range before its tasks start. Each execution of such a plan also
+// allocates one MetricsWire slab for its range; task i's Metrics payload is
+// its slot. The slab and the resolved statistics belong to the execution,
+// never to the plan. The other kinds compute task i with run.
 type exec struct {
 	labels   []string
 	seeds    []int64
 	points   []core.Params
-	cont     contTable
 	run      func(ctx context.Context, workers, i int) (TaskResult, error)
 	assemble func(rs *ResultSet) *Error
 }
@@ -217,106 +216,48 @@ func single(label string, run func(ctx context.Context, workers int) (TaskResult
 // model is the exec of a model kind: one evaluation per point, labelled by
 // labels.
 func model(labels []string, points []core.Params) exec {
-	return exec{labels: labels, points: points, cont: newContTable(points)}
+	return exec{labels: labels, points: points}
 }
 
-// contTable is the distinct contention configurations of a model plan,
-// numbered in order of first use: of maps each task to its entry, and
-// first names the first point of each entry, whose source, payload and
-// load are the entry's. Contention depends on nothing else a point varies,
-// so a 1,000-point grid over ten payloads has ten entries. A source that
-// is no Monte-Carlo source must be comparable.
-type contTable struct {
-	of    []int32
-	first []int32
-}
-
-// contKey identifies a configuration: its source's number in the plan
-// (sourceKey) and the point.
+// contKey identifies a contention configuration: a point's source,
+// payload and load, the only things its statistics depend on. Sources are
+// told apart by value, which for a Monte-Carlo source is its pointer: the
+// points of one compiled query share their source. A source that is no
+// Monte-Carlo source must be comparable.
 type contKey struct {
-	source  int32
+	source  contention.Source
 	payload int
 	load    float64
 }
 
-// sourceKey identifies a contention source by what its answers depend on:
-// a Monte-Carlo source by its base run, with the worker count normalized
-// away as the contention cache keys it, any other source by its value.
-type sourceKey struct {
-	mc    contention.Config
-	other contention.Source
-}
-
-// oneTask is both maps of every single-point plan, shared read-only.
-var oneTask = []int32{0}
-
-func newContTable(points []core.Params) contTable {
-	if len(points) == 1 {
-		return contTable{of: oneTask, first: oneTask}
-	}
-	// One allocation holds both maps: of, then first (never longer).
-	t := contTable{of: make([]int32, len(points), 2*len(points))}
-	sources := make(map[sourceKey]int32)
-	seen := make(map[contKey]int32, 8)
-	var lastSrc contention.Source
-	var srcID int32
-	var last contKey
-	for i := range points {
-		p := &points[i]
-		// Neighbouring points mostly share a source and a configuration.
-		if i == 0 || p.Contention != lastSrc {
-			var sk sourceKey
-			if mc, ok := p.Contention.(*contention.MCSource); ok {
-				sk.mc = mc.Base
-				sk.mc.Workers = 0
-			} else {
-				sk.other = p.Contention
-			}
-			id, ok := sources[sk]
-			if !ok {
-				id = int32(len(sources))
-				sources[sk] = id
-			}
-			lastSrc, srcID = p.Contention, id
-		}
-		k := contKey{source: srcID, payload: p.PayloadBytes, load: p.Load}
-		if i > 0 && k == last {
-			t.of[i] = t.of[i-1]
+// resolveContention resolves, on workers goroutines until ctx is done, the
+// contention statistics of the tasks from, from+1, … (one per results
+// slot) that are not read from the store (no stored line in their slot),
+// each distinct configuration once: a 1,000-point grid over ten payloads
+// resolves ten. Slot i's statistics are ls[of[i]]; a stored slot has no
+// entry (of[i] = -1).
+func (p *Plan) resolveContention(ctx context.Context, workers, from int, results []TaskResult) (of []int32, ls []contention.Lookup, err error) {
+	of = make([]int32, len(results))
+	seen := make(map[contKey]int32)
+	for i := range results {
+		if results[i].enc != nil {
+			of[i] = -1
 			continue
 		}
+		pt := &p.points[from+i]
+		k := contKey{source: pt.Contention, payload: pt.PayloadBytes, load: pt.Load}
 		j, ok := seen[k]
 		if !ok {
 			j = int32(len(seen))
 			seen[k] = j
 		}
-		t.of[i], last = j, k
+		of[i] = j
 	}
-	t.first = t.of[len(t.of):len(t.of):cap(t.of)]
-	for i, j := range t.of {
-		if int(j) == len(t.first) {
-			t.first = append(t.first, int32(i))
-		}
+	ls = make([]contention.Lookup, len(seen))
+	for k, j := range seen {
+		ls[j] = contention.Lookup{Source: k.source, PayloadBytes: k.payload, Load: k.load}
 	}
-	return t
-}
-
-// fill resolves, on workers goroutines, the configurations used by the
-// tasks from, from+1, … (one per results slot) that are not read from the
-// store (no stored line in their slot), and returns the execution's
-// lookups indexed like first; entries no such task uses stay unresolved.
-func (t *contTable) fill(workers, from int, points []core.Params, results []TaskResult) []contention.Lookup {
-	ls := make([]contention.Lookup, len(t.first))
-	for i := range results {
-		if results[i].enc != nil {
-			continue
-		}
-		if l := &ls[t.of[from+i]]; l.Source == nil {
-			p := &points[t.first[t.of[from+i]]]
-			*l = contention.Lookup{Source: p.Contention, PayloadBytes: p.PayloadBytes, Load: p.Load}
-		}
-	}
-	contention.Resolve(workers, ls)
-	return ls
+	return of, ls, contention.Resolve(ctx, workers, ls)
 }
 
 // labelBuf builds many task labels into one backing string: append a
@@ -520,9 +461,12 @@ func (p *Plan) ExecuteRange(ctx context.Context, workers, from, to int, yield fu
 // store, lives in the execution's slab. emit(i, wallMS) then releases the
 // slots in order, with each task's wall time in milliseconds: slot i is
 // emitted as soon as it and every slot before it are filled, and emit calls
-// never overlap. An emit error stops the remaining tasks and is returned;
-// otherwise the error of the lowest-indexed failing task, or ctx.Err(), is
-// (engine.Map's rule).
+// never overlap. Before its tasks start, a model plan resolves the
+// contention configurations its computed tasks use (resolveContention); a ctx
+// done meanwhile stops the fill between Monte-Carlo shards, and runTasks
+// returns ctx.Err() without running a task. An emit error stops the
+// remaining tasks and is returned; otherwise the error of the
+// lowest-indexed failing task, or ctx.Err(), is (engine.Map's rule).
 func (p *Plan) runTasks(ctx context.Context, workers, from int, results []TaskResult, emit func(i int, wallMS float64) error) error {
 	if p.Timeout > 0 {
 		var cancel context.CancelFunc
@@ -532,10 +476,14 @@ func (p *Plan) runTasks(ctx context.Context, workers, from int, results []TaskRe
 	o := inOrder{slots: make([]slot, len(results)), emit: emit}
 	p.storedLines(from, results)
 	var slab []MetricsWire
+	var of []int32
 	var lookups []contention.Lookup
 	if p.points != nil {
 		slab = make([]MetricsWire, len(results))
-		lookups = p.cont.fill(workers, from, p.points, results)
+		var err error
+		if of, lookups, err = p.resolveContention(ctx, workers, from, results); err != nil {
+			return err
+		}
 	}
 	err := engine.Map(ctx, workers, len(results), func(i int) error {
 		idx := from + i
@@ -547,8 +495,12 @@ func (p *Plan) runTasks(ctx context.Context, workers, from int, results []TaskRe
 		stored := results[i].enc
 		r, hit := p.decodeStored(stored, slot)
 		if !hit {
+			var cs *contention.Stats
+			if of != nil && of[i] >= 0 {
+				cs = &lookups[of[i]].Stats
+			}
 			var err error
-			if r, err = p.compute(ctx, workers, idx, slot, lookups, stored != nil); err != nil {
+			if r, err = p.compute(ctx, workers, idx, slot, cs); err != nil {
 				return err
 			}
 		}
@@ -568,19 +520,19 @@ func (p *Plan) runTasks(ctx context.Context, workers, from int, results []TaskRe
 }
 
 // compute runs task idx. A model task evaluates its point into slot[0]
-// under its configuration's resolved statistics — or, when its stored line
-// did not decode (the fill skipped the configurations of stored tasks),
+// under its configuration's resolved statistics cs — or, with cs nil when
+// its stored line did not decode (resolveContention skips stored tasks),
 // through the contention source, which gives the same bits.
-func (p *Plan) compute(ctx context.Context, workers, idx int, slot []MetricsWire, lookups []contention.Lookup, stored bool) (TaskResult, error) {
+func (p *Plan) compute(ctx context.Context, workers, idx int, slot []MetricsWire, cs *contention.Stats) (TaskResult, error) {
 	if p.points == nil {
 		return p.run(ctx, workers, idx)
 	}
 	var m core.Metrics
 	var err error
-	if stored {
+	if cs == nil {
 		m, err = core.Evaluate(p.points[idx])
 	} else {
-		m, err = core.EvaluateWithStats(p.points[idx], lookups[p.cont.of[idx]].Stats)
+		m, err = core.EvaluateWithStats(p.points[idx], *cs)
 	}
 	if err != nil {
 		return TaskResult{}, err

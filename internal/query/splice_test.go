@@ -5,7 +5,6 @@ import (
 	"context"
 	"sync"
 	"testing"
-	"time"
 
 	"dense802154/internal/contention"
 	"dense802154/internal/contention/contentiontest"
@@ -155,37 +154,26 @@ func TestStoreUndecodableLineIsRecomputed(t *testing.T) {
 	}
 }
 
-// countSources swaps every point of a compiled model plan onto a counting
-// wrapper of its source, one wrapper per distinct source, and returns the
-// wrappers.
-func countSources(p *Plan, delay time.Duration) []*contentiontest.Counting {
-	var out []*contentiontest.Counting
-	wrapped := map[contention.Source]*contentiontest.Counting{}
-	for i := range p.points {
-		src := p.points[i].Contention
-		c, ok := wrapped[src]
-		if !ok {
-			c = &contentiontest.Counting{Inner: src, Delay: delay}
-			wrapped[src] = c
-			out = append(out, c)
-		}
-		p.points[i].Contention = c
+// lookups runs fn and reports the contention-cache lookups it made: how
+// many configurations it simulated (misses) and how many it found cached
+// or in flight (hits). Every Monte-Carlo lookup of a plan goes through the
+// cache, so the sum is the plan's lookup count.
+func lookups(t *testing.T, fn func() error) (misses, hits uint64) {
+	t.Helper()
+	before := contention.CacheStats()
+	if err := fn(); err != nil {
+		t.Fatal(err)
 	}
-	return out
-}
-
-func totals(cs []*contentiontest.Counting) (calls, maxInFlight int64) {
-	for _, c := range cs {
-		calls += c.Calls()
-		maxInFlight = max(maxInFlight, c.MaxInFlight())
-	}
-	return calls, maxInFlight
+	after := contention.CacheStats()
+	return after.Misses - before.Misses, after.Hits - before.Hits
 }
 
 // TestPlanResolvesEachConfigurationOnce: an execution of the 1,000-point
-// grid asks for contention once per distinct (payload, load), ten times,
-// not once per point and TX level, and a lone auto-level evaluate once.
-// The answers are the source's, so the bytes do not move.
+// grid simulates each distinct (payload, load) of its Monte-Carlo source
+// once, ten in all, and looks nothing else up — not once per point and TX
+// level — so a second execution finds the ten cached. A lone auto-level
+// evaluate looks its configuration up once. The answers are Simulate's, so
+// the bytes do not move.
 func TestPlanResolvesEachConfigurationOnce(t *testing.T) {
 	want := grid1000Result(t)
 	wantBody, err := want.Encode()
@@ -196,14 +184,16 @@ func TestPlanResolvesEachConfigurationOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srcs := countSources(plan, 0)
-	for run := 1; run <= 2; run++ {
-		rs, err := plan.Execute(context.Background(), 2, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if calls, _ := totals(srcs); calls != int64(10*run) {
-			t.Fatalf("execution %d: %d contention lookups in all, want %d", run, calls, 10*run)
+	contention.ResetCache()
+	for run, wantMisses := range []uint64{10, 0} {
+		var rs *ResultSet
+		misses, hits := lookups(t, func() (err error) {
+			rs, err = plan.Execute(context.Background(), 2, nil)
+			return err
+		})
+		if misses != wantMisses || misses+hits != 10 {
+			t.Fatalf("execution %d: %d simulations and %d cached lookups, want %d and %d",
+				run+1, misses, hits, wantMisses, 10-wantMisses)
 		}
 		body, err := rs.Encode()
 		if err != nil {
@@ -218,33 +208,43 @@ func TestPlanResolvesEachConfigurationOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srcs = countSources(eval, 0)
-	if _, err := eval.Execute(context.Background(), 2, nil); err != nil {
-		t.Fatal(err)
-	}
-	if calls, _ := totals(srcs); len(srcs) != 1 || calls != 1 {
-		t.Fatalf("auto-level evaluate: %d sources, %d lookups, want 1 and 1", len(srcs), calls)
+	contention.ResetCache()
+	for run := 1; run <= 2; run++ {
+		misses, hits := lookups(t, func() error {
+			_, err := eval.Execute(context.Background(), 2, nil)
+			return err
+		})
+		if misses+hits != 1 {
+			t.Fatalf("auto-level evaluate, execution %d: %d contention lookups, want 1", run, misses+hits)
+		}
 	}
 }
 
-// TestPlanFillHonorsGrant: the fill runs its lookups under the execution's
-// worker grant, never more at once, for the whole plan and for a range.
+// TestPlanFillHonorsGrant: the fill simulates its configurations' shards
+// under the execution's worker grant, for the whole plan and for a range:
+// a single worker starts no goroutine at all.
 func TestPlanFillHonorsGrant(t *testing.T) {
 	for _, workers := range []int{1, 2, 3} {
 		plan, err := Compile(grid1000Query())
 		if err != nil {
 			t.Fatal(err)
 		}
-		srcs := countSources(plan, time.Millisecond)
-		if _, err := plan.Execute(context.Background(), workers, nil); err != nil {
-			t.Fatal(err)
+		contention.ResetCache()
+		var err1, err2 error
+		peak := contentiontest.PeakGoroutines(func() {
+			_, err1 = plan.Execute(context.Background(), workers, nil)
+			contention.ResetCache()
+			err2 = plan.ExecuteRange(context.Background(), workers, 100, 350, func(TaskResult, float64) error { return nil })
+		})
+		if err1 != nil || err2 != nil {
+			t.Fatal(err1, err2)
 		}
-		if err := plan.ExecuteRange(context.Background(), workers, 100, 350, func(TaskResult, float64) error { return nil }); err != nil {
-			t.Fatal(err)
-		}
-		calls, inFlight := totals(srcs)
-		if calls != 20 || inFlight > int64(workers) {
-			t.Fatalf("workers=%d: %d lookups, up to %d at once", workers, calls, inFlight)
+		// A single worker runs every map on the caller's goroutine. With
+		// more, the task loop's map starts right after the fill's, whose
+		// workers may not have exited yet, so the two can overlap in the
+		// count; a fill that ignored the grant would show beyond that.
+		if (workers == 1 && peak != 0) || peak > 2*workers {
+			t.Fatalf("workers=%d: up to %d goroutines ran the plan", workers, peak)
 		}
 	}
 }

@@ -64,7 +64,7 @@ type Tolerances struct {
 }
 
 // DefaultTolerances returns the catalog-wide starting bounds. The two
-// protocol implementations share the mac.Transaction state machine but
+// protocol implementations share the mac.Attempt state machine but
 // differ in everything else (time representation, medium model, arrival
 // generation, retry handling), so contention-side quantities carry the
 // loose factor-two envelopes the cross-validation suite established, while
