@@ -224,8 +224,11 @@
 // What it buys operationally:
 //
 //   - A repeated /v2/query is answered O(1) from the stored ResultSet with
-//     zero engine work; a repeated /v2/query/stream is served from the
-//     per-task entries, each task a store lookup instead of a recompute.
+//     zero engine work and no plan compiled: the handler checks the fields
+//     the key drops (version, timeout_ms), looks the key up, and only a
+//     miss or a traced query compiles (service.TestQueryHitAllocBudget);
+//     a repeated /v2/query/stream is served from the per-task entries,
+//     each task a store lookup instead of a recompute.
 //   - An interrupted stream persists the tasks it completed; the client's
 //     retry resumes from those and recomputes only the remainder.
 //   - In a fleet, the coordinator consults the store before dispatching
@@ -324,7 +327,7 @@
 //	wsn_http_errors_total{route,class}          counter    non-2xx responses (class 4xx|5xx)
 //	wsn_http_panics_total                       counter    handler/collector panics recovered
 //	wsn_query_total{kind}                       counter    v2 queries by kind
-//	wsn_query_tasks_total                       counter    plan tasks scheduled by v2 queries
+//	wsn_query_tasks_total                       counter    plan tasks of v2 queries, store hits included
 //	wsn_worker_pool_capacity                    gauge      worker-token budget
 //	wsn_worker_pool_in_use                      gauge      tokens currently held
 //	wsn_worker_acquires_total                   counter    token-pool acquisitions

@@ -1,6 +1,7 @@
 // Package benchsuite holds the repository's tracked benchmark kernels: the
 // serial/parallel engine pairs and the hot-path micro-benchmarks of the
-// simulation cores, the result store and the 1,000-point grid plan.
+// simulation cores, the result store, the 1,000-point grid plan and the
+// HTTP handler's store-hit path.
 //
 // The table has two entry points that run the same bodies. cmd/wsn-bench
 // runs it through testing.Benchmark and writes the JSON report the
@@ -14,6 +15,8 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -27,6 +30,7 @@ import (
 	"dense802154/internal/lifetime"
 	"dense802154/internal/netsim"
 	"dense802154/internal/query"
+	"dense802154/internal/service"
 	"dense802154/internal/store"
 )
 
@@ -393,6 +397,34 @@ func Kernels(quick bool) []Kernel {
 				}
 			}
 		}},
+		{"ServeQueryHit", func(b *testing.B) {
+			// A whole-query store hit through the HTTP handler: a stored
+			// 100-point grid, the warm-mix grid shape, asked again through
+			// Server.ServeHTTP with an httptest recorder — decode, shape
+			// check, key, lookup, counters and the write.
+			b.ReportAllocs()
+			st, err := store.New(store.Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			srv := service.NewServer(service.Config{Workers: 1, Store: st})
+			q := grid100Query()
+			body := query.AppendQuery(nil, &q)
+			var src bytes.Reader
+			serve := func() {
+				src.Reset(body)
+				rec := httptest.NewRecorder()
+				srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v2/query", &src))
+				if rec.Code != http.StatusOK {
+					b.Fatalf("status %d: %s", rec.Code, rec.Body)
+				}
+			}
+			serve() // compute and store the grid
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serve()
+			}
+		}},
 		{"DecodeQueryGrid1000", func(b *testing.B) {
 			// The request side of the grid-cold query: decode its body, as
 			// a client's encoding/json writes it, into a Query, as every
@@ -424,6 +456,21 @@ func grid1000Query() query.Query {
 		Losses:   &query.Axis{From: &from, To: &to, Points: &points},
 		Payloads: &query.IntAxis{Values: []int{10, 20, 30, 40, 50, 60, 70, 80, 100, 120}},
 		BOs:      &query.IntAxis{From: &bo0, To: &bo1},
+	}
+}
+
+// grid100Query is a 100-point grid of the warm-mix working set's shape:
+// ten losses × five payloads × two BOs, Monte-Carlo contention at 12
+// superframes.
+func grid100Query() query.Query {
+	seed := int64(11)
+	from, to, points := query.Float(50), query.Float(90), 10
+	return query.Query{
+		Kind:     query.KindGrid,
+		Params:   &query.ParamsWire{Contention: &query.ContentionWire{Superframes: 12, Seed: &seed}},
+		Losses:   &query.Axis{From: &from, To: &to, Points: &points},
+		Payloads: &query.IntAxis{Values: []int{20, 40, 60, 80, 100}},
+		BOs:      &query.IntAxis{Values: []int{6, 8}},
 	}
 }
 

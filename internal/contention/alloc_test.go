@@ -1,6 +1,7 @@
 package contention
 
 import (
+	"context"
 	"testing"
 
 	"dense802154/internal/mac"
@@ -83,4 +84,32 @@ func BenchmarkSimulateShard(b *testing.B) {
 		cfg.Seed = int64(i)
 		Simulate(cfg)
 	}
+}
+
+// TestResolveAllocBudget holds the contention fill of a small batch to its
+// budget: resolving one fresh single-shard Monte-Carlo point, serially,
+// allocates its cache entry and nothing per call besides — no point table,
+// no shard table, no shard closure, and no heap copy of the caller's
+// lookups.
+func TestResolveAllocBudget(t *testing.T) {
+	src := NewMCSource(Config{Superframes: shardSuperframes, Seed: 11})
+	load := 0.2
+	resolve := func() {
+		load += 1e-6 // a fresh cache key every call
+		ls := []Lookup{{Source: src, PayloadBytes: 40, Load: load}}
+		if err := Resolve(context.Background(), 1, ls); err != nil {
+			t.Fatal(err)
+		}
+		if ls[0].Stats == (Stats{}) {
+			t.Fatal("lookup left unresolved")
+		}
+	}
+	for i := 0; i < 3; i++ {
+		resolve() // warm the shard and fill pools
+	}
+	allocs := testing.AllocsPerRun(50, resolve)
+	if allocs > resolveAllocBudget {
+		t.Fatalf("resolving one fresh single-shard point allocated %v per call, budget %d", allocs, resolveAllocBudget)
+	}
+	t.Logf("Resolve (one fresh single-shard point): %v allocs/call", allocs)
 }

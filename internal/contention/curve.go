@@ -2,7 +2,9 @@ package contention
 
 import (
 	"context"
+	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -192,15 +194,6 @@ func Resolve(ctx context.Context, workers int, ls []Lookup) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	// A point this call simulates: its prepared run, the lookup it
-	// answers, its cache flight and its span of shard units.
-	type owned struct {
-		cfg         Config
-		at          int
-		flight      engine.Flight[mcKey, Stats]
-		first, n    int
-		outstanding atomic.Int32
-	}
 	// Check every run before claiming any flight: a run that panics must
 	// not leave other callers waiting on an entry this call owns.
 	for i := range ls {
@@ -210,7 +203,7 @@ func Resolve(ctx context.Context, workers int, ls []Lookup) error {
 		}
 	}
 	var (
-		points  []owned
+		fl      *fill                         // the points this call simulates
 		flights []engine.Flight[mcKey, Stats] // points in flight elsewhere, by lookup
 		units   int
 	)
@@ -237,41 +230,34 @@ func Resolve(ctx context.Context, workers int, ls []Lookup) error {
 			flights[i] = f
 			continue
 		}
-		n := cfg.shardCount()
-		if points == nil {
-			points = make([]owned, 0, len(ls)-i)
+		if fl == nil {
+			fl = fillPool.Get().(*fill)
 		}
-		points = append(points, owned{cfg: cfg, at: i, flight: f, first: units, n: n})
-		points[len(points)-1].outstanding.Store(int32(n))
+		n := cfg.shardCount()
+		fl.points = append(fl.points, owned{cfg: cfg, at: i, flight: f, first: units, n: n})
+		fl.points[len(fl.points)-1].outstanding.Store(int32(n))
 		units += n
 	}
-	if units > 0 {
-		shards := make([]*shard, units)
-		err := engine.Map(ctx, workers, units, func(u int) error {
-			// The point whose span holds unit u.
-			k := sort.Search(len(points), func(k int) bool { return points[k].first > u }) - 1
-			p := &points[k]
-			shards[u] = p.cfg.runShard(u - p.first)
-			if p.outstanding.Add(-1) == 0 {
-				st := fold(p.cfg, shards[p.first:p.first+p.n]).stats()
-				ls[p.at].Stats = st
-				p.flight.Publish(st)
+	if fl != nil {
+		fl.shards = slices.Grow(fl.shards, units)[:units]
+		err := engine.Map(ctx, workers, units, fl.unit)
+		for k := range fl.points {
+			p := &fl.points[k]
+			if p.outstanding.Load() == 0 {
+				ls[p.at].Stats = p.stats
+				continue
 			}
-			return nil
-		})
-		if err != nil {
-			// Canceled: hand the shards of unfinished points back to
-			// the pool and their entries to whoever asks next.
-			for k := range points {
-				if p := &points[k]; p.outstanding.Load() != 0 {
-					for _, st := range shards[p.first : p.first+p.n] {
-						if st != nil {
-							shardPool.Put(st)
-						}
-					}
-					p.flight.Abandon()
+			// Canceled: hand the shards of an unfinished point back to
+			// the pool and its entry to whoever asks next.
+			for _, st := range fl.shards[p.first : p.first+p.n] {
+				if st != nil {
+					shardPool.Put(st)
 				}
 			}
+			p.flight.Abandon()
+		}
+		fl.release()
+		if err != nil {
 			return err
 		}
 	}
@@ -306,4 +292,62 @@ func Resolve(ctx context.Context, workers int, ls []Lookup) error {
 		ls[i].Stats = retry[k].Stats
 	}
 	return nil
+}
+
+// owned is a point one Resolve call simulates: its prepared run, the
+// lookup it answers, its cache flight, its span of shard units and, once
+// its last shard is folded, its statistics.
+type owned struct {
+	cfg         Config
+	at          int
+	flight      engine.Flight[mcKey, Stats]
+	first, n    int
+	outstanding atomic.Int32
+	stats       Stats
+}
+
+// fill is the scratch of one Resolve call that simulates: the points it
+// owns, the shards of their units, and unit, the shard step engine.Map
+// runs, bound to the fill once. Fills are pooled, so a call that
+// simulates a point allocates no table and no closure for it.
+type fill struct {
+	points []owned
+	shards []*shard
+	unit   func(u int) error
+}
+
+var fillPool = sync.Pool{New: func() any {
+	f := new(fill)
+	f.unit = f.runUnit
+	return f
+}}
+
+// maxPooledFill bounds the points and shards a pooled fill keeps: a
+// larger one, from a grid over many loads, is left to the collector.
+const maxPooledFill = 1024
+
+// runUnit simulates shard unit u. The last shard of a point to end folds
+// the point and publishes it to the cache.
+func (f *fill) runUnit(u int) error {
+	// The point whose span holds unit u.
+	k := sort.Search(len(f.points), func(k int) bool { return f.points[k].first > u }) - 1
+	p := &f.points[k]
+	f.shards[u] = p.cfg.runShard(u - p.first)
+	if p.outstanding.Add(-1) == 0 {
+		p.stats = fold(p.cfg, f.shards[p.first:p.first+p.n]).stats()
+		p.flight.Publish(p.stats)
+	}
+	return nil
+}
+
+// release empties f, so it holds no flight and no shard, and returns it to
+// the pool.
+func (f *fill) release() {
+	if cap(f.points) > maxPooledFill || cap(f.shards) > maxPooledFill {
+		return
+	}
+	clear(f.points)
+	clear(f.shards)
+	f.points, f.shards = f.points[:0], f.shards[:0]
+	fillPool.Put(f)
 }

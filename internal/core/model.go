@@ -112,14 +112,22 @@ const AutoTXLevel = -1
 // DefaultParams returns the paper's §5 case-study configuration for a node
 // at the middle of the path-loss population.
 func DefaultParams() Params {
+	return PaperParams(radio.CC2420(), phy.Eq1,
+		contention.NewMCSource(contention.Config{Superframes: 60, Seed: 2005}))
+}
+
+// PaperParams returns DefaultParams' configuration over the given radio,
+// bit-error model and contention source, so a caller that resolves its own
+// builds none of the defaults only to replace them.
+func PaperParams(r *radio.Characterization, ber phy.BERModel, src contention.Source) Params {
 	sf, err := mac.NewSuperframe(6, 6)
 	if err != nil {
 		panic(err)
 	}
 	return Params{
-		Radio:                  radio.CC2420(),
-		BER:                    phy.Eq1,
-		Contention:             contention.NewMCSource(contention.Config{Superframes: 60, Seed: 2005}),
+		Radio:                  r,
+		BER:                    ber,
+		Contention:             src,
 		Superframe:             sf,
 		PayloadBytes:           120,
 		Load:                   0.433,

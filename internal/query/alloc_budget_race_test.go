@@ -17,7 +17,7 @@ const (
 	resultSetEncodeAllocBudget = 64
 	splicedEncodeAllocBudget   = 8
 	taskEncodeAllocBudget      = 8
-	compileGridAllocBudget     = 64
+	compileGridAllocBudget     = 13
 	decodeTaskAllocBudget      = 3
 	decodeQueryAllocBudget     = 12
 	executeGridAllocBudget     = 3000

@@ -143,7 +143,7 @@ func TestEncodeTaskResultAllocBudget(t *testing.T) {
 
 // TestCompileGridAllocBudget guards compile-once plan construction: the
 // 1,000-point grid compiles into one points slice and one label string
-// (about twenty allocations in all), not a closure and two formatted strings per
+// (thirteen allocations in all), not a closure and two formatted strings per
 // point (~3.8k allocations per build).
 func TestCompileGridAllocBudget(t *testing.T) {
 	q := grid1000Query()

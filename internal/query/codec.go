@@ -113,11 +113,14 @@ func RadioByName(name string) (*radio.Characterization, *Error) {
 	return r, nil
 }
 
+// eq1 is phy.Eq1 converted to a BERModel once, not on every lookup.
+var eq1 phy.BERModel = phy.Eq1
+
 // berByName resolves the named bit-error model.
 func berByName(name string) (phy.BERModel, *Error) {
 	switch name {
 	case "", "eq1":
-		return phy.Eq1, nil
+		return eq1, nil
 	case "awgn":
 		return phy.AWGNBER{NoiseFigureDB: phy.DefaultNoiseFigureDB}, nil
 	}
@@ -165,7 +168,9 @@ func (w *ContentionWire) source(workers int) (contention.Source, *Error) {
 }
 
 // Params materializes the wire form onto core.DefaultParams and validates
-// the result. workers is the granted parallelism applied to the model sweep
+// the result; the radio, BER model and contention source are resolved
+// first and the defaults built around them, so none is built twice.
+// workers is the granted parallelism applied to the model sweep
 // and mcWorkers the parallelism of one Monte-Carlo contention
 // characterization. The two levels nest — each sweep goroutine can trigger
 // a characterization — so callers pass the full grant to exactly one level
@@ -173,24 +178,20 @@ func (w *ContentionWire) source(workers int) (contention.Source, *Error) {
 // grant; the model kinds' plans resolve their characterizations up front,
 // under the whole grant. Neither value ever changes the computed bytes.
 func (w ParamsWire) Params(workers, mcWorkers int) (core.Params, *Error) {
-	p := core.DefaultParams()
-	p.Workers = workers
-
 	r, aerr := RadioByName(w.Radio)
 	if aerr != nil {
 		return core.Params{}, aerr
 	}
-	p.Radio = r
 	ber, aerr := berByName(w.BER)
 	if aerr != nil {
 		return core.Params{}, aerr
 	}
-	p.BER = ber
 	src, aerr := w.Contention.source(mcWorkers)
 	if aerr != nil {
 		return core.Params{}, aerr
 	}
-	p.Contention = src
+	p := core.PaperParams(r, ber, src)
+	p.Workers = workers
 
 	if w.Superframe != nil {
 		sf, err := mac.NewSuperframe(w.Superframe.BO, w.Superframe.SO)

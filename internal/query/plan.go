@@ -345,7 +345,7 @@ func (p *Plan) Labels() []string { return append([]string(nil), p.labels...) }
 // a plan is materialized. Validation failures return a field-scoped *Error
 // suitable for a structured 400.
 func Compile(q Query) (*Plan, error) {
-	if aerr := q.validateShape(); aerr != nil {
+	if aerr := q.ValidateShape(); aerr != nil {
 		return nil, aerr
 	}
 	var ex exec
@@ -390,6 +390,29 @@ func Compile(q Query) (*Plan, error) {
 		Timeout: timeout,
 		exec:    ex,
 	}, nil
+}
+
+// NumTasks reports how many tasks Compile(q) schedules — batch elements,
+// replicas, grid points, or 1 for the single-result kinds — without
+// compiling q, so a server answering q from the store can still count its
+// tasks. It is meaningful only for a q that compiles. The builders take
+// their counts from the same helpers (replicaCount, gridDims), so it
+// cannot disagree with the compiled plan's NumTasks.
+func (q *Query) NumTasks() int {
+	switch q.Kind {
+	case KindBatch:
+		return len(q.Batch)
+	case KindReplicas, KindLifetime:
+		n, _ := q.replicaCount()
+		return n
+	case KindGrid:
+		n := 1
+		for _, l := range q.gridDims() {
+			n *= l
+		}
+		return n
+	}
+	return 1
 }
 
 // Execute runs the plan on workers goroutines (≤ 0 ⇒ NumCPU) and returns
@@ -924,6 +947,12 @@ func appendGridLabel(b []byte, i int, loss float64, payload, bo, n int) []byte {
 	return b
 }
 
+// gridDims returns the point counts of a valid grid's loss, payload, BO
+// and node axes; an omitted axis is the base point's one.
+func (q *Query) gridDims() [4]int {
+	return [4]int{q.Losses.Len(1), q.Payloads.Len(1), q.BOs.Len(1), q.Nodes.Len(1)}
+}
+
 // buildGrid materializes the joint product sweep — losses × payloads × BOs
 // × node counts, one analytical evaluation per point — the paper-scale
 // Fig. 6 surface generator. Axis order is fixed (nodes fastest, losses
@@ -959,7 +988,7 @@ func (q *Query) buildGrid() (exec, *Error) {
 	}
 
 	total := 1
-	for _, l := range []int{len(losses), len(payloads), len(bos), len(nodes)} {
+	for _, l := range q.gridDims() {
 		total *= l
 		if total > MaxGridTasks {
 			return exec{}, errf("grid", "grid too large (> %d points); page across several queries", MaxGridTasks)

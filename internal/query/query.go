@@ -123,7 +123,7 @@ func (a *Axis) Grid(field string, def func() []float64) ([]float64, *Error) {
 		if len(a.Values) > MaxGridPoints {
 			return nil, errf(field+".values", "grid too large (%d points, max %d)", len(a.Values), MaxGridPoints)
 		}
-		out := make([]float64, len(a.Values))
+		out := make([]float64, a.Len(0))
 		for i, v := range a.Values {
 			f := float64(v)
 			if math.IsNaN(f) || math.IsInf(f, 0) {
@@ -147,7 +147,7 @@ func (a *Axis) Grid(field string, def func() []float64) ([]float64, *Error) {
 		if *a.Points < 2 || *a.Points > MaxGridPoints {
 			return nil, errf(field+".points", "%d outside 2..%d", *a.Points, MaxGridPoints)
 		}
-		return channel.LossGrid(from, to, *a.Points), nil
+		return channel.LossGrid(from, to, a.Len(0)), nil
 	case a.Step != nil:
 		step := float64(*a.Step)
 		if !(step > 0) || math.IsInf(step, 0) {
@@ -156,17 +156,42 @@ func (a *Axis) Grid(field string, def func() []float64) ([]float64, *Error) {
 		if (to-from)/step >= MaxGridPoints {
 			return nil, errf(field+".step", "step %g yields more than %d points", step, MaxGridPoints)
 		}
-		var out []float64
-		for i := 0; ; i++ {
-			x := from + float64(i)*step
-			if x > to {
-				break
-			}
-			out = append(out, x)
+		out := make([]float64, a.Len(0))
+		for i := range out {
+			out[i] = from + float64(i)*step
 		}
 		return out, nil
 	}
 	return nil, errf(field, "a range axis needs points or step")
+}
+
+// Len is the number of points a valid axis expands to, def for a nil one.
+// It is the one statement of each form's point count: Grid sizes its
+// points with it, and Query.NumTasks counts a grid's tasks with it without
+// expanding any axis. An axis Grid rejects has no meaningful Len.
+func (a *Axis) Len(def int) int {
+	switch {
+	case a == nil:
+		return def
+	case len(a.Values) > 0:
+		return len(a.Values)
+	case a.Points != nil:
+		return *a.Points
+	case a.From == nil || a.To == nil || a.Step == nil:
+		return 0
+	}
+	// The step form holds every from + i·step ≤ to. Those points rise with
+	// i, so they are a prefix of the walk, and the quotient lands within
+	// one of its end.
+	from, to, step := float64(*a.From), float64(*a.To), float64(*a.Step)
+	n := int((to-from)/step) + 1
+	for n > 1 && from+float64(n-1)*step > to {
+		n--
+	}
+	for from+float64(n)*step <= to {
+		n++
+	}
+	return n
 }
 
 // IntAxis declares an integer grid: an explicit Values list, or a From/To
@@ -214,15 +239,33 @@ func (a *IntAxis) Grid(field string, def func() []int) ([]int, *Error) {
 	if from > to {
 		return nil, errf(field, "range %d..%d not ascending", from, to)
 	}
-	count := (to-from)/step + 1
+	count := a.Len(0)
 	if count > MaxGridPoints {
 		return nil, errf(field, "range yields more than %d points", MaxGridPoints)
 	}
-	out := make([]int, 0, count)
-	for i := 0; i < count; i++ {
-		out = append(out, from+i*step)
+	out := make([]int, count)
+	for i := range out {
+		out[i] = from + i*step
 	}
 	return out, nil
+}
+
+// Len is the number of points a valid axis expands to, def for a nil one;
+// see Axis.Len.
+func (a *IntAxis) Len(def int) int {
+	switch {
+	case a == nil:
+		return def
+	case len(a.Values) > 0:
+		return len(a.Values)
+	case a.From == nil || a.To == nil:
+		return 0
+	}
+	step := 1
+	if a.Step != nil {
+		step = *a.Step
+	}
+	return (*a.To-*a.From)/step + 1
 }
 
 // Direct carries the loss grid of the frozen POST /v1/sweep/pathloss and
@@ -361,8 +404,11 @@ var allowedFields = map[Kind][]string{
 	KindGrid:          {"params", "losses", "payloads", "bos", "nodes"},
 }
 
-// validateShape checks version, kind and kind/field compatibility.
-func (q *Query) validateShape() *Error {
+// ValidateShape checks version, timeout_ms, kind and kind/field
+// compatibility. Compile runs it first; it covers the fields a store key
+// drops (version, timeout_ms), so a server runs it before answering a
+// query from the store.
+func (q *Query) ValidateShape() *Error {
 	if q.Version != 0 && q.Version != Version {
 		return errf("version", "unsupported version %d (want %d, or omit)", q.Version, Version)
 	}

@@ -60,6 +60,27 @@ func TestAxisRangeStep(t *testing.T) {
 	}
 }
 
+// TestAxisRangeStepWalk: the step form holds exactly the points of the walk
+// from, from+step, … that do not pass to, also where rounding puts the
+// quotient of span and step one above (0..1.7 by 0.1) or one below
+// (0..4.3 by 0.1) the walk's length.
+func TestAxisRangeStepWalk(t *testing.T) {
+	for _, c := range []struct{ from, to, step Float }{{0, 1.7, 0.1}, {0, 4.3, 0.1}, {0, 3.9, 1.3}, {50, 90, 0.7}} {
+		var want []float64
+		for i := 0; float64(c.from)+float64(i)*float64(c.step) <= float64(c.to); i++ {
+			want = append(want, float64(c.from)+float64(i)*float64(c.step))
+		}
+		a := &Axis{From: &c.from, To: &c.to, Step: &c.step}
+		got, aerr := a.Grid("x", nil)
+		if aerr != nil {
+			t.Fatal(aerr)
+		}
+		if !reflect.DeepEqual(got, want) || a.Len(0) != len(want) {
+			t.Fatalf("%v..%v by %v: grid of %d points (Len %d), the walk has %d", c.from, c.to, c.step, len(got), a.Len(0), len(want))
+		}
+	}
+}
+
 // TestAxisRangeStepCap: the step form caps at MaxGridPoints points, like
 // the points and values forms.
 func TestAxisRangeStepCap(t *testing.T) {
@@ -176,6 +197,64 @@ func TestCompileRejectsForeignFields(t *testing.T) {
 	for _, q := range cases {
 		if _, err := Compile(q); err == nil {
 			t.Fatalf("kind %s accepted a foreign field: %+v", q.Kind, q)
+		}
+	}
+}
+
+// kindTestQueries holds queries of every kind for the task-count check:
+// each kind at its defaults, and the counted kinds over every axis form
+// (values, points, float steps whose walk ends one point short of and one
+// point past the quotient of span and step, integer steps, omitted axes)
+// and replica count.
+func kindTestQueries() []Query {
+	var out []Query
+	for _, k := range Kinds() {
+		if k != KindBatch && k != KindScenario && k != KindExperiment { // each needs a field
+			out = append(out, Query{Kind: k})
+		}
+	}
+	return append(out,
+		Query{Kind: KindScenario, Scenario: scenario.Catalog()[0].Name},
+		Query{Kind: KindExperiment, Experiment: "fig4", Quick: true},
+		Query{Kind: KindBatch, Batch: []ParamsWire{{}, {PayloadBytes: intPtr(60)}, {}}},
+		Query{Kind: KindReplicas, Replicas: 1},
+		Query{Kind: KindReplicas, Replicas: 7},
+		Query{Kind: KindLifetime, Replicas: 5},
+		Query{Kind: KindPathLossSweep, Losses: &Axis{From: floatp(55), To: floatp(90), Step: floatp(5)}},
+		Query{Kind: KindPayloadSweep, Payloads: &IntAxis{From: intp(10), To: intp(100), Step: intp(7)}},
+		Query{Kind: KindGrid, Losses: &Axis{From: floatp(0), To: floatp(1.7), Step: floatp(0.1)}},
+		Query{Kind: KindGrid, Losses: &Axis{From: floatp(0), To: floatp(4.3), Step: floatp(0.1)}},
+		Query{Kind: KindGrid, Losses: &Axis{From: floatp(50), To: floatp(90), Step: floatp(0.7)}, BOs: &IntAxis{From: intp(6), To: intp(10)}},
+		Query{Kind: KindGrid, Losses: &Axis{From: floatp(50), To: floatp(90), Points: intp(20)},
+			Payloads: &IntAxis{Values: []int{10, 20, 30}}, BOs: &IntAxis{From: intp(6), To: intp(12), Step: intp(3)},
+			Nodes: &IntAxis{From: intp(5), To: intp(40), Step: intp(5)}},
+		Query{Kind: KindGrid, Losses: &Axis{Values: []Float{55, 70}}, Nodes: &IntAxis{Values: []int{10, 50, 100}}},
+	)
+}
+
+// TestNumTasksMatchesCompile: the task count a query reports without
+// compiling is its compiled plan's, for every kind test query and every
+// query the FuzzQueryDecode corpus decodes to.
+func TestNumTasksMatchesCompile(t *testing.T) {
+	check := func(q Query, mustCompile bool) {
+		plan, err := Compile(q)
+		if err != nil {
+			if mustCompile {
+				t.Fatalf("%s: %v", AppendQuery(nil, &q), err)
+			}
+			return
+		}
+		if got, want := q.NumTasks(), plan.NumTasks(); got != want {
+			t.Errorf("%s: NumTasks %d, compiled plan %d", AppendQuery(nil, &q), got, want)
+		}
+	}
+	for _, q := range append(kindTestQueries(), realQueries()...) {
+		check(q, true)
+	}
+	for _, in := range append([]string{grid1000Body}, nonCanonicalQueries...) {
+		var q Query
+		if DecodeQuery([]byte(in), nil, &q) == nil {
+			check(q, false)
 		}
 	}
 }

@@ -209,7 +209,8 @@ var nonCanonicalQueries = []string{
 // arbitrary input: DecodeQuery and wire.DecodeStrict must accept the same
 // documents, fail with the same error text and decode the same values. An
 // accepted document's re-encoding must take the fast path and encode again
-// to the same bytes. Run it locally with
+// to the same bytes, and a decoded query that compiles must count the
+// tasks its plan schedules. Run it locally with
 //
 //	go test ./internal/query -run NONE -fuzz FuzzQueryDecode -fuzztime 30s
 func FuzzQueryDecode(f *testing.F) {
@@ -233,6 +234,9 @@ func FuzzQueryDecode(f *testing.F) {
 		}
 		if again := AppendQuery(nil, &back); !bytes.Equal(again, b) {
 			t.Fatalf("decode → encode is not a fixed point:\n first: %s\nsecond: %s", b, again)
+		}
+		if plan, err := Compile(q); err == nil && q.NumTasks() != plan.NumTasks() {
+			t.Fatalf("%s: NumTasks %d, compiled plan %d", b, q.NumTasks(), plan.NumTasks())
 		}
 	})
 }

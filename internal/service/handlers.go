@@ -129,7 +129,7 @@ type batchLine struct {
 // tokens are released only once no task still runs, even when the client
 // goes away.
 func streamBatch(w http.ResponseWriter, r *http.Request, plan *query.Plan, workers int) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header()["Content-Type"] = ndjsonType
 	w.WriteHeader(http.StatusOK)
 	lw := newLineWriter(w)
 	defer lw.close()
@@ -425,9 +425,7 @@ func (s *Server) handleScenarioGolden(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown scenario "+name, "name")
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(b)
+	writeJSONBytes(w, b)
 }
 
 type scenarioRunRequest struct {

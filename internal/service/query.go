@@ -51,11 +51,11 @@ func writeCompileError(w http.ResponseWriter, err error) {
 	}
 }
 
-// countQuery records an accepted (compiled) v2 query in the per-kind and
-// task-volume counters.
-func (s *Server) countQuery(plan *query.Plan) {
-	s.queryKinds.With(string(plan.Kind)).Inc()
-	s.queryTasks.Add(uint64(plan.NumTasks()))
+// countQuery records an accepted v2 query of the given kind and task
+// count in the per-kind and task-volume counters.
+func (s *Server) countQuery(kind query.Kind, tasks int) {
+	s.queryKinds.With(string(kind)).Inc()
+	s.queryTasks.Add(uint64(tasks))
 }
 
 // queryContext applies the server's per-query deadline (Config.QueryTimeout)
@@ -98,28 +98,40 @@ func (s *Server) execQuery(ctx context.Context, q query.Query, plan *query.Plan,
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	q, plan, ok := s.decodeQuery(w, r)
-	if !ok {
+	var q query.Query
+	if !decodeJSON(w, r, &q) {
 		return
 	}
-	s.countQuery(plan)
-	// A whole-query store hit is served before any worker token is taken:
-	// the stored bytes are the exact bytes a previous identical query
-	// answered with, so the hit path is O(1) and executes nothing.
+	// A whole-query store hit is served before anything is compiled or
+	// any worker token is taken: the stored bytes are the exact bytes a
+	// previous identical query answered with, so the hit path compiles
+	// nothing and executes nothing. Only a query that compiled is ever
+	// stored, and the key drops nothing but version, workers, trace and
+	// timeout_ms, so the shape check of those fields is all a hit still
+	// needs; its task count comes from the query itself.
 	// Traces carry measured wall times, which are never part of result
 	// bytes, so a traced query bypasses the whole-query entry; its per-task
 	// results still flow through the plan's store, which holds no trace
 	// data.
+	if aerr := q.ValidateShape(); aerr != nil {
+		writeValidationError(w, aerr)
+		return
+	}
 	key, keyed := s.storeKey(q)
 	cacheable := keyed && !q.Trace
 	if cacheable {
 		if body, ok := s.cfg.Store.GetResult(key); ok {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusOK)
-			_, _ = w.Write(body)
+			s.countQuery(q.Kind, q.NumTasks())
+			writeJSONBytes(w, body)
 			return
 		}
 	}
+	plan, err := query.Compile(q)
+	if err != nil {
+		writeCompileError(w, err)
+		return
+	}
+	s.countQuery(plan.Kind, plan.NumTasks())
 	s.attachStore(plan, key, keyed)
 	got, release, ok := s.acquireWorkers(w, r, q.Workers)
 	if !ok {
@@ -142,9 +154,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if cacheable {
 		s.cfg.Store.PutResult(key, body)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(body)
+	writeJSONBytes(w, body)
 }
 
 // flushWindow and flushBytes bound how long and how much a lineWriter
@@ -317,7 +327,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.countQuery(plan)
+	s.countQuery(plan.Kind, plan.NumTasks())
 	// A stream always runs the plan. With the per-task store attached, a
 	// repeated stream takes every task from the entries the first one
 	// stored, and an interrupted stream is resumable: every task computed
@@ -334,7 +344,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header()["Content-Type"] = ndjsonType
 	w.WriteHeader(http.StatusOK)
 	lw := newLineWriter(w)
 	defer lw.close()

@@ -67,7 +67,7 @@
 //	wsn_http_errors_total{route,class}         counter    non-2xx responses, class 4xx or 5xx
 //	wsn_http_panics_total                      counter    handler/collector panics recovered
 //	wsn_query_total{kind}                      counter    v2 queries by query kind
-//	wsn_query_tasks_total                      counter    plan tasks scheduled by v2 queries
+//	wsn_query_tasks_total                      counter    plan tasks of v2 queries, store hits included
 //	wsn_worker_pool_capacity                   gauge      worker-token budget
 //	wsn_worker_pool_in_use                     gauge      tokens currently held
 //	wsn_worker_acquires_total                  counter    token-pool acquisitions
@@ -329,7 +329,7 @@ func (s *Server) registerMetrics() {
 	s.httpErrors = r.CounterVec("wsn_http_errors_total", "Non-2xx responses by route pattern and class (4xx or 5xx).", "route", "class")
 	s.httpPanics = r.Counter("wsn_http_panics_total", "Handler or collector panics recovered by the server.")
 	s.queryKinds = r.CounterVec("wsn_query_total", "v2 queries accepted, by query kind.", "kind")
-	s.queryTasks = r.Counter("wsn_query_tasks_total", "Plan tasks scheduled by accepted v2 queries.")
+	s.queryTasks = r.Counter("wsn_query_tasks_total", "Plan tasks of accepted v2 queries, counted for store hits too.")
 
 	r.GaugeFunc("wsn_worker_pool_capacity", "Worker-token budget shared by all requests.",
 		func() float64 { return float64(s.pool.capacity) })
@@ -410,8 +410,10 @@ func (sw *statusWriter) Unwrap() http.ResponseWriter { return sw.ResponseWriter 
 // deadline, in-flight accounting, metrics and structured logging around the
 // route handlers.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	rid := s.ridBase + "-" + strconv.FormatUint(s.reqSeq.Add(1), 10)
-	w.Header().Set("X-Request-Id", rid)
+	var ridBuf [48]byte
+	b := append(append(ridBuf[:0], s.ridBase...), '-')
+	rid := string(strconv.AppendUint(b, s.reqSeq.Add(1), 10))
+	w.Header()["X-Request-Id"] = []string{rid}
 
 	s.stats.begin()
 	s.httpInFlight.Add(1)
@@ -427,7 +429,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if route == "" {
 			route = "unmatched" // mux-level 404/405, before any registered handler
 		}
-		s.httpRequests.With(route, strconv.Itoa(status)).Inc()
+		s.httpRequests.With(route, codeString(status)).Inc()
 		s.httpDuration.With(route).Observe(elapsed.Seconds())
 		switch {
 		case status >= 500:
@@ -480,6 +482,26 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		r = r.WithContext(ctx)
 	}
 	s.mux.ServeHTTP(sw, r)
+}
+
+// codeStrings holds the decimal text of every status code net/http names,
+// so the per-request metrics epilogue formats none of them.
+var codeStrings = func() map[int]string {
+	m := make(map[int]string)
+	for code := 100; code < 600; code++ {
+		if http.StatusText(code) != "" {
+			m[code] = strconv.Itoa(code)
+		}
+	}
+	return m
+}()
+
+// codeString is the decimal text of an HTTP status code.
+func codeString(code int) string {
+	if s, ok := codeStrings[code]; ok {
+		return s
+	}
+	return strconv.Itoa(code)
 }
 
 // statsResponse is the /v1/stats body. The request block is one atomic
@@ -556,7 +578,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err.Error(), "")
 		return
 	}
-	w.Header().Set("Content-Type", telemetry.ContentType)
+	w.Header()["Content-Type"] = metricsType
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(buf.Bytes())
 }
@@ -612,13 +634,29 @@ func writeCtxError(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusServiceUnavailable, err.Error(), "")
 }
 
+// The Content-Type values of every response. net/http only reads a
+// header's values, so each response shares one slice instead of the one
+// Header().Set allocates per call.
+var (
+	jsonType    = []string{"application/json"}
+	ndjsonType  = []string{"application/x-ndjson"}
+	metricsType = []string{telemetry.ContentType}
+)
+
 // writeJSON renders v with the JSON content type.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonType
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	_ = enc.Encode(v)
+}
+
+// writeJSONBytes answers 200 with body, an encoded JSON document.
+func writeJSONBytes(w http.ResponseWriter, body []byte) {
+	w.Header()["Content-Type"] = jsonType
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
 }
 
 // decodeJSON parses the request body into dst with strict field checking.

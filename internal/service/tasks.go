@@ -69,7 +69,7 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header()["Content-Type"] = ndjsonType
 	w.WriteHeader(http.StatusOK)
 	lw := newLineWriter(w)
 	defer lw.close()

@@ -319,13 +319,14 @@ func (r *Registry) CounterVec(name, help string, labelNames ...string) *CounterV
 // With returns the counter for the given label values (one per label name,
 // in registration order).
 func (v *CounterVec) With(values ...string) *Counter {
-	key := seriesKey(v.labelNames, values)
+	var buf [keyBuf]byte
+	key := appendSeriesKey(buf[:0], v.labelNames, values)
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	c, ok := v.series[key]
+	c, ok := v.series[string(key)]
 	if !ok {
 		c = &Counter{}
-		v.series[key] = c
+		v.series[string(key)] = c
 	}
 	return c
 }
@@ -368,13 +369,14 @@ func (r *Registry) HistogramVec(name, help string, bounds []float64, labelNames 
 
 // With returns the histogram for the given label values.
 func (v *HistogramVec) With(values ...string) *Histogram {
-	key := seriesKey(v.labelNames, values)
+	var buf [keyBuf]byte
+	key := appendSeriesKey(buf[:0], v.labelNames, values)
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	h, ok := v.series[key]
+	h, ok := v.series[string(key)]
 	if !ok {
 		h = NewHistogram(v.bounds...)
-		v.series[key] = h
+		v.series[string(key)] = h
 	}
 	return h
 }
@@ -399,11 +401,23 @@ func (v *HistogramVec) collect() []Sample {
 // name count.
 const keySep = "\x1f"
 
-func seriesKey(names, values []string) string {
+// keyBuf sizes the stack buffer a series key is built in: a With on an
+// existing series whose key fits allocates nothing, and only a new series
+// copies its key into the map.
+const keyBuf = 128
+
+// appendSeriesKey appends the series key of values to b.
+func appendSeriesKey(b []byte, names, values []string) []byte {
 	if len(values) != len(names) {
 		panic(fmt.Sprintf("telemetry: %d label values for %d label names", len(values), len(names)))
 	}
-	return strings.Join(values, keySep)
+	for i, v := range values {
+		if i > 0 {
+			b = append(b, keySep...)
+		}
+		b = append(b, v...)
+	}
+	return b
 }
 
 func splitKey(names []string, key string) []Label {

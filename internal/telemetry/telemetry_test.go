@@ -286,3 +286,30 @@ func TestRegistryConflicts(t *testing.T) {
 	}()
 	r.CounterFunc("dup_total", "different help", func() float64 { return 0 })
 }
+
+// TestVecWithExistingSeriesAllocFree: With on a series that exists builds
+// its key on the stack and allocates nothing, for counter and histogram
+// vecs of one and two labels alike, and it returns the series the first
+// With created, also for a key longer than the stack buffer.
+func TestVecWithExistingSeriesAllocFree(t *testing.T) {
+	r := NewRegistry()
+	cv := r.CounterVec("test_requests_total", "requests", "route", "code")
+	hv := r.HistogramVec("test_duration_seconds", "duration", []float64{0.1, 1}, "route")
+	route := "POST /v2/query"
+	cv.With(route, "200")
+	hv.With(route)
+	if allocs := testing.AllocsPerRun(100, func() {
+		cv.With(route, "200").Inc()
+		hv.With(route).Observe(0.5)
+	}); allocs != 0 {
+		t.Errorf("With on existing series allocated %v per call pair, want 0", allocs)
+	}
+	for _, r := range []string{route, strings.Repeat("r", 2*keyBuf)} {
+		if c, h := cv.With(r, "200"), hv.With(r); cv.With(r, "200") != c || hv.With(r) != h {
+			t.Fatalf("With(%q) resolved to a new series", r)
+		}
+	}
+	if n := len(cv.collect()); n != 2 {
+		t.Fatalf("counter vec holds %d series, want 2", n)
+	}
+}
