@@ -10,15 +10,16 @@
 //   - Events scheduled for the same instant fire in scheduling order
 //     (FIFO), which makes runs reproducible for a fixed seed.
 //   - The kernel is single-goroutine by design: handlers run synchronously
-//     inside Step/Run and may schedule or cancel further events.
+//     inside Step/Run and may schedule further events.
 //
 // # Zero-allocation event engine
 //
 // The event queue is a flat 4-ary min-heap of value-typed events — no
 // per-event heap nodes, no container/heap boxing through `any`, no pointer
-// chasing during sift. Steady-state scheduling therefore allocates nothing:
-// pushing reuses the slice capacity, and popped events are plain struct
-// copies.
+// chasing during sift. An event is 32 bytes: its instant, its sequence
+// number and the (kind, actor, arg) triple it delivers. Steady-state
+// scheduling therefore allocates nothing: pushing reuses the slice
+// capacity, and popped events are plain struct copies.
 //
 // # Idle fast-forward: the parked far band
 //
@@ -28,9 +29,9 @@
 // queue therefore has two bands. An event pushed at or after the latest
 // parked instant appends to the far band, a sorted FIFO consumed from the
 // front: O(1) push, O(1) pop. Anything earlier goes through the 4-ary near
-// heap as before. Step and peek always compare the near root against the
-// far head under the same (at, seq) order and take the global minimum, so
-// the firing sequence is identical to a single heap, event for event — the
+// heap as before. Every pop compares the near root against the far head
+// under the same (at, seq) order and takes the global minimum, so the
+// firing sequence is identical to a single heap, event for event — the
 // split is purely a cost optimization and can never reorder a run. A model
 // that pre-schedules its timeline in ascending order (netsim's beacon
 // grid, lifetime epochs) parks it for free and fast-forwards across idle
@@ -42,11 +43,17 @@
 // dispatcher demultiplexes on the model's small kind enum. This is how
 // netsim drives its per-node state machines.
 //
-// Cancellation works through EventID handles backed by a generation-checked
-// slot table with a free list: cancelled or fired slots are recycled for
-// later events, and a stale EventID (whose slot has been reused) is
-// harmlessly ignored. Cancelled events are removed lazily when they surface
-// at the heap root.
+// # No cancellation
+//
+// A scheduled event always fires. The kernel keeps no handle per event and
+// no table to revoke one through, so a pop is one (at, seq) minimum and
+// nothing else. netsim needs no more: the beacons are a fixed timeline, and
+// each node has at most one pending event, because every node handler
+// schedules at most the node's next protocol step (contention, the next
+// CCA, the transmission, its end, the acknowledgment or its timeout) and a
+// node starts a superframe only while no exchange of its own is in flight.
+// A model that must revoke an event records that in its own state and lets
+// the handler ignore the event when it fires.
 package des
 
 import (
@@ -63,35 +70,13 @@ import (
 // CCA event fires one turnaround early but targets a slot boundary).
 type Dispatcher func(kind, actor int32, arg time.Duration)
 
-// EventID is a cancellable handle to a scheduled event. The zero value is
-// not a valid handle and cancelling it is a no-op.
-type EventID struct {
-	slot int32
-	gen  uint32
-}
-
-// event is one value-typed entry of the flat event heap.
+// event is one value-typed entry of the flat event heap (32 bytes).
 type event struct {
 	at    time.Duration
 	seq   uint64
-	slot  int32 // index into Simulator.slots
 	kind  int32
 	actor int32
 	arg   time.Duration
-}
-
-// slot states.
-const (
-	slotPending uint8 = iota
-	slotCancelled
-)
-
-// slot tracks the lifecycle of one scheduled event for cancellation; slots
-// are recycled through a free list once their event fires or its
-// cancellation is collected.
-type slot struct {
-	gen   uint32
-	state uint8
 }
 
 // Simulator is a discrete-event simulator instance.
@@ -100,9 +85,6 @@ type Simulator struct {
 	heap     []event // near band: 4-ary min-heap
 	far      []event // far band: sorted FIFO, consumed from farHead
 	farHead  int
-	slots    []slot
-	free     []int32
-	live     int // scheduled and not cancelled
 	seq      uint64
 	rng      engine.RNG
 	fired    uint64
@@ -117,24 +99,14 @@ func New(seed int64) *Simulator {
 }
 
 // Reset rewinds the simulator to the state New(seed) would produce while
-// keeping the heap, slot-table and free-list backing storage, so a recycled
-// simulator schedules its next run without growing allocations. The
-// registered dispatcher is kept. Every outstanding EventID is invalidated
-// (slot generations are bumped, exactly as if the events had fired);
-// holding a handle across Reset and cancelling it later is a harmless
-// no-op, the same guarantee stale handles already have.
+// keeping the backing storage of both bands, so a recycled simulator
+// schedules its next run without growing allocations. Pending events are
+// dropped. The registered dispatcher is kept.
 func (s *Simulator) Reset(seed int64) {
 	s.heap = s.heap[:0]
 	s.far = s.far[:0]
 	s.farHead = 0
-	s.free = s.free[:0]
-	for i := range s.slots {
-		s.slots[i].gen++
-		s.slots[i].state = slotPending
-		s.free = append(s.free, int32(i))
-	}
 	s.now = 0
-	s.live = 0
 	s.seq = 0
 	s.fired = 0
 	s.maxDepth = 0
@@ -159,57 +131,40 @@ func (s *Simulator) Fired() uint64 { return s.fired }
 // bands, a direct measure of scheduling pressure.
 func (s *Simulator) MaxHeapDepth() int { return s.maxDepth }
 
-// FarDepth reports the number of entries currently parked in the far band
-// (cancelled entries included until they are lazily collected). It exists
-// for tests and benchmarks that assert the fast-forward band is actually
-// absorbing a pre-scheduled timeline.
+// FarDepth reports the number of entries currently parked in the far band.
+// It exists for tests and benchmarks that assert the fast-forward band is
+// actually absorbing a pre-scheduled timeline.
 func (s *Simulator) FarDepth() int { return len(s.far) - s.farHead }
 
-// Pending reports the number of events currently scheduled (cancelled
-// events are excluded even before their slots are collected).
-func (s *Simulator) Pending() int { return s.live }
+// Pending reports the number of events currently scheduled.
+func (s *Simulator) Pending() int { return len(s.heap) + len(s.far) - s.farHead }
 
 // ScheduleEvent queues a typed event after delay (see Dispatcher). It
 // panics on negative delays: scheduling into the past is always a bug in
 // the calling model.
-func (s *Simulator) ScheduleEvent(delay time.Duration, kind, actor int32, arg time.Duration) EventID {
+func (s *Simulator) ScheduleEvent(delay time.Duration, kind, actor int32, arg time.Duration) {
 	if delay < 0 {
 		panic(fmt.Sprintf("des: negative delay %v", delay))
 	}
-	return s.AtEvent(s.now+delay, kind, actor, arg)
+	s.AtEvent(s.now+delay, kind, actor, arg)
 }
 
 // AtEvent queues a typed event at absolute simulated time t (>= Now). The
 // (kind, actor, arg) triple is delivered to the registered Dispatcher when
 // the event fires. AtEvent allocates nothing in steady state.
-func (s *Simulator) AtEvent(t time.Duration, kind, actor int32, arg time.Duration) EventID {
+//
+// An event at or after the latest parked instant appends to the far band
+// in O(1); anything earlier sifts into the near heap.
+func (s *Simulator) AtEvent(t time.Duration, kind, actor int32, arg time.Duration) {
 	if s.dispatch == nil {
 		panic("des: AtEvent without a dispatcher (call SetDispatcher first)")
 	}
-	return s.push(t, kind, actor, arg)
-}
-
-// push allocates a slot (reusing the free list) and routes the event to a
-// band: an event at or after the latest parked instant appends to the far
-// band in O(1); anything earlier sifts into the near heap.
-func (s *Simulator) push(t time.Duration, kind, actor int32, arg time.Duration) EventID {
 	if t < s.now {
 		panic(fmt.Sprintf("des: scheduling at %v before now %v", t, s.now))
 	}
-	var id int32
-	if n := len(s.free); n > 0 {
-		id = s.free[n-1]
-		s.free = s.free[:n-1]
-	} else {
-		s.slots = append(s.slots, slot{gen: 1})
-		id = int32(len(s.slots) - 1)
-	}
-	sl := &s.slots[id]
-	sl.state = slotPending
-	ev := event{at: t, seq: s.seq, slot: id, kind: kind, actor: actor, arg: arg}
+	ev := event{at: t, seq: s.seq, kind: kind, actor: actor, arg: arg}
 	s.seq++
-	s.live++
-	if n := len(s.far); n == s.farHead || !before(&ev, &s.far[n-1]) {
+	if n := len(s.far); n == s.farHead || t >= s.far[n-1].at {
 		// Keeps the far band sorted: seq is monotone, so an event at or
 		// after the tail instant extends the sorted order.
 		if s.farHead == n {
@@ -224,39 +179,6 @@ func (s *Simulator) push(t time.Duration, kind, actor int32, arg time.Duration) 
 	if depth := len(s.heap) + len(s.far) - s.farHead; depth > s.maxDepth {
 		s.maxDepth = depth
 	}
-	return EventID{slot: id, gen: sl.gen}
-}
-
-// Cancel removes a pending event. Cancelling an already-fired,
-// already-cancelled or zero-valued handle is a no-op.
-func (s *Simulator) Cancel(id EventID) {
-	if id.gen == 0 || int(id.slot) >= len(s.slots) {
-		return
-	}
-	sl := &s.slots[id.slot]
-	if sl.gen != id.gen || sl.state != slotPending {
-		return
-	}
-	sl.state = slotCancelled
-	s.live--
-}
-
-// Cancelled reports whether the event was cancelled before firing. A handle
-// whose event has already fired reports false; the zero handle reports
-// false.
-func (s *Simulator) Cancelled(id EventID) bool {
-	if id.gen == 0 || int(id.slot) >= len(s.slots) {
-		return false
-	}
-	sl := &s.slots[id.slot]
-	return sl.gen == id.gen && sl.state == slotCancelled
-}
-
-// release recycles a slot for reuse; bumping the generation invalidates any
-// outstanding EventID.
-func (s *Simulator) release(id int32) {
-	s.slots[id].gen++
-	s.free = append(s.free, id)
 }
 
 // farMin reports whether the next pending entry is the far head: the far
@@ -270,52 +192,48 @@ func (s *Simulator) farMin() bool {
 	return len(s.heap) == 0 || before(&s.far[s.farHead], &s.heap[0])
 }
 
-// popFar removes the far-band head.
-func (s *Simulator) popFar() event {
-	ev := s.far[s.farHead]
-	s.farHead++
-	if s.farHead == len(s.far) {
-		s.far = s.far[:0]
-		s.farHead = 0
-	}
-	return ev
-}
-
-// popNext removes and returns the globally earliest entry across both
-// bands, collecting cancelled entries along the way.
-func (s *Simulator) popNext() (event, bool) {
-	for {
-		var ev event
-		switch {
-		case s.farMin():
-			ev = s.popFar()
-		case len(s.heap) > 0:
-			ev = s.heap[0]
-			s.popRoot()
-		default:
+// popUntil removes and returns the globally earliest entry across both
+// bands if it is due at or before deadline; otherwise it leaves the queue
+// untouched and reports false.
+func (s *Simulator) popUntil(deadline time.Duration) (event, bool) {
+	if s.farMin() {
+		ev := s.far[s.farHead]
+		if ev.at > deadline {
 			return event{}, false
 		}
-		if s.slots[ev.slot].state == slotCancelled {
-			s.release(ev.slot)
-			continue
+		s.farHead++
+		if s.farHead == len(s.far) {
+			s.far = s.far[:0]
+			s.farHead = 0
 		}
 		return ev, true
 	}
+	if len(s.heap) == 0 || s.heap[0].at > deadline {
+		return event{}, false
+	}
+	ev := s.heap[0]
+	s.popRoot()
+	return ev, true
 }
+
+// fire advances the clock to ev and delivers it.
+func (s *Simulator) fire(ev event) {
+	s.now = ev.at
+	s.fired++
+	s.dispatch(ev.kind, ev.actor, ev.arg)
+}
+
+// maxTime is the deadline that admits every event.
+const maxTime = time.Duration(1<<63 - 1)
 
 // Step fires the next pending event, advancing the clock to its timestamp.
 // It reports whether an event was executed.
 func (s *Simulator) Step() bool {
-	ev, ok := s.popNext()
-	if !ok {
-		return false
+	ev, ok := s.popUntil(maxTime)
+	if ok {
+		s.fire(ev)
 	}
-	s.release(ev.slot)
-	s.live--
-	s.now = ev.at
-	s.fired++
-	s.dispatch(ev.kind, ev.actor, ev.arg)
-	return true
+	return ok
 }
 
 // Run executes events until the queue is empty.
@@ -326,42 +244,17 @@ func (s *Simulator) Run() {
 
 // RunUntil executes events with timestamps <= deadline and then advances the
 // clock to the deadline. Events scheduled after the deadline remain queued.
+// Each event is located and popped in one pass.
 func (s *Simulator) RunUntil(deadline time.Duration) {
 	for {
-		at, ok := s.peek()
-		if !ok || at > deadline {
+		ev, ok := s.popUntil(deadline)
+		if !ok {
 			break
 		}
-		s.Step()
+		s.fire(ev)
 	}
 	if s.now < deadline {
 		s.now = deadline
-	}
-}
-
-// peek reports the timestamp of the next non-cancelled event, collecting
-// cancelled entries from both bands along the way.
-func (s *Simulator) peek() (time.Duration, bool) {
-	for {
-		var ev *event
-		far := s.farMin()
-		if far {
-			ev = &s.far[s.farHead]
-		} else if len(s.heap) > 0 {
-			ev = &s.heap[0]
-		} else {
-			return 0, false
-		}
-		if s.slots[ev.slot].state == slotCancelled {
-			s.release(ev.slot)
-			if far {
-				s.popFar()
-			} else {
-				s.popRoot()
-			}
-			continue
-		}
-		return ev.at, true
 	}
 }
 
@@ -373,10 +266,21 @@ func (s *Simulator) peek() (time.Duration, bool) {
 
 // before reports heap ordering between two events.
 func before(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+// less is before as 0 or 1, computed without a branch: which of four
+// children is smallest is a coin toss to the branch predictor, and a
+// mispredicted branch per comparison cost more than the comparisons.
+func less(a, b *event) int {
+	return b2i(a.at < b.at) | b2i(a.at == b.at)&b2i(a.seq < b.seq)
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
 	}
-	return a.seq < b.seq
+	return 0
 }
 
 func (s *Simulator) siftUp(i int) {
@@ -416,13 +320,16 @@ func (s *Simulator) siftDown(i int) {
 			break
 		}
 		best := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if before(&h[c], &h[best]) {
-				best = c
+		if first+3 < n {
+			// A full set of children: a branch-free tournament.
+			a := first + less(&h[first+1], &h[first])
+			b := first + 2 + less(&h[first+3], &h[first+2])
+			best = a + (b-a)*less(&h[b], &h[a])
+		} else {
+			for c := first + 1; c < n; c++ {
+				if before(&h[c], &h[best]) {
+					best = c
+				}
 			}
 		}
 		if !before(&h[best], &ev) {

@@ -23,15 +23,15 @@ func newClosures(seed int64) *closures {
 }
 
 // at runs fn at absolute simulated time t.
-func (c *closures) at(t time.Duration, fn func()) EventID {
+func (c *closures) at(t time.Duration, fn func()) {
 	c.fns = append(c.fns, fn)
-	return c.AtEvent(t, 0, int32(len(c.fns)-1), 0)
+	c.AtEvent(t, 0, int32(len(c.fns)-1), 0)
 }
 
 // after runs fn once delay has elapsed.
-func (c *closures) after(delay time.Duration, fn func()) EventID {
+func (c *closures) after(delay time.Duration, fn func()) {
 	c.fns = append(c.fns, fn)
-	return c.ScheduleEvent(delay, 0, int32(len(c.fns)-1), 0)
+	c.ScheduleEvent(delay, 0, int32(len(c.fns)-1), 0)
 }
 
 func TestEventsFireInTimeOrder(t *testing.T) {
@@ -67,59 +67,6 @@ func TestSameTimeFIFO(t *testing.T) {
 		if v != i {
 			t.Fatalf("same-time ordering violated at %d: got %d", i, v)
 		}
-	}
-}
-
-func TestCancel(t *testing.T) {
-	s := newClosures(1)
-	fired := false
-	e := s.after(time.Millisecond, func() { fired = true })
-	s.Cancel(e)
-	if !s.Cancelled(e) {
-		t.Fatal("event not marked cancelled")
-	}
-	if s.Pending() != 0 {
-		t.Fatalf("pending = %d after cancel, want 0", s.Pending())
-	}
-	s.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	// Double cancel and zero-handle cancel are no-ops.
-	s.Cancel(e)
-	s.Cancel(EventID{})
-	if s.Cancelled(EventID{}) {
-		t.Fatal("zero handle reports cancelled")
-	}
-}
-
-func TestCancelFromHandler(t *testing.T) {
-	s := newClosures(1)
-	fired := false
-	var victim EventID
-	s.after(time.Microsecond, func() { s.Cancel(victim) })
-	victim = s.after(time.Millisecond, func() { fired = true })
-	s.Run()
-	if fired {
-		t.Fatal("event cancelled from a handler still fired")
-	}
-}
-
-func TestStaleHandleIsIgnored(t *testing.T) {
-	// After an event fires, its slot is recycled; a retained handle must
-	// not cancel the slot's next occupant.
-	s := newClosures(1)
-	first := s.after(time.Microsecond, func() {})
-	s.Run()
-	fired := false
-	s.after(time.Microsecond, func() { fired = true })
-	s.Cancel(first) // stale: the slot now belongs to the second event
-	if s.Cancelled(first) {
-		t.Fatal("stale handle reports cancelled")
-	}
-	s.Run()
-	if !fired {
-		t.Fatal("stale cancel hit the recycled slot")
 	}
 }
 
@@ -159,20 +106,6 @@ func TestTypedDispatch(t *testing.T) {
 	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("typed dispatch got %v, want %v", got, want)
 	}
-}
-
-func TestTypedCancel(t *testing.T) {
-	s := New(1)
-	count := 0
-	s.SetDispatcher(func(kind, actor int32, arg time.Duration) { count++ })
-	keep := s.AtEvent(time.Millisecond, 0, 0, 0)
-	drop := s.AtEvent(2*time.Millisecond, 0, 1, 0)
-	s.Cancel(drop)
-	s.Run()
-	if count != 1 {
-		t.Fatalf("fired %d typed events, want 1", count)
-	}
-	_ = keep
 }
 
 func TestAtEventWithoutDispatcherPanics(t *testing.T) {
@@ -321,28 +254,25 @@ func TestPropertyOrderedFiring(t *testing.T) {
 	}
 }
 
-// Property: cancelling a random subset fires exactly the complement.
-func TestPropertyCancelSubset(t *testing.T) {
-	f := func(n uint8, mask uint64) bool {
-		count := int(n%64) + 1
+// Property: for any set of non-negative delays and any cut instant,
+// RunUntil(cut) fires exactly the events due at or before the cut, leaves
+// the rest pending, and Run then fires the remainder.
+func TestPropertyRunUntilSplit(t *testing.T) {
+	f := func(raw []uint16, cut uint16) bool {
 		s := newClosures(5)
-		firedCount := 0
-		events := make([]EventID, count)
-		for i := 0; i < count; i++ {
-			events[i] = s.after(time.Duration(i)*time.Microsecond, func() { firedCount++ })
-		}
-		cancelled := 0
-		for i := 0; i < count; i++ {
-			if mask&(1<<uint(i)) != 0 {
-				s.Cancel(events[i])
-				cancelled++
+		fired, due := 0, 0
+		for _, r := range raw {
+			if r <= cut {
+				due++
 			}
+			s.after(time.Duration(r)*time.Microsecond, func() { fired++ })
 		}
-		if s.Pending() != count-cancelled {
+		s.RunUntil(time.Duration(cut) * time.Microsecond)
+		if fired != due || s.Pending() != len(raw)-due || s.Now() != time.Duration(cut)*time.Microsecond {
 			return false
 		}
 		s.Run()
-		return firedCount == count-cancelled
+		return fired == len(raw) && s.Pending() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -369,35 +299,39 @@ func TestHeapStressRandomOrder(t *testing.T) {
 	}
 }
 
-func TestHeapStressInterleavedCancel(t *testing.T) {
-	// Schedule, cancel a third, schedule more from handlers; order and
-	// counts must hold with slot recycling under churn.
+func TestHeapStressInterleaved(t *testing.T) {
+	// Schedule a bulk of random instants, then let handlers schedule more
+	// while the bulk drains; order and counts must hold under the churn.
 	s := newClosures(11)
 	rng := rand.New(rand.NewSource(7))
 	fired, spawned := 0, 0
-	count := func() { fired++ }
-	var ids []EventID
+	var last time.Duration
+	ordered := true
+	count := func() {
+		fired++
+		if s.Now() < last {
+			ordered = false
+		}
+		last = s.Now()
+	}
 	for i := 0; i < 3000; i++ {
-		ids = append(ids, s.after(time.Duration(rng.Intn(1_000_000)), count))
+		s.after(time.Duration(rng.Intn(1_000_000)), count)
 	}
-	cancelled := 0
-	for i := 0; i < len(ids); i += 3 {
-		s.Cancel(ids[i])
-		cancelled++
-	}
-	// Handlers that respawn: every 10th firing schedules a fresh event.
-	s.after(0, func() {})
 	var respawn func()
 	respawn = func() {
 		spawned++
+		count()
 		if spawned < 100 {
 			s.after(time.Duration(rng.Intn(500_000)), respawn)
 		}
 	}
 	s.after(0, respawn)
 	s.Run()
-	if fired != 3000-cancelled {
-		t.Fatalf("fired = %d, want %d", fired, 3000-cancelled)
+	if !ordered {
+		t.Fatal("heap delivered events out of order under churn")
+	}
+	if fired != 3000+100 || spawned != 100 {
+		t.Fatalf("fired = %d spawned = %d, want 3100 and 100", fired, spawned)
 	}
 	if s.Pending() != 0 {
 		t.Fatalf("pending = %d after Run", s.Pending())
@@ -406,7 +340,7 @@ func TestHeapStressInterleavedCancel(t *testing.T) {
 
 // TestTypedEventLoopAllocFree is the allocation-regression guard for the
 // kernel: a steady-state schedule→fire cycle through the typed path must
-// not allocate once the heap and slot table have warmed up.
+// not allocate once the heap has warmed up.
 func TestTypedEventLoopAllocFree(t *testing.T) {
 	s := New(1)
 	s.SetDispatcher(func(kind, actor int32, arg time.Duration) {
@@ -447,7 +381,7 @@ func BenchmarkScheduleFire(b *testing.B) {
 func TestResetReplaysIdentically(t *testing.T) {
 	// A reset simulator must replay a schedule exactly as a fresh one,
 	// reusing its storage: same firing order, same clock, same RNG stream,
-	// and stale pre-reset handles must stay inert.
+	// and events still pending at the Reset must never fire afterwards.
 	run := func(s *Simulator) ([]int32, uint64) {
 		var order []int32
 		s.SetDispatcher(func(kind, actor int32, arg time.Duration) {
@@ -458,8 +392,7 @@ func TestResetReplaysIdentically(t *testing.T) {
 		})
 		s.AtEvent(2*time.Millisecond, 1, 1, 0)
 		s.AtEvent(1*time.Millisecond, 0, 2, 0)
-		id := s.AtEvent(5*time.Millisecond, 0, 3, 0)
-		s.Cancel(id)
+		s.AtEvent(5*time.Millisecond, 0, 3, 0)
 		s.Run()
 		return order, s.rng.Uint64()
 	}
@@ -469,16 +402,20 @@ func TestResetReplaysIdentically(t *testing.T) {
 
 	s := New(7)
 	s.SetDispatcher(func(kind, actor int32, arg time.Duration) {})
-	stale := s.AtEvent(time.Millisecond, 0, 0, 0)
+	s.AtEvent(time.Millisecond, 0, 0, 0)
 	s.AtEvent(2*time.Millisecond, 0, 0, 0)
 	s.Run()
+	// Left pending across the Reset, in both bands: a parked far-band
+	// instant and an earlier near-heap insert.
+	s.AtEvent(3*time.Millisecond, 0, -7, 0)
+	s.AtEvent(2500*time.Microsecond, 0, -8, 0)
 	s.Reset(42)
 	if s.Now() != 0 || s.Fired() != 0 || s.Pending() != 0 {
 		t.Fatalf("Reset left state behind: now=%v fired=%d pending=%d", s.Now(), s.Fired(), s.Pending())
 	}
 	gotOrder, gotDraw := run(s)
 	if len(gotOrder) != len(wantOrder) {
-		t.Fatalf("firing counts differ: %v vs %v", gotOrder, wantOrder)
+		t.Fatalf("firing counts differ: %v vs %v (an event pending at Reset fired?)", gotOrder, wantOrder)
 	}
 	for i := range gotOrder {
 		if gotOrder[i] != wantOrder[i] {
@@ -487,12 +424,6 @@ func TestResetReplaysIdentically(t *testing.T) {
 	}
 	if gotDraw != wantDraw {
 		t.Fatalf("RNG stream differs after Reset: %d vs %d", gotDraw, wantDraw)
-	}
-	// The pre-reset handle's slot generation was bumped: cancelling it now
-	// must not disturb anything scheduled after the reset.
-	s.Cancel(stale)
-	if s.Cancelled(stale) {
-		t.Fatal("stale pre-Reset handle reported cancelled")
 	}
 }
 

@@ -7,37 +7,35 @@ import (
 	"time"
 )
 
-// The parked far band is a pure cost optimization: Step must pop the global
-// (at, seq) minimum across both bands, so the firing sequence of any
+// The parked far band is a pure cost optimization: every pop must take the
+// global (at, seq) minimum across both bands, so the firing sequence of any
 // schedule — including ones that interleave parked timelines, out-of-order
-// inserts and cancellations — is identical to a single sorted queue's. The
-// tests below pin that equivalence against an independent reference
+// inserts and same-instant ties — is identical to a single sorted queue's.
+// The tests below pin that equivalence against an independent reference
 // implementation, and pin the skip path's zero-allocation contract.
 
 // scheduler is the surface a recorded scenario drives; both the real
 // Simulator and the reference queue implement it.
 type scheduler interface {
 	Now() time.Duration
-	At(t time.Duration, fn func()) (cancel func())
+	At(t time.Duration, fn func())
 	Run()
+	RunUntil(deadline time.Duration)
 }
 
 // simBackend adapts Simulator, scheduling through the closures table.
 type simBackend struct{ c *closures }
 
-func (b simBackend) Now() time.Duration { return b.c.Now() }
-func (b simBackend) At(t time.Duration, fn func()) func() {
-	id := b.c.at(t, fn)
-	return func() { b.c.Cancel(id) }
-}
-func (b simBackend) Run() { b.c.Run() }
+func (b simBackend) Now() time.Duration              { return b.c.Now() }
+func (b simBackend) At(t time.Duration, fn func())   { b.c.at(t, fn) }
+func (b simBackend) Run()                            { b.c.Run() }
+func (b simBackend) RunUntil(deadline time.Duration) { b.c.RunUntil(deadline) }
 
 // refEvent is one entry of the reference queue.
 type refEvent struct {
-	at        time.Duration
-	seq       uint64
-	cancelled bool
-	fn        func()
+	at  time.Duration
+	seq uint64
+	fn  func()
 }
 
 // refQueue is the reference semantics: one flat slice, popped by a full
@@ -46,72 +44,91 @@ type refEvent struct {
 type refQueue struct {
 	now    time.Duration
 	seq    uint64
-	events []*refEvent
+	events []refEvent
 }
 
 func (q *refQueue) Now() time.Duration { return q.now }
 
-func (q *refQueue) At(t time.Duration, fn func()) func() {
-	ev := &refEvent{at: t, seq: q.seq, fn: fn}
+func (q *refQueue) At(t time.Duration, fn func()) {
+	q.events = append(q.events, refEvent{at: t, seq: q.seq, fn: fn})
 	q.seq++
-	q.events = append(q.events, ev)
-	return func() { ev.cancelled = true }
 }
 
-func (q *refQueue) Run() {
+func (q *refQueue) Run() { q.RunUntil(time.Duration(1<<63 - 1)) }
+
+func (q *refQueue) RunUntil(deadline time.Duration) {
 	for {
 		best := -1
 		for i, ev := range q.events {
-			if ev.cancelled {
-				continue
-			}
 			if best < 0 || ev.at < q.events[best].at ||
 				(ev.at == q.events[best].at && ev.seq < q.events[best].seq) {
 				best = i
 			}
 		}
-		if best < 0 {
-			return
+		if best < 0 || q.events[best].at > deadline {
+			break
 		}
 		ev := q.events[best]
 		q.events = append(q.events[:best], q.events[best+1:]...)
 		q.now = ev.at
 		ev.fn()
 	}
+	if q.now < deadline {
+		q.now = deadline
+	}
+}
+
+// firing is one entry of a replay trace: the instant an event fired and
+// the order in which it was scheduled.
+type firing struct {
+	at time.Duration
+	id int
 }
 
 // driveScenario replays one recorded random schedule on a backend: a
 // pre-sorted beacon timeline (the far band's reason to exist) whose handlers
-// schedule bursts of near-future work and cancel a pseudo-random subset of
-// it. All randomness comes from the caller's seed, so the same scenario runs
-// on both backends event for event.
-func driveScenario(sc scheduler, seed int64) []time.Duration {
+// schedule bursts of near-future work, some of which chains a follow-up the
+// way a netsim node schedules its next protocol step. Delays are coarse
+// (quarter-millisecond multiples, zero included), so events often share an
+// instant with each other and with the beacons, and the trace pins the
+// same-instant FIFO order as well as the time order. The schedule is run in
+// RunUntil slices and then to completion. All randomness comes from the
+// caller's seed, so the same scenario runs on both backends event for event.
+func driveScenario(sc scheduler, seed int64) []firing {
 	rng := rand.New(rand.NewSource(seed))
-	var log []time.Duration
-	var pending []func()
-
-	record := func(tag time.Duration) {
-		// Fold the firing instant and a tag into the trace; any divergence
-		// in order or time shows up as a trace mismatch.
-		log = append(log, sc.Now()*1000+tag)
+	var log []firing
+	next := 0
+	var at func(t time.Duration, chain int)
+	at = func(t time.Duration, chain int) {
+		id := next
+		next++
+		sc.At(t, func() {
+			log = append(log, firing{sc.Now(), id})
+			if chain > 0 {
+				at(sc.Now()+time.Duration(rng.Intn(4))*250*time.Microsecond, chain-1)
+			}
+		})
 	}
 	burst := func() {
-		record(1)
 		for k := rng.Intn(4); k > 0; k-- {
-			d := time.Duration(rng.Intn(900)) * time.Microsecond
-			cancel := sc.At(sc.Now()+d, func() { record(2) })
-			pending = append(pending, cancel)
-		}
-		if len(pending) > 0 && rng.Intn(3) == 0 {
-			i := rng.Intn(len(pending))
-			pending[i]()
-			pending[i] = pending[len(pending)-1]
-			pending = pending[:len(pending)-1]
+			at(sc.Now()+time.Duration(rng.Intn(8))*250*time.Microsecond, rng.Intn(3))
 		}
 	}
 	// The parked timeline: 300 strictly ascending beacon instants.
 	for i := 0; i < 300; i++ {
-		sc.At(time.Duration(i)*time.Millisecond, burst)
+		id := next
+		next++
+		sc.At(time.Duration(i)*time.Millisecond, func() {
+			log = append(log, firing{sc.Now(), id})
+			burst()
+		})
+	}
+	// The cuts fall on the quarter-millisecond grid, so events sit exactly
+	// at some deadlines: those fire before RunUntil returns. Each cut logs
+	// the clock and, as a negative id, how many entries precede it.
+	for cut := 0; cut < 300; cut += 37 {
+		sc.RunUntil(time.Duration(cut)*time.Millisecond + time.Duration(cut%4)*250*time.Microsecond)
+		log = append(log, firing{sc.Now(), -1 - len(log)})
 	}
 	sc.Run()
 	return log
@@ -126,10 +143,17 @@ func TestFarBandReplayIdentity(t *testing.T) {
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: fired %d events, reference fired %d", seed, len(got), len(want))
 		}
+		ties := 0
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("seed %d: firing trace diverges at event %d: %v vs %v", seed, i, got[i], want[i])
+				t.Fatalf("seed %d: firing trace diverges at event %d: %+v vs %+v", seed, i, got[i], want[i])
 			}
+			if i > 0 && got[i].id >= 0 && got[i-1].id >= 0 && got[i].at == got[i-1].at {
+				ties++
+			}
+		}
+		if ties == 0 {
+			t.Fatalf("seed %d: no same-instant events; the scenario does not exercise FIFO ties", seed)
 		}
 	}
 }
@@ -168,7 +192,7 @@ func TestFarBandRouting(t *testing.T) {
 func TestFarBandSkipAllocFree(t *testing.T) {
 	s := New(1)
 	s.SetDispatcher(func(kind, actor int32, arg time.Duration) {})
-	// Warm-up: grow far band and slot table to steady-state capacity.
+	// Warm-up: grow the far band to steady-state capacity.
 	for i := 0; i < 256; i++ {
 		s.ScheduleEvent(time.Duration(i)*time.Millisecond, 0, 0, 0)
 	}

@@ -104,7 +104,12 @@ func DecodeTaskRequest(b []byte, readErr error, req *TaskRequest) error {
 		}
 		*req = TaskRequest{}
 	}
-	return wire.DecodeStrict(wire.Replay(b, readErr), req)
+	// The strict decoder fills a request of its own, so req does not
+	// escape and a caller's req can live in its stack frame.
+	strict := new(TaskRequest)
+	err := wire.DecodeStrict(wire.Replay(b, readErr), strict)
+	*req = *strict
+	return err
 }
 
 // TaskLine is one NDJSON record of a /v2/tasks response stream. Exactly one

@@ -8,13 +8,14 @@ import (
 
 // TestLifetimeRunAllocBudget is the allocation-regression guard for the
 // lifetime integrator at the benchmark workload's shape (a 24-node CR2032
-// network integrated until the last node dies, ~39 live epochs). A run
-// holds one pooled netsim arena for all its epochs, so its allocations are
-// the run's own slices and do not grow with the epoch count; a regression
-// that puts set-up or a Result back on the per-epoch path costs several
-// allocations per epoch and fails here.
+// network integrated until the last node dies, ~39 live epochs), with the
+// simulator defaults resolved once as RunReplicas and the query plans do.
+// A run holds one pooled netsim arena for all its epochs, and its per-node
+// state lives there too, so it allocates its curve and does not grow with
+// the epoch count; a regression that puts set-up or a Result back on the
+// per-epoch path costs several allocations per epoch and fails here.
 func TestLifetimeRunAllocBudget(t *testing.T) {
-	cfg := Config{Sim: netsim.Config{Nodes: 24}}
+	cfg := Config{Sim: netsim.Config{Nodes: 24}.WithDefaults()}
 	// Warm the run pool and size the arena.
 	for i := 0; i < 2; i++ {
 		Run(cfg)

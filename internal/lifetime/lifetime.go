@@ -18,9 +18,10 @@
 //
 // A run binds one netsim.Epochs arena for all its epochs: one pooled
 // simulator, with the deployment sampled by the first epoch and kept from
-// then on. Each epoch writes per-node energy into the run's own slice and
-// aggregates no netsim.Result, so a run's allocations do not grow with its
-// epoch count (TestLifetimeRunAllocBudget).
+// then on. The run's per-node mask, battery, budget and energy slices are
+// the arena's EpochState, and each epoch aggregates no netsim.Result, so a
+// run allocates its curve and little else however many epochs it runs
+// (TestLifetimeRunAllocBudget).
 package lifetime
 
 import (
@@ -147,10 +148,6 @@ func Run(cfg Config) Result {
 	selfW := float64(cfg.Supply.SelfDischargeDrain())
 	ambientW := harvestW - selfW // net non-radio power into each battery
 
-	alive := make([]bool, n)
-	for i := range alive {
-		alive[i] = true
-	}
 	aliveCount := n
 
 	die := func(atS float64) {
@@ -173,21 +170,22 @@ func Run(cfg Config) Result {
 		// The threshold eats the whole battery: everyone is dead on
 		// arrival. Degenerate but well-defined — no epoch ever runs.
 		for i := 0; i < n; i++ {
-			alive[i] = false
 			die(0)
 		}
 		finish(&res, aliveCount, n, 0, 0)
 		return res
 	}
 
-	rem := make([]float64, n) // remaining usable energy [J]
-	budget := make([]float64, n)
-	energy := make([]float64, n) // radio energy spent in the last epoch [J]
+	epochs := netsim.NewEpochs(epochCfg)
+	defer epochs.Release()
+	st := epochs.State() // arena storage, every node alive
+	alive := st.Alive
+	rem := st.RemJ       // remaining usable energy [J]
+	budget := st.BudgetJ // the epoch's radio budget [J]
+	energy := st.EnergyJ // radio energy spent in the last epoch [J]
 	for i := range rem {
 		rem[i] = usable
 	}
-	epochs := netsim.NewEpochs(epochCfg)
-	defer epochs.Release()
 
 	var t, simulatedS, fastForwardS float64
 	horizonS := cfg.HorizonHours * 3600

@@ -240,3 +240,40 @@ func TestDefaults(t *testing.T) {
 		t.Fatal("sim defaults must be resolved")
 	}
 }
+
+// TestLifetimeMonotoneInCapacity is a metamorphic check: the same network
+// on the same seed with twice and four times the battery capacity can only
+// live longer. First death, partition and last death must never come
+// earlier as CapacityJ grows (and must not become finite where the smaller
+// cell's were infinite, which the comparison also rules out).
+func TestLifetimeMonotoneInCapacity(t *testing.T) {
+	for seed := int64(1); seed <= 16; seed++ {
+		var prev Result
+		for k, scale := range []float64{1, 2, 4} {
+			cfg := testConfig()
+			cfg.Sim.Seed = seed
+			cfg.Supply.CapacityJ *= scale
+			res := Run(cfg)
+			if res.Deaths != res.Nodes {
+				t.Fatalf("seed %d, capacity ×%g: %d of %d nodes died; the check needs every death time finite",
+					seed, scale, res.Deaths, res.Nodes)
+			}
+			if k > 0 {
+				for _, m := range []struct {
+					name        string
+					small, more float64
+				}{
+					{"first death", prev.FirstDeathS, res.FirstDeathS},
+					{"partition", prev.PartitionS, res.PartitionS},
+					{"last death", prev.LastDeathS, res.LastDeathS},
+				} {
+					if m.more < m.small {
+						t.Errorf("seed %d: %s at %.1f s with capacity ×%g, earlier than %.1f s with ×%g",
+							seed, m.name, m.more, scale, m.small, scale/2)
+					}
+				}
+			}
+			prev = res
+		}
+	}
+}

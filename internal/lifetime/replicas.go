@@ -65,9 +65,13 @@ func RunReplicas(ctx context.Context, cfg Config, n, workers int) (ReplicaSet, e
 		n = 1
 	}
 	seeds := netsim.ReplicaSeeds(cfg.Sim.Seed, n)
+	// Resolved once, so the replicas share one default radio, BER model
+	// and deployment instead of building their own.
+	run := cfg
+	run.Sim = cfg.Sim.WithDefaults()
 	results, err := engine.MapSlice(ctx, workers, seeds,
 		func(i int, s int64) (Result, error) {
-			c := cfg
+			c := run
 			c.Sim.Seed = s
 			return Run(c), nil
 		})

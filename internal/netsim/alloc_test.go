@@ -6,13 +6,14 @@ import (
 )
 
 // TestRunAllocBudget is the allocation-regression guard for the pooled run
-// path: once the runner pool is warm, a Run call must stay within a fixed
-// allocation budget (the Result's histogram copy plus the default radio
-// characterization — a handful, versus the ~1.5 per node a cold arena
-// pays). A regression that reintroduces per-run device or slice setup fails
-// this test rather than silently landing.
+// path: once the runner pool is warm, a Run call on a configuration whose
+// defaults are already resolved (as RunReplicas and the query plans hand
+// it) must stay within a fixed allocation budget — the Result's histogram
+// copy, versus the ~1.5 per node a cold arena pays. A regression that
+// reintroduces per-run device, default or slice setup fails this test
+// rather than silently landing.
 func TestRunAllocBudget(t *testing.T) {
-	cfg := Config{Nodes: 50, Superframes: 2, Seed: 7}
+	cfg := Config{Nodes: 50, Superframes: 2, Seed: 7}.WithDefaults()
 	// Warm the pool and size the reusable arena storage.
 	for i := 0; i < 3; i++ {
 		Run(cfg)
@@ -80,10 +81,12 @@ func TestRunReplicasAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// n pooled runs (at the build-tagged per-run budget) plus the seed
-	// slice, engine.MapSlice result slice and the eight ReplicaStat
-	// observation slices.
-	const budget = runAllocBudget*n + 24
+	// n pooled runs (at the build-tagged per-run budget) plus the defaults
+	// resolved once per batch, the seed slice, the arena channel, the
+	// engine.MapSlice result slice and the eight ReplicaStat observation
+	// slices: 23 in all at steady state, 35 when every run resolved its own
+	// defaults.
+	const budget = runAllocBudget*n + 20
 	if allocs > budget {
 		t.Fatalf("RunReplicas(n=%d) allocated %v per call, budget %d", n, allocs, budget)
 	}

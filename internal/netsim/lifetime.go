@@ -13,9 +13,11 @@ import (
 //
 // One lifetime run binds one Epochs arena: a single Runner for all its
 // epochs, with the deployment sampled by the first epoch and kept in the
-// arena's nodes from then on. An epoch writes per-node energy into the
-// caller's slice and hands back its deaths as a view of arena storage, and
-// aggregates no Result, so it costs its DES work and nothing else.
+// arena's nodes from then on. The binding itself and the per-node state the
+// run carries across its epochs (EpochState) are arena storage too. An
+// epoch writes per-node energy into the caller's slice and hands back its
+// deaths as a view of arena storage, and aggregates no Result, so it costs
+// its DES work and nothing else.
 
 // EpochSpec configures one lifetime epoch over the Epochs' Config.
 type EpochSpec struct {
@@ -49,11 +51,24 @@ type NodeDeath struct {
 // deployment; later epochs reuse it from the arena, so a run pays deployment
 // sampling once. Recycling stays behavior-free: epoch k on an arena that
 // already ran earlier epochs equals epoch k on a fresh arena given the same
-// mask and budgets. An Epochs is not safe for concurrent use.
+// mask and budgets. An Epochs lives inside its Runner, so binding one
+// allocates nothing once the arena has grown to the population. It is not
+// safe for concurrent use.
 type Epochs struct {
 	r        *Runner
 	cfg      Config
 	deployed bool
+	state    EpochState
+}
+
+// EpochState is the per-node state a lifetime run carries across its
+// epochs, each slice cfg.Nodes long. It is arena storage: valid until
+// Release, and handed to the arena's next binding afterwards.
+type EpochState struct {
+	Alive   []bool    // every node alive at binding
+	RemJ    []float64 // remaining usable energy; zero at binding
+	BudgetJ []float64 // an epoch's energy budget; zero at binding
+	EnergyJ []float64 // the last epoch's radio energy; zero at binding
 }
 
 // NewEpochs binds an arena from the Run pool to cfg. Release returns it.
@@ -65,14 +80,32 @@ func NewEpochs(cfg Config) *Epochs {
 // Runner must run nothing else until the last epoch: its nodes hold the
 // deployment the epochs share.
 func (r *Runner) epochs(cfg Config) *Epochs {
-	return &Epochs{r: r, cfg: cfg.withDefaults()}
+	cfg = cfg.withDefaults()
+	ep := &r.ep
+	st := ep.state
+	st.Alive = resize(st.Alive, cfg.Nodes)
+	for i := range st.Alive {
+		st.Alive[i] = true
+	}
+	st.RemJ = resize(st.RemJ, cfg.Nodes)
+	st.BudgetJ = resize(st.BudgetJ, cfg.Nodes)
+	st.EnergyJ = resize(st.EnergyJ, cfg.Nodes)
+	clear(st.RemJ)
+	clear(st.BudgetJ)
+	clear(st.EnergyJ)
+	*ep = Epochs{r: r, cfg: cfg, state: st}
+	return ep
 }
 
-// Release hands the arena to the Run pool. The Epochs and any deaths view
-// it returned must not be used afterwards.
+// State returns the binding's per-node run state (see EpochState).
+func (ep *Epochs) State() *EpochState { return &ep.state }
+
+// Release hands the arena to the Run pool. The Epochs, its State and any
+// deaths view it returned must not be used afterwards.
 func (ep *Epochs) Release() {
-	runnerPool.Put(ep.r)
-	ep.r = nil
+	r := ep.r
+	ep.r = nil // before the Put: the next binding of r reuses *ep
+	runnerPool.Put(r)
 }
 
 // Run executes one epoch (see EpochSpec). It writes each node's radio

@@ -496,19 +496,9 @@ func (e *env) reset(cfg Config) {
 	}
 	e.sim.SetDispatcher(e.dispatch)
 	e.med.reset()
-	if cap(e.nodes) >= cfg.Nodes {
-		e.nodes = e.nodes[:cfg.Nodes]
-	} else {
-		e.nodes = make([]node, cfg.Nodes)
-	}
-	if cap(e.attemptsHist) >= cfg.NMax {
-		e.attemptsHist = e.attemptsHist[:cfg.NMax]
-		for i := range e.attemptsHist {
-			e.attemptsHist[i] = 0
-		}
-	} else {
-		e.attemptsHist = make([]int, cfg.NMax)
-	}
+	e.nodes = resize(e.nodes, cfg.Nodes)
+	e.attemptsHist = resize(e.attemptsHist, cfg.NMax)
+	clear(e.attemptsHist)
 	e.offered, e.delivered, e.dropped = 0, 0, 0
 	e.transmissions, e.collisions = 0, 0
 	e.accessFailures, e.corrupted = 0, 0
@@ -520,6 +510,15 @@ func (e *env) reset(cfg Config) {
 	e.contCF, e.contCol = stats.Proportion{}, stats.Proportion{}
 	e.alive, e.budgetJ = nil, nil
 	e.deaths = e.deaths[:0]
+}
+
+// resize returns s with length n, reusing its storage when the capacity
+// suffices. Reused elements keep their old values.
+func resize[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
 }
 
 // advance accrues dwell time in the node's current radio state up to t.

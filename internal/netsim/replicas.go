@@ -92,6 +92,9 @@ func RunReplicas(ctx context.Context, cfg Config, n, workers int) (ReplicaSet, e
 		n = 1
 	}
 	seeds := ReplicaSeeds(cfg.Seed, n)
+	// Resolved once, so the replicas share one default radio, BER model
+	// and deployment instead of building their own.
+	run := cfg.WithDefaults()
 	arenas := make(chan *Runner, min(engine.ResolveWorkers(workers), n))
 	for range cap(arenas) {
 		arenas <- runnerPool.Get().(*Runner)
@@ -99,7 +102,7 @@ func RunReplicas(ctx context.Context, cfg Config, n, workers int) (ReplicaSet, e
 	results, err := engine.MapSlice(ctx, workers, seeds,
 		func(i int, s int64) (Result, error) {
 			r := <-arenas
-			c := cfg
+			c := run
 			c.Seed = s
 			res := r.Run(c)
 			arenas <- r

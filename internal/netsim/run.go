@@ -72,6 +72,9 @@ type Runner struct {
 	// setupRNG re-seeds per run for deployment sampling — the one cold
 	// path needing the full math/rand API (see Run's population comment).
 	setupRNG *rand.Rand
+	// ep is the lifetime binding NewEpochs hands out, with the per-node
+	// state of that run: arena storage like everything else here.
+	ep Epochs
 }
 
 // NewRunner returns an empty arena. Storage grows to the largest Config the
@@ -88,9 +91,25 @@ var runnerPool = sync.Pool{New: func() any { return NewRunner() }}
 // Run executes the simulation and aggregates the results. It draws a
 // recycled arena from an internal pool; the returned Result shares no
 // memory with it.
+//
+// Each zero field of cfg is resolved to its default on every call, and the
+// default radio, BER model and deployment are built anew each time. A
+// caller running many configurations off one base resolves it once with
+// WithDefaults, so its runs share those read-only values instead.
 func Run(cfg Config) Result {
 	r := runnerPool.Get().(*Runner)
 	res := r.Run(cfg)
+	runnerPool.Put(r)
+	return res
+}
+
+// RunHeadline is Run for callers that keep only the Result's scalars (the
+// query wire form, say): AttemptsHist and Trace stay nil, so the run makes
+// no copy of them out of the arena. Every other field equals Run's.
+func RunHeadline(cfg Config) Result {
+	r := runnerPool.Get().(*Runner)
+	r.simulate(cfg, nil, false)
+	res := r.e.headline()
 	runnerPool.Put(r)
 	return res
 }
@@ -454,6 +473,17 @@ func (e *env) recordContention(n *node, endedAt time.Duration, granted bool) {
 
 // collect aggregates the arena's last run into a Result.
 func (e *env) collect() Result {
+	r := e.headline()
+	r.AttemptsHist = append([]int(nil), e.attemptsHist...)
+	// Copy the trace out of the arena: Result must not alias recycled
+	// storage (append of an empty trace stays nil and allocates nothing).
+	r.Trace = append([]TraceEvent(nil), e.trace...)
+	return r
+}
+
+// headline aggregates the arena's last run into a Result without the two
+// fields copied out of arena storage, AttemptsHist and Trace.
+func (e *env) headline() Result {
 	horizon := time.Duration(e.cfg.Superframes) * e.cfg.Superframe.BeaconInterval()
 	var ledger radio.Ledger
 	for i := range e.nodes {
@@ -491,10 +521,6 @@ func (e *env) collect() Result {
 	}
 	energyPerNode := float64(ledger.TotalEnergy()) / float64(e.cfg.Nodes)
 	r.AvgPowerPerNode = units.Power(energyPerNode / horizon.Seconds())
-	r.AttemptsHist = append([]int(nil), e.attemptsHist...)
-	// Copy the trace out of the arena: Result must not alias recycled
-	// storage (append of an empty trace stays nil and allocates nothing).
-	r.Trace = append([]TraceEvent(nil), e.trace...)
 	r.Contention = contention.Stats{
 		Tcont: time.Duration(e.contDur.Mean() * float64(time.Second)),
 		NCCA:  e.contCCA.Mean(),

@@ -11,10 +11,15 @@ package query
 // store attached costs about a dozen allocations, all per plan. Decoding
 // that grid's query body costs two: the pointee arena and the payload
 // values (the strict encoding/json decode took 31). Executing a cold
-// 16-replica plan with a store attached costs about 120 allocations, the
-// simulator's and a few per replica; boxing each replica's in-process
-// result beside its wire payload cost 16 more. A body spliced from the
-// results' stored lines is one allocation of its exact size.
+// 16-replica plan with a store attached costs 39 allocations, a few per
+// replica; building each run's default radio, BER model and deployment and
+// copying out the attempts histogram the wire drops cost 80 more, and
+// boxing each replica's in-process result beside its wire payload 16 more
+// before that. Its lifetime twin, 8 replicas, costs 43, about one curve and
+// a few encodes per replica; per-run defaults, per-run battery slices and
+// epoch handles and rebuilding every replica's curve for the summary cost
+// 80 more. A body spliced from the results' stored lines is one allocation
+// of its exact size.
 const (
 	resultSetEncodeAllocBudget = 2
 	splicedEncodeAllocBudget   = 1
@@ -23,5 +28,6 @@ const (
 	decodeTaskAllocBudget      = 3
 	decodeQueryAllocBudget     = 12
 	executeGridAllocBudget     = 64
-	executeReplicasAllocBudget = 128
+	executeLifetimeAllocBudget = 52
+	executeReplicasAllocBudget = 48
 )

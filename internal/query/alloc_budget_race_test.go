@@ -11,8 +11,9 @@ package query
 // pool, which costs about two regrowth allocations per task here (~2,000
 // per plan); a return to the two per-task allocations the slab removed
 // would read ~4,000. The request reader draws nothing from a pool, so its
-// budget matches the plain build. The 16-replica plan reads 260–330 here:
-// dropped Puts cost fresh simulator runners and encode buffers.
+// budget matches the plain build. The 16-replica plan reads 155–175 here
+// and the 8-replica lifetime plan 115–145: dropped Puts cost fresh
+// simulator runners and encode buffers.
 const (
 	resultSetEncodeAllocBudget = 64
 	splicedEncodeAllocBudget   = 8
@@ -21,5 +22,6 @@ const (
 	decodeTaskAllocBudget      = 3
 	decodeQueryAllocBudget     = 12
 	executeGridAllocBudget     = 3000
-	executeReplicasAllocBudget = 600
+	executeLifetimeAllocBudget = 400
+	executeReplicasAllocBudget = 400
 )

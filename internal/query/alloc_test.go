@@ -198,11 +198,13 @@ func TestExecuteGridAllocBudget(t *testing.T) {
 }
 
 // TestExecuteReplicasAllocBudget guards the replica plan layer the
-// sim-stream and lifetime workloads run on: executing a cold 16-replica
-// plan with a store attached — run, convert to the wire payload, stamp,
-// encode into the store, order and fold every replica into the summary —
-// costs the simulator's own allocations plus a few per replica, and no
-// boxed in-process copy of each replica's result beside its wire payload.
+// sim-stream workload runs on: executing a cold 16-replica plan with a
+// store attached — run, convert to the wire payload, stamp, encode into the
+// store, order and fold every replica into the summary — costs a few
+// allocations per replica: no default radio, BER model or deployment built
+// per run, no histogram copied out of the arena only for the wire to drop
+// it, and no boxed in-process copy of each replica's result beside its wire
+// payload.
 func TestExecuteReplicasAllocBudget(t *testing.T) {
 	nodes, superframes := 10, 2
 	plan, err := Compile(Query{Kind: KindReplicas, Sim: &SimConfigWire{Nodes: &nodes, Superframes: &superframes}, Replicas: 16})
@@ -222,4 +224,33 @@ func TestExecuteReplicasAllocBudget(t *testing.T) {
 		t.Fatalf("Execute of the 16-replica plan allocated %v per op, budget %d", allocs, executeReplicasAllocBudget)
 	}
 	t.Logf("Execute (16 replicas, store attached): %v allocs/op", allocs)
+}
+
+// TestExecuteLifetimeAllocBudget is the lifetime twin of
+// TestExecuteReplicasAllocBudget, the plan layer the lifetime workload runs
+// on: executing a cold 8-replica lifetime plan with a store attached costs
+// each run's curve plus a few allocations per replica — no default radio,
+// BER model or deployment built per run, no per-node battery state or epoch
+// handle outside the pooled arena, and no replica curve rebuilt for the
+// summary.
+func TestExecuteLifetimeAllocBudget(t *testing.T) {
+	q := lifetimeTestQuery()
+	q.Replicas = 8
+	plan, err := Compile(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.Store = &reuseStore{bufs: make([][]byte, plan.NumTasks())}
+	steadyState(t)
+	execute := func() {
+		if _, err := plan.Execute(context.Background(), 2, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	execute() // warm the store's buffers, the encode pool and the runners
+	allocs := testing.AllocsPerRun(10, execute)
+	if allocs > executeLifetimeAllocBudget {
+		t.Fatalf("Execute of the 8-replica lifetime plan allocated %v per op, budget %d", allocs, executeLifetimeAllocBudget)
+	}
+	t.Logf("Execute (8 lifetime replicas, store attached): %v allocs/op", allocs)
 }

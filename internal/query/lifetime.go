@@ -166,31 +166,15 @@ func WireLifetimeResult(r lifetime.Result) LifetimeResultWire {
 	}
 }
 
-// Result reconstructs the lifetime.Result fields the wire form carries —
-// exactly the observables lifetime.Merge folds. Fields the wire omits
-// (the config, the curve fractions) stay zero.
-func (w LifetimeResultWire) Result() lifetime.Result {
-	curve := make([]lifetime.CurvePoint, len(w.Curve))
-	for i, p := range w.Curve {
-		curve[i] = lifetime.CurvePoint{TimeS: float64(p.TimeS), Alive: p.Alive}
-		if w.Nodes > 0 {
-			curve[i].Frac = float64(p.Alive) / float64(w.Nodes)
-		}
-	}
+// observables reconstructs the lifetime.Result scalars lifetime.Merge
+// folds, exactly: the wire carries them in exact seconds. Every other
+// field, the curve included, stays zero.
+func (w *LifetimeResultWire) observables() lifetime.Result {
 	return lifetime.Result{
-		Seed:           w.Seed,
-		Nodes:          w.Nodes,
 		FirstDeathS:    float64(w.FirstDeathS),
 		PartitionS:     float64(w.PartitionS),
 		LastDeathS:     float64(w.LastDeathS),
-		AliveAtEnd:     w.AliveAtEnd,
 		AliveFracAtEnd: float64(w.AliveFracAtEnd),
-		Deaths:         w.Deaths,
-		SimulatedS:     float64(w.SimulatedS),
-		FastForwardS:   float64(w.FastForwardS),
-		Epochs:         w.Epochs,
-		Sustainable:    w.Sustainable,
-		Curve:          curve,
 	}
 }
 
@@ -238,21 +222,26 @@ func (q *Query) buildLifetime() (exec, *Error) {
 		return exec{}, aerr
 	}
 	seeds := netsim.ReplicaSeeds(simCfg.Seed, n)
+	// Resolved once per plan: the replicas share one default radio, BER
+	// model and deployment instead of each run building its own.
+	run := lcfg
+	run.Sim = simCfg.WithDefaults()
 	return exec{labels: indexLabels("lifetime", n), seeds: seeds, run: func(_ context.Context, _, i int) (TaskResult, error) {
-		c := lcfg
+		c := run
 		c.Sim.Seed = seeds[i]
 		rw := WireLifetimeResult(lifetime.Run(c))
 		return TaskResult{Lifetime: &rw}, nil
 	}, assemble: func(rs *ResultSet) *Error {
 		// The wire payloads carry the merged observables in exact seconds,
-		// so the summary is lifetime.RunReplicas' own. Every execution gets
-		// its own copy of the seeds, which the summary keeps.
+		// so the summary is lifetime.RunReplicas' own; no replica's curve is
+		// rebuilt for it. Every execution gets its own copy of the seeds,
+		// which the summary keeps.
 		results := make([]lifetime.Result, len(rs.Results))
 		for i := range rs.Results {
 			if rs.Results[i].Lifetime == nil {
 				return errf("results", "task %d carries no lifetime payload", i)
 			}
-			results[i] = rs.Results[i].Lifetime.Result()
+			results[i] = rs.Results[i].Lifetime.observables()
 		}
 		summary := WireLifetimeSummary(lifetime.Merge(lcfg, slices.Clone(seeds), results))
 		rs.LifetimeSummary = &summary

@@ -824,7 +824,7 @@ func (q *Query) buildSimulate() (exec, *Error) {
 		return exec{}, aerr
 	}
 	return single(string(KindSimulate), func(context.Context, int) (TaskResult, error) {
-		rw := WireSimResult(cfg.Seed, netsim.Run(cfg))
+		rw := WireSimResult(cfg.Seed, netsim.RunHeadline(cfg))
 		return TaskResult{Sim: &rw}, nil
 	}), nil
 }
@@ -847,10 +847,13 @@ func (q *Query) buildReplicas() (exec, *Error) {
 		return exec{}, aerr
 	}
 	seeds := netsim.ReplicaSeeds(cfg.Seed, n)
+	// Resolved once per plan: the replicas share one default radio, BER
+	// model and deployment instead of each run building its own.
+	run := cfg.WithDefaults()
 	return exec{labels: indexLabels("replica", n), seeds: seeds, run: func(_ context.Context, _, i int) (TaskResult, error) {
-		c := cfg
+		c := run
 		c.Seed = seeds[i]
-		rw := WireSimResult(c.Seed, netsim.Run(c))
+		rw := WireSimResult(c.Seed, netsim.RunHeadline(c))
 		return TaskResult{Sim: &rw}, nil
 	}, assemble: func(rs *ResultSet) *Error {
 		// The wire replica payloads round-trip the exact floats the merge

@@ -362,29 +362,23 @@ type Query struct {
 	Direct *Direct `json:"-"`
 }
 
-// queryField describes one kind-specific Query field for the strict
-// field-compatibility check.
-type queryField struct {
-	name string
-	set  func(*Query) bool
+// queryFieldNames names the kind-specific Query fields, in the order the
+// strict field-compatibility check reports them.
+var queryFieldNames = [...]string{
+	"params", "batch", "config", "sim", "lifetime", "losses", "payloads",
+	"bos", "nodes", "replicas", "scenario", "diff", "experiment", "quick", "seed",
 }
 
-var queryFields = []queryField{
-	{"params", func(q *Query) bool { return q.Params != nil }},
-	{"batch", func(q *Query) bool { return q.Batch != nil }},
-	{"config", func(q *Query) bool { return q.Config != nil }},
-	{"sim", func(q *Query) bool { return q.Sim != nil }},
-	{"lifetime", func(q *Query) bool { return q.Lifetime != nil }},
-	{"losses", func(q *Query) bool { return q.Losses != nil }},
-	{"payloads", func(q *Query) bool { return q.Payloads != nil }},
-	{"bos", func(q *Query) bool { return q.BOs != nil }},
-	{"nodes", func(q *Query) bool { return q.Nodes != nil }},
-	{"replicas", func(q *Query) bool { return q.Replicas != 0 }},
-	{"scenario", func(q *Query) bool { return q.Scenario != "" }},
-	{"diff", func(q *Query) bool { return q.Diff }},
-	{"experiment", func(q *Query) bool { return q.Experiment != "" }},
-	{"quick", func(q *Query) bool { return q.Quick }},
-	{"seed", func(q *Query) bool { return q.Seed != nil }},
+// setFields reports, in queryFieldNames order, which kind-specific fields q
+// sets. It is plain code rather than a table of funcs so that checking a
+// query does not make it escape to the heap.
+func (q *Query) setFields() [len(queryFieldNames)]bool {
+	return [...]bool{
+		q.Params != nil, q.Batch != nil, q.Config != nil, q.Sim != nil,
+		q.Lifetime != nil, q.Losses != nil, q.Payloads != nil, q.BOs != nil,
+		q.Nodes != nil, q.Replicas != 0, q.Scenario != "", q.Diff,
+		q.Experiment != "", q.Quick, q.Seed != nil,
+	}
 }
 
 // allowedFields maps each kind to the Query fields it consumes (version,
@@ -422,19 +416,20 @@ func (q *Query) ValidateShape() *Error {
 		}
 		return errf("kind", "unknown kind %q (want one of %s)", q.Kind, kindList())
 	}
-	for _, f := range queryFields {
-		if !f.set(q) {
+	for i, set := range q.setFields() {
+		if !set {
 			continue
 		}
+		name := queryFieldNames[i]
 		found := false
 		for _, a := range allowed {
-			if a == f.name {
+			if a == name {
 				found = true
 				break
 			}
 		}
 		if !found {
-			return errf(f.name, "field not valid for kind %q", q.Kind)
+			return errf(name, "field not valid for kind %q", q.Kind)
 		}
 	}
 	return nil

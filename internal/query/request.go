@@ -753,6 +753,9 @@ func ReadQuery(s *wire.Scanner, q *Query) {
 // accepted, the values decoded and the errors returned are the strict
 // decoder's: io.EOF for an empty document, wire.ErrTrailing for data after
 // it, readErr or encoding/json's error otherwise.
+//
+// q does not escape: the strict decoder fills a Query of its own, which is
+// copied into q, so a caller's q can live in its stack frame.
 func DecodeQuery(b []byte, readErr error, q *Query) error {
 	*q = Query{}
 	if readErr == nil {
@@ -764,5 +767,8 @@ func DecodeQuery(b []byte, readErr error, q *Query) error {
 		}
 		*q = Query{}
 	}
-	return wire.DecodeStrict(wire.Replay(b, readErr), q)
+	strict := new(Query)
+	err := wire.DecodeStrict(wire.Replay(b, readErr), strict)
+	*q = *strict
+	return err
 }

@@ -1,10 +1,12 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"net/http"
 	"strconv"
 	"strings"
+	"time"
 
 	"dense802154/internal/experiments"
 	"dense802154/internal/query"
@@ -12,15 +14,35 @@ import (
 	"dense802154/internal/wire"
 )
 
-// acquireWorkers is the request prologue: block (under the request context)
-// for a share of the server worker pool.
-func (s *Server) acquireWorkers(w http.ResponseWriter, r *http.Request, want int) (int, func(), bool) {
-	got, release, err := s.pool.acquire(r.Context(), want)
-	if err != nil {
-		writeCtxError(w, err)
-		return 0, nil, false
+// acquireWorkers is the prologue of every route that computes: it applies
+// Config.RequestTimeout, counted from the request's arrival, and blocks
+// under that deadline for a share of the server worker pool. The returned
+// context carries the deadline, and release frees both the workers and the
+// deadline's timer. A request that computes nothing (a whole-query store
+// hit, a listing, a probe) never gets here and pays for no deadline.
+func (s *Server) acquireWorkers(w http.ResponseWriter, r *http.Request, want int) (context.Context, int, func(), bool) {
+	ctx := r.Context()
+	cancel := context.CancelFunc(nil)
+	if s.cfg.RequestTimeout > 0 {
+		start := time.Now()
+		if sw, ok := w.(*statusWriter); ok {
+			start = sw.start
+		}
+		ctx, cancel = context.WithDeadline(ctx, start.Add(s.cfg.RequestTimeout))
 	}
-	return got, release, true
+	got, release, err := s.pool.acquire(ctx, want)
+	if err != nil {
+		if cancel != nil {
+			cancel()
+		}
+		writeCtxError(w, err)
+		return nil, 0, nil, false
+	}
+	if cancel != nil {
+		free := release
+		release = func() { free(); cancel() }
+	}
+	return ctx, got, release, true
 }
 
 // ---- the frozen POST /v1 routes ----
@@ -70,7 +92,7 @@ func serveV1[Req any](s *Server, rt v1Route[Req]) http.HandlerFunc {
 			writeValidationError(w, aerr)
 			return
 		}
-		got, release, ok := s.acquireWorkers(w, r, q.Workers)
+		ctx, got, release, ok := s.acquireWorkers(w, r, q.Workers)
 		if !ok {
 			return
 		}
@@ -93,13 +115,13 @@ func serveV1[Req any](s *Server, rt v1Route[Req]) http.HandlerFunc {
 				return
 			}
 			if stream {
-				streamBatch(w, r, plan, got)
+				streamBatch(ctx, w, plan, got)
 				return
 			}
 		}
-		rs, err := plan.Execute(r.Context(), got, nil)
+		rs, err := plan.Execute(ctx, got, nil)
 		if err != nil {
-			if cerr := r.Context().Err(); cerr != nil {
+			if cerr := ctx.Err(); cerr != nil {
 				writeCtxError(w, cerr)
 			} else {
 				writeError(w, rt.failStatus, err.Error(), rt.failField)
@@ -128,7 +150,7 @@ type batchLine struct {
 // Plan.Execute drains its workers before it returns, so the caller's worker
 // tokens are released only once no task still runs, even when the client
 // goes away.
-func streamBatch(w http.ResponseWriter, r *http.Request, plan *query.Plan, workers int) {
+func streamBatch(ctx context.Context, w http.ResponseWriter, plan *query.Plan, workers int) {
 	w.Header()["Content-Type"] = ndjsonType
 	w.WriteHeader(http.StatusOK)
 	lw := newLineWriter(w)
@@ -140,7 +162,7 @@ func streamBatch(w http.ResponseWriter, r *http.Request, plan *query.Plan, worke
 		}
 		return lw.write(b) // a failure means the client went away; Execute cancels the rest
 	}
-	_, err := plan.Execute(r.Context(), workers, func(tr query.TaskResult) error {
+	_, err := plan.Execute(ctx, workers, func(tr query.TaskResult) error {
 		return write(batchLine{Index: &tr.Index, Metrics: tr.Metrics})
 	})
 	if err == nil {

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"dense802154/internal/query"
 	"dense802154/internal/store"
@@ -28,33 +29,46 @@ func serveRecorded(srv *Server, path, body string) *httptest.ResponseRecorder {
 // driven without a listener.
 func newStoreBackedServer(t *testing.T) *Server {
 	t.Helper()
+	return newStoreBackedServerWith(t, Config{Workers: 1})
+}
+
+// newStoreBackedServerWith is newStoreBackedServer over cfg.
+func newStoreBackedServerWith(t *testing.T, cfg Config) *Server {
+	t.Helper()
 	st, err := store.New(store.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewServer(Config{Workers: 1, Store: st})
+	cfg.Store = st
+	return NewServer(cfg)
 }
 
 // TestQueryHitAllocBudget holds a whole-query store hit on a stored
 // 100-point grid, through ServeHTTP, to its budget: decode, shape check,
-// key, lookup and the write, with no plan compiled.
+// key, lookup and the write, with no plan compiled. It holds with and
+// without a request timeout (wsn-serve's default is two minutes): a hit
+// computes nothing, so it sets up no deadline.
 func TestQueryHitAllocBudget(t *testing.T) {
-	srv := newStoreBackedServer(t)
-	cold := serveRecorded(srv, "/v2/query", hitGridBody)
-	if cold.Code != http.StatusOK {
-		t.Fatalf("cold query: %d: %s", cold.Code, cold.Body)
+	for _, timeout := range []time.Duration{0, 2 * time.Minute} {
+		t.Run("timeout="+timeout.String(), func(t *testing.T) {
+			srv := newStoreBackedServerWith(t, Config{Workers: 1, RequestTimeout: timeout})
+			cold := serveRecorded(srv, "/v2/query", hitGridBody)
+			if cold.Code != http.StatusOK {
+				t.Fatalf("cold query: %d: %s", cold.Code, cold.Body)
+			}
+			want := cold.Body.Bytes()
+			if warm := serveRecorded(srv, "/v2/query", hitGridBody); !bytes.Equal(warm.Body.Bytes(), want) {
+				t.Fatal("store hit deviates from the computed response")
+			}
+			allocs := testing.AllocsPerRun(50, func() {
+				serveRecorded(srv, "/v2/query", hitGridBody)
+			})
+			if allocs > queryHitAllocBudget {
+				t.Fatalf("a stored 100-point grid served from the store allocated %v, budget %d", allocs, queryHitAllocBudget)
+			}
+			t.Logf("store hit (100-point grid) through ServeHTTP: %v allocs", allocs)
+		})
 	}
-	want := cold.Body.Bytes()
-	if warm := serveRecorded(srv, "/v2/query", hitGridBody); !bytes.Equal(warm.Body.Bytes(), want) {
-		t.Fatal("store hit deviates from the computed response")
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		serveRecorded(srv, "/v2/query", hitGridBody)
-	})
-	if allocs > queryHitAllocBudget {
-		t.Fatalf("a stored 100-point grid served from the store allocated %v, budget %d", allocs, queryHitAllocBudget)
-	}
-	t.Logf("store hit (100-point grid) through ServeHTTP: %v allocs", allocs)
 }
 
 // kindQueries holds one small query of every kind.
@@ -163,5 +177,35 @@ func TestQueryHitValidatesNormalizedFields(t *testing.T) {
 		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
 			t.Errorf("%s → Content-Type %q", tc.body, ct)
 		}
+	}
+}
+
+// TestRequestDeadlineOnComputingRoutes pins where Config.RequestTimeout
+// applies now that ServeHTTP no longer sets it up on every request: every
+// route that computes still answers an exceeded deadline with the 503 it
+// always did (QueryTimeout's 504 is a different deadline), while a
+// whole-query store hit, which computes nothing, is served as before.
+func TestRequestDeadlineOnComputingRoutes(t *testing.T) {
+	srv := newStoreBackedServerWith(t, Config{Workers: 1, RequestTimeout: time.Nanosecond})
+	for _, path := range []string{"/v2/query", "/v2/query/stream"} {
+		if rec := serveRecorded(srv, path, kindQueries[query.KindEvaluate]); rec.Code != http.StatusServiceUnavailable {
+			t.Errorf("%s under an exceeded request deadline: %d (%s), want 503", path, rec.Code, rec.Body)
+		}
+	}
+	task := `{"query":` + kindQueries[query.KindEvaluate] + `,"from":0,"to":1}`
+	if rec := serveRecorded(srv, "/v2/tasks", task); rec.Code != http.StatusServiceUnavailable {
+		t.Errorf("/v2/tasks under an exceeded request deadline: %d (%s), want 503", rec.Code, rec.Body)
+	}
+
+	// The same store behind a server without the deadline computes and
+	// stores the query; the deadline server then answers it from the store.
+	plain := NewServer(Config{Workers: 1, Store: srv.cfg.Store})
+	computed := serveRecorded(plain, "/v2/query", kindQueries[query.KindEvaluate])
+	if computed.Code != http.StatusOK {
+		t.Fatalf("computing server: %d: %s", computed.Code, computed.Body)
+	}
+	hit := serveRecorded(srv, "/v2/query", kindQueries[query.KindEvaluate])
+	if hit.Code != http.StatusOK || !bytes.Equal(hit.Body.Bytes(), computed.Body.Bytes()) {
+		t.Fatalf("store hit under an exceeded request deadline: %d (%s), want the stored 200", hit.Code, hit.Body)
 	}
 }

@@ -30,7 +30,7 @@ import (
 // structured 400s.
 func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request) (query.Query, *query.Plan, bool) {
 	var q query.Query
-	if !decodeJSON(w, r, &q) {
+	if !decodeQueryBody(w, r, &q) {
 		return query.Query{}, nil, false
 	}
 	plan, err := query.Compile(q)
@@ -59,13 +59,13 @@ func (s *Server) countQuery(kind query.Kind, tasks int) {
 }
 
 // queryContext applies the server's per-query deadline (Config.QueryTimeout)
-// to a v2 query execution; the query's own timeout_ms, when tighter, is
-// applied underneath by the plan itself.
-func (s *Server) queryContext(r *http.Request) (context.Context, context.CancelFunc) {
+// to a v2 query execution under the request context ctx; the query's own
+// timeout_ms, when tighter, is applied underneath by the plan itself.
+func (s *Server) queryContext(ctx context.Context) (context.Context, context.CancelFunc) {
 	if s.cfg.QueryTimeout > 0 {
-		return context.WithTimeout(r.Context(), s.cfg.QueryTimeout)
+		return context.WithTimeout(ctx, s.cfg.QueryTimeout)
 	}
-	return context.WithCancel(r.Context())
+	return context.WithCancel(ctx)
 }
 
 // storeKey derives the store key of q, once per request: both the
@@ -99,7 +99,7 @@ func (s *Server) execQuery(ctx context.Context, q query.Query, plan *query.Plan,
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var q query.Query
-	if !decodeJSON(w, r, &q) {
+	if !decodeQueryBody(w, r, &q) {
 		return
 	}
 	// A whole-query store hit is served before anything is compiled or
@@ -133,17 +133,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	s.countQuery(plan.Kind, plan.NumTasks())
 	s.attachStore(plan, key, keyed)
-	got, release, ok := s.acquireWorkers(w, r, q.Workers)
+	rctx, got, release, ok := s.acquireWorkers(w, r, q.Workers)
 	if !ok {
 		return
 	}
 	defer release()
 
-	ctx, cancel := s.queryContext(r)
+	ctx, cancel := s.queryContext(rctx)
 	defer cancel()
 	rs, err := s.execQuery(ctx, q, plan, got, nil)
 	if err != nil {
-		s.writeQueryError(w, r, err)
+		s.writeQueryError(rctx, w, err)
 		return
 	}
 	body, err := rs.Encode()
@@ -338,7 +338,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	key, keyed := s.storeKey(q)
 	cacheable := keyed && !q.Trace
 	s.attachStore(plan, key, keyed)
-	got, release, ok := s.acquireWorkers(w, r, q.Workers)
+	rctx, got, release, ok := s.acquireWorkers(w, r, q.Workers)
 	if !ok {
 		return
 	}
@@ -349,7 +349,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	lw := newLineWriter(w)
 	defer lw.close()
 
-	ctx, cancel := s.queryContext(r)
+	ctx, cancel := s.queryContext(rctx)
 	defer cancel()
 	var encodeErr error
 	rs, err := s.execQuery(ctx, q, plan, got, func(tr query.TaskResult) error {
@@ -366,7 +366,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		// through lw, behind the lines still pending there. A dead client
 		// connection gets nothing, which is fine: nobody is reading.
 		if encodeErr == nil {
-			if b, err := lw.appendJSON(queryStreamErrorLine{Error: queryErrorDetail(r, err)}); err == nil {
+			if b, err := lw.appendJSON(queryStreamErrorLine{Error: queryErrorDetail(rctx, err)}); err == nil {
 				_ = lw.write(b)
 			}
 		}
@@ -393,15 +393,16 @@ type queryStreamErrorLine struct {
 	Error errorDetail `json:"error"`
 }
 
-// queryErrorDetail maps a v2 execution failure to its structured error: an
-// exceeded query deadline is a 504 (the inputs were fine, the time budget
-// was not), other context failures are 503s, validation errors keep their
-// field, and anything else is a 400 (the model rejected the inputs).
-func queryErrorDetail(r *http.Request, err error) errorDetail {
+// queryErrorDetail maps a v2 execution failure under the request context
+// ctx to its structured error: an exceeded query deadline is a 504 (the
+// inputs were fine, the time budget was not), other context failures are
+// 503s, validation errors keep their field, and anything else is a 400 (the
+// model rejected the inputs).
+func queryErrorDetail(ctx context.Context, err error) errorDetail {
 	if errors.Is(err, context.DeadlineExceeded) {
 		return errorDetail{Status: http.StatusGatewayTimeout, Message: "query deadline exceeded"}
 	}
-	if cerr := r.Context().Err(); cerr != nil {
+	if cerr := ctx.Err(); cerr != nil {
 		return errorDetail{Status: http.StatusServiceUnavailable, Message: cerr.Error()}
 	}
 	var aerr *Error
@@ -413,7 +414,7 @@ func queryErrorDetail(r *http.Request, err error) errorDetail {
 
 // writeQueryError renders a v2 execution failure (see queryErrorDetail for
 // the status mapping).
-func (s *Server) writeQueryError(w http.ResponseWriter, r *http.Request, err error) {
-	d := queryErrorDetail(r, err)
+func (s *Server) writeQueryError(ctx context.Context, w http.ResponseWriter, err error) {
+	d := queryErrorDetail(ctx, err)
 	writeError(w, d.Status, d.Message, d.Field)
 }

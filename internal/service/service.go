@@ -144,9 +144,11 @@ type Config struct {
 	// NewServer installs the bound unconditionally: the cache is process
 	// state, so the most recently constructed server wins.
 	CacheLimit int
-	// RequestTimeout is the per-request computation deadline; requests
-	// exceeding it are canceled (at the granularity the package doc
-	// describes) and answered 503 (0 = no deadline).
+	// RequestTimeout is the per-request computation deadline, counted
+	// from the request's arrival; requests exceeding it are canceled (at
+	// the granularity the package doc describes) and answered 503 (0 = no
+	// deadline). Only requests that compute carry it: a whole-query store
+	// hit, a listing or a probe sets up no deadline.
 	RequestTimeout time.Duration
 	// MaxBodyBytes caps request bodies (0 ⇒ 8 MiB).
 	MaxBodyBytes int64
@@ -378,6 +380,7 @@ type statusWriter struct {
 	status int
 	bytes  int64
 	route  string
+	start  time.Time // the request's arrival, which RequestTimeout counts from
 }
 
 func (sw *statusWriter) WriteHeader(status int) {
@@ -406,9 +409,10 @@ func (sw *statusWriter) Flush() {
 // Unwrap supports http.ResponseController.
 func (sw *statusWriter) Unwrap() http.ResponseWriter { return sw.ResponseWriter }
 
-// ServeHTTP implements http.Handler: request id, body cap, per-request
-// deadline, in-flight accounting, metrics and structured logging around the
-// route handlers.
+// ServeHTTP implements http.Handler: request id, body cap, in-flight
+// accounting, metrics and structured logging around the route handlers
+// (the per-request deadline is the computing routes' own, see
+// acquireWorkers).
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	var ridBuf [48]byte
 	b := append(append(ridBuf[:0], s.ridBase...), '-')
@@ -417,8 +421,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	s.stats.begin()
 	s.httpInFlight.Add(1)
-	sw := &statusWriter{ResponseWriter: w}
 	start := time.Now()
+	sw := &statusWriter{ResponseWriter: w, start: start}
 	defer func() {
 		status := sw.status
 		if status == 0 {
@@ -476,11 +480,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}()
 
 	r.Body = http.MaxBytesReader(sw, r.Body, s.cfg.MaxBodyBytes)
-	if s.cfg.RequestTimeout > 0 {
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-		defer cancel()
-		r = r.WithContext(ctx)
-	}
+	// Config.RequestTimeout is applied by acquireWorkers, on the routes
+	// that compute, not here on every request.
 	s.mux.ServeHTTP(sw, r)
 }
 
@@ -663,24 +664,38 @@ func writeJSONBytes(w http.ResponseWriter, body []byte) {
 // An empty body leaves dst at its zero value (every request type has full
 // defaults). Malformed payloads, unknown fields and trailing garbage are
 // 400s; an oversized body is a 413.
-//
-// The body is read once, up to the size cap, into a pooled buffer. A Query
-// or a TaskRequest in its writer's shape then decodes without reflection;
-// anything else, and any read error, replays the strict decoder over the
-// bytes read followed by the read error, so statuses and messages are
-// exactly the streaming decoder's. No decoded value aliases the buffer.
 func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
+	return decodeBody(w, r, func(b []byte, rerr error) error {
+		return wire.DecodeStrict(wire.Replay(b, rerr), dst)
+	})
+}
+
+// decodeQueryBody is decodeJSON for a v2 query: a Query in its writer's
+// shape decodes without reflection, and q, typed rather than passed as
+// any, stays in the caller's frame.
+func decodeQueryBody(w http.ResponseWriter, r *http.Request, q *query.Query) bool {
+	return decodeBody(w, r, func(b []byte, rerr error) error {
+		return query.DecodeQuery(b, rerr, q)
+	})
+}
+
+// decodeTaskRequest is decodeQueryBody for a /v2/tasks request.
+func decodeTaskRequest(w http.ResponseWriter, r *http.Request, req *dist.TaskRequest) bool {
+	return decodeBody(w, r, func(b []byte, rerr error) error {
+		return dist.DecodeTaskRequest(b, rerr, req)
+	})
+}
+
+// decodeBody reads the request body once, up to the size cap, into a pooled
+// buffer and hands decode the bytes read and the error that ended the read.
+// Every decoder replays the strict decoder over those bytes followed by the
+// read error for anything its fast path does not take, so statuses and
+// messages are exactly the streaming decoder's. No decoded value may alias
+// the buffer.
+func decodeBody(w http.ResponseWriter, r *http.Request, decode func(b []byte, rerr error) error) bool {
 	bp := bodyBufs.Get().(*[]byte)
 	b, rerr := readBody(r.Body, (*bp)[:0])
-	var err error
-	switch d := dst.(type) {
-	case *query.Query:
-		err = query.DecodeQuery(b, rerr, d)
-	case *dist.TaskRequest:
-		err = dist.DecodeTaskRequest(b, rerr, d)
-	default:
-		err = wire.DecodeStrict(wire.Replay(b, rerr), dst)
-	}
+	err := decode(b, rerr)
 	if cap(b) <= maxPooledBody {
 		*bp = b
 		bodyBufs.Put(bp)

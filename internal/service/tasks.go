@@ -46,7 +46,7 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req dist.TaskRequest
-	if !decodeJSON(w, r, &req) {
+	if !decodeTaskRequest(w, r, &req) {
 		return
 	}
 	plan, err := query.Compile(req.Query)
@@ -63,7 +63,7 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 	// stored — the fleet-wide shared shard cache.
 	key, keyed := s.storeKey(req.Query)
 	s.attachStore(plan, key, keyed)
-	got, release, ok := s.acquireWorkers(w, r, req.Workers)
+	ctx, got, release, ok := s.acquireWorkers(w, r, req.Workers)
 	if !ok {
 		return
 	}
@@ -75,7 +75,7 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 	defer lw.close()
 
 	count := 0
-	err = plan.ExecuteRange(r.Context(), got, req.From, req.To, func(tr query.TaskResult, wallMS float64) error {
+	err = plan.ExecuteRange(ctx, got, req.From, req.To, func(tr query.TaskResult, wallMS float64) error {
 		if err := lw.taskLine(&dist.TaskLine{Index: tr.Index, WallMS: wallMS, Result: &tr}); err != nil {
 			return fmt.Errorf("%w: %v", errStreamWrite, err)
 		}
@@ -92,7 +92,7 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 		return nil
 	})
 	if err != nil {
-		if errors.Is(err, errStreamWrite) || r.Context().Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		if errors.Is(err, errStreamWrite) || ctx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			// Coordinator gone, write failed or deadline hit: the truncated
 			// stream (the deferred close still sends the complete lines
 			// pending) is the signal; the range is transport-retryable
