@@ -487,8 +487,9 @@
 //
 //   - internal/des stores events by value in a flat 4-ary min-heap.
 //     Models register one typed Dispatcher and schedule (kind, actor,
-//     instant) triples instead of per-event closures; cancellation uses
-//     generation-checked slot handles with free-list reuse.
+//     instant) triples instead of per-event closures. A scheduled event
+//     always fires: netsim never revokes one, so the kernel keeps no
+//     per-event handle and an event is 32 bytes.
 //   - The Monte-Carlo contention shards (internal/contention) keep their
 //     transaction population in a flat value slice with the CSMA/CA state
 //     machines embedded (mac.Attempt.Start reuses storage in place; the
@@ -536,8 +537,8 @@
 // points that run the same bodies. cmd/wsn-bench writes a JSON report of
 // ns/op, B/op and allocs/op per kernel:
 //
-//	go run ./cmd/wsn-bench -count 6 -out BENCH_PR32.json  # refresh the baseline
-//	go run ./cmd/wsn-bench -diff BENCH_PR32.json          # compare a fresh run
+//	go run ./cmd/wsn-bench -count 6 -out BENCH_PR35.json  # refresh the baseline
+//	go run ./cmd/wsn-bench -diff BENCH_PR35.json          # compare a fresh run
 //
 // (-count N records each kernel's median ns/op over N runs with the min
 // and max)
@@ -556,16 +557,19 @@
 // run did not produce fail the job (-failallocs). Allocation-budget tests
 // fail hard on setup or boxing regressions: des.TestTypedEventLoopAllocFree,
 // contention.TestSimulateAllocBudget, contention.TestSimulateShardAllocFree,
+// contention.TestResolveAllocBudget,
 // netsim.TestRunAllocBudget, lifetime.TestLifetimeRunAllocBudget,
 // query.TestResultSetEncodeAllocBudget, query.TestSplicedEncodeAllocBudget,
 // query.TestEncodeTaskResultAllocBudget, query.TestCompileGridAllocBudget,
 // query.TestExecuteGridAllocBudget, query.TestExecuteReplicasAllocBudget,
+// query.TestExecuteLifetimeAllocBudget,
 // query.TestDecodeTaskResultAllocBudget,
 // query.TestDecodeQueryAllocBudget, dist.TestLineStreamAllocBudget,
 // store.TestPutTaskAllocBudget, store.TestKeyForAllocBudget,
 // service.TestTaskShardAllocBudget,
-// service.TestDistributedQueryAllocBudget and
-// service.TestDistributedPrefillAllocBudget. To
+// service.TestDistributedQueryAllocBudget,
+// service.TestDistributedPrefillAllocBudget and
+// service.TestQueryHitAllocBudget. To
 // profile the hot paths under live load, start the service with a
 // profiling listener (wsn-serve -pprof 127.0.0.1:6060) and capture
 // /debug/pprof/profile while a replica-heavy query runs.

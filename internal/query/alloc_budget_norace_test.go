@@ -4,10 +4,12 @@ package query
 
 // Steady state is exactly one allocation (the returned copy) for both
 // encode paths; the whole-body budget keeps one allocation of headroom.
-// Compiling the 1,000-point grid costs thirteen allocations, all of them
-// per plan rather than per point; building the §5 defaults (a CC2420, a
-// boxed Eq1, a Monte-Carlo source) only to replace them cost five more, and
-// a per-point allocation would add thousands. Executing that grid with a
+// Compiling the 1,000-point grid costs twelve allocations, all of them
+// per plan rather than per point; a heap copy of the query, which the
+// kind/field check's table of funcs forced, cost one more, building the §5
+// defaults (a CC2420, a boxed Eq1, a Monte-Carlo source) only to replace
+// them five more before that, and a per-point allocation would add
+// thousands. Executing that grid with a
 // store attached costs about a dozen allocations, all per plan. Decoding
 // that grid's query body costs two: the pointee arena and the payload
 // values (the strict encoding/json decode took 31). Executing a cold
@@ -24,7 +26,7 @@ const (
 	resultSetEncodeAllocBudget = 2
 	splicedEncodeAllocBudget   = 1
 	taskEncodeAllocBudget      = 1
-	compileGridAllocBudget     = 13
+	compileGridAllocBudget     = 12
 	decodeTaskAllocBudget      = 3
 	decodeQueryAllocBudget     = 12
 	executeGridAllocBudget     = 64

@@ -18,7 +18,7 @@ const (
 	resultSetEncodeAllocBudget = 64
 	splicedEncodeAllocBudget   = 8
 	taskEncodeAllocBudget      = 8
-	compileGridAllocBudget     = 13
+	compileGridAllocBudget     = 12
 	decodeTaskAllocBudget      = 3
 	decodeQueryAllocBudget     = 12
 	executeGridAllocBudget     = 3000

@@ -22,7 +22,7 @@ import (
 // hit, a listing, a probe) never gets here and pays for no deadline.
 func (s *Server) acquireWorkers(w http.ResponseWriter, r *http.Request, want int) (context.Context, int, func(), bool) {
 	ctx := r.Context()
-	cancel := context.CancelFunc(nil)
+	var cancel context.CancelFunc
 	if s.cfg.RequestTimeout > 0 {
 		start := time.Now()
 		if sw, ok := w.(*statusWriter); ok {
