@@ -108,7 +108,7 @@ func main() {
 		version   = flag.Bool("version", false, "print build version and exit")
 
 		peers        = flag.String("peers", "", "comma-separated worker base URLs; non-empty enables coordinator mode for /v2/query")
-		shardSize    = flag.Int("shard-size", 0, "tasks per dispatched shard (0 = about two shards per worker)")
+		shardSize    = flag.Int("shard-size", 0, "tasks per dispatched shard (0 = one shard per worker)")
 		shardTimeout = flag.Duration("shard-timeout", 0, "per-shard deadline before re-dispatch (0 = 60s)")
 		distAttempts = flag.Int("dist-attempts", 0, "dispatch attempts per index range before local fallback (0 = 4)")
 		reqTimeout   = flag.Duration("request-timeout", 0, "per-query deadline of the v2 routes, answered 504 (0 = none)")

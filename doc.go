@@ -177,6 +177,14 @@
 //     backoff (-dist-attempts bounds attempts per range). Streams arrive
 //     in range order, so a connection that died after k lines completed
 //     exactly its first k tasks and only the remainder is recomputed.
+//   - A plan is cut into one shard per worker (-shard-size overrides
+//     it), so each worker compiles a query once. A worker left idle while
+//     another's shard still has more work than the straggler minimum
+//     (tasks left × the mean per-task wall time) splits that shard: the
+//     slower worker's range shrinks to the front half of what it has left,
+//     and its stream is ended cleanly once that half has arrived, while
+//     the back half is dispatched to the idle worker
+//     (wsn_dist_shard_splits_total). Short, balanced shards never split.
 //   - Stragglers — shards stalled past a threshold derived from the
 //     per-task wall times every worker reports — are speculatively
 //     duplicated on an idle worker; duplicates are deduplicated by task
@@ -358,6 +366,7 @@
 //	wsn_dist_retries_total                      counter    shard attempts after the first
 //	wsn_dist_redispatch_total                   counter    ranges re-dispatched after worker failure
 //	wsn_dist_straggler_redispatch_total         counter    speculative duplicates of stalled shards
+//	wsn_dist_shard_splits_total                 counter    shard tails split off to an idle worker
 //	wsn_dist_tasks_remote_total                 counter    tasks accepted from workers
 //	wsn_dist_tasks_local_total                  counter    tasks computed locally
 //	wsn_dist_local_fallback_total               counter    queries degraded to local execution
@@ -537,8 +546,8 @@
 // points that run the same bodies. cmd/wsn-bench writes a JSON report of
 // ns/op, B/op and allocs/op per kernel:
 //
-//	go run ./cmd/wsn-bench -count 6 -out BENCH_PR35.json  # refresh the baseline
-//	go run ./cmd/wsn-bench -diff BENCH_PR35.json          # compare a fresh run
+//	go run ./cmd/wsn-bench -count 6 -out BENCH_PR36.json  # refresh the baseline
+//	go run ./cmd/wsn-bench -diff BENCH_PR36.json          # compare a fresh run
 //
 // (-count N records each kernel's median ns/op over N runs with the min
 // and max)

@@ -397,6 +397,35 @@ func Kernels(quick bool) []Kernel {
 				}
 			}
 		}},
+		{"DistQueryGrid1000", func(b *testing.B) {
+			// The dist-fanout workload in one process: a never-seen
+			// 1,000-point grid (a fresh contention seed each op) posted to
+			// a coordinator fronting two single-token workers, all on
+			// httptest and each with its own store, as wsn-serve runs them.
+			// The count covers the client and both sides of every shard
+			// exchange.
+			b.ReportAllocs()
+			coord, stop := distFleet(b)
+			defer stop()
+			q := grid1000Query()
+			post := func(seed int64) {
+				q.Params = &query.ParamsWire{Contention: &query.ContentionWire{Superframes: 8, Seed: &seed}}
+				resp, err := http.Post(coord+"/v2/query", "application/json", bytes.NewReader(query.AppendQuery(nil, &q)))
+				if err != nil {
+					b.Fatal(err)
+				}
+				_, err = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK {
+					b.Fatalf("status %d, read error %v", resp.StatusCode, err)
+				}
+			}
+			post(4_000_000 - 1) // admission and connections
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				post(int64(4_000_000 + i))
+			}
+		}},
 		{"ServeQueryHit", func(b *testing.B) {
 			// A whole-query store hit through the HTTP handler: a stored
 			// 100-point grid, the warm-mix grid shape, asked again through
@@ -504,6 +533,31 @@ func grid1000TaskLines(b *testing.B) ([]byte, []string) {
 	}
 	body = append(body, `{"done":true,"count":1000}`+"\n"...)
 	return body, plan.Labels()
+}
+
+// distFleet starts two single-token workers and a single-token coordinator
+// fronting them on httptest, each server with its own result store, and
+// returns the coordinator's URL and the function that stops all three.
+func distFleet(b *testing.B) (string, func()) {
+	newStore := func() *store.Store {
+		st, err := store.New(store.Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return st
+	}
+	worker := func() *httptest.Server {
+		return httptest.NewServer(service.NewServer(service.Config{Workers: 1, Store: newStore()}))
+	}
+	w0, w1 := worker(), worker()
+	st := newStore()
+	c := dist.New(dist.Options{Workers: []string{w0.URL, w1.URL}, Store: st})
+	coord := httptest.NewServer(service.NewServer(service.Config{Workers: 1, Store: st, Distributor: c}))
+	return coord.URL, func() {
+		coord.Close()
+		w0.Close()
+		w1.Close()
+	}
 }
 
 // storeBenchQuery is the standard 6-task grid workload of the store

@@ -24,8 +24,9 @@ type Options struct {
 	// Transport carries shards (nil ⇒ HTTPTransport). Tests substitute a
 	// FaultTransport here.
 	Transport Transport
-	// ShardSize is the task count per dispatched shard (0 ⇒ the plan is cut
-	// into about two shards per admitted worker).
+	// ShardSize is the task count per dispatched shard (0 ⇒ one shard per
+	// admitted worker). Whatever the size, a worker left idle can take
+	// over half of what a long shard has left (see distRun.split).
 	ShardSize int
 	// MaxAttempts bounds dispatch attempts per index range before the range
 	// falls back to local execution (0 ⇒ 4).
@@ -72,8 +73,9 @@ type Options struct {
 const (
 	// probeTimeout bounds one readiness probe.
 	probeTimeout = 2 * time.Second
-	// jitterSeed seeds the backoff jitter: fixed, so a schedule is
-	// reproducible. Jitter moves timing only, never results.
+	// jitterSeed seeds the backoff jitter, drawn on a query's first retry:
+	// fixed, so a schedule is reproducible. Jitter moves timing only, never
+	// results.
 	jitterSeed = 1
 )
 
@@ -229,8 +231,12 @@ type flight struct {
 	next       int // next expected plan index (stream is in range order)
 	attempts   int
 	speculated bool
-	cancel     context.CancelFunc
-	lastMove   time.Time
+	// shrunk records that a split cut to short of the range the worker
+	// was asked for: the worker streams on past to, so the flight retires
+	// when it delivers to-1 instead of at the done line.
+	shrunk   bool
+	cancel   context.CancelFunc
+	lastMove time.Time
 }
 
 type workerState struct {
@@ -269,8 +275,13 @@ type distRun struct {
 	workers map[string]*workerState
 	flights map[int]*flight
 	nextFID int
-	rng     *rand.Rand
-	ewma    float64 // EWMA of observed per-task wall times, ms
+	rng     *rand.Rand // backoff jitter, built on the first retry
+	ewma    float64    // EWMA of observed per-task wall times, ms
+	// wallSum and wallCount total the observed per-task wall times (ms);
+	// their mean prices a split. One preempted task lifts the EWMA a
+	// hundredfold on a grid of 15 µs tasks, but barely moves the mean.
+	wallSum   float64
+	wallCount int
 	// fellBack records that the query degraded to local execution;
 	// localBusy that a local flight is in the air. There is at most one,
 	// because it runs under the whole local worker grant.
@@ -317,7 +328,6 @@ func (c *Coordinator) Distribute(ctx context.Context, q query.Query, plan *query
 		ch:      make(chan msg, 256),
 		workers: make(map[string]*workerState),
 		flights: make(map[int]*flight),
-		rng:     rand.New(rand.NewSource(jitterSeed)),
 	}
 	r.shard = newShardContext(&r.q, r.labels)
 	if c.opts.Store != nil && plan.Store == nil {
@@ -351,8 +361,11 @@ func (r *distRun) run() (*query.ResultSet, error) {
 	} else {
 		QueriesTotal.Inc()
 		if shard <= 0 {
+			// One shard per worker: each worker compiles the query and
+			// resolves its contention once. A worker that finishes early
+			// can take over half of what a slower one has left (split).
 			remaining := r.n - r.haveCount
-			shard = max(1, (remaining+2*ready-1)/(2*ready))
+			shard = max(1, (remaining+ready-1)/ready)
 		}
 	}
 	// Pending spans cover the maximal runs the prefill left unfilled; a
@@ -524,11 +537,21 @@ func (r *distRun) trim(s span) span {
 	return s
 }
 
-// schedule is the dispatch pass run after every event: each pending span
-// goes to an idle worker, to local execution when its attempts are
-// exhausted or no worker is admitted, or stays pending until its backoff
-// expires or the one local flight has landed.
+// schedule is the dispatch pass run after every event. It dispatches the
+// pending spans, then, while nothing is left pending and a worker is idle,
+// splits the longest remote flight and dispatches the back half.
 func (r *distRun) schedule() {
+	r.dispatchPending()
+	for len(r.pending) == 0 && r.split() {
+		r.dispatchPending()
+	}
+}
+
+// dispatchPending sends each pending span to an idle worker, to local
+// execution when its attempts are exhausted or no worker is admitted, or
+// leaves it pending until its backoff expires or the one local flight has
+// landed.
+func (r *distRun) dispatchPending() {
 	now := time.Now()
 	// Filter in place: schedule runs after every event, often with spans
 	// still waiting, so a fresh slice each pass would allocate per line.
@@ -563,6 +586,49 @@ func (r *distRun) schedule() {
 		}
 	}
 	r.pending = still
+}
+
+// split gives an idle worker half of the work the busiest remote flight has
+// left. It picks the non-speculated remote flight with the most tasks left
+// and, when those tasks are estimated (tasks left × the mean per-task wall
+// time) to take longer than StragglerMin, shrinks the flight's range to the
+// front half of what is left and queues the back half as a pending span.
+// Short or balanced shards are never split, so a healthy fleet sends one
+// shard per worker. It reports whether it queued a span.
+func (r *distRun) split() bool {
+	if r.pickWorker("") == "" {
+		return false
+	}
+	var f *flight
+	for _, g := range r.flights {
+		if g.worker == "" || g.speculated {
+			continue
+		}
+		// Ties go to the older flight, so the choice does not depend on
+		// map order.
+		if f == nil || g.to-g.next > f.to-f.next || (g.to-g.next == f.to-f.next && g.id < f.id) {
+			f = g
+		}
+	}
+	if f == nil {
+		return false
+	}
+	left := f.to - f.next
+	if left < 2 || r.wallCount == 0 {
+		return false
+	}
+	mean := r.wallSum / float64(r.wallCount)
+	if time.Duration(float64(left)*mean*float64(time.Millisecond)) <= r.c.opts.StragglerMin {
+		return false
+	}
+	mid := f.next + left/2
+	r.pending = append(r.pending, span{from: mid, to: f.to, attempts: f.attempts, lastWorker: f.worker})
+	ShardSplitsTotal.Inc()
+	r.c.opts.Logger.Info("dist: splitting shard", "worker", f.worker,
+		"from", f.next, "mid", mid, "to", f.to)
+	f.to = mid
+	f.shrunk = true
+	return true
 }
 
 func (r *distRun) launchRemote(worker string, s span, speculative bool) {
@@ -671,7 +737,15 @@ func (r *distRun) onLine(m msg) error {
 	}
 	f.next++
 	f.lastMove = time.Now()
+	if f.shrunk && f.next == f.to {
+		// The flight's shrunk range is complete; what its worker streams
+		// after this belongs to the split-off span, so the stream ends here.
+		f.cancel()
+		r.retire(f)
+	}
 	if line.WallMS > 0 {
+		r.wallSum += line.WallMS
+		r.wallCount++
 		if r.ewma == 0 {
 			r.ewma = line.WallMS
 		} else {
@@ -721,11 +795,7 @@ func (r *distRun) onEnd(m msg) error {
 		err = fmt.Errorf("dist: worker %s ended shard early at %d of [%d,%d)", f.worker, f.next, f.from, f.to)
 	}
 	if err == nil {
-		delete(r.flights, m.fid)
-		ws := r.workers[f.worker]
-		ws.busy = false
-		ws.consecFails = 0
-		r.c.vouch(f.worker)
+		r.retire(f)
 		return nil
 	}
 	if r.ctx.Err() != nil {
@@ -733,6 +803,16 @@ func (r *distRun) onEnd(m msg) error {
 	}
 	r.failFlight(f, err)
 	return nil
+}
+
+// retire ends a remote flight that completed its range: it frees the
+// worker and vouches for it.
+func (r *distRun) retire(f *flight) {
+	delete(r.flights, f.id)
+	ws := r.workers[f.worker]
+	ws.busy = false
+	ws.consecFails = 0
+	r.c.vouch(f.worker)
 }
 
 // failFlight retires a remote flight after a transport-level failure:
@@ -797,6 +877,9 @@ func (r *distRun) backoff(attempt int) time.Duration {
 		d *= 2
 	}
 	d = min(d, r.c.opts.RetryCap)
+	if r.rng == nil {
+		r.rng = rand.New(rand.NewSource(jitterSeed))
+	}
 	return d/2 + time.Duration(r.rng.Int63n(int64(d/2)+1))
 }
 

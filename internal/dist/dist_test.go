@@ -266,6 +266,74 @@ func TestDistributeSpeculatesStragglers(t *testing.T) {
 	}
 }
 
+// TestDistributeOneShardPerWorker: at ShardSize 0 a balanced fleet gets one
+// shard per worker and nothing more, since cheap tasks never justify a
+// split.
+func TestDistributeOneShardPerWorker(t *testing.T) {
+	opts := fastOpts(fleet(t, 2), nil)
+	opts.ShardSize = 0
+	q := gridQuery()
+	shards, splits := dist.ShardsDispatchedTotal.Value(), dist.ShardSplitsTotal.Value()
+	if got := distribute(t, dist.New(opts), q); !bytes.Equal(got, localBytes(t, q)) {
+		t.Fatal("bytes deviate at one shard per worker")
+	}
+	if d := dist.ShardsDispatchedTotal.Value() - shards; d != 2 {
+		t.Errorf("two workers got %d shards, want 2", d)
+	}
+	if d := dist.ShardSplitsTotal.Value() - splits; d != 0 {
+		t.Errorf("a balanced fleet split %d shards", d)
+	}
+}
+
+// TestDistributeSplitsSlowShard: worker 0 stalls before the first line of
+// its shard, so worker 1 runs out of work first and the coordinator must
+// hand it the back half of worker 0's range. Worker 1 then stalls inside
+// that back half while worker 0 completes its shrunk front half and streams
+// on into the back half's tasks, which the coordinator must end without
+// calling it a failure. A split is a clean hand-off: no failure, retry,
+// eviction, speculation or local fallback, and the merged bytes equal a
+// local run.
+func TestDistributeSplitsSlowShard(t *testing.T) {
+	urls := fleet(t, 2)
+	q := replicasQuery()
+	q.Replicas = 8
+	// Worker 0 is dispatched first and gets tasks [0,4), worker 1 [4,8);
+	// the split hands [2,4) to worker 1.
+	ft := dist.NewFaultTransport(&dist.HTTPTransport{},
+		dist.Fault{Worker: urls[0], AtIndex: 0, Kind: dist.FaultDelay, Delay: 150 * time.Millisecond},
+		dist.Fault{Worker: urls[1], AtIndex: 3, Kind: dist.FaultDelay, Delay: 300 * time.Millisecond})
+	opts := fastOpts(urls, ft)
+	opts.ShardSize = 0
+	// Any measurable task time justifies a split, while speculation waits
+	// far longer than a delayed line takes.
+	opts.StragglerMin = time.Microsecond
+	opts.StragglerFactor = 1e5
+	before := snap()
+	shards, splits, evicted := dist.ShardsDispatchedTotal.Value(), dist.ShardSplitsTotal.Value(), dist.WorkersEvicted.Value()
+	if got := distribute(t, dist.New(opts), q); !bytes.Equal(got, localBytes(t, q)) {
+		t.Fatal("bytes deviate after a split")
+	}
+	after := snap()
+	dSplits := dist.ShardSplitsTotal.Value() - splits
+	if dSplits == 0 {
+		t.Fatal("the slowed worker's shard was not split")
+	}
+	if d := dist.ShardsDispatchedTotal.Value() - shards; d != 2+dSplits {
+		t.Errorf("dispatched %d shards for 2 initial shards and %d splits", d, dSplits)
+	}
+	if after.failures != before.failures || after.retries != before.retries || after.redispatch != before.redispatch {
+		t.Errorf("a split counted as a failure: failures +%d, retries +%d, redispatches +%d",
+			after.failures-before.failures, after.retries-before.retries, after.redispatch-before.redispatch)
+	}
+	if after.straggler != before.straggler || after.fallback != before.fallback || after.local != before.local {
+		t.Errorf("speculation +%d, fallbacks +%d, local tasks +%d; want none",
+			after.straggler-before.straggler, after.fallback-before.fallback, after.local-before.local)
+	}
+	if d := dist.WorkersEvicted.Value() - evicted; d != 0 {
+		t.Errorf("%d workers evicted", d)
+	}
+}
+
 func TestDistributeFleetLostFallsBackLocal(t *testing.T) {
 	urls := fleet(t, 2)
 	// Both workers admit fine but every dispatch fails: the coordinator

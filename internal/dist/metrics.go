@@ -19,6 +19,9 @@ var (
 	// StragglerRedispatchTotal counts speculative duplicates launched
 	// against slow-but-alive shards.
 	StragglerRedispatchTotal telemetry.Counter
+	// ShardSplitsTotal counts shards whose tail was split off to an idle
+	// worker (each split also dispatches one shard).
+	ShardSplitsTotal telemetry.Counter
 	// TasksRemoteTotal counts tasks whose accepted result came from a
 	// worker stream.
 	TasksRemoteTotal telemetry.Counter
@@ -50,6 +53,7 @@ func RegisterMetrics(r *telemetry.Registry) {
 	r.RegisterCounter("wsn_dist_retries_total", "Shard attempts after the first for an index range.", &RetriesTotal)
 	r.RegisterCounter("wsn_dist_redispatch_total", "Index ranges re-dispatched after worker timeout, error or disconnect.", &RedispatchTotal)
 	r.RegisterCounter("wsn_dist_straggler_redispatch_total", "Speculative duplicate dispatches against straggling shards.", &StragglerRedispatchTotal)
+	r.RegisterCounter("wsn_dist_shard_splits_total", "Shards whose tail was split off to an idle worker.", &ShardSplitsTotal)
 	r.RegisterCounter("wsn_dist_tasks_remote_total", "Tasks whose accepted result came from a worker.", &TasksRemoteTotal)
 	r.RegisterCounter("wsn_dist_tasks_local_total", "Tasks computed locally by the coordinator.", &TasksLocalTotal)
 	r.RegisterCounter("wsn_dist_local_fallback_total", "Queries degraded to local execution after fleet loss.", &LocalFallbackTotal)

@@ -11,12 +11,12 @@ package service
 const taskShardAllocBudget = 205
 
 // A cold distributed 1,000-point grid through a coordinator and two
-// workers in one process measures about 985 allocations per query, both
-// sides of its four shard exchanges included. Encoding, decoding and keying
-// its requests by reflection, as coordinator and workers once did, measures
-// about 1,150 (and probing both workers on every query about 1,340); the
-// budget sits between the two.
-const distQueryAllocBudget = 1070
+// workers in one process measures about 605 allocations per query, both
+// sides of its two shard exchanges (one per worker) included. Cutting the
+// plan into two shards per worker, four exchanges, measures about 925; one
+// exchange more (about 150 allocations) or a readiness probe per worker and
+// query (about 100 each) fails the budget.
+const distQueryAllocBudget = 650
 
 // A traced repeat of a stored distributed 1,000-point grid measures about
 // 250 allocations: the request, the plan compile, the prefill's one Metrics
