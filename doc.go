@@ -223,11 +223,13 @@
 // degrades to a cache miss and a recompute — never a wrong byte. Because
 // hits replay stored encodings, a cached answer is bit-identical to a
 // fresh one; tests pin this at every layer.
-// The memory tier copies a fresh entry of at most 4 KiB into shared 64 KiB
-// chunks, so storing a computed grid point costs no allocation of its own;
-// the first hit copies an entry out of its chunk, so no caller ever holds
-// one, and eviction, which keeps chunk entries in carve order, frees chunks
-// whole.
+// The memory tier holds one table per query key: the task lines, copied
+// into a slab sized for the plan's task count and indexed by task, and the
+// ResultSet body. Recency, the byte budget and eviction work per table,
+// which is charged its payload, one index slot per task and its struct, so
+// storing a cold grid costs a handful of allocations whatever its size. A
+// hit returns the slab's bytes, cap-limited, which no later put writes; an
+// evicted table is dropped and lives on only in lines callers still hold.
 //
 // What it buys operationally:
 //
@@ -376,12 +378,12 @@
 //	wsn_dist_workers_evicted                    gauge      workers the fleet record holds evicted
 //	wsn_store_hits_total                        counter    results served from the store
 //	wsn_store_misses_total                      counter    lookups that fell through to compute
-//	wsn_store_puts_total                        counter    entries written
-//	wsn_store_evictions_total                   counter    memory-tier LRU evictions
+//	wsn_store_puts_total                        counter    task lines and bodies written
+//	wsn_store_evictions_total                   counter    memory-tier tables (one query each) LRU-evicted
 //	wsn_store_disk_hits_total                   counter    misses promoted from the disk tier
 //	wsn_store_disk_errors_total                 counter    disk entries rejected (corrupt/unreadable)
 //	wsn_store_bytes                             gauge      memory-tier resident bytes
-//	wsn_store_entries                           gauge      memory-tier resident entries
+//	wsn_store_entries                           gauge      memory-tier resident task lines and bodies
 //
 // A minimal Prometheus scrape config:
 //
@@ -577,8 +579,9 @@
 // store.TestPutTaskAllocBudget, store.TestKeyForAllocBudget,
 // service.TestTaskShardAllocBudget,
 // service.TestDistributedQueryAllocBudget,
-// service.TestDistributedPrefillAllocBudget and
-// service.TestQueryHitAllocBudget. To
+// service.TestDistributedPrefillAllocBudget,
+// service.TestQueryHitAllocBudget and service.TestColdGridSizeAllocBudget.
+// To
 // profile the hot paths under live load, start the service with a
 // profiling listener (wsn-serve -pprof 127.0.0.1:6060) and capture
 // /debug/pprof/profile while a replica-heavy query runs.

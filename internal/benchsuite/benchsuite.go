@@ -14,6 +14,7 @@ package benchsuite
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -325,10 +326,11 @@ func Kernels(quick bool) []Kernel {
 			}
 		}},
 		{"StoreTaskPutFresh", func(b *testing.B) {
-			// StoreTaskPut cycles over 1,000 keys and so measures
-			// overwrites after its first pass. This one puts a new
-			// (key, index) every op into a 64-entry budget, so every put
-			// inserts and evicts: the cold-plan store feed in steady state.
+			// StoreTaskPut cycles over the 1,000 lines of one table and so
+			// measures re-puts after its first pass. This one fills a new
+			// 1,000-task table every 1,000 ops in a budget of four tables,
+			// so every put is a new line and older tables are evicted: the
+			// cold-plan store feed in steady state.
 			b.ReportAllocs()
 			rs := grid1000Result(b)
 			buf, err := rs.Results[0].AppendJSON(nil)
@@ -336,14 +338,21 @@ func Kernels(quick bool) []Kernel {
 				b.Fatal(err)
 			}
 			buf = append(buf, '\n')
-			st, err := store.New(store.Config{MaxBytes: 64 * int64(len(buf)+128)})
+			n := len(rs.Results)
+			st, err := store.New(store.Config{MaxBytes: 4 * int64(n*(len(buf)+32))})
 			if err != nil {
 				b.Fatal(err)
 			}
-			key, _ := store.KeyFor(grid1000Query())
+			var key store.Key
+			var view query.TaskStore
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				st.PutTask(key, i, buf)
+				j := i % n
+				if j == 0 {
+					binary.LittleEndian.PutUint64(key[:], uint64(i))
+					view = st.TasksAt(key, n)
+				}
+				view.PutTask(j, buf)
 			}
 		}},
 		{"ExecuteGrid1000Stored", func(b *testing.B) {

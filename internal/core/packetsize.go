@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 
+	"dense802154/internal/contention"
 	"dense802154/internal/engine"
 	"dense802154/internal/frame"
 	"dense802154/internal/stats"
@@ -22,9 +23,24 @@ func EnergyVsPayload(p Params, sizes []int) (stats.Series, error) {
 }
 
 // EnergyVsPayloadCtx is EnergyVsPayload with cancellation: a canceled ctx
-// stops the size sweep promptly and returns ctx.Err().
+// stops the size sweep promptly and returns ctx.Err(). Each size's
+// contention statistics are resolved up front, in one contention.Resolve
+// batch on p.Workers goroutines that stops between Monte-Carlo shards once
+// ctx is done, and every size is then evaluated with them.
 func EnergyVsPayloadCtx(ctx context.Context, p Params, sizes []int) (stats.Series, error) {
 	if err := p.Validate(); err != nil {
+		return stats.Series{}, err
+	}
+	ls := make([]contention.Lookup, len(sizes))
+	for i, L := range sizes {
+		q := p
+		q.PayloadBytes = L
+		if err := q.Validate(); err != nil {
+			return stats.Series{}, err
+		}
+		ls[i] = contention.Lookup{Source: p.Contention, PayloadBytes: L, Load: p.Load}
+	}
+	if err := contention.Resolve(ctx, p.Workers, ls); err != nil {
 		return stats.Series{}, err
 	}
 	ms, err := engine.MapSlice(ctx, p.Workers, sizes,
@@ -32,7 +48,7 @@ func EnergyVsPayloadCtx(ctx context.Context, p Params, sizes []int) (stats.Serie
 			q := p
 			q.PayloadBytes = L
 			q.TXLevelIndex = AutoTXLevel
-			return Evaluate(q)
+			return EvaluateWithStats(q, ls[i].Stats)
 		})
 	if err != nil {
 		return stats.Series{}, err

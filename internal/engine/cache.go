@@ -14,15 +14,27 @@ import (
 // load, contention config) simulates the Monte-Carlo characterization once
 // instead of once per point, and a long-running service sweeping an
 // unbounded parameter space stays within a fixed memory budget.
+//
+// Entries are carved from chunks of entryChunk, so a batch of new keys
+// costs one allocation per chunk, not one per key. An entry is never
+// reused once settled (a waiter may read it after its eviction), and a
+// chunk returns to the heap only when none of its entries is referenced,
+// so one live entry can pin entryChunk-1 dropped neighbours: the entries
+// held are at worst entryChunk times those resident or still read, that is
+// entryChunk × (Limit + keys in flight) under a limit.
 type Cache[K comparable, V any] struct {
 	mu    sync.Mutex
 	limit int
 	m     map[K]*cacheEntry[K, V]
 	// Intrusive recency list: head is most recently used, tail least.
 	head, tail *cacheEntry[K, V]
+	chunk      []cacheEntry[K, V] // the not yet used tail of the last chunk
 
 	hits, misses, evictions uint64
 }
+
+// entryChunk is how many entries Acquire carves from one allocation.
+const entryChunk = 16
 
 type cacheEntry[K comparable, V any] struct {
 	key K
@@ -138,7 +150,12 @@ func (c *Cache[K, V]) Acquire(key K) Flight[K, V] {
 		c.moveToFrontLocked(e)
 	} else {
 		c.misses++
-		e = &cacheEntry[K, V]{key: key}
+		if len(c.chunk) == 0 {
+			c.chunk = make([]cacheEntry[K, V], entryChunk)
+		}
+		e = &c.chunk[0]
+		c.chunk = c.chunk[1:]
+		e.key = key
 		c.m[key] = e
 		c.pushFrontLocked(e)
 		c.evictLocked()

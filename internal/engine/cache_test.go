@@ -295,3 +295,37 @@ func TestCacheWaitHonorsContext(t *testing.T) {
 		t.Fatal("a published value must be returned even with a done context")
 	}
 }
+
+// TestCacheEntriesCarvedFromChunks: new keys take their entries from
+// chunks of entryChunk, so a steady stream of fresh keys under a limit
+// costs well under one allocation per key (one apiece before chunking), and
+// a settled entry still reads its value after its eviction: entries are
+// never reused.
+func TestCacheEntriesCarvedFromChunks(t *testing.T) {
+	var c Cache[int, int]
+	c.SetLimit(64)
+	k := 0
+	fresh := func() {
+		c.Acquire(k).Publish(k)
+		k++
+	}
+	for k < 1024 {
+		fresh()
+	}
+	if allocs := testing.AllocsPerRun(64*entryChunk, fresh); allocs >= 1 {
+		t.Fatalf("a fresh key cost %v allocations", allocs)
+	}
+	f := c.Acquire(-1)
+	f.Publish(42)
+	for i := 0; i < 4*entryChunk*64; i++ {
+		fresh()
+	}
+	g := c.Acquire(-1)
+	if !g.Owner() {
+		t.Fatal("the entry of key -1 was not evicted: the test exercises nothing")
+	}
+	g.Abandon()
+	if v, ok := f.Wait(context.Background()); !ok || v != 42 {
+		t.Fatalf("an evicted entry reads %d (%v), want its published 42", v, ok)
+	}
+}

@@ -36,6 +36,27 @@ func TestRunAllocBudget(t *testing.T) {
 	t.Logf("Run steady-state allocations per run: %v", allocs)
 }
 
+// TestRawConfigAllocsLikeResolved: the defaults a raw Config leaves to Run
+// (radio, BER model, deployment) are built once per process and shared, so
+// a raw-config run allocates what a run on its resolved configuration does
+// (building them per run cost four more).
+func TestRawConfigAllocsLikeResolved(t *testing.T) {
+	raw := Config{Nodes: 20, Superframes: 2, Seed: 7}
+	resolved := raw.WithDefaults()
+	for i := 0; i < 3; i++ {
+		Run(raw)
+	}
+	perRun := func(cfg Config) float64 {
+		return testing.AllocsPerRun(20, func() {
+			cfg.Seed++
+			Run(cfg)
+		})
+	}
+	if a, b := perRun(raw), perRun(resolved); a > b {
+		t.Fatalf("a raw-config run allocated %v, a resolved one %v", a, b)
+	}
+}
+
 // TestRunTelemetryFold checks that every run folds its counters into the
 // package totals exactly once, with values consistent with the run's own
 // Result, and that the fold itself adds no allocations (covered by
@@ -81,11 +102,10 @@ func TestRunReplicasAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// n pooled runs (at the build-tagged per-run budget) plus the defaults
-	// resolved once per batch, the seed slice, the arena channel, the
-	// engine.MapSlice result slice and the eight ReplicaStat observation
-	// slices: 23 in all at steady state, 35 when every run resolved its own
-	// defaults.
+	// n pooled runs (at the build-tagged per-run budget) plus the seed
+	// slice, the arena channel, the engine.MapSlice result slice and the
+	// eight ReplicaStat observation slices: 19 in all at steady state, 23
+	// when each batch built its defaults, 35 when every run did.
 	const budget = runAllocBudget*n + 20
 	if allocs > budget {
 		t.Fatalf("RunReplicas(n=%d) allocated %v per call, budget %d", n, allocs, budget)

@@ -94,6 +94,15 @@ type TraceEvent struct {
 // it).
 func (c Config) WithDefaults() Config { return c.withDefaults() }
 
+// defaultBER and defaultDeployment are the BER model and deployment
+// withDefaults fills in, boxed once, as the default radio is built once
+// (radio.Baseline): resolving a raw Config allocates nothing. Runs share
+// them read-only.
+var (
+	defaultBER        phy.BERModel       = phy.Eq1
+	defaultDeployment channel.Deployment = channel.UniformLoss{MinDB: 55, MaxDB: 95}
+)
+
 func (c Config) withDefaults() Config {
 	if c.Nodes == 0 {
 		c.Nodes = 100
@@ -112,13 +121,13 @@ func (c Config) withDefaults() Config {
 		c.CSMA = mac.PaperParams()
 	}
 	if c.Radio == nil {
-		c.Radio = radio.CC2420()
+		c.Radio = radio.Baseline()
 	}
 	if c.BER == nil {
-		c.BER = phy.Eq1
+		c.BER = defaultBER
 	}
 	if c.Deployment == nil {
-		c.Deployment = channel.UniformLoss{MinDB: 55, MaxDB: 95}
+		c.Deployment = defaultDeployment
 	}
 	if c.TargetPRxDBm == 0 {
 		c.TargetPRxDBm = -87

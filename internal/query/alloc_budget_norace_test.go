@@ -4,9 +4,10 @@ package query
 
 // Steady state is exactly one allocation (the returned copy) for both
 // encode paths; the whole-body budget keeps one allocation of headroom.
-// Compiling the 1,000-point grid costs twelve allocations, all of them
-// per plan rather than per point; a heap copy of the query, which the
-// kind/field check's table of funcs forced, cost one more, building the §5
+// Compiling the 1,000-point grid costs ten allocations, all of them per
+// plan rather than per point; a CC2420 built per compile instead of the
+// shared baseline cost two more, a heap copy of the query, which the
+// kind/field check's table of funcs forced, one more, building the §5
 // defaults (a CC2420, a boxed Eq1, a Monte-Carlo source) only to replace
 // them five more before that, and a per-point allocation would add
 // thousands. Executing that grid with a
@@ -26,7 +27,7 @@ const (
 	resultSetEncodeAllocBudget = 2
 	splicedEncodeAllocBudget   = 1
 	taskEncodeAllocBudget      = 1
-	compileGridAllocBudget     = 12
+	compileGridAllocBudget     = 10
 	decodeTaskAllocBudget      = 3
 	decodeQueryAllocBudget     = 12
 	executeGridAllocBudget     = 64

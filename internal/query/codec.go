@@ -128,11 +128,12 @@ func berByName(name string) (phy.BERModel, *Error) {
 }
 
 // MaxMCSuperframes caps one Monte-Carlo characterization requested over
-// the wire. A plan's contention fill stops between the characterizations'
-// shards once its request is canceled, but a characterization asked
-// through MCSource.Contention (the fallback for a stored task line that
-// does not decode) runs to its end under the single-flight cache, so this
-// bound also caps how long a canceled request can pin its worker tokens.
+// the wire. Every kind whose contention the wire configures resolves it
+// through contention.Resolve, which stops between a characterization's
+// shards once the request is canceled. The exception is a model task whose
+// stored line does not decode: it asks MCSource.Contention, which runs to
+// its end under the single-flight cache, so this bound also caps how long
+// a canceled request can pin its worker tokens.
 const MaxMCSuperframes = 20000
 
 // source resolves the contention wire config.

@@ -273,6 +273,29 @@ func TestTimeoutBoundsContentionFill(t *testing.T) {
 	}
 }
 
+// TestTimeoutBoundsPayloadSweep: a payload sweep resolves its sizes'
+// contention in one fill that stops between Monte-Carlo shards, so a 1 ms
+// budget ends it promptly even at the largest characterization the wire
+// allows, where asking the source size by size ran every simulation to its
+// end first.
+func TestTimeoutBoundsPayloadSweep(t *testing.T) {
+	seed := int64(9002)
+	q := Query{
+		Kind:      KindPayloadSweep,
+		Params:    &ParamsWire{Contention: &ContentionWire{Superframes: MaxMCSuperframes, Seed: &seed}},
+		Payloads:  &IntAxis{Values: []int{10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120}},
+		TimeoutMS: 1,
+	}
+	start := time.Now()
+	_, err := Run(context.Background(), q)
+	if err != context.DeadlineExceeded {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if el := time.Since(start); el > time.Second {
+		t.Fatalf("a 1 ms payload sweep returned after %v: its contention ran past the deadline", el)
+	}
+}
+
 func TestTimeoutBoundsExecution(t *testing.T) {
 	// A 1 ms budget cannot cover a 40-replica simulation: the plan must
 	// fail with DeadlineExceeded instead of running to completion.

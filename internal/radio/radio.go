@@ -125,15 +125,25 @@ func CC2420() *Characterization {
 	return c
 }
 
+// baseline is the characterization Baseline shares.
+var baseline = CC2420()
+
+// Baseline returns one process-wide CC2420 characterization, built once, so
+// a resolver that fills in the default radio allocates nothing. It is
+// shared read-only; a caller that modifies its radio takes CC2420(), which
+// builds a fresh one on every call.
+func Baseline() *Characterization { return baseline }
+
 // ByName resolves a named characterization — the registry shared by every
 // serialized surface (the HTTP service and the scenario catalog). The empty
-// name selects the baseline CC2420; "cc2420-fast" halves the transition
-// times, "cc2420-scalable" listens at half RX power and "cc2420-improved"
-// combines both §5 improvement perspectives.
+// name selects the baseline CC2420, shared read-only (Baseline);
+// "cc2420-fast" halves the transition times, "cc2420-scalable" listens at
+// half RX power and "cc2420-improved" combines both §5 improvement
+// perspectives.
 func ByName(name string) (*Characterization, bool) {
 	switch name {
 	case "", "cc2420":
-		return CC2420(), true
+		return baseline, true
 	case "cc2420-fast":
 		return CC2420().WithTransitionScale(0.5), true
 	case "cc2420-scalable":

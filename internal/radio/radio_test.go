@@ -2,6 +2,7 @@ package radio
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -190,5 +191,23 @@ func TestStateStrings(t *testing.T) {
 	}
 	if State(9).String() == "" {
 		t.Fatal("unknown state string must be non-empty")
+	}
+}
+
+// TestCC2420Fresh: CC2420 builds a new characterization on every call, so a
+// caller may modify its own, while Baseline and ByName's baseline share one.
+func TestCC2420Fresh(t *testing.T) {
+	a, b := CC2420(), CC2420()
+	if a == b || &a.TXLevels[0] == &b.TXLevels[0] {
+		t.Fatal("CC2420 returned a shared characterization")
+	}
+	if a == Baseline() || Baseline() != Baseline() {
+		t.Fatal("Baseline is not one shared characterization apart from CC2420's")
+	}
+	if r, ok := ByName(""); !ok || r != Baseline() {
+		t.Fatal("ByName(\"\") does not resolve to Baseline")
+	}
+	if !reflect.DeepEqual(a, Baseline()) {
+		t.Fatal("Baseline differs from CC2420")
 	}
 }

@@ -2,27 +2,30 @@
 
 package service
 
-// Serving and reading the 1,000-line grid shard costs about 190 allocations
-// per exchange (the request and response, the plan compile, the stream's
-// timer and a few dozen coalesced chunks); decoding and keying the
-// TaskRequest by reflection, as the worker once did, measures about 220.
-// The budget sits between the two, far below one per line, so a per-line
-// flush or any other per-line allocation fails it too.
-const taskShardAllocBudget = 205
+// Serving and reading the 1,000-line grid shard from a warm worker store
+// measures 175 allocations per exchange (the request and response, the
+// plan compile, the stream's timer and a few dozen coalesced chunks); a
+// CC2420 built per compile made it 177, and decoding and keying the
+// TaskRequest by reflection, as the worker once did, about 220. The budget
+// sits just above the reading, far below one per line, so a per-line flush
+// or any other per-line allocation fails it too.
+const taskShardAllocBudget = 185
 
 // A cold distributed 1,000-point grid through a coordinator and two
-// workers in one process measures about 605 allocations per query, both
-// sides of its two shard exchanges (one per worker) included. Cutting the
-// plan into two shards per worker, four exchanges, measures about 925; one
-// exchange more (about 150 allocations) or a readiness probe per worker and
-// query (about 100 each) fails the budget.
-const distQueryAllocBudget = 650
+// workers in one process measures 533 to 537 allocations per query, both
+// sides of its two shard exchanges (one per worker) included. With one
+// store entry per task line, which three stores fill, it measured about
+// 605, and cutting the plan into two shards per worker, four exchanges,
+// about 925; one exchange more (about 150 allocations) or a readiness
+// probe per worker and query (about 100 each) fails the budget.
+const distQueryAllocBudget = 560
 
-// A traced repeat of a stored distributed 1,000-point grid measures about
-// 250 allocations: the request, the plan compile, the prefill's one Metrics
-// slab, the trace and the response. One MetricsWire per store hit, as the
-// prefill once decoded them, measures about 1,270.
-const prefillAllocBudget = 400
+// A traced repeat of a stored distributed 1,000-point grid measures 179 to
+// 194 allocations: the request, the plan compile, the prefill's one
+// Metrics slab, the trace and the response (203 to 213 with one store
+// entry per task line). One MetricsWire per store hit, as the prefill
+// once decoded them, measures about 1,270.
+const prefillAllocBudget = 215
 
 // A whole-query store hit on a stored 100-point grid, through ServeHTTP with
 // an httptest recorder, measures 26 allocations, about eleven of them the
@@ -35,3 +38,11 @@ const prefillAllocBudget = 400
 // measurement: AllocsPerRun truncates its mean, so a pool refill now and
 // then does not move it, and any of those allocations back fails it.
 const queryHitAllocBudget = 26
+
+// A cold 10-task grid over one contention configuration measures 55
+// allocations per query through ServeHTTP with a store, a cold 5,000-task
+// grid over ten measures 62: a gap of 7, mostly the recorder's response
+// buffer doubling up to the larger body. With one store entry per task
+// line, carved from chunks, and a contention cache entry per configuration
+// they measured 55 and 245.
+const coldGridSizeAllocSlack = 20

@@ -20,3 +20,9 @@ const prefillAllocBudget = 400
 // race detector adds about two allocations (28; 29 with the decoded query on
 // the heap, 34 with a per-request deadline, 50 when it compiled).
 const queryHitAllocBudget = 30
+
+// The race detector makes sync.Pool drop Puts, so a cold grid's task
+// encodes cost two allocations per task (a gap of about 10,000 between the
+// 10- and the 5,000-task grid); the budget only bounds it, and the plain
+// build's budget is the gate.
+const coldGridSizeAllocSlack = 11000

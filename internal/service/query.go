@@ -79,12 +79,12 @@ func (s *Server) storeKey(q query.Query) (store.Key, bool) {
 	return store.KeyFor(q)
 }
 
-// attachStore wires the per-task store view of key into a compiled plan, so
-// execution reuses stored tasks and persists computed ones. A no-op unless
-// keyed.
+// attachStore wires the per-task store view of key, sized for the plan's
+// tasks, into a compiled plan, so execution reuses stored tasks and
+// persists computed ones. A no-op unless keyed.
 func (s *Server) attachStore(plan *query.Plan, key store.Key, keyed bool) {
 	if keyed {
-		plan.Store = s.cfg.Store.TasksAt(key)
+		plan.Store = s.cfg.Store.TasksAt(key, plan.NumTasks())
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -239,7 +240,7 @@ func TestTracedQueryStoresTasksNotResult(t *testing.T) {
 		if status, _ := postJSON(t, ts.URL+route, traced); status != http.StatusOK {
 			t.Fatalf("%s: traced query: %d", route, status)
 		}
-		view := st.TasksAt(key)
+		view := st.TasksAt(key, tasks)
 		for i := 0; i < tasks; i++ {
 			if _, ok := view.GetTask(i); !ok {
 				t.Errorf("%s: task %d not stored under the query's key", route, i)
@@ -316,4 +317,36 @@ func TestTasksStreamShape(t *testing.T) {
 	if strings.Count(out, `"result"`) != 6 || !strings.Contains(out, `"done":true`) {
 		t.Fatalf("healthy stream malformed:\n%s", out)
 	}
+}
+
+// TestColdGridSizeAllocBudget serves never-seen grids (a fresh contention
+// seed per query) through ServeHTTP with a store: 10 tasks over one
+// contention configuration and 5,000 tasks over ten. The store keeps a
+// query's lines in one table, so what a cold query allocates does not grow
+// with its task count: the gap between the two is held to
+// coldGridSizeAllocSlack.
+func TestColdGridSizeAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("serves 5,000-task grids")
+	}
+	const (
+		small = `"losses":{"from":45,"to":85,"points":10},"payloads":{"values":[60]}}`
+		large = `"losses":{"from":45,"to":85,"points":500},"payloads":{"values":[20,30,40,50,60,70,80,90,100,110]}}`
+	)
+	srv := newStoreBackedServer(t)
+	seed := 7_000_000
+	perQuery := func(axes string) float64 {
+		return testing.AllocsPerRun(30, func() {
+			seed++
+			body := `{"kind":"grid","params":{"contention":{"superframes":8,"seed":` + strconv.Itoa(seed) + `}},` + axes
+			if rec := serveRecorded(srv, "/v2/query", body); rec.Code != http.StatusOK {
+				t.Fatalf("cold grid: %d: %s", rec.Code, rec.Body)
+			}
+		})
+	}
+	a, b := perQuery(small), perQuery(large)
+	if b-a > coldGridSizeAllocSlack {
+		t.Fatalf("a cold 5,000-task grid allocated %v per query, a 10-task one %v: the gap exceeds %d", b, a, coldGridSizeAllocSlack)
+	}
+	t.Logf("cold grid allocs/query: 10 tasks %v, 5,000 tasks %v", a, b)
 }

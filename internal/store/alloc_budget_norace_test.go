@@ -2,8 +2,8 @@
 
 package store
 
-// A steady-state fresh-key put copies its bytes into a shared payload chunk
-// and takes its entry off the free list: it allocates nothing of its own.
+// A put into a table sized for its plan copies its line into the table's
+// slab and indexes it: it allocates nothing.
 const putTaskAllocBudget = 0
 
 // Keying a query appends its canonical bytes into a stack buffer and hashes

@@ -18,15 +18,13 @@
 // a wrong byte. The standing invariant is absolute: cached bytes equal
 // freshly computed bytes at any worker count.
 //
-// The memory tier keeps small payloads in an arena of shared 64 KiB chunks:
-// a put of a fresh key with at most 4 KiB copies its bytes into the current
-// chunk, so a stored grid point costs no allocation of its own. Get never
-// hands out a chunk slice — the first hit on an arena entry copies its bytes
-// out and only then refreshes its recency — so entries still in the arena
-// stay in the LRU list in carve order, eviction frees chunks whole, and the
-// chunks retain at most the bytes first put under resident keys plus one
-// partly used chunk and ≤1/16 tail waste (at worst about twice the charged
-// bytes). The Store type documents the rules.
+// The memory tier holds one table per query: its task lines, carved from a
+// slab sized for the plan's task count, and its whole-query body. Recency,
+// the byte budget and eviction work per table, so a cold query costs the
+// store a constant number of allocations whatever its size. Returned bytes
+// are slab slices that nothing writes again; an evicted table is dropped
+// and lives on only in the lines callers still hold. The Store type
+// documents the rules.
 package store
 
 import (

@@ -12,7 +12,8 @@ var (
 	MissesTotal telemetry.Counter
 	// PutsTotal counts entries stored (task results and whole-query bodies).
 	PutsTotal telemetry.Counter
-	// EvictionsTotal counts in-memory entries evicted by the byte budget.
+	// EvictionsTotal counts in-memory tables (one query's task lines and
+	// body each) evicted by the byte budget.
 	EvictionsTotal telemetry.Counter
 	// DiskHitsTotal counts hits that fell through memory to the disk tier.
 	DiskHitsTotal telemetry.Counter
@@ -20,7 +21,7 @@ var (
 	// checksum-failing entries (each treated as a miss) and failed writes.
 	DiskErrorsTotal telemetry.Counter
 	// BytesGauge and EntriesGauge track the in-memory tier's current charge
-	// against its byte budget and its entry count.
+	// against its byte budget and the task lines and bodies it holds.
 	BytesGauge   telemetry.Gauge
 	EntriesGauge telemetry.Gauge
 )
@@ -30,13 +31,13 @@ func RegisterMetrics(r *telemetry.Registry) {
 	r.RegisterCounter("wsn_store_hits_total", "Result-store lookups served from the store (memory or disk tier).", &HitsTotal)
 	r.RegisterCounter("wsn_store_misses_total", "Result-store lookups served by neither tier.", &MissesTotal)
 	r.RegisterCounter("wsn_store_puts_total", "Entries stored: per-task results and whole-query bodies.", &PutsTotal)
-	r.RegisterCounter("wsn_store_evictions_total", "In-memory entries evicted by the byte budget.", &EvictionsTotal)
+	r.RegisterCounter("wsn_store_evictions_total", "In-memory tables (one query's task lines and body) evicted by the byte budget.", &EvictionsTotal)
 	r.RegisterCounter("wsn_store_disk_hits_total", "Hits served by the on-disk tier after a memory miss.", &DiskHitsTotal)
 	r.RegisterCounter("wsn_store_disk_errors_total", "Disk-tier failures: corrupt or truncated entries and failed writes.", &DiskErrorsTotal)
 	r.GaugeFunc("wsn_store_bytes", "In-memory tier bytes currently charged against the budget.", func() float64 {
 		return float64(BytesGauge.Value())
 	})
-	r.GaugeFunc("wsn_store_entries", "In-memory tier entries currently resident.", func() float64 {
+	r.GaugeFunc("wsn_store_entries", "In-memory task lines and whole-query bodies currently resident.", func() float64 {
 		return float64(EntriesGauge.Value())
 	})
 }

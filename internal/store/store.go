@@ -1,12 +1,14 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"crypto/subtle"
 	"os"
 	"path/filepath"
 	"strconv"
 	"sync"
+	"unsafe"
 
 	"dense802154/internal/query"
 )
@@ -14,108 +16,95 @@ import (
 // DefaultMaxBytes is the in-memory tier budget when Config.MaxBytes is 0.
 const DefaultMaxBytes = 256 << 20
 
-// resultIndex is the reserved entry index of a whole-query ResultSet body
-// (task indexes are ≥ 0).
+// resultIndex is the reserved index of a whole-query ResultSet body (task
+// indexes are ≥ 0).
 const resultIndex = -1
 
-// entryOverhead approximates the fixed per-entry memory cost (map slot, key,
-// list links) charged against the byte budget on top of the payload.
-const entryOverhead = 128
-
-// entryChunk is how many entries insert carves from one allocation when the
-// free list is empty.
-const entryChunk = 64
-
-// arenaChunk is the size of one shared payload chunk, and arenaMaxPut the
-// largest payload a fresh-key put copies into one. A chunk is abandoned
-// only when the next payload does not fit, so tail waste is at most
-// arenaMaxPut/arenaChunk = 1/16 of every chunk.
+// tableOverhead is the memory of one table beyond its payload (its struct
+// and its map slot), and lineOverhead that of one index slot; both are
+// charged against the byte budget.
 const (
-	arenaChunk  = 64 << 10
-	arenaMaxPut = 4 << 10
+	tableOverhead = int64(unsafe.Sizeof(table{})) + 48
+	lineOverhead  = int64(unsafe.Sizeof([]byte(nil)))
 )
 
 // Config parameterizes a Store.
 type Config struct {
-	// MaxBytes bounds the in-memory tier (payload bytes plus a fixed
-	// per-entry overhead), LRU-evicted; 0 selects DefaultMaxBytes.
+	// MaxBytes bounds the in-memory tier (payload bytes plus the tables'
+	// index and struct overhead), LRU-evicted by table; 0 selects
+	// DefaultMaxBytes.
 	MaxBytes int64
 	// Dir, when non-empty, enables the on-disk tier: every put is also
-	// written (atomically) to one file per entry under Dir, and a memory
-	// miss falls through to a checksum-verified disk read. The directory is
-	// created if needed and may be shared across restarts — that is the
-	// point.
+	// written (atomically) to one file per task line or body under Dir,
+	// and a memory miss falls through to a checksum-verified disk read.
+	// The directory is created if needed and may be shared across
+	// restarts — that is the point.
 	Dir string
 }
 
-// entryKey addresses one stored entry: the query's content key plus the plan
-// task index (resultIndex for whole-query ResultSet bytes).
-type entryKey struct {
-	key   Key
-	index int
+// table is one query's share of the memory tier: its task lines, indexed
+// by plan task index and carved from slabs, and its whole-query body.
+type table struct {
+	key        Key
+	lines      [][]byte // by task index; nil where no line is held
+	slab       []byte   // the not yet carved tail of the current slab
+	body       []byte
+	held       int   // non-nil lines
+	charge     int64 // against the budget
+	prev, next *table
 }
 
-// entry is one in-memory cache line on the intrusive recency list. inArena
-// marks bytes that live in a shared payload chunk rather than in their own
-// allocation.
-type entry struct {
-	k          entryKey
-	b          []byte
-	inArena    bool
-	prev, next *entry
+// at returns the held bytes of index (resultIndex for the body), or nil.
+func (t *table) at(index int) []byte {
+	switch {
+	case index < 0:
+		return t.body
+	case index < len(t.lines):
+		return t.lines[index]
+	}
+	return nil
 }
 
 // Stats is a point-in-time snapshot of the in-memory tier.
 type Stats struct {
-	Entries int
+	Entries int // task lines and bodies
 	Bytes   int64
 }
 
 // Store is the two-tier content-addressed result store. All methods are safe
-// for concurrent use. Bytes are copied on Put, and Get returns a slice of
-// its own (len == cap) that no later Put or eviction changes; callers must
-// treat returned bytes as immutable.
+// for concurrent use. Bytes are copied on put, and the bytes a get or a keep
+// returns are cap-limited to their length and never written again: no later
+// put, replacement or eviction changes them. Callers must treat them as
+// immutable.
 //
-// The in-memory tier recycles its entries: eviction zeroes an entry and puts
-// it on a free list, and insert takes entries from that list, or from a
-// chunk of entryChunk entries allocated at once when the list is empty.
-// Entries never return to the heap one by one, so the entry memory is
-// bounded by the peak live entry count (plus one partly used chunk), which
-// the byte budget caps at MaxBytes/entryOverhead.
+// The memory tier holds one table per query key. A table keeps the query's
+// task lines, indexed by task index, and its whole-query body. The lines are
+// carved from a slab sized, at the table's first line, for every task of
+// the plan at that line's length plus an eighth; a line that no longer fits
+// starts a slab sized the same way for the tasks still missing, so a plan's
+// lines take one slab unless they run longer than its first. A cold query
+// therefore costs the store a constant number of allocations (the table,
+// its index, its slab, its body), whatever its task count. A re-put of a
+// held line with the same bytes changes nothing; one with other bytes gets
+// an allocation of its own, never slab bytes, so a replacement loop cannot
+// grow a slab.
 //
-// Payload bytes live in an arena: a put of a fresh key with at most
-// arenaMaxPut bytes copies them into the current arenaChunk-byte chunk the
-// store shares among many entries, so a steady-state fresh-key put
-// allocates nothing of its own. Larger payloads, disk-tier promotions and
-// replacements of a resident key get their own allocation. The first Get
-// hit on an arena entry copies its bytes out into their own allocation and
-// only then promotes the entry, so Get never hands out a chunk (a caller
-// holding one slice cannot pin 64 KiB) and later hits allocate nothing.
-// Chunk bytes are never overwritten; a chunk returns to the heap once no
-// resident entry references it.
-//
-// These rules bound the memory chunks retain. An entry still in the arena
-// never moves in the recency list, so arena entries sit in the list in
-// carve order and eviction, which takes the cold end, frees chunks whole.
-// Every entry carved after the oldest resident arena entry is itself still
-// resident, so the chunks hold at most the bytes first put under resident
-// keys, plus the current partly used chunk and ≤1/16 tail waste. A key's
-// bytes are a pure function of the key, so a replacement re-puts the same
-// bytes and those first-put bytes are the charged bytes. The worst case is
-// about 2× the charge, when every arena entry has been copied out while one
-// cold neighbour per chunk still pins it. Replacements must not carve: a
-// replacement loop next to a pinned cold entry would otherwise grow the
-// arena without bound.
+// Recency, the byte budget and eviction work per table: a hit or put moves
+// its table to the front, and puts evict whole tables from the cold end
+// while the charge exceeds the budget. A table is charged its payload (its
+// lines and body), one index slot per task and its struct; the unused tail
+// of its slab is not charged. A line that would take its own table past the
+// whole budget skips the memory tier (the disk tier still holds it). An
+// evicted table is dropped; its slabs live on only while a caller still
+// holds one of its lines.
 type Store struct {
 	cfg Config
 
 	mu      sync.Mutex
-	entries map[entryKey]*entry
-	root    entry // sentinel: root.next is most recent, root.prev least
+	tables  map[Key]*table
+	root    table // sentinel: root.next is most recent, root.prev least
 	bytes   int64
-	free    *entry  // evicted entries, linked through next
-	chunk   []entry // the not yet used tail of the last allocated chunk
-	arena   []byte  // the not yet carved tail of the current payload chunk
+	entries int
 }
 
 // New builds a Store, creating the on-disk tier directory when configured.
@@ -128,7 +117,7 @@ func New(cfg Config) (*Store, error) {
 			return nil, err
 		}
 	}
-	s := &Store{cfg: cfg, entries: make(map[entryKey]*entry)}
+	s := &Store{cfg: cfg, tables: make(map[Key]*table)}
 	s.root.prev = &s.root
 	s.root.next = &s.root
 	return s, nil
@@ -138,63 +127,46 @@ func New(cfg Config) (*Store, error) {
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return Stats{Entries: len(s.entries), Bytes: s.bytes}
+	return Stats{Entries: s.entries, Bytes: s.bytes}
 }
 
 // GetTask returns the stored encoded TaskResult of (key, index), or false on
 // a miss. Memory hits cost no allocation; memory misses fall through to the
 // disk tier, whose hits are promoted into memory.
-func (s *Store) GetTask(key Key, index int) ([]byte, bool) {
-	if index < 0 {
-		return nil, false
-	}
-	return s.get(entryKey{key, index})
-}
+func (s *Store) GetTask(key Key, index int) ([]byte, bool) { return s.getTask(key, index, 0) }
 
 // PutTask stores the encoded TaskResult of (key, index). The bytes are
 // copied; negative indexes (reserved for whole-query entries) are dropped.
-func (s *Store) PutTask(key Key, index int, b []byte) {
-	s.KeepTask(key, index, b)
-}
+func (s *Store) PutTask(key Key, index int, b []byte) { s.KeepTask(key, index, b) }
 
 // KeepTask is PutTask returning the memory tier's copy, or nil when it
-// kept none (a negative index, or an entry larger than the whole budget).
-// The copy may lie in an arena chunk: unlike Get, it is meant for a caller
-// that holds it only while it answers one query, not for long-lived
-// references.
-func (s *Store) KeepTask(key Key, index int, b []byte) []byte {
-	if index < 0 {
-		return nil
-	}
-	return s.put(entryKey{key, index}, b)
-}
+// kept none (a negative index, or a line its table has no budget left for).
+func (s *Store) KeepTask(key Key, index int, b []byte) []byte { return s.keepTask(key, index, 0, b) }
 
 // GetResult returns the stored whole-query ResultSet bytes of key.
-func (s *Store) GetResult(key Key) ([]byte, bool) {
-	return s.get(entryKey{key, resultIndex})
-}
+func (s *Store) GetResult(key Key) ([]byte, bool) { return s.get(key, resultIndex, 0) }
 
 // PutResult stores the whole-query ResultSet bytes of key — the exact bytes
 // served, so a later hit is byte-identical by construction.
-func (s *Store) PutResult(key Key, b []byte) {
-	s.put(entryKey{key, resultIndex}, b)
-}
+func (s *Store) PutResult(key Key, b []byte) { s.put(key, resultIndex, 0, b) }
 
-// taskView adapts one query's slice of the store to query.TaskStore.
+// taskView adapts one query's table to query.TaskStore.
 type taskView struct {
-	s   *Store
-	key Key
+	s     *Store
+	key   Key
+	tasks int
 }
 
-func (v *taskView) GetTask(index int) ([]byte, bool)  { return v.s.GetTask(v.key, index) }
-func (v *taskView) PutTask(index int, encoded []byte) { v.s.PutTask(v.key, index, encoded) }
+func (v *taskView) GetTask(index int) ([]byte, bool)  { return v.s.getTask(v.key, index, v.tasks) }
+func (v *taskView) PutTask(index int, encoded []byte) { v.s.keepTask(v.key, index, v.tasks, encoded) }
 func (v *taskView) KeepTask(index int, encoded []byte) []byte {
-	return v.s.KeepTask(v.key, index, encoded)
+	return v.s.keepTask(v.key, index, v.tasks, encoded)
 }
 
 // Tasks returns the per-task store view of q for attaching to a compiled
 // Plan (Plan.Store), or nil when q is not cacheable (Direct losses) or the
-// store itself is nil — both safe to assign to Plan.Store directly.
+// store itself is nil — both safe to assign to Plan.Store directly. The
+// view sizes the query's table for q.NumTasks() lines.
 func (s *Store) Tasks(q query.Query) query.TaskStore {
 	if s == nil {
 		return nil
@@ -203,38 +175,48 @@ func (s *Store) Tasks(q query.Query) query.TaskStore {
 	if !ok {
 		return nil
 	}
-	return s.TasksAt(key)
+	return s.TasksAt(key, q.NumTasks())
 }
 
 // TasksAt returns the per-task store view of the query whose content key is
-// key, for a caller that already derived the key with KeyFor.
-func (s *Store) TasksAt(key Key) query.TaskStore {
-	return &taskView{s: s, key: key}
+// key and whose plan has tasks tasks, for a caller that already derived the
+// key with KeyFor.
+func (s *Store) TasksAt(key Key, tasks int) query.TaskStore { return &taskView{s, key, tasks} }
+
+// getTask and keepTask serve GetTask and KeepTask for a table sized for
+// tasks lines.
+func (s *Store) getTask(key Key, index, tasks int) ([]byte, bool) {
+	if index < 0 {
+		return nil, false
+	}
+	return s.get(key, index, tasks)
 }
 
-// get looks up k memory-first, then disk. A hit on an arena entry copies
-// its bytes out before promoting it (see Store).
-func (s *Store) get(k entryKey) ([]byte, bool) {
+func (s *Store) keepTask(key Key, index, tasks int, b []byte) []byte {
+	if index < 0 {
+		return nil
+	}
+	return s.put(key, index, tasks, b)
+}
+
+// get looks up (key, index) memory-first, then disk; a disk hit is
+// promoted into a table sized for tasks lines.
+func (s *Store) get(key Key, index, tasks int) ([]byte, bool) {
 	s.mu.Lock()
-	if e, ok := s.entries[k]; ok {
-		if e.inArena {
-			e.b, e.inArena = clone(e.b), false
+	if t := s.tables[key]; t != nil {
+		if b := t.at(index); b != nil {
+			s.touch(t)
+			s.mu.Unlock()
+			HitsTotal.Inc()
+			return b, true
 		}
-		s.unlink(e)
-		s.pushFront(e)
-		// Read the bytes before unlocking: once the lock is released the
-		// entry may be evicted and reused for another key.
-		b := e.b
-		s.mu.Unlock()
-		HitsTotal.Inc()
-		return b, true
 	}
 	s.mu.Unlock()
 	if s.cfg.Dir != "" {
-		if b, ok := s.diskRead(k); ok {
+		if b, ok := s.diskRead(key, index); ok {
 			HitsTotal.Inc()
 			DiskHitsTotal.Inc()
-			s.insert(k, b, false)
+			s.insert(key, index, tasks, b, false)
 			return b, true
 		}
 	}
@@ -244,155 +226,166 @@ func (s *Store) get(k entryKey) ([]byte, bool) {
 
 // put copies b into the memory tier, mirrors it to disk and returns the
 // memory tier's copy (nil when it kept none).
-func (s *Store) put(k entryKey, b []byte) []byte {
+func (s *Store) put(key Key, index, tasks int, b []byte) []byte {
 	PutsTotal.Inc()
-	kept := s.insert(k, b, true)
+	kept := s.insert(key, index, tasks, b, true)
 	if s.cfg.Dir != "" {
-		s.diskWrite(k, b)
+		s.diskWrite(key, index, b)
 	}
 	return kept
 }
 
-// insert installs b into the memory tier and evicts from the cold end while
-// over budget. With borrowed set, b belongs to the caller and is copied
-// under the lock: into the arena for a fresh key of at most arenaMaxPut
-// bytes, into its own allocation otherwise; without it, b is the store's
-// own (a disk read) and is kept as is. An entry larger than the whole
-// budget skips the memory tier (it would evict everything and then itself);
-// the disk tier still holds it. insert returns the bytes the entry holds
-// (nil when it skipped the memory tier); they stay valid after eviction.
-func (s *Store) insert(k entryKey, b []byte, borrowed bool) []byte {
-	cost := int64(len(b)) + entryOverhead
-	if cost > s.cfg.MaxBytes {
+// insert installs b as (key, index) in the memory tier, creating key's
+// table, sized for tasks lines, when it has none, and evicts cold tables
+// while over budget. With borrowed set, b belongs to the caller and is
+// copied: a fresh line into the table's slab, a body or a replacement into
+// an allocation of its own; without it, b is the store's own (a disk read)
+// and is kept as is. insert returns the bytes the table holds for
+// (key, index), nil when b would take the table past the whole budget.
+func (s *Store) insert(key Key, index, tasks int, b []byte, borrowed bool) []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t := s.tables[key]
+	fresh := t == nil
+	cost, slots := int64(len(b)), 0
+	if fresh {
+		t = &table{key: key}
+		cost += tableOverhead
+	}
+	old := t.at(index)
+	if old != nil && bytes.Equal(old, b) {
+		s.touch(t)
+		return old
+	}
+	cost -= int64(len(old))
+	if index >= len(t.lines) {
+		slots = max(index+1, tasks, 2*len(t.lines)) - len(t.lines)
+		cost += int64(slots) * lineOverhead
+	}
+	room := s.cfg.MaxBytes - t.charge - cost
+	if room < 0 {
 		return nil
 	}
-	if borrowed && len(b) > arenaMaxPut {
-		b, borrowed = clone(b), false // never carved: copy before locking
-	}
-	s.mu.Lock()
-	if e, ok := s.entries[k]; ok {
-		if borrowed {
-			b = clone(b)
-		}
-		s.bytes += int64(len(b)) - int64(len(e.b))
-		BytesGauge.Add(int64(len(b)) - int64(len(e.b)))
-		e.b, e.inArena = b, false
-		s.unlink(e)
-		s.pushFront(e)
+	if fresh {
+		s.tables[key] = t
+		s.pushFront(t)
 	} else {
-		e = s.newEntry()
-		e.k = k
-		switch {
-		case !borrowed:
-		case len(b) > 0 && len(b) <= arenaMaxPut:
-			b, e.inArena = s.carve(b), true
-		default:
-			b = clone(b)
+		s.touch(t)
+	}
+	if slots > 0 {
+		lines := make([][]byte, len(t.lines)+slots)
+		copy(lines, t.lines)
+		t.lines = lines
+	}
+	switch {
+	case !borrowed:
+	case index < 0 || old != nil || len(b) == 0:
+		b = clone(b)
+	default:
+		b = t.carve(b, room)
+	}
+	if index < 0 {
+		t.body = b
+	} else {
+		t.lines[index] = b
+	}
+	if old == nil {
+		if index >= 0 {
+			t.held++
 		}
-		e.b = b
-		s.entries[k] = e
-		s.pushFront(e)
-		s.bytes += cost
-		BytesGauge.Add(cost)
+		s.entries++
 		EntriesGauge.Add(1)
 	}
-	for s.bytes > s.cfg.MaxBytes {
-		old := s.root.prev
-		if old == &s.root {
-			break
-		}
-		s.unlink(old)
-		delete(s.entries, old.k)
-		s.bytes -= int64(len(old.b)) + entryOverhead
-		BytesGauge.Add(-(int64(len(old.b)) + entryOverhead))
-		EntriesGauge.Add(-1)
-		EvictionsTotal.Inc()
-		s.recycle(old)
+	t.charge += cost
+	s.bytes += cost
+	BytesGauge.Add(cost)
+	for s.bytes > s.cfg.MaxBytes { // never reaches t: alone, it fits
+		s.evict(s.root.prev)
 	}
-	s.mu.Unlock()
 	return b
 }
 
-// newEntry returns a zeroed entry from the free list, or from the current
-// chunk when the list is empty. Callers hold s.mu.
-func (s *Store) newEntry() *entry {
-	if e := s.free; e != nil {
-		s.free = e.next
-		e.next = nil
-		return e
-	}
-	if len(s.chunk) == 0 {
-		s.chunk = make([]entry, entryChunk)
-	}
-	e := &s.chunk[0]
-	s.chunk = s.chunk[1:]
-	return e
-}
-
-// carve copies b (0 < len(b) ≤ arenaMaxPut) into the current payload chunk,
-// starting a new chunk when the rest of this one is too short, and returns
-// the copy cap-limited to its length. Callers hold s.mu.
-func (s *Store) carve(b []byte) []byte {
-	if len(b) > len(s.arena) {
-		s.arena = make([]byte, arenaChunk)
-	}
+// carve copies b into the table's slab and returns the copy cap-limited to
+// its length. When the slab's rest is too short it starts a new one sized
+// for every line the table still lacks at b's length plus an eighth, but
+// not past room, the budget the table has left after b.
+func (t *table) carve(b []byte, room int64) []byte {
 	n := len(b)
-	c := s.arena[:n:n]
+	if n > len(t.slab) {
+		size := int64(len(t.lines)-t.held) * int64(n+n/8)
+		t.slab = make([]byte, max(min(size, room+int64(n)), int64(n)))
+	}
+	c := t.slab[:n:n]
 	copy(c, b)
-	s.arena = s.arena[n:]
+	t.slab = t.slab[n:]
 	return c
 }
 
 // clone copies b into an allocation of exactly its length (bytes.Clone may
-// round the capacity up, and Get promises len == cap).
+// round the capacity up, and returned bytes are promised cap-limited).
 func clone(b []byte) []byte {
 	c := make([]byte, len(b))
 	copy(c, b)
 	return c
 }
 
-// recycle zeroes an evicted entry — dropping its bytes, which stay with
-// whoever Get handed them to — and pushes it on the free list. Callers hold
-// s.mu.
-func (s *Store) recycle(e *entry) {
-	*e = entry{next: s.free}
-	s.free = e
+// evict drops t and its charge. Callers hold s.mu.
+func (s *Store) evict(t *table) {
+	s.unlink(t)
+	delete(s.tables, t.key)
+	n := t.held
+	if t.body != nil {
+		n++
+	}
+	s.entries -= n
+	s.bytes -= t.charge
+	EntriesGauge.Add(-int64(n))
+	BytesGauge.Add(-t.charge)
+	EvictionsTotal.Inc()
 }
 
-func (s *Store) unlink(e *entry) {
-	e.prev.next = e.next
-	e.next.prev = e.prev
+// touch makes t the most recent table. Callers hold s.mu.
+func (s *Store) touch(t *table) {
+	if s.root.next != t {
+		s.unlink(t)
+		s.pushFront(t)
+	}
 }
 
-func (s *Store) pushFront(e *entry) {
-	e.prev = &s.root
-	e.next = s.root.next
-	e.prev.next = e
-	e.next.prev = e
+func (s *Store) unlink(t *table) {
+	t.prev.next = t.next
+	t.next.prev = t.prev
+}
+
+func (s *Store) pushFront(t *table) {
+	t.prev = &s.root
+	t.next = s.root.next
+	t.prev.next = t
+	t.next.prev = t
 }
 
 // ---- on-disk tier ----
 //
-// One file per entry: payload bytes followed by their SHA-256. Writes go to
-// a temp file in the same directory and rename into place, so a reader only
-// ever sees a complete former or current entry — a crash mid-write leaves a
-// temp file, never a short entry file. Reads verify the trailing checksum
-// and delete anything that fails it (truncation, bit rot, a foreign file
-// under the entry's name): the result is a miss and a recompute, never a
-// wrong byte.
+// One file per task line or body: payload bytes followed by their SHA-256.
+// Writes go to a temp file in the same directory and rename into place, so
+// a reader only ever sees a complete former or current entry — a crash
+// mid-write leaves a temp file, never a short entry file. Reads verify the
+// trailing checksum and delete anything that fails it (truncation, bit rot,
+// a foreign file under the entry's name): the result is a miss and a
+// recompute, never a wrong byte.
 
 // diskPath names the entry file: <hex key>.<index>, with the whole-query
-// entry as <hex key>.result.
-func (s *Store) diskPath(k entryKey) string {
+// body as <hex key>.result.
+func (s *Store) diskPath(key Key, index int) string {
 	suffix := "result"
-	if k.index >= 0 {
-		suffix = strconv.Itoa(k.index)
+	if index >= 0 {
+		suffix = strconv.Itoa(index)
 	}
-	return filepath.Join(s.cfg.Dir, k.key.String()+"."+suffix)
+	return filepath.Join(s.cfg.Dir, key.String()+"."+suffix)
 }
 
-func (s *Store) diskRead(k entryKey) ([]byte, bool) {
-	path := s.diskPath(k)
+func (s *Store) diskRead(key Key, index int) ([]byte, bool) {
+	path := s.diskPath(key, index)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		if !os.IsNotExist(err) {
@@ -415,7 +408,7 @@ func (s *Store) diskRead(k entryKey) ([]byte, bool) {
 	return raw[:n:n], true
 }
 
-func (s *Store) diskWrite(k entryKey, b []byte) {
+func (s *Store) diskWrite(key Key, index int, b []byte) {
 	tmp, err := os.CreateTemp(s.cfg.Dir, ".tmp-*")
 	if err != nil {
 		DiskErrorsTotal.Inc()
@@ -430,7 +423,7 @@ func (s *Store) diskWrite(k entryKey, b []byte) {
 		werr = cerr
 	}
 	if werr == nil {
-		werr = os.Rename(tmp.Name(), s.diskPath(k))
+		werr = os.Rename(tmp.Name(), s.diskPath(key, index))
 	}
 	if werr != nil {
 		DiskErrorsTotal.Inc()

@@ -211,48 +211,52 @@ func TestKeyForAllocBudget(t *testing.T) {
 	}
 }
 
-// TestMemoryTierLRU exercises the byte budget: least-recently-used entries
-// leave first, a hit refreshes recency, and the charge never exceeds the
-// budget.
+// TestMemoryTierLRU exercises the byte budget per table: the least
+// recently used table leaves first and whole, a hit on any of a table's
+// lines refreshes the table, and the charge never exceeds the budget.
 func TestMemoryTierLRU(t *testing.T) {
-	const payload = 100
-	st, err := New(Config{MaxBytes: 3 * (payload + entryOverhead)})
+	const lines = 8
+	charge := tableCharge(t, 1, lines)
+	st, err := New(Config{MaxBytes: 3 * charge})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var key Key
-	key[0] = 1
-	blob := func(i int) []byte {
-		b := bytes.Repeat([]byte{byte(i)}, payload)
-		return b
+	for tag := byte(1); tag <= 3; tag++ {
+		fillTable(st, tag, lines)
 	}
-	for i := 0; i < 3; i++ {
-		st.PutTask(key, i, blob(i))
+	if s := st.Stats(); tables(st) != 3 || s.Entries != 3*lines || s.Bytes != 3*charge {
+		t.Fatalf("stats = %+v, want 3 tables of %d lines charged %d each", s, lines, charge)
 	}
-	if s := st.Stats(); s.Entries != 3 {
-		t.Fatalf("entries = %d, want 3", s.Entries)
+	// A hit on one line of table 1 makes table 2 the cold end; table 4
+	// then pushes it out, all its lines at once.
+	if _, ok := st.GetTask(tagKey(1), lines-1); !ok {
+		t.Fatal("table 1 missing before eviction")
 	}
-	// Touch 0 so 1 becomes the cold end, then push it out with 3.
-	if _, ok := st.GetTask(key, 0); !ok {
-		t.Fatal("entry 0 missing before eviction")
-	}
-	st.PutTask(key, 3, blob(3))
-	if s := st.Stats(); s.Entries != 3 || s.Bytes > 3*(payload+entryOverhead) {
+	fillTable(st, 4, lines)
+	if s := st.Stats(); tables(st) != 3 || s.Bytes > 3*charge {
 		t.Fatalf("stats after eviction = %+v", s)
 	}
-	if _, ok := st.GetTask(key, 1); ok {
-		t.Error("LRU entry 1 survived over-budget insert")
-	}
-	for _, i := range []int{0, 2, 3} {
-		b, ok := st.GetTask(key, i)
-		if !ok || !bytes.Equal(b, blob(i)) {
-			t.Errorf("entry %d lost or corrupted after eviction", i)
+	for i := 0; i < lines; i++ {
+		if _, ok := st.GetTask(tagKey(2), i); ok {
+			t.Fatalf("line %d of the LRU table survived an over-budget table", i)
 		}
 	}
-	// Replacing an entry in place adjusts the charge instead of duplicating.
-	st.PutTask(key, 3, blob(3)[:payload/2])
-	if s := st.Stats(); s.Entries != 3 {
-		t.Fatalf("entries after replace = %d, want 3", s.Entries)
+	for _, tag := range []byte{1, 3, 4} {
+		for i := 0; i < lines; i++ {
+			b, ok := st.GetTask(tagKey(tag), i)
+			if !ok || !bytes.Equal(b, recycleBlob(tag, i)) {
+				t.Errorf("table %d line %d lost or corrupted after eviction", tag, i)
+			}
+		}
+	}
+	// A body joins its table's charge and recency: putting one into table
+	// 1 evicts table 3, the cold end after the hits above.
+	st.PutResult(tagKey(1), bytes.Repeat([]byte{1}, 64))
+	if _, ok := st.GetTask(tagKey(3), 0); ok {
+		t.Error("table 3 survived table 1 outgrowing its share")
+	}
+	if s := st.Stats(); tables(st) != 2 || s.Entries != 2*lines+1 {
+		t.Fatalf("stats after the body = %+v", s)
 	}
 }
 
