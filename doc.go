@@ -224,10 +224,12 @@
 // hits replay stored encodings, a cached answer is bit-identical to a
 // fresh one; tests pin this at every layer.
 // The memory tier holds one table per query key: the task lines, copied
-// into a slab sized for the plan's task count and indexed by task, and the
-// ResultSet body. Recency, the byte budget and eviction work per table,
-// which is charged its payload, one index slot per task and its struct, so
-// storing a cold grid costs a handful of allocations whatever its size. A
+// into a slab sized for the tasks the query (or a worker's range) puts and
+// indexed by task, and the ResultSet body. Recency, the byte budget and
+// eviction work per table, which is charged each slab in full when it is
+// cut, its body, one index slot per task and its struct, so the budget
+// bounds the memory held and storing a cold grid costs a handful of
+// allocations whatever its size. A
 // hit returns the slab's bytes, cap-limited, which no later put writes; an
 // evicted table is dropped and lives on only in lines callers still hold.
 //
@@ -382,7 +384,7 @@
 //	wsn_store_evictions_total                   counter    memory-tier tables (one query each) LRU-evicted
 //	wsn_store_disk_hits_total                   counter    misses promoted from the disk tier
 //	wsn_store_disk_errors_total                 counter    disk entries rejected (corrupt/unreadable)
-//	wsn_store_bytes                             gauge      memory-tier resident bytes
+//	wsn_store_bytes                             gauge      memory-tier bytes charged to the budget
 //	wsn_store_entries                           gauge      memory-tier resident task lines and bodies
 //
 // A minimal Prometheus scrape config:

@@ -350,7 +350,7 @@ func Kernels(quick bool) []Kernel {
 				j := i % n
 				if j == 0 {
 					binary.LittleEndian.PutUint64(key[:], uint64(i))
-					view = st.TasksAt(key, n)
+					view = st.TasksAt(key, 0, n)
 				}
 				view.PutTask(j, buf)
 			}

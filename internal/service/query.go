@@ -80,11 +80,12 @@ func (s *Server) storeKey(q query.Query) (store.Key, bool) {
 }
 
 // attachStore wires the per-task store view of key, sized for the plan's
-// tasks, into a compiled plan, so execution reuses stored tasks and
-// persists computed ones. A no-op unless keyed.
-func (s *Server) attachStore(plan *query.Plan, key store.Key, keyed bool) {
+// tasks [from, to) that this request computes, into a compiled plan, so
+// execution reuses stored tasks and persists computed ones. A no-op unless
+// keyed.
+func (s *Server) attachStore(plan *query.Plan, key store.Key, keyed bool, from, to int) {
 	if keyed {
-		plan.Store = s.cfg.Store.TasksAt(key, plan.NumTasks())
+		plan.Store = s.cfg.Store.TasksAt(key, from, to)
 	}
 }
 
@@ -132,7 +133,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.countQuery(plan.Kind, plan.NumTasks())
-	s.attachStore(plan, key, keyed)
+	s.attachStore(plan, key, keyed, 0, plan.NumTasks())
 	rctx, got, release, ok := s.acquireWorkers(w, r, q.Workers)
 	if !ok {
 		return
@@ -337,7 +338,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	// handleQuery.
 	key, keyed := s.storeKey(q)
 	cacheable := keyed && !q.Trace
-	s.attachStore(plan, key, keyed)
+	s.attachStore(plan, key, keyed, 0, plan.NumTasks())
 	rctx, got, release, ok := s.acquireWorkers(w, r, q.Workers)
 	if !ok {
 		return

@@ -240,7 +240,7 @@ func TestTracedQueryStoresTasksNotResult(t *testing.T) {
 		if status, _ := postJSON(t, ts.URL+route, traced); status != http.StatusOK {
 			t.Fatalf("%s: traced query: %d", route, status)
 		}
-		view := st.TasksAt(key, tasks)
+		view := st.TasksAt(key, 0, tasks)
 		for i := 0; i < tasks; i++ {
 			if _, ok := view.GetTask(i); !ok {
 				t.Errorf("%s: task %d not stored under the query's key", route, i)

@@ -62,7 +62,7 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 	// behind are served without recomputing, and everything computed here is
 	// stored — the fleet-wide shared shard cache.
 	key, keyed := s.storeKey(req.Query)
-	s.attachStore(plan, key, keyed)
+	s.attachStore(plan, key, keyed, req.From, req.To)
 	ctx, got, release, ok := s.acquireWorkers(w, r, req.Workers)
 	if !ok {
 		return

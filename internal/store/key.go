@@ -19,12 +19,12 @@
 // freshly computed bytes at any worker count.
 //
 // The memory tier holds one table per query: its task lines, carved from a
-// slab sized for the plan's task count, and its whole-query body. Recency,
-// the byte budget and eviction work per table, so a cold query costs the
-// store a constant number of allocations whatever its size. Returned bytes
-// are slab slices that nothing writes again; an evicted table is dropped
-// and lives on only in the lines callers still hold. The Store type
-// documents the rules.
+// slab sized for the tasks a view puts and charged whole, and its body.
+// Recency, the byte budget and eviction work per table, so a cold query
+// costs the store a constant number of allocations whatever its size.
+// Returned bytes are slab slices that nothing writes again; an evicted
+// table is dropped and lives on only in the lines callers still hold. The
+// Store type documents the rules.
 package store
 
 import (

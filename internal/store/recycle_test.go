@@ -28,7 +28,7 @@ func tagKey(tag byte) Key {
 
 // fillTable puts lines 0..n-1 of tag through a view sized for n tasks.
 func fillTable(st *Store, tag byte, n int) {
-	v := st.TasksAt(tagKey(tag), n)
+	v := st.TasksAt(tagKey(tag), 0, n)
 	for i := 0; i < n; i++ {
 		v.PutTask(i, recycleBlob(tag, i))
 	}
@@ -108,7 +108,7 @@ func TestRecycleAccountingMatchesFresh(t *testing.T) {
 	evictions := EvictionsTotal.Value()
 	for n := 0; n < 5000; n++ {
 		tag, i := byte(3+rng.Intn(4)), rng.Intn(live)
-		v := churned.TasksAt(tagKey(tag), live)
+		v := churned.TasksAt(tagKey(tag), 0, live)
 		switch rng.Intn(4) {
 		case 0:
 			v.GetTask(i)
@@ -167,7 +167,7 @@ func TestRecycleConcurrentNoCrossKey(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			for n := 0; n < rounds; n++ {
 				tag, i := byte(1+rng.Intn(tags)), rng.Intn(indexes)
-				v := st.TasksAt(tagKey(tag), indexes)
+				v := st.TasksAt(tagKey(tag), 0, indexes)
 				if w%2 == 0 {
 					v.PutTask(i, recycleBlob(tag, i))
 					continue
@@ -227,6 +227,38 @@ func TestTableRetentionBounded(t *testing.T) {
 	}
 }
 
+// TestSlabsChargedWhole: a table's slabs are charged in full when cut, so
+// tables of a large plan that each received one line — a cancelled query,
+// a one-task worker range — hold no more memory than the budget, and a view
+// over a range cuts a slab for that range only.
+func TestSlabsChargedWhole(t *testing.T) {
+	const tasks, payload, budget = 10000, 900, 4 << 20
+	st, err := New(Config{MaxBytes: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := make([]byte, payload)
+	st.TasksAt(tagKey(1), tasks-1, tasks).PutTask(tasks-1, line)
+	if got, want := st.Stats().Bytes, tableOverhead+tasks*lineOverhead+payload+payload/8; got != want {
+		t.Fatalf("a one-task range is charged %d, want %d", got, want)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for tag := byte(2); tag < 66; tag++ {
+		st.TasksAt(tagKey(tag), 0, tasks).PutTask(0, line)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if s := st.Stats(); s.Bytes > budget {
+		t.Fatalf("charge %d over budget %d", s.Bytes, budget)
+	}
+	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown > budget+budget/4 {
+		t.Fatalf("%d tables of one line each hold %d heap bytes over a budget of %d", tables(st), grown, budget)
+	}
+	runtime.KeepAlive(st)
+}
+
 // TestReturnedLinesNeverOverwritten: GetTask returns slices cap-limited to
 // their length, so a caller appending to one cannot write into the slab,
 // and the bytes stay unchanged through later puts into the same table —
@@ -238,7 +270,7 @@ func TestReturnedLinesNeverOverwritten(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := st.TasksAt(tagKey(5), 2*n)
+	v := st.TasksAt(tagKey(5), 0, 2*n)
 	for i := 0; i < n; i++ {
 		v.PutTask(i, recycleBlob(5, i))
 	}
@@ -305,9 +337,10 @@ func TestGetTaskHitAllocFree(t *testing.T) {
 	}
 }
 
-// TestPutTaskAllocBudget: a put into a table sized for its plan, with
-// eviction of older tables running, allocates nothing: the line is copied
-// into the table's slab and indexed.
+// TestPutTaskAllocBudget: a put into a table sized for its plan, in a store
+// filled to its budget, allocates nothing: the line is copied into the
+// table's slab and indexed. The slab is charged whole when the table's first
+// line cuts it, so that put is the one that evicts older tables.
 func TestPutTaskAllocBudget(t *testing.T) {
 	const lines, payload = 2000, 512
 	b := make([]byte, payload)
@@ -316,7 +349,7 @@ func TestPutTaskAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	fill := func(tag byte) {
-		v := st.TasksAt(tagKey(tag), lines)
+		v := st.TasksAt(tagKey(tag), 0, lines)
 		for i := 0; i < lines; i++ {
 			v.PutTask(i, b)
 		}
@@ -324,19 +357,23 @@ func TestPutTaskAllocBudget(t *testing.T) {
 	for tag := byte(1); tag < 8; tag++ { // fill the budget: evictions run
 		fill(tag)
 	}
-	v := st.TasksAt(tagKey(8), lines)
-	v.PutTask(0, b) // the table's first line makes the table
+	v := st.TasksAt(tagKey(8), 0, lines)
 	evictions := EvictionsTotal.Value()
+	v.PutTask(0, b) // the table's first line cuts and charges its slab
+	if EvictionsTotal.Value() == evictions {
+		t.Fatal("cutting the slab of a table in a full store evicted nothing")
+	}
+	charge := st.Stats().Bytes
 	i := 1
 	allocs := testing.AllocsPerRun(lines-2, func() {
 		v.PutTask(i, b)
 		i++
 	})
-	if EvictionsTotal.Value() == evictions {
-		t.Fatal("no eviction during the measured puts")
+	if s := st.Stats(); s.Bytes != charge || s.Bytes > st.cfg.MaxBytes {
+		t.Fatalf("puts into the slab moved the charge from %d to %d (budget %d)", charge, s.Bytes, st.cfg.MaxBytes)
 	}
 	if allocs > putTaskAllocBudget {
 		t.Fatalf("PutTask into a table sized for its plan allocated %v per op, budget %d", allocs, putTaskAllocBudget)
 	}
-	t.Logf("PutTask (sized table, evicting): %v allocs/op", allocs)
+	t.Logf("PutTask (sized table, full store): %v allocs/op", allocs)
 }

@@ -30,8 +30,8 @@ const (
 
 // Config parameterizes a Store.
 type Config struct {
-	// MaxBytes bounds the in-memory tier (payload bytes plus the tables'
-	// index and struct overhead), LRU-evicted by table; 0 selects
+	// MaxBytes bounds the in-memory tier (the tables' slabs, other payload
+	// bytes, index and struct overhead), LRU-evicted by table; 0 selects
 	// DefaultMaxBytes.
 	MaxBytes int64
 	// Dir, when non-empty, enables the on-disk tier: every put is also
@@ -77,26 +77,26 @@ type Stats struct {
 // put, replacement or eviction changes them. Callers must treat them as
 // immutable.
 //
-// The memory tier holds one table per query key. A table keeps the query's
-// task lines, indexed by task index, and its whole-query body. The lines are
-// carved from a slab sized, at the table's first line, for every task of
-// the plan at that line's length plus an eighth; a line that no longer fits
-// starts a slab sized the same way for the tasks still missing, so a plan's
-// lines take one slab unless they run longer than its first. A cold query
+// The memory tier holds one table per query key: the query's task lines,
+// indexed by task index, and its whole-query body. Lines are carved from a
+// slab sized, at the first line a view puts, for the tasks the view spans
+// (at most those the table lacks) at that line's length plus an eighth; a
+// line that no longer fits starts a slab sized the same way. A cold query
 // therefore costs the store a constant number of allocations (the table,
 // its index, its slab, its body), whatever its task count. A re-put of a
-// held line with the same bytes changes nothing; one with other bytes gets
-// an allocation of its own, never slab bytes, so a replacement loop cannot
-// grow a slab.
+// held line with the same bytes changes nothing; one with other bytes is
+// copied outside the lock into an allocation of its own, never a slab.
 //
 // Recency, the byte budget and eviction work per table: a hit or put moves
 // its table to the front, and puts evict whole tables from the cold end
-// while the charge exceeds the budget. A table is charged its payload (its
-// lines and body), one index slot per task and its struct; the unused tail
-// of its slab is not charged. A line that would take its own table past the
-// whole budget skips the memory tier (the disk tier still holds it). An
-// evicted table is dropped; its slabs live on only while a caller still
-// holds one of its lines.
+// while the charge exceeds the budget. A table is charged each slab in full
+// when it is cut (never larger than the budget the table has left), its
+// other bytes, one index slot per task and its struct, so the charge bounds
+// the memory the tier holds; only a replaced slab line stays in its slab
+// uncharged. A line that would take its own table past the whole budget
+// skips the memory tier (the disk tier still holds it). An evicted table is
+// dropped; its slabs live on only while a caller still holds one of its
+// lines.
 type Store struct {
 	cfg Config
 
@@ -133,40 +133,40 @@ func (s *Store) Stats() Stats {
 // GetTask returns the stored encoded TaskResult of (key, index), or false on
 // a miss. Memory hits cost no allocation; memory misses fall through to the
 // disk tier, whose hits are promoted into memory.
-func (s *Store) GetTask(key Key, index int) ([]byte, bool) { return s.getTask(key, index, 0) }
+func (s *Store) GetTask(key Key, index int) ([]byte, bool) { return s.getTask(key, index, span{}) }
 
 // PutTask stores the encoded TaskResult of (key, index). The bytes are
 // copied; negative indexes (reserved for whole-query entries) are dropped.
-func (s *Store) PutTask(key Key, index int, b []byte) { s.KeepTask(key, index, b) }
-
-// KeepTask is PutTask returning the memory tier's copy, or nil when it
-// kept none (a negative index, or a line its table has no budget left for).
-func (s *Store) KeepTask(key Key, index int, b []byte) []byte { return s.keepTask(key, index, 0, b) }
+func (s *Store) PutTask(key Key, index int, b []byte) { s.keepTask(key, index, span{}, b) }
 
 // GetResult returns the stored whole-query ResultSet bytes of key.
-func (s *Store) GetResult(key Key) ([]byte, bool) { return s.get(key, resultIndex, 0) }
+func (s *Store) GetResult(key Key) ([]byte, bool) { return s.get(key, resultIndex, span{}) }
 
 // PutResult stores the whole-query ResultSet bytes of key — the exact bytes
 // served, so a later hit is byte-identical by construction.
-func (s *Store) PutResult(key Key, b []byte) { s.put(key, resultIndex, 0, b) }
+func (s *Store) PutResult(key Key, b []byte) { s.put(key, resultIndex, span{}, b) }
+
+// span is the task range [from, to) a view puts: the table's index is sized
+// for to slots, its slabs for to−from lines (zero: the one line put).
+type span struct{ from, to int }
 
 // taskView adapts one query's table to query.TaskStore.
 type taskView struct {
-	s     *Store
-	key   Key
-	tasks int
+	s   *Store
+	key Key
+	sp  span
 }
 
-func (v *taskView) GetTask(index int) ([]byte, bool)  { return v.s.getTask(v.key, index, v.tasks) }
-func (v *taskView) PutTask(index int, encoded []byte) { v.s.keepTask(v.key, index, v.tasks, encoded) }
+func (v *taskView) GetTask(index int) ([]byte, bool)  { return v.s.getTask(v.key, index, v.sp) }
+func (v *taskView) PutTask(index int, encoded []byte) { v.s.keepTask(v.key, index, v.sp, encoded) }
 func (v *taskView) KeepTask(index int, encoded []byte) []byte {
-	return v.s.keepTask(v.key, index, v.tasks, encoded)
+	return v.s.keepTask(v.key, index, v.sp, encoded)
 }
 
 // Tasks returns the per-task store view of q for attaching to a compiled
 // Plan (Plan.Store), or nil when q is not cacheable (Direct losses) or the
 // store itself is nil — both safe to assign to Plan.Store directly. The
-// view sizes the query's table for q.NumTasks() lines.
+// view spans all q.NumTasks() tasks.
 func (s *Store) Tasks(q query.Query) query.TaskStore {
 	if s == nil {
 		return nil
@@ -175,33 +175,34 @@ func (s *Store) Tasks(q query.Query) query.TaskStore {
 	if !ok {
 		return nil
 	}
-	return s.TasksAt(key, q.NumTasks())
+	return s.TasksAt(key, 0, q.NumTasks())
 }
 
 // TasksAt returns the per-task store view of the query whose content key is
-// key and whose plan has tasks tasks, for a caller that already derived the
-// key with KeyFor.
-func (s *Store) TasksAt(key Key, tasks int) query.TaskStore { return &taskView{s, key, tasks} }
+// key, for a caller that already derived it with KeyFor and will put the
+// plan's tasks [from, to), which only size the table.
+func (s *Store) TasksAt(key Key, from, to int) query.TaskStore {
+	return &taskView{s, key, span{from, to}}
+}
 
-// getTask and keepTask serve GetTask and KeepTask for a table sized for
-// tasks lines.
-func (s *Store) getTask(key Key, index, tasks int) ([]byte, bool) {
+// getTask and keepTask serve GetTask and KeepTask for a view spanning sp.
+func (s *Store) getTask(key Key, index int, sp span) ([]byte, bool) {
 	if index < 0 {
 		return nil, false
 	}
-	return s.get(key, index, tasks)
+	return s.get(key, index, sp)
 }
 
-func (s *Store) keepTask(key Key, index, tasks int, b []byte) []byte {
+func (s *Store) keepTask(key Key, index int, sp span, b []byte) []byte {
 	if index < 0 {
 		return nil
 	}
-	return s.put(key, index, tasks, b)
+	return s.put(key, index, sp, b)
 }
 
 // get looks up (key, index) memory-first, then disk; a disk hit is
-// promoted into a table sized for tasks lines.
-func (s *Store) get(key Key, index, tasks int) ([]byte, bool) {
+// promoted into a table sized for sp.
+func (s *Store) get(key Key, index int, sp span) ([]byte, bool) {
 	s.mu.Lock()
 	if t := s.tables[key]; t != nil {
 		if b := t.at(index); b != nil {
@@ -216,7 +217,7 @@ func (s *Store) get(key Key, index, tasks int) ([]byte, bool) {
 		if b, ok := s.diskRead(key, index); ok {
 			HitsTotal.Inc()
 			DiskHitsTotal.Inc()
-			s.insert(key, index, tasks, b, false)
+			s.insert(key, index, sp, b, false)
 			return b, true
 		}
 	}
@@ -226,9 +227,9 @@ func (s *Store) get(key Key, index, tasks int) ([]byte, bool) {
 
 // put copies b into the memory tier, mirrors it to disk and returns the
 // memory tier's copy (nil when it kept none).
-func (s *Store) put(key Key, index, tasks int, b []byte) []byte {
+func (s *Store) put(key Key, index int, sp span, b []byte) []byte {
 	PutsTotal.Inc()
-	kept := s.insert(key, index, tasks, b, true)
+	kept := s.insert(key, index, sp, b, true)
 	if s.cfg.Dir != "" {
 		s.diskWrite(key, index, b)
 	}
@@ -236,34 +237,47 @@ func (s *Store) put(key Key, index, tasks int, b []byte) []byte {
 }
 
 // insert installs b as (key, index) in the memory tier, creating key's
-// table, sized for tasks lines, when it has none, and evicts cold tables
-// while over budget. With borrowed set, b belongs to the caller and is
-// copied: a fresh line into the table's slab, a body or a replacement into
-// an allocation of its own; without it, b is the store's own (a disk read)
-// and is kept as is. insert returns the bytes the table holds for
+// table when it has none, and evicts cold tables while over budget. With
+// borrowed set, b is the caller's and is copied: a fresh line into a slab,
+// a body or replacement before locking; without it, b is the store's own
+// (a disk read) and is kept. insert returns the bytes the table holds for
 // (key, index), nil when b would take the table past the whole budget.
-func (s *Store) insert(key Key, index, tasks int, b []byte, borrowed bool) []byte {
+func (s *Store) insert(key Key, index int, sp span, b []byte, borrowed bool) []byte {
+	if borrowed && index < 0 {
+		b, borrowed = clone(b), false
+	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	t := s.tables[key]
 	fresh := t == nil
-	cost, slots := int64(len(b)), 0
 	if fresh {
 		t = &table{key: key}
-		cost += tableOverhead
 	}
 	old := t.at(index)
-	if old != nil && bytes.Equal(old, b) {
+	switch {
+	case old != nil && bytes.Equal(old, b):
 		s.touch(t)
+		s.mu.Unlock()
 		return old
+	case old != nil && borrowed:
+		s.mu.Unlock()
+		return s.insert(key, index, sp, clone(b), false)
 	}
-	cost -= int64(len(old))
+	n := int64(len(b))
+	cost, slots := n-int64(len(old)), 0
+	if fresh {
+		cost += tableOverhead
+	}
 	if index >= len(t.lines) {
-		slots = max(index+1, tasks, 2*len(t.lines)) - len(t.lines)
+		slots = max(index+1, sp.to, 2*len(t.lines)) - len(t.lines)
 		cost += int64(slots) * lineOverhead
+	}
+	carved := borrowed && n > 0 // borrowed here means a fresh line
+	if carved && n <= int64(len(t.slab)) {
+		cost -= n // charged with its slab
 	}
 	room := s.cfg.MaxBytes - t.charge - cost
 	if room < 0 {
+		s.mu.Unlock()
 		return nil
 	}
 	if fresh {
@@ -278,11 +292,18 @@ func (s *Store) insert(key Key, index, tasks int, b []byte, borrowed bool) []byt
 		t.lines = lines
 	}
 	switch {
-	case !borrowed:
-	case index < 0 || old != nil || len(b) == 0:
-		b = clone(b)
-	default:
-		b = t.carve(b, room)
+	case carved:
+		if n > int64(len(t.slab)) {
+			want := int64(min(len(t.lines)-t.held, sp.to-sp.from)) * (n + n/8)
+			size := max(min(want, room+n), n)
+			t.slab = make([]byte, size)
+			cost += size - n
+		}
+		c := t.slab[:n:n] // cap-limited: an append cannot reach the next line
+		copy(c, b)
+		b, t.slab = c, t.slab[n:]
+	case borrowed:
+		b = clone(b) // empty, but non-nil: the line reads as held
 	}
 	if index < 0 {
 		t.body = b
@@ -302,23 +323,8 @@ func (s *Store) insert(key Key, index, tasks int, b []byte, borrowed bool) []byt
 	for s.bytes > s.cfg.MaxBytes { // never reaches t: alone, it fits
 		s.evict(s.root.prev)
 	}
+	s.mu.Unlock()
 	return b
-}
-
-// carve copies b into the table's slab and returns the copy cap-limited to
-// its length. When the slab's rest is too short it starts a new one sized
-// for every line the table still lacks at b's length plus an eighth, but
-// not past room, the budget the table has left after b.
-func (t *table) carve(b []byte, room int64) []byte {
-	n := len(b)
-	if n > len(t.slab) {
-		size := int64(len(t.lines)-t.held) * int64(n+n/8)
-		t.slab = make([]byte, max(min(size, room+int64(n)), int64(n)))
-	}
-	c := t.slab[:n:n]
-	copy(c, b)
-	t.slab = t.slab[n:]
-	return c
 }
 
 // clone copies b into an allocation of exactly its length (bytes.Clone may

@@ -258,6 +258,17 @@ func TestMemoryTierLRU(t *testing.T) {
 	if s := st.Stats(); tables(st) != 2 || s.Entries != 2*lines+1 {
 		t.Fatalf("stats after the body = %+v", s)
 	}
+	// Replacing a held line adjusts the charge by the length difference
+	// instead of duplicating the line.
+	before := st.Stats()
+	short := recycleBlob(1, 0)[:10]
+	st.PutTask(tagKey(1), 0, short)
+	if s := st.Stats(); s.Entries != before.Entries || before.Bytes-s.Bytes != int64(len(recycleBlob(1, 0))-len(short)) {
+		t.Fatalf("stats after replacing line 0 = %+v, before %+v", s, before)
+	}
+	if b, ok := st.GetTask(tagKey(1), 0); !ok || !bytes.Equal(b, short) {
+		t.Fatalf("replaced line 0 serves %q", b)
+	}
 }
 
 // TestPutCopiesBytes: the store owns its copies; callers mutating their
