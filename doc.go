@@ -358,7 +358,6 @@
 //	wsn_netsim_events_total                     counter    DES events dispatched
 //	wsn_netsim_cca_attempts_total               counter    clear channel assessments
 //	wsn_netsim_backoffs_total                   counter    CSMA/CA backoff draws
-//	wsn_netsim_prune_fallback_total             counter    out-of-order medium full scans
 //	wsn_netsim_heap_depth_max                   gauge      deepest event heap seen
 //	wsn_lifetime_runs_total                     counter    completed lifetime integrations
 //	wsn_lifetime_epochs_total                   counter    live-simulated epochs
@@ -483,14 +482,11 @@
 // the result store unchanged. The wsn_lifetime_* families report runs,
 // epochs, deaths and the simulated-versus-skipped time split.
 //
-// Underneath, the DES queue parks pre-sorted timelines (beacon schedules,
-// the common case in sparse/low-λ scenarios) in a FIFO far band beside
-// the 4-ary near heap, popping the global (at, seq) minimum of the two —
-// firing order is bit-identical to a single queue (pinned by replay tests
-// against a reference implementation and by every committed golden), but
-// parked events skip the heap sift entirely: the DESFastForward benchmark
-// (4096-event pre-sorted timeline) runs 2.9x faster than the pre-band
-// kernel (384 µs → 132 µs per drain), still at zero steady-state allocs.
+// Underneath, the DES queue is one 4-ary heap that never holds more than
+// one event per node plus one: each beacon schedules the next, and each
+// node has at most one pending protocol step (pinned by
+// netsim.TestQueueDepthBounded). Its firing order is pinned by replay tests
+// against a linear-scan reference queue and by every committed golden.
 //
 // # Zero-allocation simulation cores
 //
@@ -531,17 +527,13 @@
 //     and returned Results copy what they keep so they never alias the
 //     arena. Replica sweeps (netsim.RunReplicas, the scenario harness)
 //     reuse one arena per worker across all replicas.
-//   - The simulated medium keeps active transmissions in two value-typed
-//     binary heaps: an authoritative heap ordered by end time (expiry is a
-//     prefix pop; collision marking on add scans only live transmissions)
-//     and a node-free heap ordered by start time that answers the per-CCA
-//     busy-window probe by comparing the earliest unexpired start against
-//     the window — O(log n) instead of a linear scan. The start heap
-//     retires stale entries lazily, which is sound because prune
-//     thresholds are protocol instants on the 320 µs CSMA slot grid and
-//     advance monotonically; a maxPrune watermark falls back to an exact
-//     scan for any query behind the watermark, so correctness never
-//     depends on that monotonicity.
+//   - The simulated medium keeps its live transmissions in one value-typed
+//     slice. A CCA prunes the ended ones (an in-place compaction that
+//     writes only the entries that move) and scans the rest for one
+//     starting inside its window; collision marking on add scans the same
+//     slice. At any CCA the slice holds a handful of entries (0–4 in a
+//     200-node superframe), so the scan needs no index and no invariant
+//     about the order of the queries.
 //
 // # Tracked benchmarks
 //

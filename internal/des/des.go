@@ -21,22 +21,6 @@
 // scheduling therefore allocates nothing: pushing reuses the slice
 // capacity, and popped events are plain struct copies.
 //
-// # Idle fast-forward: the parked far band
-//
-// Long quiescent spans — a lifetime run ticking through thousands of
-// pre-scheduled beacons with almost no traffic between them — would pay a
-// full heap sift per beacon even though the beacons arrive pre-sorted. The
-// queue therefore has two bands. An event pushed at or after the latest
-// parked instant appends to the far band, a sorted FIFO consumed from the
-// front: O(1) push, O(1) pop. Anything earlier goes through the 4-ary near
-// heap as before. Every pop compares the near root against the far head
-// under the same (at, seq) order and takes the global minimum, so the
-// firing sequence is identical to a single heap, event for event — the
-// split is purely a cost optimization and can never reorder a run. A model
-// that pre-schedules its timeline in ascending order (netsim's beacon
-// grid, lifetime epochs) parks it for free and fast-forwards across idle
-// spans at one comparison per event instead of one sift.
-//
 // Events are typed: the model registers one Dispatcher function and
 // schedules events as a (kind, actor, arg) triple via AtEvent/ScheduleEvent.
 // No closure is allocated per event and an event holds no pointers; the
@@ -47,11 +31,13 @@
 //
 // A scheduled event always fires. The kernel keeps no handle per event and
 // no table to revoke one through, so a pop is one (at, seq) minimum and
-// nothing else. netsim needs no more: the beacons are a fixed timeline, and
-// each node has at most one pending event, because every node handler
-// schedules at most the node's next protocol step (contention, the next
-// CCA, the transmission, its end, the acknowledgment or its timeout) and a
-// node starts a superframe only while no exchange of its own is in flight.
+// nothing else. netsim needs no more: each beacon schedules the next, so
+// one beacon is pending at a time, and each node has at most one pending
+// event, because every node handler schedules at most the node's next
+// protocol step (contention, the next CCA, the transmission, its end, the
+// acknowledgment or its timeout) and a node starts a superframe only while
+// no exchange of its own is in flight. The queue therefore never holds
+// more than one entry per node plus one.
 // A model that must revoke an event records that in its own state and lets
 // the handler ignore the event when it fires.
 package des
@@ -82,13 +68,11 @@ type event struct {
 // Simulator is a discrete-event simulator instance.
 type Simulator struct {
 	now      time.Duration
-	heap     []event // near band: 4-ary min-heap
-	far      []event // far band: sorted FIFO, consumed from farHead
-	farHead  int
+	heap     []event // 4-ary min-heap
 	seq      uint64
 	rng      engine.RNG
 	fired    uint64
-	maxDepth int // deepest the two bands have grown together this run
+	maxDepth int // deepest the heap has grown this run
 	dispatch Dispatcher
 }
 
@@ -99,13 +83,11 @@ func New(seed int64) *Simulator {
 }
 
 // Reset rewinds the simulator to the state New(seed) would produce while
-// keeping the backing storage of both bands, so a recycled simulator
+// keeping the heap's backing storage, so a recycled simulator
 // schedules its next run without growing allocations. Pending events are
 // dropped. The registered dispatcher is kept.
 func (s *Simulator) Reset(seed int64) {
 	s.heap = s.heap[:0]
-	s.far = s.far[:0]
-	s.farHead = 0
 	s.now = 0
 	s.seq = 0
 	s.fired = 0
@@ -127,17 +109,12 @@ func (s *Simulator) Rand() *engine.RNG { return &s.rng }
 func (s *Simulator) Fired() uint64 { return s.fired }
 
 // MaxHeapDepth reports the deepest the event queue has grown since the last
-// Reset — the peak number of simultaneously pending entries across both
-// bands, a direct measure of scheduling pressure.
+// Reset — the peak number of simultaneously pending events, a direct
+// measure of scheduling pressure.
 func (s *Simulator) MaxHeapDepth() int { return s.maxDepth }
 
-// FarDepth reports the number of entries currently parked in the far band.
-// It exists for tests and benchmarks that assert the fast-forward band is
-// actually absorbing a pre-scheduled timeline.
-func (s *Simulator) FarDepth() int { return len(s.far) - s.farHead }
-
 // Pending reports the number of events currently scheduled.
-func (s *Simulator) Pending() int { return len(s.heap) + len(s.far) - s.farHead }
+func (s *Simulator) Pending() int { return len(s.heap) }
 
 // ScheduleEvent queues a typed event after delay (see Dispatcher). It
 // panics on negative delays: scheduling into the past is always a bug in
@@ -152,9 +129,6 @@ func (s *Simulator) ScheduleEvent(delay time.Duration, kind, actor int32, arg ti
 // AtEvent queues a typed event at absolute simulated time t (>= Now). The
 // (kind, actor, arg) triple is delivered to the registered Dispatcher when
 // the event fires. AtEvent allocates nothing in steady state.
-//
-// An event at or after the latest parked instant appends to the far band
-// in O(1); anything earlier sifts into the near heap.
 func (s *Simulator) AtEvent(t time.Duration, kind, actor int32, arg time.Duration) {
 	if s.dispatch == nil {
 		panic("des: AtEvent without a dispatcher (call SetDispatcher first)")
@@ -162,79 +136,31 @@ func (s *Simulator) AtEvent(t time.Duration, kind, actor int32, arg time.Duratio
 	if t < s.now {
 		panic(fmt.Sprintf("des: scheduling at %v before now %v", t, s.now))
 	}
-	ev := event{at: t, seq: s.seq, kind: kind, actor: actor, arg: arg}
+	s.heap = append(s.heap, event{at: t, seq: s.seq, kind: kind, actor: actor, arg: arg})
 	s.seq++
-	if n := len(s.far); n == s.farHead || t >= s.far[n-1].at {
-		// Keeps the far band sorted: seq is monotone, so an event at or
-		// after the tail instant extends the sorted order.
-		if s.farHead == n {
-			s.far = s.far[:0]
-			s.farHead = 0
-		}
-		s.far = append(s.far, ev)
-	} else {
-		s.heap = append(s.heap, ev)
-		s.siftUp(len(s.heap) - 1)
-	}
-	if depth := len(s.heap) + len(s.far) - s.farHead; depth > s.maxDepth {
-		s.maxDepth = depth
+	s.siftUp(len(s.heap) - 1)
+	if len(s.heap) > s.maxDepth {
+		s.maxDepth = len(s.heap)
 	}
 }
 
-// farMin reports whether the next pending entry is the far head: the far
-// band is non-empty and the near heap is empty or ordered after it. The
-// (at, seq) comparison is what makes the two-band split invisible — the pop
-// sequence is exactly a single heap's.
-func (s *Simulator) farMin() bool {
-	if s.farHead >= len(s.far) {
-		return false
-	}
-	return len(s.heap) == 0 || before(&s.far[s.farHead], &s.heap[0])
-}
-
-// popUntil removes and returns the globally earliest entry across both
-// bands if it is due at or before deadline; otherwise it leaves the queue
-// untouched and reports false.
-func (s *Simulator) popUntil(deadline time.Duration) (event, bool) {
-	if s.farMin() {
-		ev := s.far[s.farHead]
-		if ev.at > deadline {
-			return event{}, false
-		}
-		s.farHead++
-		if s.farHead == len(s.far) {
-			s.far = s.far[:0]
-			s.farHead = 0
-		}
-		return ev, true
-	}
+// step fires the earliest pending event if it is due at or before deadline,
+// advancing the clock to its timestamp, and reports whether it did.
+func (s *Simulator) step(deadline time.Duration) bool {
 	if len(s.heap) == 0 || s.heap[0].at > deadline {
-		return event{}, false
+		return false
 	}
 	ev := s.heap[0]
 	s.popRoot()
-	return ev, true
-}
-
-// fire advances the clock to ev and delivers it.
-func (s *Simulator) fire(ev event) {
 	s.now = ev.at
 	s.fired++
 	s.dispatch(ev.kind, ev.actor, ev.arg)
+	return true
 }
-
-// maxTime is the deadline that admits every event.
-const maxTime = time.Duration(1<<63 - 1)
 
 // Step fires the next pending event, advancing the clock to its timestamp.
 // It reports whether an event was executed.
-func (s *Simulator) Step() bool {
-	ev, ok := s.popUntil(maxTime)
-	if ok {
-		s.fire(ev)
-	}
-	return ok
-}
+func (s *Simulator) Step() bool { return s.step(time.Duration(1<<63 - 1)) }
 
 // Run executes events until the queue is empty.
 func (s *Simulator) Run() {
@@ -244,14 +170,8 @@ func (s *Simulator) Run() {
 
 // RunUntil executes events with timestamps <= deadline and then advances the
 // clock to the deadline. Events scheduled after the deadline remain queued.
-// Each event is located and popped in one pass.
 func (s *Simulator) RunUntil(deadline time.Duration) {
-	for {
-		ev, ok := s.popUntil(deadline)
-		if !ok {
-			break
-		}
-		s.fire(ev)
+	for s.step(deadline) {
 	}
 	if s.now < deadline {
 		s.now = deadline

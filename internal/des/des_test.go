@@ -405,8 +405,7 @@ func TestResetReplaysIdentically(t *testing.T) {
 	s.AtEvent(time.Millisecond, 0, 0, 0)
 	s.AtEvent(2*time.Millisecond, 0, 0, 0)
 	s.Run()
-	// Left pending across the Reset, in both bands: a parked far-band
-	// instant and an earlier near-heap insert.
+	// Left pending across the Reset: two events, the second one earlier.
 	s.AtEvent(3*time.Millisecond, 0, -7, 0)
 	s.AtEvent(2500*time.Microsecond, 0, -8, 0)
 	s.Reset(42)

@@ -7,12 +7,11 @@ import (
 	"time"
 )
 
-// The parked far band is a pure cost optimization: every pop must take the
-// global (at, seq) minimum across both bands, so the firing sequence of any
-// schedule — including ones that interleave parked timelines, out-of-order
-// inserts and same-instant ties — is identical to a single sorted queue's.
-// The tests below pin that equivalence against an independent reference
-// implementation, and pin the skip path's zero-allocation contract.
+// Every pop must take the (at, seq) minimum, so the firing sequence of any
+// schedule — including ones that interleave ascending timelines,
+// out-of-order inserts and same-instant ties — is identical to a single
+// sorted queue's. The tests below pin that equivalence against an
+// independent reference implementation.
 
 // scheduler is the surface a recorded scenario drives; both the real
 // Simulator and the reference queue implement it.
@@ -39,8 +38,8 @@ type refEvent struct {
 }
 
 // refQueue is the reference semantics: one flat slice, popped by a full
-// linear scan for the (at, seq) minimum — no heaps, no bands, nothing to
-// share a bug with the real kernel.
+// linear scan for the (at, seq) minimum — no heap, nothing to share a bug
+// with the real kernel.
 type refQueue struct {
 	now    time.Duration
 	seq    uint64
@@ -86,9 +85,9 @@ type firing struct {
 }
 
 // driveScenario replays one recorded random schedule on a backend: a
-// pre-sorted beacon timeline (the far band's reason to exist) whose handlers
-// schedule bursts of near-future work, some of which chains a follow-up the
-// way a netsim node schedules its next protocol step. Delays are coarse
+// pre-sorted beacon timeline whose handlers schedule bursts of near-future
+// work, some of which chains a follow-up the way a netsim node schedules
+// its next protocol step. Delays are coarse
 // (quarter-millisecond multiples, zero included), so events often share an
 // instant with each other and with the beacons, and the trace pins the
 // same-instant FIFO order as well as the time order. The schedule is run in
@@ -114,7 +113,7 @@ func driveScenario(sc scheduler, seed int64) []firing {
 			at(sc.Now()+time.Duration(rng.Intn(8))*250*time.Microsecond, rng.Intn(3))
 		}
 	}
-	// The parked timeline: 300 strictly ascending beacon instants.
+	// The timeline: 300 strictly ascending beacon instants.
 	for i := 0; i < 300; i++ {
 		id := next
 		next++
@@ -134,9 +133,9 @@ func driveScenario(sc scheduler, seed int64) []firing {
 	return log
 }
 
-// TestFarBandReplayIdentity proves the two-band queue fires recorded random
-// schedules in exactly the order the reference single-queue semantics does.
-func TestFarBandReplayIdentity(t *testing.T) {
+// TestReplayMatchesReference proves the heap fires recorded random schedules
+// in exactly the order the reference linear-scan queue does.
+func TestReplayMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		got := driveScenario(simBackend{newClosures(0)}, seed)
 		want := driveScenario(&refQueue{}, seed)
@@ -158,62 +157,9 @@ func TestFarBandReplayIdentity(t *testing.T) {
 	}
 }
 
-// TestFarBandRouting pins the band routing itself: an ascending timeline
-// parks entirely in the far band, one earlier insert sifts into the near
-// heap without disturbing the parked run, and consumption drains both in
-// global order.
-func TestFarBandRouting(t *testing.T) {
-	s := New(0)
-	s.SetDispatcher(func(kind, actor int32, arg time.Duration) {})
-	for i := 1; i <= 50; i++ {
-		s.AtEvent(time.Duration(i)*time.Millisecond, 0, 0, 0)
-	}
-	if got := s.FarDepth(); got != 50 {
-		t.Fatalf("ascending timeline parked %d entries, want 50", got)
-	}
-	s.AtEvent(500*time.Microsecond, 0, 0, 0) // before the parked head: near heap
-	if got := s.FarDepth(); got != 50 {
-		t.Fatalf("earlier insert changed the far band: depth %d, want 50", got)
-	}
-	s.AtEvent(51*time.Millisecond, 0, 0, 0) // at/after the parked tail: far band
-	if got := s.FarDepth(); got != 51 {
-		t.Fatalf("later insert missed the far band: depth %d, want 51", got)
-	}
-	s.Run()
-	if s.Fired() != 52 || s.FarDepth() != 0 {
-		t.Fatalf("Fired = %d FarDepth = %d, want 52 and 0", s.Fired(), s.FarDepth())
-	}
-}
-
-// TestFarBandSkipAllocFree extends the kernel's allocation guard to the
-// fast-forward path: parking a pre-sorted timeline and draining it through
-// Step must not allocate once the band storage has warmed up — the skip
-// path is O(1) appends and O(1) pops, with no sift and no growth.
-func TestFarBandSkipAllocFree(t *testing.T) {
-	s := New(1)
-	s.SetDispatcher(func(kind, actor int32, arg time.Duration) {})
-	// Warm-up: grow the far band to steady-state capacity.
-	for i := 0; i < 256; i++ {
-		s.ScheduleEvent(time.Duration(i)*time.Millisecond, 0, 0, 0)
-	}
-	s.Run()
-	allocs := testing.AllocsPerRun(100, func() {
-		for i := 0; i < 128; i++ {
-			s.ScheduleEvent(time.Duration(i)*time.Millisecond, 0, 0, 0)
-		}
-		if s.FarDepth() != 128 {
-			t.Fatal("timeline not parked in the far band")
-		}
-		s.Run()
-	})
-	if allocs != 0 {
-		t.Fatalf("far-band skip path allocated %v per cycle, want 0", allocs)
-	}
-}
-
-// TestFarBandOrderAgainstSort cross-checks a bulk out-of-order schedule: the
+// TestOrderAgainstSort cross-checks a bulk out-of-order schedule: the
 // pop order equals the stable (at, seq) sort of everything pushed.
-func TestFarBandOrderAgainstSort(t *testing.T) {
+func TestOrderAgainstSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	s := newClosures(0)
 	type stamped struct {
@@ -223,7 +169,7 @@ func TestFarBandOrderAgainstSort(t *testing.T) {
 	var want []stamped
 	var got []stamped
 	n := 0
-	// Half a parked ascending run, half random inserts landing before it.
+	// Half an ascending run, half random inserts landing before it.
 	for i := 0; i < 400; i++ {
 		var at time.Duration
 		if i%2 == 0 {

@@ -42,8 +42,9 @@ type Options struct {
 	ShardTimeout time.Duration
 	// StragglerFactor and StragglerMin set the speculation threshold: a
 	// shard that has not progressed for max(StragglerMin, StragglerFactor ×
-	// the EWMA of observed per-task wall times) is speculatively duplicated
-	// on an idle worker (0 ⇒ 4 / 250ms). Duplicates are deduplicated by
+	// the mean of the query's observed per-task wall times; StragglerMin
+	// alone until a task line has arrived) is speculatively duplicated on
+	// an idle worker (0 ⇒ 4 / 250ms). Duplicates are deduplicated by
 	// task index, so speculation never changes bytes.
 	StragglerFactor float64
 	StragglerMin    time.Duration
@@ -276,10 +277,10 @@ type distRun struct {
 	flights map[int]*flight
 	nextFID int
 	rng     *rand.Rand // backoff jitter, built on the first retry
-	ewma    float64    // EWMA of observed per-task wall times, ms
 	// wallSum and wallCount total the observed per-task wall times (ms);
-	// their mean prices a split. One preempted task lifts the EWMA a
-	// hundredfold on a grid of 15 µs tasks, but barely moves the mean.
+	// their mean prices a split and the straggler threshold. One preempted
+	// task would lift an EWMA a hundredfold on a grid of 15 µs tasks, but
+	// barely moves the mean.
 	wallSum   float64
 	wallCount int
 	// fellBack records that the query degraded to local execution;
@@ -746,11 +747,6 @@ func (r *distRun) onLine(m msg) error {
 	if line.WallMS > 0 {
 		r.wallSum += line.WallMS
 		r.wallCount++
-		if r.ewma == 0 {
-			r.ewma = line.WallMS
-		} else {
-			r.ewma = 0.8*r.ewma + 0.2*line.WallMS
-		}
 	}
 	i := line.Index
 	if !r.have[i] {
@@ -935,8 +931,11 @@ func (r *distRun) onProbe(m msg) {
 // times. The duplicate races the original; index-level deduplication keeps
 // the merged bytes identical either way.
 func (r *distRun) checkStragglers() {
-	threshold := time.Duration(r.c.opts.StragglerFactor * r.ewma * float64(time.Millisecond))
-	threshold = max(threshold, r.c.opts.StragglerMin)
+	threshold := r.c.opts.StragglerMin
+	if r.wallCount > 0 {
+		mean := r.wallSum / float64(r.wallCount)
+		threshold = max(threshold, time.Duration(r.c.opts.StragglerFactor*mean*float64(time.Millisecond)))
+	}
 	now := time.Now()
 	for _, f := range r.flights {
 		if f.worker == "" || f.speculated || now.Sub(f.lastMove) <= threshold {

@@ -220,110 +220,58 @@ type transmission struct {
 	node  *node // nil for beacon/ack
 }
 
-// txInterval is a node-free copy of a transmission in the medium's
-// start-ordered index — keeping *node out of the index means lazily retired
-// entries never pin a pooled run's nodes across recycles.
-type txInterval struct {
-	start time.Duration
-	end   time.Duration
-}
-
 // medium is the single shared broadcast domain (every node hears every
-// other: the star topology of Fig. 1a with no hidden terminals).
-//
-// The active set is indexed two ways so the per-CCA operations stay
-// sublinear in dense networks:
-//
-//   - byEnd is the authoritative set, a min-heap on end time. prune is a
-//     prefix pop instead of an O(active) filter, because the simulation only
-//     ever prunes at monotonically sufficient thresholds (see below).
-//   - byStart is a min-heap on start time holding node-free copies.
-//     busyWindow reduces to one earliest-start comparison against its root;
-//     entries whose transmission already left byEnd are retired lazily when
-//     they surface.
-//
-// Index invariants (why the lazy byStart root is trustworthy):
-//
-//   - Every prune threshold is a protocol instant on the global CSMA slot
-//     grid — a beacon start, a CCA slot boundary or a transmission start —
-//     and busyWindow(a, b) prunes to a itself before consulting the index.
-//   - Event firing times lag their protocol instants by at most one radio
-//     turnaround, and all turnarounds are shorter than phy.UnitBackoffPeriod,
-//     so successive thresholds can only regress by less than one slot —
-//     which on the shared slot grid means they never regress at all.
-//   - Therefore at query time a ≥ maxPrune: anything popped from byEnd has
-//     end ≤ maxPrune ≤ a, and its byStart copy fails the end > a liveness
-//     test the moment it surfaces. The root comparison then exactly matches
-//     a full scan. Should a model change ever violate the monotone-threshold
-//     invariant, busyWindow detects a < maxPrune and falls back to the
-//     O(active) scan of byEnd, which is correct unconditionally.
+// other: the star topology of Fig. 1a with no hidden terminals). The active
+// set is a plain slice: it holds a handful of transmissions at any CCA
+// (0–4 in a 200-node superframe), so a scan is as cheap as any index.
 type medium struct {
-	byEnd    []transmission // min-heap on end: the active set
-	byStart  []txInterval   // min-heap on start: lazy query index
-	maxPrune time.Duration  // highest prune threshold seen this run
-
-	fallbacks int // out-of-order busyWindow queries that forced a full scan
+	active []transmission
 }
 
 // reset clears the medium for a recycled run, zeroing the vacated storage so
-// no *node pointer from a previous run survives in slice tails.
+// no *node pointer from a previous run survives in the slice tail.
 func (m *medium) reset() {
-	for i := range m.byEnd {
-		m.byEnd[i] = transmission{}
-	}
-	m.byEnd = m.byEnd[:0]
-	m.byStart = m.byStart[:0]
-	m.maxPrune = 0
-	m.fallbacks = 0
+	clear(m.active)
+	m.active = m.active[:0]
 }
 
-// prune drops transmissions that ended at or before t — a prefix pop off the
-// end-ordered heap. Vacated tail slots are zeroed so the heap never retains
-// stale *node pointers (the pooled-run recycling bug class).
+// prune drops transmissions that ended at or before t, compacting the
+// survivors in place. An entry is written only when it moves, and the
+// vacated tail is zeroed so the slice never retains stale *node pointers
+// (the pooled-run recycling bug class).
 func (m *medium) prune(t time.Duration) {
-	if t > m.maxPrune {
-		m.maxPrune = t
+	k := 0
+	for i := range m.active {
+		if m.active[i].end <= t {
+			continue
+		}
+		if k != i {
+			m.active[k] = m.active[i]
+		}
+		k++
 	}
-	for len(m.byEnd) > 0 && m.byEnd[0].end <= t {
-		m.popEnd()
-	}
+	clear(m.active[k:])
+	m.active = m.active[:k]
 }
 
 // busyWindow reports whether any transmission overlaps [a, b). It prunes to
-// a first (the same threshold its callers prune at), so the check is a
-// single comparison against the earliest-start root of the index.
+// a first, so every survivor ends after a and overlaps exactly when it
+// starts before b.
 func (m *medium) busyWindow(a, b time.Duration) bool {
 	m.prune(a)
-	if a < m.maxPrune {
-		m.fallbacks++
-		// Out-of-order query: the index may have lazily retired entries
-		// still relevant at this earlier instant. Unreachable on the slot
-		// grid (see the invariants above), but the full scan keeps the
-		// medium correct for any scheduling pattern.
-		for i := range m.byEnd {
-			if m.byEnd[i].start < b && m.byEnd[i].end > a {
-				return true
-			}
+	for i := range m.active {
+		if m.active[i].start < b {
+			return true
 		}
-		return false
-	}
-	for len(m.byStart) > 0 {
-		if m.byStart[0].end <= a {
-			m.popStart() // retired: its transmission left byEnd already
-			continue
-		}
-		return m.byStart[0].start < b
 	}
 	return false
 }
 
 // add inserts a transmission, marking collisions among overlaps on the
-// participating nodes. The overlap scan walks the active set (heap order is
-// irrelevant for flag setting); adds are rare next to CCA busy checks, so
-// this is the one remaining O(active) medium operation.
+// participating nodes.
 func (m *medium) add(tx transmission) {
-	for i := range m.byEnd {
-		other := &m.byEnd[i]
+	for i := range m.active {
+		other := &m.active[i]
 		if other.start < tx.end && other.end > tx.start {
 			if tx.node != nil {
 				tx.node.txCollided = true
@@ -333,93 +281,7 @@ func (m *medium) add(tx transmission) {
 			}
 		}
 	}
-	m.pushEnd(tx)
-	m.pushStart(txInterval{start: tx.start, end: tx.end})
-}
-
-// ---- value-typed binary min-heaps of the medium index ----
-
-func (m *medium) pushEnd(tx transmission) {
-	h := append(m.byEnd, tx)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h[parent].end <= tx.end {
-			break
-		}
-		h[i] = h[parent]
-		i = parent
-	}
-	h[i] = tx
-	m.byEnd = h
-}
-
-func (m *medium) popEnd() {
-	h := m.byEnd
-	n := len(h) - 1
-	root := h[n]
-	h[n] = transmission{} // clear the vacated tail (drops *node references)
-	h = h[:n]
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if c+1 < n && h[c+1].end < h[c].end {
-			c++
-		}
-		if h[c].end >= root.end {
-			break
-		}
-		h[i] = h[c]
-		i = c
-	}
-	if n > 0 {
-		h[i] = root
-	}
-	m.byEnd = h
-}
-
-func (m *medium) pushStart(iv txInterval) {
-	h := append(m.byStart, iv)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h[parent].start <= iv.start {
-			break
-		}
-		h[i] = h[parent]
-		i = parent
-	}
-	h[i] = iv
-	m.byStart = h
-}
-
-func (m *medium) popStart() {
-	h := m.byStart
-	n := len(h) - 1
-	root := h[n]
-	h = h[:n]
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if c+1 < n && h[c+1].start < h[c].start {
-			c++
-		}
-		if h[c].start >= root.start {
-			break
-		}
-		h[i] = h[c]
-		i = c
-	}
-	if n > 0 {
-		h[i] = root
-	}
-	m.byStart = h
+	m.active = append(m.active, tx)
 }
 
 // packet is one application payload with delivery bookkeeping.
@@ -457,7 +319,7 @@ type node struct {
 }
 
 // env holds the per-run simulation state. It is the arena a Runner recycles
-// between runs: the simulator's event storage, the medium's index heaps and
+// between runs: the simulator's event storage, the medium's active set and
 // the node, delay and histogram slices all keep their capacity across
 // reset, so replica sweeps pay the setup allocations once per worker
 // instead of once per replication.

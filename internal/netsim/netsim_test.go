@@ -235,3 +235,43 @@ func TestPacketConservation(t *testing.T) {
 			r.PacketsDelivered, r.PacketsDropped, r.PacketsExpired, r.PacketsOffered)
 	}
 }
+
+// TestQueueDepthBounded pins the des package's "one pending event per node"
+// claim from netsim's side: with each beacon scheduling the next, the event
+// queue never holds more than one entry per node plus the pending beacon —
+// in a dense superframe, over many sparse superframes (a timeline scheduled
+// up front would hold every beacon at once) and across lifetime epochs.
+func TestQueueDepthBounded(t *testing.T) {
+	sparse, err := mac.NewSuperframe(3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []Config{
+		{Nodes: 200, Superframes: 4, Seed: 1},
+		{Nodes: 3, Superframes: 40, TransmitProb: 0.3, Superframe: sparse, Seed: 2},
+	} {
+		r := NewRunner()
+		r.Run(cfg)
+		if got := r.e.sim.MaxHeapDepth(); got > cfg.Nodes+1 {
+			t.Errorf("%d nodes, %d superframes: queue reached %d entries, want at most %d",
+				cfg.Nodes, cfg.Superframes, got, cfg.Nodes+1)
+		}
+	}
+
+	cfg := Config{Nodes: 12, Superframes: 8, Seed: 77}
+	ep := NewEpochs(cfg)
+	defer ep.Release()
+	alive := make([]bool, cfg.Nodes)
+	budget := make([]float64, cfg.Nodes)
+	for i := range alive {
+		alive[i] = true
+		budget[i] = 0.002 * float64(i+1)
+	}
+	energy := make([]float64, cfg.Nodes)
+	for k := 0; k < 4; k++ {
+		ep.Run(EpochSpec{Epoch: k, Alive: alive, BudgetJ: budget}, energy)
+		if got := ep.r.e.sim.MaxHeapDepth(); got > cfg.Nodes+1 {
+			t.Errorf("epoch %d: queue reached %d entries, want at most %d", k, got, cfg.Nodes+1)
+		}
+	}
+}

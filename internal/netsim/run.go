@@ -56,12 +56,13 @@ func (e *env) dispatchEvent(kind, actor int32, arg time.Duration) {
 	}
 }
 
-// Runner is a reusable simulation arena: the des event storage, the medium
-// index, the node population (radio devices included) and the bookkeeping
-// slices all persist across runs, so a recycled Run performs only a handful
-// of allocations instead of the ~1.5 per node a cold start pays. A Runner
-// is not safe for concurrent use; give each worker goroutine its own (or go
-// through Run, which recycles Runners from an internal sync.Pool).
+// Runner is a reusable simulation arena: the des event storage, the
+// medium's active set, the node population (radio devices included) and
+// the bookkeeping slices all persist across runs, so a recycled Run
+// performs only a handful of allocations instead of the ~1.5 per node a
+// cold start pays. A Runner is not safe for concurrent use; give each
+// worker goroutine its own (or go through Run, which recycles Runners from
+// an internal sync.Pool).
 //
 // Recycling is behavior-free by construction: every random stream is a pure
 // function of (Config.Seed, node index), and reset restores all mutable
@@ -191,13 +192,9 @@ func (r *Runner) simulate(cfg Config, spec *EpochSpec, keepDeployment bool) {
 		n.dev.SetPhase(radio.PhaseSleep)
 	}
 
-	// Schedule the superframes.
-	tib := cfg.Superframe.BeaconInterval()
-	for k := 0; k < cfg.Superframes; k++ {
-		beaconAt := time.Duration(k) * tib
-		e.sim.AtEvent(beaconAt, evBeacon, -1, beaconAt)
-	}
-	horizon := time.Duration(cfg.Superframes) * tib
+	// Start the superframes: each beacon schedules the next (env.beacon).
+	e.sim.AtEvent(0, evBeacon, -1, 0)
+	horizon := time.Duration(cfg.Superframes) * cfg.Superframe.BeaconInterval()
 	e.sim.RunUntil(horizon)
 
 	// Close the books: every living node sleeps out the horizon. Dead
@@ -219,7 +216,16 @@ func (r *Runner) simulate(cfg Config, spec *EpochSpec, keepDeployment bool) {
 // its budget shuts down for good, leaving the contention population before
 // this superframe's draws. Busy nodes finish their straddling exchange
 // first and are checked at the next beacon.
+//
+// The next beacon is scheduled first, so it fires before every event queued
+// during this superframe for the same instant. No node event is ever
+// pending a whole beacon interval ahead, so a beacon always fires first at
+// its instant.
 func (e *env) beacon(at time.Duration) {
+	tib := e.cfg.Superframe.BeaconInterval()
+	if next := at + tib; next < time.Duration(e.cfg.Superframes)*tib {
+		e.sim.AtEvent(next, evBeacon, -1, next)
+	}
 	e.med.prune(at)
 	e.med.add(transmission{start: at, end: at + e.tbeacon})
 	for i := range e.nodes {
@@ -334,7 +340,6 @@ func (n *node) doCCA(b time.Duration) {
 	}
 	n.transition(radio.RX)
 	n.advance(b + phy.CCADuration)
-	e.med.prune(b)
 	e.ccaAttempts++
 	busy := e.med.busyWindow(b, b+phy.CCADuration)
 	n.transition(radio.Idle)

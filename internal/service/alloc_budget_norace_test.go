@@ -2,32 +2,36 @@
 
 package service
 
+// The HTTP exchange budgets below are measured with the collector off
+// (allocsWithoutGC): with it on, sync.Pool refills after collections add a
+// count that follows the heap size and the GC timing, not the code path.
+
 // Serving and reading the 1,000-line grid shard from a warm worker store
-// measures 175 allocations per exchange (the request and response, the
-// plan compile, the stream's timer and a few dozen coalesced chunks); a
-// CC2420 built per compile made it 177, and decoding and keying the
-// TaskRequest by reflection, as the worker once did, about 220. The budget
-// sits just above the reading, far below one per line, so a per-line flush
-// or any other per-line allocation fails it too.
-const taskShardAllocBudget = 185
+// measures 166 to 167 allocations per exchange (the request and response,
+// the plan compile, the stream's timer and a few dozen coalesced chunks);
+// about 175 with the collector on, a CC2420 built per compile made it 177,
+// and decoding and keying the TaskRequest by reflection, as the worker once
+// did, about 220. The budget sits just above the reading, far below one per
+// line, so a per-line flush or any other per-line allocation fails it too.
+const taskShardAllocBudget = 175
 
 // A cold distributed 1,000-point grid through a coordinator and two
-// workers in one process measures 533 to 537 allocations per query, both
-// sides of its two shard exchanges (one per worker) included. With one
+// workers in one process measures 519 to 520 allocations per query (533 to
+// 537 with the collector on), both sides of its two shard exchanges (one
+// per worker) included. With one
 // store entry per task line, which three stores fill, it measured about
 // 605, and cutting the plan into two shards per worker, four exchanges,
 // about 925; one exchange more (about 150 allocations) or a readiness
 // probe per worker and query (about 100 each) fails the budget.
-const distQueryAllocBudget = 560
+const distQueryAllocBudget = 540
 
-// A traced repeat of a stored distributed 1,000-point grid measures 200 to
-// 221 allocations: the request, the plan compile, the prefill's one
-// Metrics slab, the trace and the response, 163 of them with the collector
-// off; the rest are sync.Pool refills after collections, which come more
-// often the smaller the fleet's live heap (203 to 213 with one store entry
-// per task line). One MetricsWire per store hit, as the prefill once
-// decoded them, measures about 1,270.
-const prefillAllocBudget = 235
+// A traced repeat of a stored distributed 1,000-point grid measures 163
+// allocations: the request, the plan compile, the prefill's one Metrics
+// slab, the trace and the response. With the collector on it read 200 to
+// 221, the rest sync.Pool refills after collections, which come more often
+// the smaller the fleet's live heap. One MetricsWire per store hit, as the
+// prefill once decoded them, measures about 1,270.
+const prefillAllocBudget = 175
 
 // A whole-query store hit on a stored 100-point grid, through ServeHTTP with
 // an httptest recorder, measures 26 allocations, about eleven of them the

@@ -3,17 +3,19 @@
 package service
 
 // The race detector makes sync.Pool drop Puts, which adds a few dozen
-// allocations per exchange (about 240); the budget still sits below one per
-// line.
+// allocations per exchange (about 205 with the collector off); the budget
+// still sits below one per line.
 const taskShardAllocBudget = 400
 
 // Under the race detector the same distributed query, two shard exchanges,
-// measures about 4,850 allocations (about 5,200 with four); the budget only
-// bounds it, and the plain build's budget is the gate.
+// measures about 4,700 allocations with the collector off (about 5,200
+// with four exchanges and the collector on); the budget only bounds it,
+// and the plain build's budget is the gate.
 const distQueryAllocBudget = 6500
 
 // The prefill draws nothing per task from a sync.Pool, so the race
-// detector adds only a few dozen per-request pool misses (about 270).
+// detector adds only a few per-request pool misses (about 170 to 185 with
+// the collector off).
 const prefillAllocBudget = 400
 
 // The store hit draws only the request body buffer from a sync.Pool, so the

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -85,12 +86,19 @@ func TestDrainingWorkerServesNoShard(t *testing.T) {
 		t.Fatal("the first query dispatched nothing to the worker about to drain")
 	}
 	drained.SetReady(false)
+	// The handler's metrics are counted after its response went out, and
+	// the in-flight gauge drops only after the count: once it reads 0, no
+	// shard of the first query can still be counted as served after the
+	// drain.
+	deadline := time.Now().Add(5 * time.Second)
+	for drained.httpInFlight.Value() != 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 	before := served("200")
 	if got, want := postQuery(t, coord, q(4)), postQuery(t, local.URL, q(4)); !bytes.Equal(got, want) {
 		t.Fatal("distributed bytes deviate from local after the drain")
 	}
-	// The handler's metrics are counted after its response went out.
-	for deadline := time.Now().Add(5 * time.Second); served("503") == 0 && time.Now().Before(deadline); {
+	for served("503") == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	if served("503") == 0 {
@@ -99,6 +107,15 @@ func TestDrainingWorkerServesNoShard(t *testing.T) {
 	if d := served("200") - before; d != 0 {
 		t.Errorf("the drained worker served %d shards", d)
 	}
+}
+
+// allocsWithoutGC is testing.AllocsPerRun with the collector off. An HTTP
+// exchange refills sync.Pools after every collection, so with the
+// collector on its count follows the heap size and the GC timing rather
+// than the code path.
+func allocsWithoutGC(runs int, f func()) float64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	return testing.AllocsPerRun(runs, f)
 }
 
 // TestDistributedQueryAllocBudget guards a whole distributed query in
@@ -116,7 +133,7 @@ func TestDistributedQueryAllocBudget(t *testing.T) {
 		postQuery(t, coord, body)
 	}
 	run() // warm-up: admission, connections, contention cache
-	allocs := testing.AllocsPerRun(5, run)
+	allocs := allocsWithoutGC(5, run)
 	if allocs > distQueryAllocBudget {
 		t.Fatalf("a cold distributed 1000-point grid allocated %v, budget %d", allocs, distQueryAllocBudget)
 	}
@@ -134,7 +151,7 @@ func TestDistributedPrefillAllocBudget(t *testing.T) {
 	body := strings.TrimSuffix(grid1000Body, "}") + `,"trace":true}`
 	postQuery(t, coord, body) // computes, distributes and stores the grid
 	shards := dist.ShardsDispatchedTotal.Value()
-	allocs := testing.AllocsPerRun(5, func() { postQuery(t, coord, body) })
+	allocs := allocsWithoutGC(5, func() { postQuery(t, coord, body) })
 	if d := dist.ShardsDispatchedTotal.Value() - shards; d != 0 {
 		t.Fatalf("the stored grid dispatched %d shards, want the prefill path", d)
 	}

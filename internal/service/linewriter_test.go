@@ -366,7 +366,7 @@ func TestTaskShardAllocBudget(t *testing.T) {
 		}
 	}
 	read() // warm the store and the connection
-	allocs := testing.AllocsPerRun(5, read)
+	allocs := allocsWithoutGC(5, read)
 	if allocs > taskShardAllocBudget {
 		t.Fatalf("serving and reading the 1000-line grid shard allocated %v, budget %d", allocs, taskShardAllocBudget)
 	}

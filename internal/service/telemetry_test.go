@@ -55,7 +55,6 @@ var requiredFamilies = []string{
 	"wsn_netsim_events_total",
 	"wsn_netsim_cca_attempts_total",
 	"wsn_netsim_backoffs_total",
-	"wsn_netsim_prune_fallback_total",
 	"wsn_netsim_heap_depth_max",
 	"wsn_lifetime_runs_total",
 	"wsn_lifetime_epochs_total",
