@@ -109,6 +109,16 @@
 // their tasks through one loop: stored-line lookup, configuration fill,
 // compute, store write and emission in plan order with wall times. Local and distributed traces
 // come from one builder and carry the same spans and per-task seeds.
+// Each execution writes its task payloads into one slab cut for its range
+// (MetricsWire for the model kinds, SimResultWire for simulate and
+// replicas, LifetimeResultWire plus one curve buffer for lifetime, whose
+// runs write their curves straight into it), and the replica and lifetime
+// summaries fold the payloads without scratch slices. A cold 16-replica
+// plan with a store costs 12 allocations and an 8-replica lifetime plan 13,
+// none of them per replica (query.TestExecuteReplicasAllocBudget,
+// query.TestExecuteLifetimeAllocBudget), and a cold 16-replica
+// /v2/query/stream through the HTTP handler about 70
+// (service.TestStreamReplicasAllocBudget).
 //
 // # HTTP service
 //
@@ -574,7 +584,8 @@
 // service.TestTaskShardAllocBudget,
 // service.TestDistributedQueryAllocBudget,
 // service.TestDistributedPrefillAllocBudget,
-// service.TestQueryHitAllocBudget and service.TestColdGridSizeAllocBudget.
+// service.TestQueryHitAllocBudget, service.TestColdGridSizeAllocBudget and
+// service.TestStreamReplicasAllocBudget.
 // To
 // profile the hot paths under live load, start the service with a
 // profiling listener (wsn-serve -pprof 127.0.0.1:6060) and capture

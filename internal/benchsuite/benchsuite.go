@@ -1,7 +1,7 @@
 // Package benchsuite holds the repository's tracked benchmark kernels: the
 // serial/parallel engine pairs and the hot-path micro-benchmarks of the
-// simulation cores, the result store, the 1,000-point grid plan and the
-// HTTP handler's store-hit path.
+// simulation cores, the result store, the 1,000-point grid and 16-replica
+// plans and the HTTP handler's store-hit path.
 //
 // The table has two entry points that run the same bodies. cmd/wsn-bench
 // runs it through testing.Benchmark and writes the JSON report the
@@ -399,6 +399,38 @@ func Kernels(quick bool) []Kernel {
 				}
 				plan.Store = st.Tasks(q)
 				rs, err := plan.Execute(context.Background(), 0, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := rs.Encode(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		{"QueryReplicas16Cold", func(b *testing.B) {
+			// The sim-stream handler without HTTP: compile a never-seen
+			// 16-replica, 100-node, 8-superframe replicas query (a fresh
+			// seed each op), execute it against a fresh store, so every
+			// replica is simulated, encoded and stored, then encode the
+			// body. Workers is pinned to 2 to keep allocs/op
+			// machine-independent.
+			b.ReportAllocs()
+			nodes, superframes := 100, 8
+			q := query.Query{Kind: query.KindReplicas, Replicas: 16,
+				Sim: &query.SimConfigWire{Nodes: &nodes, Superframes: &superframes}}
+			for i := 0; i < b.N; i++ {
+				seed := int64(5_000_000 + i)
+				q.Sim.Seed = &seed
+				st, err := store.New(store.Config{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				plan, err := query.Compile(q)
+				if err != nil {
+					b.Fatal(err)
+				}
+				plan.Store = st.Tasks(q)
+				rs, err := plan.Execute(context.Background(), 2, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -594,7 +594,10 @@ func simulateShard(cfg Config, superframes int, seed int64, st *shard) {
 		t := &txns[ti]
 		if kind == evTxStart {
 			// Defer if the packet cannot finish before the next beacon:
-			// resume with fresh CCAs right after that beacon.
+			// re-queue it for the first slot after that beacon, where the
+			// t.t.Done() branch below grants it at once with no fresh
+			// CCA, so deferred transactions that meet there collide.
+			// netsim defers differently (ROADMAP item 1).
 			if phase+packetCeil > sfSlots {
 				st.push(cur, sfStart+sfSlots+beaconCeil, evCCA, ti)
 				// Re-arm the contention window: the transaction object

@@ -80,42 +80,65 @@ func Map(ctx context.Context, workers, n int, fn func(i int) error) error {
 		return nil
 	}
 
-	var (
-		next   int64 = -1
-		failed atomic.Bool
-		errs   = make([]error, n)
-		wg     sync.WaitGroup
-	)
-	wg.Add(workers)
+	m := &mapRun{ctx: ctx, n: n, fn: fn, batchStart: batchStart, failedAt: n}
+	m.next.Store(-1)
+	// One func value for every go statement: a method value or closure per
+	// goroutine would allocate once each.
+	work := m.work
+	m.wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				if failed.Load() || ctx.Err() != nil {
-					return
-				}
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= n {
-					return
-				}
-				taskStart := time.Now()
-				err := fn(i)
-				observeTask(batchStart, taskStart, time.Now())
-				if err != nil {
-					errs[i] = err
-					failed.Store(true)
-					return
-				}
-			}
-		}()
+		go work()
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	m.wg.Wait()
+	if m.err != nil {
+		return m.err
 	}
 	return ctx.Err()
+}
+
+// mapRun is the shared state of one multi-worker Map call, in one heap
+// object: the next index to hand out, the failure flag the workers poll, the
+// wait group, and the lowest failing index with its error, set under mu.
+type mapRun struct {
+	ctx        context.Context
+	n          int
+	fn         func(i int) error
+	batchStart time.Time
+
+	next   atomic.Int64
+	failed atomic.Bool
+	wg     sync.WaitGroup
+
+	mu       sync.Mutex
+	failedAt int // lowest failing index so far; n while none has failed
+	err      error
+}
+
+// work is one Map worker: it runs tasks in index order until none is left,
+// a task has failed or ctx is done.
+func (m *mapRun) work() {
+	defer m.wg.Done()
+	for {
+		if m.failed.Load() || m.ctx.Err() != nil {
+			return
+		}
+		i := int(m.next.Add(1))
+		if i >= m.n {
+			return
+		}
+		taskStart := time.Now()
+		err := m.fn(i)
+		observeTask(m.batchStart, taskStart, time.Now())
+		if err != nil {
+			m.mu.Lock()
+			if i < m.failedAt {
+				m.failedAt, m.err = i, err
+			}
+			m.mu.Unlock()
+			m.failed.Store(true)
+			return
+		}
+	}
 }
 
 // MapSlice applies fn to every element of in on a worker pool and returns

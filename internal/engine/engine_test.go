@@ -85,6 +85,46 @@ func TestMapReturnsLowestIndexError(t *testing.T) {
 	}
 }
 
+// TestMapLateLowerFailureWins pins the error rule against completion
+// order: task 5 fails first and task 0 only afterwards, and task 0's error
+// is the one Map returns.
+func TestMapLateLowerFailureWins(t *testing.T) {
+	err0, err5 := errors.New("task 0"), errors.New("task 5")
+	failed5 := make(chan struct{})
+	err := Map(context.Background(), 2, 6, func(i int) error {
+		switch i {
+		case 0:
+			<-failed5
+			// Give task 5's worker time to record its failure first.
+			time.Sleep(10 * time.Millisecond)
+			return err0
+		case 5:
+			close(failed5)
+			return err5
+		}
+		return nil
+	})
+	if !errors.Is(err, err0) {
+		t.Fatalf("Map returned %v, want task 0's error", err)
+	}
+}
+
+// TestMapAllocs holds a multi-worker Map call to its shared state and the
+// one worker func value its go statements share, not an allocation per
+// goroutine or per task.
+func TestMapAllocs(t *testing.T) {
+	fn := func(int) error { return nil }
+	Map(context.Background(), 4, 64, fn) // warm the goroutine free list
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := Map(context.Background(), 4, 64, fn); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("Map on 4 workers allocated %v per call, want at most 2", allocs)
+	}
+}
+
 func TestMapCancellationIsPrompt(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{}, 1)

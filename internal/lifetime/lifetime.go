@@ -118,6 +118,7 @@ type Result struct {
 
 	// Curve is the alive-population step function: a leading point at
 	// time 0 with everyone alive, then one point per death instant.
+	// RunCurve leaves it nil and returns the curve in the caller's form.
 	Curve []CurvePoint
 }
 
@@ -126,6 +127,40 @@ type Result struct {
 // netsim runs it is built from.
 func Run(cfg Config) Result {
 	cfg = cfg.withDefaults()
+	res, curve := run(cfg, make([]CurvePoint, 0, cfg.CurvePoints()), func(p CurvePoint) CurvePoint { return p })
+	res.Curve = curve
+	return res
+}
+
+// RunCurve is Run for a caller that keeps the curve in its own form: it
+// appends point(p) for every curve point p, in order, to curve and returns
+// the extended slice beside the Result, whose Curve stays nil. A run has at
+// most cfg.CurvePoints() points, so a curve with that spare capacity is
+// filled in place, and the curve is built once, into storage the caller
+// owns.
+func RunCurve[P any](cfg Config, curve []P, point func(CurvePoint) P) (Result, []P) {
+	return run(cfg.withDefaults(), curve, point)
+}
+
+// CurvePoints reports the most points a run's curve can hold: the leading
+// point and one per node death, or the leading point alone when the supply
+// is unconstrained and no node can die.
+func (c Config) CurvePoints() int {
+	c = c.withDefaults()
+	if unconstrainedSupply(c.Supply) {
+		return 1
+	}
+	return c.Sim.Nodes + 1
+}
+
+// unconstrainedSupply reports whether s has no finite capacity, so no node
+// on it can ever die.
+func unconstrainedSupply(s battery.Supply) bool {
+	return !(s.CapacityJ > 0) || math.IsInf(s.CapacityJ, 1)
+}
+
+// run is Run and RunCurve on a configuration with its defaults resolved.
+func run[P any](cfg Config, curve []P, point func(CurvePoint) P) (Result, []P) {
 	n := cfg.Sim.Nodes
 	epochCfg := cfg.Sim
 	epochCfg.Superframes = cfg.EpochSuperframes
@@ -138,11 +173,10 @@ func Run(cfg Config) Result {
 		FirstDeathS: math.Inf(1),
 		PartitionS:  math.Inf(1),
 		LastDeathS:  math.Inf(1),
-		Curve:       make([]CurvePoint, 1, n+1),
 	}
-	res.Curve[0] = CurvePoint{TimeS: 0, Alive: n, Frac: 1}
+	curve = append(curve, point(CurvePoint{TimeS: 0, Alive: n, Frac: 1}))
 
-	unconstrained := !(cfg.Supply.CapacityJ > 0) || math.IsInf(cfg.Supply.CapacityJ, 1)
+	unconstrained := unconstrainedSupply(cfg.Supply)
 	usable := cfg.Supply.CapacityJ - cfg.ThresholdJ
 	harvestW := float64(cfg.Supply.Harvest)
 	selfW := float64(cfg.Supply.SelfDischargeDrain())
@@ -154,7 +188,7 @@ func Run(cfg Config) Result {
 		aliveCount--
 		res.Deaths++
 		frac := float64(aliveCount) / float64(n)
-		res.Curve = append(res.Curve, CurvePoint{TimeS: atS, Alive: aliveCount, Frac: frac})
+		curve = append(curve, point(CurvePoint{TimeS: atS, Alive: aliveCount, Frac: frac}))
 		if math.IsInf(res.FirstDeathS, 1) {
 			res.FirstDeathS = atS
 		}
@@ -173,7 +207,7 @@ func Run(cfg Config) Result {
 			die(0)
 		}
 		finish(&res, aliveCount, n, 0, 0)
-		return res
+		return res, curve
 	}
 
 	epochs := netsim.NewEpochs(epochCfg)
@@ -296,10 +330,10 @@ func Run(cfg Config) Result {
 	}
 
 	finish(&res, aliveCount, n, simulatedS, fastForwardS)
-	return res
+	return res, curve
 }
 
-// finish closes every return path of Run: it fills the end-of-run fields
+// finish closes every return path of run: it fills the end-of-run fields
 // and folds the run into the package counters.
 func finish(res *Result, aliveCount, n int, simulatedS, fastForwardS float64) {
 	res.AliveAtEnd = aliveCount

@@ -34,27 +34,6 @@ func (rs ReplicaSet) String() string {
 		rs.PartitionHours.Mean, rs.PartitionHours.CI95, rs.AliveFracAtEnd.Mean)
 }
 
-// accumulate folds observations into a ReplicaStat. Lifetime observables
-// are legitimately +Inf ("never died within the run"); a mean over any
-// +Inf is +Inf with a zero half-width — never NaN, so every stat survives
-// the wire encoding exactly.
-func accumulate(xs []float64) netsim.ReplicaStat {
-	var a stats.Accumulator
-	for _, x := range xs {
-		if math.IsInf(x, 1) {
-			mn := math.Inf(1)
-			for _, y := range xs {
-				if y < mn {
-					mn = y
-				}
-			}
-			return netsim.ReplicaStat{Mean: math.Inf(1), CI95: 0, Min: mn, Max: math.Inf(1)}
-		}
-		a.Add(x)
-	}
-	return netsim.ReplicaStat{Mean: a.Mean(), CI95: a.CI95(), Min: a.Min(), Max: a.Max()}
-}
-
 // RunReplicas executes n independent lifetime replications concurrently on
 // workers goroutines (0 ⇒ runtime.NumCPU()) and merges them. Replica i
 // runs with netsim.ReplicaSeeds(cfg.Sim.Seed, n)[i] — replica 0 keeps the
@@ -86,18 +65,37 @@ func RunReplicas(ctx context.Context, cfg Config, n, workers int) (ReplicaSet, e
 // unified query planner, which schedules replicas as individual tasks,
 // assembles a set bit-identical to RunReplicas.
 func Merge(cfg Config, seeds []int64, results []Result) ReplicaSet {
-	n := len(results)
-	rs := ReplicaSet{Config: cfg, Replicas: n, Seeds: seeds, Results: results}
-	obs := func(f func(Result) float64) netsim.ReplicaStat {
-		xs := make([]float64, n)
-		for i, r := range results {
-			xs[i] = f(r)
-		}
-		return accumulate(xs)
-	}
-	rs.FirstDeathHours = obs(func(r Result) float64 { return r.FirstDeathS / 3600 })
-	rs.PartitionHours = obs(func(r Result) float64 { return r.PartitionS / 3600 })
-	rs.LastDeathHours = obs(func(r Result) float64 { return r.LastDeathS / 3600 })
-	rs.AliveFracAtEnd = obs(func(r Result) float64 { return r.AliveFracAtEnd })
+	rs := ReplicaSet{Config: cfg, Replicas: len(results), Seeds: seeds, Results: results}
+	rs.FirstDeathHours = fold(results, func(r *Result) float64 { return r.FirstDeathS / 3600 })
+	rs.PartitionHours = fold(results, func(r *Result) float64 { return r.PartitionS / 3600 })
+	rs.LastDeathHours = fold(results, func(r *Result) float64 { return r.LastDeathS / 3600 })
+	rs.AliveFracAtEnd = fold(results, func(r *Result) float64 { return r.AliveFracAtEnd })
 	return rs
+}
+
+// fold folds one observable of every replica, in replica order, into a
+// ReplicaStat. Lifetime observables are legitimately +Inf ("never died
+// within the run"): a mean over any +Inf is +Inf with a zero half-width and
+// the smallest observation as its minimum — never NaN, so every stat
+// survives the wire encoding exactly.
+func fold(results []Result, obs func(*Result) float64) netsim.ReplicaStat {
+	var a stats.Accumulator
+	inf := false
+	mn := math.Inf(1)
+	for i := range results {
+		x := obs(&results[i])
+		if math.IsInf(x, 1) {
+			inf = true
+		}
+		if x < mn {
+			mn = x
+		}
+		if !inf {
+			a.Add(x)
+		}
+	}
+	if inf {
+		return netsim.ReplicaStat{Mean: math.Inf(1), CI95: 0, Min: mn, Max: math.Inf(1)}
+	}
+	return netsim.ReplicaStat{Mean: a.Mean(), CI95: a.CI95(), Min: a.Min(), Max: a.Max()}
 }

@@ -20,11 +20,12 @@ func (s ReplicaStat) String() string {
 	return fmt.Sprintf("%.4g ±%.2g", s.Mean, s.CI95)
 }
 
-// accumulate folds observations into a ReplicaStat.
-func accumulate(xs []float64) ReplicaStat {
+// fold folds one observable of every replica, in replica order, into a
+// ReplicaStat.
+func fold(results []Result, obs func(*Result) float64) ReplicaStat {
 	var a stats.Accumulator
-	for _, x := range xs {
-		a.Add(x)
+	for i := range results {
+		a.Add(obs(&results[i]))
 	}
 	return ReplicaStat{Mean: a.Mean(), CI95: a.CI95(), Min: a.Min(), Max: a.Max()}
 }
@@ -123,25 +124,17 @@ func RunReplicas(ctx context.Context, cfg Config, n, workers int) (ReplicaSet, e
 // schedule the replicas themselves (the unified query planner streams them
 // one by one) produce a ReplicaSet bit-identical to RunReplicas.
 func Merge(cfg Config, seeds []int64, results []Result) ReplicaSet {
-	n := len(results)
-	rs := ReplicaSet{Config: cfg, Replicas: n, Seeds: seeds, Results: results}
-	obs := func(f func(Result) float64) ReplicaStat {
-		xs := make([]float64, n)
-		for i, r := range results {
-			xs[i] = f(r)
-		}
-		return accumulate(xs)
-	}
-	rs.AvgPowerUW = obs(func(r Result) float64 { return r.AvgPowerPerNode.MicroWatts() })
-	rs.DeliveryRatio = obs(func(r Result) float64 { return r.DeliveryRatio })
-	rs.PrFail = obs(func(r Result) float64 { return r.PrFailPerAttempt })
-	rs.PrCF = obs(func(r Result) float64 { return r.Contention.PrCF })
-	rs.PrCol = obs(func(r Result) float64 { return r.Contention.PrCol })
-	rs.NCCA = obs(func(r Result) float64 { return r.Contention.NCCA })
-	rs.TcontMS = obs(func(r Result) float64 {
+	rs := ReplicaSet{Config: cfg, Replicas: len(results), Seeds: seeds, Results: results}
+	rs.AvgPowerUW = fold(results, func(r *Result) float64 { return r.AvgPowerPerNode.MicroWatts() })
+	rs.DeliveryRatio = fold(results, func(r *Result) float64 { return r.DeliveryRatio })
+	rs.PrFail = fold(results, func(r *Result) float64 { return r.PrFailPerAttempt })
+	rs.PrCF = fold(results, func(r *Result) float64 { return r.Contention.PrCF })
+	rs.PrCol = fold(results, func(r *Result) float64 { return r.Contention.PrCol })
+	rs.NCCA = fold(results, func(r *Result) float64 { return r.Contention.NCCA })
+	rs.TcontMS = fold(results, func(r *Result) float64 {
 		return float64(r.Contention.Tcont) / float64(time.Millisecond)
 	})
-	rs.MeanDelayMS = obs(func(r Result) float64 {
+	rs.MeanDelayMS = fold(results, func(r *Result) float64 {
 		return float64(r.MeanDelay) / float64(time.Millisecond)
 	})
 	return rs

@@ -11,9 +11,9 @@ package query
 // pool, which costs about two regrowth allocations per task here (~2,000
 // per plan); a return to the two per-task allocations the slab removed
 // would read ~4,000. The request reader draws nothing from a pool, so its
-// budget matches the plain build. The 16-replica plan reads 155–175 here
-// and the 8-replica lifetime plan 115–145: dropped Puts cost fresh
-// simulator runners and encode buffers.
+// budget matches the plain build. The 16-replica plan reads 101–122 here
+// and the 8-replica lifetime plan 67–99: dropped Puts cost fresh simulator
+// runners and encode buffers.
 const (
 	resultSetEncodeAllocBudget = 64
 	splicedEncodeAllocBudget   = 8

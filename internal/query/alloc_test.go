@@ -200,11 +200,10 @@ func TestExecuteGridAllocBudget(t *testing.T) {
 // TestExecuteReplicasAllocBudget guards the replica plan layer the
 // sim-stream workload runs on: executing a cold 16-replica plan with a
 // store attached — run, convert to the wire payload, stamp, encode into the
-// store, order and fold every replica into the summary — costs a few
-// allocations per replica: no default radio, BER model or deployment built
-// per run, no histogram copied out of the arena only for the wire to drop
-// it, and no boxed in-process copy of each replica's result beside its wire
-// payload.
+// store, order and fold every replica into the summary — costs a constant
+// number of allocations per plan: every replica's payload is its slot of
+// the execution's slab, the summary folds without scratch slices, and no
+// default radio, BER model or deployment is built per run.
 func TestExecuteReplicasAllocBudget(t *testing.T) {
 	nodes, superframes := 10, 2
 	plan, err := Compile(Query{Kind: KindReplicas, Sim: &SimConfigWire{Nodes: &nodes, Superframes: &superframes}, Replicas: 16})
@@ -229,10 +228,11 @@ func TestExecuteReplicasAllocBudget(t *testing.T) {
 // TestExecuteLifetimeAllocBudget is the lifetime twin of
 // TestExecuteReplicasAllocBudget, the plan layer the lifetime workload runs
 // on: executing a cold 8-replica lifetime plan with a store attached costs
-// each run's curve plus a few allocations per replica — no default radio,
-// BER model or deployment built per run, no per-node battery state or epoch
-// handle outside the pooled arena, and no replica curve rebuilt for the
-// summary.
+// a constant number of allocations per plan — each run writes its curve
+// once, into its segment of the execution's curve buffer, and its payload
+// into its slot of the slab; no default radio, BER model or deployment is
+// built per run, no per-node battery state or epoch handle lives outside
+// the pooled arena, and no replica curve is rebuilt for the summary.
 func TestExecuteLifetimeAllocBudget(t *testing.T) {
 	q := lifetimeTestQuery()
 	q.Replicas = 8

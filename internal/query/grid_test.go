@@ -392,7 +392,7 @@ func TestExecuteRangeRejectsBadRange(t *testing.T) {
 // an empty trace. Compile never builds one (an empty batch is a 400), so
 // the plan is a literal.
 func TestExecuteZeroTaskPlan(t *testing.T) {
-	plan := &Plan{Kind: KindBatch, Trace: true, exec: exec{points: []core.Params{}, run: func(context.Context, int, int) (TaskResult, error) {
+	plan := &Plan{Kind: KindBatch, Trace: true, exec: exec{points: []core.Params{}, run: func(context.Context, int, int, payloads) (TaskResult, error) {
 		t.Error("run called for a zero-task plan")
 		return TaskResult{}, nil
 	}}}

@@ -147,8 +147,19 @@ type LifetimeResultWire struct {
 func WireLifetimeResult(r lifetime.Result) LifetimeResultWire {
 	curve := make([]LifetimeCurvePointWire, len(r.Curve))
 	for i, p := range r.Curve {
-		curve[i] = LifetimeCurvePointWire{TimeS: Float(p.TimeS), Alive: p.Alive}
+		curve[i] = wireCurvePoint(p)
 	}
+	return wireLifetimeResult(r, curve)
+}
+
+// wireCurvePoint converts one curve point to the wire form.
+func wireCurvePoint(p lifetime.CurvePoint) LifetimeCurvePointWire {
+	return LifetimeCurvePointWire{TimeS: Float(p.TimeS), Alive: p.Alive}
+}
+
+// wireLifetimeResult converts r to the wire form with curve, the wire form
+// of its curve, in place of r.Curve.
+func wireLifetimeResult(r lifetime.Result, curve []LifetimeCurvePointWire) LifetimeResultWire {
 	return LifetimeResultWire{
 		Seed:           r.Seed,
 		Nodes:          r.Nodes,
@@ -226,11 +237,14 @@ func (q *Query) buildLifetime() (exec, *Error) {
 	// model and deployment instead of each run building its own.
 	run := lcfg
 	run.Sim = simCfg.WithDefaults()
-	return exec{labels: indexLabels("lifetime", n), seeds: seeds, run: func(_ context.Context, _, i int) (TaskResult, error) {
+	// Each run writes its curve straight into the wire form, in its slot's
+	// curve segment.
+	return exec{labels: indexLabels("lifetime", n), seeds: seeds, curveLen: run.CurvePoints(), run: func(_ context.Context, _, i int, slot payloads) (TaskResult, error) {
 		c := run
 		c.Sim.Seed = seeds[i]
-		rw := WireLifetimeResult(lifetime.Run(c))
-		return TaskResult{Lifetime: &rw}, nil
+		res, curve := lifetime.RunCurve(c, slot.curves, wireCurvePoint)
+		slot.lifetimes[0] = wireLifetimeResult(res, curve)
+		return TaskResult{Lifetime: &slot.lifetimes[0]}, nil
 	}, assemble: func(rs *ResultSet) *Error {
 		// The wire payloads carry the merged observables in exact seconds,
 		// so the summary is lifetime.RunReplicas' own; no replica's curve is

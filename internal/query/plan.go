@@ -180,19 +180,72 @@ func (rs *ResultSet) splicedSize() (int, bool) {
 // what Compile materialized (per-kind slices such as grid points and
 // replica seeds), so any number of them may share one exec concurrently.
 //
-// The model kinds (evaluate, batch, grid) have no run step: task i
-// evaluates points[i] under the contention statistics of its
-// configuration, which each execution resolves once per configuration of
-// its range before its tasks start. Each execution of such a plan also
-// allocates one MetricsWire slab for its range; task i's Metrics payload is
-// its slot. The slab and the resolved statistics belong to the execution,
-// never to the plan. The other kinds compute task i with run.
+// Each execution cuts one payload slab for its range (payloads), and task
+// i writes its payload into its slot there. The model kinds (evaluate,
+// batch, grid) have no run step: task i evaluates points[i] under the
+// contention statistics of its configuration, which each execution
+// resolves once per configuration of its range before its tasks start. The
+// other kinds compute task i with run; a lifetime replica's curve holds at
+// most curveLen points. The slab and the resolved statistics belong to the
+// execution, never to the plan.
 type exec struct {
 	labels   []string
 	seeds    []int64
 	points   []core.Params
-	run      func(ctx context.Context, workers, i int) (TaskResult, error)
+	curveLen int
+	run      func(ctx context.Context, workers, i int, slot payloads) (TaskResult, error)
 	assemble func(rs *ResultSet) *Error
+}
+
+// payloads is the payload slab of one execution: one slice per payload
+// type its plan's kind carries, sized to the execution's range, and for
+// lifetime plans one curve buffer of curveLen points per task. A task's
+// slot (slot) is a view of its elements, each cap-limited so that no task
+// can write into its neighbour's. The slab is never pooled, so a result
+// handed out by its execution is never modified afterwards.
+type payloads struct {
+	metrics   []MetricsWire
+	sims      []SimResultWire
+	lifetimes []LifetimeResultWire
+	curves    []LifetimeCurvePointWire
+	curveLen  int
+}
+
+// newPayloads cuts the slab of an execution of n tasks.
+func (p *Plan) newPayloads(n int) payloads {
+	switch p.Kind {
+	case KindEvaluate, KindBatch, KindGrid:
+		return payloads{metrics: make([]MetricsWire, n)}
+	case KindSimulate, KindReplicas:
+		return payloads{sims: make([]SimResultWire, n)}
+	case KindLifetime:
+		return payloads{
+			lifetimes: make([]LifetimeResultWire, n),
+			curves:    make([]LifetimeCurvePointWire, n*p.curveLen),
+			curveLen:  p.curveLen,
+		}
+	}
+	return payloads{}
+}
+
+// slot returns task i's view of the slab: its one-element payload slices
+// and, for lifetime plans, an empty curve segment of curveLen points'
+// capacity.
+func (s payloads) slot(i int) payloads {
+	t := payloads{metrics: one(s.metrics, i), sims: one(s.sims, i), lifetimes: one(s.lifetimes, i)}
+	if s.curves != nil {
+		t.curves = s.curves[i*s.curveLen : i*s.curveLen : (i+1)*s.curveLen]
+	}
+	return t
+}
+
+// one returns element i of xs as a cap-limited one-element slice, or nil
+// for a nil xs.
+func one[T any](xs []T, i int) []T {
+	if xs == nil {
+		return nil
+	}
+	return xs[i : i+1 : i+1]
 }
 
 // seedAt returns a copy of task i's derived seed for its trace span, or nil
@@ -205,10 +258,10 @@ func (x *exec) seedAt(i int) *int64 {
 	return &s
 }
 
-// single is the exec of a one-task kind: run receives the whole worker
-// grant for the kind's inner parallelism.
+// single is the exec of a one-task kind without a slab payload: run
+// receives the whole worker grant for the kind's inner parallelism.
 func single(label string, run func(ctx context.Context, workers int) (TaskResult, error)) exec {
-	return exec{labels: []string{label}, run: func(ctx context.Context, workers, _ int) (TaskResult, error) {
+	return exec{labels: []string{label}, run: func(ctx context.Context, workers, _ int, _ payloads) (TaskResult, error) {
 		return run(ctx, workers)
 	}}
 }
@@ -480,11 +533,11 @@ func (p *Plan) ExecuteRange(ctx context.Context, workers, from, to int, yield fu
 // (one per results slot) on workers goroutines under the plan timeout. Each
 // task is read from the attached store when the store holds it and computed
 // otherwise, stamped with its index and label, stored when it was computed,
-// and left in results[i]; a Metrics payload, computed or read from the
-// store, lives in the execution's slab. emit(i, wallMS) then releases the
-// slots in order, with each task's wall time in milliseconds: slot i is
-// emitted as soon as it and every slot before it are filled, and emit calls
-// never overlap. Before its tasks start, a model plan resolves the
+// and left in results[i]; a computed payload, and a Metrics payload read
+// from the store, lives in the execution's slab. emit(i, wallMS) then
+// releases the slots in order, with each task's wall time in milliseconds:
+// slot i is emitted as soon as it and every slot before it are filled, and
+// emit calls never overlap. Before its tasks start, a model plan resolves the
 // contention configurations its computed tasks use (resolveContention); a ctx
 // done meanwhile stops the fill between Monte-Carlo shards, and runTasks
 // returns ctx.Err() without running a task. An emit error stops the
@@ -498,11 +551,10 @@ func (p *Plan) runTasks(ctx context.Context, workers, from int, results []TaskRe
 	}
 	o := inOrder{slots: make([]slot, len(results)), emit: emit}
 	p.storedLines(from, results)
-	var slab []MetricsWire
+	slab := p.newPayloads(len(results))
 	var of []int32
 	var lookups []contention.Lookup
 	if p.points != nil {
-		slab = make([]MetricsWire, len(results))
 		var err error
 		if of, lookups, err = p.resolveContention(ctx, workers, from, results); err != nil {
 			return err
@@ -511,12 +563,8 @@ func (p *Plan) runTasks(ctx context.Context, workers, from int, results []TaskRe
 	err := engine.Map(ctx, workers, len(results), func(i int) error {
 		idx := from + i
 		start := time.Now()
-		var slot []MetricsWire
-		if slab != nil {
-			slot = slab[i : i+1 : i+1]
-		}
-		stored := results[i].enc
-		r, hit := p.decodeStored(stored, slot)
+		slot := slab.slot(i)
+		r, hit := p.decodeStored(results[i].enc, slot.metrics)
 		if !hit {
 			var cs *contention.Stats
 			if of != nil && of[i] >= 0 {
@@ -542,13 +590,14 @@ func (p *Plan) runTasks(ctx context.Context, workers, from int, results []TaskRe
 	return err
 }
 
-// compute runs task idx. A model task evaluates its point into slot[0]
-// under its configuration's resolved statistics cs — or, with cs nil when
-// its stored line did not decode (resolveContention skips stored tasks),
-// through the contention source, which gives the same bits.
-func (p *Plan) compute(ctx context.Context, workers, idx int, slot []MetricsWire, cs *contention.Stats) (TaskResult, error) {
+// compute runs task idx, writing its payload into slot. A model task
+// evaluates its point under its configuration's resolved statistics cs —
+// or, with cs nil when its stored line did not decode (resolveContention
+// skips stored tasks), through the contention source, which gives the same
+// bits.
+func (p *Plan) compute(ctx context.Context, workers, idx int, slot payloads, cs *contention.Stats) (TaskResult, error) {
 	if p.points == nil {
-		return p.run(ctx, workers, idx)
+		return p.run(ctx, workers, idx, slot)
 	}
 	var m core.Metrics
 	var err error
@@ -560,8 +609,8 @@ func (p *Plan) compute(ctx context.Context, workers, idx int, slot []MetricsWire
 	if err != nil {
 		return TaskResult{}, err
 	}
-	slot[0] = WireMetrics(m)
-	return TaskResult{Metrics: &slot[0]}, nil
+	slot.metrics[0] = WireMetrics(m)
+	return TaskResult{Metrics: &slot.metrics[0]}, nil
 }
 
 // inOrder releases filled slots to emit in slot order. The goroutine whose
@@ -823,10 +872,10 @@ func (q *Query) buildSimulate() (exec, *Error) {
 	if aerr != nil {
 		return exec{}, aerr
 	}
-	return single(string(KindSimulate), func(context.Context, int) (TaskResult, error) {
-		rw := WireSimResult(cfg.Seed, netsim.RunHeadline(cfg))
-		return TaskResult{Sim: &rw}, nil
-	}), nil
+	return exec{labels: []string{string(KindSimulate)}, run: func(_ context.Context, _, _ int, slot payloads) (TaskResult, error) {
+		slot.sims[0] = WireSimResult(cfg.Seed, netsim.RunHeadline(cfg))
+		return TaskResult{Sim: &slot.sims[0]}, nil
+	}}, nil
 }
 
 // replicaCount validates and resolves a query's replica count (default 1).
@@ -850,11 +899,11 @@ func (q *Query) buildReplicas() (exec, *Error) {
 	// Resolved once per plan: the replicas share one default radio, BER
 	// model and deployment instead of each run building its own.
 	run := cfg.WithDefaults()
-	return exec{labels: indexLabels("replica", n), seeds: seeds, run: func(_ context.Context, _, i int) (TaskResult, error) {
+	return exec{labels: indexLabels("replica", n), seeds: seeds, run: func(_ context.Context, _, i int, slot payloads) (TaskResult, error) {
 		c := run
 		c.Seed = seeds[i]
-		rw := WireSimResult(c.Seed, netsim.RunHeadline(c))
-		return TaskResult{Sim: &rw}, nil
+		slot.sims[0] = WireSimResult(c.Seed, netsim.RunHeadline(c))
+		return TaskResult{Sim: &slot.sims[0]}, nil
 	}, assemble: func(rs *ResultSet) *Error {
 		// The wire replica payloads round-trip the exact floats the merge
 		// folds, so the summary is netsim.RunReplicas' own. Every execution

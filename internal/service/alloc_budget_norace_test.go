@@ -52,3 +52,10 @@ const queryHitAllocBudget = 26
 // line, carved from chunks, and a contention cache entry per configuration
 // they measured 55 and 245.
 const coldGridSizeAllocSlack = 20
+
+// A cold 16-replica, 100-node, 8-superframe /v2/query/stream with Workers 2
+// measures 69 to 71 allocations per query: the request, the plan compile,
+// one payload slab for the sixteen replicas, the stream's lines and the
+// summary. Boxing each replica's payload and a scratch slice per merged
+// statistic measured 96 to 97; one allocation per replica fails the budget.
+const streamReplicasAllocBudget = 73

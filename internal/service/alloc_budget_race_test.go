@@ -28,3 +28,9 @@ const queryHitAllocBudget = 30
 // 10- and the 5,000-task grid); the budget only bounds it, and the plain
 // build's budget is the gate.
 const coldGridSizeAllocSlack = 11000
+
+// Under the race detector dropped Puts cost the stream fresh simulator
+// runners (about sixty allocations each) and encode buffers: the cold
+// 16-replica stream reads 215 to 235 with the collector off. The budget
+// only bounds it; the plain build's budget is the gate.
+const streamReplicasAllocBudget = 500

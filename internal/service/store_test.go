@@ -350,3 +350,30 @@ func TestColdGridSizeAllocBudget(t *testing.T) {
 	}
 	t.Logf("cold grid allocs/query: 10 tasks %v, 5,000 tasks %v", a, b)
 }
+
+// TestStreamReplicasAllocBudget holds the sim-stream path to its budget: a
+// never-seen 16-replica, 100-node, 8-superframe /v2/query/stream (a fresh
+// seed per query) through ServeHTTP with a store, as the end-to-end
+// workload sends it. The replica payloads live in one slab per execution
+// and the summary folds them without scratch slices, so one allocation per
+// replica anywhere on the path fails the budget.
+func TestStreamReplicasAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 16 simulation replicas per query")
+	}
+	srv := newStoreBackedServerWith(t, Config{Workers: 2})
+	seed := 8_000_000
+	run := func() {
+		seed++
+		body := `{"kind":"replicas","sim":{"nodes":100,"superframes":8,"seed":` + strconv.Itoa(seed) + `},"replicas":16}`
+		if rec := serveRecorded(srv, "/v2/query/stream", body); rec.Code != http.StatusOK {
+			t.Fatalf("cold replicas stream: %d: %s", rec.Code, rec.Body)
+		}
+	}
+	run() // warm the runners, the encode pool and the line writer
+	allocs := allocsWithoutGC(5, run)
+	if allocs > streamReplicasAllocBudget {
+		t.Fatalf("a cold 16-replica stream allocated %v per query, budget %d", allocs, streamReplicasAllocBudget)
+	}
+	t.Logf("cold 16-replica stream: %v allocs/query", allocs)
+}
