@@ -27,7 +27,7 @@ func TestSimulateAllocBudget(t *testing.T) {
 		seed++
 		Simulate(c)
 	})
-	// Steady state measures ~2 allocs; the budget leaves headroom for a GC
+	// Steady state measures 0 allocs; the budget leaves headroom for a GC
 	// emptying the sync.Pool mid-run without tolerating a boxing
 	// regression (which costs hundreds).
 	const budget = 40

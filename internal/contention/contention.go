@@ -22,7 +22,10 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dense802154/internal/engine"
@@ -421,24 +424,135 @@ func (s *shard) sortArrivals(maxSlot int64) {
 // itself an approximation of the paper's unspecified simulator).
 const shardSuperframes = 8
 
-// Simulate runs the Monte-Carlo characterization. The run is sharded into
-// independent superframe blocks executed on Config.Workers goroutines;
-// results are bit-identical for every worker count (see Config.Workers).
+// Simulate runs the Monte-Carlo characterization as a fill of one point.
+// The run is sharded into independent superframe blocks executed on
+// Config.Workers goroutines; results are bit-identical for every worker
+// count (see Config.Workers).
 //
-// Shard state (event calendar, transaction population, RNG) is pooled and
-// reused across calls, and the per-shard statistics are folded shard by
-// shard in index order — there is no merged transaction slice at all, so
-// steady-state Simulate calls allocate only the small shard-pointer table.
+// Shard state (event calendar, transaction population, RNG) and the fill
+// are pooled and reused across calls, and the per-shard statistics are
+// folded shard by shard in index order — there is no merged transaction
+// slice at all, so a steady stream of Simulate calls allocates nothing per
+// call.
 func Simulate(cfg Config) Result {
 	cfg = cfg.prepared()
-	shards := make([]*shard, cfg.shardCount())
-	// The shard closure cannot fail and the context is never canceled, so
-	// Map's error is structurally nil.
-	_ = engine.Map(context.Background(), cfg.Workers, len(shards), func(i int) error {
-		shards[i] = cfg.runShard(i)
+	f := getFill()
+	f.add(cfg, 0, flight{})
+	_ = f.run(context.Background(), cfg.Workers) // cannot fail uncanceled
+	r := f.points[0].res
+	f.release()
+	return r
+}
+
+// fill is the one Monte-Carlo runner: Simulate, BuildCurve and Resolve
+// queue their prepared runs with add, and run cuts every queued point into
+// its shards and runs every shard of every point in one engine.Map, with
+// each point's shard seeds and fold order its own, so the statistics depend
+// neither on the worker count nor on the other points of the fill. A point
+// is folded as soon as its last shard ends and, when it holds a cache
+// flight, published. Fills are pooled, so a run allocates no point table,
+// no shard table and no closure.
+type fill struct {
+	points []owned
+	shards []*shard // by unit: point p's shards are shards[p.first:p.first+p.n]
+	unit   func(u int) error
+}
+
+// owned is one point of a fill: its prepared run, the lookup it answers,
+// its cache flight (zero outside the cache), its span of shard units and,
+// once its last shard is folded, its result.
+type owned struct {
+	cfg         Config
+	at          int
+	flight      flight
+	first, n    int
+	outstanding atomic.Int32
+	res         Result
+}
+
+var fillPool = sync.Pool{New: func() any {
+	f := new(fill)
+	f.unit = f.runUnit
+	return f
+}}
+
+// maxPooledFill bounds the points and shards a pooled fill keeps: a
+// larger one, from a grid over many loads, is left to the collector.
+const maxPooledFill = 1024
+
+// getFill returns an empty fill from the pool.
+func getFill() *fill { return fillPool.Get().(*fill) }
+
+// add queues prepared run cfg as a point answering lookup at and settling
+// fl, which is zero for a point run outside the cache.
+func (f *fill) add(cfg Config, at int, fl flight) {
+	first, n := len(f.shards), cfg.shardCount()
+	f.shards = slices.Grow(f.shards, n)[:first+n]
+	f.points = append(f.points, owned{cfg: cfg, at: at, flight: fl, first: first, n: n})
+	p := &f.points[len(f.points)-1]
+	p.outstanding.Store(int32(n))
+	if n == 0 {
+		p.finish(nil)
+	}
+}
+
+// run simulates every queued shard on at most workers goroutines. Once ctx
+// is done no further shard starts: run returns ctx.Err() after the shards
+// in flight end, hands the shards of every unfinished point back to the
+// pool and abandons its flight, so its waiters claim it afresh.
+func (f *fill) run(ctx context.Context, workers int) error {
+	err := engine.Map(ctx, workers, len(f.shards), f.unit)
+	if err == nil {
 		return nil
-	})
-	return fold(cfg, shards)
+	}
+	for k := range f.points {
+		p := &f.points[k]
+		if p.outstanding.Load() == 0 {
+			continue
+		}
+		for _, st := range f.shards[p.first : p.first+p.n] {
+			if st != nil {
+				shardPool.Put(st)
+			}
+		}
+		if p.flight != (flight{}) {
+			p.flight.Abandon()
+		}
+	}
+	return err
+}
+
+// runUnit simulates shard unit u. The last shard of a point to end
+// finishes the point.
+func (f *fill) runUnit(u int) error {
+	// The point whose span holds unit u.
+	k := sort.Search(len(f.points), func(k int) bool { return f.points[k].first > u }) - 1
+	p := &f.points[k]
+	f.shards[u] = p.cfg.runShard(u - p.first)
+	if p.outstanding.Add(-1) == 0 {
+		p.finish(f.shards[p.first : p.first+p.n])
+	}
+	return nil
+}
+
+// finish folds point p from its shards and publishes it to its flight.
+func (p *owned) finish(shards []*shard) {
+	p.res = fold(p.cfg, shards)
+	if p.flight != (flight{}) {
+		p.flight.Publish(p.res.stats())
+	}
+}
+
+// release empties f, so it holds no flight and no shard, and returns it to
+// the pool.
+func (f *fill) release() {
+	if cap(f.points) > maxPooledFill || cap(f.shards) > maxPooledFill {
+		return
+	}
+	clear(f.points)
+	clear(f.shards)
+	f.points, f.shards = f.points[:0], f.shards[:0]
+	fillPool.Put(f)
 }
 
 // prepared fills c's defaults and checks what the event loop assumes: a

@@ -3,9 +3,6 @@ package contention
 import (
 	"context"
 	"slices"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"dense802154/internal/engine"
@@ -50,37 +47,38 @@ type Curve struct {
 // BuildCurve simulates the contention procedure for the given payload at
 // each target load. base supplies the superframe, CSMA parameters, arrival
 // model, run length, seed and worker count; its PayloadBytes/TargetLoad are
-// overridden. The load points run concurrently on base.Workers goroutines
-// with point seeds derived from base.Seed, so the curve is identical at any
-// worker count.
+// overridden. Point i runs under seed base.Seed + i·7919, and every shard of
+// every point runs in one fill on base.Workers goroutines, so the curve is
+// identical at any worker count. The points bypass the contention cache.
 func BuildCurve(payload int, loads []float64, base Config) Curve {
-	c := Curve{PayloadBytes: payload}
-	// When the curve fans out over several load points, run each point's
-	// Simulate serially so total concurrency stays at base.Workers instead
-	// of multiplying point workers by shard workers. Results are identical
-	// either way — Workers never changes statistics.
-	pointCfg := base
-	if len(loads) > 1 {
-		pointCfg.Workers = 1
-	}
-	// Point simulations cannot fail and the context is never canceled.
-	results, _ := engine.MapSlice(context.Background(), base.Workers, loads,
-		func(i int, l float64) (Result, error) {
-			cfg := pointCfg
-			cfg.PayloadBytes = payload
-			cfg.TargetLoad = l
-			cfg.Seed = base.Seed + int64(i)*7919
-			return Simulate(cfg), nil
-		})
+	f := getFill()
 	for i, l := range loads {
-		r := results[i]
-		c.Loads = append(c.Loads, l)
+		cfg := base
+		cfg.PayloadBytes = payload
+		cfg.TargetLoad = l
+		cfg.Seed = base.Seed + int64(i)*7919
+		f.add(cfg.prepared(), i, flight{})
+	}
+	_ = f.run(context.Background(), base.Workers) // cannot fail uncanceled
+	n := len(loads)
+	c := Curve{
+		PayloadBytes: payload,
+		Loads:        slices.Clone(loads),
+		TcontSec:     make([]float64, 0, n),
+		NCCA:         make([]float64, 0, n),
+		PrCF:         make([]float64, 0, n),
+		PrCol:        make([]float64, 0, n),
+		Results:      make([]Result, 0, n),
+	}
+	for k := range f.points {
+		r := f.points[k].res
 		c.TcontSec = append(c.TcontSec, r.MeanContention.Seconds())
 		c.NCCA = append(c.NCCA, r.MeanCCAs)
 		c.PrCF = append(c.PrCF, r.PrCF)
 		c.PrCol = append(c.PrCol, r.PrCol)
 		c.Results = append(c.Results, r)
 	}
+	f.release()
 	return c
 }
 
@@ -102,6 +100,10 @@ type mcKey struct {
 // once per point, even when many engine workers request the same point
 // concurrently (single-flight semantics).
 var mcCache engine.Cache[mcKey, Stats]
+
+// flight is a point's claim on its mcCache entry; the zero flight is a point
+// run outside the cache.
+type flight = engine.Flight[mcKey, Stats]
 
 // ResetCache drops the shared Monte-Carlo contention cache. Long-running
 // services sweeping unbounded (payload, load, config) spaces should call it
@@ -148,11 +150,13 @@ func (s *MCSource) point(payloadBytes int, load float64) (Config, mcKey) {
 	return cfg, key
 }
 
-// Contention implements Source. It is safe for concurrent use; concurrent
-// requests for the same point block on one simulation and share its result.
+// Contention implements Source: it is one Resolve lookup on Base.Workers
+// goroutines. It is safe for concurrent use; concurrent requests for the
+// same point block on one simulation and share its result.
 func (s *MCSource) Contention(payloadBytes int, load float64) Stats {
-	cfg, key := s.point(payloadBytes, load)
-	return mcCache.Get(key, func() Stats { return Simulate(cfg).stats() })
+	ls := [1]Lookup{{Source: s, PayloadBytes: payloadBytes, Load: load}}
+	_ = Resolve(context.Background(), s.Base.Workers, ls[:]) // cannot fail uncanceled
+	return ls[0].Stats
 }
 
 // String implements fmt.Stringer.
@@ -174,16 +178,14 @@ type Lookup struct {
 
 // Resolve answers a batch of lookups on at most workers goroutines (≤ 0 ⇒
 // NumCPU), filling in each one's Stats. Monte-Carlo lookups go through the
-// process-wide cache under the same keys and single-flight as
-// MCSource.Contention: a cached point, or one another caller is already
-// simulating, is shared, never simulated again. The points this call has to
-// simulate are cut into their shards, and every shard of every such point
-// runs in one engine.Map with Simulate's shard seeds and fold order, so the
-// statistics are Simulate's to the bit while a batch of points keeps every
-// worker busy instead of blocking all but one on the point they share. Each
-// point is folded and published to the cache as soon as its last shard
-// ends. Other sources are asked inline, once per lookup, and a lookup
-// without a source is skipped, its Stats left as they are.
+// process-wide cache under its single-flight: a cached point, or one
+// another caller is already simulating, is shared, never simulated again.
+// The points this call has to simulate run in one fill, so the statistics
+// are Simulate's to the bit while a batch of points keeps every worker busy
+// instead of blocking all but one on the point they share; each point is
+// published to the cache as soon as its last shard ends. Other sources are
+// asked inline, once per lookup, and a lookup without a source is skipped,
+// its Stats left as they are.
 //
 // Once ctx is done no further shard starts: Resolve returns ctx.Err() after
 // the shards in flight end, abandons the cache entries of the points it
@@ -203,9 +205,8 @@ func Resolve(ctx context.Context, workers int, ls []Lookup) error {
 		}
 	}
 	var (
-		fl      *fill                         // the points this call simulates
-		flights []engine.Flight[mcKey, Stats] // points in flight elsewhere, by lookup
-		units   int
+		fl      *fill    // the points this call simulates
+		flights []flight // points in flight elsewhere, by lookup
 	)
 	for i := range ls {
 		r := &ls[i]
@@ -217,7 +218,6 @@ func Resolve(ctx context.Context, workers int, ls []Lookup) error {
 			continue
 		}
 		cfg, key := s.point(r.PayloadBytes, r.Load)
-		cfg = cfg.prepared()
 		f := mcCache.Acquire(key)
 		switch {
 		case f.Ready():
@@ -225,36 +225,21 @@ func Resolve(ctx context.Context, workers int, ls []Lookup) error {
 			continue
 		case !f.Owner():
 			if flights == nil {
-				flights = make([]engine.Flight[mcKey, Stats], len(ls))
+				flights = make([]flight, len(ls))
 			}
 			flights[i] = f
 			continue
 		}
 		if fl == nil {
-			fl = fillPool.Get().(*fill)
+			fl = getFill()
 		}
-		n := cfg.shardCount()
-		fl.points = append(fl.points, owned{cfg: cfg, at: i, flight: f, first: units, n: n})
-		fl.points[len(fl.points)-1].outstanding.Store(int32(n))
-		units += n
+		fl.add(cfg.prepared(), i, f)
 	}
 	if fl != nil {
-		fl.shards = slices.Grow(fl.shards, units)[:units]
-		err := engine.Map(ctx, workers, units, fl.unit)
+		err := fl.run(ctx, workers)
 		for k := range fl.points {
 			p := &fl.points[k]
-			if p.outstanding.Load() == 0 {
-				ls[p.at].Stats = p.stats
-				continue
-			}
-			// Canceled: hand the shards of an unfinished point back to
-			// the pool and its entry to whoever asks next.
-			for _, st := range fl.shards[p.first : p.first+p.n] {
-				if st != nil {
-					shardPool.Put(st)
-				}
-			}
-			p.flight.Abandon()
+			ls[p.at].Stats = p.res.stats()
 		}
 		fl.release()
 		if err != nil {
@@ -268,7 +253,7 @@ func Resolve(ctx context.Context, workers int, ls []Lookup) error {
 	var retryAt []int
 	for i := range flights {
 		f := flights[i]
-		if f == (engine.Flight[mcKey, Stats]{}) {
+		if f == (flight{}) {
 			continue
 		}
 		st, ok := f.Wait(ctx)
@@ -292,62 +277,4 @@ func Resolve(ctx context.Context, workers int, ls []Lookup) error {
 		ls[i].Stats = retry[k].Stats
 	}
 	return nil
-}
-
-// owned is a point one Resolve call simulates: its prepared run, the
-// lookup it answers, its cache flight, its span of shard units and, once
-// its last shard is folded, its statistics.
-type owned struct {
-	cfg         Config
-	at          int
-	flight      engine.Flight[mcKey, Stats]
-	first, n    int
-	outstanding atomic.Int32
-	stats       Stats
-}
-
-// fill is the scratch of one Resolve call that simulates: the points it
-// owns, the shards of their units, and unit, the shard step engine.Map
-// runs, bound to the fill once. Fills are pooled, so a call that
-// simulates a point allocates no table and no closure for it.
-type fill struct {
-	points []owned
-	shards []*shard
-	unit   func(u int) error
-}
-
-var fillPool = sync.Pool{New: func() any {
-	f := new(fill)
-	f.unit = f.runUnit
-	return f
-}}
-
-// maxPooledFill bounds the points and shards a pooled fill keeps: a
-// larger one, from a grid over many loads, is left to the collector.
-const maxPooledFill = 1024
-
-// runUnit simulates shard unit u. The last shard of a point to end folds
-// the point and publishes it to the cache.
-func (f *fill) runUnit(u int) error {
-	// The point whose span holds unit u.
-	k := sort.Search(len(f.points), func(k int) bool { return f.points[k].first > u }) - 1
-	p := &f.points[k]
-	f.shards[u] = p.cfg.runShard(u - p.first)
-	if p.outstanding.Add(-1) == 0 {
-		p.stats = fold(p.cfg, f.shards[p.first:p.first+p.n]).stats()
-		p.flight.Publish(p.stats)
-	}
-	return nil
-}
-
-// release empties f, so it holds no flight and no shard, and returns it to
-// the pool.
-func (f *fill) release() {
-	if cap(f.points) > maxPooledFill || cap(f.shards) > maxPooledFill {
-		return
-	}
-	clear(f.points)
-	clear(f.shards)
-	f.points, f.shards = f.points[:0], f.shards[:0]
-	fillPool.Put(f)
 }

@@ -5,11 +5,12 @@ import (
 	"sync"
 )
 
-// Cache is a memoizing single-flight map: Get computes the value for a key
-// exactly once, even under concurrent requests, and serves every later
-// request from memory. A batch computed outside the cache claims its keys
-// with Acquire and publishes them, or abandons those it does not finish. The zero value is an unbounded cache ready for use;
-// SetLimit bounds it with LRU eviction. It backs the shared contention
+// Cache is a memoizing single-flight map: the first caller to Acquire a key
+// owns it and computes its value outside the cache, then Publishes it, or
+// Abandons the key if it does not finish; every other caller Waits on that
+// one computation, and every later request is served from memory. The zero
+// value is an unbounded cache ready for use; SetLimit bounds it with LRU
+// eviction. It backs the shared contention
 // cache: a sweep that evaluates many model points at the same (payload,
 // load, contention config) simulates the Monte-Carlo characterization once
 // instead of once per point, and a long-running service sweeping an
@@ -51,10 +52,11 @@ type cacheEntry[K comparable, V any] struct {
 
 // CacheStats is a snapshot of a cache's counters.
 type CacheStats struct {
-	// Hits counts Gets served from an existing entry (including entries
+	// Hits counts Acquires that found an existing entry (including entries
 	// still computing that the caller then waited on).
 	Hits uint64
-	// Misses counts Gets that had to create the entry and run compute.
+	// Misses counts Acquires that created the entry, so their caller
+	// computes it.
 	Misses uint64
 	// Evictions counts entries dropped by the LRU bound (Reset not
 	// included).
@@ -96,31 +98,6 @@ func (c *Cache[K, V]) Limit() int {
 	return c.limit
 }
 
-// Get returns the cached value for key, running compute on a miss.
-// Concurrent callers with the same key block until the single computation
-// finishes and then share its result; if the key's owner abandons it
-// instead, a waiting Get claims the key again. Get refreshes the key's
-// recency; a miss may evict the least recently used completed entry when a
-// limit is set. A compute that panics publishes the zero value, so the
-// panic never leaves other callers of the key waiting.
-func (c *Cache[K, V]) Get(key K, compute func() V) V {
-	for {
-		f := c.Acquire(key)
-		if f.Owner() {
-			return f.compute(compute)
-		}
-		if v, ok := f.Wait(context.Background()); ok {
-			return v
-		}
-	}
-}
-
-// compute publishes compute's value — the zero value if it panics.
-func (f Flight[K, V]) compute(compute func() V) (v V) {
-	defer func() { f.Publish(v) }()
-	return compute()
-}
-
 // Flight is one caller's claim on a cache entry, from Acquire. The caller
 // that created the entry owns it and must settle it exactly once: Publish
 // its value, or Abandon it. Everyone else reads the value with Wait, which
@@ -133,12 +110,13 @@ type Flight[K comparable, V any] struct {
 }
 
 // Acquire returns key's flight: the existing entry (a hit, computed or
-// still in flight) or a new one this caller owns (a miss). It counts and
-// refreshes recency exactly as Get does, so a batch of values computed
-// together outside the cache — Acquire each, compute the owned ones, then
-// Publish them — keeps the single-flight and the hit/miss accounting of one
-// Get per key. An owner must settle every flight it owns before it waits
-// on any other flight, or two batches could wait on each other.
+// still in flight) or a new one this caller owns (a miss). It counts the
+// hit or miss and refreshes the key's recency; a miss may evict the least
+// recently used completed entry when a limit is set. A batch of values is
+// computed together outside the cache by Acquiring each key, computing the
+// owned ones and Publishing them. An owner must settle every flight it owns
+// before it waits on any other flight, or two batches could wait on each
+// other.
 func (c *Cache[K, V]) Acquire(key K) Flight[K, V] {
 	c.mu.Lock()
 	if c.m == nil {
@@ -298,7 +276,7 @@ func (c *Cache[K, V]) unlinkLocked(e *cacheEntry[K, V]) {
 
 // evictLocked drops completed entries from the LRU tail until the bound
 // holds. In-flight entries are skipped: evicting one would let a concurrent
-// Get for the same key start a duplicate computation. Callers hold c.mu.
+// Acquire of the same key start a duplicate computation. Callers hold c.mu.
 func (c *Cache[K, V]) evictLocked() {
 	if c.limit <= 0 {
 		return

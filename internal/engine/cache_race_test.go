@@ -36,12 +36,12 @@ func TestCacheCounterConsistencyUnderRace(t *testing.T) {
 			for i := 0; i < lookups; i++ {
 				k := rng.Intn(keys)
 				total.Add(1)
-				v := c.Get(k, func() int {
+				v := get(&c, k, func() int {
 					computes.Add(1)
 					return k * 10
 				})
 				if v != k*10 {
-					t.Errorf("Get(%d) = %d", k, v)
+					t.Errorf("get(%d) = %d", k, v)
 					return
 				}
 				// Sprinkle management operations through the lookup storm.
@@ -67,7 +67,7 @@ func TestCacheCounterConsistencyUnderRace(t *testing.T) {
 		t.Errorf("hits (%d) + misses (%d) = %d, want %d lookups", s.Hits, s.Misses, got, want)
 	}
 	// Every miss creates an entry and runs its compute exactly once
-	// (single flight); a Reset may orphan an in-flight entry whose Get
+	// (single flight); a Reset may orphan an in-flight entry whose get
 	// was already counted, but computes can never exceed misses.
 	if computes.Load() > s.Misses {
 		t.Errorf("computes %d > misses %d: a compute ran without a recorded miss", computes.Load(), s.Misses)

@@ -9,6 +9,24 @@ import (
 	"time"
 )
 
+// get returns key's value through the cache's fill protocol, computing it
+// on a miss: the owner of the key's flight computes and Publishes it, and
+// every other caller Waits on it, claiming the key again if its owner
+// abandons it.
+func get[K comparable, V any](c *Cache[K, V], key K, compute func() V) V {
+	for {
+		f := c.Acquire(key)
+		if f.Owner() {
+			v := compute()
+			f.Publish(v)
+			return v
+		}
+		if v, ok := f.Wait(context.Background()); ok {
+			return v
+		}
+	}
+}
+
 func TestCacheSingleFlightAndCounters(t *testing.T) {
 	var c Cache[int, int]
 	var computes atomic.Int64
@@ -19,12 +37,12 @@ func TestCacheSingleFlightAndCounters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				got := c.Get(i%10, func() int {
+				got := get(&c, i%10, func() int {
 					computes.Add(1)
 					return i % 10 * 7
 				})
 				if got != i%10*7 {
-					t.Errorf("Get(%d) = %d", i%10, got)
+					t.Errorf("get(%d) = %d", i%10, got)
 				}
 			}
 		}()
@@ -47,7 +65,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	var c Cache[int, int]
 	c.SetLimit(3)
 	for i := 0; i < 5; i++ {
-		c.Get(i, func() int { return i })
+		get(&c, i, func() int { return i })
 	}
 	if got := c.Len(); got != 3 {
 		t.Fatalf("Len = %d, want 3", got)
@@ -59,17 +77,17 @@ func TestCacheLRUEviction(t *testing.T) {
 	// 0 and 1 were least recently used and must have been evicted; 2-4
 	// must still be resident (their compute funcs must not rerun).
 	for i := 2; i < 5; i++ {
-		if got := c.Get(i, func() int { return -1 }); got != i {
+		if got := get(&c, i, func() int { return -1 }); got != i {
 			t.Fatalf("entry %d was evicted (got %d)", i, got)
 		}
 	}
 	// Touch 2 so 3 becomes the LRU victim of the next insertion.
-	c.Get(2, func() int { return -1 })
-	c.Get(99, func() int { return 99 })
-	if got := c.Get(3, func() int { return -1 }); got != -1 {
+	get(&c, 2, func() int { return -1 })
+	get(&c, 99, func() int { return 99 })
+	if got := get(&c, 3, func() int { return -1 }); got != -1 {
 		t.Fatal("entry 3 survived though it was the LRU victim")
 	}
-	if got := c.Get(2, func() int { return -1 }); got != 2 {
+	if got := get(&c, 2, func() int { return -1 }); got != 2 {
 		t.Fatal("recently touched entry 2 was evicted")
 	}
 }
@@ -77,7 +95,7 @@ func TestCacheLRUEviction(t *testing.T) {
 func TestCacheSetLimitShrinksImmediately(t *testing.T) {
 	var c Cache[int, int]
 	for i := 0; i < 10; i++ {
-		c.Get(i, func() int { return i })
+		get(&c, i, func() int { return i })
 	}
 	c.SetLimit(4)
 	if got := c.Len(); got != 4 {
@@ -85,7 +103,7 @@ func TestCacheSetLimitShrinksImmediately(t *testing.T) {
 	}
 	c.SetLimit(0) // unbounded again
 	for i := 0; i < 10; i++ {
-		c.Get(100+i, func() int { return i })
+		get(&c, 100+i, func() int { return i })
 	}
 	if got := c.Len(); got != 14 {
 		t.Fatalf("Len unbounded = %d, want 14", got)
@@ -100,7 +118,7 @@ func TestCacheInFlightEntriesAreNotEvicted(t *testing.T) {
 	release := make(chan struct{})
 	done := make(chan int)
 	go func() {
-		done <- c.Get(1, func() int {
+		done <- get(&c, 1, func() int {
 			close(started)
 			<-release
 			return 42
@@ -109,24 +127,24 @@ func TestCacheInFlightEntriesAreNotEvicted(t *testing.T) {
 	<-started
 	// Insertions while key 1 is still computing cannot evict it.
 	for i := 2; i < 6; i++ {
-		c.Get(i, func() int { return i })
+		get(&c, i, func() int { return i })
 	}
 	close(release)
 	if got := <-done; got != 42 {
-		t.Fatalf("in-flight Get = %d, want 42", got)
+		t.Fatalf("in-flight get = %d, want 42", got)
 	}
 	// Key 1 completed and must now be resident (it is the most recent
-	// completion still linked); a second Get must not recompute.
-	if got := c.Get(1, func() int { return -1 }); got != 42 {
-		t.Fatalf("re-Get(1) = %d, want cached 42", got)
+	// completion still linked); a second get must not recompute.
+	if got := get(&c, 1, func() int { return -1 }); got != 42 {
+		t.Fatalf("re-get(1) = %d, want cached 42", got)
 	}
 }
 
 func TestCacheResetKeepsLimitAndCounters(t *testing.T) {
 	var c Cache[string, int]
 	c.SetLimit(5)
-	c.Get("a", func() int { return 1 })
-	c.Get("a", func() int { return 2 })
+	get(&c, "a", func() int { return 1 })
+	get(&c, "a", func() int { return 2 })
 	c.Reset()
 	if c.Len() != 0 {
 		t.Fatal("Reset did not drop entries")
@@ -135,8 +153,8 @@ func TestCacheResetKeepsLimitAndCounters(t *testing.T) {
 	if s.Hits != 1 || s.Misses != 1 || s.Limit != 5 {
 		t.Fatalf("stats after Reset = %+v, want counters and limit kept", s)
 	}
-	if got := c.Get("a", func() int { return 3 }); got != 3 {
-		t.Fatalf("Get after Reset = %d, want recomputed 3", got)
+	if got := get(&c, "a", func() int { return 3 }); got != 3 {
+		t.Fatalf("get after Reset = %d, want recomputed 3", got)
 	}
 }
 
@@ -151,8 +169,8 @@ func TestCacheConcurrentWithEviction(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				k := (g*31 + i) % 40
-				if got := c.Get(k, func() int { return k * 3 }); got != k*3 {
-					t.Errorf("Get(%d) = %d", k, got)
+				if got := get(&c, k, func() int { return k * 3 }); got != k*3 {
+					t.Errorf("get(%d) = %d", k, got)
 				}
 			}
 		}()
@@ -163,19 +181,23 @@ func TestCacheConcurrentWithEviction(t *testing.T) {
 	}
 }
 
-func BenchmarkCacheGetHit(b *testing.B) {
+func BenchmarkCacheHit(b *testing.B) {
 	var c Cache[int, int]
-	c.Get(1, func() int { return 1 })
+	c.Acquire(1).Publish(1)
+	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c.Get(1, func() int { return 1 })
+		c.Acquire(1).Wait(ctx)
 	}
 }
 
 func ExampleCache() {
 	var c Cache[string, string]
 	c.SetLimit(100)
-	v := c.Get("fig6", func() string { return "simulated" })
+	if f := c.Acquire("fig6"); f.Owner() {
+		f.Publish("simulated") // the owner computes the value outside the cache
+	}
+	v, _ := c.Acquire("fig6").Wait(context.Background())
 	fmt.Println(v, c.Stats().Misses)
 	// Output: simulated 1
 }
@@ -183,7 +205,7 @@ func ExampleCache() {
 // TestCacheFlights: the first Acquire of a key owns its flight and the
 // value computed outside the cache reaches every other caller — those that
 // joined before Publish block in Wait, later ones find it Ready — with the
-// hit/miss accounting of one Get per Acquire.
+// each Acquire counted as one hit or one miss.
 func TestCacheFlights(t *testing.T) {
 	var c Cache[string, int]
 	own := c.Acquire("k")
@@ -196,7 +218,9 @@ func TestCacheFlights(t *testing.T) {
 	}
 	got := make(chan int)
 	go func() { v, _ := joined.Wait(context.Background()); got <- v }()
-	go func() { got <- c.Get("k", func() int { t.Error("Get recomputed a key in flight"); return 0 }) }()
+	go func() {
+		got <- get(&c, "k", func() int { t.Error("a joined caller recomputed a key in flight"); return 0 })
+	}()
 	own.Publish(42)
 	for i := 0; i < 2; i++ {
 		if v := <-got; v != 42 {
@@ -214,28 +238,8 @@ func TestCacheFlights(t *testing.T) {
 	}
 }
 
-// TestCacheGetPanicPublishes: a compute that panics still publishes (the
-// zero value), so callers already waiting on the key are released.
-func TestCacheGetPanicPublishes(t *testing.T) {
-	var c Cache[int, int]
-	func() {
-		defer func() { _ = recover() }()
-		c.Get(1, func() int { panic("boom") })
-	}()
-	done := make(chan int)
-	go func() { done <- c.Get(1, func() int { return 7 }) }()
-	select {
-	case v := <-done:
-		if v != 0 {
-			t.Fatalf("Get after a panicking compute = %d, want the published zero value", v)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Get blocked on a key whose compute panicked")
-	}
-}
-
 // TestCacheAbandon: an abandoned flight releases its waiters without a
-// value, a Get waiting on it claims the key and computes it, and the key
+// value, a get waiting on it claims the key and computes it, and the key
 // is gone from the cache meanwhile, so the next Acquire owns it afresh.
 func TestCacheAbandon(t *testing.T) {
 	var c Cache[string, int]
@@ -244,7 +248,7 @@ func TestCacheAbandon(t *testing.T) {
 	waited := make(chan bool)
 	go func() { _, ok := joined.Wait(context.Background()); waited <- ok }()
 	got := make(chan int)
-	go func() { got <- c.Get("k", func() int { return 7 }) }()
+	go func() { got <- get(&c, "k", func() int { return 7 }) }()
 	// Let both callers block on the flight before it is abandoned.
 	for deadline := time.Now().Add(5 * time.Second); ; {
 		c.mu.Lock()
@@ -260,7 +264,7 @@ func TestCacheAbandon(t *testing.T) {
 		t.Fatal("Wait on an abandoned flight reported a value")
 	}
 	if v := <-got; v != 7 {
-		t.Fatalf("Get after the owner abandoned = %d, want its own compute's 7", v)
+		t.Fatalf("get after the owner abandoned = %d, want its own compute's 7", v)
 	}
 	if v, ok := c.Acquire("k").Wait(context.Background()); !ok || v != 7 {
 		t.Fatalf("after the retry the key holds %d (%v), want 7", v, ok)

@@ -24,8 +24,9 @@
 //
 // Expensive memoizable computations (one Monte-Carlo contention
 // characterization per (payload, load, config) point, say) go through Cache,
-// which guarantees a value is computed exactly once even when many workers
-// request the same key concurrently.
+// whose single-flight Acquire/Publish protocol guarantees a value is
+// computed exactly once even when many workers request the same key
+// concurrently.
 package engine
 
 import (

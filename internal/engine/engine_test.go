@@ -219,7 +219,7 @@ func TestCacheSingleFlight(t *testing.T) {
 	for i := 0; i < callers; i++ {
 		go func() {
 			defer wg.Done()
-			v := c.Get(7, func() int {
+			v := get(&c, 7, func() int {
 				atomic.AddInt32(&computed, 1)
 				time.Sleep(10 * time.Millisecond)
 				return 99
