@@ -40,11 +40,11 @@
 //	  -peers http://127.0.0.1:8081,http://127.0.0.1:8082
 //
 // -shard-size, -shard-timeout and -dist-attempts tune the sharding and
-// retry policy; -request-timeout bounds each v2 query end to end (answered
-// with a structured 504 when exceeded). Workers need no flags: any
-// wsn-serve serves /v2/tasks. During drain the server flips /readyz and
-// /v2/tasks to 503 first, so coordinators evict it before the listener
-// closes.
+// retry policy; -timeout bounds each v2 query end to end too (answered
+// with a structured 504 when it runs out mid-execution). Workers need no
+// flags: any wsn-serve serves /v2/tasks. During drain the server flips
+// /readyz and /v2/tasks to 503 first, so coordinators evict it before the
+// listener closes.
 //
 // Result store: every server keeps a content-addressed result store
 // (internal/store) keyed by the SHA-256 of the query's canonical form.
@@ -111,7 +111,6 @@ func main() {
 		shardSize    = flag.Int("shard-size", 0, "tasks per dispatched shard (0 = one shard per worker)")
 		shardTimeout = flag.Duration("shard-timeout", 0, "per-shard deadline before re-dispatch (0 = 60s)")
 		distAttempts = flag.Int("dist-attempts", 0, "dispatch attempts per index range before local fallback (0 = 4)")
-		reqTimeout   = flag.Duration("request-timeout", 0, "per-query deadline of the v2 routes, answered 504 (0 = none)")
 		faultExit    = flag.Int("fault-exit-after-tasks", 0, "TESTING: exit(3) after serving this many /v2/tasks lines")
 
 		storeMem = flag.Int64("store-mem", store.DefaultMaxBytes, "in-memory result-store budget in bytes (0 = store disabled, even with -store-dir)")
@@ -146,7 +145,6 @@ func main() {
 		CacheLimit:          *cacheSize,
 		RequestTimeout:      *timeout,
 		MaxBodyBytes:        *maxBody,
-		QueryTimeout:        *reqTimeout,
 		FaultExitAfterTasks: *faultExit,
 	}
 	if !*quiet {

@@ -182,9 +182,10 @@ func TestQueryHitValidatesNormalizedFields(t *testing.T) {
 
 // TestRequestDeadlineOnComputingRoutes pins where Config.RequestTimeout
 // applies now that ServeHTTP no longer sets it up on every request: every
-// route that computes still answers an exceeded deadline with the 503 it
-// always did (QueryTimeout's 504 is a different deadline), while a
-// whole-query store hit, which computes nothing, is served as before.
+// route that computes still answers a deadline exceeded before it gets its
+// workers with the 503 it always did (one that runs out mid-execution is a
+// v2 query's 504, TestServerQueryTimeoutAnswers504), while a whole-query
+// store hit, which computes nothing, is served as before.
 func TestRequestDeadlineOnComputingRoutes(t *testing.T) {
 	srv := newStoreBackedServerWith(t, Config{Workers: 1, RequestTimeout: time.Nanosecond})
 	for _, path := range []string{"/v2/query", "/v2/query/stream"} {

@@ -58,16 +58,6 @@ func (s *Server) countQuery(kind query.Kind, tasks int) {
 	s.queryTasks.Add(uint64(tasks))
 }
 
-// queryContext applies the server's per-query deadline (Config.QueryTimeout)
-// to a v2 query execution under the request context ctx; the query's own
-// timeout_ms, when tighter, is applied underneath by the plan itself.
-func (s *Server) queryContext(ctx context.Context) (context.Context, context.CancelFunc) {
-	if s.cfg.QueryTimeout > 0 {
-		return context.WithTimeout(ctx, s.cfg.QueryTimeout)
-	}
-	return context.WithCancel(ctx)
-}
-
 // storeKey derives the store key of q, once per request: both the
 // whole-query entry and the per-task view are addressed by it. ok is false
 // when no store is configured or q has no canonical form (a decoded v2
@@ -134,17 +124,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	s.countQuery(plan.Kind, plan.NumTasks())
 	s.attachStore(plan, key, keyed, 0, plan.NumTasks())
-	rctx, got, release, ok := s.acquireWorkers(w, r, q.Workers)
+	ctx, got, release, ok := s.acquireWorkers(w, r, q.Workers)
 	if !ok {
 		return
 	}
 	defer release()
 
-	ctx, cancel := s.queryContext(rctx)
-	defer cancel()
 	rs, err := s.execQuery(ctx, q, plan, got, nil)
 	if err != nil {
-		s.writeQueryError(rctx, w, err)
+		s.writeQueryError(ctx, w, err)
 		return
 	}
 	body, err := rs.Encode()
@@ -339,7 +327,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	key, keyed := s.storeKey(q)
 	cacheable := keyed && !q.Trace
 	s.attachStore(plan, key, keyed, 0, plan.NumTasks())
-	rctx, got, release, ok := s.acquireWorkers(w, r, q.Workers)
+	ctx, got, release, ok := s.acquireWorkers(w, r, q.Workers)
 	if !ok {
 		return
 	}
@@ -350,8 +338,6 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	lw := newLineWriter(w)
 	defer lw.close()
 
-	ctx, cancel := s.queryContext(rctx)
-	defer cancel()
 	var encodeErr error
 	rs, err := s.execQuery(ctx, q, plan, got, func(tr query.TaskResult) error {
 		if err := lw.task(&tr); err != nil {
@@ -367,7 +353,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		// through lw, behind the lines still pending there. A dead client
 		// connection gets nothing, which is fine: nobody is reading.
 		if encodeErr == nil {
-			if b, err := lw.appendJSON(queryStreamErrorLine{Error: queryErrorDetail(rctx, err)}); err == nil {
+			if b, err := lw.appendJSON(queryStreamErrorLine{Error: queryErrorDetail(ctx, err)}); err == nil {
 				_ = lw.write(b)
 			}
 		}
@@ -395,8 +381,9 @@ type queryStreamErrorLine struct {
 }
 
 // queryErrorDetail maps a v2 execution failure under the request context
-// ctx to its structured error: an exceeded query deadline is a 504 (the
-// inputs were fine, the time budget was not), other context failures are
+// ctx to its structured error: an exceeded deadline, the query's timeout_ms
+// or the server's RequestTimeout, is a 504 (the inputs were fine, the time
+// budget was not), other context failures are
 // 503s, validation errors keep their field, and anything else is a 400 (the
 // model rejected the inputs).
 func queryErrorDetail(ctx context.Context, err error) errorDetail {

@@ -131,12 +131,25 @@ func TestQueryTimeoutMSAnswers504(t *testing.T) {
 	}
 }
 
+// TestServerQueryTimeoutAnswers504: the server's RequestTimeout (wsn-serve's
+// -timeout), with no timeout_ms in the query, expiring mid-execution is
+// answered like an exceeded timeout_ms: a structured 504 on /v2/query and a
+// terminal 504 error line on /v2/query/stream.
 func TestServerQueryTimeoutAnswers504(t *testing.T) {
-	// The -request-timeout server deadline, with no timeout_ms in the query.
-	ts := newTestServer(t, Config{Workers: 2, QueryTimeout: time.Millisecond})
-	status, body := postJSON(t, ts.URL+"/v2/query", slowQuery+`}`)
+	// Long enough to acquire workers and start, far too short to finish a
+	// query hundreds of times slowQuery's 1 ms budget.
+	const slower = `{"kind":"replicas","sim":{"nodes":100,"superframes":200},"replicas":64}`
+	ts := newTestServer(t, Config{Workers: 2, RequestTimeout: 20 * time.Millisecond})
+	status, body := postJSON(t, ts.URL+"/v2/query", slower)
 	if status != http.StatusGatewayTimeout {
 		t.Fatalf("timed-out query answered %d: %s", status, body)
+	}
+	var eb errorBody
+	if err := json.Unmarshal(body, &eb); err != nil || eb.Error.Status != http.StatusGatewayTimeout {
+		t.Fatalf("504 body not structured: %s", body)
+	}
+	if terminal := lastStreamLine(t, ts.URL, slower); terminal.Done || terminal.Error.Status != http.StatusGatewayTimeout {
+		t.Fatalf("terminal line = %+v, want done=false status=504", terminal)
 	}
 }
 
@@ -145,8 +158,17 @@ func TestQueryStreamTimeoutDrainsCleanly(t *testing.T) {
 	// failure must arrive as a terminal NDJSON error line — the stream ends
 	// cleanly instead of hanging or truncating without explanation.
 	ts := newTestServer(t, Config{Workers: 2})
-	resp, err := http.Post(ts.URL+"/v2/query/stream", "application/json",
-		strings.NewReader(slowQuery+`,"timeout_ms":1}`))
+	if terminal := lastStreamLine(t, ts.URL, slowQuery+`,"timeout_ms":1}`); terminal.Done || terminal.Error.Status != http.StatusGatewayTimeout {
+		t.Fatalf("terminal line = %+v, want done=false status=504", terminal)
+	}
+}
+
+// lastStreamLine posts query to /v2/query/stream, which must answer 200,
+// drains the stream to EOF and decodes its last line as a terminal error
+// line.
+func lastStreamLine(t *testing.T, url, query string) queryStreamErrorLine {
+	t.Helper()
+	resp, err := http.Post(url+"/v2/query/stream", "application/json", strings.NewReader(query))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,9 +191,7 @@ func TestQueryStreamTimeoutDrainsCleanly(t *testing.T) {
 	if err := json.Unmarshal([]byte(last), &terminal); err != nil {
 		t.Fatalf("terminal line %q not a stream error line: %v", last, err)
 	}
-	if terminal.Done || terminal.Error.Status != http.StatusGatewayTimeout {
-		t.Fatalf("terminal line = %+v, want done=false status=504", terminal)
-	}
+	return terminal
 }
 
 // ---- POST /v2/tasks: the worker half of distribution ----

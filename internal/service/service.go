@@ -145,10 +145,13 @@ type Config struct {
 	// state, so the most recently constructed server wins.
 	CacheLimit int
 	// RequestTimeout is the per-request computation deadline, counted
-	// from the request's arrival; requests exceeding it are canceled (at
-	// the granularity the package doc describes) and answered 503 (0 = no
-	// deadline). Only requests that compute carry it: a whole-query store
-	// hit, a listing or a probe sets up no deadline.
+	// from the request's arrival (0 = no deadline); requests exceeding it
+	// are canceled at the granularity the package doc describes. A request
+	// still waiting for workers, or a v1 computation, is answered 503; a
+	// v2 query execution that runs past it is answered with a structured
+	// 504, as a query's own timeout_ms is. Only requests that compute carry
+	// it: a whole-query store hit, a listing or a probe sets up no
+	// deadline.
 	RequestTimeout time.Duration
 	// MaxBodyBytes caps request bodies (0 ⇒ 8 MiB).
 	MaxBodyBytes int64
@@ -160,11 +163,6 @@ type Config struct {
 	// results byte-identically to local execution). Nil runs every plan
 	// locally.
 	Distributor Distributor
-	// QueryTimeout is the per-query execution deadline of the v2 query
-	// routes (0 = none). Unlike RequestTimeout's 503, an exceeded query
-	// deadline is answered with a structured 504; a query's own timeout_ms,
-	// when tighter, wins.
-	QueryTimeout time.Duration
 	// Store, when set, is the content-addressed result store consulted by
 	// the v2 routes: /v2/query answers repeated (untraced) queries from
 	// stored whole-query bytes in O(1), every executed plan — each
