@@ -131,19 +131,22 @@ func berByName(name string) (phy.BERModel, *Error) {
 // the wire. Every kind whose contention the wire configures resolves it
 // through contention.Resolve, which stops between a characterization's
 // shards once the request is canceled. The exception is a model task whose
-// stored line does not decode: it asks MCSource.Contention, which runs to
-// its end under the single-flight cache, so this bound also caps how long
-// a canceled request can pin its worker tokens.
+// stored line does not decode: it asks MCSource.Contention, which goes
+// through Resolve too but under context.Background(), so it runs to its
+// end, uncancelled; this bound also caps how long a canceled request can
+// pin its worker tokens.
 const MaxMCSuperframes = 20000
 
-// source resolves the contention wire config.
-func (w *ContentionWire) source(workers int) (contention.Source, *Error) {
+// source resolves the contention wire config. A Monte-Carlo source is
+// serial (Workers 1): plans resolve its characterizations under their
+// worker grant (contention.Resolve), which does not read it.
+func (w *ContentionWire) source() (contention.Source, *Error) {
 	if w == nil {
 		w = &ContentionWire{}
 	}
 	switch w.Source {
 	case "", "montecarlo":
-		cfg := contention.Config{Superframes: 60, Seed: 2005, Workers: workers}
+		cfg := contention.Config{Superframes: 60, Seed: 2005, Workers: 1}
 		if w.Superframes != 0 {
 			if w.Superframes < 1 || w.Superframes > MaxMCSuperframes {
 				return nil, errf("contention.superframes", "%d outside 1..%d", w.Superframes, MaxMCSuperframes)
@@ -171,14 +174,13 @@ func (w *ContentionWire) source(workers int) (contention.Source, *Error) {
 // Params materializes the wire form onto core.DefaultParams and validates
 // the result; the radio, BER model and contention source are resolved
 // first and the defaults built around them, so none is built twice.
-// workers is the granted parallelism applied to the model sweep
-// and mcWorkers the parallelism of one Monte-Carlo contention
-// characterization. The two levels nest — each sweep goroutine can trigger
-// a characterization — so callers pass the full grant to exactly one level
-// (mcWorkers = 1 for the sweeps) and total concurrency stays within the
-// grant; the model kinds' plans resolve their characterizations up front,
-// under the whole grant. Neither value ever changes the computed bytes.
-func (w ParamsWire) Params(workers, mcWorkers int) (core.Params, *Error) {
+// The point is serial: its model sweep (Workers) and its Monte-Carlo
+// source run on one goroutine each. A plan applies an execution's worker
+// grant to the sweep level (granted) and resolves its characterizations up
+// front under the whole grant (contention.Resolve), so one compiled point
+// serves every execution and concurrency stays within the grant. Worker
+// counts never change the computed bytes.
+func (w ParamsWire) Params() (core.Params, *Error) {
 	r, aerr := RadioByName(w.Radio)
 	if aerr != nil {
 		return core.Params{}, aerr
@@ -187,12 +189,12 @@ func (w ParamsWire) Params(workers, mcWorkers int) (core.Params, *Error) {
 	if aerr != nil {
 		return core.Params{}, aerr
 	}
-	src, aerr := w.Contention.source(mcWorkers)
+	src, aerr := w.Contention.source()
 	if aerr != nil {
 		return core.Params{}, aerr
 	}
 	p := core.PaperParams(r, ber, src)
-	p.Workers = workers
+	p.Workers = 1
 
 	if w.Superframe != nil {
 		sf, err := mac.NewSuperframe(w.Superframe.BO, w.Superframe.SO)

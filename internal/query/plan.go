@@ -729,14 +729,14 @@ func RunStream(ctx context.Context, q Query, yield func(TaskResult) error) (*Res
 
 // baseParams materializes the shared analytic base point from the
 // declarative spec (defaulting to the paper's §5 configuration). It compiles
-// at one worker per level; each run applies its worker grant with granted,
-// so one compiled point serves every execution.
+// serial (see ParamsWire.Params); each run applies its worker grant with
+// granted, so one compiled point serves every execution.
 func (q *Query) baseParams() (core.Params, *Error) {
 	w := q.Params
 	if w == nil {
 		w = &ParamsWire{}
 	}
-	return w.Params(1, 1)
+	return w.Params()
 }
 
 // granted returns base point p with the worker grant on the model's sweep
@@ -766,7 +766,7 @@ func (q *Query) buildBatch() (exec, *Error) {
 	}
 	ps := make([]core.Params, len(q.Batch))
 	for i, pw := range q.Batch {
-		p, aerr := pw.Params(1, 1)
+		p, aerr := pw.Params()
 		if aerr != nil {
 			aerr.Field = "batch[" + strconv.Itoa(i) + "]." + aerr.Field
 			return exec{}, aerr

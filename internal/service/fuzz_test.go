@@ -83,7 +83,7 @@ func FuzzParamsWireDecode(f *testing.F) {
 		if err := strictDecode(data, &pw); err != nil {
 			return
 		}
-		p, aerr := pw.Params(2, 1)
+		p, aerr := pw.Params()
 		if aerr != nil {
 			if aerr.Message == "" {
 				t.Fatalf("empty validation error for %q", data)

@@ -83,7 +83,7 @@ func TestBatchBitIdenticalToInProcess(t *testing.T) {
 	// The same workload computed in process, at a different worker count.
 	ps := make([]core.Params, len(wires))
 	for i, w := range wires {
-		p, aerr := w.Params(1, 1)
+		p, aerr := w.Params()
 		if aerr != nil {
 			t.Fatal(aerr)
 		}
@@ -116,7 +116,7 @@ func TestEvaluateMatchesBatchElement(t *testing.T) {
 	p, aerr := ParamsWire{
 		PayloadBytes: &payload, Load: &load,
 		Contention: &query.ContentionWire{Superframes: 16, Seed: int64p(7)},
-	}.Params(1, 1)
+	}.Params()
 	if aerr != nil {
 		t.Fatal(aerr)
 	}
@@ -144,7 +144,7 @@ func TestCaseStudyBitIdenticalToInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p, aerr := ParamsWire{Contention: &query.ContentionWire{Superframes: 16, Seed: int64p(7)}}.Params(1, 1)
+	p, aerr := ParamsWire{Contention: &query.ContentionWire{Superframes: 16, Seed: int64p(7)}}.Params()
 	if aerr != nil {
 		t.Fatal(aerr)
 	}
@@ -214,7 +214,7 @@ func TestBatchStreamingMatchesNonStreaming(t *testing.T) {
 
 	ps := make([]core.Params, len(wires))
 	for i, w := range wires {
-		p, aerr := w.Params(1, 1)
+		p, aerr := w.Params()
 		if aerr != nil {
 			t.Fatal(aerr)
 		}
