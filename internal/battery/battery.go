@@ -43,6 +43,24 @@ func VibrationHarvester() Supply {
 	return Supply{Harvest: 100 * units.MicroWatt}
 }
 
+// ByName resolves a named supply preset — the table every serialized
+// surface shares (the query wire and the scenario catalog): "cr2032"
+// (CoinCellCR2032), "aa" (AACell) or "harvester" (VibrationHarvester).
+func ByName(name string) (Supply, bool) {
+	switch name {
+	case "cr2032":
+		return CoinCellCR2032(), true
+	case "aa":
+		return AACell(), true
+	case "harvester":
+		return VibrationHarvester(), true
+	}
+	return Supply{}, false
+}
+
+// Names lists the presets ByName resolves, the coin cell first.
+func Names() []string { return []string{"cr2032", "aa", "harvester"} }
+
 // WithHarvest attaches a harvester to a battery supply.
 func (s Supply) WithHarvest(p units.Power) Supply {
 	s.Harvest = p

@@ -167,3 +167,23 @@ func TestSupplyPresets(t *testing.T) {
 		t.Error("harvester budget")
 	}
 }
+
+// TestByName: every listed preset resolves to its constructor's supply,
+// and nothing else resolves.
+func TestByName(t *testing.T) {
+	want := map[string]Supply{"cr2032": CoinCellCR2032(), "aa": AACell(), "harvester": VibrationHarvester()}
+	names := Names()
+	if len(names) != len(want) || names[0] != "cr2032" {
+		t.Fatalf("Names() = %v, want the %d presets, cr2032 first", names, len(want))
+	}
+	for _, name := range names {
+		if s, ok := ByName(name); !ok || s != want[name] {
+			t.Errorf("ByName(%q) = %+v, %v; want %+v", name, s, ok, want[name])
+		}
+	}
+	for _, name := range []string{"", "CR2032", "fusion"} {
+		if _, ok := ByName(name); ok {
+			t.Errorf("ByName(%q) resolved", name)
+		}
+	}
+}

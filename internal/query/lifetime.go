@@ -52,15 +52,12 @@ func (w *LifetimeWire) Config(sim netsim.Config) (lifetime.Config, *Error) {
 	if w == nil {
 		return cfg, nil
 	}
-	switch w.Supply {
-	case "", "cr2032":
-		cfg.Supply = battery.CoinCellCR2032()
-	case "aa":
-		cfg.Supply = battery.AACell()
-	case "harvester":
-		cfg.Supply = battery.VibrationHarvester()
-	default:
-		return cfg, errf("lifetime.supply", "unknown supply %q (want cr2032, aa or harvester)", w.Supply)
+	if w.Supply != "" {
+		s, ok := battery.ByName(w.Supply)
+		if !ok {
+			return cfg, errf("lifetime.supply", "unknown supply %q (want cr2032, aa or harvester)", w.Supply)
+		}
+		cfg.Supply = s
 	}
 	if w.CapacityJ != nil {
 		if v := float64(*w.CapacityJ); math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {

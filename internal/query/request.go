@@ -3,6 +3,7 @@ package query
 import (
 	"strconv"
 
+	"dense802154/internal/battery"
 	"dense802154/internal/radio"
 	"dense802154/internal/wire"
 )
@@ -333,7 +334,7 @@ var (
 	sourceNames  = []string{"montecarlo", "approx"}
 	arrivalNames = []string{"uniform", "at-beacon"}
 	berNames     = []string{"eq1", "awgn"}
-	supplyNames  = []string{"cr2032", "aa", "harvester"}
+	supplyNames  = battery.Names()
 	radioNames   = radio.Names()
 )
 

@@ -165,15 +165,8 @@ func (l LifetimeSpec) WithDefaults() LifetimeSpec {
 
 // supply resolves the named preset with its capacity override applied.
 func (l LifetimeSpec) supply() (battery.Supply, error) {
-	var s battery.Supply
-	switch l.Supply {
-	case "cr2032":
-		s = battery.CoinCellCR2032()
-	case "aa":
-		s = battery.AACell()
-	case "harvester":
-		s = battery.VibrationHarvester()
-	default:
+	s, ok := battery.ByName(l.Supply)
+	if !ok {
 		return s, fmt.Errorf("unknown supply %q (want cr2032, aa or harvester)", l.Supply)
 	}
 	if l.CapacityJ > 0 {
