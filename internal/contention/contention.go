@@ -427,16 +427,12 @@ const shardSuperframes = 8
 // Simulate runs the Monte-Carlo characterization as a fill of one point.
 // The run is sharded into independent superframe blocks executed on
 // Config.Workers goroutines; results are bit-identical for every worker
-// count (see Config.Workers).
-//
-// Shard state (event calendar, transaction population, RNG) and the fill
-// are pooled and reused across calls, and the per-shard statistics are
-// folded shard by shard in index order — there is no merged transaction
-// slice at all, so a steady stream of Simulate calls allocates nothing per
-// call.
+// count (see Config.Workers). Shard state and the fill are pooled, and the
+// shards are folded in index order with no merged transaction slice, so a
+// steady stream of Simulate calls allocates nothing per call.
 func Simulate(cfg Config) Result {
 	cfg = cfg.prepared()
-	f := getFill()
+	f := fillPool.Get().(*fill)
 	f.add(cfg, 0, flight{})
 	_ = f.run(context.Background(), cfg.Workers) // cannot fail uncanceled
 	r := f.points[0].res
@@ -445,16 +441,15 @@ func Simulate(cfg Config) Result {
 }
 
 // fill is the one Monte-Carlo runner: Simulate, BuildCurve and Resolve
-// queue their prepared runs with add, and run cuts every queued point into
-// its shards and runs every shard of every point in one engine.Map, with
-// each point's shard seeds and fold order its own, so the statistics depend
-// neither on the worker count nor on the other points of the fill. A point
-// is folded as soon as its last shard ends and, when it holds a cache
-// flight, published. Fills are pooled, so a run allocates no point table,
-// no shard table and no closure.
+// queue their prepared runs with add, and run runs every shard of every
+// queued point in one engine.Map. Each point keeps its own shard seeds and
+// fold order, so its statistics depend neither on the worker count nor on
+// the other points. A point is folded, and published when it holds a cache
+// flight, as soon as its last shard ends. Fills are pooled, so a run
+// allocates no point table, no shard table and no closure.
 type fill struct {
 	points []owned
-	shards []*shard // by unit: point p's shards are shards[p.first:p.first+p.n]
+	shards []*shard // by unit: point p's are shards[p.first:p.first+p.n]
 	unit   func(u int) error
 }
 
@@ -480,9 +475,6 @@ var fillPool = sync.Pool{New: func() any {
 // larger one, from a grid over many loads, is left to the collector.
 const maxPooledFill = 1024
 
-// getFill returns an empty fill from the pool.
-func getFill() *fill { return fillPool.Get().(*fill) }
-
 // add queues prepared run cfg as a point answering lookup at and settling
 // fl, which is zero for a point run outside the cache.
 func (f *fill) add(cfg Config, at int, fl flight) {
@@ -490,33 +482,22 @@ func (f *fill) add(cfg Config, at int, fl flight) {
 	f.shards = slices.Grow(f.shards, n)[:first+n]
 	f.points = append(f.points, owned{cfg: cfg, at: at, flight: fl, first: first, n: n})
 	p := &f.points[len(f.points)-1]
-	p.outstanding.Store(int32(n))
-	if n == 0 {
+	if p.outstanding.Store(int32(n)); n == 0 {
 		p.finish(nil)
 	}
 }
 
 // run simulates every queued shard on at most workers goroutines. Once ctx
 // is done no further shard starts: run returns ctx.Err() after the shards
-// in flight end, hands the shards of every unfinished point back to the
-// pool and abandons its flight, so its waiters claim it afresh.
+// in flight end and abandons the flight of every unfinished point, so its
+// waiters claim it afresh.
 func (f *fill) run(ctx context.Context, workers int) error {
 	err := engine.Map(ctx, workers, len(f.shards), f.unit)
-	if err == nil {
-		return nil
-	}
-	for k := range f.points {
-		p := &f.points[k]
-		if p.outstanding.Load() == 0 {
-			continue
-		}
-		for _, st := range f.shards[p.first : p.first+p.n] {
-			if st != nil {
-				shardPool.Put(st)
+	if err != nil {
+		for k := range f.points {
+			if p := &f.points[k]; p.outstanding.Load() != 0 && p.flight != (flight{}) {
+				p.flight.Abandon()
 			}
-		}
-		if p.flight != (flight{}) {
-			p.flight.Abandon()
 		}
 	}
 	return err
@@ -535,9 +516,13 @@ func (f *fill) runUnit(u int) error {
 	return nil
 }
 
-// finish folds point p from its shards and publishes it to its flight.
+// finish folds point p's shards in index order into its result, returns
+// them to the pool and publishes the point to its flight.
 func (p *owned) finish(shards []*shard) {
-	p.res = fold(p.cfg, shards)
+	p.res = aggregate(p.cfg, shards)
+	for _, st := range shards {
+		shardPool.Put(st)
+	}
 	if p.flight != (flight{}) {
 		p.flight.Publish(p.res.stats())
 	}
@@ -576,7 +561,7 @@ func (c Config) shardCount() int {
 }
 
 // runShard simulates block i of a prepared run on a pooled shard under the
-// block's derived seed, and returns the shard for fold.
+// block's derived seed, and returns the shard for its point's finish.
 func (c Config) runShard(i int) *shard {
 	sf := shardSuperframes
 	if i == c.shardCount()-1 {
@@ -585,16 +570,6 @@ func (c Config) runShard(i int) *shard {
 	st := shardPool.Get().(*shard)
 	simulateShard(c, sf, engine.DeriveSeed(c.Seed, int64(i)), st)
 	return st
-}
-
-// fold aggregates a run's shards in index order into its Result and returns
-// them to the pool.
-func fold(cfg Config, shards []*shard) Result {
-	r := aggregate(cfg, shards)
-	for _, st := range shards {
-		shardPool.Put(st)
-	}
-	return r
 }
 
 // simulateShard runs the event loop over one independent block of

@@ -51,7 +51,7 @@ type Curve struct {
 // every point runs in one fill on base.Workers goroutines, so the curve is
 // identical at any worker count. The points bypass the contention cache.
 func BuildCurve(payload int, loads []float64, base Config) Curve {
-	f := getFill()
+	f := fillPool.Get().(*fill)
 	for i, l := range loads {
 		cfg := base
 		cfg.PayloadBytes = payload
@@ -231,7 +231,7 @@ func Resolve(ctx context.Context, workers int, ls []Lookup) error {
 			continue
 		}
 		if fl == nil {
-			fl = getFill()
+			fl = fillPool.Get().(*fill)
 		}
 		fl.add(cfg.prepared(), i, f)
 	}

@@ -10,11 +10,11 @@ import (
 // Abandons the key if it does not finish; every other caller Waits on that
 // one computation, and every later request is served from memory. The zero
 // value is an unbounded cache ready for use; SetLimit bounds it with LRU
-// eviction. It backs the shared contention
-// cache: a sweep that evaluates many model points at the same (payload,
-// load, contention config) simulates the Monte-Carlo characterization once
-// instead of once per point, and a long-running service sweeping an
-// unbounded parameter space stays within a fixed memory budget.
+// eviction. It backs the shared contention cache: a sweep that evaluates
+// many model points at the same (payload, load, contention config)
+// simulates the Monte-Carlo characterization once instead of once per
+// point, and a long-running service sweeping an unbounded parameter space
+// stays within a fixed memory budget.
 //
 // Entries are carved from chunks of entryChunk, so a batch of new keys
 // costs one allocation per chunk, not one per key. An entry is never
