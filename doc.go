@@ -75,14 +75,19 @@
 // worker-count independent: tasks are keyed by plan/grid index, per-shard
 // RNG seeds derive from the run seed alone, and identical contention
 // points are simulated once per process through a shared memoized cache
-// keyed on the exact (payload, load) point. Contention depends on packet
-// size and load only, never on the transmit level or path loss, so the
-// model looks it up once per point (core.EvaluateWithStats), not once per
-// TX level, and a sweep whose points share a configuration looks it up
-// once in all. The cache is LRU-bounded on request (SetContentionCacheLimit),
-// instrumented (ContentionCacheStats) and resettable
-// (ContentionCacheReset). A canceled context stops Run, RunStream and
-// every *Ctx facade promptly with ctx.Err().
+// keyed on the exact (payload, load) point. Every Monte-Carlo
+// characterization runs on one runner, the shard fill behind
+// contention.Resolve: Simulate is a fill of one point, a Fig. 6 curve
+// (BuildCurve) a fill of its load points, and a Monte-Carlo source's lookup
+// (MCSource.Contention) a one-lookup Resolve, so the cache is filled
+// through one protocol (engine.Cache's Acquire, Publish, Abandon and Wait).
+// Contention depends on packet size and load only, never on the transmit
+// level or path loss, so the model looks it up once per point
+// (core.EvaluateWithStats), not once per TX level, and a sweep whose points
+// share a configuration looks it up once in all. The cache is LRU-bounded
+// on request (SetContentionCacheLimit), instrumented (ContentionCacheStats)
+// and resettable (ContentionCacheReset). A canceled context stops Run,
+// RunStream and every *Ctx facade promptly with ctx.Err().
 //
 // A query is materialized exactly once, by query.Compile: its per-task
 // inputs sit in index-addressed slices (grid points, replica seeds), every
