@@ -75,7 +75,8 @@ type Config struct {
 	// TargetLoad is the offered load λ; the simulator offers
 	// λ·Tib/Tpacket packets per superframe.
 	TargetLoad float64
-	// Superframes is the number of beacon intervals to simulate.
+	// Superframes is the number of beacon intervals to simulate (0 ⇒ 50;
+	// a negative count panics).
 	Superframes int
 	// BeaconBytes is the beacon's on-air size; the channel is busy for
 	// that long after each beacon boundary. Defaults to a minimal beacon.
@@ -481,10 +482,7 @@ func (f *fill) add(cfg Config, at int, fl flight) {
 	first, n := len(f.shards), cfg.shardCount()
 	f.shards = slices.Grow(f.shards, n)[:first+n]
 	f.points = append(f.points, owned{cfg: cfg, at: at, flight: fl, first: first, n: n})
-	p := &f.points[len(f.points)-1]
-	if p.outstanding.Store(int32(n)); n == 0 {
-		p.finish(nil)
-	}
+	f.points[len(f.points)-1].outstanding.Store(int32(n))
 }
 
 // run simulates every queued shard on at most workers goroutines. Once ctx
@@ -541,12 +539,16 @@ func (f *fill) release() {
 }
 
 // prepared fills c's defaults and checks what the event loop assumes: a
-// non-negative load and valid CSMA parameters, checked here once per run
-// rather than per transaction. It panics on either.
+// non-negative load, a positive run length, so the run has at least one
+// shard, and valid CSMA parameters, checked here once per run rather than
+// per transaction. It panics on any of them.
 func (c Config) prepared() Config {
 	c = c.withDefaults()
 	if c.TargetLoad < 0 {
 		panic("contention: negative target load")
+	}
+	if c.Superframes < 0 {
+		panic("contention: negative superframes")
 	}
 	if err := c.CSMA.Validate(); err != nil {
 		panic(err)

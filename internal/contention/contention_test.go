@@ -186,6 +186,23 @@ func TestNegativeLoadPanics(t *testing.T) {
 	Simulate(lightCfg(-0.1, 120))
 }
 
+// TestNegativeSuperframesPanics: a negative run length is rejected like a
+// negative load, not simulated as a run of no superframes.
+func TestNegativeSuperframesPanics(t *testing.T) {
+	for _, sf := range []int{-3, -20} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Superframes %d must panic", sf)
+				}
+			}()
+			c := lightCfg(0.1, 120)
+			c.Superframes = sf
+			Simulate(c)
+		}()
+	}
+}
+
 func TestArrivalModelString(t *testing.T) {
 	if ArrivalUniform.String() == "" || ArrivalAtBeacon.String() == "" || ArrivalModel(9).String() == "" {
 		t.Fatal("arrival strings")

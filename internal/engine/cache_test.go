@@ -204,7 +204,7 @@ func ExampleCache() {
 
 // TestCacheFlights: the first Acquire of a key owns its flight and the
 // value computed outside the cache reaches every other caller — those that
-// joined before Publish block in Wait, later ones find it Ready — with the
+// joined before Publish block in Wait, later ones find it Ready — with
 // each Acquire counted as one hit or one miss.
 func TestCacheFlights(t *testing.T) {
 	var c Cache[string, int]
