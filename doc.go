@@ -596,7 +596,6 @@
 // profiling listener (wsn-serve -pprof 127.0.0.1:6060) and capture
 // /debug/pprof/profile while a replica-heavy query runs.
 //
-// See the examples directory for runnable scenarios. The experiment drivers
-// (query kind "experiment") set the paper's figures beside the reproduced
-// ones.
+// The paper's tables and figures are experiment queries, which set the
+// paper's values beside the reproduced ones (see "Command line").
 package dense802154

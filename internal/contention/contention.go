@@ -32,7 +32,6 @@ import (
 	"dense802154/internal/frame"
 	"dense802154/internal/mac"
 	"dense802154/internal/phy"
-	"dense802154/internal/stats"
 )
 
 // ArrivalModel selects when packets become ready inside a superframe.
@@ -729,52 +728,41 @@ func simulateShard(cfg Config, superframes int, seed int64, st *shard) {
 // aggregate folds the per-shard transaction populations into a Result; the
 // serial in-order fold (shard order, then arrival order within each shard)
 // visits transactions exactly as the old merged slice did, keeping
-// floating-point sums worker-count independent.
+// floating-point sums worker-count independent. Each transaction, granted
+// or failed, is one procedure of the tally.
 func aggregate(cfg Config, shards []*shard) Result {
 	sfSlots := int64(cfg.Superframe.BeaconInterval() / phy.UnitBackoffPeriod)
 	packetSlots := float64(cfg.PacketDuration()) / float64(phy.UnitBackoffPeriod)
 	packetCeil := math.Ceil(packetSlots)
 
-	var cont stats.Accumulator
-	var ccas stats.Accumulator
-	var cf, col stats.Proportion
-	total, granted, failed, collided := 0, 0, 0, 0
+	var tl Tally
 	for _, st := range shards {
-		total += len(st.txns)
 		for i := range st.txns {
 			t := &st.txns[i]
-			ccas.Add(float64(t.t.CCAs()))
-			cf.Observe(t.failed)
-			if t.failed {
-				failed++
-				cont.Add(float64(t.endSlot-t.arrivalSlot) * phy.UnitBackoffPeriod.Seconds())
-			}
+			slots := float64(t.endSlot - t.arrivalSlot)
 			if t.granted {
-				granted++
-				col.Observe(t.collided)
-				if t.collided {
-					collided++
-				}
-				txStart := float64(t.endSlot) - packetCeil
-				cont.Add((txStart - float64(t.arrivalSlot)) * phy.UnitBackoffPeriod.Seconds())
+				slots = float64(t.endSlot) - packetCeil - float64(t.arrivalSlot)
+				tl.Transmission(t.collided)
 			}
+			tl.Procedure(slots*phy.UnitBackoffPeriod.Seconds(), t.t.CCAs(), t.granted)
 		}
 	}
-	offered := float64(total) * packetSlots / float64(int64(cfg.Superframes)*sfSlots)
+	offered := float64(tl.cf.Trials()) * packetSlots / float64(int64(cfg.Superframes)*sfSlots)
+	s := tl.Stats()
 	return Result{
 		Config:         cfg,
 		OfferedLoad:    offered,
-		Transactions:   total,
-		Granted:        granted,
-		Failed:         failed,
-		Collided:       collided,
-		MeanContention: time.Duration(cont.Mean() * float64(time.Second)),
-		ContentionCI95: time.Duration(cont.CI95() * float64(time.Second)),
-		MeanCCAs:       ccas.Mean(),
-		CCAsCI95:       ccas.CI95(),
-		PrCF:           cf.Value(),
-		PrCFCI95:       cf.CI95(),
-		PrCol:          col.Value(),
-		PrColCI95:      col.CI95(),
+		Transactions:   tl.cf.Trials(),
+		Granted:        tl.col.Trials(),
+		Failed:         tl.Failures(),
+		Collided:       tl.Collisions(),
+		MeanContention: s.Tcont,
+		ContentionCI95: time.Duration(tl.dur.CI95() * float64(time.Second)),
+		MeanCCAs:       s.NCCA,
+		CCAsCI95:       tl.ccas.CI95(),
+		PrCF:           s.PrCF,
+		PrCFCI95:       tl.cf.CI95(),
+		PrCol:          s.PrCol,
+		PrColCI95:      tl.col.CI95(),
 	}
 }

@@ -1,6 +1,7 @@
 package contention
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -206,5 +207,54 @@ func TestNegativeSuperframesPanics(t *testing.T) {
 func TestArrivalModelString(t *testing.T) {
 	if ArrivalUniform.String() == "" || ArrivalAtBeacon.String() == "" || ArrivalModel(9).String() == "" {
 		t.Fatal("arrival strings")
+	}
+}
+
+// TestEveryTransactionEnds pins the invariant aggregate's fold relies on:
+// every transaction ends either granted or failed, never both, and only a
+// granted one collides. The shards are run directly, so the population is
+// counted as spawned, not as the tally saw it.
+func TestEveryTransactionEnds(t *testing.T) {
+	payloads := []int{5, 33, 80, 123}
+	rows := 0
+	for bo := uint8(0); bo <= 8; bo++ {
+		sf, err := mac.NewSuperframe(bo, bo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, load := range []float64{0.05, 0.5, 1.5, 3} {
+			for _, arr := range []ArrivalModel{ArrivalUniform, ArrivalAtBeacon} {
+				for _, ble := range []bool{false, true} {
+					csma := mac.PaperParams()
+					csma.BatteryLifeExt = ble
+					cfg := Config{
+						PayloadBytes: payloads[rows%len(payloads)], Superframe: sf,
+						CSMA: csma, Arrival: arr, TargetLoad: load,
+						Superframes: max(2, 64>>bo), Seed: int64(rows) + 1,
+					}.prepared()
+					name := fmt.Sprintf("BO%d/λ%g/L%d/%v/ble=%v", bo, load, cfg.PayloadBytes, arr, ble)
+					rows++
+
+					spawned := 0
+					for i := range cfg.shardCount() {
+						st := cfg.runShard(i)
+						for k := range st.txns {
+							x := &st.txns[k]
+							if x.granted == x.failed || x.collided && !x.granted {
+								t.Fatalf("%s: transaction %d ends granted/failed/collided %v/%v/%v",
+									name, k, x.granted, x.failed, x.collided)
+							}
+						}
+						spawned += len(st.txns)
+						shardPool.Put(st)
+					}
+					r := Simulate(cfg)
+					if r.Transactions != spawned || r.Granted+r.Failed != r.Transactions || r.Collided > r.Granted {
+						t.Fatalf("%s: %d spawned, %d transactions = %d granted + %d failed, %d collided",
+							name, spawned, r.Transactions, r.Granted, r.Failed, r.Collided)
+					}
+				}
+			}
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dense802154/internal/engine"
+	"dense802154/internal/stats"
 )
 
 // Stats is the tuple of contention-side quantities the analytical energy
@@ -16,6 +17,40 @@ type Stats struct {
 	PrCF  float64
 	PrCol float64
 }
+
+// Tally is the one definition of the four Stats; both simulators feed it.
+// A procedure is one run of slotted CSMA/CA, from the packet being ready to
+// contend to a grant or a channel access failure: its length averages into
+// T̄cont, its CCAs into N̄CCA, and it is one trial of Pr_cf. A transmission
+// is one granted frame and one trial of Pr_col. netsim reports every
+// procedure and transmission, retries included; the Monte-Carlo has no
+// retries and reports one procedure per transaction.
+type Tally struct {
+	dur, ccas stats.Accumulator // per procedure: seconds, CCAs
+	cf, col   stats.Proportion  // failures per procedure, collisions per transmission
+}
+
+// Procedure records one procedure that ended in a grant or an access failure.
+func (t *Tally) Procedure(seconds float64, ccas int, granted bool) {
+	t.dur.Add(seconds)
+	t.ccas.Add(float64(ccas))
+	t.cf.Observe(!granted)
+}
+
+// Transmission records whether a granted transmission collided.
+func (t *Tally) Transmission(collided bool) { t.col.Observe(collided) }
+
+// Stats reports the tallied statistics; each is zero before its first event.
+func (t *Tally) Stats() Stats {
+	return Stats{Tcont: time.Duration(t.dur.Mean() * float64(time.Second)),
+		NCCA: t.ccas.Mean(), PrCF: t.cf.Value(), PrCol: t.col.Value()}
+}
+
+// Failures reports the procedures that ended in an access failure.
+func (t *Tally) Failures() int { return t.cf.Successes() }
+
+// Collisions reports the transmissions that collided.
+func (t *Tally) Collisions() int { return t.col.Successes() }
 
 // Source yields contention statistics for a payload size and offered load.
 // The analytical model (internal/core) is parameterized over this

@@ -44,6 +44,7 @@ package des
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"dense802154/internal/engine"
@@ -83,11 +84,11 @@ func New(seed int64) *Simulator {
 }
 
 // Reset rewinds the simulator to the state New(seed) would produce while
-// keeping the heap's backing storage, so a recycled simulator
-// schedules its next run without growing allocations. Pending events are
-// dropped. The registered dispatcher is kept.
-func (s *Simulator) Reset(seed int64) {
-	s.heap = s.heap[:0]
+// keeping the heap's backing storage, grown to hold at least room events, so
+// a caller that knows its queue bound schedules without growing the heap.
+// Pending events are dropped. The registered dispatcher is kept.
+func (s *Simulator) Reset(seed int64, room int) {
+	s.heap = slices.Grow(s.heap[:0], room)
 	s.now = 0
 	s.seq = 0
 	s.fired = 0

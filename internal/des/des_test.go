@@ -220,7 +220,7 @@ func TestMaxHeapDepth(t *testing.T) {
 	if s.MaxHeapDepth() != 9 {
 		t.Fatalf("MaxHeapDepth = %d, want 9 (all scheduled before any fired)", s.MaxHeapDepth())
 	}
-	s.Reset(1)
+	s.Reset(1, 0)
 	if s.MaxHeapDepth() != 0 {
 		t.Fatalf("MaxHeapDepth after Reset = %d, want 0", s.MaxHeapDepth())
 	}
@@ -408,7 +408,7 @@ func TestResetReplaysIdentically(t *testing.T) {
 	// Left pending across the Reset: two events, the second one earlier.
 	s.AtEvent(3*time.Millisecond, 0, -7, 0)
 	s.AtEvent(2500*time.Microsecond, 0, -8, 0)
-	s.Reset(42)
+	s.Reset(42, 0)
 	if s.Now() != 0 || s.Fired() != 0 || s.Pending() != 0 {
 		t.Fatalf("Reset left state behind: now=%v fired=%d pending=%d", s.Now(), s.Fired(), s.Pending())
 	}
@@ -436,10 +436,10 @@ func TestResetReusesStorage(t *testing.T) {
 		s.Run()
 	}
 	churn()
-	s.Reset(2)
+	s.Reset(2, 0)
 	allocs := testing.AllocsPerRun(10, func() {
 		churn()
-		s.Reset(2)
+		s.Reset(2, 0)
 	})
 	if allocs > 0 {
 		t.Fatalf("reset simulator allocated %v per cycle, want 0", allocs)

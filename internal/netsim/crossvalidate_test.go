@@ -38,15 +38,18 @@ func TestContentionCrossValidation(t *testing.T) {
 
 	// Pr_col shows a one-sided gap: the DES (100 nodes, 30 superframes,
 	// default NMax = 5) collides several times as often as the MC (here at
-	// 200 superframes). Its cause is not yet explained; ROADMAP item 1
-	// lists the candidate mechanisms (overlap versus same-boundary
-	// collisions, ACKs on the channel, the arrival window, beacon
-	// deferral). The band is measured, not derived: over DES seeds 31–50
-	// the ratio averaged 4.43 with a per-seed spread of 0.31, and the MC's
-	// Pr_col spread 3.9% over seeds 31–35, so a five-seed mean has
-	// σ ≈ 0.22 and the band is the measured mean ± 3σ. A change that moves
-	// the ratio out of it, in either simulator, is a behaviour change to
-	// explain, not a band to widen.
+	// 200 superframes). Its root cause is doCCA's look-ahead (ROADMAP item
+	// 1): a CCA event fires one idle→RX turnaround before the boundary it
+	// assesses, on the same instant as the transmit event of a frame that
+	// starts at that boundary, and when it fires first it reports the
+	// channel idle, so the node transmits one slot later into the frame.
+	// Retries add the rest: the DES counts every attempt, the MC fresh
+	// transactions only. The band is measured, not derived: over DES
+	// seeds 31–50 the ratio averaged 4.43 with a per-seed spread of 0.31,
+	// and the MC's Pr_col spread 3.9% over seeds 31–35, so a five-seed
+	// mean has σ ≈ 0.22 and the band is the measured mean ± 3σ. A change
+	// that moves the ratio out of it, in either simulator, is a behaviour
+	// change to explain, not a band to widen.
 	mc = contention.Simulate(contention.Config{
 		TargetLoad:  0.433,
 		Superframes: 200,

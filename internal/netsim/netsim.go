@@ -22,6 +22,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"dense802154/internal/channel"
@@ -31,7 +32,6 @@ import (
 	"dense802154/internal/mac"
 	"dense802154/internal/phy"
 	"dense802154/internal/radio"
-	"dense802154/internal/stats"
 	"dense802154/internal/units"
 )
 
@@ -174,7 +174,8 @@ type Result struct {
 	MeanDelay        time.Duration
 	P95Delay         time.Duration
 
-	// Contention statistics measured in situ (comparable to Fig. 6).
+	// Contention over every procedure and transmission, retries included;
+	// the Fig. 6 Monte-Carlo counts fresh transactions only (ROADMAP item 18).
 	Contention contention.Stats
 
 	// AttemptsHist[i] counts packets delivered on their (i+1)-th
@@ -232,7 +233,7 @@ type medium struct {
 // no *node pointer from a previous run survives in the slice tail.
 func (m *medium) reset() {
 	clear(m.active)
-	m.active = m.active[:0]
+	m.active = slices.Grow(m.active[:0], 8)
 }
 
 // prune drops transmissions that ended at or before t, compacting the
@@ -306,6 +307,7 @@ type node struct {
 	per   float64 // packet corruption probability at the chosen level
 
 	last       time.Duration // accounting watermark
+	contStart  time.Duration // start of the current contention procedure
 	txn        mac.Attempt   // restarted in place per attempt
 	attempts   int
 	pkt        packet
@@ -313,9 +315,6 @@ type node struct {
 	txCollided bool // current transmission overlapped another
 	busy       bool // a MAC exchange (contention/TX/ACK) is in flight
 	traced     bool
-
-	// in-situ contention statistics
-	contStart time.Duration
 }
 
 // env holds the per-run simulation state. It is the arena a Runner recycles
@@ -337,15 +336,13 @@ type env struct {
 	tack     time.Duration // ack frame duration
 
 	offered, delivered, dropped int
-	transmissions, collisions   int
-	accessFailures, corrupted   int
+	transmissions, corrupted    int
 	txnFailures, txnTotal       int
 	ccaAttempts, backoffs       int
 	delays                      []float64
 	attemptsHist                []int
 	trace                       []TraceEvent
-	contDur, contCCA            stats.Accumulator
-	contCF, contCol             stats.Proportion
+	cont                        contention.Tally
 
 	// Lifetime-epoch state (nil on plain runs — see Epochs). alive and
 	// budgetJ alias the caller's EpochSpec slices; deaths is arena storage
@@ -361,7 +358,7 @@ type env struct {
 // bit-identical (asserted by TestRunnerRecycleBitIdentity).
 func (e *env) reset(cfg Config) {
 	e.cfg = cfg
-	e.sim.Reset(cfg.Seed)
+	e.sim.Reset(cfg.Seed, cfg.Nodes+1) // an event per node and the next beacon
 	if e.dispatch == nil {
 		e.dispatch = e.dispatchEvent // one closure per env lifetime
 	}
@@ -371,14 +368,12 @@ func (e *env) reset(cfg Config) {
 	e.attemptsHist = resize(e.attemptsHist, cfg.NMax)
 	clear(e.attemptsHist)
 	e.offered, e.delivered, e.dropped = 0, 0, 0
-	e.transmissions, e.collisions = 0, 0
-	e.accessFailures, e.corrupted = 0, 0
+	e.transmissions, e.corrupted = 0, 0
 	e.txnFailures, e.txnTotal = 0, 0
 	e.ccaAttempts, e.backoffs = 0, 0
-	e.delays = e.delays[:0]
+	e.delays = slices.Grow(e.delays[:0], cfg.Nodes*cfg.Superframes) // a delivery per node and superframe at most
 	e.trace = e.trace[:0]
-	e.contDur, e.contCCA = stats.Accumulator{}, stats.Accumulator{}
-	e.contCF, e.contCol = stats.Proportion{}, stats.Proportion{}
+	e.cont = contention.Tally{}
 	e.alive, e.budgetJ = nil, nil
 	e.deaths = e.deaths[:0]
 }

@@ -228,11 +228,30 @@ func TestDelayStatistics(t *testing.T) {
 	}
 }
 
+// TestPacketConservation checks the packet and contention bookkeeping:
+// every offered packet is delivered, dropped or still pending, every
+// contention procedure ends in a transmission or an access failure (Pr_cf
+// is failures over their sum, to the bit), and no more transmissions
+// collide than were sent.
 func TestPacketConservation(t *testing.T) {
-	r := Run(Config{Nodes: 100, Superframes: 10, Seed: 16})
-	if r.PacketsDelivered+r.PacketsDropped+r.PacketsExpired != r.PacketsOffered {
-		t.Fatalf("packet bookkeeping: %d + %d + %d != %d",
-			r.PacketsDelivered, r.PacketsDropped, r.PacketsExpired, r.PacketsOffered)
+	for _, cfg := range []Config{
+		{Nodes: 100, Superframes: 10, Seed: 16},
+		{Nodes: 200, Superframes: 4, Seed: 1},
+		{Nodes: 10, Superframes: 20, Seed: 8, Deployment: channel.UniformLoss{MinDB: 92, MaxDB: 94}},
+	} {
+		r := Run(cfg)
+		if r.PacketsDelivered+r.PacketsDropped+r.PacketsExpired != r.PacketsOffered {
+			t.Errorf("%d nodes: packet bookkeeping: %d + %d + %d != %d", cfg.Nodes,
+				r.PacketsDelivered, r.PacketsDropped, r.PacketsExpired, r.PacketsOffered)
+		}
+		if want := float64(r.AccessFailures) / float64(r.AccessFailures+r.Transmissions); r.Contention.PrCF != want {
+			t.Errorf("%d nodes: Pr_cf %v, want %d failures over %d procedures",
+				cfg.Nodes, r.Contention.PrCF, r.AccessFailures, r.AccessFailures+r.Transmissions)
+		}
+		if r.Collisions > r.Transmissions || r.Contention.PrCol < float64(r.Collisions)/float64(r.Transmissions) {
+			t.Errorf("%d nodes: %d collisions in %d transmissions, Pr_col %v",
+				cfg.Nodes, r.Collisions, r.Transmissions, r.Contention.PrCol)
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"dense802154/internal/channel"
-	"dense802154/internal/contention"
 	"dense802154/internal/engine"
 	"dense802154/internal/frame"
 	"dense802154/internal/mac"
@@ -358,10 +357,9 @@ func (n *node) doCCA(b time.Duration) {
 		e.sim.AtEvent(next-e.tia, evDoCCA, int32(n.id), next)
 	case mac.OutcomeFailure:
 		// Channel access failure: report to the application, sleep.
-		e.accessFailures++
 		e.txnFailures++
 		e.txnTotal++
-		e.recordContention(n, b, false)
+		e.cont.Procedure((b - n.contStart).Seconds(), n.txn.CCAs(), false)
 		n.sleep()
 	}
 }
@@ -378,7 +376,7 @@ func (n *node) transmit(start time.Duration) {
 	e.med.add(transmission{start: start, end: end, node: n})
 	e.transmissions++
 	n.attempts++
-	e.recordContention(n, start, true)
+	e.cont.Procedure((start - n.contStart).Seconds(), n.txn.CCAs(), true)
 	e.sim.AtEvent(end, evFinishTx, int32(n.id), end)
 }
 
@@ -389,12 +387,7 @@ func (n *node) finishTransmit(end time.Duration) {
 	collided := n.txCollided
 	corrupted := n.rng.Float64() < n.per
 	ok := !collided && !corrupted
-	if collided {
-		e.collisions++
-		e.contCol.Observe(true)
-	} else {
-		e.contCol.Observe(false)
-	}
+	e.cont.Transmission(collided)
 	if corrupted && !collided {
 		e.corrupted++
 	}
@@ -469,13 +462,6 @@ func (n *node) sleep() {
 	n.transition(radio.Shutdown)
 }
 
-// recordContention logs one contention procedure's statistics.
-func (e *env) recordContention(n *node, endedAt time.Duration, granted bool) {
-	e.contDur.Add((endedAt - n.contStart).Seconds())
-	e.contCCA.Add(float64(n.txn.CCAs()))
-	e.contCF.Observe(!granted)
-}
-
 // collect aggregates the arena's last run into a Result.
 func (e *env) collect() Result {
 	r := e.headline()
@@ -501,9 +487,10 @@ func (e *env) headline() Result {
 		PacketsDelivered: e.delivered,
 		PacketsDropped:   e.dropped,
 		Transmissions:    e.transmissions,
-		Collisions:       e.collisions,
-		AccessFailures:   e.accessFailures,
+		Collisions:       e.cont.Collisions(),
+		AccessFailures:   e.cont.Failures(),
 		CorruptedFrames:  e.corrupted,
+		Contention:       e.cont.Stats(),
 	}
 	r.PacketsExpired = e.offered - e.delivered - e.dropped
 	if e.offered > 0 {
@@ -526,11 +513,5 @@ func (e *env) headline() Result {
 	}
 	energyPerNode := float64(ledger.TotalEnergy()) / float64(e.cfg.Nodes)
 	r.AvgPowerPerNode = units.Power(energyPerNode / horizon.Seconds())
-	r.Contention = contention.Stats{
-		Tcont: time.Duration(e.contDur.Mean() * float64(time.Second)),
-		NCCA:  e.contCCA.Mean(),
-		PrCF:  e.contCF.Value(),
-		PrCol: e.contCol.Value(),
-	}
 	return r
 }
